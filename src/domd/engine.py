@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvio
-from .geometry import contains, norm_of, project_floored_simplex, prox
+from .geometry import contains, project_floored_simplex, prox
 from .network import mix
 from .objectives import gradients_exact_batch, gradients_stochastic_batch
 

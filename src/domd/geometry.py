@@ -53,17 +53,26 @@ def free_domain(d):
     return Domain("free", d)
 
 
-def contains(domain, x, tol=DOMAIN_TOL):
+def inside(domain, x, tol=DOMAIN_TOL):
+    """Row-wise membership: a boolean array of shape x.shape[:-1].
+
+    Each point lies along the last axis; points of the wrong dimension are
+    outside.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != domain.d:
-        return False
+        return np.zeros(x.shape[:-1], dtype=bool)
     if domain.kind == "free":
-        return bool(np.all(np.isfinite(x)))
+        return np.all(np.isfinite(x), axis=-1)
     if domain.kind == "box":
-        return bool(np.all(x >= domain.lo - tol) and np.all(x <= domain.hi + tol))
-    ok_floor = np.all(x >= domain.floor - tol)
-    ok_sum = np.all(np.abs(x.sum(axis=-1) - 1.0) <= domain.d * tol)
-    return bool(ok_floor and ok_sum)
+        return np.all((x >= domain.lo - tol) & (x <= domain.hi + tol), axis=-1)
+    ok_floor = np.all(x >= domain.floor - tol, axis=-1)
+    return ok_floor & (np.abs(x.sum(axis=-1) - 1.0) <= domain.d * tol)
+
+
+def contains(domain, x, tol=DOMAIN_TOL):
+    """Whether every point along the last axis of x lies in the domain."""
+    return bool(inside(domain, x, tol).all())
 
 
 def sample_domain(domain, rng, size=None):

@@ -185,12 +185,9 @@ def _write_run_outputs(result, out_dir):
     d, n = trace.d, trace.n
     header = (["t"] + [f"target{k + 1}" for k in range(d)]
               + [f"agent{i + 1}_{k + 1}" for i in range(n) for k in range(d)])
-    rows = []
-    for t in range(trace.horizon + 1):
-        row = [t + 1] + list(path.states[t])
-        for i in range(n):
-            row += list(trace.x[t, i])
-        rows.append(row)
+    steps = trace.horizon + 1
+    table = np.concatenate([path.states[:steps], trace.x.reshape(steps, -1)], axis=1)
+    rows = [[t + 1] + row for t, row in enumerate(table.tolist())]
     csvio.write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows, comments)
     if result.bounds is not None:
         write_bound_csv(result.bounds, os.path.join(out_dir, "bounds.csv"), comments)

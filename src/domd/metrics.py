@@ -1,10 +1,16 @@
 """Regret measurement and the matching upper-bound calculators.
 
 Dynamic regret compares the network-average loss along the agents' iterates
-with the loss along the moving per-round minimizer.  The calculators
-evaluate the guarantees as exact finite sums: a tracking term driven by the
-domain radius, the step sizes and the accumulated target perturbation, plus
-a network term driven by the mixing matrix's second singular value.
+with the loss along the moving per-round minimizer.  The regret, loss-gap
+and comparator measurements evaluate their losses for the whole horizon at
+once through the (T, m, d) functions of objectives (global_loss_batch,
+agent_loss_batch), which work in bounded round blocks, so no Python loop
+runs over rounds, agents or points.
+
+The calculators evaluate the guarantees as exact finite sums: a tracking
+term driven by the domain radius, the step sizes and the accumulated target
+perturbation, plus a network term driven by the mixing matrix's second
+singular value.
 
 Two conventions make every sum well defined: eta_0 is read as eta_1, and
 0^0 counts as 1, so the network term does not vanish for perfectly mixing
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import csvio
-from .objectives import global_loss_batch
+from .objectives import agent_loss_batch, check_rounds, global_loss_batch
 
 COMPARATOR_TOL = 1e-9
 
@@ -37,22 +43,22 @@ class RegretReport:
     path_variation: float = None
 
 
+def _targets(path, horizon):
+    """Per-round minimizers for rounds 1 .. horizon, as a (horizon, d) array."""
+    check_rounds("comparator path", path.states, horizon)
+    return path.states[:horizon]
+
+
 def _average_losses(trace, ens, path):
     """Per-round network-average loss at the iterates and at the comparator."""
     horizon = trace.horizon
-    at_iterates = np.empty(horizon)
-    at_comparator = np.empty(horizon)
-    for t in range(1, horizon + 1):
-        values = global_loss_batch(ens, t, trace.x[t - 1], path)
-        at_iterates[t - 1] = values.mean()
-        at_comparator[t - 1] = global_loss_batch(ens, t, path.states[t - 1][None, :], path)[0]
+    at_iterates = global_loss_batch(ens, path, trace.x[:horizon]).mean(axis=1)
+    at_comparator = global_loss_batch(ens, path, _targets(path, horizon)[:, None, :])[:, 0]
     return at_iterates, at_comparator
 
 
 def dynamic_regret(trace, ens, path):
     """Regret against the per-round minimizers path.states[0..T-1]."""
-    if path.states.shape[0] < trace.horizon:
-        raise ValueError("comparator path shorter than the trace")
     at_iterates, at_comparator = _average_losses(trace, ens, path)
     instant = at_iterates - at_comparator
     cumulative = np.cumsum(instant)
@@ -71,13 +77,13 @@ def best_fixed_point(ens, path, domain, horizon):
     Closed forms: square-loss families are minimized at the time average of
     the targets (then projected); linear families at an extreme point.
     """
-    stars = path.states[:horizon]
     if ens.kind in ("tracking_square", "synthetic_quadratic"):
-        center = stars.mean(axis=0)
+        center = _targets(path, horizon).mean(axis=0)
         if domain.kind == "box":
             return np.clip(center, domain.lo, domain.hi)
         return center
-    mean_g = sum(ens.gradients[t].mean(axis=0) for t in range(horizon)) / horizon
+    check_rounds("ens.gradients", ens.gradients, horizon)
+    mean_g = ens.gradients[:horizon].mean(axis=1).sum(axis=0) / horizon
     if domain.kind == "box":
         return np.where(mean_g > 0, domain.lo, domain.hi)
     if domain.kind == "simplex":
@@ -96,24 +102,17 @@ def static_regret(trace, ens, path, domain):
         return 0.0
     comparator = best_fixed_point(ens, path, domain, horizon)
     at_iterates, _ = _average_losses(trace, ens, path)
-    at_fixed = sum(
-        float(global_loss_batch(ens, t, comparator[None, :], path)[0])
-        for t in range(1, horizon + 1)
-    )
-    return float(at_iterates.sum() - at_fixed)
+    fixed = np.broadcast_to(comparator, (horizon, 1, domain.d))
+    at_fixed = global_loss_batch(ens, path, fixed)[:, 0]
+    return float(at_iterates.sum() - at_fixed.sum())
 
 
 def per_agent_loss_gap(trace, ens, path):
     """(1/n) sum_{i,t} f[i,t](x[i,t]) - f[i,t](target_t), the local-loss analogue."""
-    from .objectives import loss_value
-
-    total = 0.0
-    for t in range(1, trace.horizon + 1):
-        star = path.states[t - 1]
-        for i in range(trace.n):
-            total += loss_value(ens, i, t, trace.x[t - 1, i], path)
-            total -= loss_value(ens, i, t, star, path)
-    return total / trace.n
+    iterates = trace.x[:trace.horizon]
+    targets = np.broadcast_to(_targets(path, trace.horizon)[:, None, :], iterates.shape)
+    gaps = agent_loss_batch(ens, path, iterates) - agent_loss_batch(ens, path, targets)
+    return float(gaps.sum()) / trace.n
 
 
 def network_disagreement(trace):
@@ -283,9 +282,8 @@ def comparator_optimality_gap(trace, ens, path, domain, grid_step):
     axes = [np.arange(domain.lo[k], domain.hi[k] + grid_step / 2, grid_step)
             for k in range(domain.d)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    grid_total = 0.0
-    for t in range(1, trace.horizon + 1):
-        grid_total += float(global_loss_batch(ens, t, mesh, path).min())
+    grid = np.broadcast_to(mesh, (trace.horizon,) + mesh.shape)
+    grid_total = float(global_loss_batch(ens, path, grid).min(axis=1).sum())
     at_iterates, at_comparator = _average_losses(trace, ens, path)
     reported = float(at_iterates.sum() - at_comparator.sum())
     grid_regret = float(at_iterates.sum() - grid_total)

@@ -8,15 +8,28 @@ exactly at the target.  synthetic_linear replays bounded linear losses.
 
 Every stochastic oracle takes an explicit generator argument; the caller
 owns the stream, which keeps runs reproducible.
+
+Two granularities coexist.  The scalar functions (loss_value,
+gradient_exact, gradient_stochastic) evaluate one agent at one round and
+serve as the readable reference.  The whole-horizon functions
+(global_loss_batch, agent_loss_batch, centers_outside_domain) take a
+(T, m, d) stack whose row t-1 is evaluated under round t's loss, for
+every round at once.  They walk the rounds in blocks of about
+BLOCK_ELEMENTS elements, so their temporaries stay small next to the trace
+they read, and they refuse paths or ensembles covering fewer than T rounds.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import contains, diameter
+from .geometry import diameter, inside
 
 TRACKED_COORDS = 4
+
+# Rounds per whole-horizon block are chosen so one block holds about this many
+# (round, point, coordinate) elements.
+BLOCK_ELEMENTS = 2 ** 16
 
 
 def coordinate_groups(n, d=TRACKED_COORDS):
@@ -254,33 +267,104 @@ def gradients_stochastic_batch(ens, t, x_all, path, rng):
     return g
 
 
-def global_loss_batch(ens, t, x_rows, path):
-    """Network-average loss f_t evaluated at each row of x_rows."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
+def check_rounds(what, array, rounds):
+    """Raise ValueError unless array has a row for each of `rounds` rounds.
+
+    Slicing [:rounds] of a shorter array would silently shrink it, and a
+    length-1 slice would then broadcast across every round.
+    """
+    if array.shape[0] < rounds:
+        raise ValueError(f"{what} covers {array.shape[0]} rounds, shorter than "
+                         f"the {rounds} rounds evaluated")
+
+
+def _round_blocks(horizon, width):
+    """Consecutive round slices of about BLOCK_ELEMENTS / width rounds each."""
+    step = max(1, BLOCK_ELEMENTS // width)
+    return [slice(lo, min(lo + step, horizon)) for lo in range(0, horizon, step)]
+
+
+def _global_block(ens, rounds, stars, x):
+    """Network-average loss of one round block: x is (B, m, d), stars (B, d)."""
+    if ens.kind == "synthetic_linear":
+        return np.matmul(x, ens.gradients[rounds].mean(axis=1)[:, :, None])[:, :, 0]
+    sq = x - stars[:, None, :]
+    np.square(sq, out=sq)
     if ens.kind == "tracking_square":
-        counts = ens.obs.counts(ens.d)
-        gaps = _star(path, t)[None, :] - x_rows
-        return (gaps * gaps) @ counts / ens.n + ens.obs.noise_var
+        return sq @ ens.obs.counts(ens.d) / ens.n + ens.obs.noise_var
+    spread = np.square(ens.offsets[rounds]).sum(axis=2).mean(axis=1)
+    return sq.sum(axis=2) + spread[:, None]
+
+
+def _agent_block(ens, rounds, stars, x):
+    """Per-agent losses of one round block: row i of x[b] is agent i's point."""
+    if ens.kind == "tracking_square":
+        ks = ens.obs.assignment
+        gap = stars[:, ks] - x[:, np.arange(ens.n), ks]
+        return gap * gap + ens.obs.noise_var
     if ens.kind == "synthetic_quadratic":
-        diff = x_rows - _star(path, t)[None, :]
-        spread = float(np.mean(np.sum(ens.offsets[t - 1] ** 2, axis=1)))
-        return np.sum(diff * diff, axis=1) + spread
-    return x_rows @ ens.gradients[t - 1].mean(axis=0)
+        diff = x - (stars[:, None, :] + ens.offsets[rounds])
+        np.square(diff, out=diff)
+        return diff.sum(axis=2)
+    return np.einsum("bnd,bnd->bn", ens.gradients[rounds], x)
+
+
+def _evaluate(block, ens, path, x, first=1):
+    """Apply a block kernel to rounds first .. first+T-1 of a (T, m, d) stack."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3 or x.shape[2] != ens.d:
+        raise ValueError(f"expected a (T, m, {ens.d}) stack, got shape {x.shape}")
+    horizon, m, _ = x.shape
+    last = first - 1 + horizon
+    check_rounds("path.states", path.states, last)
+    if ens.kind == "synthetic_quadratic":
+        check_rounds("ens.offsets", ens.offsets, last)
+    elif ens.kind == "synthetic_linear":
+        check_rounds("ens.gradients", ens.gradients, last)
+    out = np.empty((horizon, m))
+    for rows in _round_blocks(horizon, max(m, ens.n) * ens.d):
+        rounds = slice(first - 1 + rows.start, first - 1 + rows.stop)
+        out[rows] = block(ens, rounds, path.states[rounds], x[rows])
+    return out
+
+
+def global_loss_batch(ens, path, x):
+    """Network-average loss f_t at every row of x[t-1], for t = 1 .. T.
+
+    x is a (T, m, d) stack (a broadcast view is fine); returns (T, m).
+    Evaluated in round blocks of about BLOCK_ELEMENTS elements; raises
+    ValueError when path.states or the ensemble covers fewer than T rounds.
+    """
+    return _evaluate(_global_block, ens, path, x)
+
+
+def agent_loss_batch(ens, path, x):
+    """Per-agent losses f[i,t](x[t-1, i]) for t = 1 .. T: (T, n, d) -> (T, n)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3 or x.shape[1] != ens.n:
+        raise ValueError(f"expected one row per agent ({ens.n}), got shape {x.shape}")
+    return _evaluate(_agent_block, ens, path, x)
 
 
 def global_loss(ens, t, x, path):
-    return float(global_loss_batch(ens, t, np.asarray(x)[None, :], path)[0])
+    """Network-average loss f_t at one point x."""
+    point = np.asarray(x, dtype=float)[None, None, :]
+    return float(_evaluate(_global_block, ens, path, point, first=t)[0, 0])
 
 
 def centers_outside_domain(ens, path, domain):
-    """Count quadratic centers that leave the domain; should be 0 for valid suites."""
+    """Count quadratic centers c[i,t], t = 1 .. path.horizon, outside the domain.
+
+    Should be 0 for valid suites; always 0 for families without centers.
+    """
     if ens.kind != "synthetic_quadratic":
         return 0
+    horizon = path.horizon
+    check_rounds("ens.offsets", ens.offsets, horizon)
     bad = 0
-    for t in range(1, path.horizon + 1):
-        for c in _centers(ens, path, t):
-            if not contains(domain, c):
-                bad += 1
+    for rounds in _round_blocks(horizon, ens.n * ens.d):
+        centers = path.states[rounds, None, :] + ens.offsets[rounds]
+        bad += int(np.count_nonzero(~inside(domain, centers)))
     return bad
 
 

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from domd.geometry import (bregman, box_domain, check_nonexpansive,
+from domd.geometry import (DOMAIN_TOL, bregman, box_domain, check_nonexpansive,
                            check_separate_convexity, contains, diameter,
                            dual_norm_of, euclidean_geometry, free_domain,
-                           geometry_constants, kl_geometry, norm_of,
+                           geometry_constants, inside, kl_geometry, norm_of,
                            project_floored_simplex, prox, prox_inequality_gap,
                            sample_domain, simplex_domain)
 
@@ -62,6 +64,52 @@ def test_contains():
     free = free_domain(2)
     assert contains(free, [1e9, -1e9])
     assert not contains(free, [np.inf, 0.0])
+
+
+def test_inside_is_row_wise():
+    box = box_domain([-1.0, -1.0], [1.0, 1.0])
+    pts = np.array([[[1.0, -1.0], [1.1, 0.0]], [[0.0, np.nan], [0.5, 0.5]]])
+    np.testing.assert_array_equal(inside(box, pts), [[True, False], [False, True]])
+    assert inside(box, np.zeros((0, 2))).shape == (0,)
+    np.testing.assert_array_equal(inside(box, np.zeros((3, 1))), [False] * 3)
+    simplex = simplex_domain(3, FLOOR)
+    np.testing.assert_array_equal(
+        inside(simplex, [[0.5, 0.3, 0.2], [0.005, 0.5, 0.495], [0.5, 0.4, 0.2]]),
+        [True, False, False])
+    np.testing.assert_array_equal(inside(free_domain(2), [[1e9, -1e9], [np.inf, 0.0]]),
+                                  [True, False])
+
+
+_DOMAINS = (box_domain([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0]), simplex_domain(3, FLOOR),
+            free_domain(3))
+
+
+def _near_boundary(domain, base, pushes):
+    """Points that sit on, or a few tolerances off, the domain boundary."""
+    if domain.kind == "box":
+        return np.where(base > 0.5, domain.hi, domain.lo) + pushes
+    if domain.kind == "simplex":
+        corner = np.full((len(base), 3), FLOOR)
+        corner[np.arange(len(base)), (3 * base[:, 0]).astype(int) % 3] = 1.0 - 2 * FLOOR
+        return corner + pushes
+    return np.where(base > 0.9, np.inf, base) + pushes
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(range(len(_DOMAINS))),
+       rows=st.integers(0, 5),
+       base=st.lists(st.floats(0.0, 1.0), min_size=15, max_size=15),
+       pushes=st.lists(st.sampled_from([0.0, 0.5, 0.99, 1.01, 2.0, -0.5, -0.99, -1.01, -2.0]),
+                       min_size=15, max_size=15))
+def test_contains_is_the_reduction_of_inside_near_the_boundary(kind, rows, base, pushes):
+    domain = _DOMAINS[kind]
+    base = np.reshape(base, (5, 3))[:rows]
+    pushes = DOMAIN_TOL * np.reshape(pushes, (5, 3))[:rows]
+    pts = _near_boundary(domain, base, pushes)
+    row_wise = inside(domain, pts)
+    assert row_wise.shape == (rows,)
+    assert bool(row_wise.all()) == contains(domain, pts)
+    assert [contains(domain, p) for p in pts] == row_wise.tolist()
 
 
 def test_sample_domain_stays_inside():

@@ -1,12 +1,15 @@
 """Regret measurement and guarantee calculators, checked against hand sums."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from domd.csvio import read_csv
-from domd.dynamics import (custom_noise, generate_path, identity_dynamics,
+from domd.dynamics import (MinimizerPath, constant_drift_noise, custom_noise,
+                           generate_path, identity_dynamics,
                            path_variation, zero_noise)
 from domd.engine import (RunTrace, constant_schedule, inv_sqrt_schedule, run,
                          schedule_etas)
@@ -20,7 +23,8 @@ from domd.metrics import (auxiliary_guarantees, best_fixed_point,
                           write_regret_csv)
 from domd.network import (build_grid_graph, metropolis_weights,
                           second_singular_value, uniform_complete_weights)
-from domd.objectives import linear_ensemble, lipschitz_bound, synthetic_suite
+from domd.objectives import (global_loss, linear_ensemble, lipschitz_bound,
+                             loss_value, synthetic_suite, tracking_ensemble)
 
 BOX1 = box_domain([-1.0, -1.0], [1.0, 1.0])  # R^2 = 4, K = 2 sqrt(2)
 
@@ -328,3 +332,98 @@ def test_csv_writers_round_trip(tmp_path):
     assert float(scalars["total"]) == pytest.approx(82.55)
     assert math.isnan(float(scalars["stochastic_total"]))
     assert "note" in scalars
+
+
+# ------------------------------------------------- whole-horizon measurement
+
+
+def _shell_trace(x, norm_kind="l2"):
+    shell = np.empty((0,) + x.shape[1:])
+    return RunTrace(x=x, y=shell, xhat=shell, grads=shell,
+                    etas=np.full(x.shape[0], 0.1), xbar=x.mean(axis=1), norm_kind=norm_kind)
+
+
+def _measured_case(kind, horizon=7):
+    box = box_domain([-2.0] * 4, [2.0] * 4)
+    if kind == "tracking_square":
+        ens = tracking_ensemble(5, box)
+    else:
+        ens = synthetic_suite(2, 5, 4, horizon, box, kind=kind)
+    path = generate_path(identity_dynamics(4), constant_drift_noise([0.1, 0.0, -0.05, 0.02]),
+                         np.array([0.5, -0.5, 0.0, 1.0]), horizon)
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, (horizon + 1, 5, 4))
+    return _shell_trace(x), ens, path, box
+
+
+@pytest.mark.parametrize("kind", ["tracking_square", "synthetic_quadratic", "synthetic_linear"])
+def test_measurements_match_scalar_reference(kind):
+    trace, ens, path, box = _measured_case(kind)
+    horizon, n = trace.horizon, trace.n
+    comparator = best_fixed_point(ens, path, box, horizon)
+    at_iterates = [np.mean([global_loss(ens, t, trace.x[t - 1, j], path) for j in range(n)])
+                   for t in range(1, horizon + 1)]
+    at_targets = [global_loss(ens, t, path.states[t - 1], path) for t in range(1, horizon + 1)]
+    at_fixed = [global_loss(ens, t, comparator, path) for t in range(1, horizon + 1)]
+    local = sum(loss_value(ens, i, t, trace.x[t - 1, i], path)
+                - loss_value(ens, i, t, path.states[t - 1], path)
+                for t in range(1, horizon + 1) for i in range(n)) / n
+    report = dynamic_regret(trace, ens, path)
+    np.testing.assert_allclose(report.instant, np.subtract(at_iterates, at_targets),
+                               rtol=1e-12, atol=1e-13)
+    assert static_regret(trace, ens, path, box) == pytest.approx(
+        sum(at_iterates) - sum(at_fixed), rel=1e-12)
+    assert per_agent_loss_gap(trace, ens, path) == pytest.approx(local, rel=1e-12)
+
+
+def test_empty_trace_has_zero_regret_and_gap():
+    trace, ens, path, box = _measured_case("synthetic_quadratic")
+    empty = _shell_trace(trace.x[:1])
+    report = dynamic_regret(empty, ens, path)
+    assert report.dynamic_regret == 0.0 and report.instant.shape == (0,)
+    assert report.normalized.shape == (0,)
+    assert static_regret(empty, ens, path, box) == 0.0
+    assert per_agent_loss_gap(empty, ens, path) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["tracking_square", "synthetic_quadratic", "synthetic_linear"])
+def test_measurements_refuse_short_paths_and_ensembles(kind):
+    trace, ens, path, box = _measured_case(kind)
+    for short in (1, 6):  # one state would otherwise broadcast over all 7 rounds
+        cut = MinimizerPath(path.states[:short], path.noise[:short])
+        for measure in (lambda p: dynamic_regret(trace, ens, p),
+                        lambda p: static_regret(trace, ens, p, box),
+                        lambda p: per_agent_loss_gap(trace, ens, p)):
+            with pytest.raises(ValueError, match=f"covers {short} rounds, shorter than the 7"):
+                measure(cut)
+    field = {"synthetic_quadratic": "offsets", "synthetic_linear": "gradients"}.get(kind)
+    if field is None:
+        return
+    for short in (1, 6):
+        cut = replace(ens, **{field: getattr(ens, field)[:short]})
+        for measure in (lambda e: dynamic_regret(trace, e, path),
+                        lambda e: static_regret(trace, e, path, box),
+                        lambda e: per_agent_loss_gap(trace, e, path)):
+            with pytest.raises(ValueError, match=f"ens.{field} covers {short} rounds"):
+                measure(cut)
+
+
+@pytest.mark.parametrize("kind", ["tracking_square", "synthetic_quadratic", "synthetic_linear"])
+def test_regret_measurement_memory_stays_bounded(kind):
+    # n = 1000, d = 4, T = 500: the iterates alone take 16 MB, so evaluating
+    # them without round blocks would allocate (T, n, d) temporaries of that size
+    n, d, horizon = 1000, 4, 500
+    box = box_domain([-2.0] * d, [2.0] * d)
+    if kind == "tracking_square":
+        ens = tracking_ensemble(n, box)
+    else:
+        ens = synthetic_suite(0, n, d, horizon, box, kind=kind, offset_scale=0.05)
+    path = generate_path(identity_dynamics(d), zero_noise(), np.zeros(d), horizon)
+    trace = _shell_trace(np.random.default_rng(0).uniform(-1.0, 1.0, (horizon + 1, n, d)))
+    tracemalloc.start()
+    try:
+        dynamic_regret(trace, ens, path)
+        static_regret(trace, ens, path, box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"

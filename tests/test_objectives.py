@@ -1,17 +1,21 @@
 """Loss families: values, gradients, oracle bias and declared constants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from domd.dynamics import (constant_drift_noise, generate_path,
+from domd import objectives
+from domd.dynamics import (MinimizerPath, constant_drift_noise, generate_path,
                            identity_dynamics, zero_noise)
-from domd.geometry import box_domain, diameter, simplex_domain
-from domd.objectives import (centers_outside_domain, coordinate_groups,
+from domd.geometry import (box_domain, contains, diameter, sample_domain,
+                           simplex_domain)
+from domd.objectives import (agent_loss_batch, centers_outside_domain,
+                             coordinate_groups, global_loss, global_loss_batch,
                              gradient_exact, gradient_stochastic,
                              gradients_exact_batch, gradients_stochastic_batch,
-                             global_loss, linear_ensemble, lipschitz_bound,
-                             loss_value, synthetic_suite, tracking_ensemble,
-                             with_innovation)
+                             linear_ensemble, lipschitz_bound, loss_value,
+                             synthetic_suite, tracking_ensemble, with_innovation)
 
 
 def _tracking_setup(n=6, half=5.0, horizon=10):
@@ -265,3 +269,98 @@ def test_unknown_synthetic_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         synthetic_suite(0, 4, 2, 3, box_domain([-1.0] * 2, [1.0] * 2),
                         kind="bogus")
+
+
+# ------------------------------------------------- whole-horizon evaluation
+
+
+def _family(name, horizon=9, n=5):
+    """(ensemble, path, domain) for one loss family on one domain."""
+    box = box_domain([-3.0] * 4, [3.0] * 4)
+    simplex = simplex_domain(4, 0.01)
+    if name == "tracking_box":
+        domain, ens = box, tracking_ensemble(n, box)
+    elif name == "quadratic_box":
+        domain, ens = box, synthetic_suite(1, n, 4, horizon, box)
+    elif name == "quadratic_simplex":
+        domain, ens = simplex, synthetic_suite(1, n, 4, horizon, simplex, offset_scale=0.01)
+    elif name == "linear_box":
+        domain, ens = box, synthetic_suite(1, n, 4, horizon, box, kind="synthetic_linear")
+    else:
+        domain = simplex
+        ens = synthetic_suite(1, n, 4, horizon, simplex, kind="synthetic_linear")
+    start = np.full(4, 0.25) if domain.kind == "simplex" else np.array([0.5, -0.5, 1.0, 0.0])
+    drift = [0.01, -0.01, 0.0, 0.0] if domain.kind == "simplex" else [0.05, 0.0, -0.1, 0.02]
+    path = generate_path(identity_dynamics(4), constant_drift_noise(drift), start, horizon)
+    return ens, path, domain
+
+
+FAMILIES = ("tracking_box", "quadratic_box", "quadratic_simplex", "linear_box",
+            "linear_simplex")
+
+
+@pytest.mark.parametrize("block", [None, 7, 40])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_whole_horizon_losses_match_scalar_reference(name, block, monkeypatch):
+    if block is not None:  # 5 agents x 4 coordinates: blocks of 1 round, or 2 with a ragged last
+        monkeypatch.setattr(objectives, "BLOCK_ELEMENTS", block)
+    ens, path, domain = _family(name)
+    horizon, m = 9, 3
+    rng = np.random.default_rng(4)
+    x = sample_domain(domain, rng, size=horizon * ens.n).reshape(horizon, ens.n, 4)
+    glob = global_loss_batch(ens, path, x[:, :m])
+    agents = agent_loss_batch(ens, path, x)
+    assert glob.shape == (horizon, m) and agents.shape == (horizon, ens.n)
+    for t in range(1, horizon + 1):
+        for j in range(ens.n):
+            values = [loss_value(ens, i, t, x[t - 1, j], path) for i in range(ens.n)]
+            if j < m:
+                assert glob[t - 1, j] == pytest.approx(np.mean(values), rel=1e-12)
+                assert global_loss(ens, t, x[t - 1, j], path) == pytest.approx(
+                    glob[t - 1, j], rel=1e-12)
+            assert agents[t - 1, j] == pytest.approx(values[j], rel=1e-12)
+
+
+def test_whole_horizon_losses_accept_broadcast_views():
+    ens, path, _ = _family("quadratic_box")
+    point = np.array([0.1, 0.2, -0.3, 0.4])
+    view = np.broadcast_to(point, (9, 1, 4))
+    np.testing.assert_array_equal(global_loss_batch(ens, path, view),
+                                  global_loss_batch(ens, path, np.tile(point, (9, 1, 1))))
+    with pytest.raises(ValueError, match="stack"):
+        global_loss_batch(ens, path, np.zeros((9, 4)))
+    with pytest.raises(ValueError, match="one row per agent"):
+        agent_loss_batch(ens, path, np.zeros((9, 2, 4)))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_whole_horizon_losses_refuse_short_inputs(name):
+    ens, path, _ = _family(name, horizon=6)
+    x = np.zeros((6, ens.n, 4))
+    assert global_loss_batch(ens, path, x[:0]).shape == (0, ens.n)
+    assert agent_loss_batch(ens, path, x[:0]).shape == (0, ens.n)
+    for short in (1, 5):  # a length-1 path would otherwise broadcast over every round
+        cut = MinimizerPath(path.states[:short], path.noise[:short])
+        for fn in (global_loss_batch, agent_loss_batch):
+            with pytest.raises(ValueError, match=f"path.states covers {short} rounds.*the 6"):
+                fn(ens, cut, x)
+    field = {"synthetic_quadratic": "offsets", "synthetic_linear": "gradients"}.get(ens.kind)
+    if field is None:
+        return
+    for short in (1, 5):
+        cut = replace(ens, **{field: getattr(ens, field)[:short]})
+        for fn in (global_loss_batch, agent_loss_batch):
+            with pytest.raises(ValueError, match=f"ens.{field} covers {short} rounds.*the 6"):
+                fn(cut, path, x)
+
+
+def test_centers_outside_domain_matches_per_point_count():
+    tight = box_domain([0.0] * 2, [1.0] * 2)
+    wild = synthetic_suite(3, 4, 2, 8, tight, offset_scale=0.3)
+    path = generate_path(identity_dynamics(2), zero_noise(), np.array([0.8, 0.5]), 8)
+    expected = sum(not contains(tight, path.states[t] + wild.offsets[t, i])
+                   for t in range(8) for i in range(4))
+    assert 0 < expected < 32
+    assert centers_outside_domain(wild, path, tight) == expected
+    with pytest.raises(ValueError, match="ens.offsets covers 3 rounds.*the 8"):
+        centers_outside_domain(replace(wild, offsets=wild.offsets[:3]), path, tight)
