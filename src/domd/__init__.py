@@ -18,7 +18,7 @@ from .geometry import (MirrorGeometry, box_domain, bregman, euclidean_geometry,
                        free_domain, geometry_constants, kl_geometry, prox,
                        simplex_domain)
 from .harness import (RunResult, ScalingStudy, SweepResult, VerifyReport,
-                      run_experiment, run_tracking, stochastic_mean_regret,
+                      run_experiment, stochastic_mean_regret,
                       sweep, tracking_error_stats, variation_scaling_study,
                       verify_bounds)
 from .metrics import (BoundReport, RegretReport, disagreement_envelope,
@@ -28,8 +28,8 @@ from .network import (Graph, WeightMatrix, build_complete_graph, build_grid_grap
                       build_path_graph, metropolis_weights, mix,
                       random_connected_graph, second_singular_value,
                       uniform_complete_weights)
-from .objectives import (LossEnsemble, linear_ensemble, lipschitz_bound,
-                         synthetic_suite, tracking_ensemble)
+from .objectives import (LossEnsemble, linear_ensemble, synthetic_suite,
+                         tracking_ensemble)
 
 __version__ = "0.1.0"
 

@@ -8,7 +8,6 @@ Environment variables named DOMD_<SECTION>__<KEY> override file values.
 Example::
 
     [experiment]
-    scenario = tracking
     horizon = 1000
     runs = 50
 
@@ -44,8 +43,6 @@ def _fraction(x):
 # section -> key -> (attribute, type, validator or None, description)
 SCHEMA = {
     "experiment": {
-        "scenario": ("scenario", ("tracking", "synthetic_bounds", "custom"), None,
-                     "which assembly the harness builds"),
         "horizon": ("horizon", int, _positive, "number of rounds T"),
         "runs": ("runs", int, _positive, "replicates per sweep value"),
         "seed": ("seed", int, _nonnegative, "master seed"),
@@ -106,7 +103,6 @@ SCHEMA = {
 class ExperimentConfig:
     """Validated experiment description with tracking-scenario defaults."""
 
-    scenario: str = "tracking"
     horizon: int = 1000
     runs: int = 50
     seed: int = 1

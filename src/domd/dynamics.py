@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import csvio
-from .geometry import check_nonexpansive
+from .geometry import check_nonexpansive, vector_norm
 
 RECONSTRUCTION_TOL = 1e-12
 
@@ -184,13 +184,7 @@ def path_variation(path, dyn, norm="l2"):
     if path.states.shape[0] < 2:
         raise ValueError("path variation needs at least two states")
     residual = path.states[1:] - path.states[:-1] @ dyn.a.T
-    if norm == "l2":
-        per_step = np.linalg.norm(residual, axis=1)
-    elif norm == "l1":
-        per_step = np.abs(residual).sum(axis=1)
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
-    return float(per_step.sum())
+    return float(vector_norm(norm, residual).sum())
 
 
 def save_path_csv(path, file, comments=()):

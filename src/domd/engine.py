@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import csvio
 from .geometry import contains, project_floored_simplex, prox
 from .network import mix
 from .objectives import gradients_exact_batch, gradients_stochastic_batch
@@ -81,33 +80,17 @@ def schedule_etas(schedule, horizon):
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """One agent's view of round t: iterate, mixed anchor, prox output."""
-
-    x: np.ndarray
-    y: np.ndarray
-    xhat: np.ndarray
-
-
-@dataclass(frozen=True)
 class RunTrace:
-    """Everything a run produced.
+    """The iterates of a run and its step sizes; nothing per round besides.
 
-    Row s of x is the stacked iterate at time s+1 (so x has horizon+1 rows);
-    rows s of y, grads, xhat belong to round s+1, with xhat holding the prox
-    output that became the next iterate.  etas has horizon+1 entries, the
-    last one recorded for the bound calculators.
+    Row s of x is the stacked iterate at time s+1 (horizon+1 rows); etas has
+    horizon+1 entries, the last one for the bound calculators.  Anchors and
+    prox outputs are not kept: mix and prox recompute them from x.
     """
 
     x: np.ndarray
-    y: np.ndarray
-    xhat: np.ndarray
-    grads: np.ndarray
     etas: np.ndarray
-    xbar: np.ndarray
     norm_kind: str
-    seed: int = 0
-    config_hash: str = ""
 
     @property
     def horizon(self):
@@ -120,14 +103,6 @@ class RunTrace:
     @property
     def d(self):
         return self.x.shape[2]
-
-
-def agent_states(trace, t):
-    """Per-agent AgentState records for round t (1-based)."""
-    if not 1 <= t <= trace.horizon:
-        raise ValueError("round index out of range")
-    return [AgentState(trace.x[t - 1, i], trace.y[t - 1, i], trace.xhat[t - 1, i])
-            for i in range(trace.n)]
 
 
 def init_state(n, geom, x0=None):
@@ -153,19 +128,19 @@ def step(x, weights, geom, dyn, grads, eta):
     """One synchronous round for all agents.
 
     x and grads are stacked (n, d) arrays; grads[i] must be the oracle value
-    at x[i].  Returns (y, xhat, x_next).
+    at x[i].  Returns the next iterate: the mixed anchor's prox output pushed
+    through the dynamics.
     """
-    y = mix(weights, x)
-    xhat = prox(geom, grads, y, eta)
+    xhat = prox(geom, grads, mix(weights, x), eta)
     xnext = _apply_dynamics(geom, dyn, xhat)
     if not np.all(np.isfinite(xnext)):
         raise EngineError("iterates became non-finite")
-    return y, xhat, xnext
+    return xnext
 
 
 def run(weights, geom, dyn, ens, path, schedule, horizon, mode="exact", seed=0,
-        x0=None, config_hash=""):
-    """Run the full loop for `horizon` rounds and record a trace.
+        x0=None):
+    """Run the full loop for `horizon` rounds and record the iterate trace.
 
     mode selects the oracle: "exact" queries analytic gradients,
     "stochastic" queries the noisy oracle exactly once per agent per round
@@ -180,9 +155,6 @@ def run(weights, geom, dyn, ens, path, schedule, horizon, mode="exact", seed=0,
     rng = np.random.default_rng(seed)
     x = init_state(n, geom, x0)
     xs = np.empty((horizon + 1, n, d))
-    ys = np.empty((horizon, n, d))
-    xhats = np.empty((horizon, n, d))
-    grads = np.empty((horizon, n, d))
     xs[0] = x
     for t in range(1, horizon + 1):
         eta = schedule_eta(schedule, t)
@@ -190,26 +162,5 @@ def run(weights, geom, dyn, ens, path, schedule, horizon, mode="exact", seed=0,
             g = gradients_exact_batch(ens, t, x, path)
         else:
             g = gradients_stochastic_batch(ens, t, x, path, rng)
-        y, xhat, x = step(x, weights, geom, dyn, g, eta)
-        ys[t - 1], xhats[t - 1], grads[t - 1], xs[t] = y, xhat, g, x
-    etas = schedule_etas(schedule, horizon)
-    return RunTrace(xs, ys, xhats, grads, etas, xs.mean(axis=1), geom.norm_kind,
-                    seed=seed, config_hash=config_hash)
-
-
-def export_trace_csv(trace, out_dir, prefix=""):
-    """Write iterates, gradients and step sizes, one row per (t, agent)."""
-    import os
-
-    comments = [f"config_hash={trace.config_hash}", f"seed={trace.seed}"]
-    coord = [f"x{k + 1}" for k in range(trace.d)]
-    rows = [[t + 1, i] + list(trace.x[t, i])
-            for t in range(trace.horizon + 1) for i in range(trace.n)]
-    csvio.write_csv(os.path.join(out_dir, prefix + "iterates.csv"),
-                    ["t", "agent"] + coord, rows, comments)
-    rows = [[t + 1, i] + list(trace.grads[t, i])
-            for t in range(trace.horizon) for i in range(trace.n)]
-    csvio.write_csv(os.path.join(out_dir, prefix + "gradients.csv"),
-                    ["t", "agent"] + [f"g{k + 1}" for k in range(trace.d)], rows, comments)
-    rows = [[t + 1, trace.etas[t]] for t in range(len(trace.etas))]
-    csvio.write_csv(os.path.join(out_dir, prefix + "eta.csv"), ["t", "eta"], rows, comments)
+        x = xs[t] = step(x, weights, geom, dyn, g, eta)
+    return RunTrace(xs, schedule_etas(schedule, horizon), geom.norm_kind)

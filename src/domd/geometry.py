@@ -127,12 +127,19 @@ def kl_geometry(domain):
     return MirrorGeometry("kl", domain, "l1")
 
 
+def vector_norm(kind, v):
+    """Norm along the last axis: "l2" or "l1"; any other kind raises ValueError."""
+    v = np.asarray(v, dtype=float)
+    if kind == "l2":
+        return np.linalg.norm(v, axis=-1)
+    if kind == "l1":
+        return np.abs(v).sum(axis=-1)
+    raise ValueError(f"unknown norm {kind!r}")
+
+
 def norm_of(geom, v):
     """Geometry norm along the last axis: l2 (euclidean) or l1 (kl)."""
-    v = np.asarray(v, dtype=float)
-    if geom.norm_kind == "l2":
-        return np.linalg.norm(v, axis=-1)
-    return np.abs(v).sum(axis=-1)
+    return vector_norm(geom.norm_kind, v)
 
 
 def dual_norm_of(geom, v):

@@ -20,15 +20,16 @@ from .dynamics import (constant_drift_noise, custom_noise, gaussian_ncv_noise,
 from .engine import (constant_schedule, inv_sqrt_schedule, run,
                      variation_schedule)
 from .geometry import (box_domain, contains, euclidean_geometry, free_domain,
-                       geometry_constants, kl_geometry, simplex_domain)
+                       geometry_constants, kl_geometry, simplex_domain,
+                       vector_norm)
 from .metrics import (dynamic_regret, network_disagreement, per_agent_loss_gap,
                       regret_guarantee, static_regret, write_bound_csv,
                       write_regret_csv)
 from .network import (build_complete_graph, build_grid_graph, build_path_graph,
                       metropolis_weights, random_connected_graph,
                       second_singular_value, uniform_complete_weights)
-from .objectives import (centers_outside_domain, lipschitz_bound, linear_ensemble,
-                         synthetic_suite, tracking_ensemble)
+from .objectives import (centers_outside_domain, linear_ensemble, synthetic_suite,
+                         tracking_ensemble)
 
 SLACK_TOL = 1e-9
 
@@ -93,11 +94,10 @@ def build_noise(cfg, run_index):
 
 
 def build_ensemble(cfg, domain, run_index):
+    n = cfg.rows * cfg.cols if cfg.graph == "grid" else cfg.nodes
     if cfg.loss_kind == "tracking_square":
-        n = cfg.rows * cfg.cols if cfg.graph == "grid" else cfg.nodes
         return tracking_ensemble(n, domain, cfg.obs_noise_low, cfg.obs_noise_high,
                                  innovation=cfg.innovation_gradient)
-    n = cfg.rows * cfg.cols if cfg.graph == "grid" else cfg.nodes
     return synthetic_suite(_derive_seed(cfg.seed, _ENSEMBLE, run_index), n, cfg.dim,
                            cfg.horizon, domain, kind=cfg.loss_kind,
                            offset_scale=cfg.offset_scale, noise_scale=cfg.oracle_noise)
@@ -109,12 +109,6 @@ def build_schedule(cfg, sigma2, c_t):
     if cfg.schedule_kind == "inv_sqrt":
         return inv_sqrt_schedule(cfg.eta0)
     return variation_schedule(c_t, sigma2, cfg.horizon, fallback_eta=cfg.eta0)
-
-
-def _noise_norms(path, norm_kind):
-    if norm_kind == "l2":
-        return np.linalg.norm(path.noise, axis=1)
-    return np.abs(path.noise).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -152,10 +146,9 @@ def run_experiment(cfg, run_index=0, out_dir=None, x0=None):
         raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
     c_t = path_variation(path, dyn, geom.norm_kind)
     schedule = build_schedule(cfg, sigma2, c_t)
-    digest = config_hash(cfg)
     trace = run(weights, geom, dyn, ens, path, schedule, cfg.horizon,
                 mode=cfg.gradient_mode, seed=_derive_seed(cfg.seed, _ORACLE, run_index),
-                x0=x0, config_hash=digest)
+                x0=x0)
     regret = dynamic_regret(trace, ens, path)
     regret = replace(regret, path_variation=c_t)
     consts = geometry_constants(geom)
@@ -163,10 +156,10 @@ def run_experiment(cfg, run_index=0, out_dir=None, x0=None):
     lipschitz = float("nan")
     if consts.available:
         regret = replace(regret, static_regret=static_regret(trace, ens, path, domain))
-        lipschitz = lipschitz_bound(ens, domain)
+        lipschitz = ens.lipschitz
         g2 = ens.second_moment if cfg.gradient_mode == "stochastic" else None
         bounds = regret_guarantee(consts, lipschitz, sigma2, trace.etas,
-                                  _noise_norms(path, geom.norm_kind), weights.n,
+                                  vector_norm(geom.norm_kind, path.noise), weights.n,
                                   grad_second_moment=g2)
     result = RunResult(cfg, trace, path, regret, bounds, sigma2, lipschitz)
     if out_dir is not None:
@@ -177,7 +170,7 @@ def run_experiment(cfg, run_index=0, out_dir=None, x0=None):
 def _write_run_outputs(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     trace, path = result.trace, result.path
-    comments = [f"config_hash={trace.config_hash}", f"seed={result.config.seed}"]
+    comments = [f"config_hash={config_hash(result.config)}", f"seed={result.config.seed}"]
     write_regret_csv(result.regret, os.path.join(out_dir, "regret.csv"), comments)
     dis = network_disagreement(trace)
     csvio.write_csv(os.path.join(out_dir, "disagreement.csv"), ["t", "disagreement"],
@@ -191,13 +184,6 @@ def _write_run_outputs(result, out_dir):
     csvio.write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows, comments)
     if result.bounds is not None:
         write_bound_csv(result.bounds, os.path.join(out_dir, "bounds.csv"), comments)
-
-
-def run_tracking(cfg, out_dir=None, run_index=0):
-    """The observation-driven tracking experiment (default configuration)."""
-    if cfg.loss_kind != "tracking_square":
-        raise ConfigError("run_tracking requires loss.kind=tracking_square")
-    return run_experiment(cfg, run_index=run_index, out_dir=out_dir)
 
 
 def exact_run_violations(result, tol=SLACK_TOL):
@@ -428,11 +414,11 @@ class VerifyReport:
 
 def _case_report(case, geom, weights, ens, trace, path, l_scale):
     consts = geometry_constants(geom)
-    lipschitz = l_scale * lipschitz_bound(ens, geom.domain)
+    lipschitz = l_scale * ens.lipschitz
     sigma2 = second_singular_value(weights).sigma2
     g2 = l_scale * l_scale * ens.second_moment
     return regret_guarantee(consts, lipschitz, sigma2, trace.etas,
-                            _noise_norms(path, geom.norm_kind), weights.n,
+                            vector_norm(geom.norm_kind, path.noise), weights.n,
                             grad_second_moment=g2)
 
 

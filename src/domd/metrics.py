@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import csvio
+from .geometry import vector_norm
 from .objectives import agent_loss_batch, check_rounds, global_loss_batch
 
 COMPARATOR_TOL = 1e-9
@@ -117,12 +118,8 @@ def per_agent_loss_gap(trace, ens, path):
 
 def network_disagreement(trace):
     """max_i ||x[i,t] - xbar_t|| in the geometry norm for t = 1 .. horizon+1."""
-    dev = trace.x - trace.xbar[:, None, :]
-    if trace.norm_kind == "l2":
-        per_agent = np.linalg.norm(dev, axis=2)
-    else:
-        per_agent = np.abs(dev).sum(axis=2)
-    return per_agent.max(axis=1)
+    dev = trace.x - trace.x.mean(axis=1)[:, None, :]
+    return vector_norm(trace.norm_kind, dev).max(axis=1)
 
 
 def _eta_with_zero(etas):
@@ -130,6 +127,20 @@ def _eta_with_zero(etas):
     if etas.size == 0 or np.any(etas <= 0):
         raise ValueError("step sizes must be positive")
     return np.concatenate(([etas[0]], etas))  # eta_0 read as eta_1
+
+
+def _discounted_steps(sigma2, ext, rounds):
+    """A[k] = sum_{tau=0..k} eta_tau sigma2^(k-tau) for k = 0 .. rounds, 0^0 := 1.
+
+    Built by the recursion A[k] = sigma2 A[k-1] + eta_k, so every entry is
+    a plain running sum with no pairwise reordering.
+    """
+    out = np.empty(rounds + 1)
+    acc = 0.0
+    for k in range(rounds + 1):
+        acc = sigma2 * acc + ext[k]
+        out[k] = acc
+    return out
 
 
 def disagreement_envelope(lipschitz, n, sigma2, etas):
@@ -142,21 +153,13 @@ def disagreement_envelope(lipschitz, n, sigma2, etas):
     if not 0 <= sigma2 <= 1:
         raise ValueError("sigma2 must lie in [0, 1]")
     ext = _eta_with_zero(etas)  # ext[tau] = eta_tau, tau = 0..len(etas)
-    horizon = len(ext) - 1
-    out = np.empty(horizon)
-    acc = ext[0]  # sum_{tau=0..t} eta_tau sigma2^(t-tau), built recursively
-    for t in range(1, horizon + 1):
-        acc = sigma2 * acc + ext[t]
-        out[t - 1] = acc
-    return lipschitz * np.sqrt(n) * out
+    return lipschitz * np.sqrt(n) * _discounted_steps(sigma2, ext, len(etas))[1:]
 
 
 def _network_sum(sigma2, ext, horizon):
     # sum_{t=1..T} sum_{tau=0..t-1} eta_tau sigma2^(t-1-tau), 0^0 := 1
     total = 0.0
-    acc = 0.0
-    for t in range(1, horizon + 1):
-        acc = sigma2 * acc + ext[t - 1]
+    for acc in _discounted_steps(sigma2, ext, horizon - 1).tolist():
         total += acc
     return total
 
@@ -257,17 +260,6 @@ def tuned_step_guarantee(consts, lipschitz, sigma2, c_t, n, horizon, fallback_et
     e_track = 2.0 * consts.r2 / eta + consts.k * c_t / eta + lipschitz**2 * eta * horizon / 2.0
     e_net = 4.0 * lipschitz**2 * np.sqrt(n) * net_sum
     return float(e_track + e_net)
-
-
-def auxiliary_guarantees(consts, lipschitz, sigma2, etas, noise_norms, n):
-    """(mismatch_rhs, local_gap_rhs) from the same sums as the main guarantee.
-
-    mismatch_rhs = 2 R^2 / eta_{T+1} + sum_t ||v_t|| / eta_{t+1} bounds the
-    accumulated divergence mismatch; local_gap_rhs = e_track + e_net / 2
-    bounds the per-agent loss gap.
-    """
-    report = regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n)
-    return report.mismatch_rhs, report.local_gap_rhs
 
 
 def comparator_optimality_gap(trace, ens, path, domain, grid_step):

@@ -180,27 +180,3 @@ def mix(weights, states):
         raise ValueError("one state row per agent required")
     return weights.w @ states
 
-
-def save_edge_list(graph, path):
-    """Plain-text edge list: header 'n <count>' then one 'i j' line per edge."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"n {graph.n}\n")
-        for i, j in graph.edges:
-            fh.write(f"{i} {j}\n")
-
-
-def load_edge_list(path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "n":
-            raise ValueError("expected header 'n <count>'")
-        n = int(header[1])
-        edges = []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"malformed edge line: {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-    return Graph(n, tuple(edges))

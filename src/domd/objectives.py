@@ -19,7 +19,7 @@ BLOCK_ELEMENTS elements, so their temporaries stay small next to the trace
 they read, and they refuse paths or ensembles covering fewer than T rounds.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,18 +153,6 @@ def linear_ensemble(gradients, domain, noise_scale=0.0):
     _, n, d = gradients.shape
     return LossEnsemble("synthetic_linear", n, d, worst, g * g,
                         gradients=gradients, noise_scale=noise_scale)
-
-
-def lipschitz_bound(ens, domain):
-    """Analytic Lipschitz constant in the geometry dual norm."""
-    if ens.kind == "tracking_square":
-        return 2.0 * float((domain.hi - domain.lo).max())
-    if ens.kind == "synthetic_quadratic":
-        norm = "linf" if domain.kind == "simplex" else "l2"
-        return 2.0 * diameter(domain, norm)
-    if ens.kind == "synthetic_linear":
-        return ens.lipschitz
-    raise ValueError(f"unknown ensemble kind {ens.kind!r}")
 
 
 def _star(path, t):
@@ -367,14 +355,3 @@ def centers_outside_domain(ens, path, domain):
         bad += int(np.count_nonzero(~inside(domain, centers)))
     return bad
 
-
-def with_innovation(ens, innovation):
-    """Copy of a tracking ensemble with the other oracle convention."""
-    if ens.kind != "tracking_square":
-        raise ValueError("the innovation flag only applies to tracking losses")
-    g = np.sqrt(ens.second_moment)
-    if ens.innovation and not innovation:
-        g = 2.0 * g
-    elif not ens.innovation and innovation:
-        g = 0.5 * g
-    return replace(ens, innovation=innovation, second_moment=g * g)

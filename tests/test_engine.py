@@ -1,19 +1,22 @@
 """Round loop semantics: schedules, initialization, stepping, traces."""
 
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from domd.dynamics import (generate_path, identity_dynamics, linear_dynamics,
                            zero_noise)
-from domd.engine import (EngineError, RunTrace, agent_states,
-                         constant_schedule, export_trace_csv, init_state,
-                         inv_sqrt_schedule, run, schedule_eta, schedule_etas,
-                         step, variation_schedule)
+from domd.engine import (EngineError, RunTrace, constant_schedule,
+                         init_state, inv_sqrt_schedule, run, schedule_eta,
+                         schedule_etas, step, variation_schedule)
 from domd.geometry import (box_domain, contains, euclidean_geometry,
                            free_domain, kl_geometry, prox, simplex_domain)
 from domd.network import (build_grid_graph, build_path_graph,
                           metropolis_weights, mix, uniform_complete_weights)
-from domd.objectives import linear_ensemble, synthetic_suite
+from domd.objectives import (gradients_exact_batch, linear_ensemble,
+                             synthetic_suite, tracking_ensemble)
 
 
 def _box_setup(n=3, d=2, horizon=8, half=5.0, seed=3):
@@ -85,16 +88,23 @@ def test_zero_gradients_leave_common_iterate_fixed():
                                atol=1e-14)
 
 
+def _replay_round(trace, weights, geom, ens, path, eta, t):
+    """Anchor, exact gradients and prox output of round t+1, from the iterates."""
+    y = mix(weights, trace.x[t])
+    grads = gradients_exact_batch(ens, t + 1, trace.x[t], path)
+    return y, grads, prox(geom, grads, y, eta)
+
+
 def test_mixing_preserves_agent_mean():
     weights, geom, dyn, ens, path = _box_setup()
     trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1),
                 path.horizon, seed=0)
+    xbar = trace.x.mean(axis=1)
     for t in range(path.horizon):
-        np.testing.assert_allclose(trace.y[t].mean(axis=0),
-                                   trace.x[t].mean(axis=0), atol=1e-12)
+        y, _, xhat = _replay_round(trace, weights, geom, ens, path, 0.1, t)
+        np.testing.assert_allclose(y.mean(axis=0), xbar[t], atol=1e-12)
         # identity dynamics: next mean is the mean prox output
-        np.testing.assert_allclose(trace.xbar[t + 1],
-                                   trace.xhat[t].mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(xbar[t + 1], xhat.mean(axis=0), atol=1e-12)
 
 
 def test_uniform_weights_give_identical_anchors():
@@ -106,8 +116,8 @@ def test_uniform_weights_give_identical_anchors():
     path = generate_path(dyn, zero_noise(), np.zeros(d), horizon)
     trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1), horizon)
     for t in range(horizon):
-        spread = trace.y[t] - trace.y[t][0]
-        np.testing.assert_allclose(spread, 0.0, atol=1e-14)
+        y = mix(weights, trace.x[t])
+        np.testing.assert_allclose(y - y[0], 0.0, atol=1e-14)
 
 
 def test_runs_are_reproducible():
@@ -118,10 +128,10 @@ def test_runs_are_reproducible():
     b = run(weights, geom, dyn, noisy, path, constant_schedule(0.1),
             path.horizon, mode="stochastic", seed=5)
     np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.grads, b.grads)
+    np.testing.assert_array_equal(a.etas, b.etas)
     c = run(weights, geom, dyn, noisy, path, constant_schedule(0.1),
             path.horizon, mode="stochastic", seed=6)
-    assert not np.array_equal(a.grads, c.grads)
+    assert not np.array_equal(a.x[1:], c.x[1:])
 
 
 def test_zero_round_run():
@@ -129,8 +139,8 @@ def test_zero_round_run():
     trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1), 0)
     assert trace.horizon == 0
     assert trace.x.shape == (1, 3, 2)
-    assert trace.y.shape == (0, 3, 2)
     assert trace.etas.shape == (1,)
+    assert [f.name for f in fields(RunTrace)] == ["x", "etas", "norm_kind"]
 
 
 def test_trace_replays_through_public_steps():
@@ -138,17 +148,11 @@ def test_trace_replays_through_public_steps():
     schedule = inv_sqrt_schedule(0.3)
     trace = run(weights, geom, dyn, ens, path, schedule, 5)
     for t in range(5):
-        np.testing.assert_allclose(trace.y[t], mix(weights, trace.x[t]),
-                                   atol=1e-14)
         eta = schedule_eta(schedule, t + 1)
-        np.testing.assert_allclose(
-            trace.xhat[t], prox(geom, trace.grads[t], trace.y[t], eta),
-            atol=1e-14)
-        np.testing.assert_allclose(trace.x[t + 1], trace.xhat[t] @ dyn.a.T,
-                                   atol=1e-14)
-        y2, xhat2, xnext2 = step(trace.x[t], weights, geom, dyn,
-                                 trace.grads[t], eta)
-        np.testing.assert_allclose(xnext2, trace.x[t + 1], atol=1e-14)
+        _, grads, xhat = _replay_round(trace, weights, geom, ens, path, eta, t)
+        np.testing.assert_allclose(trace.x[t + 1], xhat @ dyn.a.T, atol=1e-14)
+        xnext = step(trace.x[t], weights, geom, dyn, grads, eta)
+        np.testing.assert_array_equal(xnext, trace.x[t + 1])
 
 
 def test_run_argument_validation():
@@ -176,39 +180,6 @@ def test_simplex_iterates_stay_feasible_under_contracting_dynamics():
     np.testing.assert_allclose(trace.x.sum(axis=2), 1.0, atol=1e-9)
 
 
-def test_agent_states_views():
-    weights, geom, dyn, ens, path = _box_setup(horizon=4)
-    trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1), 4)
-    states = agent_states(trace, 2)
-    assert len(states) == 3
-    np.testing.assert_array_equal(states[1].x, trace.x[1, 1])
-    np.testing.assert_array_equal(states[1].y, trace.y[1, 1])
-    np.testing.assert_array_equal(states[1].xhat, trace.xhat[1, 1])
-    with pytest.raises(ValueError, match="out of range"):
-        agent_states(trace, 5)
-    with pytest.raises(ValueError, match="out of range"):
-        agent_states(trace, 0)
-
-
-def test_export_trace_csv(tmp_path):
-    weights, geom, dyn, ens, path = _box_setup(horizon=4)
-    trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1), 4,
-                config_hash="abc123")
-    export_trace_csv(trace, tmp_path)
-    from domd.csvio import read_csv
-
-    comments, header, rows = read_csv(tmp_path / "iterates.csv")
-    assert any("config_hash=abc123" in c for c in comments)
-    assert header == ["t", "agent", "x1", "x2"]
-    assert len(rows) == 5 * 3
-    assert float(rows[0][2]) == trace.x[0, 0, 0]
-    _, _, eta_rows = read_csv(tmp_path / "eta.csv")
-    assert len(eta_rows) == 5
-    _, _, grad_rows = read_csv(tmp_path / "gradients.csv")
-    assert len(grad_rows) == 4 * 3
-    assert float(grad_rows[-1][3]) == trace.grads[3, 2, 1]
-
-
 def test_divergent_dynamics_raise_engine_error():
     n, d, horizon = 2, 2, 400
     weights = metropolis_weights(build_path_graph(n))
@@ -220,3 +191,22 @@ def test_divergent_dynamics_raise_engine_error():
         with pytest.raises(EngineError, match="non-finite"):
             run(weights, geom, dyn, ens, path, constant_schedule(0.1), horizon,
                 x0=np.array([1.0, 1.0]))
+
+
+def test_run_memory_is_the_iterate_trace():
+    # the (T+1, n, d) iterates alone take 16 MB; per-round arrays must not be kept
+    n, d, horizon = 1000, 4, 500
+    weights = metropolis_weights(build_path_graph(n))
+    geom = euclidean_geometry(box_domain([-10.0] * d, [10.0] * d))
+    dyn = identity_dynamics(d)
+    path = generate_path(dyn, zero_noise(), np.ones(d), horizon)
+    ens = tracking_ensemble(n, geom.domain)
+    tracemalloc.start()
+    try:
+        trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1), horizon,
+                    mode="stochastic", seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.x.nbytes == (horizon + 1) * n * d * 8
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -11,7 +11,7 @@ from domd.csvio import read_csv
 from domd.harness import (build_domain, build_dynamics, build_graph,
                           build_geometry, build_noise, build_schedule,
                           build_weights, bound_suite, exact_run_violations,
-                          run_experiment, run_tracking, stochastic_mean_regret,
+                          run_experiment, stochastic_mean_regret,
                           sweep, target_position_path_length,
                           tracking_error_stats, variation_scaling_study,
                           verify_bounds)
@@ -203,13 +203,6 @@ def test_exact_run_satisfies_guarantees():
     assert exact_run_violations(noisy) == ()
 
 
-def test_run_tracking_guards_loss_kind():
-    with pytest.raises(ConfigError, match="tracking_square"):
-        run_tracking(_quad_cfg())
-    result = run_tracking(_tracking_cfg(horizon=30))
-    assert result.trace.horizon == 30
-
-
 def test_tracking_error_stats_and_path_length():
     cfg = _quad_cfg(horizon=40)
     result = run_experiment(cfg)
@@ -234,7 +227,7 @@ def test_sweep_parameter_resolution():
     with pytest.raises(ConfigError, match="sweep parameter"):
         sweep(cfg, "kind", (0.1,))
     with pytest.raises(ConfigError, match="sweep parameter"):
-        sweep(cfg, "experiment.scenario", (0.1,))
+        sweep(cfg, "experiment.gradient_mode", (0.1,))
     with pytest.raises(ConfigError, match="sweep parameter"):
         sweep(cfg, "bogus", (0.1,))
     with pytest.raises(ConfigError, match="out of range"):

@@ -15,16 +15,16 @@ from domd.engine import (RunTrace, constant_schedule, inv_sqrt_schedule, run,
                          schedule_etas)
 from domd.geometry import (box_domain, euclidean_geometry, free_domain,
                            geometry_constants, simplex_domain)
-from domd.metrics import (auxiliary_guarantees, best_fixed_point,
-                          comparator_optimality_gap, disagreement_envelope,
-                          dynamic_regret, network_disagreement,
-                          per_agent_loss_gap, regret_guarantee, static_regret,
+from domd.metrics import (best_fixed_point, comparator_optimality_gap,
+                          disagreement_envelope, dynamic_regret,
+                          network_disagreement, per_agent_loss_gap,
+                          regret_guarantee, static_regret,
                           tuned_step_guarantee, write_bound_csv,
                           write_regret_csv)
 from domd.network import (build_grid_graph, metropolis_weights,
                           second_singular_value, uniform_complete_weights)
-from domd.objectives import (global_loss, linear_ensemble, lipschitz_bound,
-                             loss_value, synthetic_suite, tracking_ensemble)
+from domd.objectives import (global_loss, linear_ensemble, loss_value,
+                             synthetic_suite, tracking_ensemble)
 
 BOX1 = box_domain([-1.0, -1.0], [1.0, 1.0])  # R^2 = 4, K = 2 sqrt(2)
 
@@ -50,6 +50,24 @@ def test_disagreement_envelope_no_mixing_accumulates():
     # sigma2 = 1 turns the envelope into running step-size sums (eta_0 := eta_1)
     env = disagreement_envelope(1.0, 1, 1.0, [0.1, 0.1, 0.1])
     np.testing.assert_allclose(env, [0.2, 0.3, 0.4], atol=1e-15)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 1.0, 0.37])
+def test_envelope_and_network_term_equal_sequential_sums(sigma2):
+    # reference: the running recursions written out, added strictly in order
+    etas = np.random.default_rng(5).uniform(0.01, 0.5, 41)
+    ext = np.concatenate(([etas[0]], etas))
+    acc, running = 0.0, []
+    for k in range(len(ext)):
+        acc = sigma2 * acc + ext[k]
+        running.append(acc)
+    network = 0.0
+    for value in running[:40]:
+        network += value
+    env = disagreement_envelope(1.5, 9, sigma2, etas[:40])
+    np.testing.assert_array_equal(env, 1.5 * np.sqrt(9) * np.array(running[1:41]))
+    report = regret_guarantee(_consts(), 1.5, sigma2, etas, np.zeros(40), 9)
+    assert report.e_net == 4.0 * 1.5**2 * np.sqrt(9) * network
 
 
 def test_disagreement_envelope_validation():
@@ -254,15 +272,13 @@ def test_per_agent_loss_gap_matches_direct_sum():
 def test_network_disagreement_both_norms():
     x = np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
                   [[2.0, 2.0], [2.0, 2.0], [2.0, 2.0]]])
-    xbar = x.mean(axis=1)
-    shell = np.zeros((1, 3, 2))
-    base = dict(y=shell, xhat=shell, grads=shell, etas=np.array([0.1, 0.1]))
-    l2 = RunTrace(x=x, xbar=xbar, norm_kind="l2", **base)
-    dev = x - xbar[:, None, :]
+    etas = np.array([0.1, 0.1])
+    l2 = RunTrace(x=x, etas=etas, norm_kind="l2")
+    dev = x - x.mean(axis=1)[:, None, :]
     expected = np.linalg.norm(dev, axis=2).max(axis=1)
     np.testing.assert_allclose(network_disagreement(l2), expected, atol=1e-15)
     assert network_disagreement(l2)[1] == 0.0
-    l1 = RunTrace(x=x, xbar=xbar, norm_kind="l1", **base)
+    l1 = RunTrace(x=x, etas=etas, norm_kind="l1")
     np.testing.assert_allclose(network_disagreement(l1),
                                np.abs(dev).sum(axis=2).max(axis=1), atol=1e-15)
 
@@ -291,7 +307,7 @@ def test_guarantees_dominate_small_exact_runs():
                              horizon)
         ens = synthetic_suite(100 + seed, 4, 2, horizon, domain)
         trace = run(weights, geom, dyn, ens, path, schedule, horizon)
-        lipschitz = lipschitz_bound(ens, domain)
+        lipschitz = ens.lipschitz
         norms = np.linalg.norm(path.noise, axis=1)
         report = regret_guarantee(consts, lipschitz, sigma2, trace.etas,
                                   norms, 4)
@@ -302,15 +318,6 @@ def test_guarantees_dominate_small_exact_runs():
         gap = per_agent_loss_gap(trace, ens, path)
         assert gap <= report.local_gap_rhs + 1e-9
         assert path_variation(path, dyn) == pytest.approx(report.c_t, rel=1e-12)
-
-
-def test_auxiliary_guarantees_match_report():
-    noise = np.array([0.2, 0.3, 0.1])
-    report = regret_guarantee(_consts(), 1.0, 0.5, [0.1] * 4, noise, 4)
-    mismatch, local = auxiliary_guarantees(_consts(), 1.0, 0.5, [0.1] * 4,
-                                           noise, 4)
-    assert mismatch == report.mismatch_rhs
-    assert local == report.local_gap_rhs
 
 
 def test_csv_writers_round_trip(tmp_path):
@@ -338,9 +345,7 @@ def test_csv_writers_round_trip(tmp_path):
 
 
 def _shell_trace(x, norm_kind="l2"):
-    shell = np.empty((0,) + x.shape[1:])
-    return RunTrace(x=x, y=shell, xhat=shell, grads=shell,
-                    etas=np.full(x.shape[0], 0.1), xbar=x.mean(axis=1), norm_kind=norm_kind)
+    return RunTrace(x=x, etas=np.full(x.shape[0], 0.1), norm_kind=norm_kind)
 
 
 def _measured_case(kind, horizon=7):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from domd.network import (Graph, WeightMatrix, build_complete_graph,
-                          build_grid_graph, build_path_graph, load_edge_list,
+                          build_grid_graph, build_path_graph,
                           metropolis_weights, mix, random_connected_graph,
-                          save_edge_list, second_singular_value,
-                          uniform_complete_weights)
+                          second_singular_value, uniform_complete_weights)
 
 
 def test_grid_counts():
@@ -147,20 +146,3 @@ def test_random_graph_is_deterministic_and_connected():
     with pytest.raises(ValueError):
         random_connected_graph(1, 0.5, seed=1)
 
-
-def test_edge_list_round_trip(tmp_path):
-    g = build_grid_graph(3, 2)
-    file = tmp_path / "g.txt"
-    save_edge_list(g, file)
-    g2 = load_edge_list(file)
-    assert g2.n == g.n and g2.edges == g.edges
-
-
-def test_edge_list_rejects_malformed(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("nodes 3\n0 1\n")
-    with pytest.raises(ValueError, match="header"):
-        load_edge_list(bad)
-    bad.write_text("n 3\n0 1 2\n")
-    with pytest.raises(ValueError, match="malformed"):
-        load_edge_list(bad)

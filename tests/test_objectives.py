@@ -14,8 +14,8 @@ from domd.objectives import (agent_loss_batch, centers_outside_domain,
                              coordinate_groups, global_loss, global_loss_batch,
                              gradient_exact, gradient_stochastic,
                              gradients_exact_batch, gradients_stochastic_batch,
-                             linear_ensemble, lipschitz_bound, loss_value,
-                             synthetic_suite, tracking_ensemble, with_innovation)
+                             linear_ensemble, loss_value, synthetic_suite,
+                             tracking_ensemble)
 
 
 def _tracking_setup(n=6, half=5.0, horizon=10):
@@ -87,7 +87,7 @@ def test_gradients_match_finite_differences():
 
 
 def test_innovation_oracle_mean_is_half_exact():
-    _, ens, path = _tracking_setup()
+    domain, ens, path = _tracking_setup()
     x = np.array([0.3, -1.2, 2.0, 0.8])
     i, t = 0, 4
     exact = gradient_exact(ens, i, t, x, path)
@@ -103,7 +103,7 @@ def test_innovation_oracle_mean_is_half_exact():
     assert abs(mean[k] - 0.5 * exact[k]) <= 4.0 * se
     np.testing.assert_allclose(np.delete(mean, k), 0.0, atol=1e-15)
     # doubling the innovation makes the oracle unbiased for the exact gradient
-    unbiased = with_innovation(ens, False)
+    unbiased = tracking_ensemble(ens.n, domain, innovation=False)
     rng = np.random.default_rng(1)
     total = np.zeros(4)
     for _ in range(draws):
@@ -112,15 +112,9 @@ def test_innovation_oracle_mean_is_half_exact():
 
 
 def test_with_innovation_adjusts_second_moment():
-    _, ens, path = _tracking_setup()
-    doubled = with_innovation(ens, False)
+    domain, ens, _ = _tracking_setup()
+    doubled = tracking_ensemble(ens.n, domain, innovation=False)
     assert doubled.second_moment == pytest.approx(4.0 * ens.second_moment)
-    restored = with_innovation(doubled, True)
-    assert restored.second_moment == ens.second_moment
-    assert with_innovation(ens, True).second_moment == ens.second_moment
-    quad = synthetic_suite(0, 5, 2, 3, box_domain([-1.0] * 2, [1.0] * 2))
-    with pytest.raises(ValueError, match="tracking"):
-        with_innovation(quad, False)
 
 
 def test_quadratic_offsets_centered():
@@ -186,16 +180,14 @@ def test_linear_ensemble_from_explicit_array():
 
 def test_lipschitz_bound_formulas():
     domain, ens, _ = _tracking_setup()
-    assert lipschitz_bound(ens, domain) == pytest.approx(20.0)
+    assert ens.lipschitz == pytest.approx(20.0)
     quad = synthetic_suite(0, 4, 4, 3, domain)
-    assert lipschitz_bound(quad, domain) == pytest.approx(
-        2.0 * diameter(domain, "l2"))
+    assert quad.lipschitz == pytest.approx(2.0 * diameter(domain, "l2"))
     simplex = simplex_domain(3, 0.01)
     quad_s = synthetic_suite(0, 4, 3, 3, simplex)
-    assert lipschitz_bound(quad_s, simplex) == pytest.approx(
-        2.0 * diameter(simplex, "linf"))
+    assert quad_s.lipschitz == pytest.approx(2.0 * diameter(simplex, "linf"))
     lin = synthetic_suite(0, 4, 3, 3, simplex, kind="synthetic_linear")
-    assert lipschitz_bound(lin, simplex) == 1.0
+    assert lin.lipschitz == 1.0
 
 
 def test_second_moment_includes_oracle_noise():
