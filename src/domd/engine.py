@@ -9,15 +9,26 @@ Each round t every agent, holding iterate x[i,t]:
 Gradients are always evaluated at the pre-mixing iterates; the loop hands
 iterates to the oracle before the consensus step so the two cannot be
 swapped by accident.
+
+run_replicates advances R replicates of one network, geometry and dynamics
+(each with its own losses, target path, step sizes and oracle seed) through
+one loop over a (R, n, d) state; run is its R = 1 call.  Each replicate's
+iterates are bit-identical to a run of that replicate alone: every
+operation is elementwise or row-wise per replicate, mixing is one matrix
+product per replicate, and every decision on a whole array (floor
+projection passes, domain repair) is taken per replicate.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import contains, project_floored_simplex, prox
+from .geometry import contains, inside, project_floored_simplex, prox
 from .network import mix
-from .objectives import gradients_exact_batch, gradients_stochastic_batch
+from .objectives import (BLOCK_ELEMENTS, gradients_exact_batch,
+                         gradients_stochastic_batch, oracle_noise,
+                         stack_replicates)
 
 
 class EngineError(RuntimeError):
@@ -76,7 +87,9 @@ def schedule_eta(schedule, t):
 
 def schedule_etas(schedule, horizon):
     """eta_1 .. eta_{horizon+1} as an array (the bounds need the extra entry)."""
-    return np.array([schedule_eta(schedule, t) for t in range(1, horizon + 2)])
+    if schedule.kind == "inv_sqrt":
+        return schedule.eta0 / np.sqrt(np.arange(1, horizon + 2))
+    return np.full(horizon + 1, schedule.eta0)
 
 
 @dataclass(frozen=True)
@@ -118,24 +131,87 @@ def init_state(n, geom, x0=None):
 
 def _apply_dynamics(geom, dyn, xhat):
     xnext = xhat @ dyn.a.T
-    if geom.kind == "kl" and not contains(geom.domain, xnext):
-        # the dynamics may push iterates off the floored simplex
-        xnext = project_floored_simplex(xnext, geom.domain.floor)
+    if geom.kind == "kl":
+        # the dynamics may push iterates off the floored simplex; a replicate
+        # (the last two axes) is repaired as a whole, as it would be alone
+        off = ~inside(geom.domain, xnext).all(axis=-1)
+        if off.any():
+            xnext[off] = project_floored_simplex(xnext[off], geom.domain.floor)
     return xnext
 
 
 def step(x, weights, geom, dyn, grads, eta):
     """One synchronous round for all agents.
 
-    x and grads are stacked (n, d) arrays; grads[i] must be the oracle value
-    at x[i].  Returns the next iterate: the mixed anchor's prox output pushed
-    through the dynamics.
+    x and grads are stacked (n, d) arrays, or (R, n, d) replicate stacks
+    with eta of shape (R, 1, 1); grads[..., i, :] must be the oracle value
+    at x[..., i, :].  Returns the next iterate: the mixed anchor's prox
+    output pushed through the dynamics.
     """
     xhat = prox(geom, grads, mix(weights, x), eta)
-    xnext = _apply_dynamics(geom, dyn, xhat)
-    if not np.all(np.isfinite(xnext)):
-        raise EngineError("iterates became non-finite")
-    return xnext
+    return _apply_dynamics(geom, dyn, xhat)
+
+
+def _require_finite(x, t):
+    """Raise EngineError naming the round, replicate and agent of a non-finite iterate."""
+    if np.isfinite(x).all():
+        return
+    replicate, agent = np.argwhere(~np.isfinite(x).all(axis=-1))[0]
+    raise EngineError(f"iterates became non-finite in round {t} "
+                      f"(replicate {replicate}, agent {agent})")
+
+
+def _oracle_draws(ensembles, seeds, horizon, width):
+    """Each round's oracle noise for every replicate, stacked (R, ...).
+
+    Replicate r draws from default_rng(seeds[r]) in blocks of rounds holding
+    at most BLOCK_ELEMENTS elements across the batch (width elements per
+    replicate and round bound a round's draws), which consumes each stream
+    exactly as one draw per round would.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rounds = max(1, BLOCK_ELEMENTS // (len(rngs) * width))
+    for lo in range(0, horizon, rounds):
+        size = min(rounds, horizon - lo)
+        blocks = [oracle_noise(ens, rng, size) for ens, rng in zip(ensembles, rngs)]
+        yield from (np.stack(blocks, axis=1) if blocks[0] is not None else [None] * size)
+
+
+def run_replicates(weights, geom, dyn, replicates, horizon, mode="exact", x0=None):
+    """Run R replicates through one loop and return one RunTrace each.
+
+    replicates is a sequence of (ens, path, schedule, seed); they share the
+    network, geometry, dynamics, horizon, oracle mode and start x0, and
+    their ensembles must share the loss family (see stack_replicates).
+    Trace r is bit-identical to run(weights, geom, dyn, *replicates[r]...)
+    and its x is a contiguous view of one (R, horizon+1, n, d) array.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if mode not in ("exact", "stochastic"):
+        raise ValueError(f"unknown gradient mode {mode!r}")
+    if not replicates:
+        raise ValueError("need at least one replicate")
+    ensembles, paths, schedules, seeds = zip(*replicates)
+    ens, path = stack_replicates(ensembles, paths, horizon)
+    n, d = weights.n, geom.domain.d
+    etas = np.stack([schedule_etas(s, horizon) for s in schedules])
+    steps = etas[:, :, None, None]
+    xs = np.empty((len(replicates), horizon + 1, n, d))
+    xs[:, 0] = init_state(n, geom, x0)
+    x = xs[:, 0]
+    if mode == "exact":
+        draws = itertools.repeat(None)
+    else:
+        draws = _oracle_draws(ensembles, seeds, horizon, n * d)
+    for t, noise in zip(range(1, horizon + 1), draws):
+        if mode == "exact":
+            g = gradients_exact_batch(ens, t, x, path)
+        else:
+            g = gradients_stochastic_batch(ens, t, x, path, noise)
+        x = xs[:, t] = step(x, weights, geom, dyn, g, steps[:, t - 1])
+        _require_finite(x, t)
+    return [RunTrace(xs[r], etas[r], geom.norm_kind) for r in range(len(replicates))]
 
 
 def run(weights, geom, dyn, ens, path, schedule, horizon, mode="exact", seed=0,
@@ -145,22 +221,7 @@ def run(weights, geom, dyn, ens, path, schedule, horizon, mode="exact", seed=0,
     mode selects the oracle: "exact" queries analytic gradients,
     "stochastic" queries the noisy oracle exactly once per agent per round
     from a generator seeded with `seed`.  Identical arguments produce
-    identical traces.
+    identical traces.  This is the one-replicate call of run_replicates.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if mode not in ("exact", "stochastic"):
-        raise ValueError(f"unknown gradient mode {mode!r}")
-    n, d = weights.n, geom.domain.d
-    rng = np.random.default_rng(seed)
-    x = init_state(n, geom, x0)
-    xs = np.empty((horizon + 1, n, d))
-    xs[0] = x
-    for t in range(1, horizon + 1):
-        eta = schedule_eta(schedule, t)
-        if mode == "exact":
-            g = gradients_exact_batch(ens, t, x, path)
-        else:
-            g = gradients_stochastic_batch(ens, t, x, path, rng)
-        x = xs[t] = step(x, weights, geom, dyn, g, eta)
-    return RunTrace(xs, schedule_etas(schedule, horizon), geom.norm_kind)
+    return run_replicates(weights, geom, dyn, [(ens, path, schedule, seed)], horizon,
+                          mode, x0)[0]

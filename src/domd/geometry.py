@@ -176,20 +176,25 @@ def _floor_project(p, floor):
 
     Coordinates below the floor are raised to it and the surplus is removed
     proportionally from the rest; repeating makes the active set grow, so at
-    most d passes are needed.
+    most d passes are needed.  The last two axes hold one replicate's
+    (agents, d) block and leading axes are replicates: whether a pass runs
+    is decided per replicate, so a batched replicate gets the same passes,
+    and bits, as when it is projected alone.
     """
     p = np.array(p, dtype=float)
     d = p.shape[-1]
+    block = tuple(range(max(p.ndim - 2, 0), p.ndim))
     fixed = np.zeros(p.shape, dtype=bool)
     for _ in range(d):
         low = (p < floor) & ~fixed
-        if not low.any():
+        active = low.any(axis=block, keepdims=True)
+        if not active.any():
             break
         fixed |= low
         free_mass = 1.0 - floor * fixed.sum(axis=-1, keepdims=True)
         free_sum = np.where(fixed, 0.0, p).sum(axis=-1, keepdims=True)
         scale = np.where(free_sum > 0, free_mass / np.where(free_sum > 0, free_sum, 1.0), 1.0)
-        p = np.where(fixed, floor, p * scale)
+        p = np.where(fixed, floor, np.where(active, p * scale, p))
     return p
 
 
@@ -206,14 +211,15 @@ def project_floored_simplex(v, floor):
 def prox(geom, gradient, y, eta):
     """Mirror descent prox step: argmin_x eta*<gradient, x> + D(x, y).
 
-    Operates along the last axis, so stacked (agents x d) inputs work.
+    Operates along the last axis, so stacked (agents x d) inputs work, and
+    (replicates x agents x d) with eta of shape (replicates, 1, 1).
     euclidean/box: clamp(y - eta*gradient).  kl/simplex: multiplicative
     update y_i * exp(-eta * g_i) renormalized, then floor projection; the
     exponent is shifted by its max so large gradients cannot overflow.
     """
     g = np.asarray(gradient, dtype=float)
     y = np.asarray(y, dtype=float)
-    if eta <= 0:
+    if np.any(eta <= 0):
         raise ValueError("step size must be positive")
     if g.shape != y.shape:
         raise ValueError("gradient and anchor shapes differ")

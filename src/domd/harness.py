@@ -5,6 +5,11 @@ matrix, geometry, dynamics, losses, schedule), executes the engine, measures
 regret, evaluates the guarantees and writes the CSV outputs.  Every random
 stream is derived from the master seed plus a fixed stream label and the
 run index, so identical configs produce byte-identical outputs.
+
+Replicates of one configuration (sweep runs, suite seeds) go through the
+engine together, in batches whose iterate traces hold at most
+BATCH_TRACE_BYTES; each replicate's results are bit-identical to running
+it alone.
 """
 
 import os
@@ -17,7 +22,7 @@ from .config import SCHEMA, ConfigError, config_hash
 from .dynamics import (constant_drift_noise, custom_noise, gaussian_ncv_noise,
                        generate_path, identity_dynamics, linear_dynamics,
                        ncv_dynamics, path_variation, zero_noise)
-from .engine import (constant_schedule, inv_sqrt_schedule, run,
+from .engine import (constant_schedule, inv_sqrt_schedule, run, run_replicates,
                      variation_schedule)
 from .geometry import (box_domain, contains, euclidean_geometry, free_domain,
                        geometry_constants, kl_geometry, simplex_domain,
@@ -32,6 +37,10 @@ from .objectives import (centers_outside_domain, linear_ensemble, synthetic_suit
                          tracking_ensemble)
 
 SLACK_TOL = 1e-9
+
+# Replicates run through the engine together until their iterate traces
+# would pass this size; a large-n sweep then never holds many traces at once.
+BATCH_TRACE_BYTES = 2 ** 24
 
 # stream labels mixed into derived seeds
 _PATH, _ORACLE, _ENSEMBLE, _GRAPH = 1, 2, 3, 4
@@ -124,8 +133,31 @@ class RunResult:
     lipschitz: float
 
 
-def run_experiment(cfg, run_index=0, out_dir=None, x0=None):
-    """Assemble and execute one run; optionally write the CSV outputs."""
+def _replicate_batches(items, horizon, n, d):
+    """Consecutive slices of items whose (horizon+1, n, d) traces fit BATCH_TRACE_BYTES."""
+    size = max(1, BATCH_TRACE_BYTES // ((horizon + 1) * n * d * 8))
+    return [items[k:k + size] for k in range(0, len(items), size)]
+
+
+def _run_batch(weights, geom, dyn, replicates, horizon, mode, x0=None):
+    """Traces of one batch of (ens, path, schedule, seed) replicates."""
+    if len(replicates) == 1:
+        # a lone replicate goes through engine.run, the call that profilers
+        # and perfbench/tracer.py observe as one run
+        ens, path, schedule, seed = replicates[0]
+        return [run(weights, geom, dyn, ens, path, schedule, horizon, mode, seed, x0)]
+    return run_replicates(weights, geom, dyn, replicates, horizon, mode, x0)
+
+
+def run_experiments(cfg, run_indices, x0=None):
+    """Assemble and execute the runs `run_indices` of one config; yields RunResults.
+
+    Network, geometry and dynamics are built once; each run index gets its
+    own target path, losses, step schedule and oracle seed, exactly as a
+    run of it alone would.  Runs go through the engine in batches (see
+    BATCH_TRACE_BYTES) and results are yielded in order, so a consumer that
+    keeps only what it needs holds at most one batch of traces.
+    """
     graph = build_graph(cfg)
     weights = build_weights(cfg, graph)
     sigma2 = second_singular_value(weights).sigma2
@@ -140,28 +172,36 @@ def run_experiment(cfg, run_index=0, out_dir=None, x0=None):
         target0 = np.zeros(cfg.dim)
     if domain.kind != "free" and not contains(domain, target0):
         raise ConfigError("noise.target_init lies outside the domain")
-    path = generate_path(dyn, build_noise(cfg, run_index), target0, cfg.horizon)
-    ens = build_ensemble(cfg, domain, run_index)
-    if centers_outside_domain(ens, path, domain):
-        raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
-    c_t = path_variation(path, dyn, geom.norm_kind)
-    schedule = build_schedule(cfg, sigma2, c_t)
-    trace = run(weights, geom, dyn, ens, path, schedule, cfg.horizon,
-                mode=cfg.gradient_mode, seed=_derive_seed(cfg.seed, _ORACLE, run_index),
-                x0=x0)
-    regret = dynamic_regret(trace, ens, path)
-    regret = replace(regret, path_variation=c_t)
     consts = geometry_constants(geom)
-    bounds = None
-    lipschitz = float("nan")
-    if consts.available:
-        regret = replace(regret, static_regret=static_regret(trace, ens, path, domain))
-        lipschitz = ens.lipschitz
-        g2 = ens.second_moment if cfg.gradient_mode == "stochastic" else None
-        bounds = regret_guarantee(consts, lipschitz, sigma2, trace.etas,
-                                  vector_norm(geom.norm_kind, path.noise), weights.n,
-                                  grad_second_moment=g2)
-    result = RunResult(cfg, trace, path, regret, bounds, sigma2, lipschitz)
+    for batch in _replicate_batches(list(run_indices), cfg.horizon, weights.n, cfg.dim):
+        replicates, variations = [], []
+        for run_index in batch:
+            path = generate_path(dyn, build_noise(cfg, run_index), target0, cfg.horizon)
+            ens = build_ensemble(cfg, domain, run_index)
+            if centers_outside_domain(ens, path, domain):
+                raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
+            c_t = path_variation(path, dyn, geom.norm_kind)
+            schedule = build_schedule(cfg, sigma2, c_t)
+            replicates.append((ens, path, schedule, _derive_seed(cfg.seed, _ORACLE, run_index)))
+            variations.append(c_t)
+        traces = _run_batch(weights, geom, dyn, replicates, cfg.horizon, cfg.gradient_mode, x0)
+        for (ens, path, _, _), c_t, trace in zip(replicates, variations, traces):
+            regret = replace(dynamic_regret(trace, ens, path), path_variation=c_t)
+            bounds = None
+            lipschitz = float("nan")
+            if consts.available:
+                regret = replace(regret, static_regret=static_regret(trace, ens, path, domain))
+                lipschitz = ens.lipschitz
+                g2 = ens.second_moment if cfg.gradient_mode == "stochastic" else None
+                bounds = regret_guarantee(consts, lipschitz, sigma2, trace.etas,
+                                          vector_norm(geom.norm_kind, path.noise),
+                                          weights.n, grad_second_moment=g2)
+            yield RunResult(cfg, trace, path, regret, bounds, sigma2, lipschitz)
+
+
+def run_experiment(cfg, run_index=0, out_dir=None, x0=None):
+    """Assemble and execute one run; optionally write the CSV outputs."""
+    result = next(run_experiments(cfg, [run_index], x0))
     if out_dir is not None:
         _write_run_outputs(result, out_dir)
     return result
@@ -261,8 +301,8 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
             raise ConfigError(f"sweep value {value!r} out of range for {param}")
         cfg_v = replace(cfg, **{attr: value})
         curves = np.empty((runs, horizon))
-        for r in range(runs):
-            curves[r] = run_experiment(cfg_v, run_index=r).regret.normalized
+        for r, result in enumerate(run_experiments(cfg_v, range(runs))):
+            curves[r] = result.regret.normalized
         mean_curves.append(curves.mean(axis=0))
         std_curves.append(curves.std(axis=0))
     mean_curves = np.array(mean_curves)
@@ -412,14 +452,32 @@ class VerifyReport:
     passed: bool
 
 
-def _case_report(case, geom, weights, ens, trace, path, l_scale):
-    consts = geometry_constants(geom)
-    lipschitz = l_scale * ens.lipschitz
-    sigma2 = second_singular_value(weights).sigma2
+def _case_report(consts, sigma2, geom, weights, ens, trace, path, l_scale):
     g2 = l_scale * l_scale * ens.second_moment
-    return regret_guarantee(consts, lipschitz, sigma2, trace.etas,
+    return regret_guarantee(consts, l_scale * ens.lipschitz, sigma2, trace.etas,
                             vector_norm(geom.norm_kind, path.noise), weights.n,
                             grad_second_moment=g2)
+
+
+def _case_runs(case, seeds, stream):
+    """(ens, path, trace) of one suite case for each seed, plus the case-level objects.
+
+    Weights, geometry and dynamics depend only on the case, so sigma2 and
+    the geometry constants are computed once and the seeds run through the
+    engine together.  Returns (weights, geom, sigma2, consts, runs); the
+    oracle seed of seed s is _derive_seed(s, _ORACLE, stream).
+    """
+    built = [_build_case(case, s) for s in seeds]
+    weights, geom, dyn = built[0][:3]
+    mode = "stochastic" if case.oracle_noise > 0 else "exact"
+    replicates = [(ens, path, schedule, _derive_seed(s, _ORACLE, stream))
+                  for s, (_, _, _, ens, path, schedule) in zip(seeds, built)]
+    traces = []
+    for batch in _replicate_batches(replicates, case.horizon, weights.n, geom.domain.d):
+        traces += _run_batch(weights, geom, dyn, batch, case.horizon, mode)
+    runs = [(ens, path, trace) for (ens, path, _, _), trace in zip(replicates, traces)]
+    return (weights, geom, second_singular_value(weights).sigma2,
+            geometry_constants(geom), runs)
 
 
 def verify_bounds(seeds=20, out_dir=None, l_scale=1.0, tol=SLACK_TOL):
@@ -441,11 +499,9 @@ def verify_bounds(seeds=20, out_dir=None, l_scale=1.0, tol=SLACK_TOL):
         mode = "stochastic" if stochastic else "exact"
         regrets = []
         report = None
-        for s in range(seeds):
-            weights, geom, dyn, ens, path, schedule = _build_case(case, s)
-            trace = run(weights, geom, dyn, ens, path, schedule, case.horizon,
-                        mode=mode, seed=_derive_seed(s, _ORACLE, 0))
-            report = _case_report(case, geom, weights, ens, trace, path, l_scale)
+        weights, geom, sigma2, consts, runs = _case_runs(case, range(seeds), 0)
+        for s, (ens, path, trace) in enumerate(runs):
+            report = _case_report(consts, sigma2, geom, weights, ens, trace, path, l_scale)
             regret = dynamic_regret(trace, ens, path).dynamic_regret
             if stochastic:
                 regrets.append(regret)
@@ -494,14 +550,14 @@ def stochastic_mean_regret(case_name, runs, base_seed=0):
     case = _suite_case(case_name)
     if case.oracle_noise <= 0:
         raise ValueError("case has a noiseless oracle; nothing stochastic to average")
-    regrets = np.empty(runs)
-    report = None
-    for r in range(runs):
-        weights, geom, dyn, ens, path, schedule = _build_case(case, base_seed + r)
-        trace = run(weights, geom, dyn, ens, path, schedule, case.horizon,
-                    mode="stochastic", seed=_derive_seed(base_seed + r, _ORACLE, 1))
-        report = _case_report(case, geom, weights, ens, trace, path, 1.0)
-        regrets[r] = dynamic_regret(trace, ens, path).dynamic_regret
+    if runs < 1:
+        raise ValueError("need at least one run")
+    weights, geom, sigma2, consts, done = _case_runs(
+        case, range(base_seed, base_seed + runs), 1)
+    regrets = np.array([dynamic_regret(trace, ens, path).dynamic_regret
+                        for ens, path, trace in done])
+    ens, path, trace = done[-1]
+    report = _case_report(consts, sigma2, geom, weights, ens, trace, path, 1.0)
     return float(regrets.mean()), float(report.stochastic_total)
 
 

@@ -172,11 +172,13 @@ def second_singular_value(weights):
 def mix(weights, states):
     """One consensus round: out[i] = sum_j w[i][j] * states[j].
 
-    states has one row per agent; the agent mean is preserved because the
-    columns of w sum to one.
+    states has one row per agent, (n,) or (n, d), or is a (R, n, d) stack of
+    replicates, each mixed by its own product with w (np.matmul gives each
+    replicate the same bits as mixing it alone).  The agent mean is
+    preserved because the columns of w sum to one.
     """
     states = np.asarray(states, dtype=float)
-    if states.shape[0] != weights.n:
+    if states.shape[-min(states.ndim, 2)] != weights.n:
         raise ValueError("one state row per agent required")
-    return weights.w @ states
+    return np.matmul(weights.w, states)
 

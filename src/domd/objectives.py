@@ -6,12 +6,16 @@ loss.  synthetic_quadratic centers a quadratic bowl near the target with
 zero-mean per-agent offsets, so the network-average loss is minimized
 exactly at the target.  synthetic_linear replays bounded linear losses.
 
-Every stochastic oracle takes an explicit generator argument; the caller
-owns the stream, which keeps runs reproducible.
+Every stochastic oracle draws from a generator the caller owns, which
+keeps runs reproducible; the batch oracle takes that round's draws, which
+oracle_noise produces from the generator a block of rounds at a time.
 
 Two granularities coexist.  The scalar functions (loss_value,
 gradient_exact, gradient_stochastic) evaluate one agent at one round and
-serve as the readable reference.  The whole-horizon functions
+serve as the readable reference.  The batch oracles (gradients_exact_batch,
+gradients_stochastic_batch) evaluate every agent of one round, and of every
+replicate at once when stack_replicates has given the ensemble and path a
+leading replicate axis.  The whole-horizon functions
 (global_loss_batch, agent_loss_batch, centers_outside_domain) take a
 (T, m, d) stack whose row t-1 is evaluated under round t's loss, for
 every round at once.  They walk the rounds in blocks of about
@@ -19,10 +23,11 @@ BLOCK_ELEMENTS elements, so their temporaries stay small next to the trace
 they read, and they refuse paths or ensembles covering fewer than T rounds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dynamics import MinimizerPath
 from .geometry import diameter, inside
 
 TRACKED_COORDS = 4
@@ -156,11 +161,11 @@ def linear_ensemble(gradients, domain, noise_scale=0.0):
 
 
 def _star(path, t):
-    return path.states[t - 1]
+    return path.states[..., t - 1, :]
 
 
 def _centers(ens, path, t):
-    return _star(path, t) + ens.offsets[t - 1]
+    return _star(path, t)[..., None, :] + ens.offsets[..., t - 1, :, :]
 
 
 def tracking_loss_value(ens, i, t, x, path):
@@ -223,36 +228,100 @@ def gradient_stochastic(ens, i, t, x, path, rng):
 
 
 def gradients_exact_batch(ens, t, x_all, path):
-    """Exact gradients for every agent at once; x_all has one row per agent."""
+    """Exact gradients for every agent at once: x_all is (..., n, d).
+
+    Leading axes are replicates; a stacked ensemble and path (see
+    stack_replicates) supply each replicate's own targets, offsets or
+    linear gradients.
+    """
     x_all = np.asarray(x_all, dtype=float)
     if ens.kind == "tracking_square":
         ks = ens.obs.assignment
         rows = np.arange(ens.n)
-        g = np.zeros((ens.n, ens.d))
-        g[rows, ks] = 2.0 * (x_all[rows, ks] - _star(path, t)[ks])
+        g = np.zeros(x_all.shape)
+        g[..., rows, ks] = 2.0 * (x_all[..., rows, ks] - _star(path, t)[..., ks])
         return g
     if ens.kind == "synthetic_quadratic":
         return 2.0 * (x_all - _centers(ens, path, t))
-    return np.array(ens.gradients[t - 1])
+    return np.array(ens.gradients[..., t - 1, :, :])
 
 
-def gradients_stochastic_batch(ens, t, x_all, path, rng):
-    """Noisy gradients for every agent, one oracle draw per agent."""
+def gradients_stochastic_batch(ens, t, x_all, path, noise):
+    """Noisy gradients for every agent, from one round of oracle_noise draws.
+
+    noise is (..., n) for tracking and (..., n, d) for a noisy synthetic
+    oracle, with the same leading replicate axes as x_all; None for a
+    synthetic oracle without noise.
+    """
     x_all = np.asarray(x_all, dtype=float)
     if ens.kind == "tracking_square":
         ks = ens.obs.assignment
         rows = np.arange(ens.n)
-        w = rng.uniform(ens.obs.noise_low, ens.obs.noise_high, ens.n)
-        z = _star(path, t)[ks] + w
-        g = np.zeros((ens.n, ens.d))
-        g[rows, ks] = -(z - x_all[rows, ks])
+        z = _star(path, t)[..., ks] + noise
+        g = np.zeros(x_all.shape)
+        g[..., rows, ks] = -(z - x_all[..., rows, ks])
         if not ens.innovation:
             g *= 2.0
         return g
     g = gradients_exact_batch(ens, t, x_all, path)
-    if ens.noise_scale > 0:
-        g = g + rng.uniform(-ens.noise_scale, ens.noise_scale, (ens.n, ens.d))
+    if noise is not None:
+        g = g + noise
     return g
+
+
+def oracle_noise(ens, rng, rounds):
+    """The stochastic oracle's draws for `rounds` consecutive rounds.
+
+    Row k is one round: (n,) observation noise for tracking, (n, d) for a
+    noisy synthetic oracle; None when the oracle draws nothing.  A block
+    consumes rng exactly as drawing its rows one round at a time would.
+    """
+    if ens.kind == "tracking_square":
+        return rng.uniform(ens.obs.noise_low, ens.obs.noise_high, (rounds, ens.n))
+    if ens.noise_scale > 0:
+        return rng.uniform(-ens.noise_scale, ens.noise_scale, (rounds, ens.n, ens.d))
+    return None
+
+
+def _stacked(arrays, rounds):
+    # a read-only view when every replicate shares one array (always for R = 1)
+    first = arrays[0][:rounds]
+    if all(a is arrays[0] for a in arrays):
+        return np.broadcast_to(first, (len(arrays),) + first.shape)
+    return np.stack([a[:rounds] for a in arrays])
+
+
+def stack_replicates(ensembles, paths, rounds):
+    """One ensemble and one path for R replicates, covering `rounds` rounds.
+
+    Their per-round arrays (path states, quadratic offsets, linear
+    gradients) gain a leading replicate axis, which the batch
+    oracles broadcast over.  Replicates must share the loss family, agent
+    count, dimension and oracle shape; raises ValueError otherwise, or when
+    a path or ensemble covers fewer than `rounds` rounds.
+    """
+    first = ensembles[0]
+
+    def shape(e):
+        return e.kind, e.n, e.d, e.innovation, e.noise_scale > 0
+
+    if any(shape(e) != shape(first) for e in ensembles):
+        raise ValueError("replicates must share the loss family, agent count, "
+                         "dimension and oracle")
+    for p in paths:
+        check_rounds("path.states", p.states, rounds)
+    changes = {}
+    if first.kind == "synthetic_quadratic":
+        for e in ensembles:
+            check_rounds("ens.offsets", e.offsets, rounds)
+        changes["offsets"] = _stacked([e.offsets for e in ensembles], rounds)
+    elif first.kind == "synthetic_linear":
+        for e in ensembles:
+            check_rounds("ens.gradients", e.gradients, rounds)
+        changes["gradients"] = _stacked([e.gradients for e in ensembles], rounds)
+    # the oracles read only the states, so the stacked path carries no noise
+    path = MinimizerPath(_stacked([p.states for p in paths], rounds), None)
+    return replace(first, **changes), path
 
 
 def check_rounds(what, array, rounds):

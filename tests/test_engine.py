@@ -6,14 +6,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from domd.dynamics import (generate_path, identity_dynamics, linear_dynamics,
+import domd.engine
+from domd.dynamics import (custom_noise, gaussian_ncv_noise, generate_path,
+                           identity_dynamics, linear_dynamics, ncv_dynamics,
                            zero_noise)
 from domd.engine import (EngineError, RunTrace, constant_schedule,
-                         init_state, inv_sqrt_schedule, run, schedule_eta,
-                         schedule_etas, step, variation_schedule)
+                         init_state, inv_sqrt_schedule, run, run_replicates,
+                         schedule_eta, schedule_etas, step, variation_schedule)
 from domd.geometry import (box_domain, contains, euclidean_geometry,
                            free_domain, kl_geometry, prox, simplex_domain)
-from domd.network import (build_grid_graph, build_path_graph,
+from domd.network import (WeightMatrix, build_grid_graph, build_path_graph,
                           metropolis_weights, mix, uniform_complete_weights)
 from domd.objectives import (gradients_exact_batch, linear_ensemble,
                              synthetic_suite, tracking_ensemble)
@@ -58,9 +60,11 @@ def test_variation_tuned_schedule():
 
 
 def test_schedule_etas_covers_one_past_horizon():
-    etas = schedule_etas(inv_sqrt_schedule(0.2), 10)
-    assert etas.shape == (11,)
-    np.testing.assert_allclose(etas, 0.2 / np.sqrt(np.arange(1, 12)))
+    for schedule in (inv_sqrt_schedule(0.2), constant_schedule(0.3),
+                     variation_schedule(16.0, 0.75, 100)):
+        etas = schedule_etas(schedule, 10)
+        assert etas.shape == (11,)
+        assert np.array_equal(etas, [schedule_eta(schedule, t) for t in range(1, 12)])
 
 
 def test_init_state_defaults():
@@ -191,6 +195,145 @@ def test_divergent_dynamics_raise_engine_error():
         with pytest.raises(EngineError, match="non-finite"):
             run(weights, geom, dyn, ens, path, constant_schedule(0.1), horizon,
                 x0=np.array([1.0, 1.0]))
+
+
+def _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon, mode,
+                                       x0=None):
+    traces = run_replicates(weights, geom, dyn, replicates, horizon, mode, x0)
+    assert len(traces) == len(replicates)
+    for (ens, path, schedule, seed), trace in zip(replicates, traces):
+        solo = run(weights, geom, dyn, ens, path, schedule, horizon, mode, seed, x0)
+        assert np.array_equal(trace.x, solo.x)
+        assert np.array_equal(trace.etas, solo.etas)
+        assert trace.x.flags.c_contiguous
+        assert trace.x.base is traces[0].x.base
+    assert traces[0].x.base.shape == (len(replicates), horizon + 1, weights.n, geom.domain.d)
+    return traces
+
+
+@pytest.mark.parametrize("innovation", [True, False])
+def test_replicates_equal_solo_runs_tracking(innovation):
+    horizon = 60
+    # the default 5x5 grid: at n = 25 one wide (n, R*d) product would move ulps
+    weights = metropolis_weights(build_grid_graph(5, 5))
+    geom = euclidean_geometry(box_domain([-10.0] * 4, [10.0] * 4))
+    dyn = ncv_dynamics(0.1)
+    ens = tracking_ensemble(25, geom.domain, innovation=innovation)
+    paths = [generate_path(dyn, gaussian_ncv_noise(0.5, 0.1, seed), np.zeros(4), horizon)
+             for seed in (1, 2, 3)]
+    schedules = (constant_schedule(0.5), inv_sqrt_schedule(0.7),
+                 variation_schedule(3.0, 0.6, horizon))
+    replicates = [(ens, p, s, seed) for p, s, seed in zip(paths, schedules, (7, 8, 9))]
+    _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon,
+                                       "stochastic")
+
+
+def test_replicates_equal_solo_runs_noisy_quadratic_and_linear():
+    horizon = 40
+    weights = metropolis_weights(build_path_graph(3))
+    geom = euclidean_geometry(box_domain([-5.0] * 2, [5.0] * 2))
+    dyn = linear_dynamics(0.95 * np.eye(2))
+    paths = [generate_path(dyn, custom_noise(np.random.default_rng(k).normal(
+        0.0, 0.05, (horizon, 2))), np.array([0.5, -0.5]), horizon) for k in range(3)]
+    quads = [synthetic_suite(k, 3, 2, horizon, geom.domain, noise_scale=0.5)
+             for k in range(3)]
+    replicates = [(e, p, inv_sqrt_schedule(0.3), 11 + k)
+                  for k, (e, p) in enumerate(zip(quads, paths))]
+    _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon,
+                                       "stochastic")
+    lins = [synthetic_suite(k, 3, 2, horizon, geom.domain, kind="synthetic_linear",
+                            noise_scale=0.2 * k) for k in (1, 2)]
+    replicates = [(e, paths[0], constant_schedule(0.2), k) for k, e in enumerate(lins)]
+    _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon, "exact")
+    _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon,
+                                       "stochastic")
+
+
+def _kl_linear_replicates(dyn, pulls, horizon, floor=0.01):
+    """KL simplex runs under linear losses: replicate k adds pulls[k] to every
+    agent's gradient on top of small per-agent noise."""
+    weights = metropolis_weights(build_path_graph(3))
+    geom = kl_geometry(simplex_domain(3, floor))
+    path = generate_path(identity_dynamics(3), zero_noise(), np.full(3, 1 / 3), horizon)
+    replicates = []
+    for k, pull in enumerate(pulls):
+        noise = np.random.default_rng(k).uniform(-0.2, 0.2, (horizon, 3, 3))
+        ens = linear_ensemble(noise + np.asarray(pull), geom.domain)
+        replicates.append((ens, path, constant_schedule(0.5), k))
+    return weights, geom, dyn, replicates
+
+
+def test_replicates_equal_solo_runs_when_one_replicate_hits_the_floor():
+    # replicate 0's prox outputs need the floor projection, replicate 1's never
+    weights, geom, dyn, replicates = _kl_linear_replicates(
+        identity_dynamics(3), ([5.0, 0.0, 0.0], [0.0, 0.0, 0.0]), 30)
+    hit, free = _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, 30,
+                                                   "exact")
+    assert np.any(hit.x == 0.01)
+    assert free.x.min() > 0.05
+
+
+def test_replicates_equal_solo_runs_when_one_replicate_needs_repair():
+    # the push halves coordinate 0 (and keeps the sum): replicate 0 is driven to
+    # the floor and pushed off the simplex, replicate 1 settles near 0.2
+    a = np.array([[0.5, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    weights, geom, dyn, replicates = _kl_linear_replicates(
+        linear_dynamics(a), ([3.0, 0.0, 0.0], [-2.0, 0.0, 0.0]), 30)
+    repaired, kept = _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates,
+                                                        30, "exact")
+    assert np.any(repaired.x[1:, :, 0] == 0.01)
+    assert kept.x[:, :, 0].min() > 0.1
+
+
+@pytest.mark.parametrize("block_elements", [1, 40])
+def test_noise_block_boundaries_keep_every_stream(monkeypatch, block_elements):
+    # 2 replicates x 3 agents x 2 coordinates: one-round blocks, then 3-round
+    # blocks with a ragged last block of one round
+    weights, geom, dyn, _, path = _box_setup(horizon=10)
+    ensembles = [synthetic_suite(k, 3, 2, 10, geom.domain, noise_scale=0.4)
+                 for k in (1, 2)]
+    replicates = [(e, path, constant_schedule(0.1), 20 + k)
+                  for k, e in enumerate(ensembles)]
+    whole = run_replicates(weights, geom, dyn, replicates, 10, "stochastic")
+    monkeypatch.setattr(domd.engine, "BLOCK_ELEMENTS", block_elements)
+    blocked = _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, 10,
+                                                 "stochastic")
+    for a, b in zip(whole, blocked):
+        assert np.array_equal(a.x, b.x)
+
+
+def test_non_finite_error_names_round_replicate_and_agent():
+    n, d, horizon = 3, 1, 400
+    weights = WeightMatrix(n, np.eye(n))  # no mixing: agents diverge alone
+    geom = euclidean_geometry(free_domain(d))
+    dyn = linear_dynamics(10.0 * np.eye(d))
+    path = generate_path(identity_dynamics(d), zero_noise(), np.zeros(d), horizon)
+    calm = linear_ensemble(np.zeros((horizon, n, d)), geom.domain)
+    pushed = np.zeros((horizon, n, d))
+    pushed[:, 2] = -1.0
+    wild = linear_ensemble(pushed, geom.domain)
+    replicates = [(calm, path, constant_schedule(1.0), 0),
+                  (wild, path, constant_schedule(1.0), 0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EngineError, match="non-finite") as solo:
+            run(weights, geom, dyn, wild, path, constant_schedule(1.0), horizon)
+        with pytest.raises(EngineError, match="non-finite") as batched:
+            run_replicates(weights, geom, dyn, replicates, horizon)
+    assert str(solo.value).endswith("(replicate 0, agent 2)")
+    assert str(batched.value).endswith("(replicate 1, agent 2)")
+    round_of = str(solo.value).split("round ")[1].split(" ")[0]
+    assert str(batched.value).split("round ")[1].split(" ")[0] == round_of
+    assert 300 < int(round_of) < 320  # x_t = 10 (x_{t-1} + 1) passes 1.8e308
+
+
+def test_run_replicates_argument_validation():
+    weights, geom, dyn, ens, path = _box_setup()
+    with pytest.raises(ValueError, match="at least one replicate"):
+        run_replicates(weights, geom, dyn, [], 3)
+    linear = linear_ensemble(np.zeros((path.horizon, 3, 2)), geom.domain)
+    with pytest.raises(ValueError, match="share the loss family"):
+        run_replicates(weights, geom, dyn, [(ens, path, constant_schedule(0.1), 0),
+                                            (linear, path, constant_schedule(0.1), 0)], 3)
 
 
 def test_run_memory_is_the_iterate_trace():

@@ -1,20 +1,25 @@
 """Experiment assembly: run construction, sweeps, bound verification."""
 
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import domd.harness
 from domd.config import ConfigError, config_hash, parse_config
 from domd.csvio import read_csv
-from domd.harness import (build_domain, build_dynamics, build_graph,
+from domd.engine import run
+from domd.harness import (_build_case, _derive_seed, _ORACLE, _suite_case,
+                          build_domain, build_dynamics, build_graph,
                           build_geometry, build_noise, build_schedule,
                           build_weights, bound_suite, exact_run_violations,
-                          run_experiment, stochastic_mean_regret,
+                          run_experiment, run_experiments, stochastic_mean_regret,
                           sweep, target_position_path_length,
                           tracking_error_stats, variation_scaling_study,
                           verify_bounds)
+from domd.metrics import dynamic_regret
 
 EXACT_QUAD = """
 [experiment]
@@ -257,6 +262,66 @@ def test_sweep_replicates_redraw_paths_unless_fixed():
     np.testing.assert_allclose(fixed.std_curves, 0.0, atol=1e-12)
     redrawn = sweep(replace(base, fixed_path=False), "noise.sigma_v2", (0.5,))
     assert redrawn.std_curves.max() > 1e-6
+
+
+def test_batched_runs_equal_runs_alone(monkeypatch):
+    # batches of 3 and 1 replicates; the lone one goes through engine.run
+    cfg = _tracking_cfg(horizon=60)
+    monkeypatch.setattr(domd.harness, "BATCH_TRACE_BYTES", 3 * 61 * 25 * 4 * 8)
+    batched = list(run_experiments(cfg, range(4)))
+    curves = []
+    for r, result in enumerate(batched):
+        alone = run_experiment(cfg, run_index=r)
+        assert np.array_equal(result.trace.x, alone.trace.x)
+        assert np.array_equal(result.regret.normalized, alone.regret.normalized)
+        assert result.regret.static_regret == alone.regret.static_regret
+        assert np.array_equal(result.bounds.disagreement_curve,
+                              alone.bounds.disagreement_curve)
+        curves.append(alone.regret.normalized)
+    assert batched[0].trace.x.base is batched[2].trace.x.base
+    assert batched[3].trace.x.base is not batched[0].trace.x.base
+    result = sweep(cfg, "noise.sigma_v2", (0.5,), runs=4)
+    assert np.array_equal(result.mean_curves[0], np.mean(curves, axis=0))
+    assert np.array_equal(result.std_curves[0], np.std(curves, axis=0))
+
+
+def test_sweep_value_memory_is_its_replicate_traces():
+    cfg = _tracking_cfg()  # the default 5x5 grid, T = 1000
+    trace = (cfg.horizon + 1) * 25 * 4 * 8
+    sweep(cfg, "noise.sigma_v2", (0.5,), runs=1)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        sweep(cfg, "noise.sigma_v2", (0.5,), runs=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * trace + 1.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+def test_suite_sigma2_is_computed_once_per_case(monkeypatch):
+    calls = []
+    svd = domd.harness.second_singular_value
+    monkeypatch.setattr(domd.harness, "second_singular_value",
+                        lambda w: calls.append(w) or svd(w))
+    verify_bounds(seeds=3)
+    assert len(calls) == len(bound_suite())
+    calls.clear()
+    stochastic_mean_regret("box_quad_noisy_n4_t100", runs=5)
+    assert len(calls) == 1
+
+
+def test_stochastic_mean_regret_equals_runs_alone():
+    case = _suite_case("simplex_quad_noisy_n4_t100")
+    regrets = []
+    for seed in range(3, 6):
+        weights, geom, dyn, ens, path, schedule = _build_case(case, seed)
+        trace = run(weights, geom, dyn, ens, path, schedule, case.horizon,
+                    mode="stochastic", seed=_derive_seed(seed, _ORACLE, 1))
+        regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
+    mean, _ = stochastic_mean_regret(case.name, runs=3, base_seed=3)
+    assert mean == float(np.mean(regrets))
+    with pytest.raises(ValueError, match="at least one run"):
+        stochastic_mean_regret(case.name, runs=0)
 
 
 def test_verify_bounds_passes_and_reports(tmp_path):

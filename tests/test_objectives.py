@@ -14,7 +14,8 @@ from domd.objectives import (agent_loss_batch, centers_outside_domain,
                              coordinate_groups, global_loss, global_loss_batch,
                              gradient_exact, gradient_stochastic,
                              gradients_exact_batch, gradients_stochastic_batch,
-                             linear_ensemble, loss_value, synthetic_suite,
+                             linear_ensemble, loss_value, oracle_noise,
+                             stack_replicates, synthetic_suite,
                              tracking_ensemble)
 
 
@@ -210,8 +211,9 @@ def test_noiseless_stochastic_oracle_equals_exact():
     np.testing.assert_array_equal(gradient_stochastic(ens, 1, 2, x, path, rng),
                                   gradient_exact(ens, 1, 2, x, path))
     x_all = np.tile(x, (4, 1))
+    assert oracle_noise(ens, rng, 1) is None
     np.testing.assert_array_equal(
-        gradients_stochastic_batch(ens, 2, x_all, path, rng),
+        gradients_stochastic_batch(ens, 2, x_all, path, None),
         gradients_exact_batch(ens, 2, x_all, path))
 
 
@@ -222,9 +224,51 @@ def test_oracle_noise_is_bounded():
     rng = np.random.default_rng(0)
     x_all = np.array([[0.4, -0.3], [0.0, 0.0], [1.0, 1.0], [-2.0, 0.5]])
     exact = gradients_exact_batch(ens, 3, x_all, path)
-    for _ in range(50):
-        noisy = gradients_stochastic_batch(ens, 3, x_all, path, rng)
+    for noise in oracle_noise(ens, rng, 50):
+        noisy = gradients_stochastic_batch(ens, 3, x_all, path, noise)
         assert np.abs(noisy - exact).max() <= 0.3
+
+
+def test_batch_oracle_replays_the_scalar_oracle_draw_for_draw():
+    # a block of oracle_noise rows consumes the stream like per-agent scalar draws
+    domain, tracking, path = _tracking_setup()
+    families = (tracking, replace(tracking, innovation=False),
+                synthetic_suite(5, 6, 4, 10, domain, noise_scale=0.3))
+    x_all = np.random.default_rng(1).uniform(-2.0, 2.0, (6, 4))
+    for ens in families:
+        block = oracle_noise(ens, np.random.default_rng(4), 3)
+        rng = np.random.default_rng(4)
+        for t, noise in zip((2, 3, 4), block):
+            batch = gradients_stochastic_batch(ens, t, x_all, path, noise)
+            for i in range(6):
+                np.testing.assert_array_equal(
+                    batch[i], gradient_stochastic(ens, i, t, x_all[i], path, rng))
+
+
+def test_stacked_oracles_equal_each_replicate():
+    domain, tracking, _ = _tracking_setup()
+    dyn = identity_dynamics(4)
+    paths = [generate_path(dyn, constant_drift_noise([0.01 * k, 0.0, 0.0, 0.0]),
+                           np.zeros(4), 10) for k in range(3)]
+    x = np.random.default_rng(2).uniform(-2.0, 2.0, (3, 6, 4))
+    for family in (tracking, "synthetic_quadratic", "synthetic_linear"):
+        ensembles = [family] * 3 if not isinstance(family, str) else [
+            synthetic_suite(k, 6, 4, 10, domain, kind=family) for k in range(3)]
+        ens, path = stack_replicates(ensembles, paths, 10)
+        for t in (1, 10):
+            batch = gradients_exact_batch(ens, t, x, path)
+            for r in range(3):
+                np.testing.assert_array_equal(
+                    batch[r], gradients_exact_batch(ensembles[r], t, x[r], paths[r]))
+    # one replicate is a view, never a copy
+    quad = synthetic_suite(0, 6, 4, 10, domain)
+    ens, path = stack_replicates([quad], paths[:1], 10)
+    assert np.shares_memory(ens.offsets, quad.offsets)
+    assert np.shares_memory(path.states, paths[0].states)
+    with pytest.raises(ValueError, match="share the loss family"):
+        stack_replicates([quad, tracking], paths[:2], 10)
+    with pytest.raises(ValueError, match="path.states covers 11 rounds"):
+        stack_replicates([quad], paths[:1], 12)
 
 
 def test_batch_gradients_match_single_agent_calls():
