@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from domd.dynamics import (gaussian_ncv_noise, generate_path, load_path_csv,
+from domd.dynamics import (generate_path, load_path_csv, ncv_disturbances,
                            ncv_dynamics, path_variation, save_path_csv,
                            verify_reconstruction)
 
@@ -29,18 +29,16 @@ print(f"\nhorizon {HORIZON}, start {X0}")
 print("sigma_v2   final position      path variation C_T")
 for sigma_v2 in (0.0, 0.25, 0.5, 1.0):
     if sigma_v2 == 0.0:
-        from domd.dynamics import zero_noise
-
-        noise = zero_noise()
+        noise = np.zeros((HORIZON, 4))
     else:
-        noise = gaussian_ncv_noise(sigma_v2, EPS, seed=11)
+        noise = ncv_disturbances(sigma_v2, EPS, 11, HORIZON)
     path = generate_path(dyn, noise, X0, HORIZON)
     pos = path.states[-1, [0, 2]]
     c_t = path_variation(path, dyn)
     print(f"{sigma_v2:>8.2f}   ({pos[0]:>8.2f}, {pos[1]:>8.2f})   {c_t:>12.2f}")
 
 # the stored path reconstructs exactly: states[t+1] = A states[t] + v[t]
-path = generate_path(dyn, gaussian_ncv_noise(0.5, EPS, seed=11), X0, HORIZON)
+path = generate_path(dyn, ncv_disturbances(0.5, EPS, 11, HORIZON), X0, HORIZON)
 print("\nreconstruction residual:", verify_reconstruction(path, dyn))
 
 with tempfile.TemporaryDirectory() as tmp:

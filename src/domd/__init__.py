@@ -8,12 +8,10 @@ evaluates the matching guarantees.
 
 from .config import (ConfigError, ExperimentConfig, config_hash, describe_schema,
                      load_config, parse_config)
-from .dynamics import (LinearDynamics, MinimizerPath, constant_drift_noise,
-                       custom_noise, gaussian_ncv_noise, generate_path,
-                       identity_dynamics, linear_dynamics, ncv_dynamics,
-                       ncv_noise_covariance, path_variation, zero_noise)
-from .engine import (RunTrace, constant_schedule, init_state, inv_sqrt_schedule,
-                     run, schedule_etas, step, variation_schedule)
+from .dynamics import (LinearDynamics, MinimizerPath, generate_path,
+                       identity_dynamics, linear_dynamics, ncv_disturbances,
+                       ncv_dynamics, ncv_noise_covariance, path_variation)
+from .engine import RunTrace, init_state, run, step
 from .geometry import (MirrorGeometry, box_domain, bregman, euclidean_geometry,
                        free_domain, geometry_constants, kl_geometry, prox,
                        simplex_domain)
@@ -23,7 +21,7 @@ from .harness import (RunResult, ScalingStudy, SweepResult, VerifyReport,
                       verify_bounds)
 from .metrics import (BoundReport, RegretReport, disagreement_envelope,
                       dynamic_regret, network_disagreement, regret_guarantee,
-                      static_regret, tuned_step_guarantee)
+                      static_regret, tuned_step, tuned_step_guarantee)
 from .network import (Graph, WeightMatrix, build_complete_graph, build_grid_graph,
                       build_path_graph, metropolis_weights, mix,
                       random_connected_graph, second_singular_value,

@@ -64,12 +64,16 @@ def build_parser():
 def _load(args):
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
 def _cmd_run(args):
     cfg = _load(args)
+    if args.run_index < 0:
+        raise ConfigError(f"--run-index must be nonnegative, got {args.run_index}")
     result = run_experiment(cfg, run_index=args.run_index, out_dir=args.out)
     print(f"dynamic_regret={result.regret.dynamic_regret:.6g}")
     print(f"normalized_final={result.regret.normalized[-1]:.6g}")

@@ -136,6 +136,11 @@ class ExperimentConfig:
     offset_scale: float = 0.2
     oracle_noise: float = 0.0
 
+    @property
+    def agents(self):
+        """Network size: rows * cols on a grid, nodes otherwise."""
+        return self.rows * self.cols if self.graph == "grid" else self.nodes
+
 
 def _convert(section, key, spec, raw):
     attr, typ, check, _ = spec
@@ -193,6 +198,9 @@ def _cross_validate(cfg):
         raise ConfigError("network grid needs at least two nodes")
     if cfg.weights == "uniform" and cfg.graph != "complete":
         raise ConfigError("network.weights=uniform requires network.graph=complete")
+    if cfg.loss_kind == "tracking_square" and cfg.agents < cfg.dim:
+        raise ConfigError(f"loss.kind=tracking_square needs at least geometry.dim={cfg.dim} "
+                          f"agents so every coordinate is observed, got {cfg.agents}")
     return cfg
 
 

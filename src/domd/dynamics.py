@@ -82,44 +82,15 @@ def _ncv_noise_factor(eps, sigma_v2):
     return np.kron(np.eye(2), block)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Disturbance generator for the target path.
+def ncv_disturbances(sigma_v2, eps, seed, horizon):
+    """Disturbances v[1..horizon] ~ N(0, ncv_noise_covariance(eps, sigma_v2)).
 
-    kind: zero | gaussian_ncv | constant_drift | custom_sequence.
-    gaussian_ncv draws v[t] ~ N(0, Sigma(eps, sigma_v2)) from its own seeded
-    stream; constant_drift repeats a fixed vector; custom_sequence replays a
-    caller-supplied array.
+    Drawn from default_rng(seed) as a (horizon, 4) array.
     """
-
-    kind: str
-    sigma_v2: float = 0.0
-    seed: int = 0
-    eps: float = 0.1
-    drift: np.ndarray = None
-    sequence: np.ndarray = None
-
-
-def zero_noise():
-    return NoiseModel("zero")
-
-
-def gaussian_ncv_noise(sigma_v2, eps, seed):
     if sigma_v2 < 0:
         raise ValueError("sigma_v2 must be nonnegative")
-    return NoiseModel("gaussian_ncv", sigma_v2=float(sigma_v2), eps=float(eps), seed=int(seed))
-
-
-def constant_drift_noise(drift):
-    drift = np.asarray(drift, dtype=float)
-    return NoiseModel("constant_drift", drift=drift)
-
-
-def custom_noise(sequence):
-    sequence = np.asarray(sequence, dtype=float)
-    if sequence.ndim != 2:
-        raise ValueError("custom noise must be a (horizon, d) array")
-    return NoiseModel("custom_sequence", sequence=sequence)
+    factor = _ncv_noise_factor(eps, sigma_v2)
+    return np.random.default_rng(seed).standard_normal((horizon, 4)) @ factor.T
 
 
 @dataclass(frozen=True)
@@ -138,34 +109,20 @@ class MinimizerPath:
         return self.states.shape[1]
 
 
-def _noise_sequence(dyn, noise, horizon):
-    if noise.kind == "zero":
-        return np.zeros((horizon, dyn.d))
-    if noise.kind == "gaussian_ncv":
-        if dyn.d != 4:
-            raise ValueError("gaussian_ncv noise requires the 4-dimensional NCV model")
-        factor = _ncv_noise_factor(noise.eps, noise.sigma_v2)
-        rng = np.random.default_rng(noise.seed)
-        return rng.standard_normal((horizon, 4)) @ factor.T
-    if noise.kind == "constant_drift":
-        if noise.drift is None or noise.drift.shape != (dyn.d,):
-            raise ValueError("constant_drift needs a drift vector matching the state dimension")
-        return np.tile(noise.drift, (horizon, 1))
-    if noise.kind == "custom_sequence":
-        if noise.sequence is None or noise.sequence.shape != (horizon, dyn.d):
-            raise ValueError("custom sequence shape must be (horizon, d)")
-        return np.array(noise.sequence, dtype=float)
-    raise ValueError(f"unknown noise kind {noise.kind!r}")
-
-
 def generate_path(dyn, noise, x0, horizon):
-    """Roll the target forward: states[0] = x0, states[t+1] = A states[t] + v[t]."""
+    """Roll the target forward: states[0] = x0, states[t+1] = A states[t] + v[t].
+
+    noise holds the disturbances v[1..horizon] as a (horizon, d) array; the
+    path keeps its own copy.
+    """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dyn.d,):
         raise ValueError("initial state dimension mismatch")
-    v = _noise_sequence(dyn, noise, horizon)
+    v = np.array(noise, dtype=float)
+    if v.shape != (horizon, dyn.d):
+        raise ValueError(f"disturbances must have shape ({horizon}, {dyn.d}), got {v.shape}")
     states = np.empty((horizon + 1, dyn.d))
     states[0] = x0
     for t in range(horizon):

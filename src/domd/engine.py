@@ -10,6 +10,9 @@ Gradients are always evaluated at the pre-mixing iterates; the loop hands
 iterates to the oracle before the consensus step so the two cannot be
 swapped by accident.
 
+Step sizes are an array of eta_1 .. eta_{T+1}: the loop uses the first T,
+and the bound calculators read the last one from the trace.
+
 run_replicates advances R replicates of one network, geometry and dynamics
 (each with its own losses, target path, step sizes and oracle seed) through
 one loop over a (R, n, d) state; run is its R = 1 call.  Each replicate's
@@ -33,63 +36,6 @@ from .objectives import (BLOCK_ELEMENTS, gradients_exact_batch,
 
 class EngineError(RuntimeError):
     """Raised when iterates stop being finite or leave the domain."""
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step size rule eta_t, defined for every t >= 1 (and used up to T+1).
-
-    constant: eta0.  inv_sqrt: eta0 / sqrt(t).  variation_tuned: the
-    horizon-optimal constant sqrt((1 - sigma2) * c_t / horizon).
-    """
-
-    kind: str
-    eta0: float = 0.0
-    c_t: float = 0.0
-    sigma2: float = 0.0
-    horizon: int = 0
-
-
-def constant_schedule(eta0):
-    if eta0 <= 0:
-        raise ValueError("step size must be positive")
-    return StepSchedule("constant", eta0=float(eta0))
-
-
-def inv_sqrt_schedule(eta0):
-    if eta0 <= 0:
-        raise ValueError("step size must be positive")
-    return StepSchedule("inv_sqrt", eta0=float(eta0))
-
-
-def variation_schedule(c_t, sigma2, horizon, fallback_eta=None):
-    """Constant step tuned to the anticipated path variation c_t."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    if not 0 <= sigma2 < 1:
-        raise ValueError("sigma2 must lie in [0, 1)")
-    if c_t <= 0:
-        if fallback_eta is None:
-            raise ValueError("c_t must be positive unless a fallback step is given")
-        return constant_schedule(fallback_eta)
-    eta = np.sqrt((1.0 - sigma2) * c_t / horizon)
-    return StepSchedule("variation_tuned", eta0=float(eta), c_t=float(c_t),
-                        sigma2=float(sigma2), horizon=int(horizon))
-
-
-def schedule_eta(schedule, t):
-    if t < 1:
-        raise ValueError("rounds are numbered from 1")
-    if schedule.kind == "inv_sqrt":
-        return schedule.eta0 / np.sqrt(t)
-    return schedule.eta0
-
-
-def schedule_etas(schedule, horizon):
-    """eta_1 .. eta_{horizon+1} as an array (the bounds need the extra entry)."""
-    if schedule.kind == "inv_sqrt":
-        return schedule.eta0 / np.sqrt(np.arange(1, horizon + 2))
-    return np.full(horizon + 1, schedule.eta0)
 
 
 @dataclass(frozen=True)
@@ -180,9 +126,10 @@ def _oracle_draws(ensembles, seeds, horizon, width):
 def run_replicates(weights, geom, dyn, replicates, horizon, mode="exact", x0=None):
     """Run R replicates through one loop and return one RunTrace each.
 
-    replicates is a sequence of (ens, path, schedule, seed); they share the
-    network, geometry, dynamics, horizon, oracle mode and start x0, and
-    their ensembles must share the loss family (see stack_replicates).
+    replicates is a sequence of (ens, path, etas, seed), etas holding the
+    positive step sizes eta_1 .. eta_{horizon+1}; they share the network,
+    geometry, dynamics, horizon, oracle mode and start x0, and their
+    ensembles must share the loss family (see stack_replicates).
     Trace r is bit-identical to run(weights, geom, dyn, *replicates[r]...)
     and its x is a contiguous view of one (R, horizon+1, n, d) array.
     """
@@ -192,10 +139,14 @@ def run_replicates(weights, geom, dyn, replicates, horizon, mode="exact", x0=Non
         raise ValueError(f"unknown gradient mode {mode!r}")
     if not replicates:
         raise ValueError("need at least one replicate")
-    ensembles, paths, schedules, seeds = zip(*replicates)
+    ensembles, paths, etas, seeds = zip(*replicates)
+    for r, eta in enumerate(etas):
+        if np.shape(eta) != (horizon + 1,) or not np.all(np.asarray(eta) > 0):
+            raise ValueError(f"replicate {r}: step sizes must be {horizon + 1} positive "
+                             f"values eta_1 .. eta_(T+1), got shape {np.shape(eta)}")
+    etas = np.array(etas, dtype=float)
     ens, path = stack_replicates(ensembles, paths, horizon)
     n, d = weights.n, geom.domain.d
-    etas = np.stack([schedule_etas(s, horizon) for s in schedules])
     steps = etas[:, :, None, None]
     xs = np.empty((len(replicates), horizon + 1, n, d))
     xs[:, 0] = init_state(n, geom, x0)
@@ -214,14 +165,15 @@ def run_replicates(weights, geom, dyn, replicates, horizon, mode="exact", x0=Non
     return [RunTrace(xs[r], etas[r], geom.norm_kind) for r in range(len(replicates))]
 
 
-def run(weights, geom, dyn, ens, path, schedule, horizon, mode="exact", seed=0,
+def run(weights, geom, dyn, ens, path, etas, horizon, mode="exact", seed=0,
         x0=None):
     """Run the full loop for `horizon` rounds and record the iterate trace.
 
-    mode selects the oracle: "exact" queries analytic gradients,
-    "stochastic" queries the noisy oracle exactly once per agent per round
-    from a generator seeded with `seed`.  Identical arguments produce
-    identical traces.  This is the one-replicate call of run_replicates.
+    etas holds the step sizes eta_1 .. eta_{horizon+1}.  mode selects the
+    oracle: "exact" queries analytic gradients, "stochastic" queries the
+    noisy oracle exactly once per agent per round from a generator seeded
+    with `seed`.  Identical arguments produce identical traces.  This is
+    the one-replicate call of run_replicates.
     """
-    return run_replicates(weights, geom, dyn, [(ens, path, schedule, seed)], horizon,
+    return run_replicates(weights, geom, dyn, [(ens, path, etas, seed)], horizon,
                           mode, x0)[0]

@@ -1,10 +1,11 @@
 """Experiment assembly: single runs, parameter sweeps, bound verification.
 
 This module turns an ExperimentConfig into concrete objects (graph, weight
-matrix, geometry, dynamics, losses, schedule), executes the engine, measures
-regret, evaluates the guarantees and writes the CSV outputs.  Every random
-stream is derived from the master seed plus a fixed stream label and the
-run index, so identical configs produce byte-identical outputs.
+matrix, geometry, dynamics, losses) and the disturbance and step-size
+arrays, executes the engine, measures regret, evaluates the guarantees and
+writes the CSV outputs.  Every random stream is derived from the master
+seed plus a fixed stream label and the run index, so identical configs
+produce byte-identical outputs.
 
 Replicates of one configuration (sweep runs, suite seeds) go through the
 engine together, in batches whose iterate traces hold at most
@@ -18,18 +19,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import csvio
-from .config import SCHEMA, ConfigError, config_hash
-from .dynamics import (constant_drift_noise, custom_noise, gaussian_ncv_noise,
-                       generate_path, identity_dynamics, linear_dynamics,
-                       ncv_dynamics, path_variation, zero_noise)
-from .engine import (constant_schedule, inv_sqrt_schedule, run, run_replicates,
-                     variation_schedule)
+from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash
+from .dynamics import (generate_path, identity_dynamics, linear_dynamics,
+                       ncv_disturbances, ncv_dynamics, path_variation)
+from .engine import run, run_replicates
 from .geometry import (box_domain, contains, euclidean_geometry, free_domain,
                        geometry_constants, kl_geometry, simplex_domain,
                        vector_norm)
 from .metrics import (dynamic_regret, network_disagreement, per_agent_loss_gap,
-                      regret_guarantee, static_regret, write_bound_csv,
-                      write_regret_csv)
+                      regret_guarantee, static_regret, tuned_step,
+                      write_bound_csv, write_regret_csv)
 from .network import (build_complete_graph, build_grid_graph, build_path_graph,
                       metropolis_weights, random_connected_graph,
                       second_singular_value, uniform_complete_weights)
@@ -93,31 +92,37 @@ def build_dynamics(cfg):
 
 
 def build_noise(cfg, run_index):
+    """The target disturbances v_1 .. v_T of one run, a (horizon, dim) array."""
     if cfg.noise_kind == "zero":
-        return zero_noise()
+        return np.zeros((cfg.horizon, cfg.dim))
     if cfg.noise_kind == "constant_drift":
-        return constant_drift_noise(cfg.drift)
+        return np.tile(np.asarray(cfg.drift, dtype=float), (cfg.horizon, 1))
     path_index = 0 if cfg.fixed_path else run_index
-    return gaussian_ncv_noise(cfg.sigma_v2, cfg.eps,
-                              _derive_seed(cfg.seed, _PATH, path_index))
+    return ncv_disturbances(cfg.sigma_v2, cfg.eps,
+                            _derive_seed(cfg.seed, _PATH, path_index), cfg.horizon)
 
 
 def build_ensemble(cfg, domain, run_index):
-    n = cfg.rows * cfg.cols if cfg.graph == "grid" else cfg.nodes
     if cfg.loss_kind == "tracking_square":
-        return tracking_ensemble(n, domain, cfg.obs_noise_low, cfg.obs_noise_high,
+        return tracking_ensemble(cfg.agents, domain, cfg.obs_noise_low, cfg.obs_noise_high,
                                  innovation=cfg.innovation_gradient)
-    return synthetic_suite(_derive_seed(cfg.seed, _ENSEMBLE, run_index), n, cfg.dim,
+    return synthetic_suite(_derive_seed(cfg.seed, _ENSEMBLE, run_index), cfg.agents, cfg.dim,
                            cfg.horizon, domain, kind=cfg.loss_kind,
                            offset_scale=cfg.offset_scale, noise_scale=cfg.oracle_noise)
 
 
 def build_schedule(cfg, sigma2, c_t):
-    if cfg.schedule_kind == "constant":
-        return constant_schedule(cfg.eta0)
+    """The step sizes eta_1 .. eta_{T+1}, a (horizon + 1,) array.
+
+    cfg is an ExperimentConfig or a SuiteCase (anything with schedule_kind,
+    eta0 and horizon); sigma2 and c_t are read only by variation_tuned.
+    """
     if cfg.schedule_kind == "inv_sqrt":
-        return inv_sqrt_schedule(cfg.eta0)
-    return variation_schedule(c_t, sigma2, cfg.horizon, fallback_eta=cfg.eta0)
+        return cfg.eta0 / np.sqrt(np.arange(1, cfg.horizon + 2))
+    eta = cfg.eta0
+    if cfg.schedule_kind == "variation_tuned":
+        eta = tuned_step(c_t, sigma2, cfg.horizon, fallback_eta=cfg.eta0)
+    return np.full(cfg.horizon + 1, eta)
 
 
 @dataclass(frozen=True)
@@ -140,12 +145,12 @@ def _replicate_batches(items, horizon, n, d):
 
 
 def _run_batch(weights, geom, dyn, replicates, horizon, mode, x0=None):
-    """Traces of one batch of (ens, path, schedule, seed) replicates."""
+    """Traces of one batch of (ens, path, etas, seed) replicates."""
     if len(replicates) == 1:
         # a lone replicate goes through engine.run, the call that profilers
         # and perfbench/tracer.py observe as one run
-        ens, path, schedule, seed = replicates[0]
-        return [run(weights, geom, dyn, ens, path, schedule, horizon, mode, seed, x0)]
+        ens, path, etas, seed = replicates[0]
+        return [run(weights, geom, dyn, ens, path, etas, horizon, mode, seed, x0)]
     return run_replicates(weights, geom, dyn, replicates, horizon, mode, x0)
 
 
@@ -153,7 +158,7 @@ def run_experiments(cfg, run_indices, x0=None):
     """Assemble and execute the runs `run_indices` of one config; yields RunResults.
 
     Network, geometry and dynamics are built once; each run index gets its
-    own target path, losses, step schedule and oracle seed, exactly as a
+    own target path, losses, step sizes and oracle seed, exactly as a
     run of it alone would.  Runs go through the engine in batches (see
     BATCH_TRACE_BYTES) and results are yielded in order, so a consumer that
     keeps only what it needs holds at most one batch of traces.
@@ -181,8 +186,8 @@ def run_experiments(cfg, run_indices, x0=None):
             if centers_outside_domain(ens, path, domain):
                 raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
             c_t = path_variation(path, dyn, geom.norm_kind)
-            schedule = build_schedule(cfg, sigma2, c_t)
-            replicates.append((ens, path, schedule, _derive_seed(cfg.seed, _ORACLE, run_index)))
+            etas = build_schedule(cfg, sigma2, c_t)
+            replicates.append((ens, path, etas, _derive_seed(cfg.seed, _ORACLE, run_index)))
             variations.append(c_t)
         traces = _run_batch(weights, geom, dyn, replicates, cfg.horizon, cfg.gradient_mode, x0)
         for (ens, path, _, _), c_t, trace in zip(replicates, variations, traces):
@@ -387,7 +392,7 @@ def _simplex_loop_path(dyn, horizon):
     states = (np.full((horizon + 1, 3), 1.0 / 3.0)
               + rho * (np.cos(omega * t)[:, None] * u1 + np.sin(omega * t)[:, None] * u2))
     noise = states[1:] - states[:-1]
-    return generate_path(dyn, custom_noise(noise), states[0], horizon)
+    return generate_path(dyn, noise, states[0], horizon)
 
 
 def _build_case(case, seed):
@@ -397,7 +402,7 @@ def _build_case(case, seed):
         geom = euclidean_geometry(domain)
         dyn = linear_dynamics(case.a_scale * np.eye(2))
         rng = np.random.default_rng(_derive_seed(seed, _PATH, idx))
-        noise = custom_noise(rng.normal(0.0, 0.05, (case.horizon, 2)))
+        noise = rng.normal(0.0, 0.05, (case.horizon, 2))
         path = generate_path(dyn, noise, np.array([0.5, -0.5]), case.horizon)
         ens = synthetic_suite(_derive_seed(seed, _ENSEMBLE, idx), case.n, 2,
                               case.horizon, domain, offset_scale=0.2,
@@ -414,7 +419,7 @@ def _build_case(case, seed):
         domain = box_domain(np.full(2, -2.0), np.full(2, 2.0))
         geom = euclidean_geometry(domain)
         dyn = identity_dynamics(2)
-        path = generate_path(dyn, zero_noise(), np.zeros(2), case.horizon)
+        path = generate_path(dyn, np.zeros((case.horizon, 2)), np.zeros(2), case.horizon)
         pull = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
         ens = linear_ensemble(np.tile(pull, (case.horizon, 1, 1)), domain)
     if case.topology == "complete":
@@ -425,11 +430,7 @@ def _build_case(case, seed):
         weights = metropolis_weights(_grid_for(case.n))
     if centers_outside_domain(ens, path, domain):
         raise RuntimeError(f"suite case {case.name} places centers outside the domain")
-    if case.schedule_kind == "inv_sqrt":
-        schedule = inv_sqrt_schedule(case.eta0)
-    else:
-        schedule = constant_schedule(case.eta0)
-    return weights, geom, dyn, ens, path, schedule
+    return weights, geom, dyn, ens, path, build_schedule(case, None, None)
 
 
 @dataclass(frozen=True)
@@ -470,8 +471,8 @@ def _case_runs(case, seeds, stream):
     built = [_build_case(case, s) for s in seeds]
     weights, geom, dyn = built[0][:3]
     mode = "stochastic" if case.oracle_noise > 0 else "exact"
-    replicates = [(ens, path, schedule, _derive_seed(s, _ORACLE, stream))
-                  for s, (_, _, _, ens, path, schedule) in zip(seeds, built)]
+    replicates = [(ens, path, etas, _derive_seed(s, _ORACLE, stream))
+                  for s, (_, _, _, ens, path, etas) in zip(seeds, built)]
     traces = []
     for batch in _replicate_batches(replicates, case.horizon, weights.n, geom.domain.d):
         traces += _run_batch(weights, geom, dyn, batch, case.horizon, mode)
@@ -577,32 +578,23 @@ def variation_scaling_study(horizons=(250, 500, 1000, 2000), drift_size=0.01, se
     """Drifting-target study: the target moves a fixed amount per round, so
     the accumulated variation grows linearly with the horizon and the tuned
     step is the same constant for every horizon.  Agents start on the
-    target, isolating the steady tracking cost.
+    target, isolating the steady tracking cost.  Horizon h is run index h.
     """
-    graph = build_grid_graph(2, 2)
-    weights = metropolis_weights(graph)
-    sigma2 = second_singular_value(weights).sigma2
-    domain = box_domain(np.full(2, -12.0), np.full(2, 12.0))
-    geom = euclidean_geometry(domain)
-    dyn = identity_dynamics(2)
-    regrets, denominators, ratios = [], [], []
-    eta = float("nan")
-    for horizon in horizons:
-        noise = constant_drift_noise(np.array([drift_size, 0.0]))
-        path = generate_path(dyn, noise, np.array([-10.0, 0.0]), horizon)
-        c_t = path_variation(path, dyn, "l2")
-        schedule = variation_schedule(c_t, sigma2, horizon)
-        eta = schedule.eta0
-        ens = synthetic_suite(_derive_seed(seed, _ENSEMBLE, horizon), 4, 2, horizon,
-                              domain, offset_scale=0.2)
-        if centers_outside_domain(ens, path, domain):
-            raise RuntimeError("scaling study centers left the domain")
-        trace = run(weights, geom, dyn, ens, path, schedule, horizon,
-                    mode="exact", x0=path.states[0])
-        reg = dynamic_regret(trace, ens, path).dynamic_regret
-        denom = float(np.sqrt(c_t * horizon / (1.0 - sigma2)))
-        regrets.append(reg)
-        denominators.append(denom)
-        ratios.append(reg / denom)
-    return ScalingStudy(tuple(horizons), np.array(regrets), np.array(denominators),
-                        np.array(ratios), eta, sigma2)
+    if drift_size == 0:
+        raise ValueError("the scaling study needs a moving target (nonzero drift_size)")
+    base = ExperimentConfig(
+        seed=seed, gradient_mode="exact", rows=2, cols=2, dim=2, box_low=-12.0,
+        box_high=12.0, dynamics_model="identity", noise_kind="constant_drift",
+        drift=(drift_size, 0.0), target_init=(-10.0, 0.0),
+        schedule_kind="variation_tuned", loss_kind="synthetic_quadratic")
+    regrets, denominators = [], []
+    eta = sigma2 = float("nan")
+    for h in horizons:
+        result = next(run_experiments(replace(base, horizon=h), [h], x0=base.target_init))
+        eta, sigma2 = float(result.trace.etas[0]), result.sigma2
+        regrets.append(result.regret.dynamic_regret)
+        c_t = result.regret.path_variation
+        denominators.append(float(np.sqrt(c_t * h / (1.0 - sigma2))))
+    regrets, denominators = np.array(regrets), np.array(denominators)
+    return ScalingStudy(tuple(horizons), regrets, denominators, regrets / denominators,
+                        eta, sigma2)

@@ -1,9 +1,9 @@
 """Regret measurement and the matching upper-bound calculators.
 
 Dynamic regret compares the network-average loss along the agents' iterates
-with the loss along the moving per-round minimizer.  The regret, loss-gap
-and comparator measurements evaluate their losses for the whole horizon at
-once through the (T, m, d) functions of objectives (global_loss_batch,
+with the loss along the moving per-round minimizer.  The regret and
+loss-gap measurements evaluate their losses for the whole horizon at once
+through the (T, m, d) functions of objectives (global_loss_batch,
 agent_loss_batch), which work in bounded round blocks, so no Python loop
 runs over rounds, agents or points.
 
@@ -24,8 +24,6 @@ import numpy as np
 from . import csvio
 from .geometry import vector_norm
 from .objectives import agent_loss_batch, check_rounds, global_loss_batch
-
-COMPARATOR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -239,47 +237,37 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     )
 
 
+def tuned_step(c_t, sigma2, horizon, fallback_eta=None):
+    """The variation-tuned constant step sqrt((1 - sigma2) c_t / T).
+
+    With no anticipated variation (c_t <= 0) the step is fallback_eta,
+    and it is an error to give none.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    if not 0 <= sigma2 < 1:
+        raise ValueError("sigma2 must lie in [0, 1)")
+    if c_t <= 0:
+        if fallback_eta is None:
+            raise ValueError("c_t must be positive unless a fallback step is given")
+        return float(fallback_eta)
+    return float(np.sqrt((1.0 - sigma2) * c_t / horizon))
+
+
 def tuned_step_guarantee(consts, lipschitz, sigma2, c_t, n, horizon, fallback_eta=None):
-    """Guarantee at the variation-tuned constant step sqrt((1-sigma2) c_t / T).
+    """Guarantee at the variation-tuned constant step (see tuned_step).
 
     At that step the bound scales like sqrt(c_t * T / (1 - sigma2)).
     """
     if not consts.available:
         raise ValueError("bound calculators need a bounded domain")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    if c_t <= 0:
-        if fallback_eta is None:
-            raise ValueError("c_t must be positive unless a fallback step is given")
-        eta = float(fallback_eta)
-    else:
-        eta = float(np.sqrt((1.0 - sigma2) * c_t / horizon))
+    eta = tuned_step(c_t, sigma2, horizon, fallback_eta)
     etas = np.full(horizon + 1, eta)
     ext = _eta_with_zero(etas)
     net_sum = _network_sum(sigma2, ext, horizon)
     e_track = 2.0 * consts.r2 / eta + consts.k * c_t / eta + lipschitz**2 * eta * horizon / 2.0
     e_net = 4.0 * lipschitz**2 * np.sqrt(n) * net_sum
     return float(e_track + e_net)
-
-
-def comparator_optimality_gap(trace, ens, path, domain, grid_step):
-    """Brute-force comparator sanity check for d <= 2.
-
-    Grid-searches each round's best feasible point and returns the reported
-    regret minus the grid regret; a correct comparator makes this <= 0 up to
-    the grid resolution (equality when targets sit on grid nodes).
-    """
-    if domain.kind != "box" or domain.d > 2:
-        raise ValueError("grid search is limited to boxes with d <= 2")
-    axes = [np.arange(domain.lo[k], domain.hi[k] + grid_step / 2, grid_step)
-            for k in range(domain.d)]
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    grid = np.broadcast_to(mesh, (trace.horizon,) + mesh.shape)
-    grid_total = float(global_loss_batch(ens, path, grid).min(axis=1).sum())
-    at_iterates, at_comparator = _average_losses(trace, ens, path)
-    reported = float(at_iterates.sum() - at_comparator.sum())
-    grid_regret = float(at_iterates.sum() - grid_total)
-    return reported - grid_regret
 
 
 def write_regret_csv(report, file, comments=()):

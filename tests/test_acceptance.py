@@ -13,7 +13,7 @@ import pytest
 
 from domd.cli import main
 from domd.config import parse_config
-from domd.dynamics import generate_path, identity_dynamics, zero_noise
+from domd.dynamics import generate_path, identity_dynamics
 from domd.geometry import (box_domain, euclidean_geometry, kl_geometry, prox,
                            prox_inequality_gap, sample_domain, simplex_domain)
 from domd.harness import (run_experiment, stochastic_mean_regret, sweep,
@@ -213,7 +213,7 @@ def test_07_prox_correctness(record_criterion):
 def test_08_oracle_expectation(record_criterion):
     domain = box_domain([-5.0] * 4, [5.0] * 4)
     ens = tracking_ensemble(6, domain)
-    path = generate_path(identity_dynamics(4), zero_noise(),
+    path = generate_path(identity_dynamics(4), np.zeros((5, 4)),
                          np.array([0.5, -0.5, 1.0, 0.25]), 5)
     x = np.array([0.3, -1.2, 2.0, 0.8])
     i, t = 0, 3

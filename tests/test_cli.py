@@ -133,3 +133,27 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         main(["frobnicate"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["run", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    (["run", "--run-index", "-1"], "--run-index must be nonnegative, got -1"),
+    (["sweep", "--seed", "-2", "--param", "eta0", "--values", "0.1"],
+     "--seed must be nonnegative, got -2"),
+])
+def test_negative_overrides_are_config_errors(quad_config, tmp_path, capsys, argv, needle):
+    out = tmp_path / "out"
+    code = main(argv[:1] + ["--config", quad_config, "--out", str(out)] + argv[1:])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config error: {needle}" in err
+    assert not out.exists()
+
+
+def test_too_few_tracking_agents_is_a_config_error(tmp_path, capsys):
+    # one row of three agents cannot observe the four NCV coordinates
+    file = tmp_path / "narrow.ini"
+    file.write_text("[network]\nrows = 1\ncols = 3\n")
+    code = main(["run", "--config", str(file), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "config error: loss.kind=tracking_square needs at least" in capsys.readouterr().err

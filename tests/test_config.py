@@ -105,10 +105,21 @@ def test_cross_validation_rules():
          "bounded"),
         ("[network]\ngraph = grid\nrows = 1\ncols = 1\n", "two nodes"),
         ("[network]\nweights = uniform\n", "complete"),
+        ("[network]\nrows = 1\ncols = 3\n", "geometry.dim=4 agents .* got 3"),
+        ("[network]\ngraph = path\nnodes = 2\n", "geometry.dim=4 agents .* got 2"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError, match=needle):
             parse_config(text, env={})
+
+
+def test_agent_count_rule_applies_to_tracking_losses_only():
+    # as many agents as coordinates is enough, and synthetic losses need no
+    # per-coordinate observer
+    assert parse_config("[network]\nrows = 2\ncols = 2\n", env={}).agents == 4
+    text = ("[network]\ngraph = path\nnodes = 2\n[dynamics]\nmodel = identity\n"
+            "[noise]\nkind = zero\n[loss]\nkind = synthetic_quadratic\n")
+    assert parse_config(text, env={}).agents == 2
 
 
 def test_kl_simplex_document_is_valid():

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from domd.dynamics import (LinearDynamics, constant_drift_noise, custom_noise,
-                           gaussian_ncv_noise, generate_path, identity_dynamics,
-                           linear_dynamics, load_path_csv, ncv_dynamics,
-                           ncv_noise_covariance, path_variation, save_path_csv,
-                           verify_reconstruction, with_nonexpansive_verdict,
-                           zero_noise)
+from domd.dynamics import (LinearDynamics, generate_path, identity_dynamics,
+                           linear_dynamics, load_path_csv, ncv_disturbances,
+                           ncv_dynamics, ncv_noise_covariance, path_variation,
+                           save_path_csv, verify_reconstruction,
+                           with_nonexpansive_verdict)
 from domd.geometry import box_domain, euclidean_geometry
 
 
@@ -67,7 +66,7 @@ def test_ncv_noise_factor_reproduces_covariance():
 
 def test_zero_noise_path_integrates_velocity():
     # from (0, 1, 0, 1) with eps=0.1 the positions advance 0.1 per round
-    path = generate_path(ncv_dynamics(0.1), zero_noise(),
+    path = generate_path(ncv_dynamics(0.1), np.zeros((10, 4)),
                          np.array([0.0, 1.0, 0.0, 1.0]), 10)
     np.testing.assert_allclose(path.states[:, 0], 0.1 * np.arange(11), atol=1e-12)
     np.testing.assert_allclose(path.states[:, 1], 1.0, atol=1e-15)
@@ -79,61 +78,64 @@ def test_zero_noise_path_integrates_velocity():
 def test_gaussian_noise_deterministic_per_seed():
     dyn = ncv_dynamics(0.1)
     x0 = np.zeros(4)
-    p1 = generate_path(dyn, gaussian_ncv_noise(0.5, 0.1, seed=9), x0, 20)
-    p2 = generate_path(dyn, gaussian_ncv_noise(0.5, 0.1, seed=9), x0, 20)
+    p1 = generate_path(dyn, ncv_disturbances(0.5, 0.1, 9, 20), x0, 20)
+    p2 = generate_path(dyn, ncv_disturbances(0.5, 0.1, 9, 20), x0, 20)
     np.testing.assert_array_equal(p1.states, p2.states)
-    p3 = generate_path(dyn, gaussian_ncv_noise(0.5, 0.1, seed=10), x0, 20)
+    p3 = generate_path(dyn, ncv_disturbances(0.5, 0.1, 10, 20), x0, 20)
     assert not np.array_equal(p1.states, p3.states)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ncv_disturbances(-0.5, 0.1, 9, 20)
 
 
 def test_gaussian_noise_scales_with_sqrt_intensity():
     # the standard normal draws happen before scaling, so at a fixed seed
     # quadrupling sigma_v2 exactly doubles every disturbance
     dyn = ncv_dynamics(0.1)
-    base = generate_path(dyn, gaussian_ncv_noise(0.25, 0.1, seed=3), np.zeros(4), 15)
-    quad = generate_path(dyn, gaussian_ncv_noise(1.0, 0.1, seed=3), np.zeros(4), 15)
+    base = generate_path(dyn, ncv_disturbances(0.25, 0.1, 3, 15), np.zeros(4), 15)
+    quad = generate_path(dyn, ncv_disturbances(1.0, 0.1, 3, 15), np.zeros(4), 15)
     np.testing.assert_allclose(quad.noise, 2.0 * base.noise, atol=1e-12)
 
 
 def test_gaussian_noise_requires_4d_model():
-    with pytest.raises(ValueError, match="4-dimensional"):
-        generate_path(identity_dynamics(2), gaussian_ncv_noise(0.5, 0.1, 0),
+    with pytest.raises(ValueError, match=r"shape \(5, 2\), got \(5, 4\)"):
+        generate_path(identity_dynamics(2), ncv_disturbances(0.5, 0.1, 0, 5),
                       np.zeros(2), 5)
 
 
 def test_constant_drift_and_custom_sequences():
     dyn = identity_dynamics(2)
-    drift = generate_path(dyn, constant_drift_noise([0.1, -0.2]), np.zeros(2), 4)
+    drift = generate_path(dyn, np.tile([0.1, -0.2], (4, 1)), np.zeros(2), 4)
     np.testing.assert_allclose(drift.states[4], [0.4, -0.8], atol=1e-15)
     seq = np.arange(6, dtype=float).reshape(3, 2)
-    custom = generate_path(dyn, custom_noise(seq), np.zeros(2), 3)
+    custom = generate_path(dyn, seq, np.zeros(2), 3)
     np.testing.assert_allclose(custom.noise, seq)
-    with pytest.raises(ValueError, match="drift vector"):
-        generate_path(dyn, constant_drift_noise([0.1]), np.zeros(2), 3)
-    with pytest.raises(ValueError, match="shape"):
-        generate_path(dyn, custom_noise(seq), np.zeros(2), 5)
-    with pytest.raises(ValueError, match="\\(horizon, d\\)"):
-        custom_noise(np.zeros(3))
+    # the path keeps its own copy of the disturbances
+    seq[0] = 99.0
+    assert custom.noise[0, 0] == 0.0
 
 
 def test_generate_path_validation():
     dyn = identity_dynamics(2)
     with pytest.raises(ValueError, match="horizon"):
-        generate_path(dyn, zero_noise(), np.zeros(2), 0)
+        generate_path(dyn, np.zeros((0, 2)), np.zeros(2), 0)
     with pytest.raises(ValueError, match="dimension"):
-        generate_path(dyn, zero_noise(), np.zeros(3), 3)
+        generate_path(dyn, np.zeros((3, 2)), np.zeros(3), 3)
+    # disturbances must be exactly (horizon, d): no broadcasting, no transposes
+    for shape in ((3, 1), (3, 3), (2, 2), (4, 2), (2, 3), (3,), (2,), (3, 2, 1), ()):
+        with pytest.raises(ValueError, match=r"must have shape \(3, 2\)"):
+            generate_path(dyn, np.zeros(shape), np.zeros(2), 3)
 
 
 def test_reconstruction_residual_is_tiny():
     dyn = ncv_dynamics(0.1)
-    path = generate_path(dyn, gaussian_ncv_noise(1.0, 0.1, seed=0),
+    path = generate_path(dyn, ncv_disturbances(1.0, 0.1, 0, 50),
                          np.array([0.0, 1.0, 0.0, 1.0]), 50)
     assert verify_reconstruction(path, dyn) <= 1e-12
 
 
 def test_path_variation_sums_disturbance_norms():
     dyn = ncv_dynamics(0.1)
-    path = generate_path(dyn, gaussian_ncv_noise(0.5, 0.1, seed=4), np.zeros(4), 30)
+    path = generate_path(dyn, ncv_disturbances(0.5, 0.1, 4, 30), np.zeros(4), 30)
     expect_l2 = np.linalg.norm(path.noise, axis=1).sum()
     expect_l1 = np.abs(path.noise).sum()
     assert path_variation(path, dyn, "l2") == pytest.approx(expect_l2, rel=1e-12)
@@ -144,13 +146,13 @@ def test_path_variation_sums_disturbance_norms():
 
 def test_path_variation_zero_for_noiseless_motion():
     dyn = ncv_dynamics(0.1)
-    path = generate_path(dyn, zero_noise(), np.array([0.0, 1.0, 0.0, 1.0]), 20)
+    path = generate_path(dyn, np.zeros((20, 4)), np.array([0.0, 1.0, 0.0, 1.0]), 20)
     assert path_variation(path, dyn) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_path_csv_round_trip(tmp_path):
     dyn = ncv_dynamics(0.1)
-    path = generate_path(dyn, gaussian_ncv_noise(0.5, 0.1, seed=5), np.zeros(4), 12)
+    path = generate_path(dyn, ncv_disturbances(0.5, 0.1, 5, 12), np.zeros(4), 12)
     file = tmp_path / "path.csv"
     save_path_csv(path, file, comments=["seed=5"])
     loaded = load_path_csv(file)

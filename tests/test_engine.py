@@ -1,4 +1,4 @@
-"""Round loop semantics: schedules, initialization, stepping, traces."""
+"""Round loop semantics: step sizes, initialization, stepping, traces."""
 
 import tracemalloc
 from dataclasses import fields
@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 import domd.engine
-from domd.dynamics import (custom_noise, gaussian_ncv_noise, generate_path,
-                           identity_dynamics, linear_dynamics, ncv_dynamics,
-                           zero_noise)
-from domd.engine import (EngineError, RunTrace, constant_schedule,
-                         init_state, inv_sqrt_schedule, run, run_replicates,
-                         schedule_eta, schedule_etas, step, variation_schedule)
+from domd.dynamics import (generate_path, identity_dynamics, linear_dynamics,
+                           ncv_disturbances, ncv_dynamics)
+from domd.engine import EngineError, RunTrace, init_state, run, run_replicates, step
 from domd.geometry import (box_domain, contains, euclidean_geometry,
                            free_domain, kl_geometry, prox, simplex_domain)
 from domd.network import (WeightMatrix, build_grid_graph, build_path_graph,
@@ -26,45 +23,36 @@ def _box_setup(n=3, d=2, horizon=8, half=5.0, seed=3):
     geom = euclidean_geometry(box_domain([-half] * d, [half] * d))
     dyn = identity_dynamics(d)
     ens = synthetic_suite(seed, n, d, horizon, geom.domain)
-    path = generate_path(dyn, zero_noise(), np.zeros(d), horizon)
+    path = generate_path(dyn, np.zeros((horizon, d)), np.zeros(d), horizon)
     return weights, geom, dyn, ens, path
 
 
 def test_constant_and_inv_sqrt_schedules():
-    const = constant_schedule(0.5)
-    assert [schedule_eta(const, t) for t in (1, 2, 9)] == [0.5, 0.5, 0.5]
-    decaying = inv_sqrt_schedule(0.2)
-    assert schedule_eta(decaying, 4) == pytest.approx(0.1)
-    assert schedule_eta(decaying, 1) == pytest.approx(0.2)
-    with pytest.raises(ValueError, match="positive"):
-        constant_schedule(0.0)
-    with pytest.raises(ValueError, match="positive"):
-        inv_sqrt_schedule(-0.1)
-    with pytest.raises(ValueError, match="numbered from 1"):
-        schedule_eta(const, 0)
-
-
-def test_variation_tuned_schedule():
-    # sqrt((1 - 3/4) * 16 / 100) = 0.2
-    tuned = variation_schedule(16.0, 0.75, 100)
-    assert tuned.kind == "variation_tuned"
-    assert schedule_eta(tuned, 7) == pytest.approx(0.2)
-    fallback = variation_schedule(0.0, 0.5, 100, fallback_eta=0.3)
-    assert fallback.kind == "constant" and fallback.eta0 == 0.3
-    with pytest.raises(ValueError, match="c_t"):
-        variation_schedule(0.0, 0.5, 100)
-    with pytest.raises(ValueError, match="sigma2"):
-        variation_schedule(1.0, 1.0, 100)
-    with pytest.raises(ValueError, match="horizon"):
-        variation_schedule(1.0, 0.5, 0)
+    # any positive eta_1 .. eta_{T+1} array drives the run and lands in the trace;
+    # a zero, negative or NaN entry is refused for the replicate that holds it
+    weights, geom, dyn, ens, path = _box_setup(horizon=5)
+    for etas in (np.full(6, 0.5), 0.2 / np.sqrt(np.arange(1, 7))):
+        assert np.array_equal(run(weights, geom, dyn, ens, path, etas, 5).etas, etas)
+    good = np.full(6, 0.1)
+    for bad in (np.zeros(6), np.full(6, -0.1), np.r_[np.full(5, 0.1), 0.0],
+                np.r_[np.nan, np.full(5, 0.1)]):
+        with pytest.raises(ValueError, match="replicate 0: step sizes must be 6 positive"):
+            run(weights, geom, dyn, ens, path, bad, 5)
+        with pytest.raises(ValueError, match="replicate 1: step sizes must be 6 positive"):
+            run_replicates(weights, geom, dyn, [(ens, path, good, 0), (ens, path, bad, 1)], 5)
 
 
 def test_schedule_etas_covers_one_past_horizon():
-    for schedule in (inv_sqrt_schedule(0.2), constant_schedule(0.3),
-                     variation_schedule(16.0, 0.75, 100)):
-        etas = schedule_etas(schedule, 10)
-        assert etas.shape == (11,)
-        assert np.array_equal(etas, [schedule_eta(schedule, t) for t in range(1, 12)])
+    # eta_{T+1} is for the bound calculators, so the array has T+1 entries exactly
+    weights, geom, dyn, ens, path = _box_setup(horizon=5)
+    assert run(weights, geom, dyn, ens, path, np.full(6, 0.1), 5).etas.shape == (6,)
+    good = np.full(6, 0.1)
+    for bad in (np.full(5, 0.1), np.full(7, 0.1), np.full((6, 1), 0.1), 0.1):
+        with pytest.raises(ValueError, match="replicate 0: step sizes must be 6 .* got shape"):
+            run(weights, geom, dyn, ens, path, bad, 5)
+        with pytest.raises(ValueError, match="replicate 2: step sizes must be 6"):
+            run_replicates(weights, geom, dyn, [(ens, path, good, 0), (ens, path, good, 1),
+                                                (ens, path, bad, 2)], 5)
 
 
 def test_init_state_defaults():
@@ -86,7 +74,7 @@ def test_zero_gradients_leave_common_iterate_fixed():
     grads = np.zeros((path.horizon, 3, 2))
     ens = linear_ensemble(grads, geom.domain)
     start = np.array([0.7, -1.3])
-    trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1),
+    trace = run(weights, geom, dyn, ens, path, np.full(path.horizon + 1, 0.1),
                 path.horizon, x0=start)
     np.testing.assert_allclose(trace.x, np.broadcast_to(start, trace.x.shape),
                                atol=1e-14)
@@ -101,7 +89,7 @@ def _replay_round(trace, weights, geom, ens, path, eta, t):
 
 def test_mixing_preserves_agent_mean():
     weights, geom, dyn, ens, path = _box_setup()
-    trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1),
+    trace = run(weights, geom, dyn, ens, path, np.full(path.horizon + 1, 0.1),
                 path.horizon, seed=0)
     xbar = trace.x.mean(axis=1)
     for t in range(path.horizon):
@@ -117,8 +105,8 @@ def test_uniform_weights_give_identical_anchors():
     geom = euclidean_geometry(box_domain([-5.0] * d, [5.0] * d))
     dyn = identity_dynamics(d)
     ens = synthetic_suite(1, n, d, horizon, geom.domain)
-    path = generate_path(dyn, zero_noise(), np.zeros(d), horizon)
-    trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1), horizon)
+    path = generate_path(dyn, np.zeros((horizon, d)), np.zeros(d), horizon)
+    trace = run(weights, geom, dyn, ens, path, np.full(horizon + 1, 0.1), horizon)
     for t in range(horizon):
         y = mix(weights, trace.x[t])
         np.testing.assert_allclose(y - y[0], 0.0, atol=1e-14)
@@ -127,20 +115,18 @@ def test_uniform_weights_give_identical_anchors():
 def test_runs_are_reproducible():
     weights, geom, dyn, ens, path = _box_setup()
     noisy = synthetic_suite(3, 3, 2, path.horizon, geom.domain, noise_scale=0.2)
-    a = run(weights, geom, dyn, noisy, path, constant_schedule(0.1),
-            path.horizon, mode="stochastic", seed=5)
-    b = run(weights, geom, dyn, noisy, path, constant_schedule(0.1),
-            path.horizon, mode="stochastic", seed=5)
+    etas = np.full(path.horizon + 1, 0.1)
+    a = run(weights, geom, dyn, noisy, path, etas, path.horizon, mode="stochastic", seed=5)
+    b = run(weights, geom, dyn, noisy, path, etas, path.horizon, mode="stochastic", seed=5)
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.etas, b.etas)
-    c = run(weights, geom, dyn, noisy, path, constant_schedule(0.1),
-            path.horizon, mode="stochastic", seed=6)
+    c = run(weights, geom, dyn, noisy, path, etas, path.horizon, mode="stochastic", seed=6)
     assert not np.array_equal(a.x[1:], c.x[1:])
 
 
 def test_zero_round_run():
     weights, geom, dyn, ens, path = _box_setup()
-    trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1), 0)
+    trace = run(weights, geom, dyn, ens, path, np.full(1, 0.1), 0)
     assert trace.horizon == 0
     assert trace.x.shape == (1, 3, 2)
     assert trace.etas.shape == (1,)
@@ -149,10 +135,10 @@ def test_zero_round_run():
 
 def test_trace_replays_through_public_steps():
     weights, geom, dyn, ens, path = _box_setup(horizon=5)
-    schedule = inv_sqrt_schedule(0.3)
-    trace = run(weights, geom, dyn, ens, path, schedule, 5)
+    etas = 0.3 / np.sqrt(np.arange(1, 7))
+    trace = run(weights, geom, dyn, ens, path, etas, 5)
     for t in range(5):
-        eta = schedule_eta(schedule, t + 1)
+        eta = etas[t]
         _, grads, xhat = _replay_round(trace, weights, geom, ens, path, eta, t)
         np.testing.assert_allclose(trace.x[t + 1], xhat @ dyn.a.T, atol=1e-14)
         xnext = step(trace.x[t], weights, geom, dyn, grads, eta)
@@ -162,10 +148,9 @@ def test_trace_replays_through_public_steps():
 def test_run_argument_validation():
     weights, geom, dyn, ens, path = _box_setup()
     with pytest.raises(ValueError, match="mode"):
-        run(weights, geom, dyn, ens, path, constant_schedule(0.1), 3,
-            mode="банана")
+        run(weights, geom, dyn, ens, path, np.full(4, 0.1), 3, mode="банана")
     with pytest.raises(ValueError, match="nonnegative"):
-        run(weights, geom, dyn, ens, path, constant_schedule(0.1), -1)
+        run(weights, geom, dyn, ens, path, np.full(4, 0.1), -1)
 
 
 def test_simplex_iterates_stay_feasible_under_contracting_dynamics():
@@ -174,10 +159,10 @@ def test_simplex_iterates_stay_feasible_under_contracting_dynamics():
     domain = simplex_domain(d, 0.01)
     geom = kl_geometry(domain)
     dyn = linear_dynamics(0.9 * np.eye(d))
-    path = generate_path(identity_dynamics(d), zero_noise(),
+    path = generate_path(identity_dynamics(d), np.zeros((horizon, d)),
                          np.full(d, 1.0 / 3.0), horizon)
     ens = synthetic_suite(2, n, d, horizon, domain)
-    trace = run(weights, geom, dyn, ens, path, constant_schedule(0.2), horizon)
+    trace = run(weights, geom, dyn, ens, path, np.full(horizon + 1, 0.2), horizon)
     for t in range(horizon + 1):
         for i in range(n):
             assert contains(domain, trace.x[t, i])
@@ -189,11 +174,11 @@ def test_divergent_dynamics_raise_engine_error():
     weights = metropolis_weights(build_path_graph(n))
     geom = euclidean_geometry(free_domain(d))
     dyn = linear_dynamics(10.0 * np.eye(d))
-    path = generate_path(identity_dynamics(d), zero_noise(), np.zeros(d), horizon)
+    path = generate_path(identity_dynamics(d), np.zeros((horizon, d)), np.zeros(d), horizon)
     ens = linear_ensemble(np.zeros((horizon, n, d)), geom.domain)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EngineError, match="non-finite"):
-            run(weights, geom, dyn, ens, path, constant_schedule(0.1), horizon,
+            run(weights, geom, dyn, ens, path, np.full(horizon + 1, 0.1), horizon,
                 x0=np.array([1.0, 1.0]))
 
 
@@ -201,8 +186,8 @@ def _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon, 
                                        x0=None):
     traces = run_replicates(weights, geom, dyn, replicates, horizon, mode, x0)
     assert len(traces) == len(replicates)
-    for (ens, path, schedule, seed), trace in zip(replicates, traces):
-        solo = run(weights, geom, dyn, ens, path, schedule, horizon, mode, seed, x0)
+    for (ens, path, etas, seed), trace in zip(replicates, traces):
+        solo = run(weights, geom, dyn, ens, path, etas, horizon, mode, seed, x0)
         assert np.array_equal(trace.x, solo.x)
         assert np.array_equal(trace.etas, solo.etas)
         assert trace.x.flags.c_contiguous
@@ -219,11 +204,11 @@ def test_replicates_equal_solo_runs_tracking(innovation):
     geom = euclidean_geometry(box_domain([-10.0] * 4, [10.0] * 4))
     dyn = ncv_dynamics(0.1)
     ens = tracking_ensemble(25, geom.domain, innovation=innovation)
-    paths = [generate_path(dyn, gaussian_ncv_noise(0.5, 0.1, seed), np.zeros(4), horizon)
-             for seed in (1, 2, 3)]
-    schedules = (constant_schedule(0.5), inv_sqrt_schedule(0.7),
-                 variation_schedule(3.0, 0.6, horizon))
-    replicates = [(ens, p, s, seed) for p, s, seed in zip(paths, schedules, (7, 8, 9))]
+    paths = [generate_path(dyn, ncv_disturbances(0.5, 0.1, seed, horizon), np.zeros(4),
+                           horizon) for seed in (1, 2, 3)]
+    steps = (np.full(horizon + 1, 0.5), 0.7 / np.sqrt(np.arange(1, horizon + 2)),
+             np.full(horizon + 1, 0.2))
+    replicates = [(ens, p, s, seed) for p, s, seed in zip(paths, steps, (7, 8, 9))]
     _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon,
                                        "stochastic")
 
@@ -233,17 +218,17 @@ def test_replicates_equal_solo_runs_noisy_quadratic_and_linear():
     weights = metropolis_weights(build_path_graph(3))
     geom = euclidean_geometry(box_domain([-5.0] * 2, [5.0] * 2))
     dyn = linear_dynamics(0.95 * np.eye(2))
-    paths = [generate_path(dyn, custom_noise(np.random.default_rng(k).normal(
-        0.0, 0.05, (horizon, 2))), np.array([0.5, -0.5]), horizon) for k in range(3)]
+    paths = [generate_path(dyn, np.random.default_rng(k).normal(0.0, 0.05, (horizon, 2)),
+                           np.array([0.5, -0.5]), horizon) for k in range(3)]
     quads = [synthetic_suite(k, 3, 2, horizon, geom.domain, noise_scale=0.5)
              for k in range(3)]
-    replicates = [(e, p, inv_sqrt_schedule(0.3), 11 + k)
+    replicates = [(e, p, 0.3 / np.sqrt(np.arange(1, horizon + 2)), 11 + k)
                   for k, (e, p) in enumerate(zip(quads, paths))]
     _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon,
                                        "stochastic")
     lins = [synthetic_suite(k, 3, 2, horizon, geom.domain, kind="synthetic_linear",
                             noise_scale=0.2 * k) for k in (1, 2)]
-    replicates = [(e, paths[0], constant_schedule(0.2), k) for k, e in enumerate(lins)]
+    replicates = [(e, paths[0], np.full(horizon + 1, 0.2), k) for k, e in enumerate(lins)]
     _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon, "exact")
     _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon,
                                        "stochastic")
@@ -254,12 +239,13 @@ def _kl_linear_replicates(dyn, pulls, horizon, floor=0.01):
     agent's gradient on top of small per-agent noise."""
     weights = metropolis_weights(build_path_graph(3))
     geom = kl_geometry(simplex_domain(3, floor))
-    path = generate_path(identity_dynamics(3), zero_noise(), np.full(3, 1 / 3), horizon)
+    path = generate_path(identity_dynamics(3), np.zeros((horizon, 3)), np.full(3, 1 / 3),
+                         horizon)
     replicates = []
     for k, pull in enumerate(pulls):
         noise = np.random.default_rng(k).uniform(-0.2, 0.2, (horizon, 3, 3))
         ens = linear_ensemble(noise + np.asarray(pull), geom.domain)
-        replicates.append((ens, path, constant_schedule(0.5), k))
+        replicates.append((ens, path, np.full(horizon + 1, 0.5), k))
     return weights, geom, dyn, replicates
 
 
@@ -292,7 +278,7 @@ def test_noise_block_boundaries_keep_every_stream(monkeypatch, block_elements):
     weights, geom, dyn, _, path = _box_setup(horizon=10)
     ensembles = [synthetic_suite(k, 3, 2, 10, geom.domain, noise_scale=0.4)
                  for k in (1, 2)]
-    replicates = [(e, path, constant_schedule(0.1), 20 + k)
+    replicates = [(e, path, np.full(11, 0.1), 20 + k)
                   for k, e in enumerate(ensembles)]
     whole = run_replicates(weights, geom, dyn, replicates, 10, "stochastic")
     monkeypatch.setattr(domd.engine, "BLOCK_ELEMENTS", block_elements)
@@ -307,16 +293,16 @@ def test_non_finite_error_names_round_replicate_and_agent():
     weights = WeightMatrix(n, np.eye(n))  # no mixing: agents diverge alone
     geom = euclidean_geometry(free_domain(d))
     dyn = linear_dynamics(10.0 * np.eye(d))
-    path = generate_path(identity_dynamics(d), zero_noise(), np.zeros(d), horizon)
+    path = generate_path(identity_dynamics(d), np.zeros((horizon, d)), np.zeros(d), horizon)
     calm = linear_ensemble(np.zeros((horizon, n, d)), geom.domain)
     pushed = np.zeros((horizon, n, d))
     pushed[:, 2] = -1.0
     wild = linear_ensemble(pushed, geom.domain)
-    replicates = [(calm, path, constant_schedule(1.0), 0),
-                  (wild, path, constant_schedule(1.0), 0)]
+    etas = np.full(horizon + 1, 1.0)
+    replicates = [(calm, path, etas, 0), (wild, path, etas, 0)]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EngineError, match="non-finite") as solo:
-            run(weights, geom, dyn, wild, path, constant_schedule(1.0), horizon)
+            run(weights, geom, dyn, wild, path, etas, horizon)
         with pytest.raises(EngineError, match="non-finite") as batched:
             run_replicates(weights, geom, dyn, replicates, horizon)
     assert str(solo.value).endswith("(replicate 0, agent 2)")
@@ -332,8 +318,8 @@ def test_run_replicates_argument_validation():
         run_replicates(weights, geom, dyn, [], 3)
     linear = linear_ensemble(np.zeros((path.horizon, 3, 2)), geom.domain)
     with pytest.raises(ValueError, match="share the loss family"):
-        run_replicates(weights, geom, dyn, [(ens, path, constant_schedule(0.1), 0),
-                                            (linear, path, constant_schedule(0.1), 0)], 3)
+        run_replicates(weights, geom, dyn, [(ens, path, np.full(4, 0.1), 0),
+                                            (linear, path, np.full(4, 0.1), 0)], 3)
 
 
 def test_run_memory_is_the_iterate_trace():
@@ -342,11 +328,11 @@ def test_run_memory_is_the_iterate_trace():
     weights = metropolis_weights(build_path_graph(n))
     geom = euclidean_geometry(box_domain([-10.0] * d, [10.0] * d))
     dyn = identity_dynamics(d)
-    path = generate_path(dyn, zero_noise(), np.ones(d), horizon)
+    path = generate_path(dyn, np.zeros((horizon, d)), np.ones(d), horizon)
     ens = tracking_ensemble(n, geom.domain)
     tracemalloc.start()
     try:
-        trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1), horizon,
+        trace = run(weights, geom, dyn, ens, path, np.full(horizon + 1, 0.1), horizon,
                     mode="stochastic", seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -11,7 +11,8 @@ import domd.harness
 from domd.config import ConfigError, config_hash, parse_config
 from domd.csvio import read_csv
 from domd.engine import run
-from domd.harness import (_build_case, _derive_seed, _ORACLE, _suite_case,
+from domd.dynamics import _ncv_noise_factor
+from domd.harness import (_build_case, _derive_seed, _ORACLE, _PATH, _suite_case,
                           build_domain, build_dynamics, build_graph,
                           build_geometry, build_noise, build_schedule,
                           build_weights, bound_suite, exact_run_violations,
@@ -19,7 +20,7 @@ from domd.harness import (_build_case, _derive_seed, _ORACLE, _suite_case,
                           sweep, target_position_path_length,
                           tracking_error_stats, variation_scaling_study,
                           verify_bounds)
-from domd.metrics import dynamic_regret
+from domd.metrics import dynamic_regret, tuned_step
 
 EXACT_QUAD = """
 [experiment]
@@ -92,27 +93,41 @@ def test_build_dynamics_and_noise():
     assert build_dynamics(_tracking_cfg()).d == 4
     scaled = build_dynamics(_tracking_cfg(dynamics_model="scaled_identity", dim=2))
     np.testing.assert_allclose(scaled.a, 0.9 * np.eye(2))
-    assert build_noise(_tracking_cfg(noise_kind="zero"), 0).kind == "zero"
-    drifty = _tracking_cfg(noise_kind="constant_drift",
-                           dynamics_model="identity",
-                           drift=(0.1, 0.0, 0.0, 0.0))
-    assert build_noise(drifty, 0).kind == "constant_drift"
+    # each kind is exactly the (horizon, dim) array it stands for
+    zero = _tracking_cfg(noise_kind="zero", horizon=7)
+    assert np.array_equal(build_noise(zero, 0), np.zeros((7, 4)))
+    drifty = _tracking_cfg(noise_kind="constant_drift", dynamics_model="identity",
+                           drift=(0.1, 0.0, -0.3, 0.0), horizon=7)
+    assert np.array_equal(build_noise(drifty, 2), np.tile([0.1, 0.0, -0.3, 0.0], (7, 1)))
+    ncv = _tracking_cfg(horizon=7, seed=5, sigma_v2=0.7, eps=0.2)
+    for run_index in (0, 3):
+        rng = np.random.default_rng(_derive_seed(5, _PATH, run_index))
+        drawn = rng.standard_normal((7, 4)) @ _ncv_noise_factor(0.2, 0.7).T
+        assert np.array_equal(build_noise(ncv, run_index), drawn)
     fixed = _tracking_cfg(fixed_path=True)
-    assert build_noise(fixed, 0) == build_noise(fixed, 3)
+    assert np.array_equal(build_noise(fixed, 0), build_noise(fixed, 3))
     loose = _tracking_cfg(fixed_path=False)
-    assert build_noise(loose, 0) != build_noise(loose, 3)
+    assert not np.array_equal(build_noise(loose, 0), build_noise(loose, 3))
 
 
 def test_build_schedule_kinds():
-    assert build_schedule(_tracking_cfg(), 0.5, 1.0).kind == "constant"
-    assert build_schedule(_tracking_cfg(schedule_kind="inv_sqrt"), 0.5, 1.0).kind == "inv_sqrt"
-    cfg = _tracking_cfg(schedule_kind="variation_tuned", horizon=100)
-    tuned = build_schedule(cfg, 0.75, 16.0)
-    assert tuned.kind == "variation_tuned"
-    assert tuned.eta0 == pytest.approx(0.2)
+    cfg = _tracking_cfg(horizon=100, eta0=0.5)
+    assert np.array_equal(build_schedule(cfg, 0.5, 1.0), np.full(101, 0.5))
+    decaying = replace(cfg, schedule_kind="inv_sqrt")
+    assert np.array_equal(build_schedule(decaying, 0.5, 1.0),
+                          0.5 / np.sqrt(np.arange(1, 102)))
+    tuned = replace(cfg, schedule_kind="variation_tuned")
+    assert np.array_equal(build_schedule(tuned, 0.75, 16.0),
+                          np.full(101, tuned_step(16.0, 0.75, 100)))
     # zero anticipated variation falls back to the configured constant step
-    fallback = build_schedule(cfg, 0.75, 0.0)
-    assert fallback.kind == "constant" and fallback.eta0 == 0.5
+    assert np.array_equal(build_schedule(tuned, 0.75, 0.0), np.full(101, 0.5))
+    with pytest.raises(ValueError, match="sigma2"):
+        build_schedule(tuned, 1.0, 16.0)
+    with pytest.raises(ValueError, match="horizon"):
+        build_schedule(replace(tuned, horizon=0), 0.75, 16.0)
+    # suite cases share the builder
+    case = _suite_case("box_quad_static_n9_t300")
+    assert np.array_equal(_build_case(case, 0)[5], 0.2 / np.sqrt(np.arange(1, 302)))
 
 
 def test_run_experiment_tracking_defaults():
@@ -220,9 +235,9 @@ def test_tracking_error_stats_and_path_length():
     full = tracking_error_stats(result.trace, result.path, tail=10_000)
     assert np.all(np.isfinite(full))
 
-    from domd.dynamics import constant_drift_noise, generate_path, identity_dynamics
+    from domd.dynamics import generate_path, identity_dynamics
 
-    path = generate_path(identity_dynamics(2), constant_drift_noise([0.01, 0.0]),
+    path = generate_path(identity_dynamics(2), np.tile([0.01, 0.0], (100, 1)),
                          np.array([-10.0, 0.0]), 100)
     assert target_position_path_length(path, position_dims=(0, 1)) == pytest.approx(1.0)
 
@@ -314,8 +329,8 @@ def test_stochastic_mean_regret_equals_runs_alone():
     case = _suite_case("simplex_quad_noisy_n4_t100")
     regrets = []
     for seed in range(3, 6):
-        weights, geom, dyn, ens, path, schedule = _build_case(case, seed)
-        trace = run(weights, geom, dyn, ens, path, schedule, case.horizon,
+        weights, geom, dyn, ens, path, etas = _build_case(case, seed)
+        trace = run(weights, geom, dyn, ens, path, etas, case.horizon,
                     mode="stochastic", seed=_derive_seed(seed, _ORACLE, 1))
         regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
     mean, _ = stochastic_mean_regret(case.name, runs=3, base_seed=3)
@@ -369,3 +384,8 @@ def test_variation_scaling_study_small():
     np.testing.assert_allclose(
         study.denominators,
         np.sqrt(0.01 * np.array([40, 80]) ** 2 / (1 - study.sigma2)))
+    # a drift that carries the target out of the box is refused like any config
+    with pytest.raises(ConfigError, match="centers leave the domain"):
+        variation_scaling_study(horizons=(100,), drift_size=0.5)
+    with pytest.raises(ValueError, match="nonzero drift_size"):
+        variation_scaling_study(horizons=(40,), drift_size=0.0)

@@ -8,23 +8,20 @@ import numpy as np
 import pytest
 
 from domd.csvio import read_csv
-from domd.dynamics import (MinimizerPath, constant_drift_noise, custom_noise,
-                           generate_path, identity_dynamics,
-                           path_variation, zero_noise)
-from domd.engine import (RunTrace, constant_schedule, inv_sqrt_schedule, run,
-                         schedule_etas)
+from domd.dynamics import (MinimizerPath, generate_path, identity_dynamics,
+                           path_variation)
+from domd.engine import RunTrace, run
 from domd.geometry import (box_domain, euclidean_geometry, free_domain,
                            geometry_constants, simplex_domain)
-from domd.metrics import (best_fixed_point, comparator_optimality_gap,
-                          disagreement_envelope, dynamic_regret,
+from domd.metrics import (best_fixed_point, disagreement_envelope, dynamic_regret,
                           network_disagreement, per_agent_loss_gap,
-                          regret_guarantee, static_regret,
+                          regret_guarantee, static_regret, tuned_step,
                           tuned_step_guarantee, write_bound_csv,
                           write_regret_csv)
 from domd.network import (build_grid_graph, metropolis_weights,
                           second_singular_value, uniform_complete_weights)
-from domd.objectives import (global_loss, linear_ensemble, loss_value,
-                             synthetic_suite, tracking_ensemble)
+from domd.objectives import (global_loss, global_loss_batch, linear_ensemble,
+                             loss_value, synthetic_suite, tracking_ensemble)
 
 BOX1 = box_domain([-1.0, -1.0], [1.0, 1.0])  # R^2 = 4, K = 2 sqrt(2)
 
@@ -115,6 +112,22 @@ def test_tuned_guarantee_matches_general_formula_at_tuned_step():
     assert general.variation_tuned_value == pytest.approx(tuned, rel=1e-12)
 
 
+def test_tuned_step():
+    # sqrt((1 - 3/4) * 16 / 100) = 0.2
+    assert tuned_step(16.0, 0.75, 100) == np.sqrt((1.0 - 0.75) * 16.0 / 100)
+    assert tuned_step(16.0, 0.75, 100) == pytest.approx(0.2)
+    # no anticipated variation: the fallback step, and an error without one
+    assert tuned_step(0.0, 0.5, 100, fallback_eta=0.3) == 0.3
+    assert tuned_step(-1.0, 0.5, 100, fallback_eta=0.3) == 0.3
+    with pytest.raises(ValueError, match="c_t"):
+        tuned_step(0.0, 0.5, 100)
+    for sigma2 in (1.0, -0.1):
+        with pytest.raises(ValueError, match="sigma2"):
+            tuned_step(1.0, sigma2, 100)
+    with pytest.raises(ValueError, match="horizon"):
+        tuned_step(1.0, 0.5, 0)
+
+
 def test_tuned_guarantee_validation_and_fallback():
     consts = _consts()
     with pytest.raises(ValueError, match="horizon"):
@@ -155,9 +168,9 @@ def _one_agent_run():
     geom = euclidean_geometry(domain)
     dyn = identity_dynamics(1)
     ens = synthetic_suite(0, 1, 1, 1, domain, offset_scale=0.0)
-    path = generate_path(dyn, zero_noise(), np.array([0.5]), 1)
+    path = generate_path(dyn, np.zeros((1, 1)), np.array([0.5]), 1)
     weights = uniform_complete_weights(1)
-    trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1), 1)
+    trace = run(weights, geom, dyn, ens, path, np.full(2, 0.1), 1)
     return trace, ens, path, domain
 
 
@@ -176,9 +189,10 @@ def test_regret_report_normalization():
     dyn = identity_dynamics(2)
     horizon = 12
     ens = synthetic_suite(4, 4, 2, horizon, domain)
-    path = generate_path(dyn, zero_noise(), np.array([0.5, -0.5]), horizon)
+    path = generate_path(dyn, np.zeros((horizon, 2)), np.array([0.5, -0.5]), horizon)
     weights = metropolis_weights(build_grid_graph(2, 2))
-    trace = run(weights, geom, dyn, ens, path, inv_sqrt_schedule(0.2), horizon)
+    trace = run(weights, geom, dyn, ens, path, 0.2 / np.sqrt(np.arange(1, horizon + 2)),
+                horizon)
     report = dynamic_regret(trace, ens, path)
     np.testing.assert_allclose(report.cumulative, np.cumsum(report.instant),
                                atol=1e-14)
@@ -239,10 +253,11 @@ def test_static_regret_never_exceeds_dynamic():
     horizon = 30
     rng = np.random.default_rng(8)
     noise = rng.normal(0.0, 0.05, (horizon, 2))
-    path = generate_path(dyn, custom_noise(noise), np.array([0.5, -0.5]), horizon)
+    path = generate_path(dyn, noise, np.array([0.5, -0.5]), horizon)
     ens = synthetic_suite(4, 4, 2, horizon, domain)
     weights = metropolis_weights(build_grid_graph(2, 2))
-    trace = run(weights, geom, dyn, ens, path, inv_sqrt_schedule(0.2), horizon)
+    trace = run(weights, geom, dyn, ens, path, 0.2 / np.sqrt(np.arange(1, horizon + 2)),
+                horizon)
     dyn_regret = dynamic_regret(trace, ens, path).dynamic_regret
     stat = static_regret(trace, ens, path, domain)
     assert stat <= dyn_regret + 1e-9
@@ -257,9 +272,9 @@ def test_per_agent_loss_gap_matches_direct_sum():
     geom = euclidean_geometry(domain)
     dyn = identity_dynamics(2)
     ens = synthetic_suite(4, 3, 2, 6, domain)
-    path = generate_path(dyn, zero_noise(), np.array([0.5, -0.5]), 6)
+    path = generate_path(dyn, np.zeros((6, 2)), np.array([0.5, -0.5]), 6)
     weights = uniform_complete_weights(3)
-    trace = run(weights, geom, dyn, ens, path, constant_schedule(0.1), 6)
+    trace = run(weights, geom, dyn, ens, path, np.full(7, 0.1), 6)
     total = 0.0
     for t in range(1, 7):
         for i in range(3):
@@ -284,11 +299,23 @@ def test_network_disagreement_both_norms():
 
 
 def test_comparator_optimality_gap_on_grid_aligned_targets():
-    trace, ens, path, domain = _one_agent_run()
-    gap = comparator_optimality_gap(trace, ens, path, domain, 0.25)
-    assert abs(gap) <= 1e-9
-    with pytest.raises(ValueError, match="d <= 2"):
-        comparator_optimality_gap(trace, ens, path, simplex_domain(2, 0.1), 0.25)
+    # brute force: no point of a 0.25-grid over the box beats the comparator in
+    # any round, and with the targets on grid nodes the grid attains it
+    domain = box_domain([-1.0, -1.0], [1.0, 1.0])
+    horizon, step = 3, 0.25
+    path = generate_path(identity_dynamics(2), np.tile([0.25, 0.0], (horizon, 1)),
+                         np.array([0.5, -0.5]), horizon)
+    ens = synthetic_suite(0, 3, 2, horizon, domain, offset_scale=0.0)
+    trace = run(uniform_complete_weights(3), euclidean_geometry(domain),
+                identity_dynamics(2), ens, path, np.full(horizon + 1, 0.1), horizon)
+    axes = [np.arange(domain.lo[k], domain.hi[k] + step / 2, step) for k in range(2)]
+    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    grid = np.broadcast_to(mesh, (horizon,) + mesh.shape)
+    grid_best = global_loss_batch(ens, path, grid).min(axis=1)
+    at_iterates = global_loss_batch(ens, path, trace.x[:horizon]).mean(axis=1)
+    report = dynamic_regret(trace, ens, path)
+    np.testing.assert_allclose(report.instant, at_iterates - grid_best, rtol=0, atol=1e-12)
+    assert abs(report.dynamic_regret - float((at_iterates - grid_best).sum())) <= 1e-9
 
 
 def test_guarantees_dominate_small_exact_runs():
@@ -298,15 +325,14 @@ def test_guarantees_dominate_small_exact_runs():
     weights = metropolis_weights(build_grid_graph(2, 2))
     sigma2 = second_singular_value(weights).sigma2
     horizon = 50
-    schedule = inv_sqrt_schedule(0.2)
+    etas = 0.2 / np.sqrt(np.arange(1, horizon + 2))
     consts = geometry_constants(geom)
     for seed in range(3):
         rng = np.random.default_rng(seed)
         noise = rng.normal(0.0, 0.05, (horizon, 2))
-        path = generate_path(dyn, custom_noise(noise), np.array([0.5, -0.5]),
-                             horizon)
+        path = generate_path(dyn, noise, np.array([0.5, -0.5]), horizon)
         ens = synthetic_suite(100 + seed, 4, 2, horizon, domain)
-        trace = run(weights, geom, dyn, ens, path, schedule, horizon)
+        trace = run(weights, geom, dyn, ens, path, etas, horizon)
         lipschitz = ens.lipschitz
         norms = np.linalg.norm(path.noise, axis=1)
         report = regret_guarantee(consts, lipschitz, sigma2, trace.etas,
@@ -354,7 +380,7 @@ def _measured_case(kind, horizon=7):
         ens = tracking_ensemble(5, box)
     else:
         ens = synthetic_suite(2, 5, 4, horizon, box, kind=kind)
-    path = generate_path(identity_dynamics(4), constant_drift_noise([0.1, 0.0, -0.05, 0.02]),
+    path = generate_path(identity_dynamics(4), np.tile([0.1, 0.0, -0.05, 0.02], (horizon, 1)),
                          np.array([0.5, -0.5, 0.0, 1.0]), horizon)
     x = np.random.default_rng(3).uniform(-2.0, 2.0, (horizon + 1, 5, 4))
     return _shell_trace(x), ens, path, box
@@ -422,7 +448,7 @@ def test_regret_measurement_memory_stays_bounded(kind):
         ens = tracking_ensemble(n, box)
     else:
         ens = synthetic_suite(0, n, d, horizon, box, kind=kind, offset_scale=0.05)
-    path = generate_path(identity_dynamics(d), zero_noise(), np.zeros(d), horizon)
+    path = generate_path(identity_dynamics(d), np.zeros((horizon, d)), np.zeros(d), horizon)
     trace = _shell_trace(np.random.default_rng(0).uniform(-1.0, 1.0, (horizon + 1, n, d)))
     tracemalloc.start()
     try:

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from domd import objectives
-from domd.dynamics import (MinimizerPath, constant_drift_noise, generate_path,
-                           identity_dynamics, zero_noise)
+from domd.dynamics import MinimizerPath, generate_path, identity_dynamics
 from domd.geometry import (box_domain, contains, diameter, sample_domain,
                            simplex_domain)
 from domd.objectives import (agent_loss_batch, centers_outside_domain,
@@ -23,7 +22,7 @@ def _tracking_setup(n=6, half=5.0, horizon=10):
     domain = box_domain([-half] * 4, [half] * 4)
     ens = tracking_ensemble(n, domain)
     path = generate_path(identity_dynamics(4),
-                         constant_drift_noise([0.01, 0.0, -0.02, 0.0]),
+                         np.tile([0.01, 0.0, -0.02, 0.0], (horizon, 1)),
                          np.array([0.5, -0.5, 1.0, 0.25]), horizon)
     return domain, ens, path
 
@@ -132,7 +131,7 @@ def test_quadratic_offsets_centered():
 def test_quadratic_loss_is_squared_distance():
     box = box_domain([-5.0] * 2, [5.0] * 2)
     ens = synthetic_suite(3, 4, 2, 5, box)
-    path = generate_path(identity_dynamics(2), zero_noise(), np.zeros(2), 5)
+    path = generate_path(identity_dynamics(2), np.zeros((5, 2)), np.zeros(2), 5)
     x = np.array([0.4, -0.3])
     for i in range(4):
         center = path.states[1] + ens.offsets[1, i]
@@ -173,7 +172,7 @@ def test_linear_ensemble_from_explicit_array():
     ens = linear_ensemble(grads, box)
     assert ens.lipschitz == pytest.approx(1.5)
     assert ens.second_moment == pytest.approx(2.25)
-    path = generate_path(identity_dynamics(2), zero_noise(), np.zeros(2), 1)
+    path = generate_path(identity_dynamics(2), np.zeros((1, 2)), np.zeros(2), 1)
     assert loss_value(ens, 1, 1, [1.0, 1.0], path) == pytest.approx(1.5)
     simplex = simplex_domain(2, 0.01)
     assert linear_ensemble(grads, simplex).lipschitz == pytest.approx(1.5)
@@ -205,7 +204,7 @@ def test_second_moment_includes_oracle_noise():
 def test_noiseless_stochastic_oracle_equals_exact():
     box = box_domain([-5.0] * 2, [5.0] * 2)
     ens = synthetic_suite(3, 4, 2, 5, box)
-    path = generate_path(identity_dynamics(2), zero_noise(), np.zeros(2), 5)
+    path = generate_path(identity_dynamics(2), np.zeros((5, 2)), np.zeros(2), 5)
     rng = np.random.default_rng(0)
     x = np.array([0.4, -0.3])
     np.testing.assert_array_equal(gradient_stochastic(ens, 1, 2, x, path, rng),
@@ -220,7 +219,7 @@ def test_noiseless_stochastic_oracle_equals_exact():
 def test_oracle_noise_is_bounded():
     box = box_domain([-5.0] * 2, [5.0] * 2)
     ens = synthetic_suite(3, 4, 2, 5, box, noise_scale=0.3)
-    path = generate_path(identity_dynamics(2), zero_noise(), np.zeros(2), 5)
+    path = generate_path(identity_dynamics(2), np.zeros((5, 2)), np.zeros(2), 5)
     rng = np.random.default_rng(0)
     x_all = np.array([[0.4, -0.3], [0.0, 0.0], [1.0, 1.0], [-2.0, 0.5]])
     exact = gradients_exact_batch(ens, 3, x_all, path)
@@ -248,7 +247,7 @@ def test_batch_oracle_replays_the_scalar_oracle_draw_for_draw():
 def test_stacked_oracles_equal_each_replicate():
     domain, tracking, _ = _tracking_setup()
     dyn = identity_dynamics(4)
-    paths = [generate_path(dyn, constant_drift_noise([0.01 * k, 0.0, 0.0, 0.0]),
+    paths = [generate_path(dyn, np.tile([0.01 * k, 0.0, 0.0, 0.0], (10, 1)),
                            np.zeros(4), 10) for k in range(3)]
     x = np.random.default_rng(2).uniform(-2.0, 2.0, (3, 6, 4))
     for family in (tracking, "synthetic_quadratic", "synthetic_linear"):
@@ -289,11 +288,11 @@ def test_batch_gradients_match_single_agent_calls():
 def test_centers_outside_domain_counts():
     box = box_domain([-5.0] * 2, [5.0] * 2)
     ens = synthetic_suite(3, 4, 2, 8, box)
-    path = generate_path(identity_dynamics(2), zero_noise(), np.zeros(2), 8)
+    path = generate_path(identity_dynamics(2), np.zeros((8, 2)), np.zeros(2), 8)
     assert centers_outside_domain(ens, path, box) == 0
     tight = box_domain([0.0] * 2, [1.0] * 2)
     wild = synthetic_suite(3, 4, 2, 8, tight, offset_scale=2.0)
-    path_edge = generate_path(identity_dynamics(2), zero_noise(),
+    path_edge = generate_path(identity_dynamics(2), np.zeros((8, 2)),
                               np.array([0.95, 0.95]), 8)
     assert centers_outside_domain(wild, path_edge, tight) > 0
     # the check is a no-op for families without centers
@@ -327,7 +326,7 @@ def _family(name, horizon=9, n=5):
         ens = synthetic_suite(1, n, 4, horizon, simplex, kind="synthetic_linear")
     start = np.full(4, 0.25) if domain.kind == "simplex" else np.array([0.5, -0.5, 1.0, 0.0])
     drift = [0.01, -0.01, 0.0, 0.0] if domain.kind == "simplex" else [0.05, 0.0, -0.1, 0.02]
-    path = generate_path(identity_dynamics(4), constant_drift_noise(drift), start, horizon)
+    path = generate_path(identity_dynamics(4), np.tile(drift, (horizon, 1)), start, horizon)
     return ens, path, domain
 
 
@@ -393,7 +392,7 @@ def test_whole_horizon_losses_refuse_short_inputs(name):
 def test_centers_outside_domain_matches_per_point_count():
     tight = box_domain([0.0] * 2, [1.0] * 2)
     wild = synthetic_suite(3, 4, 2, 8, tight, offset_scale=0.3)
-    path = generate_path(identity_dynamics(2), zero_noise(), np.array([0.8, 0.5]), 8)
+    path = generate_path(identity_dynamics(2), np.zeros((8, 2)), np.array([0.8, 0.5]), 8)
     expected = sum(not contains(tight, path.states[t] + wild.offsets[t, i])
                    for t in range(8) for i in range(4))
     assert 0 < expected < 32
