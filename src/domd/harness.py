@@ -163,6 +163,10 @@ def run_experiments(cfg, run_indices, x0=None):
     BATCH_TRACE_BYTES) and results are yielded in order, so a consumer that
     keeps only what it needs holds at most one batch of traces.
     """
+    run_indices = list(run_indices)
+    for run_index in run_indices:
+        if run_index < 0:
+            raise ValueError(f"run index must be non-negative, got {run_index}")
     graph = build_graph(cfg)
     weights = build_weights(cfg, graph)
     sigma2 = second_singular_value(weights).sigma2
@@ -178,7 +182,7 @@ def run_experiments(cfg, run_indices, x0=None):
     if domain.kind != "free" and not contains(domain, target0):
         raise ConfigError("noise.target_init lies outside the domain")
     consts = geometry_constants(geom)
-    for batch in _replicate_batches(list(run_indices), cfg.horizon, weights.n, cfg.dim):
+    for batch in _replicate_batches(run_indices, cfg.horizon, weights.n, cfg.dim):
         replicates, variations = [], []
         for run_index in batch:
             path = generate_path(dyn, build_noise(cfg, run_index), target0, cfg.horizon)
@@ -293,6 +297,9 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     is set, each replicate redraws the target path.
     """
     attr, typ, check, _ = _resolve_param(param)
+    if attr == "horizon":
+        raise ConfigError("cannot sweep experiment.horizon: the averaged curves "
+                          "need one horizon for every value")
     runs = cfg.runs if runs is None else runs
     if runs < 1:
         raise ConfigError("sweep needs at least one run per value")

@@ -2,7 +2,9 @@
 
 Agents exchange estimates over an undirected connected graph.  The mixing
 step uses a symmetric doubly stochastic weight matrix; its second largest
-singular value controls how fast disagreement between agents decays.
+singular value controls how fast disagreement between agents decays.  W is
+symmetric, so that value is computed as the second largest absolute
+eigenvalue (np.linalg.eigvalsh).
 """
 
 from dataclasses import dataclass, field
@@ -12,33 +14,43 @@ import numpy as np
 STOCHASTIC_TOL = 1e-12
 
 
+def _edge_array(edges):
+    return np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+
+
 def _normalized_edges(n, edges):
-    out = []
-    for e in edges:
-        i, j = int(e[0]), int(e[1])
+    e = _edge_array(edges)
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    if bad.any():
+        i, j = e[bad.argmax()].tolist()  # the first bad edge, in input order
         if i == j:
             raise ValueError(f"self loop at node {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        out.append((min(i, j), max(i, j)))
-    if len(set(out)) != len(out):
+        raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+    key = np.sort(lo * n + hi)  # sorted by (lo, hi)
+    if (key[1:] == key[:-1]).any():
         raise ValueError("duplicate edge")
-    return tuple(sorted(out))
+    lo, hi = np.divmod(key, n)
+    return tuple(zip(lo.tolist(), hi.tolist()))
 
 
 def _connected(n, edges):
-    # union-find over the edge list
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edges:
-        parent[find(i)] = find(j)
-    return len({find(i) for i in range(n)}) == 1
+    """Min-label hooking: each edge whose ends have different roots hooks
+    the larger root onto the smaller, then pointer jumping flattens every
+    tree onto its root.  Labels only decrease, so node 0 stays a root and
+    the graph is connected iff every node ends at 0."""
+    i, j = _edge_array(edges).T
+    root = np.arange(n)
+    while True:
+        ri, rj = root[i], root[j]
+        split = ri != rj
+        if not split.any():
+            return not root.any()
+        i, j, ri, rj = i[split], j[split], ri[split], rj[split]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        up = root[root]
+        while (up != root).any():
+            root, up = up, up[up]
 
 
 @dataclass(frozen=True)
@@ -56,11 +68,7 @@ class Graph:
             raise ValueError("graph is not connected")
 
     def degrees(self):
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(_edge_array(self.edges).ravel(), minlength=self.n)
 
     def neighbors(self, i):
         return tuple(sorted({j for a, b in self.edges for j in (a, b) if i in (a, b) and j != i}))
@@ -85,6 +93,8 @@ class WeightMatrix:
             raise ValueError("columns must sum to 1")
         if np.any(np.diag(w) <= 0):
             raise ValueError("diagonal entries must be positive")
+        if np.max(np.abs(w - w.T)) > STOCHASTIC_TOL:
+            raise ValueError("weights must be symmetric")
         object.__setattr__(self, "w", w)
 
 
@@ -131,10 +141,9 @@ def random_connected_graph(n, p, seed, max_tries=1000):
     if not 0 < p <= 1:
         raise ValueError("edge probability must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)  # row-major, i < j
     for _ in range(max_tries):
-        keep = rng.random(len(pairs)) < p
-        edges = tuple(e for e, k in zip(pairs, keep) if k)
+        edges = pairs[rng.random(len(pairs)) < p]
         if _connected(n, edges):
             return Graph(n, edges)
     raise RuntimeError("failed to sample a connected graph; raise p or max_tries")
@@ -143,12 +152,10 @@ def random_connected_graph(n, p, seed, max_tries=1000):
 def metropolis_weights(graph):
     """Metropolis-Hastings weights: w_ij = 1/(1+max(deg_i, deg_j)) on edges,
     diagonal takes the remaining mass.  Doubly stochastic by symmetry."""
-    if not _connected(graph.n, graph.edges):
-        raise ValueError("graph is not connected")
+    i, j = _edge_array(graph.edges).T
     deg = graph.degrees()
     w = np.zeros((graph.n, graph.n))
-    for i, j in graph.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return WeightMatrix(graph.n, w)
 
@@ -161,11 +168,14 @@ def uniform_complete_weights(n):
 
 
 def second_singular_value(weights):
-    """sigma2 of the mixing matrix; 0 by convention for n = 1."""
+    """sigma2 of the mixing matrix; 0 by convention for n = 1.
+
+    W is symmetric, so its singular values are the absolute values of its
+    eigenvalues: sigma2 is the second largest |lambda| from eigvalsh.
+    """
     if weights.n == 1:
         return SpectralInfo(0.0, 1.0)
-    s = np.linalg.svd(weights.w, compute_uv=False)
-    sigma2 = float(s[1])
+    sigma2 = float(np.sort(np.abs(np.linalg.eigvalsh(weights.w)))[-2])
     return SpectralInfo(sigma2, 1.0 - sigma2)
 
 

@@ -90,6 +90,15 @@ def test_sweep_rejects_bad_values(quad_config, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sweep_over_horizon_is_a_config_error(quad_config, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["sweep", "--config", quad_config, "--out", str(out),
+                 "--param", "experiment.horizon", "--values", "10"])
+    assert code == 1
+    assert "config error: cannot sweep experiment.horizon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_command(tmp_path, capsys):
     out = tmp_path / "verify"
     code = main(["verify-bounds", "--seeds", "1", "--out", str(out)])

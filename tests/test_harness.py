@@ -142,6 +142,18 @@ def test_run_experiment_tracking_defaults():
     assert result.regret.static_regret is not None
 
 
+def test_negative_run_index_is_rejected_before_assembly(monkeypatch):
+    def no_build(cfg):
+        raise AssertionError("graph built before the run index was checked")
+
+    monkeypatch.setattr(domd.harness, "build_graph", no_build)
+    cfg = _quad_cfg(horizon=10)
+    with pytest.raises(ValueError, match="run index must be non-negative, got -1"):
+        run_experiment(cfg, run_index=-1)
+    with pytest.raises(ValueError, match="got -3"):
+        next(run_experiments(cfg, [0, -3]))
+
+
 def test_run_experiment_writes_outputs(tmp_path):
     cfg = _quad_cfg()
     out = tmp_path / "run"
@@ -256,6 +268,11 @@ def test_sweep_parameter_resolution():
         sweep(cfg, "eta0", (0.1,), runs=0)
     with pytest.raises(ConfigError, match="at least one value"):
         sweep(cfg, "eta0", ())
+    # the curves share the base horizon; sweeping it is refused before any
+    # run, even for a value equal to the base horizon
+    for param, value in (("experiment.horizon", 5), ("horizon", 10)):
+        with pytest.raises(ConfigError, match="cannot sweep experiment.horizon"):
+            sweep(cfg, param, (value,))
 
 
 def test_sweep_shapes_and_outputs(tmp_path):
