@@ -26,8 +26,8 @@ graphs = {
 
 print("topology          sigma2    gap")
 for name, w in graphs.items():
-    info = second_singular_value(w)
-    print(f"{name:<16}  {info.sigma2:.4f}  {info.gap:.4f}")
+    sigma2 = second_singular_value(w)
+    print(f"{name:<16}  {sigma2:.4f}  {1.0 - sigma2:.4f}")
 
 # start every agent at a random point and mix repeatedly; the spread decays
 # like sigma2^k while the mean never moves

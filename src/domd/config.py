@@ -171,7 +171,8 @@ def _convert(section, key, spec, raw):
     return attr, value
 
 
-def _cross_validate(cfg):
+def cross_validate(cfg):
+    """Return cfg, or raise ConfigError when two of its values conflict."""
     if cfg.domain_kind == "box" and cfg.box_low >= cfg.box_high:
         raise ConfigError("geometry.box_low must be below geometry.box_high")
     if cfg.obs_noise_low > cfg.obs_noise_high:
@@ -237,7 +238,7 @@ def parse_config(text, env=None):
         attr, value = _convert(section, key, SCHEMA[section][key], raw)
         values[attr] = value
     cfg = replace(ExperimentConfig(), **values)
-    return _cross_validate(cfg)
+    return cross_validate(cfg)
 
 
 def load_config(path, env=None):

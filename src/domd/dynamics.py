@@ -6,23 +6,19 @@ accumulated disturbance size sum_t ||v[t]|| is the path variation that the
 regret bounds are written against.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import csvio
-from .geometry import check_nonexpansive, vector_norm
-
-RECONSTRUCTION_TOL = 1e-12
+from .geometry import vector_norm
 
 
 @dataclass(frozen=True)
 class LinearDynamics:
-    """Square transition matrix with an optional cached non-expansiveness verdict."""
+    """Known transition matrix a of the target: square and finite, of size d."""
 
     a: np.ndarray
-    d: int
-    nonexpansive: bool = None
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -31,22 +27,18 @@ class LinearDynamics:
         if not np.all(np.isfinite(a)):
             raise ValueError("transition matrix has non-finite entries")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "d", a.shape[0])
+
+    @property
+    def d(self):
+        return self.a.shape[0]
 
 
 def linear_dynamics(a):
-    a = np.asarray(a, dtype=float)
-    return LinearDynamics(a, a.shape[0])
+    return LinearDynamics(a)
 
 
 def identity_dynamics(d):
     return linear_dynamics(np.eye(d))
-
-
-def with_nonexpansive_verdict(dyn, geom, trials=500, seed=0):
-    """Return a copy of dyn carrying the divergence non-expansiveness verdict."""
-    report = check_nonexpansive(geom, dyn.a, trials=trials, seed=seed)
-    return replace(dyn, nonexpansive=report.passed)
 
 
 def ncv_dynamics(eps):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import csvio
-from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash
+from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_validate
 from .dynamics import (generate_path, identity_dynamics, linear_dynamics,
                        ncv_disturbances, ncv_dynamics, path_variation)
 from .engine import run, run_replicates
@@ -48,10 +48,6 @@ _PATH, _ORACLE, _ENSEMBLE, _GRAPH = 1, 2, 3, 4
 def _derive_seed(*parts):
     ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, np.uint32)[0])
-
-
-class BoundViolation(RuntimeError):
-    """An empirical quantity exceeded its guarantee."""
 
 
 def build_graph(cfg):
@@ -169,7 +165,7 @@ def run_experiments(cfg, run_indices, x0=None):
             raise ValueError(f"run index must be non-negative, got {run_index}")
     graph = build_graph(cfg)
     weights = build_weights(cfg, graph)
-    sigma2 = second_singular_value(weights).sigma2
+    sigma2 = second_singular_value(weights)
     domain = build_domain(cfg)
     geom = build_geometry(cfg, domain)
     dyn = build_dynamics(cfg)
@@ -235,21 +231,23 @@ def _write_run_outputs(result, out_dir):
         write_bound_csv(result.bounds, os.path.join(out_dir, "bounds.csv"), comments)
 
 
-def exact_run_violations(result, tol=SLACK_TOL):
-    """Names of guarantees an exact-gradient run violated (empty when sound)."""
+def exact_run_violations(result):
+    """Names of guarantees an exact-gradient run violated by more than SLACK_TOL."""
     if result.bounds is None or result.config.gradient_mode != "exact":
         return ()
     out = []
-    if result.regret.dynamic_regret > result.bounds.total + tol:
+    if result.regret.dynamic_regret > result.bounds.total + SLACK_TOL:
         out.append("regret_total")
     dis = network_disagreement(result.trace)[1:]
-    if np.any(dis > result.bounds.disagreement_curve + tol):
+    if np.any(dis > result.bounds.disagreement_curve + SLACK_TOL):
         out.append("disagreement")
     return tuple(out)
 
 
 def tracking_error_stats(trace, path, tail=100):
-    """Per-agent mean distance to the target over the final `tail` rounds."""
+    """Per-agent mean distance to the target over the final `tail` >= 1 rounds."""
+    if tail < 1:
+        raise ValueError(f"tail must be at least 1, got {tail}")
     tail = min(tail, trace.horizon)
     err = trace.x[-tail - 1:-1] - path.states[-tail - 1:-1, None, :]
     return np.linalg.norm(err, axis=2).mean(axis=0)
@@ -294,24 +292,29 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
 
     Per-run seeds derive from (master seed, run index), so they are pairwise
     distinct and the whole sweep is reproducible.  Unless noise.fixed_path
-    is set, each replicate redraws the target path.
+    is set, each replicate redraws the target path.  Every value is checked
+    like a config file value, cross-field rules included, before any run.
     """
     attr, typ, check, _ = _resolve_param(param)
-    if attr == "horizon":
-        raise ConfigError("cannot sweep experiment.horizon: the averaged curves "
-                          "need one horizon for every value")
+    if attr in ("horizon", "runs"):  # the only keys a sweep cannot vary
+        raise ConfigError(f"cannot sweep experiment.{attr}: the averaged curves share "
+                          "one horizon, and the runs argument sets the replicates")
     runs = cfg.runs if runs is None else runs
     if runs < 1:
         raise ConfigError("sweep needs at least one run per value")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    horizon = cfg.horizon
-    mean_curves, std_curves = [], []
+    configs = []
     for value in values:
+        if typ is int and not float(value).is_integer():
+            raise ConfigError(f"sweep value {value!r} is not an integer for {param}")
         value = typ(value)
         if check is not None and not check(value):
             raise ConfigError(f"sweep value {value!r} out of range for {param}")
-        cfg_v = replace(cfg, **{attr: value})
+        configs.append(cross_validate(replace(cfg, **{attr: value})))
+    horizon = cfg.horizon
+    mean_curves, std_curves = [], []
+    for cfg_v in configs:
         curves = np.empty((runs, horizon))
         for r, result in enumerate(run_experiments(cfg_v, range(runs))):
             curves[r] = result.regret.normalized
@@ -484,11 +487,11 @@ def _case_runs(case, seeds, stream):
     for batch in _replicate_batches(replicates, case.horizon, weights.n, geom.domain.d):
         traces += _run_batch(weights, geom, dyn, batch, case.horizon, mode)
     runs = [(ens, path, trace) for (ens, path, _, _), trace in zip(replicates, traces)]
-    return (weights, geom, second_singular_value(weights).sigma2,
+    return (weights, geom, second_singular_value(weights),
             geometry_constants(geom), runs)
 
 
-def verify_bounds(seeds=20, out_dir=None, l_scale=1.0, tol=SLACK_TOL):
+def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
     """Run the synthetic suite and check every guarantee.
 
     Exact-gradient runs are checked per seed: empirical dynamic regret
@@ -497,7 +500,8 @@ def verify_bounds(seeds=20, out_dir=None, l_scale=1.0, tol=SLACK_TOL):
     nonnegativity of regret.  Noisy-oracle cases are averaged across seeds
     and checked against the expected-regret variant.  l_scale deliberately
     rescales the declared Lipschitz constant; 1.0 verifies, 0.5 is the
-    negative control that must produce detected violations.
+    negative control that must produce detected violations.  A check passes
+    when its slack is at least -SLACK_TOL.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -519,21 +523,21 @@ def verify_bounds(seeds=20, out_dir=None, l_scale=1.0, tol=SLACK_TOL):
             worst = int(np.argmin(gaps))
             rows.append(CheckRow(case.name, s, mode, "disagreement",
                                  float(dis[worst]), float(report.disagreement_curve[worst]),
-                                 float(gaps[worst]), bool(gaps[worst] >= -tol)))
+                                 float(gaps[worst]), bool(gaps[worst] >= -SLACK_TOL)))
             rows.append(CheckRow(case.name, s, mode, "regret_total", regret,
                                  report.total, report.total - regret,
-                                 bool(report.total - regret >= -tol)))
+                                 bool(report.total - regret >= -SLACK_TOL)))
             local = per_agent_loss_gap(trace, ens, path)
             rows.append(CheckRow(case.name, s, mode, "local_gap", local,
                                  report.local_gap_rhs, report.local_gap_rhs - local,
-                                 bool(report.local_gap_rhs - local >= -tol)))
+                                 bool(report.local_gap_rhs - local >= -SLACK_TOL)))
             rows.append(CheckRow(case.name, s, mode, "regret_nonneg", regret, 0.0,
-                                 regret, bool(regret >= -tol)))
+                                 regret, bool(regret >= -SLACK_TOL)))
         if stochastic:
             mean_regret = float(np.mean(regrets))
             slack = report.stochastic_total - mean_regret
             rows.append(CheckRow(case.name, -1, mode, "mean_regret", mean_regret,
-                                 report.stochastic_total, slack, bool(slack >= -tol)))
+                                 report.stochastic_total, slack, bool(slack >= -SLACK_TOL)))
     violations = sum(1 for r in rows if not r.passed)
     result = VerifyReport(tuple(rows), seeds, violations, violations == 0)
     if out_dir is not None:

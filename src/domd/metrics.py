@@ -254,14 +254,14 @@ def tuned_step(c_t, sigma2, horizon, fallback_eta=None):
     return float(np.sqrt((1.0 - sigma2) * c_t / horizon))
 
 
-def tuned_step_guarantee(consts, lipschitz, sigma2, c_t, n, horizon, fallback_eta=None):
+def tuned_step_guarantee(consts, lipschitz, sigma2, c_t, n, horizon):
     """Guarantee at the variation-tuned constant step (see tuned_step).
 
     At that step the bound scales like sqrt(c_t * T / (1 - sigma2)).
     """
     if not consts.available:
         raise ValueError("bound calculators need a bounded domain")
-    eta = tuned_step(c_t, sigma2, horizon, fallback_eta)
+    eta = tuned_step(c_t, sigma2, horizon)
     etas = np.full(horizon + 1, eta)
     ext = _eta_with_zero(etas)
     net_sum = _network_sum(sigma2, ext, horizon)

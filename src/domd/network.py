@@ -70,9 +70,6 @@ class Graph:
     def degrees(self):
         return np.bincount(_edge_array(self.edges).ravel(), minlength=self.n)
 
-    def neighbors(self, i):
-        return tuple(sorted({j for a, b in self.edges for j in (a, b) if i in (a, b) and j != i}))
-
 
 @dataclass(frozen=True)
 class WeightMatrix:
@@ -96,14 +93,6 @@ class WeightMatrix:
         if np.max(np.abs(w - w.T)) > STOCHASTIC_TOL:
             raise ValueError("weights must be symmetric")
         object.__setattr__(self, "w", w)
-
-
-@dataclass(frozen=True)
-class SpectralInfo:
-    """Second largest singular value of a weight matrix and its spectral gap."""
-
-    sigma2: float
-    gap: float
 
 
 def build_grid_graph(rows, cols):
@@ -134,19 +123,19 @@ def build_complete_graph(n):
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
-def random_connected_graph(n, p, seed, max_tries=1000):
-    """Erdos-Renyi G(n, p) conditioned on connectivity, by rejection."""
+def random_connected_graph(n, p, seed):
+    """Erdos-Renyi G(n, p) conditioned on connectivity, by rejection (1000 tries)."""
     if n < 2:
         raise ValueError("need at least two nodes")
     if not 0 < p <= 1:
         raise ValueError("edge probability must be in (0, 1]")
     rng = np.random.default_rng(seed)
     pairs = np.stack(np.triu_indices(n, 1), axis=1)  # row-major, i < j
-    for _ in range(max_tries):
+    for _ in range(1000):
         edges = pairs[rng.random(len(pairs)) < p]
         if _connected(n, edges):
             return Graph(n, edges)
-    raise RuntimeError("failed to sample a connected graph; raise p or max_tries")
+    raise RuntimeError("failed to sample a connected graph in 1000 tries; raise p")
 
 
 def metropolis_weights(graph):
@@ -168,15 +157,14 @@ def uniform_complete_weights(n):
 
 
 def second_singular_value(weights):
-    """sigma2 of the mixing matrix; 0 by convention for n = 1.
+    """sigma2 of the mixing matrix, a float; 0 by convention for n = 1.
 
     W is symmetric, so its singular values are the absolute values of its
     eigenvalues: sigma2 is the second largest |lambda| from eigvalsh.
     """
     if weights.n == 1:
-        return SpectralInfo(0.0, 1.0)
-    sigma2 = float(np.sort(np.abs(np.linalg.eigvalsh(weights.w)))[-2])
-    return SpectralInfo(sigma2, 1.0 - sigma2)
+        return 0.0
+    return float(np.sort(np.abs(np.linalg.eigvalsh(weights.w)))[-2])
 
 
 def mix(weights, states):

@@ -11,11 +11,12 @@ keeps runs reproducible; the batch oracle takes that round's draws, which
 oracle_noise produces from the generator a block of rounds at a time.
 
 Two granularities coexist.  The scalar functions (loss_value,
-gradient_exact, gradient_stochastic) evaluate one agent at one round and
-serve as the readable reference.  The batch oracles (gradients_exact_batch,
-gradients_stochastic_batch) evaluate every agent of one round, and of every
-replicate at once when stack_replicates has given the ensemble and path a
-leading replicate axis.  The whole-horizon functions
+gradient_exact, gradient_stochastic) evaluate one agent at one round; no
+run calls them, and tests check the batch and whole-horizon functions
+against them as the independent, readable reference.  The batch oracles
+(gradients_exact_batch, gradients_stochastic_batch) evaluate every agent of
+one round, and of every replicate at once when stack_replicates has given
+the ensemble and path a leading replicate axis.  The whole-horizon functions
 (global_loss_batch, agent_loss_batch, centers_outside_domain) take a
 (T, m, d) stack whose row t-1 is evaluated under round t's loss, for
 every round at once.  They walk the rounds in blocks of about
@@ -146,18 +147,15 @@ def synthetic_suite(seed, n, d, horizon, domain, kind="synthetic_quadratic",
     raise ValueError(f"unknown synthetic kind {kind!r}")
 
 
-def linear_ensemble(gradients, domain, noise_scale=0.0):
-    """Linear losses from an explicit (horizon, n, d) gradient array."""
+def linear_ensemble(gradients, domain):
+    """Linear losses from an explicit (horizon, n, d) gradient array, exact oracle."""
     gradients = np.asarray(gradients, dtype=float)
     if domain.kind == "simplex":
         worst = float(np.abs(gradients).max(axis=2).max())
-        g = worst + noise_scale
     else:
         worst = float(np.linalg.norm(gradients, axis=2).max())
-        g = worst + noise_scale * np.sqrt(gradients.shape[2])
     _, n, d = gradients.shape
-    return LossEnsemble("synthetic_linear", n, d, worst, g * g,
-                        gradients=gradients, noise_scale=noise_scale)
+    return LossEnsemble("synthetic_linear", n, d, worst, worst * worst, gradients=gradients)
 
 
 def _star(path, t):
@@ -168,41 +166,12 @@ def _centers(ens, path, t):
     return _star(path, t)[..., None, :] + ens.offsets[..., t - 1, :, :]
 
 
-def tracking_loss_value(ens, i, t, x, path):
-    """Expected square observation error for agent i at round t."""
-    k = ens.obs.assignment[i]
-    gap = _star(path, t)[k] - np.asarray(x, dtype=float)[k]
-    return float(gap * gap + ens.obs.noise_var)
-
-
-def tracking_gradient_exact(ens, i, t, x, path):
-    k = ens.obs.assignment[i]
-    g = np.zeros(ens.d)
-    g[k] = 2.0 * (np.asarray(x, dtype=float)[k] - _star(path, t)[k])
-    return g
-
-
-def tracking_gradient_stochastic(ens, i, t, x, path, rng):
-    """One noisy observation turned into an update direction.
-
-    Draws z = target_k + w with w uniform on the observation support and
-    returns -e_k (z - x_k), doubled when the ensemble is configured for an
-    unbiased oracle.
-    """
-    k = ens.obs.assignment[i]
-    w = rng.uniform(ens.obs.noise_low, ens.obs.noise_high)
-    z = _star(path, t)[k] + w
-    g = np.zeros(ens.d)
-    g[k] = -(z - np.asarray(x, dtype=float)[k])
-    if not ens.innovation:
-        g[k] *= 2.0
-    return g
-
-
 def loss_value(ens, i, t, x, path):
     x = np.asarray(x, dtype=float)
     if ens.kind == "tracking_square":
-        return tracking_loss_value(ens, i, t, x, path)
+        k = ens.obs.assignment[i]
+        gap = _star(path, t)[k] - x[k]
+        return float(gap * gap + ens.obs.noise_var)
     if ens.kind == "synthetic_quadratic":
         diff = x - _centers(ens, path, t)[i]
         return float(diff @ diff)
@@ -212,15 +181,31 @@ def loss_value(ens, i, t, x, path):
 def gradient_exact(ens, i, t, x, path):
     x = np.asarray(x, dtype=float)
     if ens.kind == "tracking_square":
-        return tracking_gradient_exact(ens, i, t, x, path)
+        k = ens.obs.assignment[i]
+        g = np.zeros(ens.d)
+        g[k] = 2.0 * (x[k] - _star(path, t)[k])
+        return g
     if ens.kind == "synthetic_quadratic":
         return 2.0 * (x - _centers(ens, path, t)[i])
     return np.array(ens.gradients[t - 1, i])
 
 
 def gradient_stochastic(ens, i, t, x, path, rng):
+    """One stochastic gradient of f[i, t] at x, drawn from rng.
+
+    tracking: draws z = target_k + w with w uniform on the observation
+    support and returns -e_k (z - x_k), doubled when the ensemble is
+    configured for an unbiased oracle.  synthetic: the exact gradient plus
+    uniform noise of half-width noise_scale.
+    """
     if ens.kind == "tracking_square":
-        return tracking_gradient_stochastic(ens, i, t, x, path, rng)
+        k = ens.obs.assignment[i]
+        z = _star(path, t)[k] + rng.uniform(ens.obs.noise_low, ens.obs.noise_high)
+        g = np.zeros(ens.d)
+        g[k] = -(z - np.asarray(x, dtype=float)[k])
+        if not ens.innovation:
+            g[k] *= 2.0
+        return g
     g = gradient_exact(ens, i, t, x, path)
     if ens.noise_scale > 0:
         g = g + rng.uniform(-ens.noise_scale, ens.noise_scale, ens.d)
@@ -366,22 +351,20 @@ def _agent_block(ens, rounds, stars, x):
     return np.einsum("bnd,bnd->bn", ens.gradients[rounds], x)
 
 
-def _evaluate(block, ens, path, x, first=1):
-    """Apply a block kernel to rounds first .. first+T-1 of a (T, m, d) stack."""
+def _evaluate(block, ens, path, x):
+    """Apply a block kernel to rounds 1 .. T of a (T, m, d) stack."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != ens.d:
         raise ValueError(f"expected a (T, m, {ens.d}) stack, got shape {x.shape}")
     horizon, m, _ = x.shape
-    last = first - 1 + horizon
-    check_rounds("path.states", path.states, last)
+    check_rounds("path.states", path.states, horizon)
     if ens.kind == "synthetic_quadratic":
-        check_rounds("ens.offsets", ens.offsets, last)
+        check_rounds("ens.offsets", ens.offsets, horizon)
     elif ens.kind == "synthetic_linear":
-        check_rounds("ens.gradients", ens.gradients, last)
+        check_rounds("ens.gradients", ens.gradients, horizon)
     out = np.empty((horizon, m))
-    for rows in _round_blocks(horizon, max(m, ens.n) * ens.d):
-        rounds = slice(first - 1 + rows.start, first - 1 + rows.stop)
-        out[rows] = block(ens, rounds, path.states[rounds], x[rows])
+    for rounds in _round_blocks(horizon, max(m, ens.n) * ens.d):
+        out[rounds] = block(ens, rounds, path.states[rounds], x[rounds])
     return out
 
 
@@ -401,12 +384,6 @@ def agent_loss_batch(ens, path, x):
     if x.ndim != 3 or x.shape[1] != ens.n:
         raise ValueError(f"expected one row per agent ({ens.n}), got shape {x.shape}")
     return _evaluate(_agent_block, ens, path, x)
-
-
-def global_loss(ens, t, x, path):
-    """Network-average loss f_t at one point x."""
-    point = np.asarray(x, dtype=float)[None, None, :]
-    return float(_evaluate(_global_block, ens, path, point, first=t)[0, 0])
 
 
 def centers_outside_domain(ens, path, domain):

@@ -19,8 +19,7 @@ from domd.geometry import (box_domain, euclidean_geometry, kl_geometry, prox,
 from domd.harness import (run_experiment, stochastic_mean_regret, sweep,
                           target_position_path_length, tracking_error_stats,
                           variation_scaling_study, verify_bounds)
-from domd.objectives import (gradient_exact, tracking_ensemble,
-                             tracking_gradient_stochastic)
+from domd.objectives import gradient_exact, gradient_stochastic, tracking_ensemble
 
 SMALL_QUAD = """
 [experiment]
@@ -223,7 +222,7 @@ def test_08_oracle_expectation(record_criterion):
     rng = np.random.default_rng(0)
     total = 0.0
     for _ in range(draws):
-        total += tracking_gradient_stochastic(ens, i, t, x, path, rng)[k]
+        total += gradient_stochastic(ens, i, t, x, path, rng)[k]
     mean = total / draws
     se = np.sqrt(1.0 / 3.0 / draws)  # single-draw variance = var U[-1,1]
     dev = abs(mean - 0.5 * exact[k])

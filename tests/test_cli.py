@@ -1,8 +1,13 @@
 """Command line interface: subcommands, outputs, exit codes."""
 
+from dataclasses import replace
+
 import pytest
 
+import domd.cli
 from domd.cli import main
+from domd.config import load_config
+from domd.harness import run_experiment
 
 QUAD = """
 [experiment]
@@ -97,6 +102,32 @@ def test_sweep_over_horizon_is_a_config_error(quad_config, tmp_path, capsys):
     assert code == 1
     assert "config error: cannot sweep experiment.horizon" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("param, values, message", [
+    ("experiment.runs", "1,5", "cannot sweep experiment.runs"),
+    ("network.rows", "2.7", "not an integer"),
+    ("loss.obs_noise_low", "5", "obs_noise_low must not exceed"),
+])
+def test_sweep_refusals_are_config_errors(quad_config, tmp_path, capsys, param, values,
+                                          message):
+    out = tmp_path / "x"
+    code = main(["sweep", "--config", quad_config, "--out", str(out),
+                 "--param", param, "--values", values, "--runs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+def test_run_exits_2_on_a_bound_violation(quad_config, tmp_path, capsys, monkeypatch):
+    result = run_experiment(load_config(quad_config))
+    low = replace(result.bounds, total=result.regret.dynamic_regret - 1.0)
+    monkeypatch.setattr(domd.cli, "run_experiment",
+                        lambda cfg, **kwargs: replace(result, bounds=low))
+    code = main(["run", "--config", quad_config, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "bound violation: regret_total" in capsys.readouterr().err
 
 
 def test_verify_command(tmp_path, capsys):

@@ -6,9 +6,8 @@ import pytest
 from domd.dynamics import (LinearDynamics, generate_path, identity_dynamics,
                            linear_dynamics, load_path_csv, ncv_disturbances,
                            ncv_dynamics, ncv_noise_covariance, path_variation,
-                           save_path_csv, verify_reconstruction,
-                           with_nonexpansive_verdict)
-from domd.geometry import box_domain, euclidean_geometry
+                           save_path_csv, verify_reconstruction)
+from domd.geometry import box_domain, check_nonexpansive, euclidean_geometry
 
 
 def test_ncv_matrix_layout():
@@ -29,7 +28,7 @@ def test_ncv_block_spectral_norm_exceeds_one():
 
 def test_dynamics_validation():
     with pytest.raises(ValueError, match="square"):
-        LinearDynamics(np.zeros((2, 3)), 2)
+        LinearDynamics(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-finite"):
         linear_dynamics(np.array([[np.inf]]))
     with pytest.raises(ValueError, match="positive"):
@@ -38,8 +37,8 @@ def test_dynamics_validation():
 
 def test_nonexpansive_verdict_cached():
     geom = euclidean_geometry(box_domain([-1.0] * 4, [1.0] * 4))
-    assert with_nonexpansive_verdict(identity_dynamics(4), geom).nonexpansive
-    assert not with_nonexpansive_verdict(ncv_dynamics(0.1), geom).nonexpansive
+    assert check_nonexpansive(geom, identity_dynamics(4).a).passed
+    assert not check_nonexpansive(geom, ncv_dynamics(0.1).a).passed
 
 
 def test_ncv_covariance_blocks():

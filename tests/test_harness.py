@@ -13,14 +13,14 @@ from domd.csvio import read_csv
 from domd.engine import run
 from domd.dynamics import _ncv_noise_factor
 from domd.harness import (_build_case, _derive_seed, _ORACLE, _PATH, _suite_case,
-                          build_domain, build_dynamics, build_graph,
+                          SLACK_TOL, build_domain, build_dynamics, build_graph,
                           build_geometry, build_noise, build_schedule,
                           build_weights, bound_suite, exact_run_violations,
                           run_experiment, run_experiments, stochastic_mean_regret,
                           sweep, target_position_path_length,
                           tracking_error_stats, variation_scaling_study,
                           verify_bounds)
-from domd.metrics import dynamic_regret, tuned_step
+from domd.metrics import dynamic_regret, network_disagreement, tuned_step
 
 EXACT_QUAD = """
 [experiment]
@@ -235,6 +235,25 @@ def test_exact_run_satisfies_guarantees():
     assert exact_run_violations(noisy) == ()
 
 
+def test_exact_run_violations_names_each_broken_guarantee():
+    result = run_experiment(_quad_cfg())
+    regret = result.regret.dynamic_regret
+    dis = network_disagreement(result.trace)[1:]
+    assert dis.max() > SLACK_TOL
+
+    def shrunk(**changes):
+        return replace(result, bounds=replace(result.bounds, **changes))
+
+    low_total = {"total": regret - 1e-6}
+    low_curve = {"disagreement_curve": np.zeros_like(dis)}
+    assert exact_run_violations(shrunk(**low_total)) == ("regret_total",)
+    assert exact_run_violations(shrunk(**low_curve)) == ("disagreement",)
+    assert exact_run_violations(shrunk(**low_total, **low_curve)) == (
+        "regret_total", "disagreement")
+    # an overshoot within SLACK_TOL is rounding, not a violation
+    assert exact_run_violations(shrunk(total=regret - 0.5 * SLACK_TOL)) == ()
+
+
 def test_tracking_error_stats_and_path_length():
     cfg = _quad_cfg(horizon=40)
     result = run_experiment(cfg)
@@ -252,6 +271,13 @@ def test_tracking_error_stats_and_path_length():
     path = generate_path(identity_dynamics(2), np.tile([0.01, 0.0], (100, 1)),
                          np.array([-10.0, 0.0]), 100)
     assert target_position_path_length(path, position_dims=(0, 1)) == pytest.approx(1.0)
+
+
+def test_tracking_error_stats_rejects_empty_tail():
+    result = run_experiment(_quad_cfg(horizon=10))
+    for tail in (0, -1, -5):
+        with pytest.raises(ValueError, match="tail"):
+            tracking_error_stats(result.trace, result.path, tail=tail)
 
 
 def test_sweep_parameter_resolution():
@@ -273,6 +299,31 @@ def test_sweep_parameter_resolution():
     for param, value in (("experiment.horizon", 5), ("horizon", 10)):
         with pytest.raises(ConfigError, match="cannot sweep experiment.horizon"):
             sweep(cfg, param, (value,))
+    # the replicate count is the runs argument, so a swept runs is refused too
+    for param, value in (("experiment.runs", 5), ("runs", 1)):
+        with pytest.raises(ConfigError, match="cannot sweep experiment.runs"):
+            sweep(cfg, param, (value,))
+    # an integral float is a valid value for an int key
+    assert sweep(cfg, "network.rows", (3.0,)).values == (3.0,)
+
+
+@pytest.mark.parametrize("cfg, param, values, message", [
+    (_quad_cfg(horizon=10, runs=1), "network.rows", (2.0, 2.7), "not an integer"),
+    (_quad_cfg(horizon=10, runs=1), "geometry.box_low", (-6.0, 20000.0),
+     "box_low must be below geometry.box_high"),
+    (_tracking_cfg(horizon=10, runs=1), "loss.obs_noise_low", (0.0, 5.0),
+     "obs_noise_low must not exceed"),
+    (_tracking_cfg(horizon=10, runs=1), "geometry.dim", (4, 3),
+     "dynamics.model=ncv requires geometry.dim=4"),
+])
+def test_sweep_checks_every_value_before_any_run(cfg, param, values, message, monkeypatch):
+    # the config-file rules, cross-field ones included, hold for swept values
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before every value was checked")
+
+    monkeypatch.setattr(domd.harness, "run_experiments", no_run)
+    with pytest.raises(ConfigError, match=message):
+        sweep(cfg, param, values)
 
 
 def test_sweep_shapes_and_outputs(tmp_path):

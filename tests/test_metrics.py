@@ -20,8 +20,8 @@ from domd.metrics import (best_fixed_point, disagreement_envelope, dynamic_regre
                           write_regret_csv)
 from domd.network import (build_grid_graph, metropolis_weights,
                           second_singular_value, uniform_complete_weights)
-from domd.objectives import (global_loss, global_loss_batch, linear_ensemble,
-                             loss_value, synthetic_suite, tracking_ensemble)
+from domd.objectives import (global_loss_batch, linear_ensemble, loss_value,
+                             synthetic_suite, tracking_ensemble)
 
 BOX1 = box_domain([-1.0, -1.0], [1.0, 1.0])  # R^2 = 4, K = 2 sqrt(2)
 
@@ -132,10 +132,10 @@ def test_tuned_guarantee_validation_and_fallback():
     consts = _consts()
     with pytest.raises(ValueError, match="horizon"):
         tuned_step_guarantee(consts, 1.0, 0.5, 1.0, 4, 0)
-    with pytest.raises(ValueError, match="c_t"):
-        tuned_step_guarantee(consts, 1.0, 0.5, 0.0, 4, 10)
-    value = tuned_step_guarantee(consts, 1.0, 0.5, 0.0, 4, 10, fallback_eta=0.3)
-    assert np.isfinite(value) and value > 0
+    # no fallback step: zero or negative anticipated variation is an error
+    for c_t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="c_t"):
+            tuned_step_guarantee(consts, 1.0, 0.5, c_t, 4, 10)
 
 
 def test_guarantee_validation():
@@ -323,7 +323,7 @@ def test_guarantees_dominate_small_exact_runs():
     geom = euclidean_geometry(domain)
     dyn = identity_dynamics(2)
     weights = metropolis_weights(build_grid_graph(2, 2))
-    sigma2 = second_singular_value(weights).sigma2
+    sigma2 = second_singular_value(weights)
     horizon = 50
     etas = 0.2 / np.sqrt(np.arange(1, horizon + 2))
     consts = geometry_constants(geom)
@@ -391,10 +391,14 @@ def test_measurements_match_scalar_reference(kind):
     trace, ens, path, box = _measured_case(kind)
     horizon, n = trace.horizon, trace.n
     comparator = best_fixed_point(ens, path, box, horizon)
-    at_iterates = [np.mean([global_loss(ens, t, trace.x[t - 1, j], path) for j in range(n)])
+
+    def average_loss(t, point):
+        return np.mean([loss_value(ens, i, t, point, path) for i in range(n)])
+
+    at_iterates = [np.mean([average_loss(t, trace.x[t - 1, j]) for j in range(n)])
                    for t in range(1, horizon + 1)]
-    at_targets = [global_loss(ens, t, path.states[t - 1], path) for t in range(1, horizon + 1)]
-    at_fixed = [global_loss(ens, t, comparator, path) for t in range(1, horizon + 1)]
+    at_targets = [average_loss(t, path.states[t - 1]) for t in range(1, horizon + 1)]
+    at_fixed = [average_loss(t, comparator) for t in range(1, horizon + 1)]
     local = sum(loss_value(ens, i, t, trace.x[t - 1, i], path)
                 - loss_value(ens, i, t, path.states[t - 1], path)
                 for t in range(1, horizon + 1) for i in range(n)) / n

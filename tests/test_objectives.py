@@ -10,7 +10,7 @@ from domd.dynamics import MinimizerPath, generate_path, identity_dynamics
 from domd.geometry import (box_domain, contains, diameter, sample_domain,
                            simplex_domain)
 from domd.objectives import (agent_loss_batch, centers_outside_domain,
-                             coordinate_groups, global_loss, global_loss_batch,
+                             coordinate_groups, global_loss_batch,
                              gradient_exact, gradient_stochastic,
                              gradients_exact_batch, gradients_stochastic_batch,
                              linear_ensemble, loss_value, oracle_noise,
@@ -152,8 +152,8 @@ def test_global_loss_matches_agent_average():
         for t in (1, 7):
             direct = np.mean([loss_value(family, i, t, point, path)
                               for i in range(family.n)])
-            assert global_loss(family, t, point, path) == pytest.approx(
-                direct, rel=1e-12)
+            batch = global_loss_batch(family, path, np.broadcast_to(point, (t, 1, 4)))
+            assert batch[t - 1, 0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_linear_gradients_have_unit_dual_norm():
@@ -351,8 +351,6 @@ def test_whole_horizon_losses_match_scalar_reference(name, block, monkeypatch):
             values = [loss_value(ens, i, t, x[t - 1, j], path) for i in range(ens.n)]
             if j < m:
                 assert glob[t - 1, j] == pytest.approx(np.mean(values), rel=1e-12)
-                assert global_loss(ens, t, x[t - 1, j], path) == pytest.approx(
-                    glob[t - 1, j], rel=1e-12)
             assert agents[t - 1, j] == pytest.approx(values[j], rel=1e-12)
 
 
