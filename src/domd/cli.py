@@ -5,6 +5,7 @@ guarantee check detects a violation.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -105,6 +106,8 @@ def _cmd_sweep(args):
 def _cmd_verify(args):
     if args.seeds < 1:
         raise ConfigError("--seeds must be at least 1")
+    if not (math.isfinite(args.l_scale) and args.l_scale > 0):
+        raise ConfigError(f"--l-scale must be positive and finite, got {args.l_scale}")
     report = verify_bounds(args.seeds, out_dir=args.out, l_scale=args.l_scale)
     for row in report.rows:
         if not row.passed:

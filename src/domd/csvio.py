@@ -3,6 +3,13 @@
 All files use a header row, comma separators, LF newlines and floats
 rendered with 17 significant digits so that identical inputs produce
 byte-identical output.
+
+Numeric tables (trajectories, regret and bound curves, sweep curves) pass
+as one 2-D float array and are written one row at a time through a single
+"%.17g" template.  That is the same rendering fmt gives a float, and an
+integer-valued float below 2**53, such as a round index t, prints as the
+integer does.  Rows that mix strings, flags or empty cells go through fmt
+one cell at a time.
 """
 
 import numpy as np
@@ -24,14 +31,21 @@ def fmt(value):
 def write_csv(path, header, rows, comments=()):
     """Write rows of cells to path.
 
-    comments are emitted first, one per line, prefixed with '# '.
+    rows is either a 2-D float array, written with one "%.17g" template per
+    row (integer-valued cells below 2**53 print as integers), or a sequence
+    of rows of mixed cells, each rendered by fmt.  comments are emitted
+    first, one per line, prefixed with '# '.
     """
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write("# " + line + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        if isinstance(rows, np.ndarray):
+            template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            fh.writelines(template % tuple(row) for row in rows.tolist())
+        else:
+            for row in rows:
+                fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def read_csv(path):

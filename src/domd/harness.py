@@ -150,6 +150,21 @@ def _run_batch(weights, geom, dyn, replicates, horizon, mode, x0=None):
     return run_replicates(weights, geom, dyn, replicates, horizon, mode, x0)
 
 
+def _start_target(cfg, domain):
+    """The target's initial state: noise.target_init if set, else the simplex's
+    uniform point or the origin.  Raises ConfigError when it lies outside the domain.
+    """
+    if cfg.target_init:
+        target0 = np.asarray(cfg.target_init, dtype=float)
+    elif domain.kind == "simplex":
+        target0 = np.full(cfg.dim, 1.0 / cfg.dim)
+    else:
+        target0 = np.zeros(cfg.dim)
+    if domain.kind != "free" and not contains(domain, target0):
+        raise ConfigError("noise.target_init lies outside the domain")
+    return target0
+
+
 def run_experiments(cfg, run_indices, x0=None):
     """Assemble and execute the runs `run_indices` of one config; yields RunResults.
 
@@ -169,14 +184,7 @@ def run_experiments(cfg, run_indices, x0=None):
     domain = build_domain(cfg)
     geom = build_geometry(cfg, domain)
     dyn = build_dynamics(cfg)
-    if cfg.target_init:
-        target0 = np.asarray(cfg.target_init, dtype=float)
-    elif domain.kind == "simplex":
-        target0 = np.full(cfg.dim, 1.0 / cfg.dim)
-    else:
-        target0 = np.zeros(cfg.dim)
-    if domain.kind != "free" and not contains(domain, target0):
-        raise ConfigError("noise.target_init lies outside the domain")
+    target0 = _start_target(cfg, domain)
     consts = geometry_constants(geom)
     for batch in _replicate_batches(run_indices, cfg.horizon, weights.n, cfg.dim):
         replicates, variations = [], []
@@ -219,14 +227,14 @@ def _write_run_outputs(result, out_dir):
     write_regret_csv(result.regret, os.path.join(out_dir, "regret.csv"), comments)
     dis = network_disagreement(trace)
     csvio.write_csv(os.path.join(out_dir, "disagreement.csv"), ["t", "disagreement"],
-                    [[t + 1, dis[t]] for t in range(dis.size)], comments)
+                    np.column_stack([np.arange(1, dis.size + 1), dis]), comments)
     d, n = trace.d, trace.n
     header = (["t"] + [f"target{k + 1}" for k in range(d)]
               + [f"agent{i + 1}_{k + 1}" for i in range(n) for k in range(d)])
     steps = trace.horizon + 1
-    table = np.concatenate([path.states[:steps], trace.x.reshape(steps, -1)], axis=1)
-    rows = [[t + 1] + row for t, row in enumerate(table.tolist())]
-    csvio.write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows, comments)
+    table = np.concatenate([np.arange(1.0, steps + 1)[:, None], path.states[:steps],
+                            trace.x.reshape(steps, -1)], axis=1)
+    csvio.write_csv(os.path.join(out_dir, "trajectory.csv"), header, table, comments)
     if result.bounds is not None:
         write_bound_csv(result.bounds, os.path.join(out_dir, "bounds.csv"), comments)
 
@@ -293,7 +301,8 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     Per-run seeds derive from (master seed, run index), so they are pairwise
     distinct and the whole sweep is reproducible.  Unless noise.fixed_path
     is set, each replicate redraws the target path.  Every value is checked
-    like a config file value, cross-field rules included, before any run.
+    like a config file value, cross-field rules and the start target's
+    place in the domain included, before any run.
     """
     attr, typ, check, _ = _resolve_param(param)
     if attr in ("horizon", "runs"):  # the only keys a sweep cannot vary
@@ -311,7 +320,9 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
         value = typ(value)
         if check is not None and not check(value):
             raise ConfigError(f"sweep value {value!r} out of range for {param}")
-        configs.append(cross_validate(replace(cfg, **{attr: value})))
+        cfg_v = cross_validate(replace(cfg, **{attr: value}))
+        _start_target(cfg_v, build_domain(cfg_v))
+        configs.append(cfg_v)
     horizon = cfg.horizon
     mean_curves, std_curves = [], []
     for cfg_v in configs:
@@ -327,8 +338,14 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         comments = [f"config_hash={config_hash(cfg)}", f"param={param}", f"runs={runs}"]
-        rows = [[v, t + 1, mean_curves[k, t], std_curves[k, t]]
-                for k, v in enumerate(result.values) for t in range(horizon)]
+        values = result.values
+        rows = np.column_stack([np.repeat(np.asarray(values, dtype=float), horizon),
+                                np.tile(np.arange(1, horizon + 1), len(values)),
+                                mean_curves.ravel(), std_curves.ravel()])
+        if any(csvio.fmt(float(v)) != csvio.fmt(v) for v in values):
+            # a float column would change a value's cells (it rounds an int
+            # above 2**53): write each value as passed, through fmt
+            rows = [[values[i // horizon]] + row[1:] for i, row in enumerate(rows.tolist())]
         csvio.write_csv(os.path.join(out_dir, "sweep.csv"),
                         ["value", "t", "mean_normalized", "std_normalized"], rows, comments)
     return result
@@ -500,11 +517,15 @@ def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
     nonnegativity of regret.  Noisy-oracle cases are averaged across seeds
     and checked against the expected-regret variant.  l_scale deliberately
     rescales the declared Lipschitz constant; 1.0 verifies, 0.5 is the
-    negative control that must produce detected violations.  A check passes
+    negative control that must produce detected violations; it must be
+    positive and finite, since a scale of zero or below turns every bound
+    negative and reports violations that test nothing.  A check passes
     when its slack is at least -SLACK_TOL.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
+    if not (np.isfinite(l_scale) and l_scale > 0):
+        raise ValueError(f"l_scale must be positive and finite, got {l_scale}")
     rows = []
     for case in bound_suite():
         stochastic = case.oracle_noise > 0

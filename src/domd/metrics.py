@@ -277,9 +277,9 @@ def write_regret_csv(report, file, comments=()):
         ("path_variation", report.path_variation),
     ]
     lead = list(comments) + [f"{k}={csvio.fmt(v)}" for k, v in scalars if v is not None]
-    rows = [[t + 1, report.instant[t], report.cumulative[t], report.normalized[t]]
-            for t in range(report.instant.size)]
-    csvio.write_csv(file, ["t", "instant", "cumulative", "normalized"], rows, lead)
+    table = np.column_stack([np.arange(1, report.instant.size + 1), report.instant,
+                             report.cumulative, report.normalized])
+    csvio.write_csv(file, ["t", "instant", "cumulative", "normalized"], table, lead)
 
 
 def write_bound_csv(report, file, comments=()):
@@ -296,6 +296,6 @@ def write_bound_csv(report, file, comments=()):
     ]
     lead = list(comments) + [f"{k}={csvio.fmt(v)}" for k, v in scalars]
     lead += [f"note={n}" for n in report.notes]
-    rows = [[t + 1, report.disagreement_curve[t]]
-            for t in range(report.disagreement_curve.size)]
-    csvio.write_csv(file, ["t", "disagreement_bound"], rows, lead)
+    curve = report.disagreement_curve
+    table = np.column_stack([np.arange(1, curve.size + 1), curve])
+    csvio.write_csv(file, ["t", "disagreement_bound"], table, lead)

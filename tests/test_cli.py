@@ -154,6 +154,17 @@ def test_verify_rejects_bad_seed_count(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("l_scale", ["0", "-1", "nan"])
+def test_verify_rejects_non_positive_l_scale(tmp_path, capsys, l_scale):
+    code = main(["verify-bounds", "--seeds", "1", "--out", str(tmp_path / "v"),
+                 "--l-scale", l_scale])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "config error: --l-scale must be positive" in captured.err
+    assert "VIOLATION" not in captured.err
+    assert not (tmp_path / "v").exists()
+
+
 def test_config_errors_exit_one(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path / "out")])

@@ -1,6 +1,10 @@
 """Cell formatting and CSV round trips."""
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from domd import csvio
 
@@ -53,3 +57,43 @@ def test_lf_newlines_only(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+# cells where a 17-digit rendering could go wrong: specials, signed zero,
+# subnormals, the ends of the float range and integers
+_EDGE_FLOATS = st.sampled_from([
+    float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+    1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0 ** 53, 1e16, 1e17,
+])
+_CELLS = st.one_of(_EDGE_FLOATS, st.floats(),
+                   st.integers(-10 ** 6, 10 ** 6).map(float))
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                    elements=_CELLS))
+@example(table=np.empty((0, 3)))
+@example(table=np.array([[-0.0], [float("nan")], [5e-324]]))
+def test_float_table_bytes_match_cell_by_cell(csv_dir, table):
+    # the array path writes exactly what fmt writes for the same cells
+    header = [f"c{k}" for k in range(table.shape[1])]
+    csvio.write_csv(csv_dir / "array.csv", header, table, comments=["seed=1"])
+    csvio.write_csv(csv_dir / "cells.csv", header, table.tolist(), comments=["seed=1"])
+    assert (csv_dir / "array.csv").read_bytes() == (csv_dir / "cells.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ints=st.lists(st.integers(-2 ** 53, 2 ** 53), max_size=8),
+       value=_CELLS)
+def test_integer_valued_float_column_prints_as_int(csv_dir, ints, value):
+    # an index column held as floats renders as the ints it replaced
+    table = np.column_stack([np.array(ints, dtype=float), np.full(len(ints), value)])
+    csvio.write_csv(csv_dir / "array.csv", ["t", "x"], table)
+    csvio.write_csv(csv_dir / "cells.csv", ["t", "x"], [[t, value] for t in ints])
+    assert (csv_dir / "array.csv").read_bytes() == (csv_dir / "cells.csv").read_bytes()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import domd.harness
-from domd.config import ConfigError, config_hash, parse_config
+from domd.config import ConfigError, ExperimentConfig, config_hash, parse_config
 from domd.csvio import read_csv
 from domd.engine import run
 from domd.dynamics import _ncv_noise_factor
@@ -315,6 +315,9 @@ def test_sweep_parameter_resolution():
      "obs_noise_low must not exceed"),
     (_tracking_cfg(horizon=10, runs=1), "geometry.dim", (4, 3),
      "dynamics.model=ncv requires geometry.dim=4"),
+    # the start target (0, 1, 0, 1) leaves a box whose upper bound is 0.5
+    (_tracking_cfg(horizon=10, runs=2), "geometry.box_high", (10000.0, 0.5),
+     "target_init lies outside the domain"),
 ])
 def test_sweep_checks_every_value_before_any_run(cfg, param, values, message, monkeypatch):
     # the config-file rules, cross-field ones included, hold for swept values
@@ -337,6 +340,27 @@ def test_sweep_shapes_and_outputs(tmp_path):
     assert header == ["value", "t", "mean_normalized", "std_normalized"]
     assert len(rows) == 2 * 30
     assert any("param=eta0" in c for c in comments)
+
+
+def test_sweep_csv_value_column_as_passed(tmp_path):
+    # int keys print as ints, one block of horizon rows per value
+    sweep(ExperimentConfig(horizon=5, runs=1), "network.rows", (2, 3), out_dir=tmp_path)
+    _, _, rows = read_csv(tmp_path / "sweep.csv")
+    assert [row[:2] for row in rows[::5]] == [["2", "1"], ["3", "1"]]
+    assert [row[1] for row in rows] == ["1", "2", "3", "4", "5"] * 2
+
+
+def test_sweep_csv_keeps_values_a_float_would_round(tmp_path):
+    # 2**53 + 1 has no float64; its cells must not print as 9007199254740992
+    big = 2 ** 53 + 1
+    result = sweep(ExperimentConfig(horizon=5, runs=1), "experiment.seed", (big, 3),
+                   out_dir=tmp_path)
+    _, _, rows = read_csv(tmp_path / "sweep.csv")
+    assert [row[0] for row in rows] == [str(big)] * 5 + ["3"] * 5
+    assert [row[1] for row in rows] == ["1", "2", "3", "4", "5"] * 2
+    cells = np.array([[float(c) for c in row[2:]] for row in rows])
+    np.testing.assert_array_equal(cells[:, 0], result.mean_curves.ravel())
+    np.testing.assert_array_equal(cells[:, 1], result.std_curves.ravel())
 
 
 def test_sweep_replicates_redraw_paths_unless_fixed():
@@ -430,6 +454,13 @@ def test_verify_bounds_negative_control():
     assert "box_linear_polarized_n3_t120" in failing
     with pytest.raises(ValueError, match="seed"):
         verify_bounds(seeds=0)
+
+
+@pytest.mark.parametrize("l_scale", [0.0, -1.0, float("nan"), float("inf")])
+def test_verify_bounds_rejects_non_positive_l_scale(l_scale):
+    # a scale of zero or below makes every bound negative: violations that test nothing
+    with pytest.raises(ValueError, match="l_scale must be positive"):
+        verify_bounds(seeds=1, l_scale=l_scale)
 
 
 def test_stochastic_mean_regret():
