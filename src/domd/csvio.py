@@ -4,12 +4,13 @@ All files use a header row, comma separators, LF newlines and floats
 rendered with 17 significant digits so that identical inputs produce
 byte-identical output.
 
-Numeric tables (trajectories, regret and bound curves, sweep curves) pass
+Numeric tables (trajectories, disagreement, regret and bound curves) pass
 as one 2-D float array and are written one row at a time through a single
 "%.17g" template.  That is the same rendering fmt gives a float, and an
 integer-valued float below 2**53, such as a round index t, prints as the
-integer does.  Rows that mix strings, flags or empty cells go through fmt
-one cell at a time.
+integer does.  Rows that mix strings, flags or empty cells, and values a
+float would change (a swept int above 2**53), go through fmt one cell at a
+time.
 """
 
 import numpy as np

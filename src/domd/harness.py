@@ -338,14 +338,8 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         comments = [f"config_hash={config_hash(cfg)}", f"param={param}", f"runs={runs}"]
-        values = result.values
-        rows = np.column_stack([np.repeat(np.asarray(values, dtype=float), horizon),
-                                np.tile(np.arange(1, horizon + 1), len(values)),
-                                mean_curves.ravel(), std_curves.ravel()])
-        if any(csvio.fmt(float(v)) != csvio.fmt(v) for v in values):
-            # a float column would change a value's cells (it rounds an int
-            # above 2**53): write each value as passed, through fmt
-            rows = [[values[i // horizon]] + row[1:] for i, row in enumerate(rows.tolist())]
+        rows = [[v, t + 1, mean_curves[k, t], std_curves[k, t]]
+                for k, v in enumerate(result.values) for t in range(horizon)]
         csvio.write_csv(os.path.join(out_dir, "sweep.csv"),
                         ["value", "t", "mean_normalized", "std_normalized"], rows, comments)
     return result
