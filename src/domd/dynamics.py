@@ -87,25 +87,31 @@ def ncv_disturbances(sigma_v2, eps, seed, horizon):
 
 @dataclass(frozen=True)
 class MinimizerPath:
-    """Target states x[1..T+1] (rows) and the disturbances v[1..T] that built them."""
+    """Target states x[1..T+1] (rows) and the disturbances v[1..T] that built them.
+
+    Both may carry leading replicate axes: states (..., T+1, d), noise (..., T, d).
+    """
 
     states: np.ndarray
     noise: np.ndarray
 
     @property
     def horizon(self):
-        return self.states.shape[0] - 1
+        return self.states.shape[-2] - 1
 
     @property
     def d(self):
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
 
 def generate_path(dyn, noise, x0, horizon):
     """Roll the target forward: states[0] = x0, states[t+1] = A states[t] + v[t].
 
-    noise holds the disturbances v[1..horizon] as a (horizon, d) array; the
-    path keeps its own copy.
+    noise holds the disturbances v[1..horizon] as a (horizon, d) array, or
+    as a (..., horizon, d) stack whose leading axes are replicates that all
+    start at x0.  A stack is rolled in one loop over rounds, each round one
+    stacked matrix-vector product, and every replicate's states are
+    bit-identical to rolling it alone.  The path keeps its own copy of noise.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -113,12 +119,16 @@ def generate_path(dyn, noise, x0, horizon):
     if x0.shape != (dyn.d,):
         raise ValueError("initial state dimension mismatch")
     v = np.array(noise, dtype=float)
-    if v.shape != (horizon, dyn.d):
-        raise ValueError(f"disturbances must have shape ({horizon}, {dyn.d}), got {v.shape}")
-    states = np.empty((horizon + 1, dyn.d))
-    states[0] = x0
+    if v.shape[-2:] != (horizon, dyn.d):
+        raise ValueError(f"disturbances must have shape ({horizon}, {dyn.d}), got {v.shape} "
+                         "(leading replicate axes are allowed)")
+    states = np.empty(v.shape[:-2] + (horizon + 1, dyn.d))
+    states[..., 0, :] = x0
+    # round-major (d, 1) column views: rows[t] is every replicate's state t
+    rows = np.moveaxis(states, -2, 0)[..., None]
+    steps = np.moveaxis(v, -2, 0)[..., None]
     for t in range(horizon):
-        states[t + 1] = dyn.a @ states[t] + v[t]
+        np.add(np.matmul(dyn.a, rows[t]), steps[t], out=rows[t + 1])
     return MinimizerPath(states, v)
 
 

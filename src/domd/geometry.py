@@ -12,6 +12,7 @@ D(x, y) >= ||x - y||^2 / 2 everywhere on the domain.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,15 @@ class Domain:
     lo: np.ndarray = None
     hi: np.ndarray = None
     floor: float = None
+
+    @cached_property
+    def _box_limits(self):
+        """(lo - DOMAIN_TOL, hi + DOMAIN_TOL), computed once; each is a float
+        when every coordinate shares it, so the extremes of x decide membership."""
+        lo, hi = self.lo - DOMAIN_TOL, self.hi + DOMAIN_TOL
+        if (lo == lo[0]).all() and (hi == hi[0]).all():
+            return float(lo[0]), float(hi[0])
+        return lo, hi
 
 
 def box_domain(lo, hi):
@@ -63,15 +73,22 @@ def inside(domain, x):
     if x.shape[-1] != domain.d:
         return np.zeros(x.shape[:-1], dtype=bool)
     if domain.kind == "free":
-        return np.all(np.isfinite(x), axis=-1)
+        return np.isfinite(x).all(axis=-1)
     if domain.kind == "box":
-        return np.all((x >= domain.lo - DOMAIN_TOL) & (x <= domain.hi + DOMAIN_TOL), axis=-1)
-    ok_floor = np.all(x >= domain.floor - DOMAIN_TOL, axis=-1)
+        lo, hi = domain._box_limits
+        return ((x >= lo) & (x <= hi)).all(axis=-1)
+    ok_floor = (x >= domain.floor - DOMAIN_TOL).all(axis=-1)
     return ok_floor & (np.abs(x.sum(axis=-1) - 1.0) <= domain.d * DOMAIN_TOL)
 
 
 def contains(domain, x):
     """Whether every point along the last axis of x lies in the domain."""
+    x = np.asarray(x, dtype=float)
+    if domain.kind == "box" and x.size and x.shape[-1] == domain.d:
+        lo, hi = domain._box_limits
+        if isinstance(lo, float):
+            # one pass over the extremes; a NaN extreme compares false, as in inside
+            return bool(lo <= x.min() and x.max() <= hi)
     return bool(inside(domain, x).all())
 
 
@@ -214,17 +231,17 @@ def prox(geom, gradient, y, eta):
     """
     g = np.asarray(gradient, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(eta <= 0):
+    if (np.asarray(eta) <= 0).any():
         raise ValueError("step size must be positive")
     if g.shape != y.shape:
         raise ValueError("gradient and anchor shapes differ")
     _require_inside(geom, y, "prox anchor")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
     if geom.kind == "euclidean":
         out = y - eta * g
         if geom.domain.kind == "box":
-            out = np.clip(out, geom.domain.lo, geom.domain.hi)
+            out.clip(geom.domain.lo, geom.domain.hi, out=out)  # np.clip, in place
         return out
     logw = np.log(y) - eta * g
     logw = logw - logw.max(axis=-1, keepdims=True)

@@ -20,15 +20,16 @@ import numpy as np
 
 from . import csvio
 from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_validate
-from .dynamics import (generate_path, identity_dynamics, linear_dynamics,
-                       ncv_disturbances, ncv_dynamics, path_variation)
+from .dynamics import (MinimizerPath, generate_path, identity_dynamics,
+                       linear_dynamics, ncv_disturbances, ncv_dynamics,
+                       path_variation)
 from .engine import run, run_replicates
 from .geometry import (box_domain, contains, euclidean_geometry, free_domain,
                        geometry_constants, kl_geometry, simplex_domain,
                        vector_norm)
-from .metrics import (dynamic_regret, network_disagreement, per_agent_loss_gap,
-                      regret_guarantee, static_regret, tuned_step,
-                      write_bound_csv, write_regret_csv)
+from .metrics import (dynamic_regret, iterate_losses, network_disagreement,
+                      per_agent_loss_gap, regret_guarantee, static_regret,
+                      tuned_step, write_bound_csv, write_regret_csv)
 from .network import (build_complete_graph, build_grid_graph, build_path_graph,
                       metropolis_weights, random_connected_graph,
                       second_singular_value, uniform_complete_weights)
@@ -165,6 +166,25 @@ def _start_target(cfg, domain):
     return target0
 
 
+def _replicate_inputs(cfg, dyn, domain, target0, run_indices):
+    """(path, ensemble) of each run in run_indices, in order.
+
+    The target paths are rolled together in one generate_path call; each is
+    bit-identical to rolling it alone.  Raises ConfigError when a synthetic
+    centre leaves the domain.
+    """
+    rolled = generate_path(dyn, np.stack([build_noise(cfg, i) for i in run_indices]),
+                           target0, cfg.horizon)
+    out = []
+    for run_index, states, noise in zip(run_indices, rolled.states, rolled.noise):
+        path = MinimizerPath(states, noise)
+        ens = build_ensemble(cfg, domain, run_index)
+        if centers_outside_domain(ens, path, domain):
+            raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
+        out.append((path, ens))
+    return out
+
+
 def run_experiments(cfg, run_indices, x0=None):
     """Assemble and execute the runs `run_indices` of one config; yields RunResults.
 
@@ -188,22 +208,21 @@ def run_experiments(cfg, run_indices, x0=None):
     consts = geometry_constants(geom)
     for batch in _replicate_batches(run_indices, cfg.horizon, weights.n, cfg.dim):
         replicates, variations = [], []
-        for run_index in batch:
-            path = generate_path(dyn, build_noise(cfg, run_index), target0, cfg.horizon)
-            ens = build_ensemble(cfg, domain, run_index)
-            if centers_outside_domain(ens, path, domain):
-                raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
+        for run_index, (path, ens) in zip(batch, _replicate_inputs(cfg, dyn, domain,
+                                                                   target0, batch)):
             c_t = path_variation(path, dyn, geom.norm_kind)
             etas = build_schedule(cfg, sigma2, c_t)
             replicates.append((ens, path, etas, _derive_seed(cfg.seed, _ORACLE, run_index)))
             variations.append(c_t)
         traces = _run_batch(weights, geom, dyn, replicates, cfg.horizon, cfg.gradient_mode, x0)
         for (ens, path, _, _), c_t, trace in zip(replicates, variations, traces):
-            regret = replace(dynamic_regret(trace, ens, path), path_variation=c_t)
+            losses = iterate_losses(trace, ens, path)
+            regret = replace(dynamic_regret(trace, ens, path, losses), path_variation=c_t)
             bounds = None
             lipschitz = float("nan")
             if consts.available:
-                regret = replace(regret, static_regret=static_regret(trace, ens, path, domain))
+                regret = replace(regret, static_regret=static_regret(trace, ens, path, domain,
+                                                                     losses))
                 lipschitz = ens.lipschitz
                 g2 = ens.second_moment if cfg.gradient_mode == "stochastic" else None
                 bounds = regret_guarantee(consts, lipschitz, sigma2, trace.etas,
@@ -302,7 +321,8 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     distinct and the whole sweep is reproducible.  Unless noise.fixed_path
     is set, each replicate redraws the target path.  Every value is checked
     like a config file value, cross-field rules and the start target's
-    place in the domain included, before any run.
+    place in the domain included, before any run; for synthetic quadratic
+    losses every replicate's centres are checked too.
     """
     attr, typ, check, _ = _resolve_param(param)
     if attr in ("horizon", "runs"):  # the only keys a sweep cannot vary
@@ -321,14 +341,23 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
         if check is not None and not check(value):
             raise ConfigError(f"sweep value {value!r} out of range for {param}")
         cfg_v = cross_validate(replace(cfg, **{attr: value}))
-        _start_target(cfg_v, build_domain(cfg_v))
+        domain = build_domain(cfg_v)
+        target0 = _start_target(cfg_v, domain)
+        if cfg_v.loss_kind == "synthetic_quadratic":
+            # the centres come from each replicate's drawn losses: build them
+            # now, check them and let them go, so no value runs before all pass
+            dyn = build_dynamics(cfg_v)
+            for batch in _replicate_batches(range(runs), cfg_v.horizon, cfg_v.agents,
+                                            cfg_v.dim):
+                _replicate_inputs(cfg_v, dyn, domain, target0, batch)
         configs.append(cfg_v)
     horizon = cfg.horizon
     mean_curves, std_curves = [], []
     for cfg_v in configs:
-        curves = np.empty((runs, horizon))
-        for r, result in enumerate(run_experiments(cfg_v, range(runs))):
-            curves[r] = result.regret.normalized
+        # a comprehension, so no result of this value (whose trace views the
+        # whole batch of traces) stays referenced while the next value runs
+        curves = np.array([result.regret.normalized
+                           for result in run_experiments(cfg_v, range(runs))])
         mean_curves.append(curves.mean(axis=0))
         std_curves.append(curves.std(axis=0))
     mean_curves = np.array(mean_curves)

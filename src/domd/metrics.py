@@ -48,22 +48,28 @@ def _targets(path, horizon):
     return path.states[:horizon]
 
 
-def _average_losses(trace, ens, path):
-    """Per-round network-average loss at the iterates and at the comparator."""
+def iterate_losses(trace, ens, path):
+    """f_t at every agent's iterate x[i, t], averaged over the agents, for t = 1 .. T.
+
+    dynamic_regret and static_regret both read it; a caller that needs both
+    computes it once and passes it to each as `losses`.
+    """
+    return global_loss_batch(ens, path, trace.x[:trace.horizon]).mean(axis=1)
+
+
+def dynamic_regret(trace, ens, path, losses=None):
+    """Regret against the per-round minimizers path.states[0..T-1].
+
+    losses, when given, is iterate_losses(trace, ens, path).
+    """
     horizon = trace.horizon
-    at_iterates = global_loss_batch(ens, path, trace.x[:horizon]).mean(axis=1)
+    at_iterates = iterate_losses(trace, ens, path) if losses is None else losses
     at_comparator = global_loss_batch(ens, path, _targets(path, horizon)[:, None, :])[:, 0]
-    return at_iterates, at_comparator
-
-
-def dynamic_regret(trace, ens, path):
-    """Regret against the per-round minimizers path.states[0..T-1]."""
-    at_iterates, at_comparator = _average_losses(trace, ens, path)
     instant = at_iterates - at_comparator
     cumulative = np.cumsum(instant)
-    steps = np.arange(1, trace.horizon + 1)
+    steps = np.arange(1, horizon + 1)
     return RegretReport(
-        dynamic_regret=float(cumulative[-1]) if trace.horizon else 0.0,
+        dynamic_regret=float(cumulative[-1]) if horizon else 0.0,
         instant=instant,
         cumulative=cumulative,
         normalized=cumulative / steps,
@@ -92,15 +98,18 @@ def best_fixed_point(ens, path, domain, horizon):
     raise ValueError("static regret needs a bounded domain")
 
 
-def static_regret(trace, ens, path, domain):
-    """Regret against the best fixed feasible point in hindsight."""
+def static_regret(trace, ens, path, domain, losses=None):
+    """Regret against the best fixed feasible point in hindsight.
+
+    losses, when given, is iterate_losses(trace, ens, path).
+    """
     if domain.kind == "free":
         raise ValueError("static regret needs a bounded domain")
     horizon = trace.horizon
     if horizon == 0:
         return 0.0
     comparator = best_fixed_point(ens, path, domain, horizon)
-    at_iterates, _ = _average_losses(trace, ens, path)
+    at_iterates = iterate_losses(trace, ens, path) if losses is None else losses
     fixed = np.broadcast_to(comparator, (horizon, 1, domain.d))
     at_fixed = global_loss_batch(ens, path, fixed)[:, 0]
     return float(at_iterates.sum() - at_fixed.sum())
@@ -133,12 +142,18 @@ def _discounted_steps(sigma2, ext, rounds):
     Built by the recursion A[k] = sigma2 A[k-1] + eta_k, so every entry is
     a plain running sum with no pairwise reordering.
     """
-    out = np.empty(rounds + 1)
+    sigma2 = float(sigma2)
+    out = []
     acc = 0.0
-    for k in range(rounds + 1):
-        acc = sigma2 * acc + ext[k]
-        out[k] = acc
-    return out
+    for eta in ext[:rounds + 1].tolist():
+        acc = sigma2 * acc + eta
+        out.append(acc)
+    return np.array(out)
+
+
+def _envelope(lipschitz, n, steps):
+    # the disagreement envelope from A[1..T] of _discounted_steps
+    return lipschitz * np.sqrt(n) * steps[1:]
 
 
 def disagreement_envelope(lipschitz, n, sigma2, etas):
@@ -151,15 +166,13 @@ def disagreement_envelope(lipschitz, n, sigma2, etas):
     if not 0 <= sigma2 <= 1:
         raise ValueError("sigma2 must lie in [0, 1]")
     ext = _eta_with_zero(etas)  # ext[tau] = eta_tau, tau = 0..len(etas)
-    return lipschitz * np.sqrt(n) * _discounted_steps(sigma2, ext, len(etas))[1:]
+    return _envelope(lipschitz, n, _discounted_steps(sigma2, ext, len(etas)))
 
 
-def _network_sum(sigma2, ext, horizon):
-    # sum_{t=1..T} sum_{tau=0..t-1} eta_tau sigma2^(t-1-tau), 0^0 := 1
-    total = 0.0
-    for acc in _discounted_steps(sigma2, ext, horizon - 1).tolist():
-        total += acc
-    return total
+def _network_sum(steps, horizon):
+    # sum_{t=1..T} sum_{tau=0..t-1} eta_tau sigma2^(t-1-tau), 0^0 := 1, from
+    # A[0..T-1] of _discounted_steps; cumsum adds in order, as a running total
+    return float(np.cumsum(steps[:horizon])[-1]) if horizon else 0.0
 
 
 @dataclass(frozen=True)
@@ -205,7 +218,8 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     mismatch = float(np.sum(noise_norms / etas[1:horizon + 1])) if horizon else 0.0
     radius_term = 2.0 * consts.r2 / etas[horizon]
     step_sum = float(etas[:horizon].sum())
-    net_sum = _network_sum(sigma2, ext, horizon)
+    steps = _discounted_steps(sigma2, ext, horizon)  # A[0..T], shared with the envelope
+    net_sum = _network_sum(steps, horizon)
     e_track = radius_term + consts.k * mismatch + lipschitz**2 * step_sum / 2.0
     e_net = 4.0 * lipschitz**2 * np.sqrt(n) * net_sum
     mismatch_rhs = radius_term + mismatch
@@ -227,7 +241,7 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
         e_net=float(e_net),
         total=float(e_track + e_net),
         stochastic_total=stochastic_total,
-        disagreement_curve=disagreement_envelope(lipschitz, n, sigma2, etas[:horizon]),
+        disagreement_curve=_envelope(lipschitz, n, steps),
         mismatch_rhs=float(mismatch_rhs),
         local_gap_rhs=float(local_gap_rhs),
         variation_tuned_value=tuned,
@@ -262,9 +276,8 @@ def tuned_step_guarantee(consts, lipschitz, sigma2, c_t, n, horizon):
     if not consts.available:
         raise ValueError("bound calculators need a bounded domain")
     eta = tuned_step(c_t, sigma2, horizon)
-    etas = np.full(horizon + 1, eta)
-    ext = _eta_with_zero(etas)
-    net_sum = _network_sum(sigma2, ext, horizon)
+    ext = _eta_with_zero(np.full(horizon + 1, eta))
+    net_sum = _network_sum(_discounted_steps(sigma2, ext, horizon - 1), horizon)
     e_track = 2.0 * consts.r2 / eta + consts.k * c_t / eta + lipschitz**2 * eta * horizon / 2.0
     e_net = 4.0 * lipschitz**2 * np.sqrt(n) * net_sum
     return float(e_track + e_net)

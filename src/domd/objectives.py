@@ -25,6 +25,7 @@ they read, and they refuse paths or ensembles covering fewer than T rounds.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,17 @@ class LossEnsemble:
     gradients: np.ndarray = None
     noise_scale: float = 0.0
     innovation: bool = True
+
+    @cached_property
+    def _observed(self):
+        """(flat, mask) of the tracking observations, computed once: agent i
+        sees coordinate k_i at flat index i * d + k_i of its (n, d) block,
+        and the boolean (n, d) mask is true exactly there."""
+        ks = self.obs.assignment
+        flat = np.arange(self.n) * self.d + ks
+        mask = np.zeros((self.n, self.d), dtype=bool)
+        mask.flat[flat] = True
+        return flat, mask
 
 
 def tracking_ensemble(n, domain, noise_low=-1.0, noise_high=1.0, innovation=True):
@@ -212,6 +224,24 @@ def gradient_stochastic(ens, i, t, x, path, rng):
     return g
 
 
+def _observed_values(ens, x_all):
+    """x_all[..., i, k_i] for every agent i: (..., n, d) -> (..., n)."""
+    flat = x_all.reshape(x_all.shape[:-2] + (-1,))
+    return flat.take(ens._observed[0], axis=-1)
+
+
+def _observed_targets(ens, path, t):
+    """The target coordinate each agent observes in round t: (..., n)."""
+    return _star(path, t).take(ens.obs.assignment, axis=-1)
+
+
+def _on_observed(ens, values, shape):
+    """Zeros of `shape` (..., n, d) holding values[..., i] at agent i's coordinate k_i."""
+    g = np.zeros(shape)
+    np.copyto(g, values[..., None], where=ens._observed[1])
+    return g
+
+
 def gradients_exact_batch(ens, t, x_all, path):
     """Exact gradients for every agent at once: x_all is (..., n, d).
 
@@ -221,11 +251,8 @@ def gradients_exact_batch(ens, t, x_all, path):
     """
     x_all = np.asarray(x_all, dtype=float)
     if ens.kind == "tracking_square":
-        ks = ens.obs.assignment
-        rows = np.arange(ens.n)
-        g = np.zeros(x_all.shape)
-        g[..., rows, ks] = 2.0 * (x_all[..., rows, ks] - _star(path, t)[..., ks])
-        return g
+        gap = _observed_values(ens, x_all) - _observed_targets(ens, path, t)
+        return _on_observed(ens, 2.0 * gap, x_all.shape)
     if ens.kind == "synthetic_quadratic":
         return 2.0 * (x_all - _centers(ens, path, t))
     return np.array(ens.gradients[..., t - 1, :, :])
@@ -240,14 +267,11 @@ def gradients_stochastic_batch(ens, t, x_all, path, noise):
     """
     x_all = np.asarray(x_all, dtype=float)
     if ens.kind == "tracking_square":
-        ks = ens.obs.assignment
-        rows = np.arange(ens.n)
-        z = _star(path, t)[..., ks] + noise
-        g = np.zeros(x_all.shape)
-        g[..., rows, ks] = -(z - x_all[..., rows, ks])
+        z = _observed_targets(ens, path, t) + noise
+        step = -(z - _observed_values(ens, x_all))
         if not ens.innovation:
-            g *= 2.0
-        return g
+            step *= 2.0
+        return _on_observed(ens, step, x_all.shape)
     g = gradients_exact_batch(ens, t, x_all, path)
     if noise is not None:
         g = g + noise

@@ -123,6 +123,43 @@ def test_generate_path_validation():
     for shape in ((3, 1), (3, 3), (2, 2), (4, 2), (2, 3), (3,), (2,), (3, 2, 1), ()):
         with pytest.raises(ValueError, match=r"must have shape \(3, 2\)"):
             generate_path(dyn, np.zeros(shape), np.zeros(2), 3)
+    # leading axes are replicates; the last two must still be (horizon, d)
+    for shape in ((5, 3, 1), (5, 2, 2), (5, 4, 2), (2, 5, 2, 3)):
+        with pytest.raises(ValueError, match=r"must have shape \(3, 2\)"):
+            generate_path(dyn, np.zeros(shape), np.zeros(2), 3)
+
+
+def _rolled_alone(dyn, v, x0):
+    # the one-replicate recursion, written out as the reference
+    states = np.empty((v.shape[0] + 1, dyn.d))
+    states[0] = x0
+    for t in range(v.shape[0]):
+        states[t + 1] = dyn.a @ states[t] + v[t]
+    return states
+
+
+@pytest.mark.parametrize("a", [
+    ncv_dynamics(0.1).a,
+    0.9 * np.eye(4),
+    np.random.default_rng(5).standard_normal((4, 4)) / 2.0,  # dense, no structure
+], ids=["ncv", "scaled_identity", "dense"])
+@pytest.mark.parametrize("replicates", [1, 4, 50])
+def test_generate_path_batched_equals_solo(a, replicates):
+    dyn = linear_dynamics(a)
+    horizon = 200
+    x0 = np.array([0.5, -1.0, 0.25, 2.0])
+    v = np.stack([ncv_disturbances(0.8, 0.1, seed, horizon) for seed in range(replicates)])
+    batch = generate_path(dyn, v, x0, horizon)
+    assert batch.states.shape == (replicates, horizon + 1, 4)
+    assert batch.horizon == horizon and batch.d == 4
+    for r in range(replicates):
+        alone = generate_path(dyn, v[r], x0, horizon)
+        assert np.array_equal(alone.states, _rolled_alone(dyn, v[r], x0))
+        assert np.array_equal(batch.states[r], alone.states)
+        assert np.array_equal(batch.noise[r], v[r])
+    # any number of leading axes rolls the same way
+    grid = generate_path(dyn, v.reshape((1, replicates) + v.shape[1:]), x0, horizon)
+    assert np.array_equal(grid.states[0], batch.states)
 
 
 def test_reconstruction_residual_is_tiny():

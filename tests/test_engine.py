@@ -14,8 +14,9 @@ from domd.geometry import (box_domain, contains, euclidean_geometry,
                            free_domain, kl_geometry, prox, simplex_domain)
 from domd.network import (WeightMatrix, build_grid_graph, build_path_graph,
                           metropolis_weights, mix, uniform_complete_weights)
-from domd.objectives import (gradients_exact_batch, linear_ensemble,
-                             synthetic_suite, tracking_ensemble)
+from domd.objectives import (gradients_exact_batch, gradients_stochastic_batch,
+                             linear_ensemble, oracle_noise, synthetic_suite,
+                             tracking_ensemble)
 
 
 def _box_setup(n=3, d=2, horizon=8, half=5.0, seed=3):
@@ -133,16 +134,79 @@ def test_zero_round_run():
     assert [f.name for f in fields(RunTrace)] == ["x", "etas", "norm_kind"]
 
 
-def test_trace_replays_through_public_steps():
-    weights, geom, dyn, ens, path = _box_setup(horizon=5)
-    etas = 0.3 / np.sqrt(np.arange(1, 7))
-    trace = run(weights, geom, dyn, ens, path, etas, 5)
-    for t in range(5):
-        eta = etas[t]
-        _, grads, xhat = _replay_round(trace, weights, geom, ens, path, eta, t)
+def _box_tracking_case(horizon):
+    weights = metropolis_weights(build_grid_graph(2, 3))
+    geom = euclidean_geometry(box_domain([-3.0] * 4, [3.0] * 4))
+    dyn = ncv_dynamics(0.1)
+    path = generate_path(dyn, ncv_disturbances(4.0, 0.1, 2, horizon), np.zeros(4), horizon)
+    return weights, geom, dyn, tracking_ensemble(6, geom.domain), path, "stochastic"
+
+
+def _free_linear_case(horizon):
+    weights = metropolis_weights(build_path_graph(3))
+    geom = euclidean_geometry(free_domain(2))
+    dyn = linear_dynamics([[0.9, 0.2], [-0.1, 0.8]])
+    path = generate_path(dyn, np.zeros((horizon, 2)), np.zeros(2), horizon)
+    ens = synthetic_suite(4, 3, 2, horizon, geom.domain, kind="synthetic_linear")
+    return weights, geom, dyn, ens, path, "exact"
+
+
+def _kl_noisy_quadratic_case(horizon):
+    weights = metropolis_weights(build_grid_graph(1, 3))
+    geom = kl_geometry(simplex_domain(3, 0.01))
+    dyn = identity_dynamics(3)
+    path = generate_path(dyn, np.zeros((horizon, 3)), np.full(3, 1.0 / 3.0), horizon)
+    ens = synthetic_suite(6, 3, 3, horizon, geom.domain, offset_scale=0.02, noise_scale=0.2)
+    return weights, geom, dyn, ens, path, "stochastic"
+
+
+@pytest.mark.parametrize("case", [_box_tracking_case, _free_linear_case,
+                                  _kl_noisy_quadratic_case],
+                         ids=["box_tracking_stochastic", "free_linear_exact",
+                              "kl_noisy_quadratic"])
+def test_trace_replays_through_public_steps(case):
+    # every round is the oracle at x[t], then step = mix, prox and the push
+    horizon, seed = 5, 11
+    weights, geom, dyn, ens, path, mode = case(horizon)
+    etas = 0.3 / np.sqrt(np.arange(1, horizon + 2))
+    trace = run(weights, geom, dyn, ens, path, etas, horizon, mode=mode, seed=seed)
+    draws = oracle_noise(ens, np.random.default_rng(seed), horizon)
+    for t in range(horizon):
+        x, eta = trace.x[t], etas[t]
+        if mode == "exact":
+            grads = gradients_exact_batch(ens, t + 1, x, path)
+        else:
+            grads = gradients_stochastic_batch(ens, t + 1, x, path,
+                                               None if draws is None else draws[t])
+        xhat = prox(geom, grads, mix(weights, x), eta)
         np.testing.assert_allclose(trace.x[t + 1], xhat @ dyn.a.T, atol=1e-14)
-        xnext = step(trace.x[t], weights, geom, dyn, grads, eta)
-        np.testing.assert_array_equal(xnext, trace.x[t + 1])
+        np.testing.assert_array_equal(step(x, weights, geom, dyn, grads, eta), trace.x[t + 1])
+    assert not np.array_equal(trace.x[1], trace.x[horizon])  # the iterates did move
+
+
+def test_prox_errors_stop_the_run_in_their_round(monkeypatch):
+    # pinned rounds: the anchor and gradient checks run inside every round's prox
+    calls = []
+    inner = domd.engine.prox
+    monkeypatch.setattr(domd.engine, "prox", lambda *a: calls.append(1) or inner(*a))
+    weights = metropolis_weights(build_path_graph(2))
+    geom = euclidean_geometry(box_domain([-1.0] * 2, [1.0] * 2))
+    horizon = 8
+    path = generate_path(identity_dynamics(2), np.zeros((horizon, 2)), np.zeros(2), horizon)
+    idle = linear_ensemble(np.zeros((horizon, 2, 2)), geom.domain)
+    etas = np.full(horizon + 1, 0.1)
+    # x = 0.3, 0.45, 0.675, 1.0125: the push leaves the box and round 4's anchor is outside
+    with pytest.raises(ValueError, match="prox anchor lies outside the domain"):
+        run(weights, geom, linear_dynamics(1.5 * np.eye(2)), idle, path, etas, horizon,
+            x0=[0.3, 0.3])
+    assert len(calls) == 4
+    grads = np.zeros((horizon, 2, 2))
+    grads[2, 1, 0] = np.nan  # agent 1's gradient in round 3
+    calls.clear()
+    with pytest.raises(ValueError, match="gradient has non-finite entries"):
+        run(weights, geom, identity_dynamics(2), linear_ensemble(grads, geom.domain), path,
+            etas, horizon)
+    assert len(calls) == 3
 
 
 def test_run_argument_validation():

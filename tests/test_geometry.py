@@ -63,6 +63,14 @@ def test_contains():
     free = free_domain(2)
     assert contains(free, [1e9, -1e9])
     assert not contains(free, [np.inf, 0.0])
+    # a NaN coordinate is outside every domain, also among feasible points
+    skewed = box_domain([-1.0, 0.0], [1.0, 0.5])
+    for domain, good in ((box, [0.0, 0.0]), (skewed, [0.0, 0.25]),
+                         (simplex, [0.5, 0.3, 0.2]), (free, [0.0, 0.0])):
+        bad = np.array(good)
+        bad[-1] = np.nan
+        assert not contains(domain, [good, bad, good])
+        assert inside(domain, [good, bad]).tolist() == [True, False]
 
 
 def test_inside_is_row_wise():
@@ -79,8 +87,8 @@ def test_inside_is_row_wise():
                                   [True, False])
 
 
-_DOMAINS = (box_domain([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0]), simplex_domain(3, FLOOR),
-            free_domain(3))
+_DOMAINS = (box_domain([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0]), box_domain([-2.0] * 3, [2.0] * 3),
+            simplex_domain(3, FLOOR), free_domain(3))
 
 
 def _near_boundary(domain, base, pushes):
@@ -98,7 +106,8 @@ def _near_boundary(domain, base, pushes):
 @given(kind=st.sampled_from(range(len(_DOMAINS))),
        rows=st.integers(0, 5),
        base=st.lists(st.floats(0.0, 1.0), min_size=15, max_size=15),
-       pushes=st.lists(st.sampled_from([0.0, 0.5, 0.99, 1.01, 2.0, -0.5, -0.99, -1.01, -2.0]),
+       pushes=st.lists(st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0,
+                                        -0.5, -0.99, -1.0, -1.01, -2.0]),
                        min_size=15, max_size=15))
 def test_contains_is_the_reduction_of_inside_near_the_boundary(kind, rows, base, pushes):
     domain = _DOMAINS[kind]

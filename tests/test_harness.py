@@ -329,6 +329,34 @@ def test_sweep_checks_every_value_before_any_run(cfg, param, values, message, mo
         sweep(cfg, param, values)
 
 
+def test_sweep_checks_synthetic_centres_before_any_engine_call(monkeypatch):
+    # the centres come from each replicate's drawn losses, yet a value whose
+    # centres leave the domain stops the sweep before the first value runs
+    calls = []
+    for name in ("run", "run_replicates"):
+        engine_call = getattr(domd.harness, name)
+        monkeypatch.setattr(domd.harness, name,
+                            lambda *a, _f=engine_call, **k: calls.append(1) or _f(*a, **k))
+    with pytest.raises(ConfigError, match="synthetic centers leave the domain"):
+        sweep(_quad_cfg(horizon=50, runs=2), "loss.offset_scale", (0.2, 100.0))
+    assert calls == []
+    sweep(_quad_cfg(horizon=50, runs=2), "loss.offset_scale", (0.2,))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("cfg, rolls", [
+    (_tracking_cfg(horizon=20), 2),  # one roll of each value's batch of paths
+    (_quad_cfg(horizon=20), 4),  # and one more per value for the centres check
+], ids=["tracking", "quadratic"])
+def test_sweep_rolls_each_batch_of_paths_once(cfg, rolls, monkeypatch):
+    calls = []
+    roll = domd.harness.generate_path
+    monkeypatch.setattr(domd.harness, "generate_path",
+                        lambda dyn, noise, *a: calls.append(noise.shape) or roll(dyn, noise, *a))
+    sweep(cfg, "eta0", (0.1, 0.2), runs=3)
+    assert calls == [(3, 20, cfg.dim)] * rolls
+
+
 def test_sweep_shapes_and_outputs(tmp_path):
     cfg = _quad_cfg(horizon=30, runs=2)
     out = tmp_path / "sweep"
@@ -392,13 +420,16 @@ def test_batched_runs_equal_runs_alone(monkeypatch):
     assert np.array_equal(result.std_curves[0], np.std(curves, axis=0))
 
 
-def test_sweep_value_memory_is_its_replicate_traces():
+@pytest.mark.parametrize("values", [(0.5,), (0.5, 0.75)], ids=["one_value", "two_values"])
+def test_sweep_value_memory_is_its_replicate_traces(values):
+    # a value's results are let go before the next value runs, so two values
+    # peak no higher than one
     cfg = _tracking_cfg()  # the default 5x5 grid, T = 1000
     trace = (cfg.horizon + 1) * 25 * 4 * 8
     sweep(cfg, "noise.sigma_v2", (0.5,), runs=1)  # warm caches and imports
     tracemalloc.start()
     try:
-        sweep(cfg, "noise.sigma_v2", (0.5,), runs=4)
+        sweep(cfg, "noise.sigma_v2", values, runs=4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

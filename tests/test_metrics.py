@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import domd.metrics
 from domd.csvio import read_csv
 from domd.dynamics import (MinimizerPath, generate_path, identity_dynamics,
                            path_variation)
@@ -14,7 +15,7 @@ from domd.engine import RunTrace, run
 from domd.geometry import (box_domain, euclidean_geometry, free_domain,
                            geometry_constants, simplex_domain)
 from domd.metrics import (best_fixed_point, disagreement_envelope, dynamic_regret,
-                          network_disagreement, per_agent_loss_gap,
+                          iterate_losses, network_disagreement, per_agent_loss_gap,
                           regret_guarantee, static_regret, tuned_step,
                           tuned_step_guarantee, write_bound_csv,
                           write_regret_csv)
@@ -50,7 +51,7 @@ def test_disagreement_envelope_no_mixing_accumulates():
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 1.0, 0.37])
-def test_envelope_and_network_term_equal_sequential_sums(sigma2):
+def test_envelope_and_network_term_equal_sequential_sums(sigma2, monkeypatch):
     # reference: the running recursions written out, added strictly in order
     etas = np.random.default_rng(5).uniform(0.01, 0.5, 41)
     ext = np.concatenate(([etas[0]], etas))
@@ -63,8 +64,15 @@ def test_envelope_and_network_term_equal_sequential_sums(sigma2):
         network += value
     env = disagreement_envelope(1.5, 9, sigma2, etas[:40])
     np.testing.assert_array_equal(env, 1.5 * np.sqrt(9) * np.array(running[1:41]))
+    # one report runs the recursion once, for both the network term and the envelope
+    calls = []
+    recursion = domd.metrics._discounted_steps
+    monkeypatch.setattr(domd.metrics, "_discounted_steps",
+                        lambda *a: calls.append(a) or recursion(*a))
     report = regret_guarantee(_consts(), 1.5, sigma2, etas, np.zeros(40), 9)
+    assert len(calls) == 1
     assert report.e_net == 4.0 * 1.5**2 * np.sqrt(9) * network
+    np.testing.assert_array_equal(report.disagreement_curve, env)
 
 
 def test_disagreement_envelope_validation():
@@ -149,6 +157,10 @@ def test_guarantee_validation():
         regret_guarantee(free_consts, 1.0, 0.5, [0.1] * 4, np.zeros(3), 4)
     with pytest.raises(ValueError, match="bounded"):
         tuned_step_guarantee(free_consts, 1.0, 0.5, 1.0, 4, 10)
+    # no rounds: only the radius term 2 R^2 / eta_1 is left, and no envelope
+    empty = regret_guarantee(consts, 1.0, 0.5, [0.1], np.zeros(0), 4)
+    assert empty.total == 2.0 * consts.r2 / 0.1 and empty.e_net == 0.0
+    assert empty.disagreement_curve.shape == (0,)
 
 
 def test_guarantee_monotone_in_problem_size():
@@ -263,6 +275,31 @@ def test_static_regret_never_exceeds_dynamic():
     assert stat <= dyn_regret + 1e-9
     with pytest.raises(ValueError, match="bounded"):
         static_regret(trace, ens, path, free_domain(2))
+
+
+def test_regrets_share_one_evaluation_of_the_iterate_losses(monkeypatch):
+    domain = box_domain([-5.0] * 2, [5.0] * 2)
+    horizon = 30
+    path = generate_path(identity_dynamics(2), np.random.default_rng(8).normal(
+        0.0, 0.05, (horizon, 2)), np.array([0.5, -0.5]), horizon)
+    ens = synthetic_suite(4, 4, 2, horizon, domain)
+    trace = run(metropolis_weights(build_grid_graph(2, 2)), euclidean_geometry(domain),
+                identity_dynamics(2), ens, path, np.full(horizon + 1, 0.2), horizon)
+    alone = dynamic_regret(trace, ens, path), static_regret(trace, ens, path, domain)
+    calls = []
+    evaluate = domd.metrics.global_loss_batch
+    monkeypatch.setattr(domd.metrics, "global_loss_batch",
+                        lambda *a: calls.append(a[2].shape) or evaluate(*a))
+    losses = iterate_losses(trace, ens, path)
+    assert calls == [(horizon, 4, 2)]
+    shared = (dynamic_regret(trace, ens, path, losses),
+              static_regret(trace, ens, path, domain, losses))
+    # each regret then evaluates only its own comparator
+    assert calls[1:] == [(horizon, 1, 2), (horizon, 1, 2)]
+    np.testing.assert_array_equal(shared[0].instant, alone[0].instant)
+    np.testing.assert_array_equal(shared[0].normalized, alone[0].normalized)
+    assert shared[0].dynamic_regret == alone[0].dynamic_regret
+    assert shared[1] == alone[1]
 
 
 def test_per_agent_loss_gap_matches_direct_sum():
