@@ -2,15 +2,15 @@
 
 This module turns an ExperimentConfig into concrete objects (graph, weight
 matrix, geometry, dynamics, losses) and the disturbance and step-size
-arrays, executes the engine, measures regret, evaluates the guarantees and
-writes the CSV outputs.  Every random stream is derived from the master
-seed plus a fixed stream label and the run index, so identical configs
-produce byte-identical outputs.
+arrays, measures regret and writes the CSV outputs.  Every random stream
+is derived from the master seed plus a fixed stream label and the run
+index, so identical configs produce byte-identical outputs.
 
-Replicates of one configuration (sweep runs, suite seeds) go through the
-engine together, in batches whose iterate traces hold at most
-BATCH_TRACE_BYTES; each replicate's results are bit-identical to running
-it alone.
+Every run, of a config (run, sweep, the scaling study) or of a suite case
+(verify_bounds, stochastic_mean_regret), goes through one executor,
+_execute: it runs replicates in batches whose iterate traces hold at most
+BATCH_TRACE_BYTES, evaluates each run's regret guarantee and lets a batch
+go before the next runs; each replicate's results equal running it alone.
 """
 
 import os
@@ -141,14 +141,31 @@ def _replicate_batches(items, horizon, n, d):
     return [items[k:k + size] for k in range(0, len(items), size)]
 
 
-def _run_batch(weights, geom, dyn, replicates, horizon, mode, x0=None):
-    """Traces of one batch of (ens, path, etas, seed) replicates."""
-    if len(replicates) == 1:
-        # a lone replicate goes through engine.run, the call that profilers
-        # and perfbench/tracer.py observe as one run
-        ens, path, etas, seed = replicates[0]
-        return [run(weights, geom, dyn, ens, path, etas, horizon, mode, seed, x0)]
-    return run_replicates(weights, geom, dyn, replicates, horizon, mode, x0)
+def _execute(weights, sigma2, geom, dyn, batches, horizon, mode, x0=None):
+    """Run each batch of (ens, path, etas, seed) replicates; yields (ens, path, trace, bounds).
+
+    bounds is the run's regret_guarantee from its ensemble's declared
+    constants (G^2 only in stochastic mode), None on an unbounded domain.
+    A batch's traces are let go before the next batch is asked for.
+    """
+    consts = geometry_constants(geom)
+    for replicates in batches:
+        if len(replicates) == 1:
+            # a lone replicate goes through engine.run, the call that profilers
+            # and perfbench/tracer.py observe as one run
+            ens, path, etas, seed = replicates[0]
+            traces = [run(weights, geom, dyn, ens, path, etas, horizon, mode, seed, x0)]
+        else:
+            traces = run_replicates(weights, geom, dyn, replicates, horizon, mode, x0)
+        for (ens, path, _, _), trace in zip(replicates, traces):
+            bounds = None
+            if consts.available:
+                bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas,
+                                          vector_norm(geom.norm_kind, path.noise), weights.n,
+                                          grad_second_moment=ens.second_moment
+                                          if mode == "stochastic" else None)
+            yield ens, path, trace, bounds
+        del traces, trace  # before the next batch is assembled and run
 
 
 def _start_target(cfg, domain):
@@ -190,9 +207,9 @@ def run_experiments(cfg, run_indices, x0=None):
 
     Network, geometry and dynamics are built once; each run index gets its
     own target path, losses, step sizes and oracle seed, exactly as a
-    run of it alone would.  Runs go through the engine in batches (see
-    BATCH_TRACE_BYTES) and results are yielded in order, so a consumer that
-    keeps only what it needs holds at most one batch of traces.
+    run of it alone would.  The runs go through _execute and results are
+    yielded in order; a consumer that drops each result before asking for
+    the next holds at most one batch of traces (see BATCH_TRACE_BYTES).
     """
     run_indices = list(run_indices)
     for run_index in run_indices:
@@ -205,35 +222,34 @@ def run_experiments(cfg, run_indices, x0=None):
     geom = build_geometry(cfg, domain)
     dyn = build_dynamics(cfg)
     target0 = _start_target(cfg, domain)
-    consts = geometry_constants(geom)
-    for batch in _replicate_batches(run_indices, cfg.horizon, weights.n, cfg.dim):
-        replicates, variations = [], []
-        for run_index, (path, ens) in zip(batch, _replicate_inputs(cfg, dyn, domain,
-                                                                   target0, batch)):
-            c_t = path_variation(path, dyn, geom.norm_kind)
-            etas = build_schedule(cfg, sigma2, c_t)
-            replicates.append((ens, path, etas, _derive_seed(cfg.seed, _ORACLE, run_index)))
-            variations.append(c_t)
-        traces = _run_batch(weights, geom, dyn, replicates, cfg.horizon, cfg.gradient_mode, x0)
-        for (ens, path, _, _), c_t, trace in zip(replicates, variations, traces):
-            losses = iterate_losses(trace, ens, path)
-            regret = replace(dynamic_regret(trace, ens, path, losses), path_variation=c_t)
-            bounds = None
-            lipschitz = float("nan")
-            if consts.available:
-                regret = replace(regret, static_regret=static_regret(trace, ens, path, domain,
-                                                                     losses))
-                lipschitz = ens.lipschitz
-                g2 = ens.second_moment if cfg.gradient_mode == "stochastic" else None
-                bounds = regret_guarantee(consts, lipschitz, sigma2, trace.etas,
-                                          vector_norm(geom.norm_kind, path.noise),
-                                          weights.n, grad_second_moment=g2)
-            yield RunResult(cfg, trace, path, regret, bounds, sigma2, lipschitz)
+    variations = []  # C_T of each assembled run not yet yielded, in order
+
+    def batches():
+        for batch in _replicate_batches(run_indices, cfg.horizon, weights.n, cfg.dim):
+            replicates = []
+            for run_index, (path, ens) in zip(batch, _replicate_inputs(cfg, dyn, domain,
+                                                                       target0, batch)):
+                variations.append(path_variation(path, dyn, geom.norm_kind))
+                replicates.append((ens, path, build_schedule(cfg, sigma2, variations[-1]),
+                                   _derive_seed(cfg.seed, _ORACLE, run_index)))
+            yield replicates
+
+    runs = _execute(weights, sigma2, geom, dyn, batches(), cfg.horizon, cfg.gradient_mode, x0)
+    for ens, path, trace, bounds in runs:  # no enumerate: it would hold the last trace
+        losses = iterate_losses(trace, ens, path)
+        regret = replace(dynamic_regret(trace, ens, path, losses),
+                         path_variation=variations.pop(0))
+        if bounds is not None:
+            regret = replace(regret, static_regret=static_regret(trace, ens, path, domain,
+                                                                 losses))
+        yield RunResult(cfg, trace, path, regret, bounds, sigma2,
+                        float("nan") if bounds is None else ens.lipschitz)
+        del trace  # it views its whole batch, which goes before the next one runs
 
 
-def run_experiment(cfg, run_index=0, out_dir=None, x0=None):
+def run_experiment(cfg, run_index=0, out_dir=None):
     """Assemble and execute one run; optionally write the CSV outputs."""
-    result = next(run_experiments(cfg, [run_index], x0))
+    result = next(run_experiments(cfg, [run_index]))
     if out_dir is not None:
         _write_run_outputs(result, out_dir)
     return result
@@ -258,17 +274,24 @@ def _write_run_outputs(result, out_dir):
         write_bound_csv(result.bounds, os.path.join(out_dir, "bounds.csv"), comments)
 
 
+def _upper_check(empirical, bound):
+    """(empirical, bound, slack, passed) of an upper-bound check on scalars or
+    curves, where the slack bound - empirical is least; passes at slack >= -SLACK_TOL."""
+    empirical, bound = np.atleast_1d(empirical, bound)
+    k = int(np.argmin(bound - empirical))
+    slack = float(bound[k] - empirical[k])
+    return float(empirical[k]), float(bound[k]), slack, slack >= -SLACK_TOL
+
+
 def exact_run_violations(result):
     """Names of guarantees an exact-gradient run violated by more than SLACK_TOL."""
     if result.bounds is None or result.config.gradient_mode != "exact":
         return ()
-    out = []
-    if result.regret.dynamic_regret > result.bounds.total + SLACK_TOL:
-        out.append("regret_total")
-    dis = network_disagreement(result.trace)[1:]
-    if np.any(dis > result.bounds.disagreement_curve + SLACK_TOL):
-        out.append("disagreement")
-    return tuple(out)
+    checks = (("regret_total", result.regret.dynamic_regret, result.bounds.total),
+              ("disagreement", network_disagreement(result.trace)[1:],
+               result.bounds.disagreement_curve))
+    return tuple(name for name, empirical, bound in checks
+                 if not _upper_check(empirical, bound)[3])
 
 
 def tracking_error_stats(trace, path, tail=100):
@@ -354,12 +377,12 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     horizon = cfg.horizon
     mean_curves, std_curves = [], []
     for cfg_v in configs:
-        # a comprehension, so no result of this value (whose trace views the
-        # whole batch of traces) stays referenced while the next value runs
-        curves = np.array([result.regret.normalized
-                           for result in run_experiments(cfg_v, range(runs))])
-        mean_curves.append(curves.mean(axis=0))
-        std_curves.append(curves.std(axis=0))
+        curves = []
+        for result in run_experiments(cfg_v, range(runs)):
+            curves.append(result.regret.normalized)
+            del result  # its trace views a whole batch; let it go before the next runs
+        mean_curves.append(np.mean(curves, axis=0))
+        std_curves.append(np.std(curves, axis=0))
     mean_curves = np.array(mean_curves)
     std_curves = np.array(std_curves)
     result = SweepResult(param, tuple(values), runs, mean_curves, std_curves,
@@ -503,32 +526,30 @@ class VerifyReport:
     passed: bool
 
 
-def _case_report(consts, sigma2, geom, weights, ens, trace, path, l_scale):
-    g2 = l_scale * l_scale * ens.second_moment
-    return regret_guarantee(consts, l_scale * ens.lipschitz, sigma2, trace.etas,
-                            vector_norm(geom.norm_kind, path.noise), weights.n,
-                            grad_second_moment=g2)
+def _case_runs(case, seeds, stream, l_scale=1.0):
+    """Run one suite case for each seed through _execute; yields (ens, path, trace, bounds).
 
-
-def _case_runs(case, seeds, stream):
-    """(ens, path, trace) of one suite case for each seed, plus the case-level objects.
-
-    Weights, geometry and dynamics depend only on the case, so sigma2 and
-    the geometry constants are computed once and the seeds run through the
-    engine together.  Returns (weights, geom, sigma2, consts, runs); the
-    oracle seed of seed s is _derive_seed(s, _ORACLE, stream).
+    sigma2 is computed once per case; seed s draws its oracle noise from
+    _derive_seed(s, _ORACLE, stream).  l_scale scales each ensemble's declared
+    L (and G^2 by l_scale^2), which moves the bounds and not the runs.
     """
     built = [_build_case(case, s) for s in seeds]
     weights, geom, dyn = built[0][:3]
-    mode = "stochastic" if case.oracle_noise > 0 else "exact"
-    replicates = [(ens, path, etas, _derive_seed(s, _ORACLE, stream))
+    replicates = [(replace(ens, lipschitz=l_scale * ens.lipschitz,
+                           second_moment=l_scale * l_scale * ens.second_moment),
+                   path, etas, _derive_seed(s, _ORACLE, stream))
                   for s, (_, _, _, ens, path, etas) in zip(seeds, built)]
-    traces = []
-    for batch in _replicate_batches(replicates, case.horizon, weights.n, geom.domain.d):
-        traces += _run_batch(weights, geom, dyn, batch, case.horizon, mode)
-    runs = [(ens, path, trace) for (ens, path, _, _), trace in zip(replicates, traces)]
-    return (weights, geom, second_singular_value(weights),
-            geometry_constants(geom), runs)
+    return _execute(weights, second_singular_value(weights), geom, dyn,
+                    _replicate_batches(replicates, case.horizon, weights.n, geom.domain.d),
+                    case.horizon, "stochastic" if case.oracle_noise > 0 else "exact")
+
+
+def _mean_regret(runs):
+    """(mean dynamic regret, the last run's expected-regret guarantee) of noisy runs."""
+    regrets = []
+    for ens, path, trace, bounds in runs:
+        regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
+    return float(np.mean(regrets)), float(bounds.stochastic_total)
 
 
 def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
@@ -551,37 +572,21 @@ def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
         raise ValueError(f"l_scale must be positive and finite, got {l_scale}")
     rows = []
     for case in bound_suite():
-        stochastic = case.oracle_noise > 0
-        mode = "stochastic" if stochastic else "exact"
-        regrets = []
-        report = None
-        weights, geom, sigma2, consts, runs = _case_runs(case, range(seeds), 0)
-        for s, (ens, path, trace) in enumerate(runs):
-            report = _case_report(consts, sigma2, geom, weights, ens, trace, path, l_scale)
+        runs = _case_runs(case, range(seeds), 0, l_scale)
+        if case.oracle_noise > 0:
+            rows.append(CheckRow(case.name, -1, "stochastic", "mean_regret",
+                                 *_upper_check(*_mean_regret(runs))))
+            continue
+        for s, (ens, path, trace, bounds) in enumerate(runs):
             regret = dynamic_regret(trace, ens, path).dynamic_regret
-            if stochastic:
-                regrets.append(regret)
-                continue
-            dis = network_disagreement(trace)[1:]
-            gaps = report.disagreement_curve - dis
-            worst = int(np.argmin(gaps))
-            rows.append(CheckRow(case.name, s, mode, "disagreement",
-                                 float(dis[worst]), float(report.disagreement_curve[worst]),
-                                 float(gaps[worst]), bool(gaps[worst] >= -SLACK_TOL)))
-            rows.append(CheckRow(case.name, s, mode, "regret_total", regret,
-                                 report.total, report.total - regret,
-                                 bool(report.total - regret >= -SLACK_TOL)))
-            local = per_agent_loss_gap(trace, ens, path)
-            rows.append(CheckRow(case.name, s, mode, "local_gap", local,
-                                 report.local_gap_rhs, report.local_gap_rhs - local,
-                                 bool(report.local_gap_rhs - local >= -SLACK_TOL)))
-            rows.append(CheckRow(case.name, s, mode, "regret_nonneg", regret, 0.0,
+            checks = (("disagreement", network_disagreement(trace)[1:],
+                       bounds.disagreement_curve),
+                      ("regret_total", regret, bounds.total),
+                      ("local_gap", per_agent_loss_gap(trace, ens, path), bounds.local_gap_rhs))
+            rows += [CheckRow(case.name, s, "exact", check, *_upper_check(empirical, bound))
+                     for check, empirical, bound in checks]
+            rows.append(CheckRow(case.name, s, "exact", "regret_nonneg", regret, 0.0,
                                  regret, bool(regret >= -SLACK_TOL)))
-        if stochastic:
-            mean_regret = float(np.mean(regrets))
-            slack = report.stochastic_total - mean_regret
-            rows.append(CheckRow(case.name, -1, mode, "mean_regret", mean_regret,
-                                 report.stochastic_total, slack, bool(slack >= -SLACK_TOL)))
     violations = sum(1 for r in rows if not r.passed)
     result = VerifyReport(tuple(rows), seeds, violations, violations == 0)
     if out_dir is not None:
@@ -608,13 +613,7 @@ def stochastic_mean_regret(case_name, runs, base_seed=0):
         raise ValueError("case has a noiseless oracle; nothing stochastic to average")
     if runs < 1:
         raise ValueError("need at least one run")
-    weights, geom, sigma2, consts, done = _case_runs(
-        case, range(base_seed, base_seed + runs), 1)
-    regrets = np.array([dynamic_regret(trace, ens, path).dynamic_regret
-                        for ens, path, trace in done])
-    ens, path, trace = done[-1]
-    report = _case_report(consts, sigma2, geom, weights, ens, trace, path, 1.0)
-    return float(regrets.mean()), float(report.stochastic_total)
+    return _mean_regret(_case_runs(case, range(base_seed, base_seed + runs), 1))
 
 
 @dataclass(frozen=True)

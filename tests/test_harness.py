@@ -20,7 +20,9 @@ from domd.harness import (_build_case, _derive_seed, _ORACLE, _PATH, _suite_case
                           sweep, target_position_path_length,
                           tracking_error_stats, variation_scaling_study,
                           verify_bounds)
-from domd.metrics import dynamic_regret, network_disagreement, tuned_step
+from domd.geometry import geometry_constants, vector_norm
+from domd.metrics import dynamic_regret, network_disagreement, regret_guarantee, tuned_step
+from domd.network import second_singular_value
 
 EXACT_QUAD = """
 [experiment]
@@ -230,6 +232,7 @@ def test_offsets_that_escape_the_domain_are_rejected():
 def test_exact_run_satisfies_guarantees():
     result = run_experiment(_quad_cfg())
     assert exact_run_violations(result) == ()
+    assert np.isnan(result.bounds.stochastic_total)  # G^2 enters stochastic runs only
     # stochastic runs are exempt: single draws may exceed the expected bound
     noisy = run_experiment(_quad_cfg(gradient_mode="stochastic"))
     assert exact_run_violations(noisy) == ()
@@ -420,20 +423,35 @@ def test_batched_runs_equal_runs_alone(monkeypatch):
     assert np.array_equal(result.std_curves[0], np.std(curves, axis=0))
 
 
+def _sweep_peak(cfg, values, runs):
+    """tracemalloc peak of a noise.sigma_v2 sweep, after a warm-up run."""
+    sweep(cfg, "noise.sigma_v2", (0.5,), runs=1)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        sweep(cfg, "noise.sigma_v2", values, runs=runs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("values", [(0.5,), (0.5, 0.75)], ids=["one_value", "two_values"])
 def test_sweep_value_memory_is_its_replicate_traces(values):
     # a value's results are let go before the next value runs, so two values
     # peak no higher than one
     cfg = _tracking_cfg()  # the default 5x5 grid, T = 1000
     trace = (cfg.horizon + 1) * 25 * 4 * 8
-    sweep(cfg, "noise.sigma_v2", (0.5,), runs=1)  # warm caches and imports
-    tracemalloc.start()
-    try:
-        sweep(cfg, "noise.sigma_v2", values, runs=4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _sweep_peak(cfg, values, runs=4)
     assert peak < 4 * trace + 1.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+def test_sweep_holds_one_batch_of_traces(monkeypatch):
+    # batches of two: four runs are two batches, and the first must be let go
+    # (by the executor, run_experiments and sweep) before the second runs
+    cfg = _tracking_cfg()  # the default 5x5 grid, T = 1000
+    monkeypatch.setattr(domd.harness, "BATCH_TRACE_BYTES", 2 * (cfg.horizon + 1) * 25 * 4 * 8)
+    one_batch, two_batches = _sweep_peak(cfg, (0.5,), 2), _sweep_peak(cfg, (0.5,), 4)
+    assert two_batches < 1.05 * one_batch, (
+        f"peaks {two_batches / 2**20:.2f} MB (4 runs) and {one_batch / 2**20:.2f} MB (2 runs)")
 
 
 def test_suite_sigma2_is_computed_once_per_case(monkeypatch):
@@ -460,6 +478,30 @@ def test_stochastic_mean_regret_equals_runs_alone():
     assert mean == float(np.mean(regrets))
     with pytest.raises(ValueError, match="at least one run"):
         stochastic_mean_regret(case.name, runs=0)
+
+
+@pytest.mark.parametrize("l_scale", [1.0, 0.5])
+def test_verify_noisy_row_averages_runs_alone(l_scale):
+    # mean of solo runs against the last seed's expected-regret guarantee,
+    # its L scaled by l_scale and its G^2 by l_scale**2
+    case = _suite_case("box_quad_noisy_n4_t100")
+    regrets = []
+    for seed in range(3):
+        weights, geom, dyn, ens, path, etas = _build_case(case, seed)
+        trace = run(weights, geom, dyn, ens, path, etas, case.horizon,
+                    mode="stochastic", seed=_derive_seed(seed, _ORACLE, 0))
+        regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
+    bound = regret_guarantee(geometry_constants(geom), l_scale * ens.lipschitz,
+                             second_singular_value(weights), trace.etas,
+                             vector_norm(geom.norm_kind, path.noise), weights.n,
+                             grad_second_moment=l_scale**2 * ens.second_moment)
+    report = verify_bounds(seeds=3, l_scale=l_scale)
+    [row] = [r for r in report.rows if r.case == case.name]
+    assert (row.seed, row.mode, row.check) == (-1, "stochastic", "mean_regret")
+    assert row.empirical == float(np.mean(regrets))
+    assert row.bound == bound.stochastic_total
+    assert row.slack == row.bound - row.empirical
+    assert row.passed == (row.slack >= -SLACK_TOL)
 
 
 def test_verify_bounds_passes_and_reports(tmp_path):
