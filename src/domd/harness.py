@@ -468,12 +468,31 @@ def _simplex_loop_path(dyn, horizon):
     return generate_path(dyn, noise, states[0], horizon)
 
 
-def _build_case(case, seed):
-    idx = [c.name for c in bound_suite()].index(case.name)
+def _case_network(case):
+    """(weights, geom, dyn) of a suite case, which no seed changes."""
     if case.family == "quadratic_box":
-        domain = box_domain(np.full(2, -5.0), np.full(2, 5.0))
-        geom = euclidean_geometry(domain)
+        geom = euclidean_geometry(box_domain(np.full(2, -5.0), np.full(2, 5.0)))
         dyn = linear_dynamics(case.a_scale * np.eye(2))
+    elif case.family == "quadratic_simplex":
+        geom = kl_geometry(simplex_domain(3, 0.01))
+        dyn = identity_dynamics(3)
+    else:  # linear_polarized
+        geom = euclidean_geometry(box_domain(np.full(2, -2.0), np.full(2, 2.0)))
+        dyn = identity_dynamics(2)
+    if case.topology == "complete":
+        weights = uniform_complete_weights(case.n)
+    elif case.topology == "path":
+        weights = metropolis_weights(build_path_graph(case.n))
+    else:
+        weights = metropolis_weights(_grid_for(case.n))
+    return weights, geom, dyn
+
+
+def _case_losses(case, seed, geom, dyn):
+    """(ens, path, etas) of a suite case at one seed."""
+    idx = [c.name for c in bound_suite()].index(case.name)
+    domain = geom.domain
+    if case.family == "quadratic_box":
         rng = np.random.default_rng(_derive_seed(seed, _PATH, idx))
         noise = rng.normal(0.0, 0.05, (case.horizon, 2))
         path = generate_path(dyn, noise, np.array([0.5, -0.5]), case.horizon)
@@ -481,29 +500,23 @@ def _build_case(case, seed):
                               case.horizon, domain, offset_scale=0.2,
                               noise_scale=case.oracle_noise)
     elif case.family == "quadratic_simplex":
-        domain = simplex_domain(3, 0.01)
-        geom = kl_geometry(domain)
-        dyn = identity_dynamics(3)
         path = _simplex_loop_path(dyn, case.horizon)
         ens = synthetic_suite(_derive_seed(seed, _ENSEMBLE, idx), case.n, 3,
                               case.horizon, domain, offset_scale=0.02,
                               noise_scale=case.oracle_noise)
     else:  # linear_polarized
-        domain = box_domain(np.full(2, -2.0), np.full(2, 2.0))
-        geom = euclidean_geometry(domain)
-        dyn = identity_dynamics(2)
         path = generate_path(dyn, np.zeros((case.horizon, 2)), np.zeros(2), case.horizon)
         pull = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
         ens = linear_ensemble(np.tile(pull, (case.horizon, 1, 1)), domain)
-    if case.topology == "complete":
-        weights = uniform_complete_weights(case.n)
-    elif case.topology == "path":
-        weights = metropolis_weights(build_path_graph(case.n))
-    else:
-        weights = metropolis_weights(_grid_for(case.n))
     if centers_outside_domain(ens, path, domain):
         raise RuntimeError(f"suite case {case.name} places centers outside the domain")
-    return weights, geom, dyn, ens, path, build_schedule(case, None, None)
+    return ens, path, build_schedule(case, None, None)
+
+
+def _build_case(case, seed):
+    """(weights, geom, dyn, ens, path, etas) of a suite case at one seed."""
+    weights, geom, dyn = _case_network(case)
+    return (weights, geom, dyn) + _case_losses(case, seed, geom, dyn)
 
 
 @dataclass(frozen=True)
@@ -529,16 +542,18 @@ class VerifyReport:
 def _case_runs(case, seeds, stream, l_scale=1.0):
     """Run one suite case for each seed through _execute; yields (ens, path, trace, bounds).
 
-    sigma2 is computed once per case; seed s draws its oracle noise from
-    _derive_seed(s, _ORACLE, stream).  l_scale scales each ensemble's declared
-    L (and G^2 by l_scale^2), which moves the bounds and not the runs.
+    The weights, geometry, dynamics and sigma2 are built once per case;
+    seed s draws its oracle noise from _derive_seed(s, _ORACLE, stream).
+    l_scale scales each ensemble's declared L (and G^2 by l_scale^2), which
+    moves the bounds and not the runs.
     """
-    built = [_build_case(case, s) for s in seeds]
-    weights, geom, dyn = built[0][:3]
-    replicates = [(replace(ens, lipschitz=l_scale * ens.lipschitz,
-                           second_moment=l_scale * l_scale * ens.second_moment),
-                   path, etas, _derive_seed(s, _ORACLE, stream))
-                  for s, (_, _, _, ens, path, etas) in zip(seeds, built)]
+    weights, geom, dyn = _case_network(case)
+    replicates = []
+    for s in seeds:
+        ens, path, etas = _case_losses(case, s, geom, dyn)
+        replicates.append((replace(ens, lipschitz=l_scale * ens.lipschitz,
+                                   second_moment=l_scale * l_scale * ens.second_moment),
+                           path, etas, _derive_seed(s, _ORACLE, stream)))
     return _execute(weights, second_singular_value(weights), geom, dyn,
                     _replicate_batches(replicates, case.horizon, weights.n, geom.domain.d),
                     case.horizon, "stochastic" if case.oracle_noise > 0 else "exact")

@@ -82,7 +82,7 @@ def best_fixed_point(ens, path, domain, horizon):
     Closed forms: square-loss families are minimized at the time average of
     the targets (then projected); linear families at an extreme point.
     """
-    if ens.kind in ("tracking_square", "synthetic_quadratic"):
+    if ens.gradients is None:
         center = _targets(path, horizon).mean(axis=0)
         if domain.kind == "box":
             return np.clip(center, domain.lo, domain.hi)

@@ -1,10 +1,14 @@
 """Per-agent loss families and their gradient oracles.
 
-Three families are provided.  tracking_square gives each agent a noisy
-scalar observation of one target coordinate and the induced expected square
-loss.  synthetic_quadratic centers a quadratic bowl near the target with
-zero-mean per-agent offsets, so the network-average loss is minimized
-exactly at the target.  synthetic_linear replays bounded linear losses.
+Every family is one square or one linear term.  tracking_square gives each
+agent a noisy scalar observation of one target coordinate, and its expected
+loss is the square over a one-coordinate mask, (x_k - target_k)^2, plus the
+observation noise floor.  synthetic_quadratic is the same square over every
+coordinate, centered at the target plus zero-mean per-agent offsets, so the
+network-average loss is minimized exactly at the target.  synthetic_linear
+replays bounded linear losses.  The run-path functions tell the families
+apart by the terms an ensemble carries (obs for the masked square and its
+floor, per-round offsets, linear gradients), not by its kind.
 
 Every stochastic oracle draws from a generator the caller owns, which
 keeps runs reproducible; the batch oracle takes that round's draws, which
@@ -63,9 +67,6 @@ class ObservationModel:
     def noise_var(self):
         return (self.noise_high - self.noise_low) ** 2 / 12.0
 
-    def counts(self, d):
-        return np.bincount(self.assignment, minlength=d).astype(float)
-
 
 @dataclass(frozen=True)
 class LossEnsemble:
@@ -90,15 +91,12 @@ class LossEnsemble:
     innovation: bool = True
 
     @cached_property
-    def _observed(self):
-        """(flat, mask) of the tracking observations, computed once: agent i
-        sees coordinate k_i at flat index i * d + k_i of its (n, d) block,
-        and the boolean (n, d) mask is true exactly there."""
-        ks = self.obs.assignment
-        flat = np.arange(self.n) * self.d + ks
+    def _mask(self):
+        """The tracking square's boolean (n, d) mask, computed once: row i is
+        true exactly at the coordinate k_i that agent i observes."""
         mask = np.zeros((self.n, self.d), dtype=bool)
-        mask.flat[flat] = True
-        return flat, mask
+        mask[np.arange(self.n), self.obs.assignment] = True
+        return mask
 
 
 def tracking_ensemble(n, domain, noise_low=-1.0, noise_high=1.0, innovation=True):
@@ -175,7 +173,9 @@ def _star(path, t):
 
 
 def _centers(ens, path, t):
-    return _star(path, t)[..., None, :] + ens.offsets[..., t - 1, :, :]
+    """Round t's square centers, (..., n or 1, d): the target plus any offsets."""
+    star = _star(path, t)[..., None, :]
+    return star if ens.offsets is None else star + ens.offsets[..., t - 1, :, :]
 
 
 def loss_value(ens, i, t, x, path):
@@ -224,24 +224,6 @@ def gradient_stochastic(ens, i, t, x, path, rng):
     return g
 
 
-def _observed_values(ens, x_all):
-    """x_all[..., i, k_i] for every agent i: (..., n, d) -> (..., n)."""
-    flat = x_all.reshape(x_all.shape[:-2] + (-1,))
-    return flat.take(ens._observed[0], axis=-1)
-
-
-def _observed_targets(ens, path, t):
-    """The target coordinate each agent observes in round t: (..., n)."""
-    return _star(path, t).take(ens.obs.assignment, axis=-1)
-
-
-def _on_observed(ens, values, shape):
-    """Zeros of `shape` (..., n, d) holding values[..., i] at agent i's coordinate k_i."""
-    g = np.zeros(shape)
-    np.copyto(g, values[..., None], where=ens._observed[1])
-    return g
-
-
 def gradients_exact_batch(ens, t, x_all, path):
     """Exact gradients for every agent at once: x_all is (..., n, d).
 
@@ -249,13 +231,10 @@ def gradients_exact_batch(ens, t, x_all, path):
     stack_replicates) supply each replicate's own targets, offsets or
     linear gradients.
     """
-    x_all = np.asarray(x_all, dtype=float)
-    if ens.kind == "tracking_square":
-        gap = _observed_values(ens, x_all) - _observed_targets(ens, path, t)
-        return _on_observed(ens, 2.0 * gap, x_all.shape)
-    if ens.kind == "synthetic_quadratic":
-        return 2.0 * (x_all - _centers(ens, path, t))
-    return np.array(ens.gradients[..., t - 1, :, :])
+    if ens.gradients is not None:
+        return np.array(ens.gradients[..., t - 1, :, :])
+    g = 2.0 * (np.asarray(x_all, dtype=float) - _centers(ens, path, t))
+    return g if ens.obs is None else np.where(ens._mask, g, 0.0)
 
 
 def gradients_stochastic_batch(ens, t, x_all, path, noise):
@@ -265,17 +244,14 @@ def gradients_stochastic_batch(ens, t, x_all, path, noise):
     oracle, with the same leading replicate axes as x_all; None for a
     synthetic oracle without noise.
     """
-    x_all = np.asarray(x_all, dtype=float)
-    if ens.kind == "tracking_square":
-        z = _observed_targets(ens, path, t) + noise
-        step = -(z - _observed_values(ens, x_all))
-        if not ens.innovation:
-            step *= 2.0
-        return _on_observed(ens, step, x_all.shape)
-    g = gradients_exact_batch(ens, t, x_all, path)
-    if noise is not None:
-        g = g + noise
-    return g
+    if ens.obs is None:
+        g = gradients_exact_batch(ens, t, x_all, path)
+        return g if noise is None else g + noise
+    # the observation z = target_k + w, replayed as -(z - x_k) on the mask
+    step = -(_centers(ens, path, t) + noise[..., None] - np.asarray(x_all, dtype=float))
+    if not ens.innovation:
+        step *= 2.0
+    return np.where(ens._mask, step, 0.0)
 
 
 def oracle_noise(ens, rng, rounds):
@@ -285,7 +261,7 @@ def oracle_noise(ens, rng, rounds):
     noisy synthetic oracle; None when the oracle draws nothing.  A block
     consumes rng exactly as drawing its rows one round at a time would.
     """
-    if ens.kind == "tracking_square":
+    if ens.obs is not None:
         return rng.uniform(ens.obs.noise_low, ens.obs.noise_high, (rounds, ens.n))
     if ens.noise_scale > 0:
         return rng.uniform(-ens.noise_scale, ens.noise_scale, (rounds, ens.n, ens.d))
@@ -298,6 +274,17 @@ def _stacked(arrays, rounds):
     if all(a is arrays[0] for a in arrays):
         return np.broadcast_to(first, (len(arrays),) + first.shape)
     return np.stack([a[:rounds] for a in arrays])
+
+
+def _per_round(ens, rounds):
+    """The per-round arrays ens carries (offsets, gradients) by name, each
+    checked to cover `rounds` rounds."""
+    arrays = {}
+    for name in ("offsets", "gradients"):
+        if getattr(ens, name) is not None:
+            arrays[name] = getattr(ens, name)
+            check_rounds(f"ens.{name}", arrays[name], rounds)
+    return arrays
 
 
 def stack_replicates(ensembles, paths, rounds):
@@ -319,15 +306,8 @@ def stack_replicates(ensembles, paths, rounds):
                          "dimension and oracle")
     for p in paths:
         check_rounds("path.states", p.states, rounds)
-    changes = {}
-    if first.kind == "synthetic_quadratic":
-        for e in ensembles:
-            check_rounds("ens.offsets", e.offsets, rounds)
-        changes["offsets"] = _stacked([e.offsets for e in ensembles], rounds)
-    elif first.kind == "synthetic_linear":
-        for e in ensembles:
-            check_rounds("ens.gradients", e.gradients, rounds)
-        changes["gradients"] = _stacked([e.gradients for e in ensembles], rounds)
+    arrays = [_per_round(e, rounds) for e in ensembles]
+    changes = {name: _stacked([a[name] for a in arrays], rounds) for name in arrays[0]}
     # the oracles read only the states, so the stacked path carries no noise
     path = MinimizerPath(_stacked([p.states for p in paths], rounds), None)
     return replace(first, **changes), path
@@ -352,27 +332,24 @@ def _round_blocks(horizon, width):
 
 def _global_block(ens, rounds, stars, x):
     """Network-average loss of one round block: x is (B, m, d), stars (B, d)."""
-    if ens.kind == "synthetic_linear":
+    if ens.gradients is not None:
         return np.matmul(x, ens.gradients[rounds].mean(axis=1)[:, :, None])[:, :, 0]
     sq = x - stars[:, None, :]
     np.square(sq, out=sq)
-    if ens.kind == "tracking_square":
-        return sq @ ens.obs.counts(ens.d) / ens.n + ens.obs.noise_var
+    if ens.obs is not None:  # coordinate k weighted by how many agents observe it
+        return sq @ ens._mask.sum(axis=0, dtype=float) / ens.n + ens.obs.noise_var
     spread = np.square(ens.offsets[rounds]).sum(axis=2).mean(axis=1)
     return sq.sum(axis=2) + spread[:, None]
 
 
 def _agent_block(ens, rounds, stars, x):
     """Per-agent losses of one round block: row i of x[b] is agent i's point."""
-    if ens.kind == "tracking_square":
-        ks = ens.obs.assignment
-        gap = stars[:, ks] - x[:, np.arange(ens.n), ks]
-        return gap * gap + ens.obs.noise_var
-    if ens.kind == "synthetic_quadratic":
-        diff = x - (stars[:, None, :] + ens.offsets[rounds])
-        np.square(diff, out=diff)
-        return diff.sum(axis=2)
-    return np.einsum("bnd,bnd->bn", ens.gradients[rounds], x)
+    if ens.gradients is not None:
+        return np.einsum("bnd,bnd->bn", ens.gradients[rounds], x)
+    centers = stars[:, None, :]
+    sq = x - (centers if ens.offsets is None else centers + ens.offsets[rounds])
+    np.square(sq, out=sq)
+    return sq.sum(axis=2) if ens.obs is None else sq[:, ens._mask] + ens.obs.noise_var
 
 
 def _evaluate(block, ens, path, x):
@@ -382,10 +359,7 @@ def _evaluate(block, ens, path, x):
         raise ValueError(f"expected a (T, m, {ens.d}) stack, got shape {x.shape}")
     horizon, m, _ = x.shape
     check_rounds("path.states", path.states, horizon)
-    if ens.kind == "synthetic_quadratic":
-        check_rounds("ens.offsets", ens.offsets, horizon)
-    elif ens.kind == "synthetic_linear":
-        check_rounds("ens.gradients", ens.gradients, horizon)
+    _per_round(ens, horizon)
     out = np.empty((horizon, m))
     for rounds in _round_blocks(horizon, max(m, ens.n) * ens.d):
         out[rounds] = block(ens, rounds, path.states[rounds], x[rounds])
@@ -413,9 +387,9 @@ def agent_loss_batch(ens, path, x):
 def centers_outside_domain(ens, path, domain):
     """Count quadratic centers c[i,t], t = 1 .. path.horizon, outside the domain.
 
-    Should be 0 for valid suites; always 0 for families without centers.
+    Should be 0 for valid suites; always 0 for ensembles without offsets.
     """
-    if ens.kind != "synthetic_quadratic":
+    if ens.offsets is None:
         return 0
     horizon = path.horizon
     check_rounds("ens.offsets", ens.offsets, horizon)

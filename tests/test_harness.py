@@ -466,6 +466,16 @@ def test_suite_sigma2_is_computed_once_per_case(monkeypatch):
     assert len(calls) == 1
 
 
+def test_suite_weights_are_built_once_per_case(monkeypatch):
+    builds = []
+    for name in ("metropolis_weights", "uniform_complete_weights"):
+        build = getattr(domd.harness, name)
+        monkeypatch.setattr(domd.harness, name,
+                            lambda g, build=build: builds.append(g) or build(g))
+    verify_bounds(seeds=3)
+    assert len(builds) == len(bound_suite()) == 10
+
+
 def test_stochastic_mean_regret_equals_runs_alone():
     case = _suite_case("simplex_quad_noisy_n4_t100")
     regrets = []

@@ -27,6 +27,25 @@ def _tracking_setup(n=6, half=5.0, horizon=10):
     return domain, ens, path
 
 
+def _signed_zero_setup():
+    """Tracking on a target whose last coordinate stays 0.0, and six agents:
+    agent 0 on round 4's target, agent 5 (which observes that coordinate) at
+    -0.0 in every coordinate, the others uniform on [-2, 2]^4."""
+    domain, ens, _ = _tracking_setup()
+    path = generate_path(identity_dynamics(4), np.tile([0.01, 0.0, -0.02, 0.0], (10, 1)),
+                         np.array([0.5, -0.5, 1.0, 0.0]), 10)
+    x_all = np.random.default_rng(1).uniform(-2.0, 2.0, (6, 4))
+    x_all[0] = path.states[3]
+    x_all[5] = -0.0
+    return domain, ens, path, x_all
+
+
+def _assert_same_bits(got, want):
+    # assert_array_equal alone takes -0.0 for +0.0
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def _fd_gradient(f, x, h=1e-6):
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)
@@ -229,19 +248,20 @@ def test_oracle_noise_is_bounded():
 
 
 def test_batch_oracle_replays_the_scalar_oracle_draw_for_draw():
-    # a block of oracle_noise rows consumes the stream like per-agent scalar draws
-    domain, tracking, path = _tracking_setup()
+    # a block of oracle_noise rows consumes the stream like per-agent scalar
+    # draws, and gives the same bits, signed zeros included
+    domain, tracking, path, x_all = _signed_zero_setup()
     families = (tracking, replace(tracking, innovation=False),
-                synthetic_suite(5, 6, 4, 10, domain, noise_scale=0.3))
-    x_all = np.random.default_rng(1).uniform(-2.0, 2.0, (6, 4))
+                synthetic_suite(5, 6, 4, 10, domain, noise_scale=0.3),
+                synthetic_suite(5, 6, 4, 10, domain, kind="synthetic_linear",
+                                noise_scale=0.3))
     for ens in families:
         block = oracle_noise(ens, np.random.default_rng(4), 3)
         rng = np.random.default_rng(4)
         for t, noise in zip((2, 3, 4), block):
             batch = gradients_stochastic_batch(ens, t, x_all, path, noise)
             for i in range(6):
-                np.testing.assert_array_equal(
-                    batch[i], gradient_stochastic(ens, i, t, x_all[i], path, rng))
+                _assert_same_bits(batch[i], gradient_stochastic(ens, i, t, x_all[i], path, rng))
 
 
 def test_stacked_oracles_equal_each_replicate():
@@ -271,18 +291,18 @@ def test_stacked_oracles_equal_each_replicate():
 
 
 def test_batch_gradients_match_single_agent_calls():
-    domain, ens, path = _tracking_setup()
+    domain, ens, path, x_all = _signed_zero_setup()
     quad = synthetic_suite(5, 6, 4, 10, domain)
     lin = synthetic_suite(5, 6, 4, 10, domain, kind="synthetic_linear")
-    rng = np.random.default_rng(2)
-    x_all = rng.uniform(-2.0, 2.0, (6, 4))
     for family in (ens, quad, lin):
         for t in (1, 4, 10):
             batch = gradients_exact_batch(family, t, x_all, path)
             for i in range(6):
-                np.testing.assert_allclose(
-                    batch[i], gradient_exact(family, i, t, x_all[i], path),
-                    atol=1e-14)
+                _assert_same_bits(batch[i], gradient_exact(family, i, t, x_all[i], path))
+    # the setup reaches both signed zeros on an observed coordinate
+    assert ens.obs.assignment[5] == 3
+    tracking = gradients_exact_batch(ens, 4, x_all, path)
+    assert np.signbit(tracking[5, 3]) and not np.signbit(tracking[0]).any()
 
 
 def test_centers_outside_domain_counts():
