@@ -18,6 +18,7 @@ Example::
 import configparser
 import hashlib
 import io
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -172,7 +173,13 @@ def _convert(section, key, spec, raw):
 
 
 def cross_validate(cfg):
-    """Return cfg, or raise ConfigError when two of its values conflict."""
+    """Return cfg, or raise ConfigError on a non-finite float or two conflicting values."""
+    for section, keys in SCHEMA.items():
+        for key, (attr, typ, _, _) in keys.items():
+            value = getattr(cfg, attr)
+            entries = (value,) if typ is float else value if typ == "vector" else ()
+            if not all(map(math.isfinite, entries)):
+                raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
     if cfg.domain_kind == "box" and cfg.box_low >= cfg.box_high:
         raise ConfigError("geometry.box_low must be below geometry.box_high")
     if cfg.obs_noise_low > cfg.obs_noise_high:

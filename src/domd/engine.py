@@ -13,13 +13,13 @@ swapped by accident.
 Step sizes are an array of eta_1 .. eta_{T+1}: the loop uses the first T,
 and the bound calculators read the last one from the trace.
 
-run_replicates advances R replicates of one network, geometry and dynamics
-(each with its own losses, target path, step sizes and oracle seed) through
-one loop over a (R, n, d) state; run is its R = 1 call.  Each replicate's
-iterates are bit-identical to a run of that replicate alone: every
-operation is elementwise or row-wise per replicate, mixing is one matrix
-product per replicate, and every decision on a whole array (floor
-projection passes, domain repair) is taken per replicate.
+run advances R replicates of one network, geometry and dynamics (each with
+its own losses, target path, step sizes and oracle seed) through one loop
+over a (R, n, d) state, R = 1 included.  Each replicate's iterates are
+bit-identical to a run of that replicate alone: every operation is
+elementwise or row-wise per replicate, mixing is one matrix product per
+replicate, and every decision on a whole array (floor projection passes,
+domain repair) is taken per replicate.
 """
 
 import itertools
@@ -40,28 +40,32 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunTrace:
-    """The iterates of a run and its step sizes; nothing per round besides.
+    """The iterates of a batch of runs and their step sizes; nothing per round besides.
 
-    Row s of x is the stacked iterate at time s+1 (horizon+1 rows); etas has
-    horizon+1 entries, the last one for the bound calculators.  Anchors and
-    prox outputs are not kept: mix and prox recompute them from x.
+    x is (R, horizon+1, n, d), row s of x[r] replicate r's iterate at time
+    s+1; etas is (R, horizon+1), the last column for the bound calculators.
+    trace[r] is replicate r's trace as views; horizon, n and d read the
+    trailing axes.  Anchors and prox outputs are recomputed from x, not kept.
     """
 
     x: np.ndarray
     etas: np.ndarray
     norm_kind: str
 
+    def __getitem__(self, r):
+        return RunTrace(self.x[r], self.etas[r], self.norm_kind)
+
     @property
     def horizon(self):
-        return self.x.shape[0] - 1
+        return self.x.shape[-3] - 1
 
     @property
     def n(self):
-        return self.x.shape[1]
+        return self.x.shape[-2]
 
     @property
     def d(self):
-        return self.x.shape[2]
+        return self.x.shape[-1]
 
 
 def init_state(n, geom, x0=None):
@@ -123,15 +127,18 @@ def _oracle_draws(ensembles, seeds, horizon, width):
         yield from (np.stack(blocks, axis=1) if blocks[0] is not None else [None] * size)
 
 
-def run_replicates(weights, geom, dyn, replicates, horizon, mode="exact", x0=None):
-    """Run R replicates through one loop and return one RunTrace each.
+def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None):
+    """Run R replicates through one loop for `horizon` rounds; returns their RunTrace.
 
     replicates is a sequence of (ens, path, etas, seed), etas holding the
     positive step sizes eta_1 .. eta_{horizon+1}; they share the network,
     geometry, dynamics, horizon, oracle mode and start x0, and their
-    ensembles must share the loss family (see stack_replicates).
-    Trace r is bit-identical to run(weights, geom, dyn, *replicates[r]...)
-    and its x is a contiguous view of one (R, horizon+1, n, d) array.
+    ensembles must share the loss family (see stack_replicates).  mode
+    selects the oracle: "exact" queries analytic gradients, "stochastic"
+    queries the noisy oracle exactly once per agent per round, replicate r
+    from a generator seeded with its seed.  Identical arguments produce
+    identical traces, and trace[r] is bit-identical to a run of
+    replicates[r] alone.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -162,18 +169,5 @@ def run_replicates(weights, geom, dyn, replicates, horizon, mode="exact", x0=Non
             g = gradients_stochastic_batch(ens, t, x, path, noise)
         x = xs[:, t] = step(x, weights, geom, dyn, g, steps[:, t - 1])
         _require_finite(x, t)
-    return [RunTrace(xs[r], etas[r], geom.norm_kind) for r in range(len(replicates))]
+    return RunTrace(xs, etas, geom.norm_kind)
 
-
-def run(weights, geom, dyn, ens, path, etas, horizon, mode="exact", seed=0,
-        x0=None):
-    """Run the full loop for `horizon` rounds and record the iterate trace.
-
-    etas holds the step sizes eta_1 .. eta_{horizon+1}.  mode selects the
-    oracle: "exact" queries analytic gradients, "stochastic" queries the
-    noisy oracle exactly once per agent per round from a generator seeded
-    with `seed`.  Identical arguments produce identical traces.  This is
-    the one-replicate call of run_replicates.
-    """
-    return run_replicates(weights, geom, dyn, [(ens, path, etas, seed)], horizon,
-                          mode, x0)[0]

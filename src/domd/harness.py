@@ -23,7 +23,7 @@ from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_va
 from .dynamics import (MinimizerPath, generate_path, identity_dynamics,
                        linear_dynamics, ncv_disturbances, ncv_dynamics,
                        path_variation)
-from .engine import run, run_replicates
+from .engine import run
 from .geometry import (box_domain, contains, euclidean_geometry, free_domain,
                        geometry_constants, kl_geometry, simplex_domain,
                        vector_norm)
@@ -144,20 +144,17 @@ def _replicate_batches(items, horizon, n, d):
 def _execute(weights, sigma2, geom, dyn, batches, horizon, mode, x0=None):
     """Run each batch of (ens, path, etas, seed) replicates; yields (ens, path, trace, bounds).
 
-    bounds is the run's regret_guarantee from its ensemble's declared
-    constants (G^2 only in stochastic mode), None on an unbounded domain.
-    A batch's traces are let go before the next batch is asked for.
+    Each batch, a batch of one included, is one engine.run call, and trace
+    is its replicate's trace[r].  bounds is the run's regret_guarantee from
+    its ensemble's declared constants (G^2 only in stochastic mode), None on
+    an unbounded domain.  A batch's traces are let go before the next batch
+    is asked for.
     """
     consts = geometry_constants(geom)
     for replicates in batches:
-        if len(replicates) == 1:
-            # a lone replicate goes through engine.run, the call that profilers
-            # and perfbench/tracer.py observe as one run
-            ens, path, etas, seed = replicates[0]
-            traces = [run(weights, geom, dyn, ens, path, etas, horizon, mode, seed, x0)]
-        else:
-            traces = run_replicates(weights, geom, dyn, replicates, horizon, mode, x0)
-        for (ens, path, _, _), trace in zip(replicates, traces):
+        batch = run(weights, geom, dyn, replicates, horizon, mode, x0)
+        for r, (ens, path, _, _) in enumerate(replicates):
+            trace = batch[r]
             bounds = None
             if consts.available:
                 bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas,
@@ -165,7 +162,7 @@ def _execute(weights, sigma2, geom, dyn, batches, horizon, mode, x0=None):
                                           grad_second_moment=ens.second_moment
                                           if mode == "stochastic" else None)
             yield ens, path, trace, bounds
-        del traces, trace  # before the next batch is assembled and run
+        del batch, trace  # before the next batch is assembled and run
 
 
 def _start_target(cfg, domain):

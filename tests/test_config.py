@@ -4,6 +4,11 @@ import pytest
 
 from domd.config import (ConfigError, ExperimentConfig, config_hash,
                          describe_schema, load_config, parse_config, SCHEMA)
+from domd.harness import sweep
+
+# every float and vector key, as section.key
+FLOAT_KEYS = [f"{section}.{key}" for section, keys in SCHEMA.items()
+              for key, spec in keys.items() if spec[1] in (float, "vector")]
 
 
 def test_empty_document_yields_defaults():
@@ -111,6 +116,22 @@ def test_cross_validation_rules():
     for text, needle in cases:
         with pytest.raises(ConfigError, match=needle):
             parse_config(text, env={})
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", FLOAT_KEYS)
+def test_non_finite_floats_are_rejected(name, bad):
+    # from a file, an environment override and a sweep; each names the key
+    section, key = name.split(".")
+    vector = SCHEMA[section][key][1] == "vector"
+    raw = f"0.5, 0.5, 0.5, {bad}" if vector else bad  # the default dim is 4
+    with pytest.raises(ConfigError, match=name):
+        parse_config(f"[{section}]\n{key} = {raw}\n", env={})
+    with pytest.raises(ConfigError, match=name):
+        parse_config("", env={f"DOMD_{section.upper()}__{key.upper()}": raw})
+    if not vector:  # vectors cannot be swept
+        with pytest.raises(ConfigError, match=name):
+            sweep(parse_config("", env={}), name, (float(bad),), runs=1)
 
 
 def test_agent_count_rule_applies_to_tracking_losses_only():

@@ -9,7 +9,7 @@ import pytest
 import domd.engine
 from domd.dynamics import (generate_path, identity_dynamics, linear_dynamics,
                            ncv_disturbances, ncv_dynamics)
-from domd.engine import EngineError, RunTrace, init_state, run, run_replicates, step
+from domd.engine import EngineError, RunTrace, init_state, run, step
 from domd.geometry import (box_domain, contains, euclidean_geometry,
                            free_domain, kl_geometry, prox, simplex_domain)
 from domd.network import (WeightMatrix, build_grid_graph, build_path_graph,
@@ -33,27 +33,27 @@ def test_constant_and_inv_sqrt_schedules():
     # a zero, negative or NaN entry is refused for the replicate that holds it
     weights, geom, dyn, ens, path = _box_setup(horizon=5)
     for etas in (np.full(6, 0.5), 0.2 / np.sqrt(np.arange(1, 7))):
-        assert np.array_equal(run(weights, geom, dyn, ens, path, etas, 5).etas, etas)
+        assert np.array_equal(run(weights, geom, dyn, [(ens, path, etas, 0)], 5)[0].etas, etas)
     good = np.full(6, 0.1)
     for bad in (np.zeros(6), np.full(6, -0.1), np.r_[np.full(5, 0.1), 0.0],
                 np.r_[np.nan, np.full(5, 0.1)]):
         with pytest.raises(ValueError, match="replicate 0: step sizes must be 6 positive"):
-            run(weights, geom, dyn, ens, path, bad, 5)
+            run(weights, geom, dyn, [(ens, path, bad, 0)], 5)
         with pytest.raises(ValueError, match="replicate 1: step sizes must be 6 positive"):
-            run_replicates(weights, geom, dyn, [(ens, path, good, 0), (ens, path, bad, 1)], 5)
+            run(weights, geom, dyn, [(ens, path, good, 0), (ens, path, bad, 1)], 5)
 
 
 def test_schedule_etas_covers_one_past_horizon():
     # eta_{T+1} is for the bound calculators, so the array has T+1 entries exactly
     weights, geom, dyn, ens, path = _box_setup(horizon=5)
-    assert run(weights, geom, dyn, ens, path, np.full(6, 0.1), 5).etas.shape == (6,)
+    assert run(weights, geom, dyn, [(ens, path, np.full(6, 0.1), 0)], 5)[0].etas.shape == (6,)
     good = np.full(6, 0.1)
     for bad in (np.full(5, 0.1), np.full(7, 0.1), np.full((6, 1), 0.1), 0.1):
         with pytest.raises(ValueError, match="replicate 0: step sizes must be 6 .* got shape"):
-            run(weights, geom, dyn, ens, path, bad, 5)
+            run(weights, geom, dyn, [(ens, path, bad, 0)], 5)
         with pytest.raises(ValueError, match="replicate 2: step sizes must be 6"):
-            run_replicates(weights, geom, dyn, [(ens, path, good, 0), (ens, path, good, 1),
-                                                (ens, path, bad, 2)], 5)
+            run(weights, geom, dyn, [(ens, path, good, 0), (ens, path, good, 1),
+                                     (ens, path, bad, 2)], 5)
 
 
 def test_init_state_defaults():
@@ -75,8 +75,8 @@ def test_zero_gradients_leave_common_iterate_fixed():
     grads = np.zeros((path.horizon, 3, 2))
     ens = linear_ensemble(grads, geom.domain)
     start = np.array([0.7, -1.3])
-    trace = run(weights, geom, dyn, ens, path, np.full(path.horizon + 1, 0.1),
-                path.horizon, x0=start)
+    trace = run(weights, geom, dyn, [(ens, path, np.full(path.horizon + 1, 0.1), 0)],
+                path.horizon, x0=start)[0]
     np.testing.assert_allclose(trace.x, np.broadcast_to(start, trace.x.shape),
                                atol=1e-14)
 
@@ -90,8 +90,8 @@ def _replay_round(trace, weights, geom, ens, path, eta, t):
 
 def test_mixing_preserves_agent_mean():
     weights, geom, dyn, ens, path = _box_setup()
-    trace = run(weights, geom, dyn, ens, path, np.full(path.horizon + 1, 0.1),
-                path.horizon, seed=0)
+    trace = run(weights, geom, dyn, [(ens, path, np.full(path.horizon + 1, 0.1), 0)],
+                path.horizon)[0]
     xbar = trace.x.mean(axis=1)
     for t in range(path.horizon):
         y, _, xhat = _replay_round(trace, weights, geom, ens, path, 0.1, t)
@@ -107,7 +107,7 @@ def test_uniform_weights_give_identical_anchors():
     dyn = identity_dynamics(d)
     ens = synthetic_suite(1, n, d, horizon, geom.domain)
     path = generate_path(dyn, np.zeros((horizon, d)), np.zeros(d), horizon)
-    trace = run(weights, geom, dyn, ens, path, np.full(horizon + 1, 0.1), horizon)
+    trace = run(weights, geom, dyn, [(ens, path, np.full(horizon + 1, 0.1), 0)], horizon)[0]
     for t in range(horizon):
         y = mix(weights, trace.x[t])
         np.testing.assert_allclose(y - y[0], 0.0, atol=1e-14)
@@ -117,17 +117,17 @@ def test_runs_are_reproducible():
     weights, geom, dyn, ens, path = _box_setup()
     noisy = synthetic_suite(3, 3, 2, path.horizon, geom.domain, noise_scale=0.2)
     etas = np.full(path.horizon + 1, 0.1)
-    a = run(weights, geom, dyn, noisy, path, etas, path.horizon, mode="stochastic", seed=5)
-    b = run(weights, geom, dyn, noisy, path, etas, path.horizon, mode="stochastic", seed=5)
+    a = run(weights, geom, dyn, [(noisy, path, etas, 5)], path.horizon, mode="stochastic")
+    b = run(weights, geom, dyn, [(noisy, path, etas, 5)], path.horizon, mode="stochastic")
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.etas, b.etas)
-    c = run(weights, geom, dyn, noisy, path, etas, path.horizon, mode="stochastic", seed=6)
-    assert not np.array_equal(a.x[1:], c.x[1:])
+    c = run(weights, geom, dyn, [(noisy, path, etas, 6)], path.horizon, mode="stochastic")
+    assert not np.array_equal(a.x[0, 1:], c.x[0, 1:])
 
 
 def test_zero_round_run():
     weights, geom, dyn, ens, path = _box_setup()
-    trace = run(weights, geom, dyn, ens, path, np.full(1, 0.1), 0)
+    trace = run(weights, geom, dyn, [(ens, path, np.full(1, 0.1), 0)], 0)[0]
     assert trace.horizon == 0
     assert trace.x.shape == (1, 3, 2)
     assert trace.etas.shape == (1,)
@@ -169,7 +169,7 @@ def test_trace_replays_through_public_steps(case):
     horizon, seed = 5, 11
     weights, geom, dyn, ens, path, mode = case(horizon)
     etas = 0.3 / np.sqrt(np.arange(1, horizon + 2))
-    trace = run(weights, geom, dyn, ens, path, etas, horizon, mode=mode, seed=seed)
+    trace = run(weights, geom, dyn, [(ens, path, etas, seed)], horizon, mode=mode)[0]
     draws = oracle_noise(ens, np.random.default_rng(seed), horizon)
     for t in range(horizon):
         x, eta = trace.x[t], etas[t]
@@ -197,24 +197,44 @@ def test_prox_errors_stop_the_run_in_their_round(monkeypatch):
     etas = np.full(horizon + 1, 0.1)
     # x = 0.3, 0.45, 0.675, 1.0125: the push leaves the box and round 4's anchor is outside
     with pytest.raises(ValueError, match="prox anchor lies outside the domain"):
-        run(weights, geom, linear_dynamics(1.5 * np.eye(2)), idle, path, etas, horizon,
+        run(weights, geom, linear_dynamics(1.5 * np.eye(2)), [(idle, path, etas, 0)], horizon,
             x0=[0.3, 0.3])
     assert len(calls) == 4
     grads = np.zeros((horizon, 2, 2))
     grads[2, 1, 0] = np.nan  # agent 1's gradient in round 3
     calls.clear()
     with pytest.raises(ValueError, match="gradient has non-finite entries"):
-        run(weights, geom, identity_dynamics(2), linear_ensemble(grads, geom.domain), path,
-            etas, horizon)
+        run(weights, geom, identity_dynamics(2),
+            [(linear_ensemble(grads, geom.domain), path, etas, 0)], horizon)
     assert len(calls) == 3
 
 
 def test_run_argument_validation():
     weights, geom, dyn, ens, path = _box_setup()
     with pytest.raises(ValueError, match="mode"):
-        run(weights, geom, dyn, ens, path, np.full(4, 0.1), 3, mode="банана")
+        run(weights, geom, dyn, [(ens, path, np.full(4, 0.1), 0)], 3, mode="банана")
     with pytest.raises(ValueError, match="nonnegative"):
-        run(weights, geom, dyn, ens, path, np.full(4, 0.1), -1)
+        run(weights, geom, dyn, [(ens, path, np.full(4, 0.1), 0)], -1)
+    with pytest.raises(ValueError, match="at least one replicate"):
+        run(weights, geom, dyn, [], 3)
+    linear = linear_ensemble(np.zeros((path.horizon, 3, 2)), geom.domain)
+    with pytest.raises(ValueError, match="share the loss family"):
+        run(weights, geom, dyn, [(ens, path, np.full(4, 0.1), 0),
+                                 (linear, path, np.full(4, 0.1), 0)], 3)
+
+
+def test_batch_trace_rows_are_replicate_views():
+    weights, geom, dyn, ens, path = _box_setup(horizon=5)
+    steps = (np.full(6, 0.1), np.full(6, 0.3))
+    batch = run(weights, geom, dyn, [(ens, path, eta, k) for k, eta in enumerate(steps)], 5)
+    assert batch.x.shape == (2, 6, 3, 2) and batch.etas.shape == (2, 6)
+    assert (batch.horizon, batch.n, batch.d) == (5, 3, 2)
+    for r, eta in enumerate(steps):
+        trace = batch[r]
+        assert trace.x.shape == (6, 3, 2) and (trace.horizon, trace.n, trace.d) == (5, 3, 2)
+        assert np.shares_memory(trace.x, batch.x) and np.shares_memory(trace.etas, batch.etas)
+        assert np.array_equal(trace.x, batch.x[r]) and np.array_equal(trace.etas, eta)
+        assert trace.norm_kind == batch.norm_kind
 
 
 def test_simplex_iterates_stay_feasible_under_contracting_dynamics():
@@ -226,7 +246,7 @@ def test_simplex_iterates_stay_feasible_under_contracting_dynamics():
     path = generate_path(identity_dynamics(d), np.zeros((horizon, d)),
                          np.full(d, 1.0 / 3.0), horizon)
     ens = synthetic_suite(2, n, d, horizon, domain)
-    trace = run(weights, geom, dyn, ens, path, np.full(horizon + 1, 0.2), horizon)
+    trace = run(weights, geom, dyn, [(ens, path, np.full(horizon + 1, 0.2), 0)], horizon)[0]
     for t in range(horizon + 1):
         for i in range(n):
             assert contains(domain, trace.x[t, i])
@@ -242,21 +262,22 @@ def test_divergent_dynamics_raise_engine_error():
     ens = linear_ensemble(np.zeros((horizon, n, d)), geom.domain)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EngineError, match="non-finite"):
-            run(weights, geom, dyn, ens, path, np.full(horizon + 1, 0.1), horizon,
+            run(weights, geom, dyn, [(ens, path, np.full(horizon + 1, 0.1), 0)], horizon,
                 x0=np.array([1.0, 1.0]))
 
 
 def _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon, mode,
                                        x0=None):
-    traces = run_replicates(weights, geom, dyn, replicates, horizon, mode, x0)
-    assert len(traces) == len(replicates)
-    for (ens, path, etas, seed), trace in zip(replicates, traces):
-        solo = run(weights, geom, dyn, ens, path, etas, horizon, mode, seed, x0)
-        assert np.array_equal(trace.x, solo.x)
-        assert np.array_equal(trace.etas, solo.etas)
+    # a batch of R equals R batches of one, bit for bit (signed zeros included)
+    batch = run(weights, geom, dyn, replicates, horizon, mode, x0)
+    assert batch.x.shape == (len(replicates), horizon + 1, weights.n, geom.domain.d)
+    traces = [batch[r] for r in range(len(replicates))]
+    for replicate, trace in zip(replicates, traces):
+        solo = run(weights, geom, dyn, [replicate], horizon, mode, x0)
+        assert trace.x.tobytes() == solo.x.tobytes()
+        assert trace.etas.tobytes() == solo.etas.tobytes()
         assert trace.x.flags.c_contiguous
-        assert trace.x.base is traces[0].x.base
-    assert traces[0].x.base.shape == (len(replicates), horizon + 1, weights.n, geom.domain.d)
+        assert trace.x.base is batch.x
     return traces
 
 
@@ -344,12 +365,12 @@ def test_noise_block_boundaries_keep_every_stream(monkeypatch, block_elements):
                  for k in (1, 2)]
     replicates = [(e, path, np.full(11, 0.1), 20 + k)
                   for k, e in enumerate(ensembles)]
-    whole = run_replicates(weights, geom, dyn, replicates, 10, "stochastic")
+    whole = run(weights, geom, dyn, replicates, 10, "stochastic")
     monkeypatch.setattr(domd.engine, "BLOCK_ELEMENTS", block_elements)
     blocked = _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, 10,
                                                  "stochastic")
-    for a, b in zip(whole, blocked):
-        assert np.array_equal(a.x, b.x)
+    for r, b in enumerate(blocked):
+        assert whole[r].x.tobytes() == b.x.tobytes()
 
 
 def test_non_finite_error_names_round_replicate_and_agent():
@@ -366,24 +387,14 @@ def test_non_finite_error_names_round_replicate_and_agent():
     replicates = [(calm, path, etas, 0), (wild, path, etas, 0)]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EngineError, match="non-finite") as solo:
-            run(weights, geom, dyn, wild, path, etas, horizon)
+            run(weights, geom, dyn, [(wild, path, etas, 0)], horizon)
         with pytest.raises(EngineError, match="non-finite") as batched:
-            run_replicates(weights, geom, dyn, replicates, horizon)
+            run(weights, geom, dyn, replicates, horizon)
     assert str(solo.value).endswith("(replicate 0, agent 2)")
     assert str(batched.value).endswith("(replicate 1, agent 2)")
     round_of = str(solo.value).split("round ")[1].split(" ")[0]
     assert str(batched.value).split("round ")[1].split(" ")[0] == round_of
     assert 300 < int(round_of) < 320  # x_t = 10 (x_{t-1} + 1) passes 1.8e308
-
-
-def test_run_replicates_argument_validation():
-    weights, geom, dyn, ens, path = _box_setup()
-    with pytest.raises(ValueError, match="at least one replicate"):
-        run_replicates(weights, geom, dyn, [], 3)
-    linear = linear_ensemble(np.zeros((path.horizon, 3, 2)), geom.domain)
-    with pytest.raises(ValueError, match="share the loss family"):
-        run_replicates(weights, geom, dyn, [(ens, path, np.full(4, 0.1), 0),
-                                            (linear, path, np.full(4, 0.1), 0)], 3)
 
 
 def test_run_memory_is_the_iterate_trace():
@@ -396,8 +407,8 @@ def test_run_memory_is_the_iterate_trace():
     ens = tracking_ensemble(n, geom.domain)
     tracemalloc.start()
     try:
-        trace = run(weights, geom, dyn, ens, path, np.full(horizon + 1, 0.1), horizon,
-                    mode="stochastic", seed=0)
+        trace = run(weights, geom, dyn, [(ens, path, np.full(horizon + 1, 0.1), 0)], horizon,
+                    mode="stochastic")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

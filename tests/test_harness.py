@@ -332,14 +332,18 @@ def test_sweep_checks_every_value_before_any_run(cfg, param, values, message, mo
         sweep(cfg, param, values)
 
 
+def _count_engine_runs(monkeypatch):
+    calls = []
+    engine_run = domd.harness.run
+    monkeypatch.setattr(domd.harness, "run",
+                        lambda *a, **k: calls.append(1) or engine_run(*a, **k))
+    return calls
+
+
 def test_sweep_checks_synthetic_centres_before_any_engine_call(monkeypatch):
     # the centres come from each replicate's drawn losses, yet a value whose
     # centres leave the domain stops the sweep before the first value runs
-    calls = []
-    for name in ("run", "run_replicates"):
-        engine_call = getattr(domd.harness, name)
-        monkeypatch.setattr(domd.harness, name,
-                            lambda *a, _f=engine_call, **k: calls.append(1) or _f(*a, **k))
+    calls = _count_engine_runs(monkeypatch)
     with pytest.raises(ConfigError, match="synthetic centers leave the domain"):
         sweep(_quad_cfg(horizon=50, runs=2), "loss.offset_scale", (0.2, 100.0))
     assert calls == []
@@ -403,7 +407,7 @@ def test_sweep_replicates_redraw_paths_unless_fixed():
 
 
 def test_batched_runs_equal_runs_alone(monkeypatch):
-    # batches of 3 and 1 replicates; the lone one goes through engine.run
+    # batches of 3 and 1 replicates, each one engine.run call
     cfg = _tracking_cfg(horizon=60)
     monkeypatch.setattr(domd.harness, "BATCH_TRACE_BYTES", 3 * 61 * 25 * 4 * 8)
     batched = list(run_experiments(cfg, range(4)))
@@ -421,6 +425,20 @@ def test_batched_runs_equal_runs_alone(monkeypatch):
     result = sweep(cfg, "noise.sigma_v2", (0.5,), runs=4)
     assert np.array_equal(result.mean_curves[0], np.mean(curves, axis=0))
     assert np.array_equal(result.std_curves[0], np.std(curves, axis=0))
+
+
+def test_executor_runs_each_batch_in_one_engine_call(monkeypatch):
+    # a batch of one included: verify's three seeds of a case are one batch,
+    # as are a sweep value's four runs
+    calls = _count_engine_runs(monkeypatch)
+    verify_bounds(seeds=3)
+    assert len(calls) == len(bound_suite()) == 10
+    calls.clear()
+    sweep(_tracking_cfg(horizon=20), "noise.sigma_v2", (0.25, 0.5, 0.75, 1.0), runs=4)
+    assert len(calls) == 4
+    calls.clear()
+    run_experiment(_tracking_cfg(horizon=20))
+    assert len(calls) == 1
 
 
 def _sweep_peak(cfg, values, runs):
@@ -481,8 +499,8 @@ def test_stochastic_mean_regret_equals_runs_alone():
     regrets = []
     for seed in range(3, 6):
         weights, geom, dyn, ens, path, etas = _build_case(case, seed)
-        trace = run(weights, geom, dyn, ens, path, etas, case.horizon,
-                    mode="stochastic", seed=_derive_seed(seed, _ORACLE, 1))
+        trace = run(weights, geom, dyn, [(ens, path, etas, _derive_seed(seed, _ORACLE, 1))],
+                    case.horizon, mode="stochastic")[0]
         regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
     mean, _ = stochastic_mean_regret(case.name, runs=3, base_seed=3)
     assert mean == float(np.mean(regrets))
@@ -498,8 +516,8 @@ def test_verify_noisy_row_averages_runs_alone(l_scale):
     regrets = []
     for seed in range(3):
         weights, geom, dyn, ens, path, etas = _build_case(case, seed)
-        trace = run(weights, geom, dyn, ens, path, etas, case.horizon,
-                    mode="stochastic", seed=_derive_seed(seed, _ORACLE, 0))
+        trace = run(weights, geom, dyn, [(ens, path, etas, _derive_seed(seed, _ORACLE, 0))],
+                    case.horizon, mode="stochastic")[0]
         regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
     bound = regret_guarantee(geometry_constants(geom), l_scale * ens.lipschitz,
                              second_singular_value(weights), trace.etas,

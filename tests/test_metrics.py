@@ -182,7 +182,7 @@ def _one_agent_run():
     ens = synthetic_suite(0, 1, 1, 1, domain, offset_scale=0.0)
     path = generate_path(dyn, np.zeros((1, 1)), np.array([0.5]), 1)
     weights = uniform_complete_weights(1)
-    trace = run(weights, geom, dyn, ens, path, np.full(2, 0.1), 1)
+    trace = run(weights, geom, dyn, [(ens, path, np.full(2, 0.1), 0)], 1)[0]
     return trace, ens, path, domain
 
 
@@ -203,8 +203,8 @@ def test_regret_report_normalization():
     ens = synthetic_suite(4, 4, 2, horizon, domain)
     path = generate_path(dyn, np.zeros((horizon, 2)), np.array([0.5, -0.5]), horizon)
     weights = metropolis_weights(build_grid_graph(2, 2))
-    trace = run(weights, geom, dyn, ens, path, 0.2 / np.sqrt(np.arange(1, horizon + 2)),
-                horizon)
+    trace = run(weights, geom, dyn, [(ens, path, 0.2 / np.sqrt(np.arange(1, horizon + 2)), 0)],
+                horizon)[0]
     report = dynamic_regret(trace, ens, path)
     np.testing.assert_allclose(report.cumulative, np.cumsum(report.instant),
                                atol=1e-14)
@@ -268,8 +268,8 @@ def test_static_regret_never_exceeds_dynamic():
     path = generate_path(dyn, noise, np.array([0.5, -0.5]), horizon)
     ens = synthetic_suite(4, 4, 2, horizon, domain)
     weights = metropolis_weights(build_grid_graph(2, 2))
-    trace = run(weights, geom, dyn, ens, path, 0.2 / np.sqrt(np.arange(1, horizon + 2)),
-                horizon)
+    trace = run(weights, geom, dyn, [(ens, path, 0.2 / np.sqrt(np.arange(1, horizon + 2)), 0)],
+                horizon)[0]
     dyn_regret = dynamic_regret(trace, ens, path).dynamic_regret
     stat = static_regret(trace, ens, path, domain)
     assert stat <= dyn_regret + 1e-9
@@ -284,7 +284,7 @@ def test_regrets_share_one_evaluation_of_the_iterate_losses(monkeypatch):
         0.0, 0.05, (horizon, 2)), np.array([0.5, -0.5]), horizon)
     ens = synthetic_suite(4, 4, 2, horizon, domain)
     trace = run(metropolis_weights(build_grid_graph(2, 2)), euclidean_geometry(domain),
-                identity_dynamics(2), ens, path, np.full(horizon + 1, 0.2), horizon)
+                identity_dynamics(2), [(ens, path, np.full(horizon + 1, 0.2), 0)], horizon)[0]
     alone = dynamic_regret(trace, ens, path), static_regret(trace, ens, path, domain)
     calls = []
     evaluate = domd.metrics.global_loss_batch
@@ -311,7 +311,7 @@ def test_per_agent_loss_gap_matches_direct_sum():
     ens = synthetic_suite(4, 3, 2, 6, domain)
     path = generate_path(dyn, np.zeros((6, 2)), np.array([0.5, -0.5]), 6)
     weights = uniform_complete_weights(3)
-    trace = run(weights, geom, dyn, ens, path, np.full(7, 0.1), 6)
+    trace = run(weights, geom, dyn, [(ens, path, np.full(7, 0.1), 0)], 6)[0]
     total = 0.0
     for t in range(1, 7):
         for i in range(3):
@@ -344,7 +344,7 @@ def test_comparator_optimality_gap_on_grid_aligned_targets():
                          np.array([0.5, -0.5]), horizon)
     ens = synthetic_suite(0, 3, 2, horizon, domain, offset_scale=0.0)
     trace = run(uniform_complete_weights(3), euclidean_geometry(domain),
-                identity_dynamics(2), ens, path, np.full(horizon + 1, 0.1), horizon)
+                identity_dynamics(2), [(ens, path, np.full(horizon + 1, 0.1), 0)], horizon)[0]
     axes = [np.arange(domain.lo[k], domain.hi[k] + step / 2, step) for k in range(2)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     grid = np.broadcast_to(mesh, (horizon,) + mesh.shape)
@@ -369,7 +369,7 @@ def test_guarantees_dominate_small_exact_runs():
         noise = rng.normal(0.0, 0.05, (horizon, 2))
         path = generate_path(dyn, noise, np.array([0.5, -0.5]), horizon)
         ens = synthetic_suite(100 + seed, 4, 2, horizon, domain)
-        trace = run(weights, geom, dyn, ens, path, etas, horizon)
+        trace = run(weights, geom, dyn, [(ens, path, etas, 0)], horizon)[0]
         lipschitz = ens.lipschitz
         norms = np.linalg.norm(path.noise, axis=1)
         report = regret_guarantee(consts, lipschitz, sigma2, trace.etas,
