@@ -215,6 +215,11 @@ def test_run_argument_validation():
         run(weights, geom, dyn, [(ens, path, np.full(4, 0.1), 0)], 3, mode="банана")
     with pytest.raises(ValueError, match="nonnegative"):
         run(weights, geom, dyn, [(ens, path, np.full(4, 0.1), 0)], -1)
+
+
+def test_run_replicates_argument_validation():
+    # a batch needs at least one replicate, all of one loss family
+    weights, geom, dyn, ens, path = _box_setup()
     with pytest.raises(ValueError, match="at least one replicate"):
         run(weights, geom, dyn, [], 3)
     linear = linear_ensemble(np.zeros((path.horizon, 3, 2)), geom.domain)
