@@ -16,8 +16,9 @@ SEEDS = 5
 
 print("suite cases:")
 for case in bound_suite():
-    oracle = f"noisy({case.oracle_noise})" if case.oracle_noise else "exact"
-    print(f"  {case.name:<32} n={case.n:<3} T={case.horizon:<4} {oracle}")
+    cfg = case.cfg
+    oracle = f"noisy({cfg.oracle_noise})" if cfg.gradient_mode == "stochastic" else "exact"
+    print(f"  {case.name:<32} n={cfg.agents:<3} T={cfg.horizon:<4} {oracle}")
 
 report = verify_bounds(seeds=SEEDS)
 print(f"\nhonest constants: {len(report.rows)} checks over {SEEDS} seeds, "

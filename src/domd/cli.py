@@ -1,11 +1,13 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 on configuration or usage errors, 2 when a
-guarantee check detects a violation.
+guarantee check detects a violation.  --out is created before any work, so an
+unusable path fails first; a config error removes it again if made and still empty.
 """
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -81,7 +83,6 @@ def _cmd_run(args):
     print(f"sigma2={result.sigma2:.6g}")
     if result.bounds is not None:
         print(f"guarantee_total={result.bounds.total:.6g}")
-    print(f"outputs written to {args.out}")
     violated = exact_run_violations(result)
     if violated:
         print(f"bound violation: {', '.join(violated)}", file=sys.stderr)
@@ -99,7 +100,6 @@ def _cmd_sweep(args):
     for k, value in enumerate(result.values):
         print(f"{args.param}={value:g}: final_normalized="
               f"{result.final_mean[k]:.6g} (+/- {result.final_std[k]:.6g})")
-    print(f"outputs written to {args.out}")
     return 0
 
 
@@ -116,18 +116,27 @@ def _cmd_verify(args):
                   file=sys.stderr)
     print(f"checks={len(report.rows)} seeds={report.seeds} "
           f"violations={report.violations}")
-    print(f"outputs written to {args.out}")
     return 0 if report.passed else 2
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "sweep": _cmd_sweep, "verify-bounds": _cmd_verify}
+    made = not os.path.isdir(args.out)
     try:
-        return handlers[args.command](args)
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
+    try:
+        code = handlers[args.command](args)
     except ConfigError as exc:
+        if made and not os.listdir(args.out):
+            os.rmdir(args.out)
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    print(f"outputs written to {args.out}")
+    return code
 
 
 if __name__ == "__main__":

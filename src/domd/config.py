@@ -1,9 +1,11 @@
 """Experiment configuration: INI-style documents with strict validation.
 
 A config document has flat sections; every key is optional and falls back
-to the tracking-scenario defaults listed in SCHEMA.  Unknown sections or
-keys are rejected so typos cannot silently change an experiment.
-Environment variables named DOMD_<SECTION>__<KEY> override file values.
+to its tracking-scenario default.  Each key is declared once, on its
+ExperimentConfig field (section, key, default, type, check, description);
+SCHEMA, parsing and the --help listing are derived from those fields.
+Unknown sections or keys are rejected so typos cannot silently change an
+experiment.  Environment variables named DOMD_<SECTION>__<KEY> override file values.
 
 Example::
 
@@ -20,7 +22,7 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 ENV_PREFIX = "DOMD_"
 
@@ -41,101 +43,68 @@ def _fraction(x):
     return 0 < x < 1
 
 
-# section -> key -> (attribute, type, validator or None, description)
-SCHEMA = {
-    "experiment": {
-        "horizon": ("horizon", int, _positive, "number of rounds T"),
-        "runs": ("runs", int, _positive, "replicates per sweep value"),
-        "seed": ("seed", int, _nonnegative, "master seed"),
-        "gradient_mode": ("gradient_mode", ("exact", "stochastic"), None,
-                          "oracle used by the engine"),
-        "innovation_gradient": ("innovation_gradient", bool, None,
-                                "tracking oracle replays the raw innovation direction"),
-    },
-    "network": {
-        "graph": ("graph", ("grid", "path", "complete", "erdos_renyi"), None, "topology"),
-        "rows": ("rows", int, _positive, "grid rows"),
-        "cols": ("cols", int, _positive, "grid cols"),
-        "nodes": ("nodes", int, _positive, "node count for path/complete/erdos_renyi"),
-        "edge_prob": ("edge_prob", float, _fraction, "erdos_renyi edge probability"),
-        "weights": ("weights", ("metropolis", "uniform"), None, "mixing rule"),
-    },
-    "geometry": {
-        "kind": ("geometry_kind", ("euclidean", "kl"), None, "mirror geometry"),
-        "domain": ("domain_kind", ("box", "simplex", "free"), None, "feasible set"),
-        "dim": ("dim", int, lambda x: x >= 1, "decision dimension"),
-        "box_low": ("box_low", float, None, "box lower bound (all coordinates)"),
-        "box_high": ("box_high", float, None, "box upper bound (all coordinates)"),
-        "floor": ("floor", float, _fraction, "simplex coordinate floor"),
-    },
-    "dynamics": {
-        "model": ("dynamics_model", ("ncv", "identity", "scaled_identity"), None,
-                  "target transition"),
-        "eps": ("eps", float, _positive, "NCV sampling interval"),
-        "scale": ("dynamics_scale", float, _positive, "scaled_identity factor"),
-    },
-    "noise": {
-        "kind": ("noise_kind", ("gaussian_ncv", "zero", "constant_drift"), None,
-                 "target perturbation model"),
-        "sigma_v2": ("sigma_v2", float, _nonnegative, "perturbation intensity"),
-        "fixed_path": ("fixed_path", bool, None,
-                       "share one target path across sweep replicates"),
-        "drift": ("drift", "vector", None, "constant_drift vector"),
-        "target_init": ("target_init", "vector", None, "initial target state"),
-    },
-    "schedule": {
-        "kind": ("schedule_kind", ("constant", "inv_sqrt", "variation_tuned"), None,
-                 "step size rule"),
-        "eta0": ("eta0", float, _positive, "base step size"),
-    },
-    "loss": {
-        "kind": ("loss_kind", ("tracking_square", "synthetic_quadratic", "synthetic_linear"),
-                 None, "loss family"),
-        "obs_noise_low": ("obs_noise_low", float, None, "observation noise support, low end"),
-        "obs_noise_high": ("obs_noise_high", float, None, "observation noise support, high end"),
-        "offset_scale": ("offset_scale", float, _nonnegative, "quadratic center spread"),
-        "oracle_noise": ("oracle_noise", float, _nonnegative,
-                         "synthetic stochastic gradient noise half-width"),
-    },
-}
+def _key(section, key, default, desc, check=None, choices=None):
+    """A config field read from [section] key: its default, description,
+    optional value check and, for a string field, its allowed values."""
+    return field(default=default, metadata={"ini": (section, key), "desc": desc,
+                                            "check": check, "choices": choices})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description with tracking-scenario defaults."""
+    """Validated experiment description; each field declares its config key."""
 
-    horizon: int = 1000
-    runs: int = 50
-    seed: int = 1
-    gradient_mode: str = "stochastic"
-    innovation_gradient: bool = True
-    graph: str = "grid"
-    rows: int = 5
-    cols: int = 5
-    nodes: int = 25
-    edge_prob: float = 0.4
-    weights: str = "metropolis"
-    geometry_kind: str = "euclidean"
-    domain_kind: str = "box"
-    dim: int = 4
-    box_low: float = -10000.0
-    box_high: float = 10000.0
-    floor: float = 0.01
-    dynamics_model: str = "ncv"
-    eps: float = 0.1
-    dynamics_scale: float = 0.9
-    noise_kind: str = "gaussian_ncv"
-    sigma_v2: float = 0.5
-    fixed_path: bool = False
-    drift: tuple = ()
-    target_init: tuple = (0.0, 1.0, 0.0, 1.0)
-    schedule_kind: str = "constant"
-    eta0: float = 0.5
-    loss_kind: str = "tracking_square"
-    obs_noise_low: float = -1.0
-    obs_noise_high: float = 1.0
-    offset_scale: float = 0.2
-    oracle_noise: float = 0.0
+    horizon: int = _key("experiment", "horizon", 1000, "number of rounds T", _positive)
+    runs: int = _key("experiment", "runs", 50, "replicates per sweep value", _positive)
+    seed: int = _key("experiment", "seed", 1, "master seed", _nonnegative)
+    gradient_mode: str = _key("experiment", "gradient_mode", "stochastic",
+                              "oracle used by the engine", choices=("exact", "stochastic"))
+    innovation_gradient: bool = _key("experiment", "innovation_gradient", True,
+                                     "tracking oracle replays the raw innovation direction")
+    graph: str = _key("network", "graph", "grid", "topology",
+                      choices=("grid", "path", "complete", "erdos_renyi"))
+    rows: int = _key("network", "rows", 5, "grid rows", _positive)
+    cols: int = _key("network", "cols", 5, "grid cols", _positive)
+    nodes: int = _key("network", "nodes", 25, "node count for path/complete/erdos_renyi",
+                      _positive)
+    edge_prob: float = _key("network", "edge_prob", 0.4, "erdos_renyi edge probability",
+                            _fraction)
+    weights: str = _key("network", "weights", "metropolis", "mixing rule",
+                        choices=("metropolis", "uniform"))
+    geometry_kind: str = _key("geometry", "kind", "euclidean", "mirror geometry",
+                              choices=("euclidean", "kl"))
+    domain_kind: str = _key("geometry", "domain", "box", "feasible set",
+                            choices=("box", "simplex", "free"))
+    dim: int = _key("geometry", "dim", 4, "decision dimension", _positive)
+    box_low: float = _key("geometry", "box_low", -10000.0, "box lower bound (all coordinates)")
+    box_high: float = _key("geometry", "box_high", 10000.0, "box upper bound (all coordinates)")
+    floor: float = _key("geometry", "floor", 0.01, "simplex coordinate floor", _fraction)
+    dynamics_model: str = _key("dynamics", "model", "ncv", "target transition",
+                               choices=("ncv", "identity", "scaled_identity"))
+    eps: float = _key("dynamics", "eps", 0.1, "NCV sampling interval", _positive)
+    dynamics_scale: float = _key("dynamics", "scale", 0.9, "scaled_identity factor", _positive)
+    noise_kind: str = _key("noise", "kind", "gaussian_ncv", "target perturbation model",
+                           choices=("gaussian_ncv", "zero", "constant_drift"))
+    sigma_v2: float = _key("noise", "sigma_v2", 0.5, "perturbation intensity", _nonnegative)
+    fixed_path: bool = _key("noise", "fixed_path", False,
+                            "share one target path across sweep replicates")
+    drift: tuple = _key("noise", "drift", (), "constant_drift vector")
+    target_init: tuple = _key("noise", "target_init", (0.0, 1.0, 0.0, 1.0),
+                              "initial target state")
+    schedule_kind: str = _key("schedule", "kind", "constant", "step size rule",
+                              choices=("constant", "inv_sqrt", "variation_tuned"))
+    eta0: float = _key("schedule", "eta0", 0.5, "base step size", _positive)
+    loss_kind: str = _key("loss", "kind", "tracking_square", "loss family",
+                          choices=("tracking_square", "synthetic_quadratic",
+                                   "synthetic_linear"))
+    obs_noise_low: float = _key("loss", "obs_noise_low", -1.0,
+                                "observation noise support, low end")
+    obs_noise_high: float = _key("loss", "obs_noise_high", 1.0,
+                                 "observation noise support, high end")
+    offset_scale: float = _key("loss", "offset_scale", 0.2, "quadratic center spread",
+                               _nonnegative)
+    oracle_noise: float = _key("loss", "oracle_noise", 0.0,
+                               "synthetic stochastic gradient noise half-width", _nonnegative)
 
     @property
     def agents(self):
@@ -143,10 +112,27 @@ class ExperimentConfig:
         return self.rows * self.cols if self.graph == "grid" else self.nodes
 
 
+def _derive_schema():
+    schema = {}
+    for f in fields(ExperimentConfig):
+        section, key = f.metadata["ini"]
+        typ = f.metadata["choices"] or ("vector" if f.type is tuple else f.type)
+        schema.setdefault(section, {})[key] = (f.name, typ, f.metadata["check"],
+                                               f.metadata["desc"])
+    return schema
+
+
+# section -> key -> (attribute, type, validator or None, description) in field
+# order; a type is int, float, bool, "vector" or a tuple of the allowed strings
+SCHEMA = _derive_schema()
+
+
 def _convert(section, key, spec, raw):
     attr, typ, check, _ = spec
     where = f"{section}.{key}"
     raw = raw.strip()
+    if isinstance(typ, tuple) and raw not in typ:
+        raise ConfigError(f"{where}: expected one of {', '.join(typ)}, got {raw!r}")
     try:
         if typ is int:
             value = int(raw)
@@ -159,12 +145,8 @@ def _convert(section, key, spec, raw):
             value = low in ("true", "1", "yes")
         elif typ == "vector":
             value = tuple(float(p) for p in raw.split(",")) if raw else ()
-        else:  # enumerated strings
-            if raw not in typ:
-                raise ConfigError(f"{where}: expected one of {', '.join(typ)}, got {raw!r}")
+        else:  # one of the enumerated strings
             value = raw
-    except ConfigError:
-        raise
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {raw!r}") from None
     if check is not None and not check(value):
@@ -202,8 +184,8 @@ def cross_validate(cfg):
         raise ConfigError("loss.kind=tracking_square requires a box domain")
     if cfg.loss_kind == "synthetic_quadratic" and cfg.domain_kind == "free":
         raise ConfigError("loss.kind=synthetic_quadratic needs a bounded domain")
-    if cfg.graph == "grid" and cfg.rows * cfg.cols < 2:
-        raise ConfigError("network grid needs at least two nodes")
+    if cfg.agents < 2:
+        raise ConfigError(f"network {cfg.graph} needs at least two nodes, got {cfg.agents}")
     if cfg.weights == "uniform" and cfg.graph != "complete":
         raise ConfigError("network.weights=uniform requires network.graph=complete")
     if cfg.loss_kind == "tracking_square" and cfg.agents < cfg.dim:
@@ -273,8 +255,6 @@ def describe_schema():
         lines.append(f"[{section}]")
         for key, (attr, typ, _, desc) in keys.items():
             default = getattr(ExperimentConfig(), attr)
-            kind = typ if isinstance(typ, str) else getattr(typ, "__name__", "choice")
-            if isinstance(typ, tuple):
-                kind = "|".join(typ)
+            kind = "|".join(typ) if isinstance(typ, tuple) else getattr(typ, "__name__", typ)
             lines.append(f"  {key} ({kind}, default {default!r}): {desc}")
     return "\n".join(lines)

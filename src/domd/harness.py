@@ -4,7 +4,9 @@ This module turns an ExperimentConfig into concrete objects (graph, weight
 matrix, geometry, dynamics, losses) and the disturbance and step-size
 arrays, measures regret and writes the CSV outputs.  Every random stream
 is derived from the master seed plus a fixed stream label and the run
-index, so identical configs produce byte-identical outputs.
+index, so identical configs produce byte-identical outputs.  A verify-bounds
+suite case is a name plus an ExperimentConfig; only its target path (and
+the polarized case's gradients) is the suite's own.
 
 Every run, of a config (run, sweep, the scaling study) or of a suite case
 (verify_bounds, stochastic_mean_regret), goes through one executor,
@@ -58,8 +60,11 @@ def build_graph(cfg):
         return build_path_graph(cfg.nodes)
     if cfg.graph == "complete":
         return build_complete_graph(cfg.nodes)
-    return random_connected_graph(cfg.nodes, cfg.edge_prob,
-                                  _derive_seed(cfg.seed, _GRAPH))
+    try:
+        return random_connected_graph(cfg.nodes, cfg.edge_prob, _derive_seed(cfg.seed, _GRAPH))
+    except RuntimeError as exc:
+        raise ConfigError(f"network.nodes={cfg.nodes}, network.edge_prob={cfg.edge_prob}: "
+                          f"{exc}") from None
 
 
 def build_weights(cfg, graph):
@@ -109,11 +114,8 @@ def build_ensemble(cfg, domain, run_index):
 
 
 def build_schedule(cfg, sigma2, c_t):
-    """The step sizes eta_1 .. eta_{T+1}, a (horizon + 1,) array.
-
-    cfg is an ExperimentConfig or a SuiteCase (anything with schedule_kind,
-    eta0 and horizon); sigma2 and c_t are read only by variation_tuned.
-    """
+    """The step sizes eta_1 .. eta_{T+1}, a (horizon + 1,) array; sigma2 and
+    c_t are read only by variation_tuned."""
     if cfg.schedule_kind == "inv_sqrt":
         return cfg.eta0 / np.sqrt(np.arange(1, cfg.horizon + 2))
     eta = cfg.eta0
@@ -133,6 +135,12 @@ class RunResult:
     bounds: object
     sigma2: float
     lipschitz: float
+
+
+def _assemble(cfg):
+    """(weights, geom, dyn) of a config, which no seed or run index changes."""
+    return (build_weights(cfg, build_graph(cfg)), build_geometry(cfg, build_domain(cfg)),
+            build_dynamics(cfg))
 
 
 def _replicate_batches(items, horizon, n, d):
@@ -212,12 +220,9 @@ def run_experiments(cfg, run_indices, x0=None):
     for run_index in run_indices:
         if run_index < 0:
             raise ValueError(f"run index must be non-negative, got {run_index}")
-    graph = build_graph(cfg)
-    weights = build_weights(cfg, graph)
+    weights, geom, dyn = _assemble(cfg)
     sigma2 = second_singular_value(weights)
-    domain = build_domain(cfg)
-    geom = build_geometry(cfg, domain)
-    dyn = build_dynamics(cfg)
+    domain = geom.domain
     target0 = _start_target(cfg, domain)
     variations = []  # C_T of each assembled run not yet yielded, in order
 
@@ -400,17 +405,41 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
 
 @dataclass(frozen=True)
 class SuiteCase:
-    """One synthetic configuration exercised by verify_bounds."""
+    """One verify_bounds configuration; _case_losses adds what cfg cannot say."""
 
     name: str
-    family: str
-    n: int
-    horizon: int
-    a_scale: float = 1.0
-    schedule_kind: str = "constant"
-    eta0: float = 0.1
-    oracle_noise: float = 0.0
-    topology: str = "grid"
+    cfg: ExperimentConfig
+
+
+def _case(name, base, **changes):
+    return SuiteCase(name, cross_validate(replace(base, **changes)))
+
+
+# the settings the box and the simplex cases share
+_BOX = ExperimentConfig(
+    horizon=100, gradient_mode="exact", rows=2, cols=2, dim=2, box_low=-5.0, box_high=5.0,
+    dynamics_model="identity", noise_kind="zero", target_init=(0.5, -0.5), eta0=0.1,
+    loss_kind="synthetic_quadratic", offset_scale=0.2)
+_SIMPLEX = replace(_BOX, geometry_kind="kl", domain_kind="simplex", dim=3, floor=0.01,
+                   target_init=(), offset_scale=0.02)
+_SUITE = (
+    _case("box_quad_static_n4_t100", _BOX),
+    _case("box_quad_static_n9_t300", _BOX, horizon=300, rows=3, cols=3,
+          schedule_kind="inv_sqrt", eta0=0.2),
+    _case("box_quad_contract_n4_t100", _BOX, dynamics_model="scaled_identity",
+          dynamics_scale=0.9),
+    _case("box_quad_contract_n9_t300", _BOX, horizon=300, rows=3, cols=3,
+          dynamics_model="scaled_identity", dynamics_scale=0.9),
+    _case("box_quad_complete_n4_t100", _BOX, graph="complete", nodes=4, weights="uniform"),
+    _case("simplex_quad_n4_t100", _SIMPLEX),
+    _case("simplex_quad_n9_t300", _SIMPLEX, horizon=300, rows=3, cols=3),
+    _case("box_linear_polarized_n3_t120", _BOX, horizon=120, graph="path", nodes=3,
+          box_low=-2.0, box_high=2.0, target_init=(0.0, 0.0), eta0=0.15,
+          loss_kind="synthetic_linear"),
+    _case("box_quad_noisy_n4_t100", _BOX, gradient_mode="stochastic", oracle_noise=0.5),
+    _case("simplex_quad_noisy_n4_t100", _SIMPLEX, gradient_mode="stochastic",
+          oracle_noise=0.2),
+)
 
 
 def bound_suite():
@@ -421,36 +450,14 @@ def bound_suite():
     factor two of what the network actually does; understating the constant
     must therefore trip the checks (the negative control).
     """
-    return (
-        SuiteCase("box_quad_static_n4_t100", "quadratic_box", 4, 100),
-        SuiteCase("box_quad_static_n9_t300", "quadratic_box", 9, 300,
-                  schedule_kind="inv_sqrt", eta0=0.2),
-        SuiteCase("box_quad_contract_n4_t100", "quadratic_box", 4, 100, a_scale=0.9),
-        SuiteCase("box_quad_contract_n9_t300", "quadratic_box", 9, 300, a_scale=0.9),
-        SuiteCase("box_quad_complete_n4_t100", "quadratic_box", 4, 100,
-                  topology="complete"),
-        SuiteCase("simplex_quad_n4_t100", "quadratic_simplex", 4, 100),
-        SuiteCase("simplex_quad_n9_t300", "quadratic_simplex", 9, 300),
-        SuiteCase("box_linear_polarized_n3_t120", "linear_polarized", 3, 120,
-                  eta0=0.15, topology="path"),
-        SuiteCase("box_quad_noisy_n4_t100", "quadratic_box", 4, 100, oracle_noise=0.5),
-        SuiteCase("simplex_quad_noisy_n4_t100", "quadratic_simplex", 4, 100,
-                  oracle_noise=0.2),
-    )
+    return _SUITE
 
 
 def _suite_case(name):
-    for case in bound_suite():
+    for case in _SUITE:
         if case.name == name:
             return case
     raise ValueError(f"unknown suite case {name!r}")
-
-
-def _grid_for(n):
-    side = int(round(np.sqrt(n)))
-    if side * side != n:
-        raise ValueError("suite grids need a square agent count")
-    return build_grid_graph(side, side)
 
 
 def _simplex_loop_path(dyn, horizon):
@@ -465,54 +472,32 @@ def _simplex_loop_path(dyn, horizon):
     return generate_path(dyn, noise, states[0], horizon)
 
 
-def _case_network(case):
-    """(weights, geom, dyn) of a suite case, which no seed changes."""
-    if case.family == "quadratic_box":
-        geom = euclidean_geometry(box_domain(np.full(2, -5.0), np.full(2, 5.0)))
-        dyn = linear_dynamics(case.a_scale * np.eye(2))
-    elif case.family == "quadratic_simplex":
-        geom = kl_geometry(simplex_domain(3, 0.01))
-        dyn = identity_dynamics(3)
-    else:  # linear_polarized
-        geom = euclidean_geometry(box_domain(np.full(2, -2.0), np.full(2, 2.0)))
-        dyn = identity_dynamics(2)
-    if case.topology == "complete":
-        weights = uniform_complete_weights(case.n)
-    elif case.topology == "path":
-        weights = metropolis_weights(build_path_graph(case.n))
-    else:
-        weights = metropolis_weights(_grid_for(case.n))
-    return weights, geom, dyn
-
-
 def _case_losses(case, seed, geom, dyn):
-    """(ens, path, etas) of a suite case at one seed."""
-    idx = [c.name for c in bound_suite()].index(case.name)
+    """(ens, path, etas) of a suite case at one seed; the case index is the run index."""
+    cfg = replace(case.cfg, seed=seed)
+    idx = _SUITE.index(case)
     domain = geom.domain
-    if case.family == "quadratic_box":
+    if cfg.domain_kind == "simplex":
+        path = _simplex_loop_path(dyn, cfg.horizon)
+    elif cfg.loss_kind == "synthetic_quadratic":  # a N(0, 0.05^2) random walk on the box
         rng = np.random.default_rng(_derive_seed(seed, _PATH, idx))
-        noise = rng.normal(0.0, 0.05, (case.horizon, 2))
-        path = generate_path(dyn, noise, np.array([0.5, -0.5]), case.horizon)
-        ens = synthetic_suite(_derive_seed(seed, _ENSEMBLE, idx), case.n, 2,
-                              case.horizon, domain, offset_scale=0.2,
-                              noise_scale=case.oracle_noise)
-    elif case.family == "quadratic_simplex":
-        path = _simplex_loop_path(dyn, case.horizon)
-        ens = synthetic_suite(_derive_seed(seed, _ENSEMBLE, idx), case.n, 3,
-                              case.horizon, domain, offset_scale=0.02,
-                              noise_scale=case.oracle_noise)
-    else:  # linear_polarized
-        path = generate_path(dyn, np.zeros((case.horizon, 2)), np.zeros(2), case.horizon)
+        path = generate_path(dyn, rng.normal(0.0, 0.05, (cfg.horizon, cfg.dim)),
+                             _start_target(cfg, domain), cfg.horizon)
+    else:  # the polarized case's target rests: the config's own zero-noise path
+        path = generate_path(dyn, build_noise(cfg, idx), _start_target(cfg, domain), cfg.horizon)
+    if cfg.loss_kind == "synthetic_linear":  # polarized: the outer agents pull apart
         pull = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
-        ens = linear_ensemble(np.tile(pull, (case.horizon, 1, 1)), domain)
+        ens = linear_ensemble(np.tile(pull, (cfg.horizon, 1, 1)), domain)
+    else:
+        ens = build_ensemble(cfg, domain, idx)
     if centers_outside_domain(ens, path, domain):
         raise RuntimeError(f"suite case {case.name} places centers outside the domain")
-    return ens, path, build_schedule(case, None, None)
+    return ens, path, build_schedule(cfg, None, None)
 
 
 def _build_case(case, seed):
     """(weights, geom, dyn, ens, path, etas) of a suite case at one seed."""
-    weights, geom, dyn = _case_network(case)
+    weights, geom, dyn = _assemble(case.cfg)
     return (weights, geom, dyn) + _case_losses(case, seed, geom, dyn)
 
 
@@ -544,7 +529,7 @@ def _case_runs(case, seeds, stream, l_scale=1.0):
     l_scale scales each ensemble's declared L (and G^2 by l_scale^2), which
     moves the bounds and not the runs.
     """
-    weights, geom, dyn = _case_network(case)
+    weights, geom, dyn = _assemble(case.cfg)
     replicates = []
     for s in seeds:
         ens, path, etas = _case_losses(case, s, geom, dyn)
@@ -552,8 +537,8 @@ def _case_runs(case, seeds, stream, l_scale=1.0):
                                    second_moment=l_scale * l_scale * ens.second_moment),
                            path, etas, _derive_seed(s, _ORACLE, stream)))
     return _execute(weights, second_singular_value(weights), geom, dyn,
-                    _replicate_batches(replicates, case.horizon, weights.n, geom.domain.d),
-                    case.horizon, "stochastic" if case.oracle_noise > 0 else "exact")
+                    _replicate_batches(replicates, case.cfg.horizon, weights.n, case.cfg.dim),
+                    case.cfg.horizon, case.cfg.gradient_mode)
 
 
 def _mean_regret(runs):
@@ -585,7 +570,7 @@ def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
     rows = []
     for case in bound_suite():
         runs = _case_runs(case, range(seeds), 0, l_scale)
-        if case.oracle_noise > 0:
+        if case.cfg.gradient_mode == "stochastic":
             rows.append(CheckRow(case.name, -1, "stochastic", "mean_regret",
                                  *_upper_check(*_mean_regret(runs))))
             continue
@@ -621,7 +606,7 @@ def stochastic_mean_regret(case_name, runs, base_seed=0):
     Returns (mean regret, expected-regret guarantee).
     """
     case = _suite_case(case_name)
-    if case.oracle_noise <= 0:
+    if case.cfg.gradient_mode != "stochastic":
         raise ValueError("case has a noiseless oracle; nothing stochastic to average")
     if runs < 1:
         raise ValueError("need at least one run")

@@ -208,3 +208,58 @@ def test_too_few_tracking_agents_is_a_config_error(tmp_path, capsys):
     code = main(["run", "--config", str(file), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "config error: loss.kind=tracking_square needs at least" in capsys.readouterr().err
+
+
+# a one-dimensional static target and linear losses; only [network] is missing
+ONE_DIM_LINEAR = """
+[geometry]
+dim = 1
+
+[dynamics]
+model = identity
+
+[noise]
+kind = zero
+target_init = 0
+
+[loss]
+kind = synthetic_linear
+"""
+
+
+@pytest.mark.parametrize("network, needle", [
+    ("graph = path\nnodes = 1\n", "network path needs at least two nodes, got 1"),
+    ("graph = erdos_renyi\nnodes = 50\nedge_prob = 0.01\n",
+     "network.nodes=50, network.edge_prob=0.01"),
+])
+def test_unbuildable_networks_are_config_errors(tmp_path, capsys, network, needle):
+    file = tmp_path / "net.ini"
+    file.write_text("[network]\n" + network + ONE_DIM_LINEAR)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(file), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["run", "--config", "{config}"], "run_experiment"),
+    (["sweep", "--config", "{config}", "--param", "eta0", "--values", "0.1"], "sweep"),
+    (["verify-bounds", "--seeds", "1"], "verify_bounds"),
+])
+def test_unusable_out_fails_before_any_work(quad_config, tmp_path, capsys, monkeypatch,
+                                            argv, entry):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(domd.cli, entry, no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    for out in (taken, taken / "sub"):
+        code = main([a.format(config=quad_config) for a in argv] + ["--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and str(out) in captured.err
+        assert captured.out == ""
+    assert taken.read_text() == "a file, not a directory"

@@ -1,5 +1,7 @@
 """Config parsing, validation, environment overrides and hashing."""
 
+from dataclasses import fields
+
 import pytest
 
 from domd.config import (ConfigError, ExperimentConfig, config_hash,
@@ -174,6 +176,69 @@ def test_config_hash_is_stable_and_sensitive():
     assert len(h) == 12 and all(c in "0123456789abcdef" for c in h)
     bumped = parse_config("[experiment]\nseed = 2\n", env={})
     assert config_hash(bumped) != h
+
+
+# a valid one-agent-per-coordinate config up to its [network] section
+ONE_DIM_LINEAR = ("[geometry]\ndim = 1\n[dynamics]\nmodel = identity\n"
+                  "[noise]\nkind = zero\ntarget_init = 0\n[loss]\nkind = synthetic_linear\n"
+                  "[network]\n")
+
+
+@pytest.mark.parametrize("graph, one, two", [
+    ("grid", "rows = 1\ncols = 1\n", "rows = 1\ncols = 2\n"),
+    ("path", "nodes = 1\n", "nodes = 2\n"),
+    ("complete", "nodes = 1\n", "nodes = 2\n"),
+    ("erdos_renyi", "nodes = 1\n", "nodes = 2\nedge_prob = 0.9\n"),
+])
+def test_every_graph_needs_two_nodes(graph, one, two):
+    with pytest.raises(ConfigError, match=f"network {graph} needs at least two nodes, got 1"):
+        parse_config(ONE_DIM_LINEAR + f"graph = {graph}\n" + one, env={})
+    assert parse_config(ONE_DIM_LINEAR + f"graph = {graph}\n" + two, env={}).agents == 2
+
+
+# every config key in the order the schema has always listed them
+KEY_ORDER = [
+    ("experiment", "horizon"), ("experiment", "runs"), ("experiment", "seed"),
+    ("experiment", "gradient_mode"), ("experiment", "innovation_gradient"),
+    ("network", "graph"), ("network", "rows"), ("network", "cols"), ("network", "nodes"),
+    ("network", "edge_prob"), ("network", "weights"),
+    ("geometry", "kind"), ("geometry", "domain"), ("geometry", "dim"),
+    ("geometry", "box_low"), ("geometry", "box_high"), ("geometry", "floor"),
+    ("dynamics", "model"), ("dynamics", "eps"), ("dynamics", "scale"),
+    ("noise", "kind"), ("noise", "sigma_v2"), ("noise", "fixed_path"), ("noise", "drift"),
+    ("noise", "target_init"),
+    ("schedule", "kind"), ("schedule", "eta0"),
+    ("loss", "kind"), ("loss", "obs_noise_low"), ("loss", "obs_noise_high"),
+    ("loss", "offset_scale"), ("loss", "oracle_noise"),
+]
+
+
+def test_each_field_declares_one_config_key():
+    keys = [f.metadata["ini"] for f in fields(ExperimentConfig)]
+    assert all(len(key) == 2 for key in keys)
+    assert len(set(keys)) == len(keys) == len(KEY_ORDER)
+    assert keys == KEY_ORDER
+    # SCHEMA is derived from the fields: same keys, attributes and defaults
+    assert [(s, k) for s, ks in SCHEMA.items() for k in ks] == KEY_ORDER
+    assert [spec[0] for ks in SCHEMA.values() for spec in ks.values()] == [
+        f.name for f in fields(ExperimentConfig)]
+    listed = [line.split()[0] for line in describe_schema().splitlines()]
+    expected = []
+    for section, key in KEY_ORDER:
+        if f"[{section}]" not in expected:
+            expected.append(f"[{section}]")
+        expected.append(key)
+    assert listed == expected
+
+
+def test_schema_types_come_from_the_fields():
+    assert SCHEMA["experiment"]["horizon"][1] is int
+    assert SCHEMA["experiment"]["innovation_gradient"][1] is bool
+    assert SCHEMA["network"]["edge_prob"][1] is float
+    assert SCHEMA["noise"]["drift"][1] == "vector"
+    assert SCHEMA["network"]["graph"][1] == ("grid", "path", "complete", "erdos_renyi")
+    assert SCHEMA["experiment"]["seed"][2](0) and not SCHEMA["experiment"]["seed"][2](-1)
+    assert SCHEMA["network"]["rows"][3] == "grid rows"
 
 
 def test_describe_schema_mentions_every_key():

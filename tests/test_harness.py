@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import domd.harness
-from domd.config import ConfigError, ExperimentConfig, config_hash, parse_config
+from domd.config import (ConfigError, ExperimentConfig, config_hash, cross_validate,
+                         parse_config)
 from domd.csvio import read_csv
 from domd.engine import run
 from domd.dynamics import _ncv_noise_factor
@@ -20,9 +21,11 @@ from domd.harness import (_build_case, _derive_seed, _ORACLE, _PATH, _suite_case
                           sweep, target_position_path_length,
                           tracking_error_stats, variation_scaling_study,
                           verify_bounds)
-from domd.geometry import geometry_constants, vector_norm
+from domd.geometry import (box_domain, euclidean_geometry, geometry_constants, kl_geometry,
+                           simplex_domain, vector_norm)
 from domd.metrics import dynamic_regret, network_disagreement, regret_guarantee, tuned_step
-from domd.network import second_singular_value
+from domd.network import (build_grid_graph, build_path_graph, metropolis_weights,
+                          second_singular_value, uniform_complete_weights)
 
 EXACT_QUAD = """
 [experiment]
@@ -72,6 +75,13 @@ def test_build_graph_kinds():
     assert build_graph(cfg).edges == build_graph(cfg).edges
     other = build_graph(replace(cfg, seed=99))
     assert other.edges != build_graph(cfg).edges
+
+
+def test_unsampleable_random_graph_is_a_config_error():
+    # p = 0.01 on 50 nodes (about 12 edges) never samples a connected graph
+    cfg = _tracking_cfg(graph="erdos_renyi", nodes=50, edge_prob=0.01)
+    with pytest.raises(ConfigError, match=r"network\.nodes=50, network\.edge_prob=0\.01"):
+        build_graph(cfg)
 
 
 def test_build_weights_and_domain_and_geometry():
@@ -321,6 +331,8 @@ def test_sweep_parameter_resolution():
     # the start target (0, 1, 0, 1) leaves a box whose upper bound is 0.5
     (_tracking_cfg(horizon=10, runs=2), "geometry.box_high", (10000.0, 0.5),
      "target_init lies outside the domain"),
+    (_quad_cfg(horizon=10, runs=1, graph="path", nodes=4), "network.nodes", (3, 1),
+     "network path needs at least two nodes"),
 ])
 def test_sweep_checks_every_value_before_any_run(cfg, param, values, message, monkeypatch):
     # the config-file rules, cross-field ones included, hold for swept values
@@ -494,13 +506,64 @@ def test_suite_weights_are_built_once_per_case(monkeypatch):
     assert len(builds) == len(bound_suite()) == 10
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# each case's network and geometry as literal constructions: (weights,
+# box half-width or None for the 0.01-floor 3-simplex, scale of A = scale * I)
+SUITE_LITERALS = {
+    "box_quad_static_n4_t100": (lambda: metropolis_weights(build_grid_graph(2, 2)), 5.0, 1.0),
+    "box_quad_static_n9_t300": (lambda: metropolis_weights(build_grid_graph(3, 3)), 5.0, 1.0),
+    "box_quad_contract_n4_t100": (lambda: metropolis_weights(build_grid_graph(2, 2)), 5.0,
+                                  0.9),
+    "box_quad_contract_n9_t300": (lambda: metropolis_weights(build_grid_graph(3, 3)), 5.0,
+                                  0.9),
+    "box_quad_complete_n4_t100": (lambda: uniform_complete_weights(4), 5.0, 1.0),
+    "simplex_quad_n4_t100": (lambda: metropolis_weights(build_grid_graph(2, 2)), None, 1.0),
+    "simplex_quad_n9_t300": (lambda: metropolis_weights(build_grid_graph(3, 3)), None, 1.0),
+    "box_linear_polarized_n3_t120": (lambda: metropolis_weights(build_path_graph(3)), 2.0,
+                                     1.0),
+    "box_quad_noisy_n4_t100": (lambda: metropolis_weights(build_grid_graph(2, 2)), 5.0, 1.0),
+    "simplex_quad_noisy_n4_t100": (lambda: metropolis_weights(build_grid_graph(2, 2)), None,
+                                   1.0),
+}
+
+
+def test_suite_cases_build_the_literal_networks():
+    assert [case.name for case in bound_suite()] == list(SUITE_LITERALS)
+    for case in bound_suite():
+        weights, half, scale = SUITE_LITERALS[case.name]
+        got_weights, geom, dyn = _build_case(case, 0)[:3]
+        assert _same_bits(got_weights.w, weights().w), case.name
+        if half is None:
+            want = kl_geometry(simplex_domain(3, 0.01))
+            assert (geom.kind, geom.domain.kind, geom.domain.d) == ("kl", "simplex", 3)
+            assert geom.domain.floor == want.domain.floor
+        else:
+            want = euclidean_geometry(box_domain(np.full(2, -half), np.full(2, half)))
+            assert (geom.kind, geom.domain.kind) == ("euclidean", "box")
+            assert _same_bits(geom.domain.lo, want.domain.lo), case.name
+            assert _same_bits(geom.domain.hi, want.domain.hi), case.name
+        assert geom.norm_kind == want.norm_kind
+        assert _same_bits(dyn.a, scale * np.eye(geom.domain.d)), case.name
+
+
+def test_suite_configs_are_valid_configs():
+    for case in bound_suite():
+        assert cross_validate(case.cfg) is case.cfg
+        # the oracle mode follows the declared oracle noise
+        assert (case.cfg.gradient_mode == "stochastic") == (case.cfg.oracle_noise > 0)
+    assert bound_suite() is bound_suite()  # built once
+
+
 def test_stochastic_mean_regret_equals_runs_alone():
     case = _suite_case("simplex_quad_noisy_n4_t100")
     regrets = []
     for seed in range(3, 6):
         weights, geom, dyn, ens, path, etas = _build_case(case, seed)
         trace = run(weights, geom, dyn, [(ens, path, etas, _derive_seed(seed, _ORACLE, 1))],
-                    case.horizon, mode="stochastic")[0]
+                    case.cfg.horizon, mode="stochastic")[0]
         regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
     mean, _ = stochastic_mean_regret(case.name, runs=3, base_seed=3)
     assert mean == float(np.mean(regrets))
@@ -517,7 +580,7 @@ def test_verify_noisy_row_averages_runs_alone(l_scale):
     for seed in range(3):
         weights, geom, dyn, ens, path, etas = _build_case(case, seed)
         trace = run(weights, geom, dyn, [(ens, path, etas, _derive_seed(seed, _ORACLE, 0))],
-                    case.horizon, mode="stochastic")[0]
+                    case.cfg.horizon, mode="stochastic")[0]
         regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
     bound = regret_guarantee(geometry_constants(geom), l_scale * ens.lipschitz,
                              second_singular_value(weights), trace.etas,
@@ -536,8 +599,8 @@ def test_verify_bounds_passes_and_reports(tmp_path):
     out = tmp_path / "verify"
     report = verify_bounds(seeds=2, out_dir=out)
     assert report.passed and report.violations == 0
-    exact_cases = [c for c in bound_suite() if c.oracle_noise == 0]
-    noisy_cases = [c for c in bound_suite() if c.oracle_noise > 0]
+    exact_cases = [c for c in bound_suite() if c.cfg.gradient_mode == "exact"]
+    noisy_cases = [c for c in bound_suite() if c.cfg.gradient_mode == "stochastic"]
     assert len(report.rows) == len(exact_cases) * 2 * 4 + len(noisy_cases)
     comments, header, rows = read_csv(out / "verify.csv")
     assert header[:4] == ["case", "seed", "mode", "check"]
