@@ -18,8 +18,10 @@ its own losses, target path, step sizes and oracle seed) through one loop
 over a (R, n, d) state, R = 1 included.  Each replicate's iterates are
 bit-identical to a run of that replicate alone: every operation is
 elementwise or row-wise per replicate, mixing is one matrix product per
-replicate, and every decision on a whole array (floor projection passes,
-domain repair) is taken per replicate.
+replicate or, above network.DENSE_MIX_MAX_NODES agents, a neighbour sum
+whose terms are added in the same order for every replicate, and every
+decision on a whole array (floor projection passes, domain repair) is
+taken per replicate.
 """
 
 import itertools

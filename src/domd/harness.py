@@ -346,8 +346,9 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     distinct and the whole sweep is reproducible.  Unless noise.fixed_path
     is set, each replicate redraws the target path.  Every value is checked
     like a config file value, cross-field rules and the start target's
-    place in the domain included, before any run; for synthetic quadratic
-    losses every replicate's centres are checked too.
+    place in the domain included, before any run; an Erdos-Renyi value's
+    graph is sampled, and for synthetic quadratic losses every replicate's
+    centres are checked too.
     """
     attr, typ, check, _ = _resolve_param(param)
     if attr in ("horizon", "runs"):  # the only keys a sweep cannot vary
@@ -368,6 +369,8 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
         cfg_v = cross_validate(replace(cfg, **{attr: value}))
         domain = build_domain(cfg_v)
         target0 = _start_target(cfg_v, domain)
+        if cfg_v.graph == "erdos_renyi":
+            build_graph(cfg_v)  # raises ConfigError when no connected graph is drawn
         if cfg_v.loss_kind == "synthetic_quadratic":
             # the centres come from each replicate's drawn losses: build them
             # now, check them and let them go, so no value runs before all pass

@@ -5,6 +5,12 @@ step uses a symmetric doubly stochastic weight matrix; its second largest
 singular value controls how fast disagreement between agents decays.  W is
 symmetric, so that value is computed as the second largest absolute
 eigenvalue (np.linalg.eigvalsh).
+
+mix evaluates y_i = sum_j w_ij x_j in one of two ways, chosen by the node
+count alone.  Up to DENSE_MIX_MAX_NODES agents it is the dense product
+np.matmul(W, X).  Above, it is a neighbour sum over W's nonzeros that adds
+each row's terms in column order with no BLAS involved, so its bits do not
+depend on the BLAS thread count and it costs O(nonzeros), not O(n^2).
 """
 
 from dataclasses import dataclass, field
@@ -12,6 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 STOCHASTIC_TOL = 1e-12
+
+# Largest network mixed by the dense product.  Up to 256 nodes that product
+# gave the same bits on one and two OpenBLAS threads for every width tried
+# (d up to 128); from 400 nodes it did not.  Per call, the neighbour sum
+# overtakes the dense product between 256 and 1000 nodes on sparse graphs.
+DENSE_MIX_MAX_NODES = 256
 
 
 def _edge_array(edges):
@@ -73,10 +85,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric doubly stochastic mixing matrix with positive diagonal."""
+    """Symmetric doubly stochastic mixing matrix with positive diagonal.
+
+    w is not modified after construction: mix caches index arrays built
+    from its nonzeros on the instance.
+    """
 
     n: int
     w: np.ndarray
+    # ((replicates, width), gather rows, term weights, output slots) of the
+    # neighbour sum last built by mix; see _neighbour_sum
+    _neighbour_index: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -167,16 +186,45 @@ def second_singular_value(weights):
     return float(np.sort(np.abs(np.linalg.eigvalsh(weights.w)))[-2])
 
 
+def _neighbour_sum(weights, x):
+    """W X for a (b, n, d) stack x, summed over W's nonzeros in fixed order.
+
+    The terms w_ij * x[r, j, k] are listed replicate by replicate and, within
+    one, in W's row-major nonzero order; np.bincount adds each into its
+    output slot (r, i, k) strictly in that order, so every output is a
+    left-to-right sum over j ascending, whatever b is and on any number of
+    threads.  The index arrays depend only on W and (b, d); they are built
+    on the first call for that shape and kept on the instance.
+    """
+    b, n, d = x.shape
+    cached = weights._neighbour_index
+    if cached is None or cached[0] != (b, d):
+        rows, cols = np.nonzero(weights.w)  # row-major
+        base = np.arange(b)[:, None] * n
+        take = (base + cols).ravel()
+        terms = np.tile(np.repeat(weights.w[rows, cols], d), b)
+        slots = ((base + rows)[:, :, None] * d + np.arange(d)).ravel()
+        cached = ((b, d), take, terms, slots)
+        object.__setattr__(weights, "_neighbour_index", cached)
+    _, take, terms, slots = cached
+    products = x.reshape(b * n, d).take(take, axis=0).ravel() * terms
+    return np.bincount(slots, products, b * n * d).reshape(x.shape)
+
+
 def mix(weights, states):
     """One consensus round: out[i] = sum_j w[i][j] * states[j].
 
     states has one row per agent, (n,) or (n, d), or is a (R, n, d) stack of
-    replicates, each mixed by its own product with w (np.matmul gives each
-    replicate the same bits as mixing it alone).  The agent mean is
-    preserved because the columns of w sum to one.
+    replicates; each replicate gets the same bits as mixing it alone.  Up to
+    DENSE_MIX_MAX_NODES agents this is np.matmul(w, states); above, the
+    fixed-order neighbour sum of _neighbour_sum, whose results do not depend
+    on the BLAS thread count.  The agent mean is preserved because the
+    columns of w sum to one.
     """
     states = np.asarray(states, dtype=float)
     if states.shape[-min(states.ndim, 2)] != weights.n:
         raise ValueError("one state row per agent required")
-    return np.matmul(weights.w, states)
-
+    if weights.n <= DENSE_MIX_MAX_NODES:
+        return np.matmul(weights.w, states)
+    width = states.shape[-1] if states.ndim > 1 else 1
+    return _neighbour_sum(weights, states.reshape(-1, weights.n, width)).reshape(states.shape)

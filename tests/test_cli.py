@@ -1,9 +1,14 @@
 """Command line interface: subcommands, outputs, exit codes."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import domd
 import domd.cli
 from domd.cli import main
 from domd.config import load_config
@@ -263,3 +268,36 @@ def test_unusable_out_fails_before_any_work(quad_config, tmp_path, capsys, monke
         assert captured.err.count("\n") == 1 and str(out) in captured.err
         assert captured.out == ""
     assert taken.read_text() == "a file, not a directory"
+
+
+# a 1000-agent Erdos-Renyi network: above DENSE_MIX_MAX_NODES, and large
+# enough that a dense BLAS product would be split across threads
+ER_1000 = """
+[experiment]
+horizon = 50
+
+[network]
+graph = erdos_renyi
+nodes = 1000
+edge_prob = 0.01
+"""
+
+
+def test_large_network_iterates_do_not_depend_on_blas_threads(tmp_path):
+    """domd run on 1000 agents writes the same iterate-driven CSVs on one and
+    two OpenBLAS threads.  bounds.csv is left out: sigma2 comes from
+    np.linalg.eigvalsh, whose last bits depend on the thread count at this
+    size, and only the bounds read it (the schedule here is not
+    variation-tuned)."""
+    file = tmp_path / "er.ini"
+    file.write_text(ER_1000)
+    src = os.path.dirname(os.path.dirname(domd.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "domd", "run", "--config", str(file),
+                        "--out", str(out)], env=env, check=True, timeout=300)
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("trajectory.csv", "regret.csv", "disagreement.csv")})
+    assert digests[0] == digests[1]

@@ -12,8 +12,9 @@ from domd.dynamics import (generate_path, identity_dynamics, linear_dynamics,
 from domd.engine import EngineError, RunTrace, init_state, run, step
 from domd.geometry import (box_domain, contains, euclidean_geometry,
                            free_domain, kl_geometry, prox, simplex_domain)
-from domd.network import (WeightMatrix, build_grid_graph, build_path_graph,
-                          metropolis_weights, mix, uniform_complete_weights)
+from domd.network import (DENSE_MIX_MAX_NODES, WeightMatrix, build_grid_graph,
+                          build_path_graph, metropolis_weights, mix,
+                          random_connected_graph, uniform_complete_weights)
 from domd.objectives import (gradients_exact_batch, gradients_stochastic_batch,
                              linear_ensemble, oracle_noise, synthetic_suite,
                              tracking_ensemble)
@@ -301,6 +302,23 @@ def test_replicates_equal_solo_runs_tracking(innovation):
     replicates = [(ens, p, s, seed) for p, s, seed in zip(paths, steps, (7, 8, 9))]
     _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon,
                                        "stochastic")
+
+
+def test_replicates_equal_solo_runs_above_the_dense_mix_size():
+    # above DENSE_MIX_MAX_NODES mix is the neighbour sum over (replicate,
+    # row, coordinate) slots; each replicate still keeps its solo bits
+    horizon, n = 20, DENSE_MIX_MAX_NODES + 44
+    weights = metropolis_weights(random_connected_graph(n, 0.03, 2))
+    geom = euclidean_geometry(box_domain([-10.0] * 4, [10.0] * 4))
+    dyn = ncv_dynamics(0.1)
+    ens = tracking_ensemble(n, geom.domain)
+    paths = [generate_path(dyn, ncv_disturbances(0.5, 0.1, seed, horizon), np.zeros(4),
+                           horizon) for seed in (1, 2, 3)]
+    replicates = [(ens, p, np.full(horizon + 1, eta), seed)
+                  for p, eta, seed in zip(paths, (0.5, 0.3, 0.2), (7, 8, 9))]
+    _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon,
+                                       "stochastic")
+    assert weights._neighbour_index is not None
 
 
 def test_replicates_equal_solo_runs_noisy_quadratic_and_linear():

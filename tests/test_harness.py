@@ -363,6 +363,15 @@ def test_sweep_checks_synthetic_centres_before_any_engine_call(monkeypatch):
     assert calls == [1]
 
 
+def test_sweep_samples_erdos_renyi_graphs_before_any_engine_call(monkeypatch):
+    # 50 nodes at edge_prob 0.01 never draw a connected graph
+    calls = _count_engine_runs(monkeypatch)
+    cfg = _tracking_cfg(graph="erdos_renyi", nodes=50, horizon=20)
+    with pytest.raises(ConfigError, match="network.nodes=50, network.edge_prob=0.01"):
+        sweep(cfg, "network.edge_prob", (0.5, 0.01), runs=2)
+    assert calls == []
+
+
 @pytest.mark.parametrize("cfg, rolls", [
     (_tracking_cfg(horizon=20), 2),  # one roll of each value's batch of paths
     (_quad_cfg(horizon=20), 4),  # and one more per value for the centres check

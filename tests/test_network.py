@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from domd.harness import _build_case, bound_suite
-from domd.network import (Graph, WeightMatrix, _connected, build_complete_graph,
-                          build_grid_graph, build_path_graph,
+from domd.network import (DENSE_MIX_MAX_NODES, Graph, WeightMatrix, _connected,
+                          build_complete_graph, build_grid_graph, build_path_graph,
                           metropolis_weights, mix, random_connected_graph,
                           second_singular_value, uniform_complete_weights)
 
@@ -163,12 +163,20 @@ def test_sigma2_single_node_convention():
     assert second_singular_value(uniform_complete_weights(1)) == 0.0
 
 
+def _sparse_weights():
+    """Metropolis weights of a graph just above DENSE_MIX_MAX_NODES, so mix
+    takes the neighbour sum."""
+    return metropolis_weights(random_connected_graph(DENSE_MIX_MAX_NODES + 44, 0.03, 2))
+
+
 def test_mix_preserves_mean_exactly():
     rng = np.random.default_rng(3)
-    w = metropolis_weights(build_grid_graph(3, 3))
-    states = rng.normal(size=(9, 4))
-    mixed = mix(w, states)
-    np.testing.assert_allclose(mixed.mean(axis=0), states.mean(axis=0), atol=1e-12)
+    for w in (metropolis_weights(build_grid_graph(3, 3)), _sparse_weights()):
+        for shape in ((w.n, 4), (3, w.n, 4)):
+            states = rng.normal(size=shape)
+            mixed = mix(w, states)
+            np.testing.assert_allclose(mixed.mean(axis=-2), states.mean(axis=-2),
+                                       atol=1e-12)
 
 
 def test_mix_contracts_disagreement_at_sigma2_rate():
@@ -184,9 +192,68 @@ def test_mix_contracts_disagreement_at_sigma2_rate():
 
 
 def test_mix_shape_check():
-    w = uniform_complete_weights(3)
-    with pytest.raises(ValueError, match="one state row per agent"):
-        mix(w, np.zeros((4, 2)))
+    for w in (uniform_complete_weights(3), _sparse_weights()):
+        for states in (np.zeros((w.n + 1, 2)), np.zeros((2, w.n - 1, 2)), np.zeros(w.n + 1)):
+            with pytest.raises(ValueError, match="one state row per agent"):
+                mix(w, states)
+
+
+def test_neighbour_sum_matches_the_dense_product():
+    # the sums run in another order than BLAS's, so they agree to rounding:
+    # within 1e-13 of the sum of the terms' magnitudes, |W| |X|
+    w = _sparse_weights()
+    assert w.n > DENSE_MIX_MAX_NODES
+    rng = np.random.default_rng(5)
+    for shape in ((w.n,), (w.n, 1), (w.n, 4), (3, w.n, 4), (2, 3, w.n, 2)):
+        states = rng.normal(size=shape)
+        mixed = mix(w, states)
+        assert mixed.shape == shape
+        scale = np.matmul(np.abs(w.w), np.abs(states))
+        assert np.all(np.abs(mixed - np.matmul(w.w, states)) <= 1e-13 * scale)
+    stack = rng.normal(size=(3, w.n, 4))
+    mixed = mix(w, stack)
+    for r in range(3):  # each replicate gets the bits of mixing it alone
+        assert mixed[r].tobytes() == mix(w, stack[r]).tobytes()
+        assert mixed[r].tobytes() == mix(w, stack[r:r + 1])[0].tobytes()
+
+
+def test_neighbour_sum_adds_each_row_in_column_order():
+    w = _sparse_weights()
+    states = np.random.default_rng(6).normal(size=(w.n, 2))
+    want = np.zeros_like(states)
+    for i in range(w.n):
+        for j in np.flatnonzero(w.w[i]):
+            want[i] += w.w[i, j] * states[j]
+    assert mix(w, states).tobytes() == want.tobytes()
+
+
+def test_neighbour_sum_index_lives_on_its_weight_matrix():
+    w, other = _sparse_weights(), _sparse_weights()
+    assert w._neighbour_index is None  # built by the first mix, not at construction
+    states = np.random.default_rng(8).normal(size=(2, w.n, 3))
+    first = mix(w, states)
+    index = w._neighbour_index
+    assert index[0] == (2, 3) and other._neighbour_index is None
+    assert mix(w, states).tobytes() == first.tobytes()
+    assert w._neighbour_index is index  # same shape: reused
+    mix(w, states[0])
+    assert w._neighbour_index[0] == (1, 3)  # another shape: rebuilt
+    assert mix(w, states).tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("weights", [
+    lambda: metropolis_weights(build_grid_graph(5, 5)),
+    lambda: metropolis_weights(build_grid_graph(16, 16)),  # exactly DENSE_MIX_MAX_NODES
+    lambda: uniform_complete_weights(DENSE_MIX_MAX_NODES),
+], ids=["grid_5x5", "grid_16x16", "uniform_at_threshold"])
+def test_mix_up_to_the_threshold_is_the_dense_product(weights):
+    w = weights()
+    assert w.n <= DENSE_MIX_MAX_NODES
+    rng = np.random.default_rng(4)
+    for shape in ((w.n,), (w.n, 4), (4, w.n, 4)):
+        states = rng.normal(size=shape)
+        assert mix(w, states).tobytes() == np.matmul(w.w, states).tobytes()
+    assert w._neighbour_index is None
 
 
 def test_random_graph_is_deterministic_and_connected():
