@@ -19,9 +19,9 @@ from .harness import (RunResult, ScalingStudy, SweepResult, VerifyReport,
                       run_experiment, stochastic_mean_regret,
                       sweep, tracking_error_stats, variation_scaling_study,
                       verify_bounds)
-from .metrics import (BoundReport, RegretReport, disagreement_envelope,
-                      dynamic_regret, network_disagreement, regret_guarantee,
-                      static_regret, tuned_step, tuned_step_guarantee)
+from .metrics import (BoundReport, RegretReport, dynamic_regret,
+                      network_disagreement, regret_guarantee, static_regret,
+                      tuned_step, tuned_step_guarantee)
 from .network import (Graph, WeightMatrix, build_complete_graph, build_grid_graph,
                       build_path_graph, metropolis_weights, mix,
                       random_connected_graph, second_singular_value,

@@ -10,13 +10,16 @@ the polarized case's gradients) is the suite's own.
 
 Every run, of a config (run, sweep, the scaling study) or of a suite case
 (verify_bounds, stochastic_mean_regret), goes through one executor,
-_execute: it runs replicates in batches whose iterate traces hold at most
-BATCH_TRACE_BYTES, evaluates each run's regret guarantee and lets a batch
-go before the next runs; each replicate's results equal running it alone.
+_execute: it sets a config up once, builds each batch's inputs just before
+the batch runs (its paths rolled together, its centres checked), runs
+batches whose iterate traces hold at most BATCH_TRACE_BYTES, and yields
+each run as a finished RunResult; a batch goes before the next is built,
+and each replicate's results equal running it alone.
 """
 
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -126,7 +129,8 @@ def build_schedule(cfg, sigma2, c_t):
 
 @dataclass(frozen=True)
 class RunResult:
-    """One executed experiment with its measurements and guarantees."""
+    """One executed experiment with its measurements and guarantees; ensemble
+    is the LossEnsemble the run and its bounds used."""
 
     config: object
     trace: object
@@ -134,7 +138,7 @@ class RunResult:
     regret: object
     bounds: object
     sigma2: float
-    lipschitz: float
+    ensemble: object
 
 
 def _assemble(cfg):
@@ -149,28 +153,41 @@ def _replicate_batches(items, horizon, n, d):
     return [items[k:k + size] for k in range(0, len(items), size)]
 
 
-def _execute(weights, sigma2, geom, dyn, batches, horizon, mode, x0=None):
-    """Run each batch of (ens, path, etas, seed) replicates; yields (ens, path, trace, bounds).
+def _execute(cfg, keys, replicates_of, x0=None):
+    """Set up cfg once and run one replicate per key; yields each key's RunResult in order.
 
-    Each batch, a batch of one included, is one engine.run call, and trace
-    is its replicate's trace[r].  bounds is the run's regret_guarantee from
-    its ensemble's declared constants (G^2 only in stochastic mode), None on
-    an unbounded domain.  A batch's traces are let go before the next batch
-    is asked for.
+    The network, geometry, dynamics and sigma2 are built once.  The keys
+    go in batches whose traces fit BATCH_TRACE_BYTES; just before a batch
+    runs, replicates_of(batch, geom, dyn, sigma2) gives its (ens, path,
+    etas, seed) replicates, and the batch, a batch of one included, is one
+    engine.run call.  Each result's trace is its replicate's trace[r]; its
+    regret carries the dynamic regret, C_T and, on a bounded domain, the
+    static regret; its bounds are the regret_guarantee of the ensemble's
+    declared constants (G^2 only in stochastic mode), None on an unbounded
+    domain.  A batch's inputs and traces are let go before the next batch
+    is built.
     """
-    consts = geometry_constants(geom)
-    for replicates in batches:
-        batch = run(weights, geom, dyn, replicates, horizon, mode, x0)
+    weights, geom, dyn = _assemble(cfg)
+    sigma2 = second_singular_value(weights)
+    consts, domain, horizon = geometry_constants(geom), geom.domain, cfg.horizon
+    for batch in _replicate_batches(keys, horizon, weights.n, cfg.dim):
+        replicates = replicates_of(batch, geom, dyn, sigma2)
+        traces = run(weights, geom, dyn, replicates, horizon, cfg.gradient_mode, x0)
         for r, (ens, path, _, _) in enumerate(replicates):
-            trace = batch[r]
+            trace = traces[r]
+            losses = iterate_losses(trace, ens, path)
+            regret = replace(dynamic_regret(trace, ens, path, losses),
+                             path_variation=path_variation(path, dyn, geom.norm_kind))
             bounds = None
             if consts.available:
+                regret = replace(regret, static_regret=static_regret(trace, ens, path, domain,
+                                                                     losses))
                 bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas,
                                           vector_norm(geom.norm_kind, path.noise), weights.n,
                                           grad_second_moment=ens.second_moment
-                                          if mode == "stochastic" else None)
-            yield ens, path, trace, bounds
-        del batch, trace  # before the next batch is assembled and run
+                                          if cfg.gradient_mode == "stochastic" else None)
+            yield RunResult(cfg, trace, path, regret, bounds, sigma2, ens)
+        del replicates, traces, trace, ens, path  # before the next batch is built and run
 
 
 def _start_target(cfg, domain):
@@ -188,65 +205,51 @@ def _start_target(cfg, domain):
     return target0
 
 
-def _replicate_inputs(cfg, dyn, domain, target0, run_indices):
-    """(path, ensemble) of each run in run_indices, in order.
-
-    The target paths are rolled together in one generate_path call; each is
+def _replicate_inputs(dyn, domain, target0, noises, ensembles):
+    """(ens, path) of each replicate: its (horizon, d) disturbances in noises
+    rolled from target0, all in one generate_path call, each path
     bit-identical to rolling it alone.  Raises ConfigError when a synthetic
     centre leaves the domain.
     """
-    rolled = generate_path(dyn, np.stack([build_noise(cfg, i) for i in run_indices]),
-                           target0, cfg.horizon)
+    noises = np.stack(noises)
+    rolled = generate_path(dyn, noises, target0, noises.shape[1])
     out = []
-    for run_index, states, noise in zip(run_indices, rolled.states, rolled.noise):
+    for ens, states, noise in zip(ensembles, rolled.states, rolled.noise):
         path = MinimizerPath(states, noise)
-        ens = build_ensemble(cfg, domain, run_index)
         if centers_outside_domain(ens, path, domain):
             raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
-        out.append((path, ens))
+        out.append((ens, path))
     return out
 
 
-def run_experiments(cfg, run_indices, x0=None):
-    """Assemble and execute the runs `run_indices` of one config; yields RunResults.
+def _config_inputs(cfg, dyn, domain, target0, run_indices):
+    """(ens, path) of each of a config's runs run_indices."""
+    return _replicate_inputs(dyn, domain, target0, [build_noise(cfg, i) for i in run_indices],
+                             [build_ensemble(cfg, domain, i) for i in run_indices])
 
-    Network, geometry and dynamics are built once; each run index gets its
-    own target path, losses, step sizes and oracle seed, exactly as a
-    run of it alone would.  The runs go through _execute and results are
-    yielded in order; a consumer that drops each result before asking for
-    the next holds at most one batch of traces (see BATCH_TRACE_BYTES).
+
+def _config_replicates(cfg, target0, run_indices, geom, dyn, sigma2):
+    """(ens, path, etas, seed) of each of a config's runs run_indices."""
+    inputs = _config_inputs(cfg, dyn, geom.domain, target0, run_indices)
+    return [(ens, path, build_schedule(cfg, sigma2, path_variation(path, dyn, geom.norm_kind)),
+             _derive_seed(cfg.seed, _ORACLE, i)) for i, (ens, path) in zip(run_indices, inputs)]
+
+
+def run_experiments(cfg, run_indices, x0=None):
+    """Execute the runs `run_indices` of one config; returns a generator of RunResults.
+
+    Each run index gets its own target path, losses, step sizes and oracle
+    seed, exactly as a run of it alone would.  The run indices and the
+    start target are checked on the call; the runs then go through
+    _execute, so a consumer that drops each result before asking for the
+    next holds at most one batch of traces (see BATCH_TRACE_BYTES).
     """
     run_indices = list(run_indices)
     for run_index in run_indices:
         if run_index < 0:
             raise ValueError(f"run index must be non-negative, got {run_index}")
-    weights, geom, dyn = _assemble(cfg)
-    sigma2 = second_singular_value(weights)
-    domain = geom.domain
-    target0 = _start_target(cfg, domain)
-    variations = []  # C_T of each assembled run not yet yielded, in order
-
-    def batches():
-        for batch in _replicate_batches(run_indices, cfg.horizon, weights.n, cfg.dim):
-            replicates = []
-            for run_index, (path, ens) in zip(batch, _replicate_inputs(cfg, dyn, domain,
-                                                                       target0, batch)):
-                variations.append(path_variation(path, dyn, geom.norm_kind))
-                replicates.append((ens, path, build_schedule(cfg, sigma2, variations[-1]),
-                                   _derive_seed(cfg.seed, _ORACLE, run_index)))
-            yield replicates
-
-    runs = _execute(weights, sigma2, geom, dyn, batches(), cfg.horizon, cfg.gradient_mode, x0)
-    for ens, path, trace, bounds in runs:  # no enumerate: it would hold the last trace
-        losses = iterate_losses(trace, ens, path)
-        regret = replace(dynamic_regret(trace, ens, path, losses),
-                         path_variation=variations.pop(0))
-        if bounds is not None:
-            regret = replace(regret, static_regret=static_regret(trace, ens, path, domain,
-                                                                 losses))
-        yield RunResult(cfg, trace, path, regret, bounds, sigma2,
-                        float("nan") if bounds is None else ens.lipschitz)
-        del trace  # it views its whole batch, which goes before the next one runs
+    target0 = _start_target(cfg, build_domain(cfg))
+    return _execute(cfg, run_indices, partial(_config_replicates, cfg, target0), x0)
 
 
 def run_experiment(cfg, run_index=0, out_dir=None):
@@ -377,7 +380,7 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
             dyn = build_dynamics(cfg_v)
             for batch in _replicate_batches(range(runs), cfg_v.horizon, cfg_v.agents,
                                             cfg_v.dim):
-                _replicate_inputs(cfg_v, dyn, domain, target0, batch)
+                _config_inputs(cfg_v, dyn, domain, target0, batch)
         configs.append(cfg_v)
     horizon = cfg.horizon
     mean_curves, std_curves = [], []
@@ -463,45 +466,54 @@ def _suite_case(name):
     raise ValueError(f"unknown suite case {name!r}")
 
 
-def _simplex_loop_path(dyn, horizon):
-    # deterministic closed curve on the simplex: zero-sum harmonic motion
+def _simplex_loop(horizon):
+    """(start, disturbances) of a deterministic closed curve on the simplex:
+    zero-sum harmonic motion."""
     u1 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
     u2 = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
     rho, omega = 0.15, 2.0 * np.pi / 50.0
     t = np.arange(horizon + 1)
     states = (np.full((horizon + 1, 3), 1.0 / 3.0)
               + rho * (np.cos(omega * t)[:, None] * u1 + np.sin(omega * t)[:, None] * u2))
-    noise = states[1:] - states[:-1]
-    return generate_path(dyn, noise, states[0], horizon)
+    return states[0], states[1:] - states[:-1]
 
 
-def _case_losses(case, seed, geom, dyn):
-    """(ens, path, etas) of a suite case at one seed; the case index is the run index."""
-    cfg = replace(case.cfg, seed=seed)
-    idx = _SUITE.index(case)
-    domain = geom.domain
+def _case_replicates(case, stream, l_scale, seeds, geom, dyn, sigma2=None):
+    """(ens, path, etas, seed) of a suite case at each of seeds; the case index is the run index.
+
+    Seed s draws its oracle noise from _derive_seed(s, _ORACLE, stream).
+    l_scale scales each ensemble's declared L (and G^2 by l_scale^2), which
+    moves the bounds and not the runs.  sigma2 is not read: no suite case
+    tunes its step to the network.
+    """
+    cfg, idx, domain = case.cfg, _SUITE.index(case), geom.domain
     if cfg.domain_kind == "simplex":
-        path = _simplex_loop_path(dyn, cfg.horizon)
-    elif cfg.loss_kind == "synthetic_quadratic":  # a N(0, 0.05^2) random walk on the box
-        rng = np.random.default_rng(_derive_seed(seed, _PATH, idx))
-        path = generate_path(dyn, rng.normal(0.0, 0.05, (cfg.horizon, cfg.dim)),
-                             _start_target(cfg, domain), cfg.horizon)
-    else:  # the polarized case's target rests: the config's own zero-noise path
-        path = generate_path(dyn, build_noise(cfg, idx), _start_target(cfg, domain), cfg.horizon)
+        target0, loop = _simplex_loop(cfg.horizon)
+        noises = [loop] * len(seeds)
+    else:
+        target0 = _start_target(cfg, domain)
+        if cfg.loss_kind == "synthetic_quadratic":  # a N(0, 0.05^2) random walk on the box
+            noises = [np.random.default_rng(_derive_seed(s, _PATH, idx))
+                      .normal(0.0, 0.05, (cfg.horizon, cfg.dim)) for s in seeds]
+        else:  # the polarized case's target rests: the config's own zero-noise path
+            noises = [build_noise(cfg, idx)] * len(seeds)
     if cfg.loss_kind == "synthetic_linear":  # polarized: the outer agents pull apart
         pull = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
-        ens = linear_ensemble(np.tile(pull, (cfg.horizon, 1, 1)), domain)
+        ensembles = [linear_ensemble(np.tile(pull, (cfg.horizon, 1, 1)), domain)] * len(seeds)
     else:
-        ens = build_ensemble(cfg, domain, idx)
-    if centers_outside_domain(ens, path, domain):
-        raise RuntimeError(f"suite case {case.name} places centers outside the domain")
-    return ens, path, build_schedule(cfg, None, None)
+        ensembles = [build_ensemble(replace(cfg, seed=s), domain, idx) for s in seeds]
+    inputs = _replicate_inputs(dyn, domain, target0, noises, ensembles)
+    etas = build_schedule(cfg, None, None)
+    return [(replace(ens, lipschitz=l_scale * ens.lipschitz,
+                     second_moment=l_scale * l_scale * ens.second_moment),
+             path, etas, _derive_seed(s, _ORACLE, stream)) for s, (ens, path) in zip(seeds, inputs)]
 
 
 def _build_case(case, seed):
     """(weights, geom, dyn, ens, path, etas) of a suite case at one seed."""
     weights, geom, dyn = _assemble(case.cfg)
-    return (weights, geom, dyn) + _case_losses(case, seed, geom, dyn)
+    [(ens, path, etas, _)] = _case_replicates(case, 0, 1.0, [seed], geom, dyn)
+    return weights, geom, dyn, ens, path, etas
 
 
 @dataclass(frozen=True)
@@ -525,31 +537,15 @@ class VerifyReport:
 
 
 def _case_runs(case, seeds, stream, l_scale=1.0):
-    """Run one suite case for each seed through _execute; yields (ens, path, trace, bounds).
-
-    The weights, geometry, dynamics and sigma2 are built once per case;
-    seed s draws its oracle noise from _derive_seed(s, _ORACLE, stream).
-    l_scale scales each ensemble's declared L (and G^2 by l_scale^2), which
-    moves the bounds and not the runs.
-    """
-    weights, geom, dyn = _assemble(case.cfg)
-    replicates = []
-    for s in seeds:
-        ens, path, etas = _case_losses(case, s, geom, dyn)
-        replicates.append((replace(ens, lipschitz=l_scale * ens.lipschitz,
-                                   second_moment=l_scale * l_scale * ens.second_moment),
-                           path, etas, _derive_seed(s, _ORACLE, stream)))
-    return _execute(weights, second_singular_value(weights), geom, dyn,
-                    _replicate_batches(replicates, case.cfg.horizon, weights.n, case.cfg.dim),
-                    case.cfg.horizon, case.cfg.gradient_mode)
+    """RunResults of one suite case at each of seeds, through _execute (see _case_replicates)."""
+    return _execute(case.cfg, list(seeds), partial(_case_replicates, case, stream, l_scale))
 
 
-def _mean_regret(runs):
+def _mean_regret(results):
     """(mean dynamic regret, the last run's expected-regret guarantee) of noisy runs."""
-    regrets = []
-    for ens, path, trace, bounds in runs:
-        regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
-    return float(np.mean(regrets)), float(bounds.stochastic_total)
+    regrets, bounds = zip(*((r.regret.dynamic_regret, r.bounds.stochastic_total)
+                            for r in results))
+    return float(np.mean(regrets)), float(bounds[-1])
 
 
 def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
@@ -572,17 +568,18 @@ def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
         raise ValueError(f"l_scale must be positive and finite, got {l_scale}")
     rows = []
     for case in bound_suite():
-        runs = _case_runs(case, range(seeds), 0, l_scale)
+        results = _case_runs(case, range(seeds), 0, l_scale)
         if case.cfg.gradient_mode == "stochastic":
             rows.append(CheckRow(case.name, -1, "stochastic", "mean_regret",
-                                 *_upper_check(*_mean_regret(runs))))
+                                 *_upper_check(*_mean_regret(results))))
             continue
-        for s, (ens, path, trace, bounds) in enumerate(runs):
-            regret = dynamic_regret(trace, ens, path).dynamic_regret
+        for s, result in enumerate(results):
+            regret, bounds, trace = result.regret.dynamic_regret, result.bounds, result.trace
             checks = (("disagreement", network_disagreement(trace)[1:],
                        bounds.disagreement_curve),
                       ("regret_total", regret, bounds.total),
-                      ("local_gap", per_agent_loss_gap(trace, ens, path), bounds.local_gap_rhs))
+                      ("local_gap", per_agent_loss_gap(trace, result.ensemble, result.path),
+                       bounds.local_gap_rhs))
             rows += [CheckRow(case.name, s, "exact", check, *_upper_check(empirical, bound))
                      for check, empirical, bound in checks]
             rows.append(CheckRow(case.name, s, "exact", "regret_nonneg", regret, 0.0,
@@ -613,6 +610,8 @@ def stochastic_mean_regret(case_name, runs, base_seed=0):
         raise ValueError("case has a noiseless oracle; nothing stochastic to average")
     if runs < 1:
         raise ValueError("need at least one run")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be non-negative, got {base_seed}")
     return _mean_regret(_case_runs(case, range(base_seed, base_seed + runs), 1))
 
 

@@ -151,24 +151,6 @@ def _discounted_steps(sigma2, ext, rounds):
     return np.array(out)
 
 
-def _envelope(lipschitz, n, steps):
-    # the disagreement envelope from A[1..T] of _discounted_steps
-    return lipschitz * np.sqrt(n) * steps[1:]
-
-
-def disagreement_envelope(lipschitz, n, sigma2, etas):
-    """Upper envelope for the network disagreement.
-
-    Entry t-1 (t = 1..T) bounds max_i ||x[i,t+1] - xbar[t+1]|| by
-    L sqrt(n) sum_{tau=0..t} eta_tau sigma2^(t-tau), with eta_0 := eta_1 and
-    0^0 := 1 so a perfectly mixing matrix keeps its final term.
-    """
-    if not 0 <= sigma2 <= 1:
-        raise ValueError("sigma2 must lie in [0, 1]")
-    ext = _eta_with_zero(etas)  # ext[tau] = eta_tau, tau = 0..len(etas)
-    return _envelope(lipschitz, n, _discounted_steps(sigma2, ext, len(etas)))
-
-
 def _network_sum(steps, horizon):
     # sum_{t=1..T} sum_{tau=0..t-1} eta_tau sigma2^(t-1-tau), 0^0 := 1, from
     # A[0..T-1] of _discounted_steps; cumsum adds in order, as a running total
@@ -201,6 +183,8 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
         2 R^2 / eta_{T+1} + sum_t (K / eta_{t+1}) ||v_t|| + L^2 sum_t eta_t / 2
     and the network term is
         4 L^2 sqrt(n) sum_t sum_{tau<t} eta_tau sigma2^(t-tau-1).
+    Entry t-1 (t = 1..T) of disagreement_curve bounds max_i ||x[i,t+1] -
+    xbar[t+1]|| by L sqrt(n) sum_{tau=0..t} eta_tau sigma2^(t-tau).
     grad_second_moment, when given, is G^2 from the stochastic oracle and
     fills the expected-regret variant (L^2 replaced by G^2 in both terms).
     """
@@ -218,7 +202,7 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     mismatch = float(np.sum(noise_norms / etas[1:horizon + 1])) if horizon else 0.0
     radius_term = 2.0 * consts.r2 / etas[horizon]
     step_sum = float(etas[:horizon].sum())
-    steps = _discounted_steps(sigma2, ext, horizon)  # A[0..T], shared with the envelope
+    steps = _discounted_steps(sigma2, ext, horizon)  # A[0..T], shared with the curve
     net_sum = _network_sum(steps, horizon)
     e_track = radius_term + consts.k * mismatch + lipschitz**2 * step_sum / 2.0
     e_net = 4.0 * lipschitz**2 * np.sqrt(n) * net_sum
@@ -241,7 +225,7 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
         e_net=float(e_net),
         total=float(e_track + e_net),
         stochastic_total=stochastic_total,
-        disagreement_curve=_envelope(lipschitz, n, steps),
+        disagreement_curve=lipschitz * np.sqrt(n) * steps[1:],
         mismatch_rhs=float(mismatch_rhs),
         local_gap_rhs=float(local_gap_rhs),
         variation_tuned_value=tuned,

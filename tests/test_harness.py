@@ -13,7 +13,7 @@ from domd.config import (ConfigError, ExperimentConfig, config_hash, cross_valid
 from domd.csvio import read_csv
 from domd.engine import run
 from domd.dynamics import _ncv_noise_factor
-from domd.harness import (_build_case, _derive_seed, _ORACLE, _PATH, _suite_case,
+from domd.harness import (_build_case, _case_runs, _derive_seed, _ORACLE, _PATH, _suite_case,
                           SLACK_TOL, build_domain, build_dynamics, build_graph,
                           build_geometry, build_noise, build_schedule,
                           build_weights, bound_suite, exact_run_violations,
@@ -147,7 +147,7 @@ def test_run_experiment_tracking_defaults():
     result = run_experiment(cfg)
     assert result.trace.x.shape == (61, 25, 4)
     assert result.sigma2 == pytest.approx(0.9162129380194001, abs=1e-9)
-    assert result.lipschitz == pytest.approx(40000.0)
+    assert result.ensemble.lipschitz == pytest.approx(40000.0)
     assert result.bounds is not None
     assert np.isfinite(result.bounds.stochastic_total)
     assert result.regret.path_variation > 0
@@ -163,7 +163,7 @@ def test_negative_run_index_is_rejected_before_assembly(monkeypatch):
     with pytest.raises(ValueError, match="run index must be non-negative, got -1"):
         run_experiment(cfg, run_index=-1)
     with pytest.raises(ValueError, match="got -3"):
-        next(run_experiments(cfg, [0, -3]))
+        run_experiments(cfg, [0, -3])  # on the call, before the first result is asked for
 
 
 def test_run_experiment_writes_outputs(tmp_path):
@@ -220,7 +220,6 @@ kind = synthetic_linear
     out = tmp_path / "free"
     result = run_experiment(cfg, out_dir=out)
     assert result.bounds is None
-    assert np.isnan(result.lipschitz)
     assert result.regret.static_regret is None
     assert not (out / "bounds.csv").exists()
     assert (out / "regret.csv").exists()
@@ -515,6 +514,58 @@ def test_suite_weights_are_built_once_per_case(monkeypatch):
     assert len(builds) == len(bound_suite()) == 10
 
 
+def _record_calls(monkeypatch, *names):
+    """The names of the harness functions `names` in the order they are called."""
+    calls = []
+    for name in names:
+        fn = getattr(domd.harness, name)
+        monkeypatch.setattr(domd.harness, name,
+                            lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    return calls
+
+
+def test_suite_builds_each_batch_just_before_it_runs(monkeypatch):
+    # one replicate per batch: a seed's path is rolled right before its engine call,
+    # not every seed's before the first
+    monkeypatch.setattr(domd.harness, "BATCH_TRACE_BYTES", 1)
+    calls = _record_calls(monkeypatch, "generate_path", "run")
+    verify_bounds(seeds=3)
+    assert calls == ["generate_path", "run"] * 3 * len(bound_suite())
+
+
+def test_suite_rolls_each_batch_of_paths_once(monkeypatch):
+    calls = _record_calls(monkeypatch, "generate_path")
+    verify_bounds(seeds=3)
+    assert len(calls) == len(bound_suite()) == 10
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_verify_rows_do_not_depend_on_the_batch_size(size, monkeypatch):
+    whole = verify_bounds(seeds=3).rows  # each case's three seeds in one batch
+    calls = _count_engine_runs(monkeypatch)
+    monkeypatch.setattr(domd.harness, "_replicate_batches",
+                        lambda items, *shape: [items[k:k + size]
+                                               for k in range(0, len(items), size)])
+    assert verify_bounds(seeds=3).rows == whole
+    assert len(calls) == len(bound_suite()) * {1: 3, 2: 2}[size]
+
+
+def test_suite_results_carry_the_scaled_ensemble_of_their_bounds():
+    case = _suite_case("box_quad_noisy_n4_t100")
+    for seed, result in enumerate(_case_runs(case, range(2), 0, l_scale=0.5)):
+        weights, geom, dyn, ens, path, etas = _build_case(case, seed)
+        assert result.ensemble.lipschitz == 0.5 * ens.lipschitz
+        assert result.ensemble.second_moment == 0.25 * ens.second_moment
+        assert np.array_equal(result.path.states, path.states)
+        want = regret_guarantee(geometry_constants(geom), 0.5 * ens.lipschitz,
+                                second_singular_value(weights), etas,
+                                vector_norm(geom.norm_kind, path.noise), weights.n,
+                                grad_second_moment=0.25 * ens.second_moment)
+        for name in ("total", "stochastic_total", "local_gap_rhs", "e_net"):
+            assert getattr(result.bounds, name) == getattr(want, name), name
+        assert np.array_equal(result.bounds.disagreement_curve, want.disagreement_curve)
+
+
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -644,6 +695,15 @@ def test_stochastic_mean_regret():
         stochastic_mean_regret("box_quad_static_n4_t100", runs=3)
     with pytest.raises(ValueError, match="unknown suite case"):
         stochastic_mean_regret("nope", runs=3)
+
+
+def test_stochastic_mean_regret_rejects_a_negative_base_seed(monkeypatch):
+    def no_build(cfg):
+        raise AssertionError("graph built before base_seed was checked")
+
+    monkeypatch.setattr(domd.harness, "build_graph", no_build)
+    with pytest.raises(ValueError, match="base_seed must be non-negative, got -1"):
+        stochastic_mean_regret("box_quad_noisy_n4_t100", runs=2, base_seed=-1)
 
 
 def test_variation_scaling_study_small():

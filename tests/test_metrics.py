@@ -14,7 +14,7 @@ from domd.dynamics import (MinimizerPath, generate_path, identity_dynamics,
 from domd.engine import RunTrace, run
 from domd.geometry import (box_domain, euclidean_geometry, free_domain,
                            geometry_constants, simplex_domain)
-from domd.metrics import (best_fixed_point, disagreement_envelope, dynamic_regret,
+from domd.metrics import (best_fixed_point, dynamic_regret,
                           iterate_losses, network_disagreement, per_agent_loss_gap,
                           regret_guarantee, static_regret, tuned_step,
                           tuned_step_guarantee, write_bound_csv,
@@ -31,8 +31,15 @@ def _consts():
     return geometry_constants(euclidean_geometry(BOX1))
 
 
+def _envelope(lipschitz, n, sigma2, etas):
+    # the report's disagreement curve over len(etas) rounds, eta_{T+1} := eta_T
+    etas = list(etas)
+    return regret_guarantee(_consts(), lipschitz, sigma2, etas + etas[-1:],
+                            np.zeros(len(etas)), n).disagreement_curve
+
+
 def test_disagreement_envelope_frozen_values():
-    env = disagreement_envelope(1.0, 3, 2.0 / 3.0, [0.1, 0.1])
+    env = _envelope(1.0, 3, 2.0 / 3.0, [0.1, 0.1])
     np.testing.assert_allclose(
         env, [0.2886751345948129, 0.36565517048676294], atol=1e-15)
 
@@ -40,13 +47,13 @@ def test_disagreement_envelope_frozen_values():
 def test_disagreement_envelope_perfect_mixing():
     # sigma2 = 0 keeps only the newest term: L sqrt(n) eta_t
     etas = 0.2 / np.sqrt(np.arange(1, 6))
-    env = disagreement_envelope(2.0, 4, 0.0, etas)
+    env = _envelope(2.0, 4, 0.0, etas)
     np.testing.assert_allclose(env, 2.0 * 2.0 * etas, atol=1e-15)
 
 
 def test_disagreement_envelope_no_mixing_accumulates():
-    # sigma2 = 1 turns the envelope into running step-size sums (eta_0 := eta_1)
-    env = disagreement_envelope(1.0, 1, 1.0, [0.1, 0.1, 0.1])
+    # sigma2 = 1 turns the curve into running step-size sums (eta_0 := eta_1)
+    env = _envelope(1.0, 1, 1.0, [0.1, 0.1, 0.1])
     np.testing.assert_allclose(env, [0.2, 0.3, 0.4], atol=1e-15)
 
 
@@ -62,9 +69,7 @@ def test_envelope_and_network_term_equal_sequential_sums(sigma2, monkeypatch):
     network = 0.0
     for value in running[:40]:
         network += value
-    env = disagreement_envelope(1.5, 9, sigma2, etas[:40])
-    np.testing.assert_array_equal(env, 1.5 * np.sqrt(9) * np.array(running[1:41]))
-    # one report runs the recursion once, for both the network term and the envelope
+    # one report runs the recursion once, for both the network term and the curve
     calls = []
     recursion = domd.metrics._discounted_steps
     monkeypatch.setattr(domd.metrics, "_discounted_steps",
@@ -72,14 +77,15 @@ def test_envelope_and_network_term_equal_sequential_sums(sigma2, monkeypatch):
     report = regret_guarantee(_consts(), 1.5, sigma2, etas, np.zeros(40), 9)
     assert len(calls) == 1
     assert report.e_net == 4.0 * 1.5**2 * np.sqrt(9) * network
-    np.testing.assert_array_equal(report.disagreement_curve, env)
+    np.testing.assert_array_equal(report.disagreement_curve,
+                                  1.5 * np.sqrt(9) * np.array(running[1:41]))
 
 
 def test_disagreement_envelope_validation():
     with pytest.raises(ValueError, match="sigma2"):
-        disagreement_envelope(1.0, 3, 1.5, [0.1])
+        _envelope(1.0, 3, 1.5, [0.1])
     with pytest.raises(ValueError, match="positive"):
-        disagreement_envelope(1.0, 3, 0.5, [0.1, 0.0])
+        _envelope(1.0, 3, 0.5, [0.1, 0.0])
 
 
 def test_guarantee_frozen_tiny_case():
