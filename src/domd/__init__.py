@@ -21,7 +21,7 @@ from .harness import (RunResult, ScalingStudy, SweepResult, VerifyReport,
                       verify_bounds)
 from .metrics import (BoundReport, RegretReport, dynamic_regret,
                       network_disagreement, regret_guarantee, static_regret,
-                      tuned_step, tuned_step_guarantee)
+                      tuned_step)
 from .network import (Graph, WeightMatrix, build_complete_graph, build_grid_graph,
                       build_path_graph, metropolis_weights, mix,
                       random_connected_graph, second_singular_value,

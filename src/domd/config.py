@@ -24,6 +24,8 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
+from .network import DENSE_MIX_MAX_NODES
+
 ENV_PREFIX = "DOMD_"
 
 
@@ -188,6 +190,9 @@ def cross_validate(cfg):
         raise ConfigError(f"network {cfg.graph} needs at least two nodes, got {cfg.agents}")
     if cfg.weights == "uniform" and cfg.graph != "complete":
         raise ConfigError("network.weights=uniform requires network.graph=complete")
+    if cfg.graph == "complete" and cfg.nodes > DENSE_MIX_MAX_NODES:
+        raise ConfigError(f"network.graph=complete supports network.nodes up to "
+                          f"{DENSE_MIX_MAX_NODES}, got {cfg.nodes}")
     if cfg.loss_kind == "tracking_square" and cfg.agents < cfg.dim:
         raise ConfigError(f"loss.kind=tracking_square needs at least geometry.dim={cfg.dim} "
                           f"agents so every coordinate is observed, got {cfg.agents}")

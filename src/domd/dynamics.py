@@ -138,12 +138,16 @@ def verify_reconstruction(path, dyn):
     return float(np.max(np.abs(pred - path.states[1:]))) if path.horizon else 0.0
 
 
-def path_variation(path, dyn, norm="l2"):
-    """Accumulated disturbance size sum_t ||states[t+1] - A states[t]||."""
+def residual_norms(path, dyn, norm="l2"):
+    """Per-round disturbance sizes ||states[t+1] - A states[t]|| for t = 1 .. T."""
     if path.states.shape[0] < 2:
         raise ValueError("path variation needs at least two states")
-    residual = path.states[1:] - path.states[:-1] @ dyn.a.T
-    return float(vector_norm(norm, residual).sum())
+    return vector_norm(norm, path.states[1:] - path.states[:-1] @ dyn.a.T)
+
+
+def path_variation(path, dyn, norm="l2"):
+    """Accumulated disturbance size C_T, the sum of residual_norms."""
+    return float(residual_norms(path, dyn, norm).sum())
 
 
 def save_path_csv(path, file, comments=()):

@@ -27,11 +27,10 @@ from . import csvio
 from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_validate
 from .dynamics import (MinimizerPath, generate_path, identity_dynamics,
                        linear_dynamics, ncv_disturbances, ncv_dynamics,
-                       path_variation)
+                       path_variation, residual_norms)
 from .engine import run
 from .geometry import (box_domain, contains, euclidean_geometry, free_domain,
-                       geometry_constants, kl_geometry, simplex_domain,
-                       vector_norm)
+                       geometry_constants, kl_geometry, simplex_domain)
 from .metrics import (dynamic_regret, iterate_losses, network_disagreement,
                       per_agent_loss_gap, regret_guarantee, static_regret,
                       tuned_step, write_bound_csv, write_regret_csv)
@@ -164,8 +163,8 @@ def _execute(cfg, keys, replicates_of, x0=None):
     regret carries the dynamic regret, C_T and, on a bounded domain, the
     static regret; its bounds are the regret_guarantee of the ensemble's
     declared constants (G^2 only in stochastic mode), None on an unbounded
-    domain.  A batch's inputs and traces are let go before the next batch
-    is built.
+    domain; C_T and the bounds read the same residual_norms of the path.
+    A batch's inputs and traces are let go before the next batch is built.
     """
     weights, geom, dyn = _assemble(cfg)
     sigma2 = second_singular_value(weights)
@@ -176,15 +175,15 @@ def _execute(cfg, keys, replicates_of, x0=None):
         for r, (ens, path, _, _) in enumerate(replicates):
             trace = traces[r]
             losses = iterate_losses(trace, ens, path)
+            norms = residual_norms(path, dyn, geom.norm_kind)
             regret = replace(dynamic_regret(trace, ens, path, losses),
-                             path_variation=path_variation(path, dyn, geom.norm_kind))
+                             path_variation=float(norms.sum()))
             bounds = None
             if consts.available:
                 regret = replace(regret, static_regret=static_regret(trace, ens, path, domain,
                                                                      losses))
-                bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas,
-                                          vector_norm(geom.norm_kind, path.noise), weights.n,
-                                          grad_second_moment=ens.second_moment
+                bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas, norms,
+                                          weights.n, grad_second_moment=ens.second_moment
                                           if cfg.gradient_mode == "stochastic" else None)
             yield RunResult(cfg, trace, path, regret, bounds, sigma2, ens)
         del replicates, traces, trace, ens, path  # before the next batch is built and run

@@ -7,17 +7,19 @@ through the (T, m, d) functions of objectives (global_loss_batch,
 agent_loss_batch), which work in bounded round blocks, so no Python loop
 runs over rounds, agents or points.
 
-The calculators evaluate the guarantees as exact finite sums: a tracking
-term driven by the domain radius, the step sizes and the accumulated target
-perturbation, plus a network term driven by the mixing matrix's second
-singular value.
+The guarantee is written once, in _terms, as four exact finite sums: the
+radius, mismatch and step terms of the tracking part, and a network term
+driven by the mixing matrix's second singular value.  The L^2, G^2 and
+variation-tuned (L^2 at the constant tuned_step) bounds are evaluations of
+it.  The CSV writers derive their k=v comment lines from the report's scalar
+fields, so a new field reaches the file without a second list.
 
 Two conventions make every sum well defined: eta_0 is read as eta_1, and
 0^0 counts as 1, so the network term does not vanish for perfectly mixing
 matrices; reports carry a note whenever that case is hit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -129,15 +131,8 @@ def network_disagreement(trace):
     return vector_norm(trace.norm_kind, dev).max(axis=1)
 
 
-def _eta_with_zero(etas):
-    etas = np.asarray(etas, dtype=float)
-    if etas.size == 0 or np.any(etas <= 0):
-        raise ValueError("step sizes must be positive")
-    return np.concatenate(([etas[0]], etas))  # eta_0 read as eta_1
-
-
-def _discounted_steps(sigma2, ext, rounds):
-    """A[k] = sum_{tau=0..k} eta_tau sigma2^(k-tau) for k = 0 .. rounds, 0^0 := 1.
+def _discounted_steps(sigma2, etas, rounds):
+    """A[k] = sum_{tau=0..k} eta_tau sigma2^(k-tau) for k = 0 .. rounds, eta_0 := eta_1, 0^0 := 1.
 
     Built by the recursion A[k] = sigma2 A[k-1] + eta_k, so every entry is
     a plain running sum with no pairwise reordering.
@@ -145,16 +140,30 @@ def _discounted_steps(sigma2, ext, rounds):
     sigma2 = float(sigma2)
     out = []
     acc = 0.0
-    for eta in ext[:rounds + 1].tolist():
+    for eta in np.concatenate((etas[:1], etas[:rounds])).tolist():
         acc = sigma2 * acc + eta
         out.append(acc)
     return np.array(out)
 
 
-def _network_sum(steps, horizon):
-    # sum_{t=1..T} sum_{tau=0..t-1} eta_tau sigma2^(t-1-tau), 0^0 := 1, from
-    # A[0..T-1] of _discounted_steps; cumsum adds in order, as a running total
-    return float(np.cumsum(steps[:horizon])[-1]) if horizon else 0.0
+def _terms(consts, c, sigma2, etas, noise_norms, n):
+    """The guarantee's four terms at steps etas and squared gradient constant c.
+
+    etas cover rounds 1..T+1 and noise_norms holds ||v_t|| for t = 1..T.
+    Returns the terms (radius, mismatch, step, network)
+        (2 R^2 / eta_{T+1}, K sum_t ||v_t|| / eta_{t+1}, c sum_t eta_t / 2,
+         4 c sqrt(n) sum_{t=1..T} A[t-1]),
+    the plain mismatch sum sum_t ||v_t|| / eta_{t+1}, and A[0..T] of
+    _discounted_steps.  The bound is the terms added left to right.
+    """
+    horizon = noise_norms.size
+    steps = _discounted_steps(sigma2, etas, horizon)
+    mismatch = float(np.sum(noise_norms / etas[1:horizon + 1])) if horizon else 0.0
+    # cumsum adds A[0..T-1] in order, as a running total
+    network = float(np.cumsum(steps[:horizon])[-1]) if horizon else 0.0
+    terms = (2.0 * consts.r2 / etas[horizon], consts.k * mismatch,
+             c * float(etas[:horizon].sum()) / 2.0, 4.0 * c * np.sqrt(n) * network)
+    return terms, mismatch, steps
 
 
 @dataclass(frozen=True)
@@ -176,17 +185,16 @@ class BoundReport:
 
 def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
                      grad_second_moment=None):
-    """Evaluate the dynamic regret guarantee as exact sums.
+    """Evaluate the dynamic regret guarantee as exact sums (see _terms).
 
     etas must cover rounds 1..T+1; noise_norms holds ||v_t|| for t = 1..T in
-    the geometry norm.  The tracking term is
-        2 R^2 / eta_{T+1} + sum_t (K / eta_{t+1}) ||v_t|| + L^2 sum_t eta_t / 2
-    and the network term is
-        4 L^2 sqrt(n) sum_t sum_{tau<t} eta_tau sigma2^(t-tau-1).
-    Entry t-1 (t = 1..T) of disagreement_curve bounds max_i ||x[i,t+1] -
-    xbar[t+1]|| by L sqrt(n) sum_{tau=0..t} eta_tau sigma2^(t-tau).
-    grad_second_moment, when given, is G^2 from the stochastic oracle and
-    fills the expected-regret variant (L^2 replaced by G^2 in both terms).
+    the geometry norm.  e_track is the radius, mismatch and step terms and
+    e_net the network term, both at c = L^2.  Entry t-1 (t = 1..T) of
+    disagreement_curve bounds max_i ||x[i,t+1] - xbar[t+1]|| by
+    L sqrt(n) sum_{tau=0..t} eta_tau sigma2^(t-tau).  grad_second_moment,
+    when given, is G^2 from the stochastic oracle and fills the
+    expected-regret variant, the same terms at c = G^2.  variation_tuned_value
+    is total at the constant tuned_step of C_T = sum_t ||v_t||.
     """
     if not consts.available:
         raise ValueError("bound calculators need a bounded domain")
@@ -197,37 +205,31 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     etas = np.asarray(etas, dtype=float)
     if etas.size < horizon + 1:
         raise ValueError("need step sizes through round T+1")
-    ext = _eta_with_zero(etas)
+    if np.any(etas <= 0):
+        raise ValueError("step sizes must be positive")
+    l2 = lipschitz**2
+    (radius, mismatch, step, network), mismatch_sum, steps = _terms(
+        consts, l2, sigma2, etas, noise_norms, n)
+    e_track = float(radius + mismatch + step)
+    stochastic_total = tuned = float("nan")
+    if grad_second_moment is not None:
+        stochastic_total = float(sum(_terms(consts, float(grad_second_moment), sigma2, etas,
+                                            noise_norms, n)[0]))
     c_t = float(noise_norms.sum())
-    mismatch = float(np.sum(noise_norms / etas[1:horizon + 1])) if horizon else 0.0
-    radius_term = 2.0 * consts.r2 / etas[horizon]
-    step_sum = float(etas[:horizon].sum())
-    steps = _discounted_steps(sigma2, ext, horizon)  # A[0..T], shared with the curve
-    net_sum = _network_sum(steps, horizon)
-    e_track = radius_term + consts.k * mismatch + lipschitz**2 * step_sum / 2.0
-    e_net = 4.0 * lipschitz**2 * np.sqrt(n) * net_sum
-    mismatch_rhs = radius_term + mismatch
-    local_gap_rhs = e_track + e_net / 2.0
-    if grad_second_moment is None:
-        stochastic_total = float("nan")
-    else:
-        g2 = float(grad_second_moment)
-        stochastic_total = (radius_term + consts.k * mismatch + g2 * step_sum / 2.0
-                            + 4.0 * g2 * np.sqrt(n) * net_sum)
-    tuned = float("nan")
-    if c_t > 0 and horizon:
-        tuned = tuned_step_guarantee(consts, lipschitz, sigma2, c_t, n, horizon)
+    if c_t > 0:
+        tuned_etas = np.full(horizon + 1, tuned_step(c_t, sigma2, horizon))
+        tuned = float(sum(_terms(consts, l2, sigma2, tuned_etas, noise_norms, n)[0]))
     notes = ()
     if sigma2 == 0:
         notes = ("sigma2=0: network term keeps its tau=t-1 contribution by the 0^0=1 convention",)
     return BoundReport(
-        e_track=float(e_track),
-        e_net=float(e_net),
-        total=float(e_track + e_net),
+        e_track=e_track,
+        e_net=float(network),
+        total=float(e_track + network),
         stochastic_total=stochastic_total,
         disagreement_curve=lipschitz * np.sqrt(n) * steps[1:],
-        mismatch_rhs=float(mismatch_rhs),
-        local_gap_rhs=float(local_gap_rhs),
+        mismatch_rhs=float(radius + mismatch_sum),
+        local_gap_rhs=float(e_track + network / 2.0),
         variation_tuned_value=tuned,
         sigma2=float(sigma2),
         c_t=c_t,
@@ -252,47 +254,21 @@ def tuned_step(c_t, sigma2, horizon, fallback_eta=None):
     return float(np.sqrt((1.0 - sigma2) * c_t / horizon))
 
 
-def tuned_step_guarantee(consts, lipschitz, sigma2, c_t, n, horizon):
-    """Guarantee at the variation-tuned constant step (see tuned_step).
-
-    At that step the bound scales like sqrt(c_t * T / (1 - sigma2)).
-    """
-    if not consts.available:
-        raise ValueError("bound calculators need a bounded domain")
-    eta = tuned_step(c_t, sigma2, horizon)
-    ext = _eta_with_zero(np.full(horizon + 1, eta))
-    net_sum = _network_sum(_discounted_steps(sigma2, ext, horizon - 1), horizon)
-    e_track = 2.0 * consts.r2 / eta + consts.k * c_t / eta + lipschitz**2 * eta * horizon / 2.0
-    e_net = 4.0 * lipschitz**2 * np.sqrt(n) * net_sum
-    return float(e_track + e_net)
+def _scalar_lines(report):
+    """k=v for each number or string field of report (not None), in declaration order."""
+    values = ((f.name, getattr(report, f.name)) for f in fields(report))
+    return [f"{k}={csvio.fmt(v)}" for k, v in values if isinstance(v, (int, float, str))]
 
 
 def write_regret_csv(report, file, comments=()):
-    scalars = [
-        ("dynamic_regret", report.dynamic_regret),
-        ("static_regret", report.static_regret),
-        ("path_variation", report.path_variation),
-    ]
-    lead = list(comments) + [f"{k}={csvio.fmt(v)}" for k, v in scalars if v is not None]
     table = np.column_stack([np.arange(1, report.instant.size + 1), report.instant,
                              report.cumulative, report.normalized])
-    csvio.write_csv(file, ["t", "instant", "cumulative", "normalized"], table, lead)
+    csvio.write_csv(file, ["t", "instant", "cumulative", "normalized"], table,
+                    list(comments) + _scalar_lines(report))
 
 
 def write_bound_csv(report, file, comments=()):
-    scalars = [
-        ("e_track", report.e_track),
-        ("e_net", report.e_net),
-        ("total", report.total),
-        ("stochastic_total", report.stochastic_total),
-        ("mismatch_rhs", report.mismatch_rhs),
-        ("local_gap_rhs", report.local_gap_rhs),
-        ("variation_tuned_value", report.variation_tuned_value),
-        ("sigma2", report.sigma2),
-        ("c_t", report.c_t),
-    ]
-    lead = list(comments) + [f"{k}={csvio.fmt(v)}" for k, v in scalars]
-    lead += [f"note={n}" for n in report.notes]
+    lead = list(comments) + _scalar_lines(report) + [f"note={n}" for n in report.notes]
     curve = report.disagreement_curve
     table = np.column_stack([np.arange(1, curve.size + 1), curve])
     csvio.write_csv(file, ["t", "disagreement_bound"], table, lead)

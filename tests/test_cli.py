@@ -236,6 +236,9 @@ kind = synthetic_linear
     ("graph = path\nnodes = 1\n", "network path needs at least two nodes, got 1"),
     ("graph = erdos_renyi\nnodes = 50\nedge_prob = 0.01\n",
      "network.nodes=50, network.edge_prob=0.01"),
+    # above DENSE_MIX_MAX_NODES a complete graph would mix by a sum over n^2 nonzeros
+    ("graph = complete\nnodes = 257\n",
+     "network.graph=complete supports network.nodes up to 256, got 257"),
 ])
 def test_unbuildable_networks_are_config_errors(tmp_path, capsys, network, needle):
     file = tmp_path / "net.ini"
@@ -246,6 +249,14 @@ def test_unbuildable_networks_are_config_errors(tmp_path, capsys, network, needl
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and needle in err
     assert not out.exists()
+
+
+def test_complete_graph_at_the_dense_mixing_limit_runs(tmp_path):
+    file = tmp_path / "net.ini"
+    file.write_text("[experiment]\nhorizon = 5\n[network]\ngraph = complete\nnodes = 256\n"
+                    + ONE_DIM_LINEAR)
+    assert main(["run", "--config", str(file), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "regret.csv").exists()
 
 
 @pytest.mark.parametrize("argv, entry", [

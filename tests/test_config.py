@@ -112,6 +112,7 @@ def test_cross_validation_rules():
          "bounded"),
         ("[network]\ngraph = grid\nrows = 1\ncols = 1\n", "two nodes"),
         ("[network]\nweights = uniform\n", "complete"),
+        ("[network]\ngraph = complete\nnodes = 257\n", "network.graph=complete .* got 257"),
         ("[network]\nrows = 1\ncols = 3\n", "geometry.dim=4 agents .* got 3"),
         ("[network]\ngraph = path\nnodes = 2\n", "geometry.dim=4 agents .* got 2"),
     ]

@@ -12,7 +12,7 @@ from domd.config import (ConfigError, ExperimentConfig, config_hash, cross_valid
                          parse_config)
 from domd.csvio import read_csv
 from domd.engine import run
-from domd.dynamics import _ncv_noise_factor
+from domd.dynamics import _ncv_noise_factor, residual_norms
 from domd.harness import (_build_case, _case_runs, _derive_seed, _ORACLE, _PATH, _suite_case,
                           SLACK_TOL, build_domain, build_dynamics, build_graph,
                           build_geometry, build_noise, build_schedule,
@@ -22,7 +22,7 @@ from domd.harness import (_build_case, _case_runs, _derive_seed, _ORACLE, _PATH,
                           tracking_error_stats, variation_scaling_study,
                           verify_bounds)
 from domd.geometry import (box_domain, euclidean_geometry, geometry_constants, kl_geometry,
-                           simplex_domain, vector_norm)
+                           simplex_domain)
 from domd.metrics import dynamic_regret, network_disagreement, regret_guarantee, tuned_step
 from domd.network import (build_grid_graph, build_path_graph, metropolis_weights,
                           second_singular_value, uniform_complete_weights)
@@ -559,11 +559,19 @@ def test_suite_results_carry_the_scaled_ensemble_of_their_bounds():
         assert np.array_equal(result.path.states, path.states)
         want = regret_guarantee(geometry_constants(geom), 0.5 * ens.lipschitz,
                                 second_singular_value(weights), etas,
-                                vector_norm(geom.norm_kind, path.noise), weights.n,
+                                residual_norms(path, dyn, geom.norm_kind), weights.n,
                                 grad_second_moment=0.25 * ens.second_moment)
         for name in ("total", "stochastic_total", "local_gap_rhs", "e_net"):
             assert getattr(result.bounds, name) == getattr(want, name), name
         assert np.array_equal(result.bounds.disagreement_curve, want.disagreement_curve)
+
+
+def test_bounds_and_regret_report_one_path_variation():
+    # C_T of regret.csv and of bounds.csv come from the same residual norms
+    results = [run_experiment(ExperimentConfig(), run_index=0)]
+    results += [r for case in bound_suite() for r in _case_runs(case, range(2), 0)]
+    for result in results:
+        assert result.bounds.c_t == result.regret.path_variation, result.config
 
 
 def _same_bits(a, b):
@@ -644,7 +652,7 @@ def test_verify_noisy_row_averages_runs_alone(l_scale):
         regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
     bound = regret_guarantee(geometry_constants(geom), l_scale * ens.lipschitz,
                              second_singular_value(weights), trace.etas,
-                             vector_norm(geom.norm_kind, path.noise), weights.n,
+                             residual_norms(path, dyn, geom.norm_kind), weights.n,
                              grad_second_moment=l_scale**2 * ens.second_moment)
     report = verify_bounds(seeds=3, l_scale=l_scale)
     [row] = [r for r in report.rows if r.case == case.name]

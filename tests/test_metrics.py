@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,8 +17,7 @@ from domd.geometry import (box_domain, euclidean_geometry, free_domain,
 from domd.metrics import (best_fixed_point, dynamic_regret,
                           iterate_losses, network_disagreement, per_agent_loss_gap,
                           regret_guarantee, static_regret, tuned_step,
-                          tuned_step_guarantee, write_bound_csv,
-                          write_regret_csv)
+                          write_bound_csv, write_regret_csv)
 from domd.network import (build_grid_graph, metropolis_weights,
                           second_singular_value, uniform_complete_weights)
 from domd.objectives import (global_loss_batch, linear_ensemble, loss_value,
@@ -114,16 +113,28 @@ def test_guarantee_noise_terms():
     assert not math.isnan(report.variation_tuned_value)
 
 
-def test_tuned_guarantee_matches_general_formula_at_tuned_step():
-    consts = _consts()
-    c_t, horizon, sigma2, n = 0.6, 3, 0.25, 4
-    eta = np.sqrt((1.0 - sigma2) * c_t / horizon)
-    uniform_noise = np.full(horizon, c_t / horizon)
-    general = regret_guarantee(consts, 1.0, sigma2, [eta] * (horizon + 1),
-                               uniform_noise, n)
-    tuned = tuned_step_guarantee(consts, 1.0, sigma2, c_t, n, horizon)
-    assert tuned == pytest.approx(general.total, rel=1e-12)
-    assert general.variation_tuned_value == pytest.approx(tuned, rel=1e-12)
+def test_variation_tuned_value_frozen_hand_sum():
+    """T = 3, sigma2 = 1/4, n = 4, L = 1, R^2 = 4, K = 2 sqrt(2), ||v|| = (0.2, 0.3, 0.1).
+
+    The tuned step is eta = sqrt((1 - 1/4) 0.6 / 3) = sqrt(0.15), and the
+    four terms are 2 R^2 / eta + K C_T / eta + L^2 T eta / 2 and
+    4 L^2 sqrt(n) eta (3 + 2 sigma2 + sigma2^2) = 28.5 eta, so the value is
+    (8 + 1.2 sqrt(2)) / eta + 30 eta.
+    """
+    report = regret_guarantee(_consts(), 1.0, 0.25, [0.1] * 4, np.array([0.2, 0.3, 0.1]), 4)
+    eta = math.sqrt(0.15)
+    assert report.variation_tuned_value == pytest.approx(
+        (8.0 + 1.2 * math.sqrt(2.0)) / eta + 30.0 * eta, rel=1e-12)
+    assert report.variation_tuned_value == pytest.approx(36.65664167843647, rel=1e-12)
+
+
+def test_variation_tuned_value_is_the_total_at_the_tuned_step():
+    norms = np.random.default_rng(2).uniform(0.0, 0.3, 40)
+    for sigma2 in (0.0, 0.37, 0.9):
+        tuned = regret_guarantee(_consts(), 1.5, sigma2, np.full(41, 0.1), norms, 9)
+        eta = tuned_step(float(norms.sum()), sigma2, 40)
+        general = regret_guarantee(_consts(), 1.5, sigma2, np.full(41, eta), norms, 9)
+        assert tuned.variation_tuned_value == general.total
 
 
 def test_tuned_step():
@@ -142,16 +153,6 @@ def test_tuned_step():
         tuned_step(1.0, 0.5, 0)
 
 
-def test_tuned_guarantee_validation_and_fallback():
-    consts = _consts()
-    with pytest.raises(ValueError, match="horizon"):
-        tuned_step_guarantee(consts, 1.0, 0.5, 1.0, 4, 0)
-    # no fallback step: zero or negative anticipated variation is an error
-    for c_t in (0.0, -1.0):
-        with pytest.raises(ValueError, match="c_t"):
-            tuned_step_guarantee(consts, 1.0, 0.5, c_t, 4, 10)
-
-
 def test_guarantee_validation():
     consts = _consts()
     with pytest.raises(ValueError, match="T\\+1"):
@@ -161,8 +162,6 @@ def test_guarantee_validation():
     free_consts = geometry_constants(euclidean_geometry(free_domain(2)))
     with pytest.raises(ValueError, match="bounded"):
         regret_guarantee(free_consts, 1.0, 0.5, [0.1] * 4, np.zeros(3), 4)
-    with pytest.raises(ValueError, match="bounded"):
-        tuned_step_guarantee(free_consts, 1.0, 0.5, 1.0, 4, 10)
     # no rounds: only the radius term 2 R^2 / eta_1 is left, and no envelope
     empty = regret_guarantee(consts, 1.0, 0.5, [0.1], np.zeros(0), 4)
     assert empty.total == 2.0 * consts.r2 / 0.1 and empty.e_net == 0.0
@@ -408,6 +407,34 @@ def test_csv_writers_round_trip(tmp_path):
     assert float(scalars["total"]) == pytest.approx(82.55)
     assert math.isnan(float(scalars["stochastic_total"]))
     assert "note" in scalars
+
+
+def test_csv_comment_keys_are_the_report_scalar_fields_in_order(tmp_path):
+    def keys(file):
+        return [c.split("=", 1)[0] for c in read_csv(file)[0]]
+
+    trace, ens, path, _ = _one_agent_run()
+    report = dynamic_regret(trace, ens, path)
+    write_regret_csv(report, tmp_path / "bare.csv", comments=["seed=0"])
+    assert keys(tmp_path / "bare.csv") == ["seed", "dynamic_regret"]  # None fields left out
+    full = replace(report, static_regret=0.1, path_variation=0.2)
+    write_regret_csv(full, tmp_path / "full.csv")
+    assert keys(tmp_path / "full.csv") == ["dynamic_regret", "static_regret", "path_variation"]
+    bound = regret_guarantee(_consts(), 1.0, 0.0, [0.1] * 4, np.full(3, 0.1), 4)
+    write_bound_csv(bound, tmp_path / "bounds.csv")
+    assert keys(tmp_path / "bounds.csv") == [
+        "e_track", "e_net", "total", "stochastic_total", "mismatch_rhs", "local_gap_rhs",
+        "variation_tuned_value", "sigma2", "c_t", "note"]
+
+
+def test_every_numeric_bound_field_is_a_python_float():
+    for g2 in (None, 4.0):
+        report = regret_guarantee(_consts(), 1.0, 0.5, [0.1] * 4, np.full(3, 0.1), 4,
+                                  grad_second_moment=g2)
+        for f in fields(report):
+            value = getattr(report, f.name)
+            if not isinstance(value, (np.ndarray, tuple)):
+                assert type(value) is float, f.name
 
 
 # ------------------------------------------------- whole-horizon measurement
