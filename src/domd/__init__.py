@@ -13,8 +13,7 @@ from .dynamics import (LinearDynamics, MinimizerPath, generate_path,
                        ncv_dynamics, ncv_noise_covariance, path_variation)
 from .engine import RunTrace, init_state, run, step
 from .geometry import (MirrorGeometry, box_domain, bregman, euclidean_geometry,
-                       free_domain, geometry_constants, kl_geometry, prox,
-                       simplex_domain)
+                       geometry_constants, kl_geometry, prox, simplex_domain)
 from .harness import (RunResult, ScalingStudy, SweepResult, VerifyReport,
                       run_experiment, stochastic_mean_regret,
                       sweep, tracking_error_stats, variation_scaling_study,

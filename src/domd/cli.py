@@ -81,8 +81,7 @@ def _cmd_run(args):
     print(f"dynamic_regret={result.regret.dynamic_regret:.6g}")
     print(f"normalized_final={result.regret.normalized[-1]:.6g}")
     print(f"sigma2={result.sigma2:.6g}")
-    if result.bounds is not None:
-        print(f"guarantee_total={result.bounds.total:.6g}")
+    print(f"guarantee_total={result.bounds.total:.6g}")
     violated = exact_run_violations(result)
     if violated:
         print(f"bound violation: {', '.join(violated)}", file=sys.stderr)

@@ -71,12 +71,9 @@ class ExperimentConfig:
                       _positive)
     edge_prob: float = _key("network", "edge_prob", 0.4, "erdos_renyi edge probability",
                             _fraction)
-    weights: str = _key("network", "weights", "metropolis", "mixing rule",
-                        choices=("metropolis", "uniform"))
-    geometry_kind: str = _key("geometry", "kind", "euclidean", "mirror geometry",
-                              choices=("euclidean", "kl"))
-    domain_kind: str = _key("geometry", "domain", "box", "feasible set",
-                            choices=("box", "simplex", "free"))
+    domain_kind: str = _key("geometry", "domain", "box",
+                            "feasible set; box is euclidean (l2), simplex is KL (l1)",
+                            choices=("box", "simplex"))
     dim: int = _key("geometry", "dim", 4, "decision dimension", _positive)
     box_low: float = _key("geometry", "box_low", -10000.0, "box lower bound (all coordinates)")
     box_high: float = _key("geometry", "box_high", 10000.0, "box upper bound (all coordinates)")
@@ -168,10 +165,6 @@ def cross_validate(cfg):
         raise ConfigError("geometry.box_low must be below geometry.box_high")
     if cfg.obs_noise_low > cfg.obs_noise_high:
         raise ConfigError("loss.obs_noise_low must not exceed loss.obs_noise_high")
-    if cfg.geometry_kind == "kl" and cfg.domain_kind != "simplex":
-        raise ConfigError("geometry.kind=kl requires geometry.domain=simplex")
-    if cfg.geometry_kind == "euclidean" and cfg.domain_kind == "simplex":
-        raise ConfigError("geometry.kind=euclidean pairs with box or free domains")
     if cfg.domain_kind == "simplex" and not 0 < cfg.floor < 1.0 / cfg.dim:
         raise ConfigError("geometry.floor must lie in (0, 1/dim)")
     if cfg.noise_kind == "gaussian_ncv" and cfg.dynamics_model != "ncv":
@@ -184,12 +177,8 @@ def cross_validate(cfg):
         raise ConfigError("noise.target_init must list geometry.dim values")
     if cfg.loss_kind == "tracking_square" and cfg.domain_kind != "box":
         raise ConfigError("loss.kind=tracking_square requires a box domain")
-    if cfg.loss_kind == "synthetic_quadratic" and cfg.domain_kind == "free":
-        raise ConfigError("loss.kind=synthetic_quadratic needs a bounded domain")
     if cfg.agents < 2:
         raise ConfigError(f"network {cfg.graph} needs at least two nodes, got {cfg.agents}")
-    if cfg.weights == "uniform" and cfg.graph != "complete":
-        raise ConfigError("network.weights=uniform requires network.graph=complete")
     if cfg.graph == "complete" and cfg.nodes > DENSE_MIX_MAX_NODES:
         raise ConfigError(f"network.graph=complete supports network.nodes up to "
                           f"{DENSE_MIX_MAX_NODES}, got {cfg.nodes}")

@@ -31,9 +31,8 @@ import numpy as np
 
 from .geometry import contains, inside, project_floored_simplex, prox
 from .network import mix
-from .objectives import (BLOCK_ELEMENTS, gradients_exact_batch,
-                         gradients_stochastic_batch, oracle_noise,
-                         stack_replicates)
+from .objectives import (_round_blocks, gradients_exact_batch,
+                         gradients_stochastic_batch, oracle_noise, stack_replicates)
 
 
 class EngineError(RuntimeError):
@@ -116,15 +115,14 @@ def _require_finite(x, t):
 def _oracle_draws(ensembles, seeds, horizon, width):
     """Each round's oracle noise for every replicate, stacked (R, ...).
 
-    Replicate r draws from default_rng(seeds[r]) in blocks of rounds holding
-    at most BLOCK_ELEMENTS elements across the batch (width elements per
-    replicate and round bound a round's draws), which consumes each stream
-    exactly as one draw per round would.
+    Replicate r draws from default_rng(seeds[r]) in the blocks of
+    objectives._round_blocks, about BLOCK_ELEMENTS elements across the
+    batch (width elements per replicate and round bound a round's draws),
+    which consumes each stream exactly as one draw per round would.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    rounds = max(1, BLOCK_ELEMENTS // (len(rngs) * width))
-    for lo in range(0, horizon, rounds):
-        size = min(rounds, horizon - lo)
+    for rounds in _round_blocks(horizon, len(rngs) * width):
+        size = rounds.stop - rounds.start
         blocks = [oracle_noise(ens, rng, size) for ens, rng in zip(ensembles, rngs)]
         yield from (np.stack(blocks, axis=1) if blocks[0] is not None else [None] * size)
 

@@ -1,11 +1,12 @@
 """Mirror geometries: Bregman divergences and prox steps on simple domains.
 
-Two geometries are provided.  The euclidean geometry uses R(x) = ||x||^2/2
-on a box (or the whole space), measures distances in l2, and its prox step
-is a clamped gradient step.  The entropic geometry uses the negative entropy
-generator on a probability simplex with a small coordinate floor, measures
-distances in l1, and its prox step is an exponentiated-gradient update
-followed by a floor projection.
+Every domain is bounded, and its kind picks the geometry.  A box pairs
+with the euclidean geometry: R(x) = ||x||^2/2, distances in l2, and a
+clamped gradient step as the prox.  A probability simplex with a small
+coordinate floor pairs with the entropic (KL) geometry: the negative entropy
+generator, distances in l1, and an exponentiated-gradient update followed
+by a floor projection as the prox.  So sup D over the domain is finite, and
+the regret guarantee has its radius term, on every domain.
 
 Both generators are 1-strongly convex with respect to the geometry norm, so
 D(x, y) >= ||x - y||^2 / 2 everywhere on the domain.
@@ -21,7 +22,7 @@ DOMAIN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Domain:
-    """Feasible set: an axis-aligned box, a floored simplex, or free space."""
+    """Feasible set: an axis-aligned box or a floored simplex."""
 
     kind: str
     d: int
@@ -57,12 +58,6 @@ def simplex_domain(d, floor):
     return Domain("simplex", d, floor=float(floor))
 
 
-def free_domain(d):
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    return Domain("free", d)
-
-
 def inside(domain, x):
     """Row-wise membership within DOMAIN_TOL: a boolean array of shape x.shape[:-1].
 
@@ -72,8 +67,6 @@ def inside(domain, x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != domain.d:
         return np.zeros(x.shape[:-1], dtype=bool)
-    if domain.kind == "free":
-        return np.isfinite(x).all(axis=-1)
     if domain.kind == "box":
         lo, hi = domain._box_limits
         return ((x >= lo) & (x <= hi)).all(axis=-1)
@@ -97,10 +90,8 @@ def sample_domain(domain, rng, size=None):
     shape = (domain.d,) if size is None else (size, domain.d)
     if domain.kind == "box":
         return rng.uniform(domain.lo, domain.hi, shape)
-    if domain.kind == "simplex":
-        p = rng.dirichlet(np.ones(domain.d), size=size)
-        return domain.floor + (1.0 - domain.d * domain.floor) * p
-    return rng.standard_normal(shape)
+    p = rng.dirichlet(np.ones(domain.d), size=size)
+    return domain.floor + (1.0 - domain.d * domain.floor) * p
 
 
 def diameter(domain, norm="l2"):
@@ -133,8 +124,8 @@ class MirrorGeometry:
 
 
 def euclidean_geometry(domain):
-    if domain.kind not in ("box", "free"):
-        raise ValueError("euclidean geometry pairs with box or free domains")
+    if domain.kind != "box":
+        raise ValueError("euclidean geometry pairs with a box domain")
     return MirrorGeometry("euclidean", domain, "l2")
 
 
@@ -240,9 +231,7 @@ def prox(geom, gradient, y, eta):
         raise ValueError("gradient has non-finite entries")
     if geom.kind == "euclidean":
         out = y - eta * g
-        if geom.domain.kind == "box":
-            out.clip(geom.domain.lo, geom.domain.hi, out=out)  # np.clip, in place
-        return out
+        return out.clip(geom.domain.lo, geom.domain.hi, out=out)  # np.clip, in place
     logw = np.log(y) - eta * g
     logw = logw - logw.max(axis=-1, keepdims=True)
     w = np.exp(logw)
@@ -269,18 +258,15 @@ class GeometryConstants:
     """Domain radius and divergence Lipschitz constants used by the bounds.
 
     r2 bounds sup D(x, y) over the domain; k bounds the Lipschitz constant
-    of D(., y) in the geometry norm.  Unavailable for free domains.
+    of D(., y) in the geometry norm.
     """
 
     r2: float
     k: float
-    available: bool = True
 
 
 def geometry_constants(geom):
     dom = geom.domain
-    if dom.kind == "free":
-        return GeometryConstants(np.inf, np.inf, available=False)
     if geom.kind == "euclidean":
         span = float(np.linalg.norm(dom.hi - dom.lo))
         return GeometryConstants(0.5 * span * span, span)

@@ -2,11 +2,15 @@
 
 This module turns an ExperimentConfig into concrete objects (graph, weight
 matrix, geometry, dynamics, losses) and the disturbance and step-size
-arrays, measures regret and writes the CSV outputs.  Every random stream
-is derived from the master seed plus a fixed stream label and the run
-index, so identical configs produce byte-identical outputs.  A verify-bounds
-suite case is a name plus an ExperimentConfig; only its target path (and
-the polarized case's gradients) is the suite's own.
+arrays, measures regret and writes the CSV outputs.  The weight matrix is
+always the graph's Metropolis matrix and the domain picks the geometry
+(euclidean on a box, KL on a simplex).  Every domain is bounded, so every
+run has its static regret and its regret guarantee and writes bounds.csv.
+Every random stream is derived from the master seed plus a fixed stream
+label and the run index, so identical configs produce byte-identical
+outputs.  A verify-bounds suite case is a name plus an ExperimentConfig;
+only its target path (and the polarized case's gradients) is the suite's
+own.
 
 Every run, of a config (run, sweep, the scaling study) or of a suite case
 (verify_bounds, stochastic_mean_regret), goes through one executor,
@@ -29,14 +33,14 @@ from .dynamics import (MinimizerPath, generate_path, identity_dynamics,
                        linear_dynamics, ncv_disturbances, ncv_dynamics,
                        path_variation, residual_norms)
 from .engine import run
-from .geometry import (box_domain, contains, euclidean_geometry, free_domain,
-                       geometry_constants, kl_geometry, simplex_domain)
+from .geometry import (box_domain, contains, euclidean_geometry, geometry_constants,
+                       kl_geometry, simplex_domain)
 from .metrics import (dynamic_regret, iterate_losses, network_disagreement,
                       per_agent_loss_gap, regret_guarantee, static_regret,
                       tuned_step, write_bound_csv, write_regret_csv)
 from .network import (build_complete_graph, build_grid_graph, build_path_graph,
                       metropolis_weights, random_connected_graph,
-                      second_singular_value, uniform_complete_weights)
+                      second_singular_value)
 from .objectives import (centers_outside_domain, linear_ensemble, synthetic_suite,
                          tracking_ensemble)
 
@@ -70,21 +74,19 @@ def build_graph(cfg):
 
 
 def build_weights(cfg, graph):
-    if cfg.weights == "uniform":
-        return uniform_complete_weights(graph.n)
+    """The mixing matrix: Metropolis weights of graph (cfg is not read)."""
     return metropolis_weights(graph)
 
 
 def build_domain(cfg):
     if cfg.domain_kind == "box":
         return box_domain(np.full(cfg.dim, cfg.box_low), np.full(cfg.dim, cfg.box_high))
-    if cfg.domain_kind == "simplex":
-        return simplex_domain(cfg.dim, cfg.floor)
-    return free_domain(cfg.dim)
+    return simplex_domain(cfg.dim, cfg.floor)
 
 
 def build_geometry(cfg, domain):
-    return kl_geometry(domain) if cfg.geometry_kind == "kl" else euclidean_geometry(domain)
+    """KL on a simplex, euclidean on a box (cfg is not read)."""
+    return kl_geometry(domain) if domain.kind == "simplex" else euclidean_geometry(domain)
 
 
 def build_dynamics(cfg):
@@ -160,10 +162,10 @@ def _execute(cfg, keys, replicates_of, x0=None):
     runs, replicates_of(batch, geom, dyn, sigma2) gives its (ens, path,
     etas, seed) replicates, and the batch, a batch of one included, is one
     engine.run call.  Each result's trace is its replicate's trace[r]; its
-    regret carries the dynamic regret, C_T and, on a bounded domain, the
-    static regret; its bounds are the regret_guarantee of the ensemble's
-    declared constants (G^2 only in stochastic mode), None on an unbounded
-    domain; C_T and the bounds read the same residual_norms of the path.
+    regret carries the dynamic regret, C_T and the static regret; its
+    bounds are the regret_guarantee of the ensemble's declared constants
+    (G^2 only in stochastic mode); C_T and the bounds read the same
+    residual_norms of the path.
     A batch's inputs and traces are let go before the next batch is built.
     """
     weights, geom, dyn = _assemble(cfg)
@@ -177,14 +179,11 @@ def _execute(cfg, keys, replicates_of, x0=None):
             losses = iterate_losses(trace, ens, path)
             norms = residual_norms(path, dyn, geom.norm_kind)
             regret = replace(dynamic_regret(trace, ens, path, losses),
+                             static_regret=static_regret(trace, ens, path, domain, losses),
                              path_variation=float(norms.sum()))
-            bounds = None
-            if consts.available:
-                regret = replace(regret, static_regret=static_regret(trace, ens, path, domain,
-                                                                     losses))
-                bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas, norms,
-                                          weights.n, grad_second_moment=ens.second_moment
-                                          if cfg.gradient_mode == "stochastic" else None)
+            bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas, norms,
+                                      weights.n, grad_second_moment=ens.second_moment
+                                      if cfg.gradient_mode == "stochastic" else None)
             yield RunResult(cfg, trace, path, regret, bounds, sigma2, ens)
         del replicates, traces, trace, ens, path  # before the next batch is built and run
 
@@ -199,7 +198,7 @@ def _start_target(cfg, domain):
         target0 = np.full(cfg.dim, 1.0 / cfg.dim)
     else:
         target0 = np.zeros(cfg.dim)
-    if domain.kind != "free" and not contains(domain, target0):
+    if not contains(domain, target0):
         raise ConfigError("noise.target_init lies outside the domain")
     return target0
 
@@ -274,8 +273,7 @@ def _write_run_outputs(result, out_dir):
     table = np.concatenate([np.arange(1.0, steps + 1)[:, None], path.states[:steps],
                             trace.x.reshape(steps, -1)], axis=1)
     csvio.write_csv(os.path.join(out_dir, "trajectory.csv"), header, table, comments)
-    if result.bounds is not None:
-        write_bound_csv(result.bounds, os.path.join(out_dir, "bounds.csv"), comments)
+    write_bound_csv(result.bounds, os.path.join(out_dir, "bounds.csv"), comments)
 
 
 def _upper_check(empirical, bound):
@@ -289,7 +287,7 @@ def _upper_check(empirical, bound):
 
 def exact_run_violations(result):
     """Names of guarantees an exact-gradient run violated by more than SLACK_TOL."""
-    if result.bounds is None or result.config.gradient_mode != "exact":
+    if result.config.gradient_mode != "exact":
         return ()
     checks = (("regret_total", result.regret.dynamic_regret, result.bounds.total),
               ("disagreement", network_disagreement(result.trace)[1:],
@@ -410,7 +408,7 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
 
 @dataclass(frozen=True)
 class SuiteCase:
-    """One verify_bounds configuration; _case_losses adds what cfg cannot say."""
+    """One verify_bounds configuration; _case_replicates adds what cfg cannot say."""
 
     name: str
     cfg: ExperimentConfig
@@ -425,8 +423,8 @@ _BOX = ExperimentConfig(
     horizon=100, gradient_mode="exact", rows=2, cols=2, dim=2, box_low=-5.0, box_high=5.0,
     dynamics_model="identity", noise_kind="zero", target_init=(0.5, -0.5), eta0=0.1,
     loss_kind="synthetic_quadratic", offset_scale=0.2)
-_SIMPLEX = replace(_BOX, geometry_kind="kl", domain_kind="simplex", dim=3, floor=0.01,
-                   target_init=(), offset_scale=0.02)
+_SIMPLEX = replace(_BOX, domain_kind="simplex", dim=3, floor=0.01, target_init=(),
+                   offset_scale=0.02)
 _SUITE = (
     _case("box_quad_static_n4_t100", _BOX),
     _case("box_quad_static_n9_t300", _BOX, horizon=300, rows=3, cols=3,
@@ -435,7 +433,7 @@ _SUITE = (
           dynamics_scale=0.9),
     _case("box_quad_contract_n9_t300", _BOX, horizon=300, rows=3, cols=3,
           dynamics_model="scaled_identity", dynamics_scale=0.9),
-    _case("box_quad_complete_n4_t100", _BOX, graph="complete", nodes=4, weights="uniform"),
+    _case("box_quad_complete_n4_t100", _BOX, graph="complete", nodes=4),
     _case("simplex_quad_n4_t100", _SIMPLEX),
     _case("simplex_quad_n9_t300", _SIMPLEX, horizon=300, rows=3, cols=3),
     _case("box_linear_polarized_n3_t120", _BOX, horizon=120, graph="path", nodes=3,

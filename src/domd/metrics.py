@@ -93,11 +93,9 @@ def best_fixed_point(ens, path, domain, horizon):
     mean_g = ens.gradients[:horizon].mean(axis=1).sum(axis=0) / horizon
     if domain.kind == "box":
         return np.where(mean_g > 0, domain.lo, domain.hi)
-    if domain.kind == "simplex":
-        out = np.full(domain.d, domain.floor)
-        out[int(np.argmin(mean_g))] = 1.0 - (domain.d - 1) * domain.floor
-        return out
-    raise ValueError("static regret needs a bounded domain")
+    out = np.full(domain.d, domain.floor)
+    out[int(np.argmin(mean_g))] = 1.0 - (domain.d - 1) * domain.floor
+    return out
 
 
 def static_regret(trace, ens, path, domain, losses=None):
@@ -105,8 +103,6 @@ def static_regret(trace, ens, path, domain, losses=None):
 
     losses, when given, is iterate_losses(trace, ens, path).
     """
-    if domain.kind == "free":
-        raise ValueError("static regret needs a bounded domain")
     horizon = trace.horizon
     if horizon == 0:
         return 0.0
@@ -196,8 +192,6 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     expected-regret variant, the same terms at c = G^2.  variation_tuned_value
     is total at the constant tuned_step of C_T = sum_t ||v_t||.
     """
-    if not consts.available:
-        raise ValueError("bound calculators need a bounded domain")
     if not 0 <= sigma2 <= 1:
         raise ValueError("sigma2 must lie in [0, 1]")
     noise_norms = np.asarray(noise_norms, dtype=float)

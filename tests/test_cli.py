@@ -179,6 +179,15 @@ def test_config_errors_exit_one(tmp_path, capsys):
     bad.write_text("[experiment]\nhorizon = -3\n")
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 1
+    # no field declares geometry.kind or network.weights, and every domain is bounded
+    for text, needle in (("[geometry]\nkind = kl\n", "unknown key geometry.kind"),
+                         ("[network]\nweights = uniform\n", "unknown key network.weights"),
+                         ("[geometry]\ndomain = free\n", "expected one of box, simplex")):
+        capsys.readouterr()
+        bad.write_text(text)
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and "config error: " in err and needle in err, err
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -55,6 +55,11 @@ def test_unknown_names_are_rejected():
         parse_config("[nonsense]\nx = 1\n", env={})
     with pytest.raises(ConfigError, match="unknown key experiment.speed"):
         parse_config("[experiment]\nspeed = 9\n", env={})
+    # the domain picks the geometry and every network mixes by Metropolis weights
+    with pytest.raises(ConfigError, match="unknown key geometry.kind"):
+        parse_config("[geometry]\nkind = kl\n", env={})
+    with pytest.raises(ConfigError, match="unknown key network.weights"):
+        parse_config("[network]\nweights = uniform\n", env={})
 
 
 def test_errors_name_the_offending_key():
@@ -68,6 +73,8 @@ def test_errors_name_the_offending_key():
         parse_config("[experiment]\ninnovation_gradient = maybe\n", env={})
     with pytest.raises(ConfigError, match="network.edge_prob"):
         parse_config("[network]\nedge_prob = 1.5\n", env={})
+    with pytest.raises(ConfigError, match="geometry.domain: expected one of box, simplex"):
+        parse_config("[geometry]\ndomain = free\n", env={})
 
 
 def test_malformed_document_rejected():
@@ -95,11 +102,7 @@ def test_cross_validation_rules():
     cases = [
         ("[geometry]\nbox_low = 2\nbox_high = 1\n", "box_low"),
         ("[loss]\nobs_noise_low = 1\nobs_noise_high = -1\n", "obs_noise_low"),
-        ("[geometry]\nkind = kl\ndomain = box\n", "simplex"),
-        ("[geometry]\nkind = euclidean\ndomain = simplex\n"
-         "[dynamics]\nmodel = identity\n[noise]\nkind = zero\n"
-         "[loss]\nkind = synthetic_quadratic\n", "box or free"),
-        ("[geometry]\nkind = kl\ndomain = simplex\ndim = 4\nfloor = 0.3\n"
+        ("[geometry]\ndomain = simplex\ndim = 4\nfloor = 0.3\n"
          "[dynamics]\nmodel = identity\n[noise]\nkind = zero\n"
          "[loss]\nkind = synthetic_quadratic\n", "floor"),
         ("[dynamics]\nmodel = identity\n", "gaussian_ncv"),
@@ -107,11 +110,8 @@ def test_cross_validation_rules():
         ("[noise]\nkind = constant_drift\ndrift = 0.1, 0.2\n"
          "[dynamics]\nmodel = identity\n", "drift"),
         ("[noise]\ntarget_init = 1, 2\n", "target_init"),
-        ("[geometry]\ndomain = free\ndim = 4\n", "box domain"),
-        ("[geometry]\ndomain = free\ndim = 4\n[loss]\nkind = synthetic_quadratic\n",
-         "bounded"),
+        ("[geometry]\ndomain = simplex\ndim = 4\nfloor = 0.1\n", "box domain"),
         ("[network]\ngraph = grid\nrows = 1\ncols = 1\n", "two nodes"),
-        ("[network]\nweights = uniform\n", "complete"),
         ("[network]\ngraph = complete\nnodes = 257\n", "network.graph=complete .* got 257"),
         ("[network]\nrows = 1\ncols = 3\n", "geometry.dim=4 agents .* got 3"),
         ("[network]\ngraph = path\nnodes = 2\n", "geometry.dim=4 agents .* got 2"),
@@ -149,7 +149,6 @@ def test_agent_count_rule_applies_to_tracking_losses_only():
 def test_kl_simplex_document_is_valid():
     text = """
 [geometry]
-kind = kl
 domain = simplex
 dim = 3
 floor = 0.01
@@ -165,7 +164,7 @@ target_init =
 kind = synthetic_quadratic
 """
     cfg = parse_config(text, env={})
-    assert cfg.geometry_kind == "kl" and cfg.dim == 3
+    assert cfg.domain_kind == "simplex" and cfg.dim == 3
     assert cfg.target_init == ()
 
 
@@ -202,8 +201,8 @@ KEY_ORDER = [
     ("experiment", "horizon"), ("experiment", "runs"), ("experiment", "seed"),
     ("experiment", "gradient_mode"), ("experiment", "innovation_gradient"),
     ("network", "graph"), ("network", "rows"), ("network", "cols"), ("network", "nodes"),
-    ("network", "edge_prob"), ("network", "weights"),
-    ("geometry", "kind"), ("geometry", "domain"), ("geometry", "dim"),
+    ("network", "edge_prob"),
+    ("geometry", "domain"), ("geometry", "dim"),
     ("geometry", "box_low"), ("geometry", "box_high"), ("geometry", "floor"),
     ("dynamics", "model"), ("dynamics", "eps"), ("dynamics", "scale"),
     ("noise", "kind"), ("noise", "sigma_v2"), ("noise", "fixed_path"), ("noise", "drift"),

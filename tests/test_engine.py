@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 
 import domd.engine
+import domd.objectives
 from domd.dynamics import (generate_path, identity_dynamics, linear_dynamics,
                            ncv_disturbances, ncv_dynamics)
 from domd.engine import EngineError, RunTrace, init_state, run, step
 from domd.geometry import (box_domain, contains, euclidean_geometry,
-                           free_domain, kl_geometry, prox, simplex_domain)
+                           kl_geometry, prox, simplex_domain)
 from domd.network import (DENSE_MIX_MAX_NODES, WeightMatrix, build_grid_graph,
                           build_path_graph, metropolis_weights, mix,
                           random_connected_graph, uniform_complete_weights)
 from domd.objectives import (gradients_exact_batch, gradients_stochastic_batch,
                              linear_ensemble, oracle_noise, synthetic_suite,
                              tracking_ensemble)
+
+BIG = np.finfo(float).max
 
 
 def _box_setup(n=3, d=2, horizon=8, half=5.0, seed=3):
@@ -144,8 +147,9 @@ def _box_tracking_case(horizon):
 
 
 def _free_linear_case(horizon):
+    # a box so wide the clamp never fires: the iterates move as if unconstrained
     weights = metropolis_weights(build_path_graph(3))
-    geom = euclidean_geometry(free_domain(2))
+    geom = euclidean_geometry(box_domain([-1e6] * 2, [1e6] * 2))
     dyn = linear_dynamics([[0.9, 0.2], [-0.1, 0.8]])
     path = generate_path(dyn, np.zeros((horizon, 2)), np.zeros(2), horizon)
     ens = synthetic_suite(4, 3, 2, horizon, geom.domain, kind="synthetic_linear")
@@ -262,7 +266,7 @@ def test_simplex_iterates_stay_feasible_under_contracting_dynamics():
 def test_divergent_dynamics_raise_engine_error():
     n, d, horizon = 2, 2, 400
     weights = metropolis_weights(build_path_graph(n))
-    geom = euclidean_geometry(free_domain(d))
+    geom = euclidean_geometry(box_domain([-BIG] * d, [BIG] * d))  # holds every finite point
     dyn = linear_dynamics(10.0 * np.eye(d))
     path = generate_path(identity_dynamics(d), np.zeros((horizon, d)), np.zeros(d), horizon)
     ens = linear_ensemble(np.zeros((horizon, n, d)), geom.domain)
@@ -389,7 +393,7 @@ def test_noise_block_boundaries_keep_every_stream(monkeypatch, block_elements):
     replicates = [(e, path, np.full(11, 0.1), 20 + k)
                   for k, e in enumerate(ensembles)]
     whole = run(weights, geom, dyn, replicates, 10, "stochastic")
-    monkeypatch.setattr(domd.engine, "BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(domd.objectives, "BLOCK_ELEMENTS", block_elements)  # _round_blocks
     blocked = _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, 10,
                                                  "stochastic")
     for r, b in enumerate(blocked):
@@ -399,7 +403,7 @@ def test_noise_block_boundaries_keep_every_stream(monkeypatch, block_elements):
 def test_non_finite_error_names_round_replicate_and_agent():
     n, d, horizon = 3, 1, 400
     weights = WeightMatrix(n, np.eye(n))  # no mixing: agents diverge alone
-    geom = euclidean_geometry(free_domain(d))
+    geom = euclidean_geometry(box_domain([-BIG] * d, [BIG] * d))
     dyn = linear_dynamics(10.0 * np.eye(d))
     path = generate_path(identity_dynamics(d), np.zeros((horizon, d)), np.zeros(d), horizon)
     calm = linear_ensemble(np.zeros((horizon, n, d)), geom.domain)

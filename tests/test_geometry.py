@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from domd.geometry import (DOMAIN_TOL, bregman, box_domain, check_nonexpansive,
                            contains, diameter, dual_norm_of, euclidean_geometry,
-                           free_domain, geometry_constants, inside, kl_geometry,
+                           geometry_constants, inside, kl_geometry,
                            project_floored_simplex, prox, prox_inequality_gap,
                            sample_domain, simplex_domain, vector_norm)
 
 FLOOR = 0.01
+BIG = np.finfo(float).max
 
 
 def _box2():
@@ -47,8 +48,6 @@ def test_domain_constructors_validate():
         simplex_domain(1, 0.1)
     with pytest.raises(ValueError, match="floor"):
         simplex_domain(3, 0.5)
-    with pytest.raises(ValueError):
-        free_domain(0)
 
 
 def test_contains():
@@ -60,13 +59,13 @@ def test_contains():
     assert contains(simplex, [0.5, 0.3, 0.2])
     assert not contains(simplex, [0.005, 0.5, 0.495])  # below floor
     assert not contains(simplex, [0.5, 0.4, 0.2])  # sum != 1
-    free = free_domain(2)
-    assert contains(free, [1e9, -1e9])
-    assert not contains(free, [np.inf, 0.0])
+    wide = box_domain([-BIG] * 2, [BIG] * 2)  # every finite point, no infinite one
+    assert contains(wide, [1e9, -1e9])
+    assert not contains(wide, [np.inf, 0.0])
     # a NaN coordinate is outside every domain, also among feasible points
     skewed = box_domain([-1.0, 0.0], [1.0, 0.5])
     for domain, good in ((box, [0.0, 0.0]), (skewed, [0.0, 0.25]),
-                         (simplex, [0.5, 0.3, 0.2]), (free, [0.0, 0.0])):
+                         (simplex, [0.5, 0.3, 0.2]), (wide, [0.0, 0.0])):
         bad = np.array(good)
         bad[-1] = np.nan
         assert not contains(domain, [good, bad, good])
@@ -83,23 +82,22 @@ def test_inside_is_row_wise():
     np.testing.assert_array_equal(
         inside(simplex, [[0.5, 0.3, 0.2], [0.005, 0.5, 0.495], [0.5, 0.4, 0.2]]),
         [True, False, False])
-    np.testing.assert_array_equal(inside(free_domain(2), [[1e9, -1e9], [np.inf, 0.0]]),
-                                  [True, False])
+    np.testing.assert_array_equal(
+        inside(box_domain([-BIG] * 2, [BIG] * 2), [[1e9, -1e9], [np.inf, 0.0]]),
+        [True, False])
 
 
 _DOMAINS = (box_domain([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0]), box_domain([-2.0] * 3, [2.0] * 3),
-            simplex_domain(3, FLOOR), free_domain(3))
+            simplex_domain(3, FLOOR), box_domain([-BIG] * 3, [BIG] * 3))
 
 
 def _near_boundary(domain, base, pushes):
     """Points that sit on, or a few tolerances off, the domain boundary."""
     if domain.kind == "box":
         return np.where(base > 0.5, domain.hi, domain.lo) + pushes
-    if domain.kind == "simplex":
-        corner = np.full((len(base), 3), FLOOR)
-        corner[np.arange(len(base)), (3 * base[:, 0]).astype(int) % 3] = 1.0 - 2 * FLOOR
-        return corner + pushes
-    return np.where(base > 0.9, np.inf, base) + pushes
+    corner = np.full((len(base), 3), FLOOR)
+    corner[np.arange(len(base)), (3 * base[:, 0]).astype(int) % 3] = 1.0 - 2 * FLOOR
+    return corner + pushes
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,7 +138,7 @@ def test_diameter_simplex():
     assert diameter(dom, "l1") == pytest.approx(2.0 * span)
     assert diameter(dom, "linf") == pytest.approx(span)
     with pytest.raises(ValueError):
-        diameter(free_domain(2), "l2")
+        diameter(dom, "l3")
 
 
 def test_geometry_pairing_rules():
@@ -235,8 +233,9 @@ def test_prox_euclidean_matches_free_step_inside():
 
 
 def test_prox_euclidean_free_domain_never_clips():
-    geom = euclidean_geometry(free_domain(2))
-    out = prox(geom, np.array([5.0, -5.0]), np.array([0.0, 0.0]), 2.0)
+    # a long step that stays inside a box of +-finfo.max is never clipped
+    wide = euclidean_geometry(box_domain([-BIG] * 2, [BIG] * 2))
+    out = prox(wide, np.array([5.0, -5.0]), np.array([0.0, 0.0]), 2.0)
     np.testing.assert_allclose(out, [-10.0, 10.0], atol=1e-15)
 
 
@@ -367,19 +366,12 @@ def test_geometry_constants_box():
     consts = geometry_constants(_box2())
     assert consts.r2 == pytest.approx(4.0)  # ||hi - lo||^2 / 2 = (4+4)/2
     assert consts.k == pytest.approx(2.0 * np.sqrt(2.0))
-    assert consts.available
 
 
 def test_geometry_constants_simplex():
     consts = geometry_constants(_simplex(3))
     assert consts.r2 == pytest.approx(np.log(100.0))
     assert consts.k == pytest.approx(3.0 * np.log(100.0))
-
-
-def test_geometry_constants_free_unavailable():
-    consts = geometry_constants(euclidean_geometry(free_domain(2)))
-    assert not consts.available
-    assert np.isinf(consts.r2)
 
 
 def test_geometry_constants_dominate_divergence():

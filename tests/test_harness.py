@@ -23,7 +23,8 @@ from domd.harness import (_build_case, _case_runs, _derive_seed, _ORACLE, _PATH,
                           verify_bounds)
 from domd.geometry import (box_domain, euclidean_geometry, geometry_constants, kl_geometry,
                            simplex_domain)
-from domd.metrics import dynamic_regret, network_disagreement, regret_guarantee, tuned_step
+from domd.metrics import (BoundReport, dynamic_regret, network_disagreement, regret_guarantee,
+                          tuned_step)
 from domd.network import (build_grid_graph, build_path_graph, metropolis_weights,
                           second_singular_value, uniform_complete_weights)
 
@@ -85,20 +86,20 @@ def test_unsampleable_random_graph_is_a_config_error():
 
 
 def test_build_weights_and_domain_and_geometry():
-    cfg = _tracking_cfg(graph="complete", nodes=4, weights="uniform")
+    cfg = _tracking_cfg(graph="complete", nodes=4)
     w = build_weights(cfg, build_graph(cfg))
-    np.testing.assert_allclose(w.w, 0.25)
+    assert w.w.tobytes() == uniform_complete_weights(4).w.tobytes()  # Metropolis is 1/n here
     metro = build_weights(_tracking_cfg(), build_graph(_tracking_cfg()))
     np.testing.assert_allclose(metro.w.sum(axis=1), 1.0, atol=1e-12)
 
     box = build_domain(_tracking_cfg())
     assert box.kind == "box" and box.d == 4 and box.hi[0] == 10000.0
-    simplex = build_domain(_tracking_cfg(domain_kind="simplex", dim=3))
+    simplex_cfg = _tracking_cfg(domain_kind="simplex", dim=3)
+    simplex = build_domain(simplex_cfg)
     assert simplex.kind == "simplex"
-    free = build_domain(_tracking_cfg(domain_kind="free", dim=2))
-    assert free.kind == "free"
+    # the domain picks the geometry
     assert build_geometry(_tracking_cfg(), box).kind == "euclidean"
-    assert build_geometry(_tracking_cfg(geometry_kind="kl"), simplex).kind == "kl"
+    assert build_geometry(simplex_cfg, simplex).kind == "kl"
 
 
 def test_build_dynamics_and_noise():
@@ -190,40 +191,6 @@ def test_run_outputs_are_byte_identical(tmp_path):
     run_experiment(cfg, out_dir=b)
     for name in ("regret.csv", "disagreement.csv", "trajectory.csv", "bounds.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
-def test_free_domain_run_skips_bounds(tmp_path):
-    text = """
-[experiment]
-horizon = 20
-gradient_mode = exact
-
-[network]
-graph = path
-nodes = 3
-
-[geometry]
-dim = 2
-domain = free
-
-[dynamics]
-model = identity
-
-[noise]
-kind = zero
-target_init = 0, 0
-
-[loss]
-kind = synthetic_linear
-"""
-    cfg = parse_config(text, env={})
-    out = tmp_path / "free"
-    result = run_experiment(cfg, out_dir=out)
-    assert result.bounds is None
-    assert result.regret.static_regret is None
-    assert not (out / "bounds.csv").exists()
-    assert (out / "regret.csv").exists()
-    assert exact_run_violations(result) == ()
 
 
 def test_target_init_must_be_feasible():
@@ -506,10 +473,9 @@ def test_suite_sigma2_is_computed_once_per_case(monkeypatch):
 
 def test_suite_weights_are_built_once_per_case(monkeypatch):
     builds = []
-    for name in ("metropolis_weights", "uniform_complete_weights"):
-        build = getattr(domd.harness, name)
-        monkeypatch.setattr(domd.harness, name,
-                            lambda g, build=build: builds.append(g) or build(g))
+    build = domd.harness.metropolis_weights
+    monkeypatch.setattr(domd.harness, "metropolis_weights",
+                        lambda g: builds.append(g) or build(g))
     verify_bounds(seeds=3)
     assert len(builds) == len(bound_suite()) == 10
 
@@ -567,10 +533,13 @@ def test_suite_results_carry_the_scaled_ensemble_of_their_bounds():
 
 
 def test_bounds_and_regret_report_one_path_variation():
-    # C_T of regret.csv and of bounds.csv come from the same residual norms
+    # every run has its bounds and static regret, and C_T of regret.csv and of
+    # bounds.csv come from the same residual norms
     results = [run_experiment(ExperimentConfig(), run_index=0)]
     results += [r for case in bound_suite() for r in _case_runs(case, range(2), 0)]
     for result in results:
+        assert isinstance(result.bounds, BoundReport), result.config
+        assert isinstance(result.regret.static_regret, float), result.config
         assert result.bounds.c_t == result.regret.path_variation, result.config
 
 
@@ -587,6 +556,7 @@ SUITE_LITERALS = {
                                   0.9),
     "box_quad_contract_n9_t300": (lambda: metropolis_weights(build_grid_graph(3, 3)), 5.0,
                                   0.9),
+    # Metropolis weights of the complete graph on 4 nodes: the bits of the 1/4 matrix
     "box_quad_complete_n4_t100": (lambda: uniform_complete_weights(4), 5.0, 1.0),
     "simplex_quad_n4_t100": (lambda: metropolis_weights(build_grid_graph(2, 2)), None, 1.0),
     "simplex_quad_n9_t300": (lambda: metropolis_weights(build_grid_graph(3, 3)), None, 1.0),

@@ -12,8 +12,8 @@ from domd.csvio import read_csv
 from domd.dynamics import (MinimizerPath, generate_path, identity_dynamics,
                            path_variation)
 from domd.engine import RunTrace, run
-from domd.geometry import (box_domain, euclidean_geometry, free_domain,
-                           geometry_constants, simplex_domain)
+from domd.geometry import (box_domain, euclidean_geometry, geometry_constants,
+                           simplex_domain)
 from domd.metrics import (best_fixed_point, dynamic_regret,
                           iterate_losses, network_disagreement, per_agent_loss_gap,
                           regret_guarantee, static_regret, tuned_step,
@@ -159,9 +159,6 @@ def test_guarantee_validation():
         regret_guarantee(consts, 1.0, 0.5, [0.1] * 3, np.zeros(3), 4)
     with pytest.raises(ValueError, match="sigma2"):
         regret_guarantee(consts, 1.0, 1.5, [0.1] * 4, np.zeros(3), 4)
-    free_consts = geometry_constants(euclidean_geometry(free_domain(2)))
-    with pytest.raises(ValueError, match="bounded"):
-        regret_guarantee(free_consts, 1.0, 0.5, [0.1] * 4, np.zeros(3), 4)
     # no rounds: only the radius term 2 R^2 / eta_1 is left, and no envelope
     empty = regret_guarantee(consts, 1.0, 0.5, [0.1], np.zeros(0), 4)
     assert empty.total == 2.0 * consts.r2 / 0.1 and empty.e_net == 0.0
@@ -259,8 +256,6 @@ def test_best_fixed_point_linear_hits_extreme_points():
     point_s = best_fixed_point(ens_s, path, simplex, 1)
     assert point_s.sum() == pytest.approx(1.0)
     assert point_s[1] == pytest.approx(0.8)
-    with pytest.raises(ValueError, match="bounded"):
-        best_fixed_point(ens_s, path, free_domain(3), 1)
 
 
 def test_static_regret_never_exceeds_dynamic():
@@ -278,8 +273,6 @@ def test_static_regret_never_exceeds_dynamic():
     dyn_regret = dynamic_regret(trace, ens, path).dynamic_regret
     stat = static_regret(trace, ens, path, domain)
     assert stat <= dyn_regret + 1e-9
-    with pytest.raises(ValueError, match="bounded"):
-        static_regret(trace, ens, path, free_domain(2))
 
 
 def test_regrets_share_one_evaluation_of_the_iterate_losses(monkeypatch):
