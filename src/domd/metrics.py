@@ -142,7 +142,7 @@ def _discounted_steps(sigma2, etas, rounds):
     return np.array(out)
 
 
-def _terms(consts, c, sigma2, etas, noise_norms, n):
+def _terms(consts, c, sigma2, etas, noise_norms, n, steps=None):
     """The guarantee's four terms at steps etas and squared gradient constant c.
 
     etas cover rounds 1..T+1 and noise_norms holds ||v_t|| for t = 1..T.
@@ -150,10 +150,13 @@ def _terms(consts, c, sigma2, etas, noise_norms, n):
         (2 R^2 / eta_{T+1}, K sum_t ||v_t|| / eta_{t+1}, c sum_t eta_t / 2,
          4 c sqrt(n) sum_{t=1..T} A[t-1]),
     the plain mismatch sum sum_t ||v_t|| / eta_{t+1}, and A[0..T] of
-    _discounted_steps.  The bound is the terms added left to right.
+    _discounted_steps, which a caller that already has them for the same
+    sigma2 and etas passes as steps.  The bound is the terms added left to
+    right.
     """
     horizon = noise_norms.size
-    steps = _discounted_steps(sigma2, etas, horizon)
+    if steps is None:
+        steps = _discounted_steps(sigma2, etas, horizon)
     mismatch = float(np.sum(noise_norms / etas[1:horizon + 1])) if horizon else 0.0
     # cumsum adds A[0..T-1] in order, as a running total
     network = float(np.cumsum(steps[:horizon])[-1]) if horizon else 0.0
@@ -208,7 +211,7 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     stochastic_total = tuned = float("nan")
     if grad_second_moment is not None:
         stochastic_total = float(sum(_terms(consts, float(grad_second_moment), sigma2, etas,
-                                            noise_norms, n)[0]))
+                                            noise_norms, n, steps)[0]))
     c_t = float(noise_norms.sum())
     if c_t > 0:
         tuned_etas = np.full(horizon + 1, tuned_step(c_t, sigma2, horizon))

@@ -2,9 +2,14 @@
 
 Agents exchange estimates over an undirected connected graph.  The mixing
 step uses a symmetric doubly stochastic weight matrix; its second largest
-singular value controls how fast disagreement between agents decays.  W is
-symmetric, so that value is computed as the second largest absolute
-eigenvalue (np.linalg.eigvalsh).
+singular value sigma2 controls how fast disagreement between agents decays.
+W is symmetric, so sigma2 is its second largest absolute eigenvalue, found
+in one of two ways chosen by the node count alone.  Below
+LANCZOS_MIN_NODES agents it comes from np.linalg.eigvalsh of the dense W.
+From LANCZOS_MIN_NODES on it is the Lanczos estimate of _lanczos_sigma2,
+whose products with W are the neighbour sum below and whose inner products
+are np.add.reduce or np.einsum, so its bits do not depend on the BLAS
+thread count.
 
 mix evaluates y_i = sum_j w_ij x_j in one of two ways, chosen by the node
 count alone.  Up to DENSE_MIX_MAX_NODES agents it is the dense product
@@ -24,6 +29,21 @@ STOCHASTIC_TOL = 1e-12
 # (d up to 128); from 400 nodes it did not.  Per call, the neighbour sum
 # overtakes the dense product between 256 and 1000 nodes on sparse graphs.
 DENSE_MIX_MAX_NODES = 256
+
+# Smallest network whose sigma2 comes from Lanczos.  eigvalsh of the dense W
+# gave different last bits on one and two OpenBLAS threads already for the
+# 16x16 grid (256 nodes); up to 200 nodes every graph tried agreed.
+LANCZOS_MIN_NODES = 256
+
+# Lanczos stops once the residual bound of the Ritz pair that sets sigma2 is
+# at most LANCZOS_TOL; see _lanczos_sigma2.  It first checks convergence
+# after 8 steps, then whenever k has grown by max(8, k / 4): each check is
+# an O(k^3) eigh, so when k runs up to n (a long path) the checks cost a
+# bounded multiple of the last one.  A beta at or below _LANCZOS_BREAKDOWN
+# counts as a breakdown.
+LANCZOS_TOL = 1e-13
+_LANCZOS_CHECK = 8
+_LANCZOS_BREAKDOWN = 1e-15
 
 
 def _edge_array(edges):
@@ -87,14 +107,16 @@ class Graph:
 class WeightMatrix:
     """Symmetric doubly stochastic mixing matrix with positive diagonal.
 
-    w is not modified after construction: mix caches index arrays built
-    from its nonzeros on the instance.
+    w is not modified after construction: the neighbour sum caches W's
+    nonzeros, and index arrays built from them, on the instance.
     """
 
     n: int
     w: np.ndarray
+    # (rows, cols, weights) of W's nonzeros in row-major order, found once
+    _nonzeros: tuple = field(default=None, init=False, repr=False, compare=False)
     # ((replicates, width), gather rows, term weights, output slots) of the
-    # neighbour sum last built by mix; see _neighbour_sum
+    # neighbour sum last built; see _neighbour_sum
     _neighbour_index: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -179,11 +201,89 @@ def second_singular_value(weights):
     """sigma2 of the mixing matrix, a float; 0 by convention for n = 1.
 
     W is symmetric, so its singular values are the absolute values of its
-    eigenvalues: sigma2 is the second largest |lambda| from eigvalsh.
+    eigenvalues: sigma2 is the second largest |lambda|.  Below
+    LANCZOS_MIN_NODES agents it is taken from eigvalsh; from there on it is
+    the upper Lanczos estimate of _lanczos_sigma2.
     """
     if weights.n == 1:
         return 0.0
+    if weights.n >= LANCZOS_MIN_NODES:
+        return _lanczos_sigma2(weights)
     return float(np.sort(np.abs(np.linalg.eigvalsh(weights.w)))[-2])
+
+
+def _dot(a, b):
+    return float(np.add.reduce(a * b))
+
+
+def _orthogonalize(v, basis):
+    """v minus its projection on the orthonormal rows of basis, in one
+    classical Gram-Schmidt pass.  np.einsum without optimize runs its own
+    loops in a fixed order, never BLAS, and needs no (rows, n) temporary."""
+    return v - np.einsum("i,ij->j", np.einsum("ij,j->i", basis, v), basis)
+
+
+def _lanczos_sigma2(weights):
+    """sigma2 by Lanczos on W restricted to the complement of 1.
+
+    W is symmetric with W 1 = 1, so sigma2 is the largest |lambda| of W on
+    1-perp.  Row 0 of the basis is 1/sqrt(n); the Lanczos vectors follow,
+    each orthogonalized against every earlier row.  The start vector is a
+    fixed function of n, every product with W is the fixed-order neighbour
+    sum and every inner product an np.add.reduce or np.einsum, so the only
+    LAPACK call is eigh of the small tridiagonal T and the same W gives the
+    same bits on any thread count.
+
+    At each check the extreme Ritz pairs (theta, s) of the k x k T give the
+    upper values |theta| + r with r = beta_k |s_k|, the residual bound of
+    the pair.  Lanczos stops when the pair with the largest upper value has
+    r <= LANCZOS_TOL, or when the basis spans all of 1-perp.  It returns
+    that upper value plus n eps, which covers the rounding of T's entries
+    (||W|| = 1), capped at 1, so the bounds never get a low sigma2.
+
+    A breakdown (beta ~ 0) means the Krylov space is invariant, so every
+    Ritz value is an eigenvalue (r = 0), as on a complete graph, where
+    W = 0 on 1-perp and the first step breaks down.  The start vector
+    reaches every eigenspace unless it is very unlucky, so then the Ritz
+    values already hold sigma2; a breakdown before a check still restarts
+    from a fixed vector orthogonal to the basis, with a zero coupling in T.
+    """
+    n = weights.n
+    basis = np.empty((n, n))  # rows are touched only as Lanczos reaches them
+    basis[0] = 1.0 / np.sqrt(n)
+    alphas, betas = [], []
+    v = _orthogonalize(np.random.default_rng(n).standard_normal(n), basis[:1])
+    k, check = 1, _LANCZOS_CHECK
+    while True:
+        basis[k] = v / np.sqrt(_dot(v, v))
+        w = _neighbour_sum(weights, basis[k].reshape(1, n, 1)).ravel()
+        if betas:
+            w -= betas[-1] * basis[k - 1]
+        alphas.append(_dot(basis[k], w))
+        w = _orthogonalize(w - alphas[-1] * basis[k], basis[:k + 1])
+        beta = np.sqrt(_dot(w, w))
+        exhausted = k == n - 1
+        if beta <= _LANCZOS_BREAKDOWN or exhausted:
+            beta = 0.0  # the basis spans an invariant subspace
+        if k >= check or exhausted:
+            upper, residual = _ritz_upper(alphas, betas, beta)
+            if residual <= LANCZOS_TOL:
+                return float(min(upper + n * np.finfo(float).eps, 1.0))
+            check = k + max(_LANCZOS_CHECK, k // 4)
+        betas.append(beta)
+        if beta:
+            v = w
+        else:
+            v = _orthogonalize(np.random.default_rng((n, k)).standard_normal(n), basis[:k + 1])
+        k += 1
+
+
+def _ritz_upper(alphas, betas, beta):
+    """(upper value, residual bound) of the extreme Ritz pair of T with the
+    largest |theta| + beta |s_k|."""
+    theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+    pairs = [(abs(theta[i]) + beta * abs(s[-1, i]), beta * abs(s[-1, i])) for i in (0, -1)]
+    return max(pairs)
 
 
 def _neighbour_sum(weights, x):
@@ -193,16 +293,20 @@ def _neighbour_sum(weights, x):
     one, in W's row-major nonzero order; np.bincount adds each into its
     output slot (r, i, k) strictly in that order, so every output is a
     left-to-right sum over j ascending, whatever b is and on any number of
-    threads.  The index arrays depend only on W and (b, d); they are built
-    on the first call for that shape and kept on the instance.
+    threads.  W's nonzeros are found on the first call and kept on the
+    instance; the index arrays depend only on them and (b, d), and the last
+    shape's are kept too.
     """
     b, n, d = x.shape
+    if weights._nonzeros is None:
+        rows, cols = np.nonzero(weights.w)  # row-major
+        object.__setattr__(weights, "_nonzeros", (rows, cols, weights.w[rows, cols]))
     cached = weights._neighbour_index
     if cached is None or cached[0] != (b, d):
-        rows, cols = np.nonzero(weights.w)  # row-major
+        rows, cols, values = weights._nonzeros
         base = np.arange(b)[:, None] * n
         take = (base + cols).ravel()
-        terms = np.tile(np.repeat(weights.w[rows, cols], d), b)
+        terms = np.tile(np.repeat(values, d), b)
         slots = ((base + rows)[:, :, None] * d + np.arange(d)).ravel()
         cached = ((b, d), take, terms, slots)
         object.__setattr__(weights, "_neighbour_index", cached)

@@ -304,14 +304,15 @@ edge_prob = 0.01
 
 
 def test_large_network_iterates_do_not_depend_on_blas_threads(tmp_path):
-    """domd run on 1000 agents writes the same iterate-driven CSVs on one and
-    two OpenBLAS threads.  bounds.csv is left out: sigma2 comes from
-    np.linalg.eigvalsh, whose last bits depend on the thread count at this
-    size, and only the bounds read it (the schedule here is not
-    variation-tuned)."""
+    """domd run on 1000 agents writes the same CSVs, bounds.csv included, on
+    one and two OpenBLAS threads, and sigma2 of the 16x16 grid (the smallest
+    network whose sigma2 comes from Lanczos) has the same bits on both."""
     file = tmp_path / "er.ini"
     file.write_text(ER_1000)
     src = os.path.dirname(os.path.dirname(domd.__file__))
+    grid_sigma2 = ("from domd.network import build_grid_graph, metropolis_weights, "
+                   "second_singular_value; print(second_singular_value("
+                   "metropolis_weights(build_grid_graph(16, 16))).hex())")
     digests = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
@@ -319,5 +320,9 @@ def test_large_network_iterates_do_not_depend_on_blas_threads(tmp_path):
         subprocess.run([sys.executable, "-m", "domd", "run", "--config", str(file),
                         "--out", str(out)], env=env, check=True, timeout=300)
         digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                        for name in ("trajectory.csv", "regret.csv", "disagreement.csv")})
+                        for name in ("trajectory.csv", "regret.csv", "disagreement.csv",
+                                     "bounds.csv")})
+        digests[-1]["grid_16x16_sigma2"] = subprocess.run(
+            [sys.executable, "-c", grid_sigma2], env=env, check=True, timeout=300,
+            capture_output=True, text=True).stdout
     assert digests[0] == digests[1]

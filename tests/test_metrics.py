@@ -75,6 +75,13 @@ def test_envelope_and_network_term_equal_sequential_sums(sigma2, monkeypatch):
                         lambda *a: calls.append(a) or recursion(*a))
     report = regret_guarantee(_consts(), 1.5, sigma2, etas, np.zeros(40), 9)
     assert len(calls) == 1
+    # so does one with the expected-regret variant, which reuses A at c = G^2
+    calls.clear()
+    stochastic = regret_guarantee(_consts(), 1.5, sigma2, etas, np.zeros(40), 9,
+                                  grad_second_moment=7.0)
+    assert len(calls) == 1
+    assert stochastic.stochastic_total == float(sum(
+        domd.metrics._terms(_consts(), 7.0, sigma2, etas, np.zeros(40), 9)[0]))
     assert report.e_net == 4.0 * 1.5**2 * np.sqrt(9) * network
     np.testing.assert_array_equal(report.disagreement_curve,
                                   1.5 * np.sqrt(9) * np.array(running[1:41]))

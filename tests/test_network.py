@@ -1,12 +1,15 @@
 """Graphs, mixing matrices and their spectral properties."""
 
+import time
+
 import numpy as np
 import pytest
 
+import domd.network
 from domd.harness import _build_case, bound_suite
-from domd.network import (DENSE_MIX_MAX_NODES, Graph, WeightMatrix, _connected,
-                          build_complete_graph, build_grid_graph, build_path_graph,
-                          metropolis_weights, mix, random_connected_graph,
+from domd.network import (DENSE_MIX_MAX_NODES, LANCZOS_MIN_NODES, Graph, WeightMatrix,
+                          _connected, build_complete_graph, build_grid_graph,
+                          build_path_graph, metropolis_weights, mix, random_connected_graph,
                           second_singular_value, uniform_complete_weights)
 
 
@@ -232,13 +235,15 @@ def test_neighbour_sum_index_lives_on_its_weight_matrix():
     assert w._neighbour_index is None  # built by the first mix, not at construction
     states = np.random.default_rng(8).normal(size=(2, w.n, 3))
     first = mix(w, states)
-    index = w._neighbour_index
+    index, nonzeros = w._neighbour_index, w._nonzeros
     assert index[0] == (2, 3) and other._neighbour_index is None
     assert mix(w, states).tobytes() == first.tobytes()
     assert w._neighbour_index is index  # same shape: reused
     mix(w, states[0])
     assert w._neighbour_index[0] == (1, 3)  # another shape: rebuilt
+    second_singular_value(w)  # its (1, n, 1) products rebuild the index too
     assert mix(w, states).tobytes() == first.tobytes()
+    assert w._nonzeros is nonzeros  # from the one nonzero scan of W
 
 
 @pytest.mark.parametrize("weights", [
@@ -312,3 +317,65 @@ def test_sigma2_matches_svd():
     for w in weights:
         svd = np.linalg.svd(w.w, compute_uv=False)[1]
         assert abs(second_singular_value(w) - svd) <= 1e-12
+
+
+def test_sigma2_below_the_lanczos_switch_is_eigvalsh():
+    for w in (metropolis_weights(build_grid_graph(15, 17)),
+              metropolis_weights(random_connected_graph(LANCZOS_MIN_NODES - 1, 0.03, 1))):
+        assert w.n < LANCZOS_MIN_NODES
+        want = float(np.sort(np.abs(np.linalg.eigvalsh(w.w)))[-2])
+        assert second_singular_value(w).hex() == want.hex()
+
+
+def _star_weights(n):
+    return metropolis_weights(Graph(n, tuple((0, i) for i in range(1, n))))
+
+
+def _negative_end_weights(n=300, d=10, c=0.1):
+    """c I + (1 - c) A / d, A the sum of d random perfect matchings between
+    the two halves of the nodes.  A / d is bipartite, so its eigenvalue -1
+    becomes 2c - 1 = -0.8, larger in magnitude than every eigenvalue of W
+    but the 1."""
+    rng = np.random.default_rng(0)
+    half = n // 2
+    a = np.zeros((n, n))
+    for _ in range(d):
+        np.add.at(a, (np.arange(half), half + rng.permutation(half)), 1.0)
+    return WeightMatrix(n, c * np.eye(n) + (1.0 - c) * (a + a.T) / d)
+
+
+@pytest.mark.parametrize("weights", [
+    lambda: metropolis_weights(random_connected_graph(1000, 0.01, 0)),
+    lambda: metropolis_weights(random_connected_graph(1000, 0.01, 3)),
+    lambda: metropolis_weights(random_connected_graph(1000, 0.01, 9)),
+    lambda: metropolis_weights(build_grid_graph(16, 16)),  # exactly LANCZOS_MIN_NODES
+    lambda: metropolis_weights(build_grid_graph(20, 20)),
+    lambda: metropolis_weights(build_path_graph(300)),  # tiny gap: k close to n
+    lambda: uniform_complete_weights(300),  # sigma2 = 0: breaks down at the first step
+    lambda: _star_weights(300),  # sigma2 = 299/300 with multiplicity 298
+    _negative_end_weights,
+], ids=["er1000_seed0", "er1000_seed3", "er1000_seed9", "grid_16x16", "grid_20x20",
+        "path_300", "uniform_complete_300", "star_300", "negative_end_300"])
+def test_lanczos_sigma2_matches_svd(weights, monkeypatch):
+    """From LANCZOS_MIN_NODES on sigma2 is the Lanczos upper value: within
+    1e-12 of the svd's, never below it by more than 1e-15, the same bits on
+    every call, and no call to mix (whose calls the benchmark counts)."""
+    w = weights()
+    assert w.n >= LANCZOS_MIN_NODES
+    svd = np.linalg.svd(w.w, compute_uv=False)[1]
+    monkeypatch.setattr(domd.network, "mix", None)
+    start = time.perf_counter()
+    sigma2 = second_singular_value(w)
+    elapsed = time.perf_counter() - start
+    assert type(sigma2) is float
+    assert abs(sigma2 - svd) <= 1e-12
+    assert sigma2 >= svd - 1e-15
+    assert second_singular_value(w).hex() == sigma2.hex()
+    assert second_singular_value(WeightMatrix(w.n, w.w.copy())).hex() == sigma2.hex()
+    assert elapsed < 1.0
+
+
+def test_negative_end_weights_take_sigma2_from_the_most_negative_eigenvalue():
+    eig = np.linalg.eigvalsh(_negative_end_weights().w)
+    assert -eig[0] == pytest.approx(0.8, abs=1e-12)
+    assert -eig[0] > eig[-2] + 0.1
