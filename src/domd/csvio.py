@@ -29,13 +29,15 @@ def fmt(value):
     return format(float(value), ".17g")
 
 
-def write_csv(path, header, rows, comments=()):
+def write_csv(path, header, rows, comments=(), labels=None):
     """Write rows of cells to path.
 
     rows is either a 2-D float array, written with one "%.17g" template per
     row (integer-valued cells below 2**53 print as integers), or a sequence
-    of rows of mixed cells, each rendered by fmt.  comments are emitted
-    first, one per line, prefixed with '# '.
+    of rows of mixed cells, each rendered by fmt.  labels, with an array,
+    are already-rendered leading cells, one per row, written before the
+    row's numbers.  comments are emitted first, one per line, prefixed
+    with '# '.
     """
     with open(path, "w", newline="") as fh:
         for line in comments:
@@ -43,7 +45,11 @@ def write_csv(path, header, rows, comments=()):
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
             template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            fh.writelines(template % tuple(row) for row in rows.tolist())
+            if labels is None:
+                fh.writelines(template % tuple(row) for row in rows.tolist())
+            else:
+                fh.writelines(label + "," + template % tuple(row)
+                              for label, row in zip(labels, rows.tolist()))
         else:
             for row in rows:
                 fh.write(",".join(fmt(v) for v in row) + "\n")

@@ -22,6 +22,13 @@ replicate or, above network.DENSE_MIX_MAX_NODES agents, a neighbour sum
 whose terms are added in the same order for every replicate, and every
 decision on a whole array (floor projection passes, domain repair) is
 taken per replicate.
+
+The loop also folds each iterate into its round's network-average loss as
+it goes: once a block of rounds (objectives._round_blocks, about
+BLOCK_ELEMENTS elements across the batch) has its iterates, one
+network_losses call evaluates the block for every replicate.  Without
+keep_iterates the iterates live only in that one-block buffer, so a batch
+holds its losses and not its (R, T+1, n, d) trace.
 """
 
 import itertools
@@ -31,8 +38,8 @@ import numpy as np
 
 from .geometry import contains, inside, project_floored_simplex, prox
 from .network import mix
-from .objectives import (_round_blocks, gradients_exact_batch,
-                         gradients_stochastic_batch, oracle_noise, stack_replicates)
+from .objectives import (_round_blocks, gradients_exact_batch, gradients_stochastic_batch,
+                         network_losses, oracle_noise, stack_replicates)
 
 
 class EngineError(RuntimeError):
@@ -41,24 +48,29 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunTrace:
-    """The iterates of a batch of runs and their step sizes; nothing per round besides.
+    """The iterates of a batch of runs, their step sizes and their per-round losses.
 
     x is (R, horizon+1, n, d), row s of x[r] replicate r's iterate at time
-    s+1; etas is (R, horizon+1), the last column for the bound calculators.
-    trace[r] is replicate r's trace as views; horizon, n and d read the
-    trailing axes.  Anchors and prox outputs are recomputed from x, not kept.
+    s+1, or None when the run kept no iterates; etas is (R, horizon+1), the
+    last column for the bound calculators; losses is (R, horizon), entry
+    t-1 of losses[r] the network-average f_t at replicate r's iterates of
+    time t, bit-equal to metrics.iterate_losses of trace[r].  trace[r] is
+    replicate r's trace as views; horizon reads etas, n and d read x.
+    Anchors and prox outputs are recomputed from x, not kept.
     """
 
     x: np.ndarray
     etas: np.ndarray
     norm_kind: str
+    losses: np.ndarray = None
 
     def __getitem__(self, r):
-        return RunTrace(self.x[r], self.etas[r], self.norm_kind)
+        return RunTrace(None if self.x is None else self.x[r], self.etas[r], self.norm_kind,
+                        None if self.losses is None else self.losses[r])
 
     @property
     def horizon(self):
-        return self.x.shape[-3] - 1
+        return self.etas.shape[-1] - 1
 
     @property
     def n(self):
@@ -127,18 +139,19 @@ def _oracle_draws(ensembles, seeds, horizon, width):
         yield from (np.stack(blocks, axis=1) if blocks[0] is not None else [None] * size)
 
 
-def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None):
+def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None, keep_iterates=True):
     """Run R replicates through one loop for `horizon` rounds; returns their RunTrace.
 
     replicates is a sequence of (ens, path, etas, seed), etas holding the
     positive step sizes eta_1 .. eta_{horizon+1}; they share the network,
     geometry, dynamics, horizon, oracle mode and start x0, and their
-    ensembles must share the loss family (see stack_replicates).  mode
+    ensembles must share their stack_shape (see stack_replicates).  mode
     selects the oracle: "exact" queries analytic gradients, "stochastic"
     queries the noisy oracle exactly once per agent per round, replicate r
-    from a generator seeded with its seed.  Identical arguments produce
-    identical traces, and trace[r] is bit-identical to a run of
-    replicates[r] alone.
+    from a generator seeded with its seed.  The trace always carries the
+    per-round losses; keep_iterates=False drops its iterates (x is None).
+    Identical arguments produce identical traces, and trace[r] is
+    bit-identical to a run of replicates[r] alone.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -153,11 +166,17 @@ def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None):
                              f"values eta_1 .. eta_(T+1), got shape {np.shape(eta)}")
     etas = np.array(etas, dtype=float)
     ens, path = stack_replicates(ensembles, paths, horizon)
-    n, d = weights.n, geom.domain.d
+    count, n, d = len(replicates), weights.n, geom.domain.d
     steps = etas[:, :, None, None]
-    xs = np.empty((len(replicates), horizon + 1, n, d))
+    blocks = _round_blocks(horizon, count * n * d)
+    # every iterate, or only one block's: row s of the run is row s % rows
+    rows = horizon + 1 if keep_iterates or not blocks else blocks[0].stop
+    xs = np.empty((count, rows, n, d))
     xs[:, 0] = init_state(n, geom, x0)
     x = xs[:, 0]
+    losses = np.empty((count, horizon))
+    ends = iter(blocks)
+    block = next(ends, None)
     if mode == "exact":
         draws = itertools.repeat(None)
     else:
@@ -167,7 +186,11 @@ def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None):
             g = gradients_exact_batch(ens, t, x, path)
         else:
             g = gradients_stochastic_batch(ens, t, x, path, noise)
-        x = xs[:, t] = step(x, weights, geom, dyn, g, steps[:, t - 1])
+        x = step(x, weights, geom, dyn, g, steps[:, t - 1])
         _require_finite(x, t)
-    return RunTrace(xs, etas, geom.norm_kind)
-
+        if t == block.stop:  # rounds block.start+1 .. t: fold their iterates before row t lands
+            lo = block.start % rows
+            losses[:, block] = network_losses(ens, path, block, xs[:, lo:lo + t - block.start])
+            block = next(ends, None)
+        xs[:, t % rows] = x
+    return RunTrace(xs if keep_iterates else None, etas, geom.norm_kind, losses)

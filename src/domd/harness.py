@@ -14,15 +14,17 @@ own.
 
 Every run, of a config (run, sweep, the scaling study) or of a suite case
 (verify_bounds, stochastic_mean_regret), goes through one executor,
-_execute: it sets a config up once, builds each batch's inputs just before
-the batch runs (its paths rolled together, its centres checked), runs
-batches whose iterate traces hold at most BATCH_TRACE_BYTES, and yields
-each run as a finished RunResult; a batch goes before the next is built,
-and each replicate's results equal running it alone.
+_execute.  Its keys carry their own config, and consecutive keys whose
+configs build equal engine inputs share a setup and engine loops.  It
+builds each batch's inputs just before the batch runs, runs batches that
+hold at most BATCH_TRACE_BYTES, and yields each run as a finished
+RunResult; each replicate's results equal running it alone.  A sweep
+keeps no iterates: its regrets read the losses the engine folds.
 """
 
+import itertools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -35,19 +37,20 @@ from .dynamics import (MinimizerPath, generate_path, identity_dynamics,
 from .engine import run
 from .geometry import (box_domain, contains, euclidean_geometry, geometry_constants,
                        kl_geometry, simplex_domain)
-from .metrics import (dynamic_regret, iterate_losses, network_disagreement,
+from .metrics import (dynamic_regret, network_disagreement,
                       per_agent_loss_gap, regret_guarantee, static_regret,
                       tuned_step, write_bound_csv, write_regret_csv)
 from .network import (build_complete_graph, build_grid_graph, build_path_graph,
                       metropolis_weights, random_connected_graph,
                       second_singular_value)
-from .objectives import (centers_outside_domain, linear_ensemble, synthetic_suite,
-                         tracking_ensemble)
+from .objectives import (centers_outside_domain, linear_ensemble, stack_shape,
+                         synthetic_suite, tracking_ensemble)
 
 SLACK_TOL = 1e-9
 
-# Replicates run through the engine together until their iterate traces
-# would pass this size; a large-n sweep then never holds many traces at once.
+# Replicates run through the engine together until what they hold (their
+# iterate traces, or without those their paths, steps and losses) would pass
+# this size; a large-n sweep then never holds many traces at once.
 BATCH_TRACE_BYTES = 2 ** 24
 
 # stream labels mixed into derived seeds
@@ -148,44 +151,100 @@ def _assemble(cfg):
             build_dynamics(cfg))
 
 
-def _replicate_batches(items, horizon, n, d):
-    """Consecutive slices of items whose (horizon+1, n, d) traces fit BATCH_TRACE_BYTES."""
-    size = max(1, BATCH_TRACE_BYTES // ((horizon + 1) * n * d * 8))
+def _replicate_bytes(cfg, keep_iterates):
+    """Bytes a replicate of cfg holds in a batch: its (T+1, n, d) trace, or
+    without it its path (and the engine's stacked states), steps, losses,
+    row of the engine's block buffer and any per-round offsets or gradients
+    (stacked too)."""
+    horizon, n, d = cfg.horizon, cfg.agents, cfg.dim
+    if keep_iterates:
+        return (horizon + 1) * n * d * 8
+    per_round = 0 if cfg.loss_kind == "tracking_square" else 2 * n * d
+    return 8 * ((3 * horizon + 1) * d + 2 * horizon + 1 + n * d + horizon * per_round)
+
+
+def _replicate_batches(items, replicate_bytes):
+    """Consecutive slices of items whose replicates fit BATCH_TRACE_BYTES."""
+    size = max(1, BATCH_TRACE_BYTES // replicate_bytes)
     return [items[k:k + size] for k in range(0, len(items), size)]
 
 
-def _execute(cfg, keys, replicates_of, x0=None):
-    """Set up cfg once and run one replicate per key; yields each key's RunResult in order.
+def _same(a, b):
+    """Equality of built objects: arrays bit for bit, dataclasses by their compared fields."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if is_dataclass(a):
+        a, b = ([getattr(o, f.name) for f in fields(o) if f.compare] for o in (a, b))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
-    The network, geometry, dynamics and sigma2 are built once.  The keys
-    go in batches whose traces fit BATCH_TRACE_BYTES; just before a batch
-    runs, replicates_of(batch, geom, dyn, sigma2) gives its (ens, path,
-    etas, seed) replicates, and the batch, a batch of one included, is one
-    engine.run call.  Each result's trace is its replicate's trace[r]; its
-    regret carries the dynamic regret, C_T and the static regret; its
-    bounds are the regret_guarantee of the ensemble's declared constants
-    (G^2 only in stochastic mode); C_T and the bounds read the same
-    residual_norms of the path.
-    A batch's inputs and traces are let go before the next batch is built.
+
+def _by_config(keys):
+    """(cfg, items) of each run of consecutive (cfg, item) keys with one config."""
+    for cfg, run_keys in itertools.groupby(keys, key=lambda key: key[0]):
+        yield cfg, [item for _, item in run_keys]
+
+
+def _setup_runs(keys):
+    """((weights, geom, dyn, sigma2), keys) of each run of consecutive keys
+    whose configs build _same weights, geometry and dynamics, with one oracle
+    mode and horizon; the run uses its first config's objects."""
+    group = []
+    for cfg, items in _by_config(keys):
+        built = _assemble(cfg) + (cfg.gradient_mode, cfg.horizon)
+        if group and not _same(built, shared):
+            yield shared[:3] + (second_singular_value(shared[0]),), group
+            group = []
+        if not group:
+            shared = built
+        group += [(cfg, item) for item in items]
+    if group:
+        yield shared[:3] + (second_singular_value(shared[0]),), group
+
+
+def _engine_batches(keys, replicates_of, keep_iterates):
+    """(setup, replicates) of each engine call, in key order: a setup run's
+    keys in batches that fit BATCH_TRACE_BYTES, each batch's (cfg, ens, path,
+    etas, seed) replicates built just before it runs, by replicates_of(cfg,
+    items, geom, dyn, sigma2), and split where their stack_shape changes."""
+    for setup, group in _setup_runs(keys):
+        for batch in _replicate_batches(group, _replicate_bytes(group[0][0], keep_iterates)):
+            replicates = [(cfg,) + rep for cfg, items in _by_config(batch)
+                          for rep in replicates_of(cfg, items, *setup[1:])]
+            for _, part in itertools.groupby(replicates, key=lambda rep: stack_shape(rep[1])):
+                yield setup, list(part)
+            del replicates, part  # before the next batch is built
+
+
+def _execute(keys, replicates_of, x0=None, keep_iterates=True):
+    """Run one replicate per (cfg, item) key; yields each key's RunResult in order.
+
+    Each batch of _engine_batches is one engine.run call; keep_iterates=False
+    keeps no iterates (trace.x is None).  A result's trace is its
+    replicate's trace[r]; its regret carries the dynamic and static regret,
+    read from the losses the engine folded, and C_T; its bounds are the
+    regret_guarantee of the ensemble's declared constants (G^2 only in
+    stochastic mode); C_T and the bounds read the same residual_norms.
     """
-    weights, geom, dyn = _assemble(cfg)
-    sigma2 = second_singular_value(weights)
-    consts, domain, horizon = geometry_constants(geom), geom.domain, cfg.horizon
-    for batch in _replicate_batches(keys, horizon, weights.n, cfg.dim):
-        replicates = replicates_of(batch, geom, dyn, sigma2)
-        traces = run(weights, geom, dyn, replicates, horizon, cfg.gradient_mode, x0)
-        for r, (ens, path, _, _) in enumerate(replicates):
+    for (weights, geom, dyn, sigma2), batch in _engine_batches(keys, replicates_of, keep_iterates):
+        cfg, consts = batch[0][0], geometry_constants(geom)
+        traces = run(weights, geom, dyn, [rep[1:] for rep in batch], cfg.horizon,
+                     cfg.gradient_mode, x0, keep_iterates)
+        for r, (cfg, ens, path, _, _) in enumerate(batch):
             trace = traces[r]
-            losses = iterate_losses(trace, ens, path)
             norms = residual_norms(path, dyn, geom.norm_kind)
-            regret = replace(dynamic_regret(trace, ens, path, losses),
-                             static_regret=static_regret(trace, ens, path, domain, losses),
+            regret = replace(dynamic_regret(trace, ens, path, trace.losses),
+                             static_regret=static_regret(trace, ens, path, geom.domain,
+                                                         trace.losses),
                              path_variation=float(norms.sum()))
             bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas, norms,
                                       weights.n, grad_second_moment=ens.second_moment
                                       if cfg.gradient_mode == "stochastic" else None)
             yield RunResult(cfg, trace, path, regret, bounds, sigma2, ens)
-        del replicates, traces, trace, ens, path  # before the next batch is built and run
+        del batch, traces, trace, ens, path  # before the next batch is built and run
 
 
 def _start_target(cfg, domain):
@@ -226,9 +285,9 @@ def _config_inputs(cfg, dyn, domain, target0, run_indices):
                              [build_ensemble(cfg, domain, i) for i in run_indices])
 
 
-def _config_replicates(cfg, target0, run_indices, geom, dyn, sigma2):
+def _config_replicates(cfg, run_indices, geom, dyn, sigma2):
     """(ens, path, etas, seed) of each of a config's runs run_indices."""
-    inputs = _config_inputs(cfg, dyn, geom.domain, target0, run_indices)
+    inputs = _config_inputs(cfg, dyn, geom.domain, _start_target(cfg, geom.domain), run_indices)
     return [(ens, path, build_schedule(cfg, sigma2, path_variation(path, dyn, geom.norm_kind)),
              _derive_seed(cfg.seed, _ORACLE, i)) for i, (ens, path) in zip(run_indices, inputs)]
 
@@ -239,15 +298,16 @@ def run_experiments(cfg, run_indices, x0=None):
     Each run index gets its own target path, losses, step sizes and oracle
     seed, exactly as a run of it alone would.  The run indices and the
     start target are checked on the call; the runs then go through
-    _execute, so a consumer that drops each result before asking for the
-    next holds at most one batch of traces (see BATCH_TRACE_BYTES).
+    _execute and keep their iterates, so a consumer that drops each result
+    before asking for the next holds at most one batch of traces (see
+    BATCH_TRACE_BYTES).
     """
     run_indices = list(run_indices)
     for run_index in run_indices:
         if run_index < 0:
             raise ValueError(f"run index must be non-negative, got {run_index}")
-    target0 = _start_target(cfg, build_domain(cfg))
-    return _execute(cfg, run_indices, partial(_config_replicates, cfg, target0), x0)
+    _start_target(cfg, build_domain(cfg))
+    return _execute([(cfg, i) for i in run_indices], _config_replicates, x0)
 
 
 def run_experiment(cfg, run_index=0, out_dir=None):
@@ -375,30 +435,30 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
             # the centres come from each replicate's drawn losses: build them
             # now, check them and let them go, so no value runs before all pass
             dyn = build_dynamics(cfg_v)
-            for batch in _replicate_batches(range(runs), cfg_v.horizon, cfg_v.agents,
-                                            cfg_v.dim):
+            for batch in _replicate_batches(range(runs), _replicate_bytes(cfg_v, False)):
                 _config_inputs(cfg_v, dyn, domain, target0, batch)
         configs.append(cfg_v)
     horizon = cfg.horizon
-    mean_curves, std_curves = [], []
-    for cfg_v in configs:
-        curves = []
-        for result in run_experiments(cfg_v, range(runs)):
-            curves.append(result.regret.normalized)
-            del result  # its trace views a whole batch; let it go before the next runs
-        mean_curves.append(np.mean(curves, axis=0))
-        std_curves.append(np.std(curves, axis=0))
-    mean_curves = np.array(mean_curves)
-    std_curves = np.array(std_curves)
+    # every value's runs through one executor, which keeps no iterates: values
+    # that build the same engine inputs share its loops
+    keys = [(cfg_v, i) for cfg_v in configs for i in range(runs)]
+    curves = np.empty((len(keys), horizon))
+    for k, result in enumerate(_execute(keys, _config_replicates, keep_iterates=False)):
+        curves[k] = result.regret.normalized
+    curves = curves.reshape(len(configs), runs, horizon)
+    mean_curves = np.array([np.mean(c, axis=0) for c in curves])
+    std_curves = np.array([np.std(c, axis=0) for c in curves])
     result = SweepResult(param, tuple(values), runs, mean_curves, std_curves,
                          mean_curves[:, -1].copy(), std_curves[:, -1].copy())
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         comments = [f"config_hash={config_hash(cfg)}", f"param={param}", f"runs={runs}"]
-        rows = [[v, t + 1, mean_curves[k, t], std_curves[k, t]]
-                for k, v in enumerate(result.values) for t in range(horizon)]
+        table = np.column_stack([np.tile(np.arange(1.0, horizon + 1), len(configs)),
+                                 mean_curves.ravel(), std_curves.ravel()])
+        labels = [cell for v in result.values for cell in [csvio.fmt(v)] * horizon]
         csvio.write_csv(os.path.join(out_dir, "sweep.csv"),
-                        ["value", "t", "mean_normalized", "std_normalized"], rows, comments)
+                        ["value", "t", "mean_normalized", "std_normalized"], table, comments,
+                        labels=labels)
     return result
 
 
@@ -475,15 +535,16 @@ def _simplex_loop(horizon):
     return states[0], states[1:] - states[:-1]
 
 
-def _case_replicates(case, stream, l_scale, seeds, geom, dyn, sigma2=None):
+def _case_replicates(case, stream, l_scale, cfg, seeds, geom, dyn, sigma2=None):
     """(ens, path, etas, seed) of a suite case at each of seeds; the case index is the run index.
 
-    Seed s draws its oracle noise from _derive_seed(s, _ORACLE, stream).
-    l_scale scales each ensemble's declared L (and G^2 by l_scale^2), which
-    moves the bounds and not the runs.  sigma2 is not read: no suite case
-    tunes its step to the network.
+    cfg is case.cfg, which every key of the case carries.  Seed s draws its
+    oracle noise from _derive_seed(s, _ORACLE, stream).  l_scale scales
+    each ensemble's declared L (and G^2 by l_scale^2), which moves the
+    bounds and not the runs.  sigma2 is not read: no suite case tunes its
+    step to the network.
     """
-    cfg, idx, domain = case.cfg, _SUITE.index(case), geom.domain
+    idx, domain = _SUITE.index(case), geom.domain
     if cfg.domain_kind == "simplex":
         target0, loop = _simplex_loop(cfg.horizon)
         noises = [loop] * len(seeds)
@@ -509,7 +570,7 @@ def _case_replicates(case, stream, l_scale, seeds, geom, dyn, sigma2=None):
 def _build_case(case, seed):
     """(weights, geom, dyn, ens, path, etas) of a suite case at one seed."""
     weights, geom, dyn = _assemble(case.cfg)
-    [(ens, path, etas, _)] = _case_replicates(case, 0, 1.0, [seed], geom, dyn)
+    [(ens, path, etas, _)] = _case_replicates(case, 0, 1.0, case.cfg, [seed], geom, dyn)
     return weights, geom, dyn, ens, path, etas
 
 
@@ -535,7 +596,8 @@ class VerifyReport:
 
 def _case_runs(case, seeds, stream, l_scale=1.0):
     """RunResults of one suite case at each of seeds, through _execute (see _case_replicates)."""
-    return _execute(case.cfg, list(seeds), partial(_case_replicates, case, stream, l_scale))
+    keys = [(case.cfg, s) for s in seeds]
+    return _execute(keys, partial(_case_replicates, case, stream, l_scale))
 
 
 def _mean_regret(results):

@@ -20,7 +20,9 @@ run calls them, and tests check the batch and whole-horizon functions
 against them as the independent, readable reference.  The batch oracles
 (gradients_exact_batch, gradients_stochastic_batch) evaluate every agent of
 one round, and of every replicate at once when stack_replicates has given
-the ensemble and path a leading replicate axis.  The whole-horizon functions
+the ensemble and path a leading replicate axis; network_losses evaluates
+such a stack's iterates a block of rounds at a time, as the engine runs.
+The whole-horizon functions
 (global_loss_batch, agent_loss_batch, centers_outside_domain) take a
 (T, m, d) stack whose row t-1 is evaluated under round t's loss, for
 every round at once.  They walk the rounds in blocks of about
@@ -287,23 +289,27 @@ def _per_round(ens, rounds):
     return arrays
 
 
+def stack_shape(ens):
+    """What replicates stacked into one ensemble must share: the loss family,
+    agent count, dimension, oracle shape and observation noise support,
+    which the stacked ensemble takes from its first replicate."""
+    support = None if ens.obs is None else (ens.obs.noise_low, ens.obs.noise_high)
+    return ens.kind, ens.n, ens.d, ens.innovation, ens.noise_scale > 0, support
+
+
 def stack_replicates(ensembles, paths, rounds):
     """One ensemble and one path for R replicates, covering `rounds` rounds.
 
     Their per-round arrays (path states, quadratic offsets, linear
     gradients) gain a leading replicate axis, which the batch
-    oracles broadcast over.  Replicates must share the loss family, agent
-    count, dimension and oracle shape; raises ValueError otherwise, or when
-    a path or ensemble covers fewer than `rounds` rounds.
+    oracles and network_losses broadcast over.  Replicates must share their
+    stack_shape; raises ValueError otherwise, or when a path or ensemble
+    covers fewer than `rounds` rounds.
     """
     first = ensembles[0]
-
-    def shape(e):
-        return e.kind, e.n, e.d, e.innovation, e.noise_scale > 0
-
-    if any(shape(e) != shape(first) for e in ensembles):
+    if any(stack_shape(e) != stack_shape(first) for e in ensembles):
         raise ValueError("replicates must share the loss family, agent count, "
-                         "dimension and oracle")
+                         "dimension, oracle and observation noise")
     for p in paths:
         check_rounds("path.states", p.states, rounds)
     arrays = [_per_round(e, rounds) for e in ensembles]
@@ -331,15 +337,20 @@ def _round_blocks(horizon, width):
 
 
 def _global_block(ens, rounds, stars, x):
-    """Network-average loss of one round block: x is (B, m, d), stars (B, d)."""
+    """Network-average loss of one round block: x is (..., B, m, d), stars (..., B, d).
+
+    Leading axes are replicates of a stacked ensemble and path; every point's
+    loss takes the same operations in the same order with or without them.
+    """
     if ens.gradients is not None:
-        return np.matmul(x, ens.gradients[rounds].mean(axis=1)[:, :, None])[:, :, 0]
-    sq = x - stars[:, None, :]
+        mean_g = ens.gradients[..., rounds, :, :].mean(axis=-2)
+        return np.matmul(x, mean_g[..., None])[..., 0]
+    sq = x - stars[..., None, :]
     np.square(sq, out=sq)
     if ens.obs is not None:  # coordinate k weighted by how many agents observe it
         return sq @ ens._mask.sum(axis=0, dtype=float) / ens.n + ens.obs.noise_var
-    spread = np.square(ens.offsets[rounds]).sum(axis=2).mean(axis=1)
-    return sq.sum(axis=2) + spread[:, None]
+    spread = np.square(ens.offsets[..., rounds, :, :]).sum(axis=-1).mean(axis=-1)
+    return sq.sum(axis=-1) + spread[..., None]
 
 
 def _agent_block(ens, rounds, stars, x):
@@ -374,6 +385,17 @@ def global_loss_batch(ens, path, x):
     ValueError when path.states or the ensemble covers fewer than T rounds.
     """
     return _evaluate(_global_block, ens, path, x)
+
+
+def network_losses(ens, path, rounds, x):
+    """Network-average loss of every agent's iterate over one block of rounds.
+
+    x is (..., B, n, d), row b of it under round rounds.start + b + 1, with
+    the leading replicate axes of a stacked ensemble and path (see
+    stack_replicates); returns the (..., B) agent means, bit-equal to
+    global_loss_batch(...).mean(axis=1) of each replicate's rows.
+    """
+    return _global_block(ens, rounds, path.states[..., rounds, :], x).mean(axis=-1)
 
 
 def agent_loss_batch(ens, path, x):

@@ -16,6 +16,7 @@ from domd.geometry import (box_domain, contains, euclidean_geometry,
 from domd.network import (DENSE_MIX_MAX_NODES, WeightMatrix, build_grid_graph,
                           build_path_graph, metropolis_weights, mix,
                           random_connected_graph, uniform_complete_weights)
+from domd.metrics import iterate_losses
 from domd.objectives import (gradients_exact_batch, gradients_stochastic_batch,
                              linear_ensemble, oracle_noise, synthetic_suite,
                              tracking_ensemble)
@@ -135,7 +136,8 @@ def test_zero_round_run():
     assert trace.horizon == 0
     assert trace.x.shape == (1, 3, 2)
     assert trace.etas.shape == (1,)
-    assert [f.name for f in fields(RunTrace)] == ["x", "etas", "norm_kind"]
+    assert trace.losses.shape == (0,)
+    assert [f.name for f in fields(RunTrace)] == ["x", "etas", "norm_kind", "losses"]
 
 
 def _box_tracking_case(horizon):
@@ -441,3 +443,55 @@ def test_run_memory_is_the_iterate_trace():
         tracemalloc.stop()
     assert trace.x.nbytes == (horizon + 1) * n * d * 8
     assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def _loss_replicates(family, domain, count, horizon, n=5):
+    """count replicates of one loss family on domain, each with its own path
+    (and, for synthetic losses, its own ensemble)."""
+    rng = np.random.default_rng(11)
+    dyn = identity_dynamics(domain.d)
+    start = np.zeros(domain.d) if domain.kind == "box" else np.full(domain.d, 1.0 / domain.d)
+    out = []
+    for r in range(count):
+        if family == "tracking":
+            ens = tracking_ensemble(n, domain)
+        else:
+            ens = synthetic_suite(r, n, domain.d, horizon, domain, kind=f"synthetic_{family}",
+                                  offset_scale=0.02, noise_scale=0.1)
+        walk = rng.normal(0.0, 0.01, (horizon, domain.d))
+        if domain.kind == "simplex":
+            walk -= walk.mean(axis=1, keepdims=True)
+        path = generate_path(dyn, walk, start, horizon)
+        out.append((ens, path, 0.3 / np.sqrt(np.arange(1, horizon + 2)), 40 + r))
+    return dyn, out
+
+
+@pytest.mark.parametrize("block_elements", [domd.objectives.BLOCK_ELEMENTS, 60],
+                         ids=["default_blocks", "blocks_of_a_few_rounds"])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("family, domain_kind, mode", [
+    ("tracking", "box", "stochastic"),
+    ("quadratic", "box", "exact"),
+    ("quadratic", "simplex", "stochastic"),
+    ("linear", "box", "stochastic"),
+    ("linear", "simplex", "exact"),
+])
+def test_trace_losses_equal_iterate_losses(family, domain_kind, mode, count, block_elements,
+                                           monkeypatch):
+    # the losses the loop folds block by block, with or without the iterates,
+    # are bit-equal to evaluating each replicate's whole trace afterwards
+    monkeypatch.setattr(domd.objectives, "BLOCK_ELEMENTS", block_elements)
+    domain = (box_domain([-5.0] * 4, [5.0] * 4) if domain_kind == "box"
+              else simplex_domain(3, 0.01))
+    geom = euclidean_geometry(domain) if domain_kind == "box" else kl_geometry(domain)
+    horizon = 37
+    dyn, replicates = _loss_replicates(family, domain, count, horizon)
+    weights = metropolis_weights(build_path_graph(5))
+    kept = run(weights, geom, dyn, replicates, horizon, mode)
+    folded = run(weights, geom, dyn, replicates, horizon, mode, keep_iterates=False)
+    assert folded.x is None and folded.horizon == horizon
+    assert kept.losses.shape == folded.losses.shape == (count, horizon)
+    for r, (ens, path, _, _) in enumerate(replicates):
+        want = iterate_losses(kept[r], ens, path)
+        assert np.array_equal(kept.losses[r], want)
+        assert np.array_equal(folded[r].losses, want)

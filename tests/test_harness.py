@@ -305,7 +305,7 @@ def test_sweep_checks_every_value_before_any_run(cfg, param, values, message, mo
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before every value was checked")
 
-    monkeypatch.setattr(domd.harness, "run_experiments", no_run)
+    monkeypatch.setattr(domd.harness, "run", no_run)  # the engine call of every sweep run
     with pytest.raises(ConfigError, match=message):
         sweep(cfg, param, values)
 
@@ -415,17 +415,45 @@ def test_batched_runs_equal_runs_alone(monkeypatch):
 
 
 def test_executor_runs_each_batch_in_one_engine_call(monkeypatch):
-    # a batch of one included: verify's three seeds of a case are one batch,
-    # as are a sweep value's four runs
+    # a batch of one included: verify's three seeds of a case are one batch;
+    # a sweep's values share one loop unless they change what the engine is
+    # built from (here the network) or what its replicates must share to stack
+    # (here the observation noise)
     calls = _count_engine_runs(monkeypatch)
     verify_bounds(seeds=3)
     assert len(calls) == len(bound_suite()) == 10
     calls.clear()
     sweep(_tracking_cfg(horizon=20), "noise.sigma_v2", (0.25, 0.5, 0.75, 1.0), runs=4)
-    assert len(calls) == 4
+    assert len(calls) == 1
+    calls.clear()
+    sweep(_tracking_cfg(horizon=20), "eta0", (0.25, 0.5, 1.0), runs=2)
+    assert len(calls) == 1
+    calls.clear()
+    sweep(_tracking_cfg(horizon=20), "network.rows", (2, 3, 4), runs=2)
+    assert len(calls) == 3
+    calls.clear()
+    sweep(_tracking_cfg(horizon=20), "loss.obs_noise_high", (0.5, 1.0), runs=2)
+    assert len(calls) == 2
     calls.clear()
     run_experiment(_tracking_cfg(horizon=20))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("param, values", [
+    ("noise.sigma_v2", (0.25, 0.5, 1.0)),
+    ("eta0", (0.2, 0.5)),
+    ("network.rows", (2, 3)),
+    ("loss.obs_noise_high", (0.5, 1.0)),
+])
+def test_sweep_curves_equal_per_value_runs(param, values):
+    cfg = _tracking_cfg(horizon=40, runs=3)
+    result = sweep(cfg, param, values)
+    attr = domd.harness._resolve_param(param)[0]
+    for k, value in enumerate(values):
+        runs = run_experiments(replace(cfg, **{attr: value}), range(3))
+        curves = [r.regret.normalized for r in runs]
+        assert np.array_equal(result.mean_curves[k], np.mean(curves, axis=0))
+        assert np.array_equal(result.std_curves[k], np.std(curves, axis=0))
 
 
 def _sweep_peak(cfg, values, runs):
@@ -439,24 +467,28 @@ def _sweep_peak(cfg, values, runs):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("values", [(0.5,), (0.5, 0.75)], ids=["one_value", "two_values"])
+@pytest.mark.parametrize("values", [(0.5,), (0.5, 0.75), (0.25, 0.5, 0.75, 1.0)],
+                         ids=["one_value", "two_values", "four_values"])
 def test_sweep_value_memory_is_its_replicate_traces(values):
-    # a value's results are let go before the next value runs, so two values
-    # peak no higher than one
+    # no run keeps its trace, so even four values sharing one loop stay within
+    # the budget of one value's four traces
     cfg = _tracking_cfg()  # the default 5x5 grid, T = 1000
     trace = (cfg.horizon + 1) * 25 * 4 * 8
     peak = _sweep_peak(cfg, values, runs=4)
     assert peak < 4 * trace + 1.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
-def test_sweep_holds_one_batch_of_traces(monkeypatch):
-    # batches of two: four runs are two batches, and the first must be let go
-    # (by the executor, run_experiments and sweep) before the second runs
-    cfg = _tracking_cfg()  # the default 5x5 grid, T = 1000
-    monkeypatch.setattr(domd.harness, "BATCH_TRACE_BYTES", 2 * (cfg.horizon + 1) * 25 * 4 * 8)
-    one_batch, two_batches = _sweep_peak(cfg, (0.5,), 2), _sweep_peak(cfg, (0.5,), 4)
-    assert two_batches < 1.05 * one_batch, (
-        f"peaks {two_batches / 2**20:.2f} MB (4 runs) and {one_batch / 2**20:.2f} MB (2 runs)")
+def test_small_cap_splits_an_iterate_free_sweep(monkeypatch):
+    cfg = _tracking_cfg(horizon=60)
+    values = (0.25, 0.5, 0.75, 1.0)
+    whole = sweep(cfg, "noise.sigma_v2", values, runs=4)
+    calls = _count_engine_runs(monkeypatch)
+    monkeypatch.setattr(domd.harness, "BATCH_TRACE_BYTES",
+                        3 * domd.harness._replicate_bytes(cfg, False))
+    capped = sweep(cfg, "noise.sigma_v2", values, runs=4)
+    assert len(calls) == 6  # 16 replicates, at most 3 a batch
+    assert np.array_equal(capped.mean_curves, whole.mean_curves)
+    assert np.array_equal(capped.std_curves, whole.std_curves)
 
 
 def test_suite_sigma2_is_computed_once_per_case(monkeypatch):
