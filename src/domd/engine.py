@@ -21,7 +21,13 @@ elementwise or row-wise per replicate, mixing is one matrix product per
 replicate or, above network.DENSE_MIX_MAX_NODES agents, a neighbour sum
 whose terms are added in the same order for every replicate, and every
 decision on a whole array (floor projection passes, domain repair) is
-taken per replicate.
+taken per replicate; a test of the whole batch only skips work that no
+replicate would do.
+
+In stochastic mode each replicate's generator draws its oracle noise a
+block of rounds at a time (see _oracle_draws), the blocks sized by what
+one round draws: n values for tracking, n * d for a noisy synthetic
+oracle.
 
 The loop also folds each iterate into its round's network-average loss as
 it goes: once a block of rounds (objectives._round_blocks, about
@@ -94,12 +100,11 @@ def init_state(n, geom, x0=None):
 
 def _apply_dynamics(geom, dyn, xhat):
     xnext = xhat @ dyn.a.T
-    if geom.kind == "kl":
-        # the dynamics may push iterates off the floored simplex; a replicate
+    if geom.kind == "kl" and not contains(geom.domain, xnext):
+        # the dynamics pushed iterates off the floored simplex; a replicate
         # (the last two axes) is repaired as a whole, as it would be alone
         off = ~inside(geom.domain, xnext).all(axis=-1)
-        if off.any():
-            xnext[off] = project_floored_simplex(xnext[off], geom.domain.floor)
+        xnext[off] = project_floored_simplex(xnext[off], geom.domain.floor)
     return xnext
 
 
@@ -129,8 +134,8 @@ def _oracle_draws(ensembles, seeds, horizon, width):
 
     Replicate r draws from default_rng(seeds[r]) in the blocks of
     objectives._round_blocks, about BLOCK_ELEMENTS elements across the
-    batch (width elements per replicate and round bound a round's draws),
-    which consumes each stream exactly as one draw per round would.
+    batch, width being what one replicate draws in one round; a block
+    consumes each stream exactly as one draw per round would.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     for rounds in _round_blocks(horizon, len(rngs) * width):
@@ -180,7 +185,8 @@ def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None, keep_ite
     if mode == "exact":
         draws = itertools.repeat(None)
     else:
-        draws = _oracle_draws(ensembles, seeds, horizon, n * d)
+        # a round draws (n,) observation noise for tracking, (n, d) for a synthetic oracle
+        draws = _oracle_draws(ensembles, seeds, horizon, n if ens.obs is not None else n * d)
     for t, noise in zip(range(1, horizon + 1), draws):
         if mode == "exact":
             g = gradients_exact_batch(ens, t, x, path)

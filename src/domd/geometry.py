@@ -31,13 +31,19 @@ class Domain:
     floor: float = None
 
     @cached_property
+    def _clip_limits(self):
+        """(lo, hi), computed once; floats when every coordinate shares its
+        bounds, so a clip needs no broadcast of the limit arrays."""
+        if (self.lo == self.lo[0]).all() and (self.hi == self.hi[0]).all():
+            return float(self.lo[0]), float(self.hi[0])
+        return self.lo, self.hi
+
+    @cached_property
     def _box_limits(self):
-        """(lo - DOMAIN_TOL, hi + DOMAIN_TOL), computed once; each is a float
-        when every coordinate shares it, so the extremes of x decide membership."""
-        lo, hi = self.lo - DOMAIN_TOL, self.hi + DOMAIN_TOL
-        if (lo == lo[0]).all() and (hi == hi[0]).all():
-            return float(lo[0]), float(hi[0])
-        return lo, hi
+        """(lo - DOMAIN_TOL, hi + DOMAIN_TOL), computed once; floats when every
+        coordinate shares its bounds, so the extremes of x decide membership."""
+        lo, hi = self._clip_limits
+        return lo - DOMAIN_TOL, hi + DOMAIN_TOL
 
 
 def box_domain(lo, hi):
@@ -77,10 +83,13 @@ def inside(domain, x):
 def contains(domain, x):
     """Whether every point along the last axis of x lies in the domain."""
     x = np.asarray(x, dtype=float)
-    if domain.kind == "box" and x.size and x.shape[-1] == domain.d:
+    if x.size and x.shape[-1] == domain.d:
+        # reductions in place of row-wise masks; a NaN compares false, as in inside
+        if domain.kind == "simplex":
+            return bool(x.min() >= domain.floor - DOMAIN_TOL
+                        and np.abs(x.sum(axis=-1) - 1.0).max() <= domain.d * DOMAIN_TOL)
         lo, hi = domain._box_limits
         if isinstance(lo, float):
-            # one pass over the extremes; a NaN extreme compares false, as in inside
             return bool(lo <= x.min() and x.max() <= hi)
     return bool(inside(domain, x).all())
 
@@ -182,9 +191,12 @@ def _floor_project(p, floor):
     most d passes are needed.  The last two axes hold one replicate's
     (agents, d) block and leading axes are replicates: whether a pass runs
     is decided per replicate, so a batched replicate gets the same passes,
-    and bits, as when it is projected alone.
+    and bits, as when it is projected alone.  When no coordinate is below
+    the floor no pass runs, and p comes back as it is.
     """
-    p = np.array(p, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if not (p < floor).any():
+        return p
     d = p.shape[-1]
     block = tuple(range(max(p.ndim - 2, 0), p.ndim))
     fixed = np.zeros(p.shape, dtype=bool)
@@ -229,14 +241,16 @@ def prox(geom, gradient, y, eta):
     _require_inside(geom, y, "prox anchor")
     if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
+    out = np.multiply(eta, g)
     if geom.kind == "euclidean":
-        out = y - eta * g
-        return out.clip(geom.domain.lo, geom.domain.hi, out=out)  # np.clip, in place
-    logw = np.log(y) - eta * g
-    logw = logw - logw.max(axis=-1, keepdims=True)
-    w = np.exp(logw)
-    x = w / w.sum(axis=-1, keepdims=True)
-    return _floor_project(x, geom.domain.floor)
+        np.subtract(y, out, out=out)
+        return out.clip(*geom.domain._clip_limits, out=out)  # np.clip, in place
+    # the multiplicative update in one buffer: log y - eta g, shifted, exp, normalized
+    np.subtract(np.log(y), out, out=out)
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return _floor_project(out, geom.domain.floor)
 
 
 def prox_inequality_gap(geom, gradient, y, eta, ref):

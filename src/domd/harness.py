@@ -16,28 +16,30 @@ Every run, of a config (run, sweep, the scaling study) or of a suite case
 (verify_bounds, stochastic_mean_regret), goes through one executor,
 _execute.  Its keys carry their own config, and consecutive keys whose
 configs build equal engine inputs share a setup and engine loops.  It
-builds each batch's inputs just before the batch runs, runs batches that
-hold at most BATCH_TRACE_BYTES, and yields each run as a finished
-RunResult; each replicate's results equal running it alone.  A sweep
-keeps no iterates: its regrets read the losses the engine folds.
+builds each batch's inputs just before the batch runs, rolling all its
+target paths in one call, runs batches that hold at most
+BATCH_TRACE_BYTES, evaluates a batch's bound recursions in one pass, and
+yields each run as a finished RunResult; each replicate's results equal
+running it alone.  A sweep keeps no iterates: its regrets read the losses
+the engine folds.
 """
 
 import itertools
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
 from . import csvio
 from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_validate
 from .dynamics import (MinimizerPath, generate_path, identity_dynamics,
-                       linear_dynamics, ncv_disturbances, ncv_dynamics,
-                       path_variation, residual_norms)
+                       linear_dynamics, ncv_disturbances, ncv_dynamics, residual_norms)
 from .engine import run
 from .geometry import (box_domain, contains, euclidean_geometry, geometry_constants,
                        kl_geometry, simplex_domain)
-from .metrics import (dynamic_regret, network_disagreement,
+from .metrics import (_guarantee_steps, dynamic_regret, network_disagreement,
                       per_agent_loss_gap, regret_guarantee, static_regret,
                       tuned_step, write_bound_csv, write_regret_csv)
 from .network import (build_complete_graph, build_grid_graph, build_path_graph,
@@ -154,13 +156,14 @@ def _assemble(cfg):
 def _replicate_bytes(cfg, keep_iterates):
     """Bytes a replicate of cfg holds in a batch: its (T+1, n, d) trace, or
     without it its path (and the engine's stacked states), steps, losses,
-    row of the engine's block buffer and any per-round offsets or gradients
-    (stacked too)."""
+    residual norms, the two rows of its bound recursion (and their input),
+    its row of the engine's block buffer and any per-round offsets or
+    gradients (stacked too)."""
     horizon, n, d = cfg.horizon, cfg.agents, cfg.dim
     if keep_iterates:
         return (horizon + 1) * n * d * 8
     per_round = 0 if cfg.loss_kind == "tracking_square" else 2 * n * d
-    return 8 * ((3 * horizon + 1) * d + 2 * horizon + 1 + n * d + horizon * per_round)
+    return 8 * ((3 * horizon + 1) * d + 7 * horizon + 5 + n * d + horizon * per_round)
 
 
 def _replicate_batches(items, replicate_bytes):
@@ -205,46 +208,71 @@ def _setup_runs(keys):
         yield shared[:3] + (second_singular_value(shared[0]),), group
 
 
-def _engine_batches(keys, replicates_of, keep_iterates):
+def _replicates(keys, drafts_of, geom, dyn, sigma2):
+    """(cfg, ens, path, etas, seed, norms) of each (cfg, item) key, every
+    target path rolled in one generate_path call.
+
+    drafts_of(cfg, items, domain) gives each item's (target0, noise, ens,
+    seed).  The keys' configs share their domain and noise.target_init, so
+    every path starts at one target0.  norms are the path's residual_norms,
+    whose sum C_T the schedule, the regret and the bounds all read.
+    """
+    drafts = [(cfg,) + draft for cfg, items in _by_config(keys)
+              for draft in drafts_of(cfg, items, geom.domain)]
+    cfgs, targets, noises, ensembles, seeds = zip(*drafts)
+    assert all(np.array_equal(target0, targets[0]) for target0 in targets), \
+        "replicates rolled together must share their start target"
+    inputs = _replicate_inputs(dyn, geom.domain, targets[0], noises, ensembles)
+    out = []
+    for cfg, (ens, path), seed in zip(cfgs, inputs, seeds):
+        norms = residual_norms(path, dyn, geom.norm_kind)
+        out.append((cfg, ens, path, build_schedule(cfg, sigma2, float(norms.sum())), seed, norms))
+    return out
+
+
+def _engine_batches(keys, drafts_of, keep_iterates):
     """(setup, replicates) of each engine call, in key order: a setup run's
-    keys in batches that fit BATCH_TRACE_BYTES, each batch's (cfg, ens, path,
-    etas, seed) replicates built just before it runs, by replicates_of(cfg,
-    items, geom, dyn, sigma2), and split where their stack_shape changes."""
+    keys in batches that fit BATCH_TRACE_BYTES, each batch's replicates
+    built by _replicates just before it runs, its paths in one roll, and
+    split where their stack_shape changes."""
     for setup, group in _setup_runs(keys):
         for batch in _replicate_batches(group, _replicate_bytes(group[0][0], keep_iterates)):
-            replicates = [(cfg,) + rep for cfg, items in _by_config(batch)
-                          for rep in replicates_of(cfg, items, *setup[1:])]
+            replicates = _replicates(batch, drafts_of, *setup[1:])
             for _, part in itertools.groupby(replicates, key=lambda rep: stack_shape(rep[1])):
                 yield setup, list(part)
             del replicates, part  # before the next batch is built
 
 
-def _execute(keys, replicates_of, x0=None, keep_iterates=True):
+def _execute(keys, drafts_of, x0=None, keep_iterates=True):
     """Run one replicate per (cfg, item) key; yields each key's RunResult in order.
 
-    Each batch of _engine_batches is one engine.run call; keep_iterates=False
-    keeps no iterates (trace.x is None).  A result's trace is its
-    replicate's trace[r]; its regret carries the dynamic and static regret,
-    read from the losses the engine folded, and C_T; its bounds are the
-    regret_guarantee of the ensemble's declared constants (G^2 only in
-    stochastic mode); C_T and the bounds read the same residual_norms.
+    drafts_of is as for _replicates.  Each batch of _engine_batches is one
+    engine.run call; keep_iterates=False keeps no iterates (trace.x is
+    None).  A result's trace is its replicate's trace[r]; its regret
+    carries the dynamic and static regret, read from the losses the engine
+    folded, and C_T; its bounds are the regret_guarantee of the ensemble's
+    declared constants (G^2 only in stochastic mode), whose recursions run
+    once for the whole batch; C_T and the bounds read the replicate's
+    residual_norms.
     """
-    for (weights, geom, dyn, sigma2), batch in _engine_batches(keys, replicates_of, keep_iterates):
+    for (weights, geom, dyn, sigma2), batch in _engine_batches(keys, drafts_of, keep_iterates):
         cfg, consts = batch[0][0], geometry_constants(geom)
-        traces = run(weights, geom, dyn, [rep[1:] for rep in batch], cfg.horizon,
+        traces = run(weights, geom, dyn, [rep[1:5] for rep in batch], cfg.horizon,
                      cfg.gradient_mode, x0, keep_iterates)
-        for r, (cfg, ens, path, _, _) in enumerate(batch):
+        steps = _guarantee_steps(sigma2, traces.etas, [float(rep[5].sum()) for rep in batch],
+                                 cfg.horizon)
+        for r, (cfg, ens, path, _, _, norms) in enumerate(batch):
             trace = traces[r]
-            norms = residual_norms(path, dyn, geom.norm_kind)
             regret = replace(dynamic_regret(trace, ens, path, trace.losses),
                              static_regret=static_regret(trace, ens, path, geom.domain,
                                                          trace.losses),
                              path_variation=float(norms.sum()))
             bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas, norms,
                                       weights.n, grad_second_moment=ens.second_moment
-                                      if cfg.gradient_mode == "stochastic" else None)
+                                      if cfg.gradient_mode == "stochastic" else None,
+                                      steps=steps[r])
             yield RunResult(cfg, trace, path, regret, bounds, sigma2, ens)
-        del batch, traces, trace, ens, path  # before the next batch is built and run
+        del batch, traces, steps, trace, ens, path, norms  # before the next batch is built and run
 
 
 def _start_target(cfg, domain):
@@ -279,17 +307,12 @@ def _replicate_inputs(dyn, domain, target0, noises, ensembles):
     return out
 
 
-def _config_inputs(cfg, dyn, domain, target0, run_indices):
-    """(ens, path) of each of a config's runs run_indices."""
-    return _replicate_inputs(dyn, domain, target0, [build_noise(cfg, i) for i in run_indices],
-                             [build_ensemble(cfg, domain, i) for i in run_indices])
-
-
-def _config_replicates(cfg, run_indices, geom, dyn, sigma2):
-    """(ens, path, etas, seed) of each of a config's runs run_indices."""
-    inputs = _config_inputs(cfg, dyn, geom.domain, _start_target(cfg, geom.domain), run_indices)
-    return [(ens, path, build_schedule(cfg, sigma2, path_variation(path, dyn, geom.norm_kind)),
-             _derive_seed(cfg.seed, _ORACLE, i)) for i, (ens, path) in zip(run_indices, inputs)]
+def _config_drafts(cfg, run_indices, domain):
+    """(target0, noise, ens, seed) of each of a config's runs run_indices:
+    a replicate up to its rolled path (see _replicates)."""
+    target0 = _start_target(cfg, domain)
+    return [(target0, build_noise(cfg, i), build_ensemble(cfg, domain, i),
+             _derive_seed(cfg.seed, _ORACLE, i)) for i in run_indices]
 
 
 def run_experiments(cfg, run_indices, x0=None):
@@ -307,7 +330,7 @@ def run_experiments(cfg, run_indices, x0=None):
         if run_index < 0:
             raise ValueError(f"run index must be non-negative, got {run_index}")
     _start_target(cfg, build_domain(cfg))
-    return _execute([(cfg, i) for i in run_indices], _config_replicates, x0)
+    return _execute([(cfg, i) for i in run_indices], _config_drafts, x0)
 
 
 def run_experiment(cfg, run_index=0, out_dir=None):
@@ -436,16 +459,17 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
             # now, check them and let them go, so no value runs before all pass
             dyn = build_dynamics(cfg_v)
             for batch in _replicate_batches(range(runs), _replicate_bytes(cfg_v, False)):
-                _config_inputs(cfg_v, dyn, domain, target0, batch)
+                _, noises, ensembles, _ = zip(*_config_drafts(cfg_v, batch, domain))
+                _replicate_inputs(dyn, domain, target0, noises, ensembles)
         configs.append(cfg_v)
     horizon = cfg.horizon
     # every value's runs through one executor, which keeps no iterates: values
     # that build the same engine inputs share its loops
     keys = [(cfg_v, i) for cfg_v in configs for i in range(runs)]
-    curves = np.empty((len(keys), horizon))
-    for k, result in enumerate(_execute(keys, _config_replicates, keep_iterates=False)):
-        curves[k] = result.regret.normalized
-    curves = curves.reshape(len(configs), runs, horizon)
+    # map binds no result past its curve: a result's path views its whole batch's paths
+    curves = map(attrgetter("regret.normalized"), _execute(keys, _config_drafts,
+                                                           keep_iterates=False))
+    curves = np.array(list(curves)).reshape(len(configs), runs, horizon)
     mean_curves = np.array([np.mean(c, axis=0) for c in curves])
     std_curves = np.array([np.std(c, axis=0) for c in curves])
     result = SweepResult(param, tuple(values), runs, mean_curves, std_curves,
@@ -468,7 +492,7 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
 
 @dataclass(frozen=True)
 class SuiteCase:
-    """One verify_bounds configuration; _case_replicates adds what cfg cannot say."""
+    """One verify_bounds configuration; _case_drafts adds what cfg cannot say."""
 
     name: str
     cfg: ExperimentConfig
@@ -535,16 +559,17 @@ def _simplex_loop(horizon):
     return states[0], states[1:] - states[:-1]
 
 
-def _case_replicates(case, stream, l_scale, cfg, seeds, geom, dyn, sigma2=None):
-    """(ens, path, etas, seed) of a suite case at each of seeds; the case index is the run index.
+def _case_drafts(case, stream, l_scale, cfg, seeds, domain):
+    """(target0, noise, ens, seed) of a suite case at each of seeds (see
+    _replicates); the case index is the run index.
 
     cfg is case.cfg, which every key of the case carries.  Seed s draws its
     oracle noise from _derive_seed(s, _ORACLE, stream).  l_scale scales
     each ensemble's declared L (and G^2 by l_scale^2), which moves the
-    bounds and not the runs.  sigma2 is not read: no suite case tunes its
-    step to the network.
+    bounds and not the runs.  The step sizes are cfg's own schedule: no
+    suite case tunes its step to the network.
     """
-    idx, domain = _SUITE.index(case), geom.domain
+    idx = _SUITE.index(case)
     if cfg.domain_kind == "simplex":
         target0, loop = _simplex_loop(cfg.horizon)
         noises = [loop] * len(seeds)
@@ -560,17 +585,16 @@ def _case_replicates(case, stream, l_scale, cfg, seeds, geom, dyn, sigma2=None):
         ensembles = [linear_ensemble(np.tile(pull, (cfg.horizon, 1, 1)), domain)] * len(seeds)
     else:
         ensembles = [build_ensemble(replace(cfg, seed=s), domain, idx) for s in seeds]
-    inputs = _replicate_inputs(dyn, domain, target0, noises, ensembles)
-    etas = build_schedule(cfg, None, None)
-    return [(replace(ens, lipschitz=l_scale * ens.lipschitz,
-                     second_moment=l_scale * l_scale * ens.second_moment),
-             path, etas, _derive_seed(s, _ORACLE, stream)) for s, (ens, path) in zip(seeds, inputs)]
+    return [(target0, noise, replace(ens, lipschitz=l_scale * ens.lipschitz,
+                                     second_moment=l_scale * l_scale * ens.second_moment),
+             _derive_seed(s, _ORACLE, stream)) for s, noise, ens in zip(seeds, noises, ensembles)]
 
 
 def _build_case(case, seed):
     """(weights, geom, dyn, ens, path, etas) of a suite case at one seed."""
     weights, geom, dyn = _assemble(case.cfg)
-    [(ens, path, etas, _)] = _case_replicates(case, 0, 1.0, case.cfg, [seed], geom, dyn)
+    [(_, ens, path, etas, _, _)] = _replicates([(case.cfg, seed)],
+                                               partial(_case_drafts, case, 0, 1.0), geom, dyn, None)
     return weights, geom, dyn, ens, path, etas
 
 
@@ -595,9 +619,9 @@ class VerifyReport:
 
 
 def _case_runs(case, seeds, stream, l_scale=1.0):
-    """RunResults of one suite case at each of seeds, through _execute (see _case_replicates)."""
+    """RunResults of one suite case at each of seeds, through _execute (see _case_drafts)."""
     keys = [(case.cfg, s) for s in seeds]
-    return _execute(keys, partial(_case_replicates, case, stream, l_scale))
+    return _execute(keys, partial(_case_drafts, case, stream, l_scale))
 
 
 def _mean_regret(results):

@@ -130,39 +130,58 @@ def network_disagreement(trace):
 def _discounted_steps(sigma2, etas, rounds):
     """A[k] = sum_{tau=0..k} eta_tau sigma2^(k-tau) for k = 0 .. rounds, eta_0 := eta_1, 0^0 := 1.
 
-    Built by the recursion A[k] = sigma2 A[k-1] + eta_k, so every entry is
-    a plain running sum with no pairwise reordering.
+    etas may carry leading replicate axes: (..., >= rounds) gives
+    (..., rounds + 1).  Built by the recursion A[k] = sigma2 A[k-1] + eta_k,
+    one pass over the rounds for every row at once, so every entry is a
+    plain running sum with no pairwise reordering, bit-equal to its row's
+    recursion alone.
     """
-    sigma2 = float(sigma2)
-    out = []
-    acc = 0.0
-    for eta in np.concatenate((etas[:1], etas[:rounds])).tolist():
-        acc = sigma2 * acc + eta
-        out.append(acc)
-    return np.array(out)
+    etas = np.asarray(etas, dtype=float)
+    steps = np.empty((rounds + 1,) + etas.shape[:-1])
+    steps[0] = etas[..., 0]
+    steps[1:] = np.moveaxis(etas[..., :rounds], -1, 0)
+    # round-major rows: rows[k] views A[k] of every row, updated in place
+    rows = steps.reshape(rounds + 1, -1)
+    decayed = np.empty(rows.shape[1])
+    for prev, cur in zip(rows[:-1], rows[1:]):
+        np.multiply(sigma2, prev, out=decayed)
+        np.add(cur, decayed, out=cur)
+    return np.moveaxis(steps, 0, -1)
 
 
-def _terms(consts, c, sigma2, etas, noise_norms, n, steps=None):
+def _guarantee_steps(sigma2, etas, c_ts, horizon):
+    """The two rows A[0..T] of _discounted_steps that regret_guarantee reads,
+    for each of R runs in one recursion: (R, 2, T+1).
+
+    etas is (R, >= T+1) and c_ts holds each run's C_T.  Row 0 is at the
+    run's etas, row 1 at the constant tuned_step of its C_T; a run with
+    C_T = 0 has no tuned step, and its row 1 repeats row 0.
+    """
+    rows = np.empty((len(c_ts), 2, horizon + 1))
+    rows[:, 0] = np.asarray(etas, dtype=float)[:, :horizon + 1]
+    for row, c_t in zip(rows, c_ts):
+        row[1] = tuned_step(c_t, sigma2, horizon) if c_t > 0 else row[0]
+    return _discounted_steps(sigma2, rows, horizon)
+
+
+def _terms(consts, c, etas, noise_norms, n, steps):
     """The guarantee's four terms at steps etas and squared gradient constant c.
 
-    etas cover rounds 1..T+1 and noise_norms holds ||v_t|| for t = 1..T.
-    Returns the terms (radius, mismatch, step, network)
+    etas cover rounds 1..T+1, noise_norms holds ||v_t|| for t = 1..T and
+    steps holds A[0..T] of _discounted_steps at etas.  Returns the terms
+    (radius, mismatch, step, network)
         (2 R^2 / eta_{T+1}, K sum_t ||v_t|| / eta_{t+1}, c sum_t eta_t / 2,
-         4 c sqrt(n) sum_{t=1..T} A[t-1]),
-    the plain mismatch sum sum_t ||v_t|| / eta_{t+1}, and A[0..T] of
-    _discounted_steps, which a caller that already has them for the same
-    sigma2 and etas passes as steps.  The bound is the terms added left to
-    right.
+         4 c sqrt(n) sum_{t=1..T} A[t-1])
+    and the plain mismatch sum sum_t ||v_t|| / eta_{t+1}.  The bound is the
+    terms added left to right.
     """
     horizon = noise_norms.size
-    if steps is None:
-        steps = _discounted_steps(sigma2, etas, horizon)
     mismatch = float(np.sum(noise_norms / etas[1:horizon + 1])) if horizon else 0.0
     # cumsum adds A[0..T-1] in order, as a running total
     network = float(np.cumsum(steps[:horizon])[-1]) if horizon else 0.0
     terms = (2.0 * consts.r2 / etas[horizon], consts.k * mismatch,
              c * float(etas[:horizon].sum()) / 2.0, 4.0 * c * np.sqrt(n) * network)
-    return terms, mismatch, steps
+    return terms, mismatch
 
 
 @dataclass(frozen=True)
@@ -183,7 +202,7 @@ class BoundReport:
 
 
 def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
-                     grad_second_moment=None):
+                     grad_second_moment=None, steps=None):
     """Evaluate the dynamic regret guarantee as exact sums (see _terms).
 
     etas must cover rounds 1..T+1; noise_norms holds ||v_t|| for t = 1..T in
@@ -193,7 +212,9 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     L sqrt(n) sum_{tau=0..t} eta_tau sigma2^(t-tau).  grad_second_moment,
     when given, is G^2 from the stochastic oracle and fills the
     expected-regret variant, the same terms at c = G^2.  variation_tuned_value
-    is total at the constant tuned_step of C_T = sum_t ||v_t||.
+    is total at the constant tuned_step of C_T = sum_t ||v_t||.  steps,
+    when given, is this run's row of _guarantee_steps, which a caller
+    evaluating many runs computes for all of them in one pass.
     """
     if not 0 <= sigma2 <= 1:
         raise ValueError("sigma2 must lie in [0, 1]")
@@ -204,18 +225,21 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
         raise ValueError("need step sizes through round T+1")
     if np.any(etas <= 0):
         raise ValueError("step sizes must be positive")
+    c_t = float(noise_norms.sum())
+    if steps is None:
+        steps = _guarantee_steps(sigma2, etas[None], [c_t], horizon)[0]
+    steps, tuned_steps = steps
     l2 = lipschitz**2
-    (radius, mismatch, step, network), mismatch_sum, steps = _terms(
-        consts, l2, sigma2, etas, noise_norms, n)
+    (radius, mismatch, step, network), mismatch_sum = _terms(
+        consts, l2, etas, noise_norms, n, steps)
     e_track = float(radius + mismatch + step)
     stochastic_total = tuned = float("nan")
     if grad_second_moment is not None:
-        stochastic_total = float(sum(_terms(consts, float(grad_second_moment), sigma2, etas,
+        stochastic_total = float(sum(_terms(consts, float(grad_second_moment), etas,
                                             noise_norms, n, steps)[0]))
-    c_t = float(noise_norms.sum())
     if c_t > 0:
         tuned_etas = np.full(horizon + 1, tuned_step(c_t, sigma2, horizon))
-        tuned = float(sum(_terms(consts, l2, sigma2, tuned_etas, noise_norms, n)[0]))
+        tuned = float(sum(_terms(consts, l2, tuned_etas, noise_norms, n, tuned_steps)[0]))
     notes = ()
     if sigma2 == 0:
         notes = ("sigma2=0: network term keeps its tau=t-1 contribution by the 0^0=1 convention",)

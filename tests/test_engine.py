@@ -426,6 +426,71 @@ def test_non_finite_error_names_round_replicate_and_agent():
     assert 300 < int(round_of) < 320  # x_t = 10 (x_{t-1} + 1) passes 1.8e308
 
 
+def test_finite_iterates_whose_sum_overflows_run_until_one_overflows():
+    # agents 1 and 2 of the second replicate step x_t = 10 (x_{t-1} + 1): at
+    # round 308 both hold 1.1e308, whose sum is no float; round 309 overflows
+    n, d, horizon = 3, 1, 400
+    weights = WeightMatrix(n, np.eye(n))
+    geom = euclidean_geometry(box_domain([-BIG] * d, [BIG] * d))
+    dyn = linear_dynamics(10.0 * np.eye(d))
+    path = generate_path(identity_dynamics(d), np.zeros((horizon, d)), np.zeros(d), horizon)
+    pushed = np.zeros((horizon, n, d))
+    pushed[:, 1:] = -1.0
+    calm, wild = (linear_ensemble(g, geom.domain) for g in (np.zeros_like(pushed), pushed))
+    etas = np.full(horizon + 1, 1.0)
+    with np.errstate(over="ignore"):
+        early = run(weights, geom, dyn, [(calm, path, etas[:309], 0), (wild, path, etas[:309], 0)],
+                    308)
+        with pytest.raises(EngineError) as late:
+            run(weights, geom, dyn, [(calm, path, etas, 0), (wild, path, etas, 0)], horizon)
+    assert np.isfinite(early.x).all() and early.x[1, -1, 1:, 0].min() > 1e308
+    assert str(late.value) == "iterates became non-finite in round 309 (replicate 1, agent 1)"
+
+
+def _count_oracle_draws(monkeypatch):
+    calls = []
+    draw = domd.engine.oracle_noise
+    monkeypatch.setattr(domd.engine, "oracle_noise",
+                        lambda ens, rng, rounds: calls.append(rounds) or draw(ens, rng, rounds))
+    return calls
+
+
+@pytest.mark.parametrize("block_elements", [domd.objectives.BLOCK_ELEMENTS, 60],
+                         ids=["default_blocks", "60_element_blocks"])
+@pytest.mark.parametrize("family", ["tracking", "noisy_quadratic"])
+def test_oracle_draw_blocks_are_sized_by_what_a_round_draws(family, block_elements,
+                                                            monkeypatch):
+    # a round draws n values for tracking and n * d for a noisy synthetic
+    # oracle; a block holds about block_elements draws across the 3 replicates
+    horizon, count = 50, 3
+    monkeypatch.setattr(domd.objectives, "BLOCK_ELEMENTS", block_elements)  # _round_blocks
+    if family == "tracking":
+        n, d = 4, 4
+        weights = metropolis_weights(build_grid_graph(2, 2))
+        geom = euclidean_geometry(box_domain([-10.0] * d, [10.0] * d))
+        dyn = ncv_dynamics(0.1)
+        ensembles = [tracking_ensemble(n, geom.domain)] * count
+        paths = [generate_path(dyn, ncv_disturbances(0.5, 0.1, seed, horizon), np.zeros(d),
+                               horizon) for seed in range(count)]
+        width = n
+    else:
+        weights, geom, dyn, _, path = _box_setup(horizon=horizon)
+        n, d = weights.n, geom.domain.d
+        ensembles = [synthetic_suite(k, n, d, horizon, geom.domain, noise_scale=0.4)
+                     for k in range(count)]
+        paths = [path] * count
+        width = n * d
+    replicates = [(e, p, np.full(horizon + 1, 0.2), 30 + k)
+                  for k, (e, p) in enumerate(zip(ensembles, paths))]
+    calls = _count_oracle_draws(monkeypatch)
+    run(weights, geom, dyn, replicates, horizon, "stochastic")
+    rounds = max(1, block_elements // (count * width))
+    assert len(calls) == count * -(-horizon // rounds)
+    assert len(calls) == {("tracking", 60): 30, ("noisy_quadratic", 60): 51}.get(
+        (family, block_elements), count)
+    _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon, "stochastic")
+
+
 def test_run_memory_is_the_iterate_trace():
     # the (T+1, n, d) iterates alone take 16 MB; per-round arrays must not be kept
     n, d, horizon = 1000, 4, 500

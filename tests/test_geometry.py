@@ -118,6 +118,32 @@ def test_contains_is_the_reduction_of_inside_near_the_boundary(kind, rows, base,
     assert [contains(domain, p) for p in pts] == row_wise.tolist()
 
 
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(2, 4),
+       lead=st.lists(st.integers(0, 3), max_size=2),
+       width_shift=st.sampled_from([0, 0, 0, -1, 1]),
+       corners=st.lists(st.integers(0, 3), min_size=24, max_size=24),
+       pushes=st.lists(st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0,
+                                        -0.5, -0.99, -1.0, -1.01, -2.0]),
+                       min_size=120, max_size=120),
+       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+       where=st.integers(0, 119))
+def test_simplex_contains_is_the_reduction_of_inside(d, lead, width_shift, corners, pushes,
+                                                     bad, where):
+    # floored-simplex corners pushed a few tolerances across the floor and the
+    # unit sum, in any leading shape, empty or of the wrong width, maybe with a
+    # NaN or an infinity
+    domain = simplex_domain(d, FLOOR)
+    shape = tuple(lead) + (d + width_shift,)
+    count = int(np.prod(shape[:-1]))
+    pts = np.full((count, shape[-1]), FLOOR)
+    pts[np.arange(count), np.array(corners[:count], dtype=int) % shape[-1]] = 1.0 - (d - 1) * FLOOR
+    pts = (pts.ravel() + DOMAIN_TOL * np.array(pushes[:pts.size])).reshape(shape)
+    if bad is not None and pts.size:
+        pts.flat[where % pts.size] = bad
+    assert contains(domain, pts) == bool(inside(domain, pts).all())
+
+
 def test_sample_domain_stays_inside():
     rng = np.random.default_rng(0)
     for dom in (box_domain([-2.0, 0.0], [1.0, 3.0]), simplex_domain(4, FLOOR)):
@@ -307,6 +333,26 @@ def test_prox_validation():
         prox(geom, np.array([np.nan, 0.0]), np.zeros(2), 0.1)
     with pytest.raises(ValueError, match="shapes"):
         prox(geom, np.zeros(3), np.zeros(2), 0.1)
+
+
+def test_prox_accepts_finite_gradients_whose_sum_overflows():
+    # every entry is finite though their sum is not: not an error
+    huge = np.array([[1e308, 1e308], [-1e308, -1e308]])
+    out = prox(_box2(), huge, np.zeros((2, 2)), 0.5)
+    np.testing.assert_array_equal(out, [[-1.0, -1.0], [1.0, 1.0]])
+    out = prox(_simplex(3), np.array([1e308, 1e308, -1e308]), np.full(3, 1.0 / 3.0), 0.5)
+    np.testing.assert_allclose(out, [FLOOR, FLOOR, 1.0 - 2 * FLOOR], atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("geom", [_box2(), _simplex(2)], ids=["box", "simplex"])
+def test_prox_rejects_any_non_finite_gradient_entry(geom, bad):
+    y = np.full((2, 2), 0.5)
+    for spot in range(4):
+        g = np.array([[1e308, -1e308], [1e308, 1.0]])
+        g.flat[spot] = bad
+        with pytest.raises(ValueError, match="gradient has non-finite entries"):
+            prox(geom, g, y, 0.5)
 
 
 def test_prox_optimality_inequality_50_references():

@@ -338,17 +338,17 @@ def test_sweep_samples_erdos_renyi_graphs_before_any_engine_call(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("cfg, rolls", [
-    (_tracking_cfg(horizon=20), 2),  # one roll of each value's batch of paths
-    (_quad_cfg(horizon=20), 4),  # and one more per value for the centres check
+@pytest.mark.parametrize("cfg, checks", [
+    (_tracking_cfg(horizon=20), 0),  # one roll of the engine batch's paths, both values'
+    (_quad_cfg(horizon=20), 2),  # after one roll per value for the centres check
 ], ids=["tracking", "quadratic"])
-def test_sweep_rolls_each_batch_of_paths_once(cfg, rolls, monkeypatch):
+def test_sweep_rolls_each_batch_of_paths_once(cfg, checks, monkeypatch):
     calls = []
     roll = domd.harness.generate_path
     monkeypatch.setattr(domd.harness, "generate_path",
                         lambda dyn, noise, *a: calls.append(noise.shape) or roll(dyn, noise, *a))
     sweep(cfg, "eta0", (0.1, 0.2), runs=3)
-    assert calls == [(3, 20, cfg.dim)] * rolls
+    assert calls == [(3, 20, cfg.dim)] * checks + [(6, 20, cfg.dim)]
 
 
 def test_sweep_shapes_and_outputs(tmp_path):
@@ -573,6 +573,31 @@ def test_bounds_and_regret_report_one_path_variation():
         assert isinstance(result.bounds, BoundReport), result.config
         assert isinstance(result.regret.static_regret, float), result.config
         assert result.bounds.c_t == result.regret.path_variation, result.config
+
+
+def test_batch_bounds_equal_each_runs_own_guarantee(monkeypatch):
+    # two values' runs, one without target noise (C_T = 0, no tuned step),
+    # share one roll, one engine call and one bound recursion; every report
+    # equals regret_guarantee of its run alone, bit for bit
+    cfg = _tracking_cfg(horizon=40, schedule_kind="variation_tuned")
+    keys = [(replace(cfg, sigma_v2=value), i) for value in (0.0, 0.5) for i in range(2)]
+    calls = _count_engine_runs(monkeypatch)
+    results = list(domd.harness._execute(keys, domd.harness._config_drafts))
+    assert len(calls) == 1
+    weights, geom, dyn = domd.harness._assemble(cfg)
+    for result in results:
+        norms = residual_norms(result.path, dyn, geom.norm_kind)
+        want = regret_guarantee(geometry_constants(geom), result.ensemble.lipschitz,
+                                result.sigma2, result.trace.etas, norms, weights.n,
+                                grad_second_moment=result.ensemble.second_moment)
+        for name, got in vars(result.bounds).items():
+            expected = getattr(want, name)
+            if isinstance(got, np.ndarray):
+                assert got.tobytes() == expected.tobytes(), name
+            else:
+                assert got == expected or (got != got and expected != expected), name
+        assert result.regret.path_variation == float(norms.sum())
+    assert results[0].bounds.c_t == 0.0 and results[2].bounds.c_t > 0.0
 
 
 def _same_bits(a, b):

@@ -6,6 +6,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import domd.metrics
 from domd.csvio import read_csv
@@ -80,11 +82,70 @@ def test_envelope_and_network_term_equal_sequential_sums(sigma2, monkeypatch):
     stochastic = regret_guarantee(_consts(), 1.5, sigma2, etas, np.zeros(40), 9,
                                   grad_second_moment=7.0)
     assert len(calls) == 1
+    if sigma2 < 1:  # and so does one with a tuned step, whose rows share that pass
+        calls.clear()
+        regret_guarantee(_consts(), 1.5, sigma2, etas, np.full(40, 0.1), 9)
+        assert len(calls) == 1
     assert stochastic.stochastic_total == float(sum(
-        domd.metrics._terms(_consts(), 7.0, sigma2, etas, np.zeros(40), 9)[0]))
+        domd.metrics._terms(_consts(), 7.0, etas, np.zeros(40), 9,
+                            recursion(sigma2, etas, 40))[0]))
     assert report.e_net == 4.0 * 1.5**2 * np.sqrt(9) * network
     np.testing.assert_array_equal(report.disagreement_curve,
                                   1.5 * np.sqrt(9) * np.array(running[1:41]))
+
+
+def _recursion(sigma2, etas, rounds):
+    # A[k] = sigma2 A[k-1] + eta_k in Python floats, eta_0 := eta_1
+    acc, out = 0.0, []
+    for eta in [float(etas[0])] + [float(e) for e in etas[:rounds]]:
+        acc = sigma2 * acc + eta
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(sigma2=st.floats(0.0, 1.0), horizon=st.integers(1, 40), rows=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 16), zero_rows=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_batched_discounted_steps_equal_each_rows_recursion(sigma2, horizon, rows, seed,
+                                                            zero_rows):
+    # schedule rows, and the tuned constant rows of C_T values (some zero)
+    rng = np.random.default_rng(seed)
+    etas = rng.uniform(1e-3, 2.0, (rows, horizon + 1))
+    c_ts = [0.0 if zero else float(rng.uniform(0.0, 50.0)) for zero in zero_rows[:rows]]
+    batched = domd.metrics._discounted_steps(sigma2, etas[None], horizon)
+    assert batched.shape == (1, rows, horizon + 1)
+    for row, got in zip(etas, batched[0]):
+        assert got.tolist() == _recursion(sigma2, row, horizon)
+    if sigma2 == 1.0:
+        return  # no tuned step without mixing
+    both = domd.metrics._guarantee_steps(sigma2, etas, c_ts, horizon)
+    assert both.shape == (rows, 2, horizon + 1)
+    for row, c_t, (steps, tuned) in zip(etas, c_ts, both):
+        assert steps.tolist() == _recursion(sigma2, row, horizon)
+        constant = [tuned_step(c_t, sigma2, horizon)] * horizon if c_t > 0 else row
+        assert tuned.tolist() == _recursion(sigma2, constant, horizon)
+
+
+def test_guarantee_from_batched_steps_equals_its_own():
+    # a batch's recursion rows passed in give every report bit for bit
+    rng = np.random.default_rng(8)
+    horizon, sigma2 = 30, 0.6
+    etas = rng.uniform(0.05, 0.5, (3, horizon + 1))
+    norms = rng.uniform(0.0, 0.2, (3, horizon))
+    norms[1] = 0.0  # no tuned step
+    steps = domd.metrics._guarantee_steps(sigma2, etas, [float(v.sum()) for v in norms],
+                                          horizon)
+    for r in range(3):
+        alone = regret_guarantee(_consts(), 1.5, sigma2, etas[r], norms[r], 4,
+                                 grad_second_moment=3.0)
+        given = regret_guarantee(_consts(), 1.5, sigma2, etas[r], norms[r], 4,
+                                 grad_second_moment=3.0, steps=steps[r])
+        for f in fields(alone):
+            a, b = getattr(alone, f.name), getattr(given, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b or (a != a and b != b), f.name
 
 
 def test_disagreement_envelope_validation():
