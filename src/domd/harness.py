@@ -292,12 +292,11 @@ def _start_target(cfg, domain):
 
 def _replicate_inputs(dyn, domain, target0, noises, ensembles):
     """(ens, path) of each replicate: its (horizon, d) disturbances in noises
-    rolled from target0, all in one generate_path call, each path
-    bit-identical to rolling it alone.  Raises ConfigError when a synthetic
-    centre leaves the domain.
+    rolled from target0, all in one generate_path call (which stacks them in
+    its one copy), each path bit-identical to rolling it alone.  Raises
+    ConfigError when a synthetic centre leaves the domain.
     """
-    noises = np.stack(noises)
-    rolled = generate_path(dyn, noises, target0, noises.shape[1])
+    rolled = generate_path(dyn, noises, target0, len(noises[0]))
     out = []
     for ens, states, noise in zip(ensembles, rolled.states, rolled.noise):
         path = MinimizerPath(states, noise)
@@ -359,6 +358,18 @@ def _write_run_outputs(result, out_dir):
     write_bound_csv(result.bounds, os.path.join(out_dir, "bounds.csv"), comments)
 
 
+@dataclass(frozen=True)
+class CheckRow:
+    case: str
+    seed: int
+    mode: str
+    check: str
+    empirical: float
+    bound: float
+    slack: float
+    passed: bool
+
+
 def _upper_check(empirical, bound):
     """(empirical, bound, slack, passed) of an upper-bound check on scalars or
     curves, where the slack bound - empirical is least; passes at slack >= -SLACK_TOL."""
@@ -368,15 +379,26 @@ def _upper_check(empirical, bound):
     return float(empirical[k]), float(bound[k]), slack, slack >= -SLACK_TOL
 
 
-def exact_run_violations(result):
-    """Names of guarantees an exact-gradient run violated by more than SLACK_TOL."""
+def check_rows(result, case, seed):
+    """CheckRows of a run against the paper's guarantees, in verify.csv order:
+    the disagreement curve against its envelope pointwise, the dynamic regret
+    against the total, the per-agent loss gap against its bound.  A stochastic
+    run has none: its bound is on the expected regret, which one draw may
+    exceed.  Regret >= 0 is no guarantee (linear losses need not be least at the target)."""
     if result.config.gradient_mode != "exact":
         return ()
-    checks = (("regret_total", result.regret.dynamic_regret, result.bounds.total),
-              ("disagreement", network_disagreement(result.trace)[1:],
-               result.bounds.disagreement_curve))
-    return tuple(name for name, empirical, bound in checks
-                 if not _upper_check(empirical, bound)[3])
+    trace, bounds = result.trace, result.bounds
+    checks = (("disagreement", network_disagreement(trace)[1:], bounds.disagreement_curve),
+              ("regret_total", result.regret.dynamic_regret, bounds.total),
+              ("local_gap", per_agent_loss_gap(trace, result.ensemble, result.path),
+               bounds.local_gap_rhs))
+    return tuple(CheckRow(case, seed, "exact", check, *_upper_check(empirical, bound))
+                 for check, empirical, bound in checks)
+
+
+def exact_run_violations(result):
+    """Names of the check_rows a run failed (none for a stochastic run)."""
+    return tuple(r.check for r in check_rows(result, "run", result.config.seed) if not r.passed)
 
 
 def tracking_error_stats(trace, path, tail=100):
@@ -599,18 +621,6 @@ def _build_case(case, seed):
 
 
 @dataclass(frozen=True)
-class CheckRow:
-    case: str
-    seed: int
-    mode: str
-    check: str
-    empirical: float
-    bound: float
-    slack: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class VerifyReport:
     rows: tuple
     seeds: int
@@ -620,8 +630,7 @@ class VerifyReport:
 
 def _case_runs(case, seeds, stream, l_scale=1.0):
     """RunResults of one suite case at each of seeds, through _execute (see _case_drafts)."""
-    keys = [(case.cfg, s) for s in seeds]
-    return _execute(keys, partial(_case_drafts, case, stream, l_scale))
+    return _execute([(case.cfg, s) for s in seeds], partial(_case_drafts, case, stream, l_scale))
 
 
 def _mean_regret(results):
@@ -632,18 +641,16 @@ def _mean_regret(results):
 
 
 def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
-    """Run the synthetic suite and check every guarantee.
+    """Run the synthetic suite and check every guarantee; a check passes when
+    its slack is at least -SLACK_TOL.
 
-    Exact-gradient runs are checked per seed: empirical dynamic regret
-    against the guarantee total, the disagreement curve against its
-    envelope pointwise, the per-agent loss gap against its bound, and
-    nonnegativity of regret.  Noisy-oracle cases are averaged across seeds
-    and checked against the expected-regret variant.  l_scale deliberately
-    rescales the declared Lipschitz constant; 1.0 verifies, 0.5 is the
-    negative control that must produce detected violations; it must be
-    positive and finite, since a scale of zero or below turns every bound
-    negative and reports violations that test nothing.  A check passes
-    when its slack is at least -SLACK_TOL.
+    Each exact-gradient run gets its check_rows, then a check that its regret
+    is nonnegative, which the suite's cases satisfy and a general run need
+    not.  Noisy-oracle cases are averaged across seeds and checked against
+    the expected-regret variant.  l_scale rescales the declared Lipschitz
+    constant: 1.0 verifies, 0.5 is the negative control that must produce
+    violations.  It must be positive and finite: at zero or below every
+    bound turns negative, and the violations test nothing.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -657,29 +664,18 @@ def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
                                  *_upper_check(*_mean_regret(results))))
             continue
         for s, result in enumerate(results):
-            regret, bounds, trace = result.regret.dynamic_regret, result.bounds, result.trace
-            checks = (("disagreement", network_disagreement(trace)[1:],
-                       bounds.disagreement_curve),
-                      ("regret_total", regret, bounds.total),
-                      ("local_gap", per_agent_loss_gap(trace, result.ensemble, result.path),
-                       bounds.local_gap_rhs))
-            rows += [CheckRow(case.name, s, "exact", check, *_upper_check(empirical, bound))
-                     for check, empirical, bound in checks]
+            rows += check_rows(result, case.name, s)
+            regret = result.regret.dynamic_regret
             rows.append(CheckRow(case.name, s, "exact", "regret_nonneg", regret, 0.0,
                                  regret, bool(regret >= -SLACK_TOL)))
     violations = sum(1 for r in rows if not r.passed)
     result = VerifyReport(tuple(rows), seeds, violations, violations == 0)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        comments = [f"seeds={seeds}", f"l_scale={csvio.fmt(l_scale)}",
-                    f"violations={violations}"]
-        csvio.write_csv(
-            os.path.join(out_dir, "verify.csv"),
-            ["case", "seed", "mode", "check", "empirical", "bound", "slack", "passed"],
-            [[r.case, r.seed, r.mode, r.check, r.empirical, r.bound, r.slack, r.passed]
-             for r in rows],
-            comments,
-        )
+        comments = [f"seeds={seeds}", f"l_scale={csvio.fmt(l_scale)}", f"violations={violations}"]
+        header = [f.name for f in fields(CheckRow)]
+        csvio.write_csv(os.path.join(out_dir, "verify.csv"), header,
+                        [[getattr(r, name) for name in header] for r in rows], comments)
     return result
 
 

@@ -44,6 +44,33 @@ kind = inv_sqrt
 eta0 = 0.2
 """
 
+# exact gradients of linear losses on the quadratic setup's 2x2 grid and box
+LINEAR = """
+[experiment]
+horizon = 200
+gradient_mode = exact
+
+[network]
+graph = grid
+rows = 2
+cols = 2
+
+[geometry]
+dim = 2
+box_low = -5
+box_high = 5
+
+[dynamics]
+model = identity
+
+[noise]
+kind = zero
+target_init = 0.5, -0.5
+
+[loss]
+kind = synthetic_linear
+"""
+
 
 @pytest.fixture()
 def quad_config(tmp_path):
@@ -132,7 +159,24 @@ def test_run_exits_2_on_a_bound_violation(quad_config, tmp_path, capsys, monkeyp
                         lambda cfg, **kwargs: replace(result, bounds=low))
     code = main(["run", "--config", quad_config, "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "bound violation: regret_total" in capsys.readouterr().err
+    violations = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("VIOLATION")]
+    assert violations == [
+        f"VIOLATION run seed={result.config.seed} regret_total: "
+        f"empirical={result.regret.dynamic_regret:.6g} bound={low.total:.6g}"]
+
+
+def test_run_exits_0_on_negative_regret(tmp_path, capsys):
+    # regret >= 0 is a check of the verify-bounds suite, not a guarantee: linear
+    # losses are not least at the target, so a correct run may beat it
+    config = tmp_path / "linear.ini"
+    config.write_text(LINEAR)
+    code = main(["run", "--config", str(config), "--seed", "3", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "VIOLATION" not in captured.err
+    regret = float(captured.out.split("dynamic_regret=")[1].split()[0])
+    assert regret < 0
 
 
 def test_verify_command(tmp_path, capsys):

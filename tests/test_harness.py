@@ -16,15 +16,15 @@ from domd.dynamics import _ncv_noise_factor, residual_norms
 from domd.harness import (_build_case, _case_runs, _derive_seed, _ORACLE, _PATH, _suite_case,
                           SLACK_TOL, build_domain, build_dynamics, build_graph,
                           build_geometry, build_noise, build_schedule,
-                          build_weights, bound_suite, exact_run_violations,
+                          build_weights, bound_suite, check_rows, exact_run_violations,
                           run_experiment, run_experiments, stochastic_mean_regret,
                           sweep, target_position_path_length,
                           tracking_error_stats, variation_scaling_study,
                           verify_bounds)
 from domd.geometry import (box_domain, euclidean_geometry, geometry_constants, kl_geometry,
                            simplex_domain)
-from domd.metrics import (BoundReport, dynamic_regret, network_disagreement, regret_guarantee,
-                          tuned_step)
+from domd.metrics import (BoundReport, dynamic_regret, network_disagreement,
+                          per_agent_loss_gap, regret_guarantee, tuned_step)
 from domd.network import (build_grid_graph, build_path_graph, metropolis_weights,
                           second_singular_value, uniform_complete_weights)
 
@@ -218,6 +218,7 @@ def test_exact_run_violations_names_each_broken_guarantee():
     result = run_experiment(_quad_cfg())
     regret = result.regret.dynamic_regret
     dis = network_disagreement(result.trace)[1:]
+    gap = per_agent_loss_gap(result.trace, result.ensemble, result.path)
     assert dis.max() > SLACK_TOL
 
     def shrunk(**changes):
@@ -227,10 +228,36 @@ def test_exact_run_violations_names_each_broken_guarantee():
     low_curve = {"disagreement_curve": np.zeros_like(dis)}
     assert exact_run_violations(shrunk(**low_total)) == ("regret_total",)
     assert exact_run_violations(shrunk(**low_curve)) == ("disagreement",)
+    assert exact_run_violations(shrunk(local_gap_rhs=gap - 1e-6)) == ("local_gap",)
+    # in verify.csv order
     assert exact_run_violations(shrunk(**low_total, **low_curve)) == (
-        "regret_total", "disagreement")
+        "disagreement", "regret_total")
     # an overshoot within SLACK_TOL is rounding, not a violation
     assert exact_run_violations(shrunk(total=regret - 0.5 * SLACK_TOL)) == ()
+
+
+def test_check_rows_skip_a_stochastic_run_before_measuring_it(monkeypatch):
+    noisy = run_experiment(_quad_cfg(gradient_mode="stochastic"))
+
+    def refuse(*args):
+        raise AssertionError("a stochastic run was measured for its checks")
+
+    monkeypatch.setattr(domd.harness, "network_disagreement", refuse)
+    monkeypatch.setattr(domd.harness, "per_agent_loss_gap", refuse)
+    assert check_rows(noisy, "run", 0) == ()
+    assert exact_run_violations(noisy) == ()
+
+
+def test_verify_bounds_rows_are_each_runs_check_rows_then_regret_nonneg():
+    case = _suite_case("box_quad_static_n4_t100")
+    results = list(_case_runs(case, range(2), 0))
+    rows = [r for r in verify_bounds(seeds=2).rows if r.case == case.name]
+    for s, result in enumerate(results):
+        checks = check_rows(result, case.name, s)
+        assert [r.check for r in checks] == ["disagreement", "regret_total", "local_gap"]
+        assert tuple(rows[4 * s:4 * s + 3]) == checks
+        assert rows[4 * s + 3].check == "regret_nonneg"
+        assert rows[4 * s + 3].empirical == result.regret.dynamic_regret
 
 
 def test_tracking_error_stats_and_path_length():
@@ -346,7 +373,7 @@ def test_sweep_rolls_each_batch_of_paths_once(cfg, checks, monkeypatch):
     calls = []
     roll = domd.harness.generate_path
     monkeypatch.setattr(domd.harness, "generate_path",
-                        lambda dyn, noise, *a: calls.append(noise.shape) or roll(dyn, noise, *a))
+                        lambda dyn, noise, *a: calls.append(np.shape(noise)) or roll(dyn, noise, *a))
     sweep(cfg, "eta0", (0.1, 0.2), runs=3)
     assert calls == [(3, 20, cfg.dim)] * checks + [(6, 20, cfg.dim)]
 
