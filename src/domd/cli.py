@@ -1,11 +1,13 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 on configuration or usage errors, 2 when a guarantee
-check fails, with one VIOLATION line on stderr per failed check.  `run` checks an
-exact-gradient run's three guarantees (harness.check_rows); regret >= 0 is checked by
-`verify-bounds` only, since a correct run on linear losses may break it.  --out is
-created before any work, so an unusable path fails first; a config error removes it
-again if made and still empty.
+check fails, with one VIOLATION line on stderr per failed check, and 141 (the
+status of a process killed by SIGPIPE) when stdout is closed before the summary is
+printed, as in `domd run ... | head -1`; the outputs are written by then.  `run`
+checks an exact-gradient run's three guarantees (harness.check_rows); regret >= 0 is
+checked by `verify-bounds` only, since a correct run on linear losses may break it.
+--out is created before any work, so an unusable path fails first; a config error
+removes it again if made and still empty.
 """
 
 import argparse
@@ -16,6 +18,8 @@ from dataclasses import replace
 
 from .config import ConfigError, describe_schema, load_config
 from .harness import check_rows, run_experiment, sweep, verify_bounds
+
+BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,12 +135,18 @@ def main(argv=None):
         return 1
     try:
         code = handlers[args.command](args)
+        print(f"outputs written to {args.out}")
+        sys.stdout.flush()
     except ConfigError as exc:
         if made and not os.listdir(args.out):
             os.rmdir(args.out)
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    print(f"outputs written to {args.out}")
+    except BrokenPipeError:
+        # what is left in stdout's buffer goes to devnull, so that the flush
+        # at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     return code
 
 

@@ -15,6 +15,11 @@ time.
 
 import numpy as np
 
+# An array table is turned into Python floats about this many cells at a
+# time (one row at least), so a large network's trajectory, a few rows of
+# n * d cells, never exists as one list of Python floats.
+CELLS_PER_CHUNK = 1 << 16
+
 
 def fmt(value):
     """Render one cell. Floats get 17 significant digits."""
@@ -33,11 +38,11 @@ def write_csv(path, header, rows, comments=(), labels=None):
     """Write rows of cells to path.
 
     rows is either a 2-D float array, written with one "%.17g" template per
-    row (integer-valued cells below 2**53 print as integers), or a sequence
-    of rows of mixed cells, each rendered by fmt.  labels, with an array,
-    are already-rendered leading cells, one per row, written before the
-    row's numbers.  comments are emitted first, one per line, prefixed
-    with '# '.
+    row (integer-valued cells below 2**53 print as integers), a chunk of
+    about CELLS_PER_CHUNK cells at a time, or a sequence of rows of mixed
+    cells, each rendered by fmt.  labels, with an array, are
+    already-rendered leading cells, one per row, written before the row's
+    numbers.  comments are emitted first, one per line, prefixed with '# '.
     """
     with open(path, "w", newline="") as fh:
         for line in comments:
@@ -45,11 +50,14 @@ def write_csv(path, header, rows, comments=(), labels=None):
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
             template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            if labels is None:
-                fh.writelines(template % tuple(row) for row in rows.tolist())
-            else:
-                fh.writelines(label + "," + template % tuple(row)
-                              for label, row in zip(labels, rows.tolist()))
+            step = max(1, CELLS_PER_CHUNK // max(1, rows.shape[1]))
+            for start in range(0, len(rows), step):
+                chunk = rows[start:start + step].tolist()
+                if labels is None:
+                    fh.writelines(template % tuple(row) for row in chunk)
+                else:
+                    fh.writelines(label + "," + template % tuple(row) for label, row
+                                  in zip(labels[start:start + step], chunk))
         else:
             for row in rows:
                 fh.write(",".join(fmt(v) for v in row) + "\n")

@@ -16,6 +16,12 @@ count alone.  Up to DENSE_MIX_MAX_NODES agents it is the dense product
 np.matmul(W, X).  Above, it is a neighbour sum over W's nonzeros that adds
 each row's terms in column order with no BLAS involved, so its bits do not
 depend on the BLAS thread count and it costs O(nonzeros), not O(n^2).
+
+A graph keeps its edges as an (m, 2) array and a weight matrix keeps W's
+nonzeros, with a dense W only up to DENSE_MIX_MAX_NODES agents, so building
+and mixing a sparse network of any size holds O(n + edges) memory.  Sampling
+an Erdos-Renyi graph still takes O(n^2) time: it draws one uniform per node
+pair, in blocks, so that every seed keeps the graph it has always had.
 """
 
 from dataclasses import dataclass, field
@@ -45,6 +51,11 @@ LANCZOS_TOL = 1e-13
 _LANCZOS_CHECK = 8
 _LANCZOS_BREAKDOWN = 1e-15
 
+# random_connected_graph draws its uniforms this many pairs at a time, and
+# metropolis_weights sums its diagonal this many dense rows at a time.
+_PAIR_BLOCK = 1 << 20
+_ROW_BLOCK = 256
+
 
 def _edge_array(edges):
     return np.asarray(edges, dtype=np.intp).reshape(-1, 2)
@@ -62,8 +73,9 @@ def _normalized_edges(n, edges):
     key = np.sort(lo * n + hi)  # sorted by (lo, hi)
     if (key[1:] == key[:-1]).any():
         raise ValueError("duplicate edge")
-    lo, hi = np.divmod(key, n)
-    return tuple(zip(lo.tolist(), hi.tolist()))
+    edges = np.stack(np.divmod(key, n), axis=1)
+    edges.flags.writeable = False
+    return edges
 
 
 def _connected(n, edges):
@@ -87,10 +99,11 @@ def _connected(n, edges):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected connected graph on nodes 0..n-1 with a canonical edge list."""
+    """Undirected connected graph on nodes 0..n-1.  edges becomes its
+    canonical edge list: a read-only (m, 2) int array of pairs i < j, sorted."""
 
     n: int
-    edges: tuple = field(default=())
+    edges: np.ndarray = field(default=())
 
     def __post_init__(self):
         if self.n < 1:
@@ -100,80 +113,106 @@ class Graph:
             raise ValueError("graph is not connected")
 
     def degrees(self):
-        return np.bincount(_edge_array(self.edges).ravel(), minlength=self.n)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
 @dataclass(frozen=True)
 class WeightMatrix:
     """Symmetric doubly stochastic mixing matrix with positive diagonal.
 
-    w is not modified after construction: the neighbour sum caches W's
-    nonzeros, and index arrays built from them, on the instance.
+    Given as a dense n x n w or as nonzeros, the (rows, cols, values) of W's
+    nonzero entries in row-major order.  It keeps the nonzeros, on which it
+    checks W and which _same compares, and a dense w only up to
+    DENSE_MIX_MAX_NODES agents, where mix and second_singular_value read it;
+    above, w is None.  Neither is modified after construction: the neighbour
+    sum caches index arrays built from the nonzeros on the instance.
     """
 
     n: int
-    w: np.ndarray
-    # (rows, cols, weights) of W's nonzeros in row-major order, found once
-    _nonzeros: tuple = field(default=None, init=False, repr=False, compare=False)
+    w: np.ndarray = field(default=None, compare=False)
+    nonzeros: tuple = field(default=None, repr=False)
     # ((replicates, width), gather rows, term weights, output slots) of the
     # neighbour sum last built; see _neighbour_sum
     _neighbour_index: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.shape != (self.n, self.n):
-            raise ValueError("weight matrix shape mismatch")
-        if np.any(w < -STOCHASTIC_TOL) or np.any(w > 1 + STOCHASTIC_TOL):
+        n, w = self.n, None
+        if self.nonzeros is None:
+            w = np.asarray(self.w, dtype=float)
+            if w.shape != (n, n):
+                raise ValueError("weight matrix shape mismatch")
+            rows, cols = np.nonzero(w)  # row-major
+            values = w[rows, cols]
+        else:
+            rows, cols, values = (np.asarray(a) for a in self.nonzeros)
+        key, mirror = rows * n + cols, cols * n + rows
+        if (np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n))
+                or np.any(key[1:] <= key[:-1])):
+            raise ValueError("nonzeros must be distinct n x n entries in row-major order")
+        if np.any(values < -STOCHASTIC_TOL) or np.any(values > 1 + STOCHASTIC_TOL):
             raise ValueError("weights must lie in [0, 1]")
-        if np.max(np.abs(w.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
-            raise ValueError("rows must sum to 1")
-        if np.max(np.abs(w.sum(axis=0) - 1.0)) > STOCHASTIC_TOL:
-            raise ValueError("columns must sum to 1")
-        if np.any(np.diag(w) <= 0):
+        for side, index in (("rows", rows), ("columns", cols)):
+            if np.max(np.abs(np.bincount(index, values, n) - 1.0)) > STOCHASTIC_TOL:
+                raise ValueError(f"{side} must sum to 1")
+        if (values[rows == cols] > 0).sum() < n:
             raise ValueError("diagonal entries must be positive")
-        if np.max(np.abs(w - w.T)) > STOCHASTIC_TOL:
+        # |w_ij - w_ji| over the nonzeros, w_ji = 0 where (j, i) is not one
+        at = np.minimum(np.searchsorted(key, mirror), len(key) - 1)
+        if np.max(np.abs(values - np.where(key[at] == mirror, values[at], 0.0))) > STOCHASTIC_TOL:
             raise ValueError("weights must be symmetric")
+        if n > DENSE_MIX_MAX_NODES:
+            w = None
+        elif w is None:
+            w = np.zeros((n, n))
+            w[rows, cols] = values
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "nonzeros", (rows, cols, values))
 
 
 def build_grid_graph(rows, cols):
     """4-neighbor lattice with rows*cols nodes, indexed row-major."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError("grid needs at least two nodes")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                edges.append((i, i + 1))
-            if r + 1 < rows:
-                edges.append((i, i + cols))
-    return Graph(rows * cols, tuple(edges))
+    node = np.arange(rows * cols).reshape(rows, cols)
+    right = np.stack([node[:, :-1].ravel(), node[:, 1:].ravel()], axis=1)
+    down = np.stack([node[:-1].ravel(), node[1:].ravel()], axis=1)
+    return Graph(rows * cols, np.concatenate([right, down]))
 
 
 def build_path_graph(n):
     """Chain 0-1-...-(n-1)."""
     if n < 2:
         raise ValueError("path needs at least two nodes")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return Graph(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
 
 
 def build_complete_graph(n):
     if n < 2:
         raise ValueError("complete graph needs at least two nodes")
-    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph(n, np.stack(np.triu_indices(n, 1), axis=1))
 
 
 def random_connected_graph(n, p, seed):
-    """Erdos-Renyi G(n, p) conditioned on connectivity, by rejection (1000 tries)."""
+    """Erdos-Renyi G(n, p) conditioned on connectivity, by rejection (1000 tries).
+
+    Each try draws one uniform per pair i < j, in row-major order, and keeps
+    the pairs whose uniform is below p.  The uniforms come _PAIR_BLOCK at a
+    time from one stream, which gives the values one draw of them all would,
+    and only the kept pairs' flat indices are mapped back to (i, j).
+    """
     if n < 2:
         raise ValueError("need at least two nodes")
     if not 0 < p <= 1:
         raise ValueError("edge probability must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    pairs = np.stack(np.triu_indices(n, 1), axis=1)  # row-major, i < j
+    pairs = n * (n - 1) // 2
+    node = np.arange(n)
+    first = node * (2 * n - node - 1) // 2  # flat index of the pair (i, i + 1)
     for _ in range(1000):
-        edges = pairs[rng.random(len(pairs)) < p]
+        flat = np.concatenate([np.flatnonzero(rng.random(min(_PAIR_BLOCK, pairs - s)) < p) + s
+                               for s in range(0, pairs, _PAIR_BLOCK)])
+        i = np.searchsorted(first, flat, side="right") - 1
+        edges = np.stack([i, flat - first[i] + i + 1], axis=1)
         if _connected(n, edges):
             return Graph(n, edges)
     raise RuntimeError("failed to sample a connected graph in 1000 tries; raise p")
@@ -181,13 +220,26 @@ def random_connected_graph(n, p, seed):
 
 def metropolis_weights(graph):
     """Metropolis-Hastings weights: w_ij = 1/(1+max(deg_i, deg_j)) on edges,
-    diagonal takes the remaining mass.  Doubly stochastic by symmetry."""
-    i, j = _edge_array(graph.edges).T
-    deg = graph.degrees()
-    w = np.zeros((graph.n, graph.n))
-    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return WeightMatrix(graph.n, w)
+    diagonal takes the remaining mass.  Doubly stochastic by symmetry.
+
+    The diagonal gets the bits of 1 - w.sum(axis=1) on the dense W with a
+    zero diagonal: each row is summed by np.sum as a dense row, zeros and
+    all, in one buffer of _ROW_BLOCK rows, so no n x n array is made.
+    """
+    n, deg = graph.n, graph.degrees()
+    lo, hi = graph.edges.T
+    rows, cols = np.divmod(np.sort(np.concatenate([lo * n + hi, hi * n + lo,
+                                                   np.arange(n) * (n + 1)])), n)  # row-major
+    diagonal = rows == cols
+    values = np.where(diagonal, 0.0, 1.0 / (1.0 + np.maximum(deg[rows], deg[cols])))
+    remaining, block = np.empty(n), np.zeros((min(n, _ROW_BLOCK), n))
+    for s in range(0, n, _ROW_BLOCK):
+        a, b = np.searchsorted(rows, [s, s + _ROW_BLOCK])
+        block[rows[a:b] - s, cols[a:b]] = values[a:b]
+        remaining[s:s + _ROW_BLOCK] = 1.0 - block[:n - s].sum(axis=1)
+        block[rows[a:b] - s, cols[a:b]] = 0.0
+    values[diagonal] = remaining
+    return WeightMatrix(n, nonzeros=(rows, cols, values))
 
 
 def uniform_complete_weights(n):
@@ -249,12 +301,14 @@ def _lanczos_sigma2(weights):
     from a fixed vector orthogonal to the basis, with a zero coupling in T.
     """
     n = weights.n
-    basis = np.empty((n, n))  # rows are touched only as Lanczos reaches them
+    basis = np.empty((min(n, 2 * _LANCZOS_CHECK), n))  # grown as Lanczos needs rows
     basis[0] = 1.0 / np.sqrt(n)
     alphas, betas = [], []
     v = _orthogonalize(np.random.default_rng(n).standard_normal(n), basis[:1])
     k, check = 1, _LANCZOS_CHECK
     while True:
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, n - k), n))])
         basis[k] = v / np.sqrt(_dot(v, v))
         w = _neighbour_sum(weights, basis[k].reshape(1, n, 1)).ravel()
         if betas:
@@ -293,17 +347,13 @@ def _neighbour_sum(weights, x):
     one, in W's row-major nonzero order; np.bincount adds each into its
     output slot (r, i, k) strictly in that order, so every output is a
     left-to-right sum over j ascending, whatever b is and on any number of
-    threads.  W's nonzeros are found on the first call and kept on the
-    instance; the index arrays depend only on them and (b, d), and the last
-    shape's are kept too.
+    threads.  The index arrays depend only on W's nonzeros and (b, d); the
+    last shape's are kept on the instance.
     """
     b, n, d = x.shape
-    if weights._nonzeros is None:
-        rows, cols = np.nonzero(weights.w)  # row-major
-        object.__setattr__(weights, "_nonzeros", (rows, cols, weights.w[rows, cols]))
     cached = weights._neighbour_index
     if cached is None or cached[0] != (b, d):
-        rows, cols, values = weights._nonzeros
+        rows, cols, values = weights.nonzeros
         base = np.arange(b)[:, None] * n
         take = (base + cols).ravel()
         terms = np.tile(np.repeat(values, d), b)

@@ -334,6 +334,30 @@ def test_unusable_out_fails_before_any_work(quad_config, tmp_path, capsys, monke
     assert taken.read_text() == "a file, not a directory"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{config}"],
+    ["sweep", "--config", "{config}", "--param", "eta0", "--values", "0.1,0.2", "--runs", "1"],
+    ["verify-bounds", "--seeds", "1"],
+], ids=["run", "sweep", "verify-bounds"])
+def test_closed_stdout_exits_141_without_a_traceback(quad_config, tmp_path, argv):
+    """A reader that closed the pipe before the summary (`domd run ... | true`)
+    gets the outputs written, a status of its own and nothing on stderr."""
+    read, write = os.pipe()
+    os.close(read)  # closed before the command starts: its first print fails
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(domd.__file__)))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "domd"]
+                              + [a.format(config=quad_config) for a in argv]
+                              + ["--out", str(out)],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert proc.returncode == domd.cli.BROKEN_PIPE == 141
+    assert proc.stderr == b""
+    assert os.listdir(out)
+
+
 # a 1000-agent Erdos-Renyi network: above DENSE_MIX_MAX_NODES, and large
 # enough that a dense BLAS product would be split across threads
 ER_1000 = """

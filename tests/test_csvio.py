@@ -97,3 +97,20 @@ def test_integer_valued_float_column_prints_as_int(csv_dir, ints, value):
     csvio.write_csv(csv_dir / "array.csv", ["t", "x"], table)
     csvio.write_csv(csv_dir / "cells.csv", ["t", "x"], [[t, value] for t in ints])
     assert (csv_dir / "array.csv").read_bytes() == (csv_dir / "cells.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cells", [1, 3, 6, 14, 15])
+def test_chunked_array_rows_match_cell_by_cell(tmp_path, monkeypatch, cells):
+    # rows are rendered about CELLS_PER_CHUNK cells at a time (1, 1, 3, 7 and
+    # 7 two-cell rows here); chunk boundaries, a last short chunk and the
+    # labels' slices leave no trace in the bytes
+    monkeypatch.setattr(csvio, "CELLS_PER_CHUNK", cells)
+    table = np.random.default_rng(1).normal(size=(7, 2))
+    labels = [f"v{k}" for k in range(7)]
+    csvio.write_csv(tmp_path / "plain.csv", ["a", "b"], table)
+    csvio.write_csv(tmp_path / "labelled.csv", ["v", "a", "b"], table, labels=labels)
+    csvio.write_csv(tmp_path / "cells.csv", ["a", "b"], table.tolist())
+    csvio.write_csv(tmp_path / "label_cells.csv", ["v", "a", "b"],
+                    [[label] + row for label, row in zip(labels, table.tolist())])
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    assert (tmp_path / "labelled.csv").read_bytes() == (tmp_path / "label_cells.csv").read_bytes()

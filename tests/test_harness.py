@@ -13,7 +13,8 @@ from domd.config import (ConfigError, ExperimentConfig, config_hash, cross_valid
 from domd.csvio import read_csv
 from domd.engine import run
 from domd.dynamics import _ncv_noise_factor, residual_norms
-from domd.harness import (_build_case, _case_runs, _derive_seed, _ORACLE, _PATH, _suite_case,
+from domd.harness import (_build_case, _case_runs, _derive_seed, _ORACLE, _PATH, _same,
+                          _suite_case,
                           SLACK_TOL, build_domain, build_dynamics, build_graph,
                           build_geometry, build_noise, build_schedule,
                           build_weights, bound_suite, check_rows, exact_run_violations,
@@ -25,7 +26,8 @@ from domd.geometry import (box_domain, euclidean_geometry, geometry_constants, k
                            simplex_domain)
 from domd.metrics import (BoundReport, dynamic_regret, network_disagreement,
                           per_agent_loss_gap, regret_guarantee, tuned_step)
-from domd.network import (build_grid_graph, build_path_graph, metropolis_weights,
+from domd.network import (WeightMatrix, build_grid_graph, build_path_graph,
+                          metropolis_weights, random_connected_graph,
                           second_singular_value, uniform_complete_weights)
 
 EXACT_QUAD = """
@@ -73,9 +75,21 @@ def test_build_graph_kinds():
     complete = build_graph(_tracking_cfg(graph="complete", nodes=5))
     assert len(complete.edges) == 10
     cfg = _tracking_cfg(graph="erdos_renyi", nodes=10, edge_prob=0.4)
-    assert build_graph(cfg).edges == build_graph(cfg).edges
+    assert np.array_equal(build_graph(cfg).edges, build_graph(cfg).edges)
     other = build_graph(replace(cfg, seed=99))
-    assert other.edges != build_graph(cfg).edges
+    assert not np.array_equal(other.edges, build_graph(cfg).edges)
+
+
+def test_same_weights_compare_their_nonzeros():
+    # above 256 agents there is no dense w: the nonzeros decide
+    def large(seed):
+        return metropolis_weights(random_connected_graph(300, 0.03, seed))
+
+    assert large(2).w is None and _same(large(2), large(2))
+    assert not _same(large(2), large(3))
+    small = metropolis_weights(build_grid_graph(5, 5))
+    assert _same(small, WeightMatrix(25, small.w.copy()))
+    assert not _same(small, uniform_complete_weights(25))
 
 
 def test_unsampleable_random_graph_is_a_config_error():

@@ -1,6 +1,7 @@
 """Graphs, mixing matrices and their spectral properties."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,18 @@ def _reference_random_graph(n, p, seed, max_tries=1000):
     raise RuntimeError("no connected draw")
 
 
+def _reference_triu_sampler(n, p, seed, max_tries=1000):
+    """(edges, number of draws) of the rejection sampler drawing one uniform
+    per row of the full np.triu_indices pair table."""
+    rng = np.random.default_rng(seed)
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)  # row-major, i < j
+    for draw in range(1, max_tries + 1):
+        edges = pairs[rng.random(len(pairs)) < p]
+        if _connected(n, edges):
+            return edges, draw
+    raise RuntimeError("no connected draw")
+
+
 def _reference_metropolis(graph):
     deg = np.zeros(graph.n, dtype=int)
     for i, j in graph.edges:
@@ -50,6 +63,14 @@ def _reference_metropolis(graph):
     for i, j in graph.edges:
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+def _dense(weights):
+    """The n x n W of a weight matrix's nonzeros."""
+    w = np.zeros((weights.n, weights.n))
+    rows, cols, values = weights.nonzeros
+    w[rows, cols] = values
     return w
 
 
@@ -101,7 +122,8 @@ def test_graph_rejections():
 
 def test_edges_are_canonicalized():
     g = Graph(3, ((2, 1), (1, 0)))
-    assert g.edges == ((0, 1), (1, 2))
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+    assert not g.edges.flags.writeable
 
 
 def test_metropolis_three_node_path_exact():
@@ -118,6 +140,7 @@ def test_metropolis_is_valid_on_random_graphs():
     for seed in range(5):
         g = random_connected_graph(8, 0.35, seed)
         w = metropolis_weights(g).w
+        edges = set(map(tuple, g.edges.tolist()))
         np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(w, w.T, atol=1e-15)
@@ -125,7 +148,7 @@ def test_metropolis_is_valid_on_random_graphs():
         # off-diagonal support matches the edge set exactly
         for i in range(8):
             for j in range(i + 1, 8):
-                assert (w[i, j] > 0) == ((i, j) in g.edges)
+                assert (w[i, j] > 0) == ((i, j) in edges)
 
 
 def test_weight_matrix_rejections():
@@ -140,6 +163,23 @@ def test_weight_matrix_rejections():
     # doubly stochastic with a positive diagonal, but not symmetric
     with pytest.raises(ValueError, match="weights must be symmetric"):
         WeightMatrix(3, 0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=1))
+
+
+def test_weight_matrix_rejections_on_nonzeros_above_the_dense_limit():
+    n = DENSE_MIX_MAX_NODES + 44  # no dense w is built
+    node = np.arange(n)
+    # 0.5 I + 0.5 (cyclic shift): doubly stochastic, positive diagonal, not symmetric
+    shift = np.sort(np.stack([node, (node + 1) % n], axis=1), axis=1).ravel()
+    with pytest.raises(ValueError, match="weights must be symmetric"):
+        WeightMatrix(n, nonzeros=(np.repeat(node, 2), shift, np.full(2 * n, 0.5)))
+    rows, cols, values = metropolis_weights(build_path_graph(n)).nonzeros
+    off = values.copy()
+    off[0] += 1e-9  # W[0, 0]: row 0 and column 0 sum to 1 + 1e-9
+    with pytest.raises(ValueError, match="rows must sum to 1"):
+        WeightMatrix(n, nonzeros=(rows, cols, off))
+    with pytest.raises(ValueError, match="distinct n x n entries in row-major order"):
+        WeightMatrix(n, nonzeros=(rows[::-1], cols[::-1], values[::-1]))
+    assert WeightMatrix(n, nonzeros=(rows, cols, values)).w is None
 
 
 def test_sigma2_three_node_path():
@@ -205,14 +245,15 @@ def test_neighbour_sum_matches_the_dense_product():
     # the sums run in another order than BLAS's, so they agree to rounding:
     # within 1e-13 of the sum of the terms' magnitudes, |W| |X|
     w = _sparse_weights()
-    assert w.n > DENSE_MIX_MAX_NODES
+    assert w.n > DENSE_MIX_MAX_NODES and w.w is None
+    dense = _dense(w)
     rng = np.random.default_rng(5)
     for shape in ((w.n,), (w.n, 1), (w.n, 4), (3, w.n, 4), (2, 3, w.n, 2)):
         states = rng.normal(size=shape)
         mixed = mix(w, states)
         assert mixed.shape == shape
-        scale = np.matmul(np.abs(w.w), np.abs(states))
-        assert np.all(np.abs(mixed - np.matmul(w.w, states)) <= 1e-13 * scale)
+        scale = np.matmul(np.abs(dense), np.abs(states))
+        assert np.all(np.abs(mixed - np.matmul(dense, states)) <= 1e-13 * scale)
     stack = rng.normal(size=(3, w.n, 4))
     mixed = mix(w, stack)
     for r in range(3):  # each replicate gets the bits of mixing it alone
@@ -223,10 +264,10 @@ def test_neighbour_sum_matches_the_dense_product():
 def test_neighbour_sum_adds_each_row_in_column_order():
     w = _sparse_weights()
     states = np.random.default_rng(6).normal(size=(w.n, 2))
-    want = np.zeros_like(states)
+    dense, want = _dense(w), np.zeros_like(states)
     for i in range(w.n):
-        for j in np.flatnonzero(w.w[i]):
-            want[i] += w.w[i, j] * states[j]
+        for j in np.flatnonzero(dense[i]):
+            want[i] += dense[i, j] * states[j]
     assert mix(w, states).tobytes() == want.tobytes()
 
 
@@ -235,7 +276,7 @@ def test_neighbour_sum_index_lives_on_its_weight_matrix():
     assert w._neighbour_index is None  # built by the first mix, not at construction
     states = np.random.default_rng(8).normal(size=(2, w.n, 3))
     first = mix(w, states)
-    index, nonzeros = w._neighbour_index, w._nonzeros
+    index, nonzeros = w._neighbour_index, w.nonzeros
     assert index[0] == (2, 3) and other._neighbour_index is None
     assert mix(w, states).tobytes() == first.tobytes()
     assert w._neighbour_index is index  # same shape: reused
@@ -243,7 +284,7 @@ def test_neighbour_sum_index_lives_on_its_weight_matrix():
     assert w._neighbour_index[0] == (1, 3)  # another shape: rebuilt
     second_singular_value(w)  # its (1, n, 1) products rebuild the index too
     assert mix(w, states).tobytes() == first.tobytes()
-    assert w._nonzeros is nonzeros  # from the one nonzero scan of W
+    assert w.nonzeros is nonzeros  # kept from construction
 
 
 @pytest.mark.parametrize("weights", [
@@ -264,8 +305,8 @@ def test_mix_up_to_the_threshold_is_the_dense_product(weights):
 def test_random_graph_is_deterministic_and_connected():
     g1 = random_connected_graph(10, 0.3, seed=11)
     g2 = random_connected_graph(10, 0.3, seed=11)
-    assert g1.edges == g2.edges
-    assert random_connected_graph(10, 0.3, seed=12).edges != g1.edges
+    assert np.array_equal(g1.edges, g2.edges)
+    assert not np.array_equal(random_connected_graph(10, 0.3, seed=12).edges, g1.edges)
     with pytest.raises(ValueError):
         random_connected_graph(10, 0.0, seed=1)
     with pytest.raises(ValueError):
@@ -278,16 +319,57 @@ def test_random_graph_matches_reference_sampler():
     for n, p, seed in [(2, 1.0, 0), (5, 0.6, 3), (12, 0.25, 0), (12, 0.25, 7),
                        (30, 0.15, 2), (60, 0.08, 5), (200, 0.03, 1)]:
         want, draw = _reference_random_graph(n, p, seed)
-        assert random_connected_graph(n, p, seed).edges == want
+        assert random_connected_graph(n, p, seed).edges.tolist() == list(map(list, want))
         draws.append(draw)
     assert max(draws) > 1  # some case rejects a disconnected draw first
+
+
+# (n, p, seed, pairs per block or None for the default, draws until connected);
+# 997-pair blocks end mid-row
+@pytest.mark.parametrize("n, p, seed, block, draws", [
+    (1000, 0.01, 0, None, 1), (1000, 0.01, 3, None, 1), (1000, 0.007, 1, None, 4),
+    (300, 0.02, 3, 997, 6), (257, 0.02, 0, 997, 3), (500, 0.012, 4, 4096, 3),
+    (40, 0.2, 2, 1, 1),
+])
+def test_block_sampler_matches_the_triu_sampler(n, p, seed, block, draws, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(domd.network, "_PAIR_BLOCK", block)
+    want, want_draws = _reference_triu_sampler(n, p, seed)
+    assert want_draws == draws
+    got = random_connected_graph(n, p, seed).edges
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_metropolis_weights_match_reference_bitwise():
     for g in (build_grid_graph(5, 5), build_grid_graph(2, 7), build_path_graph(9),
               build_complete_graph(6), random_connected_graph(50, 0.1, 4),
-              random_connected_graph(300, 0.03, 9)):
-        assert metropolis_weights(g).w.tobytes() == _reference_metropolis(g).tobytes()
+              build_grid_graph(16, 16), random_connected_graph(300, 0.03, 9),
+              build_grid_graph(20, 20), build_path_graph(700),
+              random_connected_graph(1000, 0.01, 0)):
+        w, want = metropolis_weights(g), _reference_metropolis(g)
+        rows, cols = np.nonzero(want)
+        got_rows, got_cols, got_values = w.nonzeros
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
+        assert got_values.tobytes() == want[rows, cols].tobytes()
+        if g.n <= DENSE_MIX_MAX_NODES:
+            assert w.w.tobytes() == want.tobytes()
+        else:
+            assert w.w is None
+
+
+def test_large_network_builds_in_far_less_than_n_squared_memory():
+    """A 2000-node network's graph, weights and sigma2 never hold an n x n
+    array (32 MB): the sampler holds one block of uniforms, the diagonal one
+    block of dense rows and Lanczos only the basis rows it has reached."""
+    n = 2000
+    tracemalloc.start()
+    try:
+        w = metropolis_weights(random_connected_graph(n, 0.005, 0))
+        second_singular_value(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2
 
 
 def test_connectivity_matches_reference():
@@ -344,25 +426,30 @@ def _negative_end_weights(n=300, d=10, c=0.1):
     return WeightMatrix(n, c * np.eye(n) + (1.0 - c) * (a + a.T) / d)
 
 
-@pytest.mark.parametrize("weights", [
-    lambda: metropolis_weights(random_connected_graph(1000, 0.01, 0)),
-    lambda: metropolis_weights(random_connected_graph(1000, 0.01, 3)),
-    lambda: metropolis_weights(random_connected_graph(1000, 0.01, 9)),
-    lambda: metropolis_weights(build_grid_graph(16, 16)),  # exactly LANCZOS_MIN_NODES
-    lambda: metropolis_weights(build_grid_graph(20, 20)),
-    lambda: metropolis_weights(build_path_graph(300)),  # tiny gap: k close to n
-    lambda: uniform_complete_weights(300),  # sigma2 = 0: breaks down at the first step
-    lambda: _star_weights(300),  # sigma2 = 299/300 with multiplicity 298
-    _negative_end_weights,
+# each graph's sigma2 bits are pinned: Lanczos on the full n x n basis gave these
+@pytest.mark.parametrize("weights, bits", [
+    (lambda: metropolis_weights(random_connected_graph(1000, 0.01, 0)), "0x1.a0ec2650fcd29p-1"),
+    (lambda: metropolis_weights(random_connected_graph(1000, 0.01, 3)), "0x1.b85696c3fc58dp-1"),
+    (lambda: metropolis_weights(random_connected_graph(1000, 0.01, 9)), "0x1.d4a9d00229ee2p-1"),
+    # exactly LANCZOS_MIN_NODES
+    (lambda: metropolis_weights(build_grid_graph(16, 16)), "0x1.fbf1bad1b8edcp-1"),
+    (lambda: metropolis_weights(build_grid_graph(20, 20)), "0x1.fd6aa4ef432a6p-1"),
+    # tiny gap: k close to n
+    (lambda: metropolis_weights(build_path_graph(300)), "0x1.fffb35759fe8cp-1"),
+    # sigma2 = 0: breaks down at the first step
+    (lambda: uniform_complete_weights(300), "0x1.2c00000000000p-44"),
+    # sigma2 = 299/300 with multiplicity 298
+    (lambda: _star_weights(300), "0x1.fe4b17e4b1a40p-1"),
+    (_negative_end_weights, "0x1.9999999999bf0p-1"),
 ], ids=["er1000_seed0", "er1000_seed3", "er1000_seed9", "grid_16x16", "grid_20x20",
         "path_300", "uniform_complete_300", "star_300", "negative_end_300"])
-def test_lanczos_sigma2_matches_svd(weights, monkeypatch):
+def test_lanczos_sigma2_matches_svd(weights, bits, monkeypatch):
     """From LANCZOS_MIN_NODES on sigma2 is the Lanczos upper value: within
     1e-12 of the svd's, never below it by more than 1e-15, the same bits on
     every call, and no call to mix (whose calls the benchmark counts)."""
     w = weights()
     assert w.n >= LANCZOS_MIN_NODES
-    svd = np.linalg.svd(w.w, compute_uv=False)[1]
+    svd = np.linalg.svd(_dense(w), compute_uv=False)[1]
     monkeypatch.setattr(domd.network, "mix", None)
     start = time.perf_counter()
     sigma2 = second_singular_value(w)
@@ -370,12 +457,13 @@ def test_lanczos_sigma2_matches_svd(weights, monkeypatch):
     assert type(sigma2) is float
     assert abs(sigma2 - svd) <= 1e-12
     assert sigma2 >= svd - 1e-15
+    assert sigma2.hex() == bits
     assert second_singular_value(w).hex() == sigma2.hex()
-    assert second_singular_value(WeightMatrix(w.n, w.w.copy())).hex() == sigma2.hex()
+    assert second_singular_value(WeightMatrix(w.n, _dense(w))).hex() == sigma2.hex()
     assert elapsed < 1.0
 
 
 def test_negative_end_weights_take_sigma2_from_the_most_negative_eigenvalue():
-    eig = np.linalg.eigvalsh(_negative_end_weights().w)
+    eig = np.linalg.eigvalsh(_dense(_negative_end_weights()))
     assert -eig[0] == pytest.approx(0.8, abs=1e-12)
     assert -eig[0] > eig[-2] + 0.1
