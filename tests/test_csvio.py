@@ -1,5 +1,7 @@
 """Cell formatting and CSV round trips."""
 
+import builtins
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -99,18 +101,127 @@ def test_integer_valued_float_column_prints_as_int(csv_dir, ints, value):
     assert (csv_dir / "array.csv").read_bytes() == (csv_dir / "cells.csv").read_bytes()
 
 
-@pytest.mark.parametrize("cells", [1, 3, 6, 14, 15])
+def _reference_csv(header, table, labels=None):
+    """The bytes of the row template write_csv used before its kernel: one
+    "%.17g" per cell, rows rendered by Python's float formatting."""
+    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    rows = table.tolist()
+    if labels is None:
+        lines = [template % tuple(row) for row in rows]
+    else:
+        lines = [label + "," + template % tuple(row) for label, row in zip(labels, rows)]
+    return (",".join(header) + "\n" + "".join(lines)).encode()
+
+
+def _assert_kernel_matches_reference(path, table):
+    table = np.concatenate([table, np.zeros(-len(table) % 8)]).reshape(-1, 8)
+    header = [f"c{k}" for k in range(8)]
+    csvio.write_csv(path, header, table)
+    got, want = path.read_bytes(), _reference_csv(header, table)
+    if got != want:  # name the first cell that differs
+        for row, got_line, want_line in zip(table, got.split(b"\n")[1:], want.split(b"\n")[1:]):
+            for v, g, w in zip(row.tolist(), got_line.split(b","), want_line.split(b",")):
+                assert g == w, f"{v!r}: kernel wrote {g!r}, format gives {w!r}"
+    assert got == want
+
+
+def _targeted_cells():
+    """Cells where an exact 17-digit rendering is easiest to get wrong."""
+    rng = np.random.default_rng(5)
+    cells = []
+    for s in range(1, 75):
+        # q / 2**s with q odd: an exact tie at 17 digits where q * 5**s has 18
+        # digits (s = 2..25), a long binary fraction everywhere
+        low, high = max(1, -(-10 ** 17 // 5 ** s)), min(2 ** 53, 10 ** 18 // 5 ** s)
+        qs = rng.integers(low, high, 8) if low < high else []
+        qs = np.concatenate([qs, rng.integers(2 ** 52, 2 ** 53, 8)]).astype(np.int64) | 1
+        cells += [q / 2 ** s for q in qs.tolist()]
+    for k in range(-8, 19):
+        p = float(f"1e{k}")
+        cells += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+        cells += [float(f"9.{'9' * nines}e{k}") for nines in (15, 16, 17)]
+    # the doubles nearest to 17-digit ties, and their neighbours
+    for e in range(-6, 18):
+        for digits in rng.integers(10 ** 16, 10 ** 17, 20).tolist():
+            tie = float(f"{digits}5e{e - 17}")
+            cells += [tie, np.nextafter(tie, 0.0), np.nextafter(tie, np.inf)]
+    cells += [2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1e16, 1e17, 1e-4, 1e-5,
+              0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+              1.7976931348623157e308, float("inf"), float("nan")]
+    return np.array(cells + [-c for c in cells])
+
+
+def test_kernel_matches_format_on_targeted_cells(tmp_path):
+    _assert_kernel_matches_reference(tmp_path / "targeted.csv", _targeted_cells())
+
+
+def test_kernel_matches_format_on_a_million_seeded_cells(tmp_path):
+    rng = np.random.default_rng(23)
+    # random bit patterns are almost all outside fixed notation, where format
+    # is slow on both sides, so they are an eighth of the 2**20 cells
+    bits = rng.integers(0, 2 ** 64, 2 ** 17, dtype=np.uint64)
+    wide = rng.uniform(-1, 1, 7 * 2 ** 17) * 10.0 ** rng.uniform(-7, 19, 7 * 2 ** 17)
+    _assert_kernel_matches_reference(tmp_path / "seeded.csv",
+                                     np.concatenate([bits.view(np.float64), wide]))
+
+
+def test_only_cells_outside_fixed_notation_fall_back_to_format(tmp_path, monkeypatch):
+    # the kernel renders every cell from 1e-4 to below 1e17 itself, those
+    # whose exponent estimate it corrects and zeros included
+    fell_back = []
+
+    def spy(value, spec):
+        fell_back.append(repr(value))
+        return builtins.format(value, spec)
+
+    monkeypatch.setattr(csvio, "format", spy, raising=False)
+    fixed = [0.0, -0.0, 2.0 ** 53, -1.5, float(np.nextafter(1e17, 0.0))]
+    for k in range(-4, 17):
+        p = float(f"1e{k}")
+        fixed += [p, -float(np.nextafter(p, np.inf))]
+        fixed += [float(np.nextafter(p, 0.0))] if k > -4 else []
+    outside = [float(np.nextafter(1e-4, 0.0)), 1e17, -1e300, 5e-324, float("inf"), float("nan")]
+    table = np.array([fixed + outside])
+    header = [f"c{k}" for k in range(table.shape[1])]
+    csvio.write_csv(tmp_path / "t.csv", header, table)
+    assert fell_back == [repr(v) for v in outside]
+    assert (tmp_path / "t.csv").read_bytes() == _reference_csv(header, table)
+
+
+@pytest.mark.parametrize("cells", [1, 3, 4, 6, 7, 12, 14, 15, 36])
 def test_chunked_array_rows_match_cell_by_cell(tmp_path, monkeypatch, cells):
-    # rows are rendered about CELLS_PER_CHUNK cells at a time (1, 1, 3, 7 and
-    # 7 two-cell rows here); chunk boundaries, a last short chunk and the
-    # labels' slices leave no trace in the bytes
+    # rows are rendered about CELLS_PER_CHUNK cells at a time (whole rows,
+    # one at least); chunk boundaries, a last short chunk, cells per chunk
+    # that split a row and the labels' slices, of 0 to 17 bytes, leave no
+    # trace in the bytes
     monkeypatch.setattr(csvio, "CELLS_PER_CHUNK", cells)
-    table = np.random.default_rng(1).normal(size=(7, 2))
-    labels = [f"v{k}" for k in range(7)]
-    csvio.write_csv(tmp_path / "plain.csv", ["a", "b"], table)
-    csvio.write_csv(tmp_path / "labelled.csv", ["v", "a", "b"], table, labels=labels)
-    csvio.write_csv(tmp_path / "cells.csv", ["a", "b"], table.tolist())
-    csvio.write_csv(tmp_path / "label_cells.csv", ["v", "a", "b"],
-                    [[label] + row for label, row in zip(labels, table.tolist())])
-    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
-    assert (tmp_path / "labelled.csv").read_bytes() == (tmp_path / "label_cells.csv").read_bytes()
+    labels = ["", "v", "v2", "value_8", "value_09", "v" * 17, "0.25"]
+    for width in (2, 5):
+        table = np.random.default_rng(width).normal(size=(7, width))
+        header = [f"c{k}" for k in range(width)]
+        csvio.write_csv(tmp_path / "plain.csv", header, table)
+        csvio.write_csv(tmp_path / "labelled.csv", ["v"] + header, table, labels=labels)
+        csvio.write_csv(tmp_path / "cells.csv", header, table.tolist())
+        csvio.write_csv(tmp_path / "label_cells.csv", ["v"] + header,
+                        [[label] + row for label, row in zip(labels, table.tolist())])
+        labelled = (tmp_path / "labelled.csv").read_bytes()
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+        assert labelled == (tmp_path / "label_cells.csv").read_bytes()
+        assert labelled == _reference_csv(["v"] + header, table, labels)
+
+
+def test_labels_that_do_not_match_the_rows_are_refused(tmp_path):
+    with pytest.raises(ValueError, match=r"2 labels for an array of shape \(3, 2\)"):
+        csvio.write_csv(tmp_path / "t.csv", ["v", "a", "b"], np.zeros((3, 2)), labels=["x", "y"])
+
+
+def test_a_one_dimensional_array_is_refused(tmp_path):
+    with pytest.raises(ValueError, match=r"2-D array, got shape \(3,\)"):
+        csvio.write_csv(tmp_path / "t.csv", ["a"], np.zeros(3))
+
+
+@pytest.mark.parametrize("header, labels", [(["a"], None), (["a", "b", "c"], None),
+                                            (["a", "b"], ["x", "y", "z"])])
+def test_a_row_width_that_does_not_match_the_header_is_refused(tmp_path, header, labels):
+    with pytest.raises(ValueError, match=rf"{len(header)} header cells .* shape \(3, 2\)"):
+        csvio.write_csv(tmp_path / "t.csv", header, np.zeros((3, 2)), labels=labels)
