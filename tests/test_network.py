@@ -66,6 +66,21 @@ def _reference_metropolis(graph):
     return w
 
 
+def _reference_neighbour_sum(weights, x):
+    """W X for a (b, n, d) stack x by the scatter the neighbour sum used
+    before its jagged diagonals: the terms, replicate by replicate and in W's
+    row-major nonzero order, added one at a time into their output slots by
+    np.bincount."""
+    b, n, d = x.shape
+    rows, cols, values = weights.nonzeros
+    base = np.arange(b)[:, None] * n
+    take = (base + cols).ravel()
+    terms = np.tile(np.repeat(values, d), b)
+    slots = ((base + rows)[:, :, None] * d + np.arange(d)).ravel()
+    products = x.reshape(b * n, d).take(take, axis=0).ravel() * terms
+    return np.bincount(slots, products, b * n * d).reshape(x.shape)
+
+
 def _dense(weights):
     """The n x n W of a weight matrix's nonzeros."""
     w = np.zeros((weights.n, weights.n))
@@ -261,14 +276,57 @@ def test_neighbour_sum_matches_the_dense_product():
         assert mixed[r].tobytes() == mix(w, stack[r:r + 1])[0].tobytes()
 
 
+@pytest.mark.parametrize("weights", [
+    lambda: metropolis_weights(random_connected_graph(1000, 0.01, 0)),
+    lambda: metropolis_weights(random_connected_graph(2000, 0.005, 1)),
+    lambda: metropolis_weights(random_connected_graph(1000, 0.1, 2)),
+    lambda: metropolis_weights(build_grid_graph(32, 32)),
+    lambda: metropolis_weights(build_path_graph(1000)),
+    lambda: _star_weights(1000),  # all but two of the hub's terms go through np.add.at
+], ids=["er1000_p0.01", "er2000_p0.005", "er1000_p0.1", "grid_32x32", "path_1000", "star_1000"])
+def test_neighbour_sum_matches_the_bincount_scatter_bit_for_bit(weights):
+    w = weights()
+    rows, cols, _ = w.nonzeros
+    degree = np.bincount(rows, minlength=w.n)
+    low, high = degree.argmin(), degree.argmax()
+    rng = np.random.default_rng(w.n)
+    for shape in ((w.n,), (w.n, 1), (w.n, 4), (3, w.n, 4), (16, w.n, 2)):
+        states = rng.normal(size=shape)
+        stack = states.reshape(-1, w.n, shape[-1] if len(shape) > 1 else 1)
+        stack[rng.random(stack.shape) < 0.1] = -0.0
+        stack[0, cols[rows == low]] = -0.0  # a row of -0.0 terms
+        near = cols[rows == high][:2]
+        stack[-1, near] = 1e308  # two huge terms in the hub's row
+        stack[0, near[0], -1], stack[0, near[1], -1] = np.inf, -np.inf  # a nan
+        with np.errstate(invalid="ignore"):  # inf - inf warns in a vector add
+            got = mix(w, states)
+        assert got.tobytes() == _reference_neighbour_sum(w, stack).reshape(shape).tobytes()
+
+
 def test_neighbour_sum_adds_each_row_in_column_order():
-    w = _sparse_weights()
-    states = np.random.default_rng(6).normal(size=(w.n, 2))
-    dense, want = _dense(w), np.zeros_like(states)
-    for i in range(w.n):
-        for j in np.flatnonzero(dense[i]):
-            want[i] += dense[i, j] * states[j]
-    assert mix(w, states).tobytes() == want.tobytes()
+    # the hub row's first, middle and last off-diagonal terms are p, q and -p,
+    # p about 1e16 (ulp 2) and q in [0.5, 1), its other terms 0: the sum is 0
+    # left to right and q in any order that adds p and -p first.  Its last
+    # terms, and the star's middle one, go through the neighbour sum's add.at
+    for w in (_sparse_weights(), _star_weights(1000)):
+        states = np.random.default_rng(6).normal(size=(w.n, 2))
+        dense, want = _dense(w), np.zeros_like(states)
+        hub = int(np.argmax((dense > 0).sum(axis=1)))
+        near = np.flatnonzero(dense[hub])
+        near = near[near != hub]
+        first, middle, last = near[0], near[len(near) // 2], near[-1]
+        assert dense[hub, first] == dense[hub, last]
+        states[dense[hub] > 0] = 0.0
+        e, e2 = np.frexp(dense[hub, first])[1], np.frexp(dense[hub, middle])[1]
+        states[first], states[middle], states[last] = 2.0 ** (54 - e), 2.0 ** -e2, -2.0 ** (54 - e)
+        terms = dense[hub, [first, middle, last]] * states[[first, middle, last], 0]
+        assert 2.0 ** 53 <= terms[0] < 2.0 ** 54 and 0.5 <= terms[1] < 1.0
+        assert (terms[0] + terms[2]) + terms[1] == terms[1]
+        for i in range(w.n):
+            for j in np.flatnonzero(dense[i]):
+                want[i] += dense[i, j] * states[j]
+        assert want[hub].tolist() == [0.0, 0.0]
+        assert mix(w, states).tobytes() == want.tobytes()
 
 
 def test_neighbour_sum_index_lives_on_its_weight_matrix():
@@ -278,13 +336,32 @@ def test_neighbour_sum_index_lives_on_its_weight_matrix():
     first = mix(w, states)
     index, nonzeros = w._neighbour_index, w.nonzeros
     assert index[0] == (2, 3) and other._neighbour_index is None
+    # no array of the index has a slot per (replicate, nonzero, column)
+    assert all(a.size < 2 * len(nonzeros[0]) * 3 for a in (*index[1], *index[2])
+               if isinstance(a, np.ndarray))
     assert mix(w, states).tobytes() == first.tobytes()
     assert w._neighbour_index is index  # same shape: reused
     mix(w, states[0])
-    assert w._neighbour_index[0] == (1, 3)  # another shape: rebuilt
-    second_singular_value(w)  # its (1, n, 1) products rebuild the index too
+    assert w._neighbour_index[0] == (1, 3)  # another shape: expansions rebuilt
+    second_singular_value(w)  # its (1, n, 1) products rebuild them too
     assert mix(w, states).tobytes() == first.tobytes()
+    assert w._neighbour_index[1] is index[1]  # the diagonals, built once
     assert w.nonzeros is nonzeros  # kept from construction
+
+
+def test_int32_nonzeros_above_46340_agents_are_accepted():
+    # Metropolis weights of a 50 000-node path, whose flat keys rows * n + cols
+    # pass 2**31: int32 indices, as scipy's CSR keeps them, must not wrap
+    n = 50_000
+    node = np.arange(n)
+    rows, cols = np.divmod(np.sort(np.concatenate([node * (n + 1), node[:-1] * (n + 1) + 1,
+                                                   node[1:] * (n + 1) - 1])), n)
+    end = (rows == 0) | (rows == n - 1)
+    values = np.where(rows == cols, np.where(end, 1.0 - 1.0 / 3.0, 1.0 - 2.0 / 3.0), 1.0 / 3.0)
+    wide = WeightMatrix(n, nonzeros=(rows, cols, values))
+    narrow = WeightMatrix(n, nonzeros=(rows.astype(np.int32), cols.astype(np.int32), values))
+    states = np.random.default_rng(9).normal(size=(n, 2))
+    assert mix(narrow, states).tobytes() == mix(wide, states).tobytes()
 
 
 @pytest.mark.parametrize("weights", [
