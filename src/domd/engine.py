@@ -24,15 +24,18 @@ decision on a whole array (floor projection passes, domain repair) is
 taken per replicate; a test of the whole batch only skips work that no
 replicate would do.
 
-In stochastic mode each replicate's generator draws its oracle noise a
-block of rounds at a time (see _oracle_draws), the blocks sized by what
-one round draws: n values for tracking, n * d for a noisy synthetic
-oracle.
+The loop walks the rounds in blocks (objectives._round_blocks, about
+BLOCK_ELEMENTS (replicate, agent, coordinate) elements across the batch).
+In stochastic mode each replicate's generator draws a block's oracle noise
+at once, and the block's oracle samples are built from it in one add (see
+_oracle_samples): for tracking the observations z = target + w, (n, d) a
+round, which do not depend on the iterates.  A round then pays only for
+its arithmetic and the checks on its own data: the oracle at the
+iterates, mix, prox with its step, anchor and gradient checks, the
+dynamics push and the finiteness of the new iterates.
 
-The loop also folds each iterate into its round's network-average loss as
-it goes: once a block of rounds (objectives._round_blocks, about
-BLOCK_ELEMENTS elements across the batch) has its iterates, one
-network_losses call evaluates the block for every replicate.  Without
+Once a block has its iterates, one network_losses call folds them into
+their rounds' network-average losses for every replicate.  Without
 keep_iterates the iterates live only in that one-block buffer, so a batch
 holds its losses and not its (R, T+1, n, d) trace.
 """
@@ -45,7 +48,7 @@ import numpy as np
 from .geometry import contains, inside, project_floored_simplex, prox
 from .network import mix
 from .objectives import (_round_blocks, gradients_exact_batch, gradients_stochastic_batch,
-                         network_losses, oracle_noise, stack_replicates)
+                         network_losses, oracle_noise, oracle_samples, stack_replicates)
 
 
 class EngineError(RuntimeError):
@@ -100,11 +103,12 @@ def init_state(n, geom, x0=None):
 
 def _apply_dynamics(geom, dyn, xhat):
     xnext = xhat @ dyn.a.T
-    if geom.kind == "kl" and not contains(geom.domain, xnext):
-        # the dynamics pushed iterates off the floored simplex; a replicate
-        # (the last two axes) is repaired as a whole, as it would be alone
-        off = ~inside(geom.domain, xnext).all(axis=-1)
-        xnext[off] = project_floored_simplex(xnext[off], geom.domain.floor)
+    if geom.kind == "euclidean" or contains(geom.domain, xnext):
+        return xnext
+    # the dynamics pushed iterates off the floored simplex; a replicate
+    # (the last two axes) is repaired as a whole, as it would be alone
+    off = ~inside(geom.domain, xnext).all(axis=-1)
+    xnext[off] = project_floored_simplex(xnext[off], geom.domain.floor)
     return xnext
 
 
@@ -120,35 +124,34 @@ def step(x, weights, geom, dyn, grads, eta):
     return _apply_dynamics(geom, dyn, xhat)
 
 
-def _require_finite(x, t):
-    """Raise EngineError naming the round, replicate and agent of a non-finite iterate."""
-    if np.isfinite(x).all():
-        return
+def _non_finite(x, t):
+    """EngineError naming the round, replicate and agent of x's first non-finite iterate."""
     replicate, agent = np.argwhere(~np.isfinite(x).all(axis=-1))[0]
-    raise EngineError(f"iterates became non-finite in round {t} "
-                      f"(replicate {replicate}, agent {agent})")
+    return EngineError(f"iterates became non-finite in round {t} "
+                       f"(replicate {replicate}, agent {agent})")
 
 
-def _oracle_draws(ensembles, seeds, horizon, width):
-    """Each round's oracle noise for every replicate, stacked (R, ...).
+def _oracle_samples(ens, path, ensembles, rngs, rounds):
+    """The oracle samples of a block of rounds for every replicate, round-major.
 
-    Replicate r draws from default_rng(seeds[r]) in the blocks of
-    objectives._round_blocks, about BLOCK_ELEMENTS elements across the
-    batch, width being what one replicate draws in one round; a block
-    consumes each stream exactly as one draw per round would.
+    Replicate r draws the block's oracle_noise rows from rngs[r] at once,
+    which consumes its stream exactly as one draw per round would.  Returns
+    their oracle_samples stacked (B, R, ...), so a round reads one
+    contiguous (R, n, d) row, or B Nones when the oracle draws nothing.
     """
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    for rounds in _round_blocks(horizon, len(rngs) * width):
-        size = rounds.stop - rounds.start
-        blocks = [oracle_noise(ens, rng, size) for ens, rng in zip(ensembles, rngs)]
-        yield from (np.stack(blocks, axis=1) if blocks[0] is not None else [None] * size)
+    size = rounds.stop - rounds.start
+    noises = [oracle_noise(e, rng, size) for e, rng in zip(ensembles, rngs)]
+    if noises[0] is None:
+        return [None] * size
+    stars = path.states[:, rounds].swapaxes(0, 1)  # (B, R, d)
+    return oracle_samples(ens, stars, np.stack(noises, axis=1))
 
 
 def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None, keep_iterates=True):
     """Run R replicates through one loop for `horizon` rounds; returns their RunTrace.
 
     replicates is a sequence of (ens, path, etas, seed), etas holding the
-    positive step sizes eta_1 .. eta_{horizon+1}; they share the network,
+    positive finite step sizes eta_1 .. eta_{horizon+1}; they share the network,
     geometry, dynamics, horizon, oracle mode and start x0, and their
     ensembles must share their stack_shape (see stack_replicates).  mode
     selects the oracle: "exact" queries analytic gradients, "stochastic"
@@ -166,13 +169,14 @@ def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None, keep_ite
         raise ValueError("need at least one replicate")
     ensembles, paths, etas, seeds = zip(*replicates)
     for r, eta in enumerate(etas):
-        if np.shape(eta) != (horizon + 1,) or not np.all(np.asarray(eta) > 0):
-            raise ValueError(f"replicate {r}: step sizes must be {horizon + 1} positive "
+        if np.shape(eta) != (horizon + 1,) or not np.all((np.asarray(eta) > 0) & np.isfinite(eta)):
+            raise ValueError(f"replicate {r}: step sizes must be {horizon + 1} positive finite "
                              f"values eta_1 .. eta_(T+1), got shape {np.shape(eta)}")
     etas = np.array(etas, dtype=float)
     ens, path = stack_replicates(ensembles, paths, horizon)
     count, n, d = len(replicates), weights.n, geom.domain.d
     steps = etas[:, :, None, None]
+    # a block's iterates, and in stochastic mode its (B, R, n, d) oracle samples
     blocks = _round_blocks(horizon, count * n * d)
     # every iterate, or only one block's: row s of the run is row s % rows
     rows = horizon + 1 if keep_iterates or not blocks else blocks[0].stop
@@ -180,23 +184,20 @@ def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None, keep_ite
     xs[:, 0] = init_state(n, geom, x0)
     x = xs[:, 0]
     losses = np.empty((count, horizon))
-    ends = iter(blocks)
-    block = next(ends, None)
-    if mode == "exact":
-        draws = itertools.repeat(None)
-    else:
-        # a round draws (n,) observation noise for tracking, (n, d) for a synthetic oracle
-        draws = _oracle_draws(ensembles, seeds, horizon, n if ens.obs is not None else n * d)
-    for t, noise in zip(range(1, horizon + 1), draws):
-        if mode == "exact":
-            g = gradients_exact_batch(ens, t, x, path)
-        else:
-            g = gradients_stochastic_batch(ens, t, x, path, noise)
-        x = step(x, weights, geom, dyn, g, steps[:, t - 1])
-        _require_finite(x, t)
-        if t == block.stop:  # rounds block.start+1 .. t: fold their iterates before row t lands
-            lo = block.start % rows
-            losses[:, block] = network_losses(ens, path, block, xs[:, lo:lo + t - block.start])
-            block = next(ends, None)
-        xs[:, t % rows] = x
+    rngs = [np.random.default_rng(seed) for seed in seeds] if mode == "stochastic" else None
+    for block in blocks:
+        samples = (itertools.repeat(None) if rngs is None
+                   else _oracle_samples(ens, path, ensembles, rngs, block))
+        for t, sample in zip(range(block.start + 1, block.stop + 1), samples):
+            if mode == "exact":
+                g = gradients_exact_batch(ens, t, x, path)
+            else:
+                g = gradients_stochastic_batch(ens, t, x, path, sample)
+            x = step(x, weights, geom, dyn, g, steps[:, t - 1])
+            if not np.logical_and.reduce(np.isfinite(x), axis=None):
+                raise _non_finite(x, t)
+            if t == block.stop:  # fold rounds block.start+1 .. t before row t lands
+                lo = block.start % rows
+                losses[:, block] = network_losses(ens, path, block, xs[:, lo:lo + t - block.start])
+            xs[:, t % rows] = x
     return RunTrace(xs if keep_iterates else None, etas, geom.norm_kind, losses)

@@ -17,6 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
+try:
+    from numpy._core.umath import clip as _clip  # the ufunc behind ndarray.clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 DOMAIN_TOL = 1e-9
 
 
@@ -84,13 +89,16 @@ def contains(domain, x):
     """Whether every point along the last axis of x lies in the domain."""
     x = np.asarray(x, dtype=float)
     if x.size and x.shape[-1] == domain.d:
-        # reductions in place of row-wise masks; a NaN compares false, as in inside
+        # ufunc reductions in place of row-wise masks; a NaN propagates
+        # through minimum and maximum and compares false, as in inside
         if domain.kind == "simplex":
-            return bool(x.min() >= domain.floor - DOMAIN_TOL
-                        and np.abs(x.sum(axis=-1) - 1.0).max() <= domain.d * DOMAIN_TOL)
+            return bool(np.minimum.reduce(x, axis=None) >= domain.floor - DOMAIN_TOL
+                        and np.maximum.reduce(np.abs(np.add.reduce(x, axis=-1) - 1.0),
+                                              axis=None) <= domain.d * DOMAIN_TOL)
         lo, hi = domain._box_limits
-        if isinstance(lo, float):
-            return bool(lo <= x.min() and x.max() <= hi)
+        if type(lo) is float:
+            return bool(lo <= np.minimum.reduce(x, axis=None)
+                        and np.maximum.reduce(x, axis=None) <= hi)
     return bool(inside(domain, x).all())
 
 
@@ -194,8 +202,8 @@ def _floor_project(p, floor):
     and bits, as when it is projected alone.  When no coordinate is below
     the floor no pass runs, and p comes back as it is.
     """
-    p = np.asarray(p, dtype=float)
-    if not (p < floor).any():
+    # one reduction: fmin skips NaN, so this is (p < floor).any()
+    if not (p.size and np.fmin.reduce(p, axis=None) < floor):
         return p
     d = p.shape[-1]
     block = tuple(range(max(p.ndim - 2, 0), p.ndim))
@@ -234,22 +242,24 @@ def prox(geom, gradient, y, eta):
     """
     g = np.asarray(gradient, dtype=float)
     y = np.asarray(y, dtype=float)
-    if (np.asarray(eta) <= 0).any():
-        raise ValueError("step size must be positive")
+    # a NaN minimum compares false, an infinite maximum fails < inf
+    if not 0 < np.minimum.reduce(eta, axis=None) <= np.maximum.reduce(eta, axis=None) < np.inf:
+        raise ValueError("step size must be positive and finite")
     if g.shape != y.shape:
         raise ValueError("gradient and anchor shapes differ")
-    _require_inside(geom, y, "prox anchor")
-    if not np.isfinite(g).all():
+    if not contains(geom.domain, y):
+        raise ValueError("prox anchor lies outside the domain")
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise ValueError("gradient has non-finite entries")
     out = np.multiply(eta, g)
     if geom.kind == "euclidean":
         np.subtract(y, out, out=out)
-        return out.clip(*geom.domain._clip_limits, out=out)  # np.clip, in place
+        return _clip(out, *geom.domain._clip_limits, out=out)
     # the multiplicative update in one buffer: log y - eta g, shifted, exp, normalized
     np.subtract(np.log(y), out, out=out)
-    out -= out.max(axis=-1, keepdims=True)
+    out -= np.maximum.reduce(out, axis=-1, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
     return _floor_project(out, geom.domain.floor)
 
 

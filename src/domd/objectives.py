@@ -11,8 +11,11 @@ apart by the terms an ensemble carries (obs for the masked square and its
 floor, per-round offsets, linear gradients), not by its kind.
 
 Every stochastic oracle draws from a generator the caller owns, which
-keeps runs reproducible; the batch oracle takes that round's draws, which
-oracle_noise produces from the generator a block of rounds at a time.
+keeps runs reproducible.  The batch oracle takes that round's sample:
+oracle_noise draws a block of rounds at a time from the generator, and
+oracle_samples turns a block of tracking draws w into the observations
+z = target_k + w in one add, since z does not depend on the iterates; a
+round of the tracking oracle is then only -(z - x_k) on the mask.
 
 Two granularities coexist.  The scalar functions (loss_value,
 gradient_exact, gradient_stochastic) evaluate one agent at one round; no
@@ -176,7 +179,7 @@ def _star(path, t):
 
 def _centers(ens, path, t):
     """Round t's square centers, (..., n or 1, d): the target plus any offsets."""
-    star = _star(path, t)[..., None, :]
+    star = path.states[..., t - 1, None, :]
     return star if ens.offsets is None else star + ens.offsets[..., t - 1, :, :]
 
 
@@ -235,22 +238,23 @@ def gradients_exact_batch(ens, t, x_all, path):
     """
     if ens.gradients is not None:
         return np.array(ens.gradients[..., t - 1, :, :])
-    g = 2.0 * (np.asarray(x_all, dtype=float) - _centers(ens, path, t))
+    g = 2.0 * (x_all - _centers(ens, path, t))
     return g if ens.obs is None else np.where(ens._mask, g, 0.0)
 
 
-def gradients_stochastic_batch(ens, t, x_all, path, noise):
-    """Noisy gradients for every agent, from one round of oracle_noise draws.
+def gradients_stochastic_batch(ens, t, x_all, path, sample):
+    """Noisy gradients for every agent, from one round of oracle_samples.
 
-    noise is (..., n) for tracking and (..., n, d) for a noisy synthetic
-    oracle, with the same leading replicate axes as x_all; None for a
-    synthetic oracle without noise.
+    sample is (..., n, d), with the same leading replicate axes as x_all:
+    the observations z = target_k + w for tracking, the noise for a noisy
+    synthetic oracle; None for a synthetic oracle without noise.
     """
     if ens.obs is None:
         g = gradients_exact_batch(ens, t, x_all, path)
-        return g if noise is None else g + noise
-    # the observation z = target_k + w, replayed as -(z - x_k) on the mask
-    step = -(_centers(ens, path, t) + noise[..., None] - np.asarray(x_all, dtype=float))
+        return g if sample is None else g + sample
+    # -(z - x_k), not x_k - z: at z == x_k it is -0.0, as in gradient_stochastic
+    step = np.subtract(sample, x_all)
+    np.negative(step, out=step)
     if not ens.innovation:
         step *= 2.0
     return np.where(ens._mask, step, 0.0)
@@ -268,6 +272,19 @@ def oracle_noise(ens, rng, rounds):
     if ens.noise_scale > 0:
         return rng.uniform(-ens.noise_scale, ens.noise_scale, (rounds, ens.n, ens.d))
     return None
+
+
+def oracle_samples(ens, stars, noise):
+    """What gradients_stochastic_batch reads, from rows of oracle_noise draws.
+
+    For tracking, the observations z = target_k + w of every agent at every
+    coordinate k, (..., n, d), from each row's target stars (..., d) and its
+    draws noise (..., n); the oracle's mask picks each agent's own k.  A
+    synthetic oracle's noise (or None) is its sample as drawn.
+    """
+    if ens.obs is None:
+        return noise
+    return stars[..., None, :] + noise[..., None]
 
 
 def _stacked(arrays, rounds):

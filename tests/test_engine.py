@@ -18,8 +18,8 @@ from domd.network import (DENSE_MIX_MAX_NODES, WeightMatrix, build_grid_graph,
                           random_connected_graph, uniform_complete_weights)
 from domd.metrics import iterate_losses
 from domd.objectives import (gradients_exact_batch, gradients_stochastic_batch,
-                             linear_ensemble, oracle_noise, synthetic_suite,
-                             tracking_ensemble)
+                             linear_ensemble, oracle_noise, oracle_samples,
+                             synthetic_suite, tracking_ensemble)
 
 BIG = np.finfo(float).max
 
@@ -35,14 +35,15 @@ def _box_setup(n=3, d=2, horizon=8, half=5.0, seed=3):
 
 def test_constant_and_inv_sqrt_schedules():
     # any positive eta_1 .. eta_{T+1} array drives the run and lands in the trace;
-    # a zero, negative or NaN entry is refused for the replicate that holds it
+    # a zero, negative, NaN or infinite entry is refused for the replicate that holds it
     weights, geom, dyn, ens, path = _box_setup(horizon=5)
     for etas in (np.full(6, 0.5), 0.2 / np.sqrt(np.arange(1, 7))):
         assert np.array_equal(run(weights, geom, dyn, [(ens, path, etas, 0)], 5)[0].etas, etas)
     good = np.full(6, 0.1)
     for bad in (np.zeros(6), np.full(6, -0.1), np.r_[np.full(5, 0.1), 0.0],
-                np.r_[np.nan, np.full(5, 0.1)]):
-        with pytest.raises(ValueError, match="replicate 0: step sizes must be 6 positive"):
+                np.r_[np.nan, np.full(5, 0.1)], np.r_[0.1, np.inf, np.full(4, 0.1)],
+                np.r_[np.full(5, 0.1), np.inf], np.r_[np.full(5, 0.1), -np.inf]):
+        with pytest.raises(ValueError, match="replicate 0: step sizes must be 6 positive finite"):
             run(weights, geom, dyn, [(ens, path, bad, 0)], 5)
         with pytest.raises(ValueError, match="replicate 1: step sizes must be 6 positive"):
             run(weights, geom, dyn, [(ens, path, good, 0), (ens, path, bad, 1)], 5)
@@ -178,13 +179,14 @@ def test_trace_replays_through_public_steps(case):
     etas = 0.3 / np.sqrt(np.arange(1, horizon + 2))
     trace = run(weights, geom, dyn, [(ens, path, etas, seed)], horizon, mode=mode)[0]
     draws = oracle_noise(ens, np.random.default_rng(seed), horizon)
+    samples = oracle_samples(ens, path.states[:horizon], draws)
     for t in range(horizon):
         x, eta = trace.x[t], etas[t]
         if mode == "exact":
             grads = gradients_exact_batch(ens, t + 1, x, path)
         else:
             grads = gradients_stochastic_batch(ens, t + 1, x, path,
-                                               None if draws is None else draws[t])
+                                               None if samples is None else samples[t])
         xhat = prox(geom, grads, mix(weights, x), eta)
         np.testing.assert_allclose(trace.x[t + 1], xhat @ dyn.a.T, atol=1e-14)
         np.testing.assert_array_equal(step(x, weights, geom, dyn, grads, eta), trace.x[t + 1])
@@ -461,7 +463,9 @@ def _count_oracle_draws(monkeypatch):
 def test_oracle_draw_blocks_are_sized_by_what_a_round_draws(family, block_elements,
                                                             monkeypatch):
     # a round draws n values for tracking and n * d for a noisy synthetic
-    # oracle; a block holds about block_elements draws across the 3 replicates
+    # oracle, and its oracle samples hold n * d for both (tracking's
+    # observations cover every coordinate); a block holds about
+    # block_elements samples across the 3 replicates
     horizon, count = 50, 3
     monkeypatch.setattr(domd.objectives, "BLOCK_ELEMENTS", block_elements)  # _round_blocks
     if family == "tracking":
@@ -472,21 +476,19 @@ def test_oracle_draw_blocks_are_sized_by_what_a_round_draws(family, block_elemen
         ensembles = [tracking_ensemble(n, geom.domain)] * count
         paths = [generate_path(dyn, ncv_disturbances(0.5, 0.1, seed, horizon), np.zeros(d),
                                horizon) for seed in range(count)]
-        width = n
     else:
         weights, geom, dyn, _, path = _box_setup(horizon=horizon)
         n, d = weights.n, geom.domain.d
         ensembles = [synthetic_suite(k, n, d, horizon, geom.domain, noise_scale=0.4)
                      for k in range(count)]
         paths = [path] * count
-        width = n * d
     replicates = [(e, p, np.full(horizon + 1, 0.2), 30 + k)
                   for k, (e, p) in enumerate(zip(ensembles, paths))]
     calls = _count_oracle_draws(monkeypatch)
     run(weights, geom, dyn, replicates, horizon, "stochastic")
-    rounds = max(1, block_elements // (count * width))
+    rounds = max(1, block_elements // (count * n * d))
     assert len(calls) == count * -(-horizon // rounds)
-    assert len(calls) == {("tracking", 60): 30, ("noisy_quadratic", 60): 51}.get(
+    assert len(calls) == {("tracking", 60): 150, ("noisy_quadratic", 60): 51}.get(
         (family, block_elements), count)
     _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon, "stochastic")
 

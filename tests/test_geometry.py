@@ -355,6 +355,22 @@ def test_prox_rejects_any_non_finite_gradient_entry(geom, bad):
             prox(geom, g, y, 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+@pytest.mark.parametrize("geom", [_box2(), _simplex(2)], ids=["box", "simplex"])
+def test_prox_rejects_non_finite_and_non_positive_step_sizes(geom, bad):
+    # a scalar step, and a (R, 1, 1) replicate stack with one bad replicate
+    y = np.full((3, 2, 2), 0.5)
+    g = np.ones((3, 2, 2))
+    with pytest.raises(ValueError, match="step size must be positive and finite"):
+        prox(geom, g[0, 0], y[0, 0], bad)
+    for spot in range(3):
+        eta = np.full((3, 1, 1), 0.5)
+        eta[spot] = bad
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            prox(geom, g, y, eta)
+    assert prox(geom, g, y, np.full((3, 1, 1), 0.5)).shape == (3, 2, 2)
+
+
 def test_prox_optimality_inequality_50_references():
     rng = np.random.default_rng(6)
     for geom in (_box2(), _simplex(3)):

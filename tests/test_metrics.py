@@ -126,6 +126,23 @@ def test_batched_discounted_steps_equal_each_rows_recursion(sigma2, horizon, row
         assert tuned.tolist() == _recursion(sigma2, constant, horizon)
 
 
+@pytest.mark.parametrize("sigma2", [0.0, 0.37, 0.87, 1.0])
+def test_discounted_steps_paths_are_bit_equal_on_each_side_of_the_cut(sigma2, monkeypatch):
+    # the Python-float rows and the numpy pass, forced each way, at the cut and one past it
+    cut = domd.metrics.SCALAR_RECURSION_ROWS
+    rng = np.random.default_rng(7)
+    for shape in ((cut, 301), (cut + 1, 301), (1, 2, 301), (301,)):
+        etas = rng.uniform(1e-3, 2.0, shape)
+        got = {}
+        for rows in (0, cut + 1):  # 0: numpy for every shape; cut + 1: Python for these
+            monkeypatch.setattr(domd.metrics, "SCALAR_RECURSION_ROWS", rows)
+            got[rows] = domd.metrics._discounted_steps(sigma2, etas, 300)
+        assert got[0].shape == got[cut + 1].shape == shape[:-1] + (301,)
+        np.testing.assert_array_equal(got[0], got[cut + 1])
+        first = etas.reshape(-1, 301)[0]
+        assert got[0].reshape(-1, 301)[0].tolist() == _recursion(sigma2, first, 300)
+
+
 def test_guarantee_from_batched_steps_equals_its_own():
     # a batch's recursion rows passed in give every report bit for bit
     rng = np.random.default_rng(8)

@@ -14,7 +14,7 @@ from domd.objectives import (agent_loss_batch, centers_outside_domain,
                              gradient_exact, gradient_stochastic,
                              gradients_exact_batch, gradients_stochastic_batch,
                              linear_ensemble, loss_value, oracle_noise,
-                             stack_replicates, synthetic_suite,
+                             oracle_samples, stack_replicates, synthetic_suite,
                              tracking_ensemble)
 
 
@@ -248,20 +248,41 @@ def test_oracle_noise_is_bounded():
 
 
 def test_batch_oracle_replays_the_scalar_oracle_draw_for_draw():
-    # a block of oracle_noise rows consumes the stream like per-agent scalar
-    # draws, and gives the same bits, signed zeros included
+    # a block of oracle_noise rows, turned into oracle_samples in one add,
+    # consumes the stream like per-agent scalar draws, and gives the same
+    # bits, signed zeros included
     domain, tracking, path, x_all = _signed_zero_setup()
     families = (tracking, replace(tracking, innovation=False),
                 synthetic_suite(5, 6, 4, 10, domain, noise_scale=0.3),
                 synthetic_suite(5, 6, 4, 10, domain, kind="synthetic_linear",
                                 noise_scale=0.3))
     for ens in families:
-        block = oracle_noise(ens, np.random.default_rng(4), 3)
+        noise = oracle_noise(ens, np.random.default_rng(4), 3)
+        block = oracle_samples(ens, path.states[1:4], noise)
         rng = np.random.default_rng(4)
-        for t, noise in zip((2, 3, 4), block):
-            batch = gradients_stochastic_batch(ens, t, x_all, path, noise)
+        for t, sample in zip((2, 3, 4), block):
+            batch = gradients_stochastic_batch(ens, t, x_all, path, sample)
             for i in range(6):
                 _assert_same_bits(batch[i], gradient_stochastic(ens, i, t, x_all[i], path, rng))
+
+
+@pytest.mark.parametrize("innovation", [True, False])
+def test_tracking_oracle_is_minus_zero_where_the_observation_equals_the_iterate(innovation):
+    # a zero target seen through zero-width noise at x = 0: z - x_k is +0.0,
+    # so -(z - x_k) is -0.0 on the mask, where x_k - z would be +0.0
+    domain = box_domain([-1.0] * 4, [1.0] * 4)
+    ens = tracking_ensemble(6, domain, noise_low=0.0, noise_high=0.0, innovation=innovation)
+    path = generate_path(identity_dynamics(4), np.zeros((3, 4)), np.zeros(4), 3)
+    x_all = np.zeros((6, 4))
+    noise = oracle_noise(ens, np.random.default_rng(0), 3)
+    for t, sample in zip((1, 2, 3), oracle_samples(ens, path.states[:3], noise)):
+        g = gradients_stochastic_batch(ens, t, x_all, path, sample)
+        assert np.signbit(g[ens._mask]).all()
+        assert not np.signbit(g[~ens._mask]).any()
+        np.testing.assert_array_equal(g, 0.0)
+        for i in range(6):
+            _assert_same_bits(g[i], gradient_stochastic(ens, i, t, x_all[i], path,
+                                                        np.random.default_rng(0)))
 
 
 def test_stacked_oracles_equal_each_replicate():
