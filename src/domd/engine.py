@@ -11,7 +11,11 @@ iterates to the oracle before the consensus step so the two cannot be
 swapped by accident.
 
 Step sizes are an array of eta_1 .. eta_{T+1}: the loop uses the first T,
-and the bound calculators read the last one from the trace.
+and the bound calculators read the last one from the trace.  When every
+replicate of a batch shares its schedule (always at R = 1; checked once
+per run), a round hands step and prox its step as one Python float, so
+prox checks one number and scales by a scalar; replicates whose schedules
+differ get that round's (R, 1, 1) column.  Both give the same bits.
 
 run advances R replicates of one network, geometry and dynamics (each with
 its own losses, target path, step sizes and oracle seed) through one loop
@@ -27,12 +31,12 @@ replicate would do.
 The loop walks the rounds in blocks (objectives._round_blocks, about
 BLOCK_ELEMENTS (replicate, agent, coordinate) elements across the batch).
 In stochastic mode each replicate's generator draws a block's oracle noise
-at once, and the block's oracle samples are built from it in one add (see
-_oracle_samples): for tracking the observations z = target + w, (n, d) a
-round, which do not depend on the iterates.  A round then pays only for
-its arithmetic and the checks on its own data: the oracle at the
-iterates, mix, prox with its step, anchor and gradient checks, the
-dynamics push and the finiteness of the new iterates.
+at once, and the block's oracle samples are built from it one coordinate
+at a time (see _oracle_samples): for tracking the observations
+z = target + w, (n, d) a round, which do not depend on the iterates.  A
+round then pays only for its arithmetic and the checks on its own data:
+the oracle at the iterates, mix, prox with its step, anchor and gradient
+checks, the dynamics push and the finiteness of the new iterates.
 
 Once a block has its iterates, one network_losses call folds them into
 their rounds' network-average losses for every replicate.  Without
@@ -116,9 +120,10 @@ def step(x, weights, geom, dyn, grads, eta):
     """One synchronous round for all agents.
 
     x and grads are stacked (n, d) arrays, or (R, n, d) replicate stacks
-    with eta of shape (R, 1, 1); grads[..., i, :] must be the oracle value
-    at x[..., i, :].  Returns the next iterate: the mixed anchor's prox
-    output pushed through the dynamics.
+    with eta one float shared by every replicate or an array of shape
+    (R, 1, 1); grads[..., i, :] must be the oracle value at x[..., i, :].
+    Returns the next iterate: the mixed anchor's prox output pushed through
+    the dynamics.
     """
     xhat = prox(geom, grads, mix(weights, x), eta)
     return _apply_dynamics(geom, dyn, xhat)
@@ -175,7 +180,8 @@ def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None, keep_ite
     etas = np.array(etas, dtype=float)
     ens, path = stack_replicates(ensembles, paths, horizon)
     count, n, d = len(replicates), weights.n, geom.domain.d
-    steps = etas[:, :, None, None]
+    # steps[t - 1]: one float when the schedule is shared, else an (R, 1, 1) column
+    steps = etas[0].tolist() if (etas == etas[0]).all() else etas.T[:, :, None, None]
     # a block's iterates, and in stochastic mode its (B, R, n, d) oracle samples
     blocks = _round_blocks(horizon, count * n * d)
     # every iterate, or only one block's: row s of the run is row s % rows
@@ -193,7 +199,7 @@ def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None, keep_ite
                 g = gradients_exact_batch(ens, t, x, path)
             else:
                 g = gradients_stochastic_batch(ens, t, x, path, sample)
-            x = step(x, weights, geom, dyn, g, steps[:, t - 1])
+            x = step(x, weights, geom, dyn, g, steps[t - 1])
             if not np.logical_and.reduce(np.isfinite(x), axis=None):
                 raise _non_finite(x, t)
             if t == block.stop:  # fold rounds block.start+1 .. t before row t lands

@@ -235,15 +235,21 @@ def prox(geom, gradient, y, eta):
     """Mirror descent prox step: argmin_x eta*<gradient, x> + D(x, y).
 
     Operates along the last axis, so stacked (agents x d) inputs work, and
-    (replicates x agents x d) with eta of shape (replicates, 1, 1).
-    euclidean/box: clamp(y - eta*gradient).  kl/simplex: multiplicative
-    update y_i * exp(-eta * g_i) renormalized, then floor projection; the
-    exponent is shifted by its max so large gradients cannot overflow.
+    (replicates x agents x d) with eta one float shared by every replicate
+    or an array of shape (replicates, 1, 1); an eta array that would grow
+    the output past y's shape is refused.  euclidean/box:
+    clamp(y - eta*gradient).  kl/simplex: multiplicative update
+    y_i * exp(-eta * g_i) renormalized, then floor projection; the exponent
+    is shifted by its max so large gradients cannot overflow.
     """
     g = np.asarray(gradient, dtype=float)
     y = np.asarray(y, dtype=float)
-    # a NaN minimum compares false, an infinite maximum fails < inf
-    if not 0 < np.minimum.reduce(eta, axis=None) <= np.maximum.reduce(eta, axis=None) < np.inf:
+    # a NaN compares false, and an infinite step fails < inf; an array's
+    # extremes decide for every entry
+    if isinstance(eta, float):
+        if not 0 < eta < np.inf:
+            raise ValueError("step size must be positive and finite")
+    elif not 0 < np.minimum.reduce(eta, axis=None) <= np.maximum.reduce(eta, axis=None) < np.inf:
         raise ValueError("step size must be positive and finite")
     if g.shape != y.shape:
         raise ValueError("gradient and anchor shapes differ")
@@ -252,6 +258,9 @@ def prox(geom, gradient, y, eta):
     if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise ValueError("gradient has non-finite entries")
     out = np.multiply(eta, g)
+    if out.shape != y.shape:
+        raise ValueError(f"step size shape {np.shape(eta)} grows the anchor shape {y.shape} "
+                         f"to {out.shape}")
     if geom.kind == "euclidean":
         np.subtract(y, out, out=out)
         return _clip(out, *geom.domain._clip_limits, out=out)

@@ -239,8 +239,8 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     etas = np.asarray(etas, dtype=float)
     if etas.size < horizon + 1:
         raise ValueError("need step sizes through round T+1")
-    if np.any(etas <= 0):
-        raise ValueError("step sizes must be positive")
+    if not np.all((etas > 0) & np.isfinite(etas)):  # NaN fails etas > 0
+        raise ValueError("step sizes must be positive and finite")
     c_t = float(noise_norms.sum())
     if steps is None:
         steps = _guarantee_steps(sigma2, etas[None], [c_t], horizon)[0]

@@ -14,8 +14,8 @@ Every stochastic oracle draws from a generator the caller owns, which
 keeps runs reproducible.  The batch oracle takes that round's sample:
 oracle_noise draws a block of rounds at a time from the generator, and
 oracle_samples turns a block of tracking draws w into the observations
-z = target_k + w in one add, since z does not depend on the iterates; a
-round of the tracking oracle is then only -(z - x_k) on the mask.
+z = target_k + w, since z does not depend on the iterates; a round of the
+tracking oracle is then only -(z - x_k) on the mask.
 
 Two granularities coexist.  The scalar functions (loss_value,
 gradient_exact, gradient_stochastic) evaluate one agent at one round; no
@@ -31,6 +31,14 @@ The whole-horizon functions
 every round at once.  They walk the rounds in blocks of about
 BLOCK_ELEMENTS elements, so their temporaries stay small next to the trace
 they read, and they refuse paths or ensembles covering fewer than T rounds.
+
+The block passes run agent-major: oracle_samples adds, and the square
+losses subtract, each point's target one coordinate at a time, so every
+ufunc call runs over the agents (or points) of one coordinate rather than
+over the d coordinates of one agent.  Each entry is the same one add or
+subtraction as the broadcast form, so the bits do not change.  The
+tracking square's per-coordinate observer weights are computed once per
+ensemble.
 """
 
 from dataclasses import dataclass, replace
@@ -102,6 +110,13 @@ class LossEnsemble:
         mask = np.zeros((self.n, self.d), dtype=bool)
         mask[np.arange(self.n), self.obs.assignment] = True
         return mask
+
+    @cached_property
+    def _observers(self):
+        """How many agents observe each coordinate, (d,) floats, computed once:
+        the tracking square's network-average weight of coordinate k is
+        _observers[k] / n."""
+        return self._mask.sum(axis=0, dtype=float)
 
 
 def tracking_ensemble(n, domain, noise_low=-1.0, noise_high=1.0, innovation=True):
@@ -284,7 +299,13 @@ def oracle_samples(ens, stars, noise):
     """
     if ens.obs is None:
         return noise
-    return stars[..., None, :] + noise[..., None]
+    # one coordinate at a time, so each add runs over the agents, not the d
+    # coordinates; every entry is the same one add as the broadcast
+    # stars[..., None, :] + noise[..., None]
+    z = np.empty(noise.shape + (ens.d,))
+    for k in range(ens.d):
+        np.add(stars[..., k, None], noise, out=z[..., k])
+    return z
 
 
 def _stacked(arrays, rounds):
@@ -353,6 +374,21 @@ def _round_blocks(horizon, width):
     return [slice(lo, min(lo + step, horizon)) for lo in range(0, horizon, step)]
 
 
+def _minus_targets(x, stars):
+    """x - stars[..., None, :] for x (..., m, d) and stars (..., d), bit for bit.
+
+    With several points a round it subtracts one coordinate at a time, so
+    each call runs over the points, not over the d coordinates; one point a
+    round needs no broadcast.
+    """
+    if x.shape[-2] == 1:
+        return x - stars[..., None, :]
+    out = np.empty(x.shape)
+    for k in range(x.shape[-1]):
+        np.subtract(x[..., k], stars[..., k, None], out=out[..., k])
+    return out
+
+
 def _global_block(ens, rounds, stars, x):
     """Network-average loss of one round block: x is (..., B, m, d), stars (..., B, d).
 
@@ -362,10 +398,13 @@ def _global_block(ens, rounds, stars, x):
     if ens.gradients is not None:
         mean_g = ens.gradients[..., rounds, :, :].mean(axis=-2)
         return np.matmul(x, mean_g[..., None])[..., 0]
-    sq = x - stars[..., None, :]
+    sq = _minus_targets(x, stars)
     np.square(sq, out=sq)
     if ens.obs is not None:  # coordinate k weighted by how many agents observe it
-        return sq @ ens._mask.sum(axis=0, dtype=float) / ens.n + ens.obs.noise_var
+        loss = sq @ ens._observers
+        loss /= ens.n
+        loss += ens.obs.noise_var
+        return loss
     spread = np.square(ens.offsets[..., rounds, :, :]).sum(axis=-1).mean(axis=-1)
     return sq.sum(axis=-1) + spread[..., None]
 

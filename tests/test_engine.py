@@ -35,7 +35,8 @@ def _box_setup(n=3, d=2, horizon=8, half=5.0, seed=3):
 
 def test_constant_and_inv_sqrt_schedules():
     # any positive eta_1 .. eta_{T+1} array drives the run and lands in the trace;
-    # a zero, negative, NaN or infinite entry is refused for the replicate that holds it
+    # a zero, negative, NaN or infinite entry is refused for the replicate that holds
+    # it, whether the batch shares its schedule (one float a round) or not (an array)
     weights, geom, dyn, ens, path = _box_setup(horizon=5)
     for etas in (np.full(6, 0.5), 0.2 / np.sqrt(np.arange(1, 7))):
         assert np.array_equal(run(weights, geom, dyn, [(ens, path, etas, 0)], 5)[0].etas, etas)
@@ -43,8 +44,10 @@ def test_constant_and_inv_sqrt_schedules():
     for bad in (np.zeros(6), np.full(6, -0.1), np.r_[np.full(5, 0.1), 0.0],
                 np.r_[np.nan, np.full(5, 0.1)], np.r_[0.1, np.inf, np.full(4, 0.1)],
                 np.r_[np.full(5, 0.1), np.inf], np.r_[np.full(5, 0.1), -np.inf]):
-        with pytest.raises(ValueError, match="replicate 0: step sizes must be 6 positive finite"):
-            run(weights, geom, dyn, [(ens, path, bad, 0)], 5)
+        for replicates in ([(ens, path, bad, 0)], [(ens, path, bad, 0), (ens, path, bad, 1)]):
+            with pytest.raises(ValueError,
+                               match="replicate 0: step sizes must be 6 positive finite"):
+                run(weights, geom, dyn, replicates, 5)
         with pytest.raises(ValueError, match="replicate 1: step sizes must be 6 positive"):
             run(weights, geom, dyn, [(ens, path, good, 0), (ens, path, bad, 1)], 5)
 
@@ -562,3 +565,54 @@ def test_trace_losses_equal_iterate_losses(family, domain_kind, mode, count, blo
         want = iterate_losses(kept[r], ens, path)
         assert np.array_equal(kept.losses[r], want)
         assert np.array_equal(folded[r].losses, want)
+
+
+def _steps_handed_to_prox(monkeypatch, weights, geom, dyn, replicates, horizon, mode):
+    """Run a batch and return the step of every round as prox received it."""
+    seen = []
+    inner = domd.engine.prox
+    monkeypatch.setattr(domd.engine, "prox", lambda g, gr, y, eta: seen.append(eta) or
+                        inner(g, gr, y, eta))
+    run(weights, geom, dyn, replicates, horizon, mode)
+    monkeypatch.undo()
+    return seen
+
+
+def test_a_shared_step_schedule_reaches_prox_as_one_float(monkeypatch):
+    # one replicate, or several on one schedule: a Python float a round;
+    # schedules that differ (an eta0 sweep): that round's (R, 1, 1) column
+    weights, geom, dyn, ens, path = _box_setup(horizon=6)
+    etas = 0.3 / np.sqrt(np.arange(1, 8))
+    for count in (1, 3):
+        replicates = [(ens, path, etas.copy(), seed) for seed in range(count)]
+        seen = _steps_handed_to_prox(monkeypatch, weights, geom, dyn, replicates, 6, "exact")
+        assert [type(eta) for eta in seen] == [float] * 6
+        assert seen == etas[:6].tolist()
+    replicates = [(ens, path, eta0 * etas, 0) for eta0 in (0.5, 1.0, 2.0)]
+    seen = _steps_handed_to_prox(monkeypatch, weights, geom, dyn, replicates, 6, "exact")
+    assert [eta.shape for eta in seen] == [(3, 1, 1)] * 6
+    np.testing.assert_array_equal(np.concatenate(seen)[..., 0, 0].reshape(6, 3),
+                                  np.outer(etas[:6], (0.5, 1.0, 2.0)))
+
+
+@pytest.mark.parametrize("schedule", ["constant", "inv_sqrt"])
+def test_eta0_batches_equal_solo_runs(schedule):
+    # replicates that differ only in eta0 go through prox's array step, and
+    # each keeps the bits of its own float-step run, on the box and the KL simplex
+    horizon = 30
+    shape = (np.ones(horizon + 1) if schedule == "constant"
+             else 1.0 / np.sqrt(np.arange(1, horizon + 2)))
+    weights = metropolis_weights(build_grid_graph(2, 3))
+    geom = euclidean_geometry(box_domain([-10.0] * 4, [10.0] * 4))
+    dyn = ncv_dynamics(0.1)
+    ens = tracking_ensemble(6, geom.domain)
+    path = generate_path(dyn, ncv_disturbances(0.5, 0.1, 3, horizon), np.zeros(4), horizon)
+    replicates = [(ens, path, eta0 * shape, 5) for eta0 in (0.25, 0.5, 1.0)]
+    _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates, horizon, "stochastic")
+    dyn, replicates = _loss_replicates("quadratic", simplex_domain(3, 0.01), 1, horizon)
+    kl = kl_geometry(simplex_domain(3, 0.01))
+    ens, path, _, seed = replicates[0]
+    replicates = [(ens, path, eta0 * shape, seed) for eta0 in (0.25, 0.5, 1.0)]
+    _assert_replicates_equal_solo_runs(metropolis_weights(build_path_graph(5)), kl, dyn,
+                                       replicates, horizon, "stochastic")
+

@@ -1,5 +1,7 @@
 """Bregman divergences, prox steps and domain constants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,6 +371,43 @@ def test_prox_rejects_non_finite_and_non_positive_step_sizes(geom, bad):
         with pytest.raises(ValueError, match="step size must be positive and finite"):
             prox(geom, g, y, eta)
     assert prox(geom, g, y, np.full((3, 1, 1), 0.5)).shape == (3, 2, 2)
+    # a float shared by the whole stack takes the one-comparison path, and
+    # refuses what the array path refuses
+    with pytest.raises(ValueError, match="step size must be positive and finite"):
+        prox(geom, g, y, float(bad))
+
+
+@pytest.mark.parametrize("geom", [_box2(), _simplex(2)], ids=["box", "simplex"])
+def test_prox_refuses_a_step_array_that_grows_the_anchor(geom):
+    # a (3, 1, 1) step against (25, 2) inputs would broadcast them to (3, 25, 2)
+    y = np.full((25, 2), 0.5)
+    g = np.ones((25, 2))
+    for eta in (np.full((3, 1, 1), 0.5), np.full((1, 1, 1), 0.5), np.full((2, 25, 2), 0.5)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"step size shape {eta.shape} grows the anchor shape (25, 2)")):
+            prox(geom, g, y, eta)
+    # steps that broadcast into y's own shape are fine
+    for eta in (np.full((25, 1), 0.5), np.full((1, 2), 0.5), np.float64(0.5), 0.5):
+        assert prox(geom, g, y, eta).shape == (25, 2)
+
+
+@pytest.mark.parametrize("geom", [euclidean_geometry(box_domain([-1.0] * 4, [1.0] * 4)),
+                                  _simplex(4)], ids=["box", "simplex"])
+def test_prox_float_step_equals_the_replicate_step_array(geom):
+    # the engine hands prox one float when every replicate shares the step:
+    # the same bits as that step as an (R, 1, 1) array, clamped and floored
+    # entries included
+    rng = np.random.default_rng(12)
+    y = sample_domain(geom.domain, rng, 5 * 6).reshape(5, 6, 4)
+    g = rng.normal(0.0, 30.0, (5, 6, 4))
+    edges = (-1.0, 1.0) if geom.kind == "euclidean" else (FLOOR,)
+    for eta in (0.5, 0.013, 7.0):
+        want = prox(geom, g, y, np.full((5, 1, 1), eta))
+        for step in (eta, np.float64(eta)):
+            got = prox(geom, g, y, step)
+            assert got.shape == y.shape
+            assert got.tobytes() == want.tobytes()
+    assert np.isin(want, edges).any()
 
 
 def test_prox_optimality_inequality_50_references():

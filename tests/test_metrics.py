@@ -172,6 +172,16 @@ def test_disagreement_envelope_validation():
         _envelope(1.0, 3, 0.5, [0.1, 0.0])
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_guarantee_refuses_non_positive_and_non_finite_step_sizes(bad):
+    # as engine.run and prox do; a NaN passes etas <= 0, so the finiteness is checked too
+    for spot in (0, 2, 3):  # eta_1, a middle round, and eta_{T+1}
+        etas = np.full(4, 0.1)
+        etas[spot] = bad
+        with pytest.raises(ValueError, match="step sizes must be positive and finite"):
+            regret_guarantee(_consts(), 1.0, 0.5, etas, np.zeros(3), 4)
+
+
 def test_guarantee_frozen_tiny_case():
     report = regret_guarantee(_consts(), 1.0, 0.0, [0.1] * 4, np.zeros(3), 4)
     assert report.e_track == pytest.approx(80.15, abs=1e-12)

@@ -438,3 +438,77 @@ def test_centers_outside_domain_matches_per_point_count():
     assert centers_outside_domain(wild, path, tight) == expected
     with pytest.raises(ValueError, match="ens.offsets covers 3 rounds.*the 8"):
         centers_outside_domain(replace(wild, offsets=wild.offsets[:3]), path, tight)
+
+
+# ------------------------------------------ agent-major block kernels, pinned
+
+
+def _reference_oracle_samples(stars, noise):
+    """The tracking observations as one broadcast add, whose inner loop runs
+    over the d coordinates: what oracle_samples computed before it filled one
+    coordinate at a time."""
+    return stars[..., None, :] + noise[..., None]
+
+
+def _reference_global_block(ens, rounds, stars, x):
+    """_global_block with its points' centres subtracted by one broadcast and
+    the observer weights summed from the mask on every call."""
+    if ens.gradients is not None:
+        mean_g = ens.gradients[..., rounds, :, :].mean(axis=-2)
+        return np.matmul(x, mean_g[..., None])[..., 0]
+    sq = x - stars[..., None, :]
+    np.square(sq, out=sq)
+    if ens.obs is not None:
+        return sq @ ens._mask.sum(axis=0, dtype=float) / ens.n + ens.obs.noise_var
+    spread = np.square(ens.offsets[..., rounds, :, :]).sum(axis=-1).mean(axis=-1)
+    return sq.sum(axis=-1) + spread[..., None]
+
+
+def test_oracle_samples_equal_the_broadcast_reference_bit_for_bit():
+    # round-major (B, R, n) draws against the engine's (B, R, d) view of the
+    # stacked path, and the single-replicate (B, n) form; both signed zeros
+    _, ens, path = _tracking_setup(n=7)
+    rng = np.random.default_rng(8)
+    states = np.stack([path.states, -path.states, np.zeros_like(path.states)])  # (3, T+1, 4)
+    states[2, :, 1] = -0.0
+    noise = oracle_noise(ens, rng, 5 * 3).reshape(5, 3, 7)
+    noise[:, 2, :3] = -0.0
+    noise[:, 2, 3:] = 0.0
+    stars = states[:, 2:7].swapaxes(0, 1)
+    assert not stars.flags.c_contiguous
+    want = _reference_oracle_samples(stars, noise)
+    got = oracle_samples(ens, stars, noise)
+    assert got.shape == want.shape == (5, 3, 7, 4)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[:, 2, :3, 1]).all()
+    single = oracle_samples(ens, path.states[:5], noise[:, 0])
+    assert single.tobytes() == _reference_oracle_samples(path.states[:5], noise[:, 0]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["tracking_box", "quadratic_box", "quadratic_simplex",
+                                  "linear_box"])
+def test_network_losses_equal_the_broadcast_reference_bit_for_bit(name):
+    # three stacked replicates with their own paths (and synthetic losses),
+    # every round block of a 9-round horizon, and the unstacked whole-horizon form
+    horizon, n = 9, 5
+    ens0, path0, domain = _family(name, horizon, n)
+    ensembles = [ens0] * 3 if ens0.obs is not None else [
+        synthetic_suite(k, n, 4, horizon, domain, kind=ens0.kind) for k in range(3)]
+    paths = [MinimizerPath(path0.states * (1.0 + 0.1 * k), None) for k in range(3)]
+    ens, path = stack_replicates(ensembles, paths, horizon)
+    rng = np.random.default_rng(9)
+    x = sample_domain(domain, rng, 3 * horizon * n).reshape(3, horizon, n, 4)
+    x[1, :, 0] = -0.0
+    for rounds in (slice(0, horizon), slice(2, 5), slice(8, 9)):
+        block = x[:, rounds]
+        stars = path.states[..., rounds, :]
+        want = _reference_global_block(ens, rounds, stars, block)
+        got = objectives._global_block(ens, rounds, stars, block)
+        assert got.tobytes() == want.tobytes()
+        losses = objectives.network_losses(ens, path, rounds, block)
+        assert losses.tobytes() == want.mean(axis=-1).tobytes()
+    for r in range(3):
+        for points in (x[r], x[r][:, :1]):  # every agent, and one point a round
+            want = _reference_global_block(ensembles[r], slice(0, horizon),
+                                           paths[r].states[:horizon], points)
+            assert global_loss_batch(ensembles[r], paths[r], points).tobytes() == want.tobytes()
