@@ -377,12 +377,9 @@ def _round_blocks(horizon, width):
 def _minus_targets(x, stars):
     """x - stars[..., None, :] for x (..., m, d) and stars (..., d), bit for bit.
 
-    With several points a round it subtracts one coordinate at a time, so
-    each call runs over the points, not over the d coordinates; one point a
-    round needs no broadcast.
+    It subtracts one coordinate at a time, so each call runs over the
+    points, not over the d coordinates.
     """
-    if x.shape[-2] == 1:
-        return x - stars[..., None, :]
     out = np.empty(x.shape)
     for k in range(x.shape[-1]):
         np.subtract(x[..., k], stars[..., k, None], out=out[..., k])
@@ -401,10 +398,7 @@ def _global_block(ens, rounds, stars, x):
     sq = _minus_targets(x, stars)
     np.square(sq, out=sq)
     if ens.obs is not None:  # coordinate k weighted by how many agents observe it
-        loss = sq @ ens._observers
-        loss /= ens.n
-        loss += ens.obs.noise_var
-        return loss
+        return sq @ ens._observers / ens.n + ens.obs.noise_var
     spread = np.square(ens.offsets[..., rounds, :, :]).sum(axis=-1).mean(axis=-1)
     return sq.sum(axis=-1) + spread[..., None]
 
