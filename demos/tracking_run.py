@@ -30,7 +30,8 @@ print("rounds:", result.trace.horizon, " agents:", result.trace.n,
 print("mixing sigma2:", round(result.sigma2, 6))
 print("dynamic regret:", round(result.regret.dynamic_regret, 3))
 print("final normalized regret:", round(float(result.regret.normalized[-1]), 5))
-print("target path variation:", round(result.regret.path_variation, 2))
+print("target path variation C_T (l2, the box's norm):",
+      round(result.regret.path_variation, 2))
 
 errs = tracking_error_stats(result.trace, result.path, tail=100)
 length = target_position_path_length(result.path)

@@ -9,8 +9,8 @@ evaluates the matching guarantees.
 from .config import (ConfigError, ExperimentConfig, config_hash, describe_schema,
                      load_config, parse_config)
 from .dynamics import (LinearDynamics, MinimizerPath, generate_path,
-                       identity_dynamics, linear_dynamics, ncv_disturbances,
-                       ncv_dynamics, ncv_noise_covariance, path_variation)
+                       identity_dynamics, ncv_disturbances, ncv_dynamics,
+                       ncv_noise_covariance, residual_norms)
 from .engine import RunTrace, init_state, run, step
 from .geometry import (MirrorGeometry, box_domain, bregman, euclidean_geometry,
                        geometry_constants, kl_geometry, prox, simplex_domain)

@@ -6,6 +6,7 @@ status of a process killed by SIGPIPE) when stdout is closed before the summary 
 printed, as in `domd run ... | head -1`; the outputs are written by then.  `run`
 checks an exact-gradient run's three guarantees (harness.check_rows); regret >= 0 is
 checked by `verify-bounds` only, since a correct run on linear losses may break it.
+`run` prints the guarantee total of its gradient mode (G^2 if stochastic, L^2 if exact).
 --out is created before any work, so an unusable path fails first; a config error
 removes it again if made and still empty.
 """
@@ -97,14 +98,23 @@ def _cmd_run(args):
     print(f"dynamic_regret={result.regret.dynamic_regret:.6g}")
     print(f"normalized_final={result.regret.normalized[-1]:.6g}")
     print(f"sigma2={result.sigma2:.6g}")
-    print(f"guarantee_total={result.bounds.total:.6g}")
+    bounds = result.bounds
+    total = bounds.stochastic_total if cfg.gradient_mode == "stochastic" else bounds.total
+    print(f"guarantee_total={total:.6g} mode={cfg.gradient_mode}")
     return 2 if _violations(check_rows(result, "run", cfg.seed)) else 0
+
+
+def _number(text):
+    """A digit string in the float range as an exact int (a seed above 2**53
+    runs as itself), any other number as a float."""
+    value = float(text)
+    return int(text) if text.strip().isdecimal() and math.isfinite(value) else value
 
 
 def _cmd_sweep(args):
     cfg = _load(args)
     try:
-        values = tuple(float(v) for v in args.values.split(","))
+        values = tuple(map(_number, args.values.split(",")))
     except ValueError:
         raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}")
     result = sweep(cfg, args.param, values, runs=args.runs, out_dir=args.out)

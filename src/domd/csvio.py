@@ -1,4 +1,4 @@
-"""CSV helpers shared by the trace, path and report writers.
+"""CSV helpers shared by the trace, sweep and report writers.
 
 All files use a header row, comma separators, LF newlines and floats
 rendered with 17 significant digits so that identical inputs produce
@@ -15,8 +15,8 @@ They never carry to 10**17: "%.17g" round-trips, and for k = -4..17 the
 double nearest 10**k is not below it.  Table lookups lay the digits out in
 %g's fixed notation.  Zeros come out as "0" and "-0"; cells below 1e-4 or
 from 1e17 in magnitude, inf and nan fall back to format one at a time.
-Rows that mix strings, flags or empty cells, and values a float would
-change (a swept int above 2**53), go through fmt one cell at a time.
+Rows that mix strings or flags, and values a float would change (a swept
+int above 2**53), go through fmt one cell at a time.
 """
 
 import functools
@@ -145,8 +145,6 @@ def _render(table, labels):
 
 def fmt(value):
     """Render one cell. Floats get 17 significant digits."""
-    if value is None:
-        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -190,17 +188,3 @@ def write_csv(path, header, rows, comments=(), labels=None):
             for row in rows:
                 fh.write(",".join(fmt(v) for v in row) + "\n")
 
-
-def read_csv(path):
-    """Read a CSV written by write_csv. Returns (comments, header, rows of str)."""
-    comments, header, rows = [], None, []
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-            elif header is None:
-                header = line.split(",")
-            elif line:
-                rows.append(line.split(","))
-    return comments, header, rows

@@ -1,16 +1,15 @@
 """Target motion: known linear dynamics plus unstructured perturbations.
 
 The moving point the agents chase follows x[t+1] = A x[t] + v[t], where A
-is known to every agent and v[t] is an arbitrary disturbance sequence.  The
-accumulated disturbance size sum_t ||v[t]|| is the path variation that the
-regret bounds are written against.
+is known to every agent and v[t] is an arbitrary disturbance sequence.  A
+path keeps the states only: residual_norms gives back each ||v[t]||, whose
+sum C_T is the path variation the regret bounds are written against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import csvio
 from .geometry import vector_norm
 
 
@@ -33,12 +32,8 @@ class LinearDynamics:
         return self.a.shape[0]
 
 
-def linear_dynamics(a):
-    return LinearDynamics(a)
-
-
 def identity_dynamics(d):
-    return linear_dynamics(np.eye(d))
+    return LinearDynamics(np.eye(d))
 
 
 def ncv_dynamics(eps):
@@ -50,7 +45,7 @@ def ncv_dynamics(eps):
     if eps <= 0:
         raise ValueError("sampling interval must be positive")
     block = np.array([[1.0, eps], [0.0, 1.0]])
-    return linear_dynamics(np.kron(np.eye(2), block))
+    return LinearDynamics(np.kron(np.eye(2), block))
 
 
 def ncv_noise_covariance(eps, sigma_v2):
@@ -87,13 +82,10 @@ def ncv_disturbances(sigma_v2, eps, seed, horizon):
 
 @dataclass(frozen=True)
 class MinimizerPath:
-    """Target states x[1..T+1] (rows) and the disturbances v[1..T] that built them.
-
-    Both may carry leading replicate axes: states (..., T+1, d), noise (..., T, d).
-    """
+    """Target states x[1..T+1] as rows, (T+1, d), or a (..., T+1, d) stack
+    whose leading axes are replicates."""
 
     states: np.ndarray
-    noise: np.ndarray
 
     @property
     def horizon(self):
@@ -111,14 +103,14 @@ def generate_path(dyn, noise, x0, horizon):
     as a (..., horizon, d) stack whose leading axes are replicates that all
     start at x0.  A stack is rolled in one loop over rounds, each round one
     stacked matrix-vector product, and every replicate's states are
-    bit-identical to rolling it alone.  The path keeps its own copy of noise.
+    bit-identical to rolling it alone.  The path keeps the states only.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dyn.d,):
         raise ValueError("initial state dimension mismatch")
-    v = np.array(noise, dtype=float)
+    v = np.asarray(noise, dtype=float)
     if v.shape[-2:] != (horizon, dyn.d):
         raise ValueError(f"disturbances must have shape ({horizon}, {dyn.d}), got {v.shape} "
                          "(leading replicate axes are allowed)")
@@ -129,42 +121,12 @@ def generate_path(dyn, noise, x0, horizon):
     steps = np.moveaxis(v, -2, 0)[..., None]
     for t in range(horizon):
         np.add(np.matmul(dyn.a, rows[t]), steps[t], out=rows[t + 1])
-    return MinimizerPath(states, v)
+    return MinimizerPath(states)
 
 
-def verify_reconstruction(path, dyn):
-    """Max residual of states[t+1] - (A states[t] + v[t]); 0 for generated paths."""
-    pred = path.states[:-1] @ dyn.a.T + path.noise
-    return float(np.max(np.abs(pred - path.states[1:]))) if path.horizon else 0.0
-
-
-def residual_norms(path, dyn, norm="l2"):
-    """Per-round disturbance sizes ||states[t+1] - A states[t]|| for t = 1 .. T."""
+def residual_norms(path, dyn, norm):
+    """Per-round disturbance sizes ||states[t+1] - A states[t]||, t = 1 .. T,
+    in the caller's norm: its geometry's "l1" or "l2"."""
     if path.states.shape[0] < 2:
         raise ValueError("path variation needs at least two states")
     return vector_norm(norm, path.states[1:] - path.states[:-1] @ dyn.a.T)
-
-
-def path_variation(path, dyn, norm="l2"):
-    """Accumulated disturbance size C_T, the sum of residual_norms."""
-    return float(residual_norms(path, dyn, norm).sum())
-
-
-def save_path_csv(path, file, comments=()):
-    """One row per state: t, x(1..d), v(1..d); the final row has no noise."""
-    d = path.d
-    header = ["t"] + [f"x{k + 1}" for k in range(d)] + [f"v{k + 1}" for k in range(d)]
-    rows = []
-    for t in range(path.states.shape[0]):
-        row = [t + 1] + list(path.states[t])
-        row += list(path.noise[t]) if t < path.noise.shape[0] else [None] * d
-        rows.append(row)
-    csvio.write_csv(file, header, rows, comments)
-
-
-def load_path_csv(file):
-    _, header, rows = csvio.read_csv(file)
-    d = (len(header) - 1) // 2
-    states = np.array([[float(r[1 + k]) for k in range(d)] for r in rows])
-    noise = np.array([[float(r[1 + d + k]) for k in range(d)] for r in rows[:-1]])
-    return MinimizerPath(states, noise)

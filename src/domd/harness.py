@@ -34,8 +34,8 @@ import numpy as np
 
 from . import csvio
 from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_validate
-from .dynamics import (MinimizerPath, generate_path, identity_dynamics,
-                       linear_dynamics, ncv_disturbances, ncv_dynamics, residual_norms)
+from .dynamics import (LinearDynamics, MinimizerPath, generate_path, identity_dynamics,
+                       ncv_disturbances, ncv_dynamics, residual_norms)
 from .engine import run
 from .geometry import (box_domain, contains, euclidean_geometry, geometry_constants,
                        kl_geometry, simplex_domain)
@@ -98,7 +98,7 @@ def build_dynamics(cfg):
     if cfg.dynamics_model == "ncv":
         return ncv_dynamics(cfg.eps)
     if cfg.dynamics_model == "scaled_identity":
-        return linear_dynamics(cfg.dynamics_scale * np.eye(cfg.dim))
+        return LinearDynamics(cfg.dynamics_scale * np.eye(cfg.dim))
     return identity_dynamics(cfg.dim)
 
 
@@ -292,14 +292,14 @@ def _start_target(cfg, domain):
 
 def _replicate_inputs(dyn, domain, target0, noises, ensembles):
     """(ens, path) of each replicate: its (horizon, d) disturbances in noises
-    rolled from target0, all in one generate_path call (which stacks them in
-    its one copy), each path bit-identical to rolling it alone.  Raises
-    ConfigError when a synthetic centre leaves the domain.
+    rolled from target0, all in one generate_path call, each path
+    bit-identical to rolling it alone.  Raises ConfigError when a synthetic
+    centre leaves the domain.
     """
     rolled = generate_path(dyn, noises, target0, len(noises[0]))
     out = []
-    for ens, states, noise in zip(ensembles, rolled.states, rolled.noise):
-        path = MinimizerPath(states, noise)
+    for ens, states in zip(ensembles, rolled.states):
+        path = MinimizerPath(states)
         if centers_outside_domain(ens, path, domain):
             raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
         out.append((ens, path))
@@ -453,7 +453,8 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     like a config file value, cross-field rules and the start target's
     place in the domain included, before any run; an Erdos-Renyi value's
     graph is sampled, and for synthetic quadratic losses every replicate's
-    centres are checked too.
+    centres are checked too.  A float key's values show as the floats that
+    ran, an int key's as passed, so an int above 2**53 stays exact.
     """
     attr, typ, check, _ = _resolve_param(param)
     if attr in ("horizon", "runs"):  # the only keys a sweep cannot vary
@@ -494,7 +495,8 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     curves = np.array(list(curves)).reshape(len(configs), runs, horizon)
     mean_curves = np.array([np.mean(c, axis=0) for c in curves])
     std_curves = np.array([np.std(c, axis=0) for c in curves])
-    result = SweepResult(param, tuple(values), runs, mean_curves, std_curves,
+    shown = tuple(values) if typ is int else tuple(map(float, values))
+    result = SweepResult(param, shown, runs, mean_curves, std_curves,
                          mean_curves[:, -1].copy(), std_curves[:, -1].copy())
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -352,8 +352,7 @@ def stack_replicates(ensembles, paths, rounds):
         check_rounds("path.states", p.states, rounds)
     arrays = [_per_round(e, rounds) for e in ensembles]
     changes = {name: _stacked([a[name] for a in arrays], rounds) for name in arrays[0]}
-    # the oracles read only the states, so the stacked path carries no noise
-    path = MinimizerPath(_stacked([p.states for p in paths], rounds), None)
+    path = MinimizerPath(_stacked([p.states for p in paths], rounds))
     return replace(first, **changes), path
 
 

@@ -1,4 +1,5 @@
-"""Shared test fixtures; collects acceptance verdicts for an end-of-run summary."""
+"""Shared test fixtures and a CSV reader; collects acceptance verdicts for an
+end-of-run summary."""
 
 import pytest
 
@@ -14,6 +15,21 @@ def record_criterion():
         return bool(ok)
 
     return _record
+
+
+def read_csv(path):
+    """Read a CSV written by csvio.write_csv. Returns (comments, header, rows of str)."""
+    comments, header, rows = [], None, []
+    with open(path, newline="") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                comments.append(line[1:].strip())
+            elif header is None:
+                header = line.split(",")
+            elif line:
+                rows.append(line.split(","))
+    return comments, header, rows
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -11,8 +11,9 @@ import pytest
 import domd
 import domd.cli
 from domd.cli import main
+from conftest import read_csv
 from domd.config import load_config
-from domd.harness import run_experiment
+from domd.harness import run_experiment, sweep
 
 QUAD = """
 [experiment]
@@ -91,6 +92,22 @@ def test_run_command(quad_config, tmp_path, capsys):
     assert (out / "bounds.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["exact", "stochastic"])
+def test_run_prints_the_guarantee_total_of_its_gradient_mode(tmp_path, capsys, mode):
+    # a stochastic run's bound is the G^2 total, an exact run's the L^2 total;
+    # the oracle noise sets them apart
+    file = tmp_path / "exp.ini"
+    file.write_text(QUAD.replace("gradient_mode = exact", f"gradient_mode = {mode}")
+                    .replace("kind = synthetic_quadratic", "kind = synthetic_quadratic\n"
+                             "oracle_noise = 0.5"))
+    bounds = run_experiment(load_config(str(file))).bounds
+    assert main(["run", "--config", str(file), "--out", str(tmp_path / "out")]) == 0
+    total = bounds.stochastic_total if mode == "stochastic" else bounds.total
+    assert f"\nguarantee_total={total:.6g} mode={mode}\n" in capsys.readouterr().out
+    if mode == "stochastic":
+        assert f"{bounds.stochastic_total:.6g}" != f"{bounds.total:.6g}"
+
+
 def test_run_outputs_are_deterministic(quad_config, tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", quad_config, "--out", str(a)]) == 0
@@ -118,6 +135,38 @@ def test_sweep_command(quad_config, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "eta0=0.1" in stdout and "eta0=0.2" in stdout
     assert (out / "sweep.csv").exists()
+
+
+def test_sweep_keeps_an_integer_value_exact(quad_config, tmp_path, capsys):
+    # 2**53 + 1 has no float64: the sweep must run seed 9007199254740993,
+    # not 9007199254740992, and write it as it was given
+    big = 2 ** 53 + 1
+    out, lib = tmp_path / "sweep", tmp_path / "lib"
+    assert main(["sweep", "--config", quad_config, "--out", str(out), "--param",
+                 "experiment.seed", "--values", str(big), "--runs", "1"]) == 0
+    capsys.readouterr()
+    assert [row[0] for row in read_csv(out / "sweep.csv")[2]] == [str(big)] * 40
+    sweep(load_config(quad_config), "experiment.seed", (big,), runs=1, out_dir=lib)
+    assert (out / "sweep.csv").read_bytes() == (lib / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("param, values, shown", [
+    ("eta0", "0.25,3,3.0,1e3", ["0.25", "3", "3", "1000"]),
+    ("experiment.seed", "3,3.0,1e3", ["3", "3", "1000"]),
+])
+def test_sweep_values_write_what_their_floats_wrote(quad_config, tmp_path, capsys, param,
+                                                   values, shown):
+    # integer literals pass as ints, yet every value a float could hold writes
+    # the same sweep.csv and stdout as passing the floats
+    out, lib = tmp_path / "sweep", tmp_path / "lib"
+    assert main(["sweep", "--config", quad_config, "--out", str(out), "--param", param,
+                 "--values", values, "--runs", "1"]) == 0
+    stdout = capsys.readouterr().out
+    assert [line.split(":")[0] for line in stdout.splitlines()[:-1]] == [
+        f"{param}={value}" for value in shown]
+    floats = tuple(float(v) for v in values.split(","))
+    sweep(load_config(quad_config), param, floats, runs=1, out_dir=lib)
+    assert (out / "sweep.csv").read_bytes() == (lib / "sweep.csv").read_bytes()
 
 
 def test_sweep_rejects_bad_values(quad_config, tmp_path, capsys):

@@ -1,12 +1,11 @@
-"""Target motion models, disturbance generators and path serialization."""
+"""Target motion models, disturbance generators and path variation."""
 
 import numpy as np
 import pytest
 
 from domd.dynamics import (LinearDynamics, generate_path, identity_dynamics,
-                           linear_dynamics, load_path_csv, ncv_disturbances,
-                           ncv_dynamics, ncv_noise_covariance, path_variation,
-                           save_path_csv, verify_reconstruction)
+                           ncv_disturbances, ncv_dynamics, ncv_noise_covariance,
+                           residual_norms)
 from domd.geometry import box_domain, check_nonexpansive, euclidean_geometry
 
 
@@ -30,7 +29,7 @@ def test_dynamics_validation():
     with pytest.raises(ValueError, match="square"):
         LinearDynamics(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-finite"):
-        linear_dynamics(np.array([[np.inf]]))
+        LinearDynamics(np.array([[np.inf]]))
     with pytest.raises(ValueError, match="positive"):
         ncv_dynamics(0.0)
 
@@ -89,10 +88,9 @@ def test_gaussian_noise_deterministic_per_seed():
 def test_gaussian_noise_scales_with_sqrt_intensity():
     # the standard normal draws happen before scaling, so at a fixed seed
     # quadrupling sigma_v2 exactly doubles every disturbance
-    dyn = ncv_dynamics(0.1)
-    base = generate_path(dyn, ncv_disturbances(0.25, 0.1, 3, 15), np.zeros(4), 15)
-    quad = generate_path(dyn, ncv_disturbances(1.0, 0.1, 3, 15), np.zeros(4), 15)
-    np.testing.assert_allclose(quad.noise, 2.0 * base.noise, atol=1e-12)
+    base = ncv_disturbances(0.25, 0.1, 3, 15)
+    quad = ncv_disturbances(1.0, 0.1, 3, 15)
+    np.testing.assert_allclose(quad, 2.0 * base, atol=1e-12)
 
 
 def test_gaussian_noise_requires_4d_model():
@@ -107,10 +105,7 @@ def test_constant_drift_and_custom_sequences():
     np.testing.assert_allclose(drift.states[4], [0.4, -0.8], atol=1e-15)
     seq = np.arange(6, dtype=float).reshape(3, 2)
     custom = generate_path(dyn, seq, np.zeros(2), 3)
-    np.testing.assert_allclose(custom.noise, seq)
-    # the path keeps its own copy of the disturbances
-    seq[0] = 99.0
-    assert custom.noise[0, 0] == 0.0
+    np.testing.assert_allclose(custom.states, [[0.0, 0.0], [0.0, 1.0], [2.0, 4.0], [6.0, 9.0]])
 
 
 def test_generate_path_validation():
@@ -145,7 +140,7 @@ def _rolled_alone(dyn, v, x0):
 ], ids=["ncv", "scaled_identity", "dense"])
 @pytest.mark.parametrize("replicates", [1, 4, 50])
 def test_generate_path_batched_equals_solo(a, replicates):
-    dyn = linear_dynamics(a)
+    dyn = LinearDynamics(a)
     horizon = 200
     x0 = np.array([0.5, -1.0, 0.25, 2.0])
     v = np.stack([ncv_disturbances(0.8, 0.1, seed, horizon) for seed in range(replicates)])
@@ -156,41 +151,37 @@ def test_generate_path_batched_equals_solo(a, replicates):
         alone = generate_path(dyn, v[r], x0, horizon)
         assert np.array_equal(alone.states, _rolled_alone(dyn, v[r], x0))
         assert np.array_equal(batch.states[r], alone.states)
-        assert np.array_equal(batch.noise[r], v[r])
     # any number of leading axes rolls the same way
     grid = generate_path(dyn, v.reshape((1, replicates) + v.shape[1:]), x0, horizon)
     assert np.array_equal(grid.states[0], batch.states)
 
 
 def test_reconstruction_residual_is_tiny():
+    # the states give back the disturbances that built them
     dyn = ncv_dynamics(0.1)
-    path = generate_path(dyn, ncv_disturbances(1.0, 0.1, 0, 50),
-                         np.array([0.0, 1.0, 0.0, 1.0]), 50)
-    assert verify_reconstruction(path, dyn) <= 1e-12
+    v = ncv_disturbances(1.0, 0.1, 0, 50)
+    path = generate_path(dyn, v, np.array([0.0, 1.0, 0.0, 1.0]), 50)
+    pred = path.states[:-1] @ dyn.a.T + v
+    assert np.max(np.abs(pred - path.states[1:])) <= 1e-12
+    assert np.max(np.abs(residual_norms(path, dyn, "l1") - np.abs(v).sum(axis=1))) <= 1e-12
 
 
 def test_path_variation_sums_disturbance_norms():
     dyn = ncv_dynamics(0.1)
-    path = generate_path(dyn, ncv_disturbances(0.5, 0.1, 4, 30), np.zeros(4), 30)
-    expect_l2 = np.linalg.norm(path.noise, axis=1).sum()
-    expect_l1 = np.abs(path.noise).sum()
-    assert path_variation(path, dyn, "l2") == pytest.approx(expect_l2, rel=1e-12)
-    assert path_variation(path, dyn, "l1") == pytest.approx(expect_l1, rel=1e-12)
+    v = ncv_disturbances(0.5, 0.1, 4, 30)
+    path = generate_path(dyn, v, np.zeros(4), 30)
+    expect_l2 = np.linalg.norm(v, axis=1).sum()
+    expect_l1 = np.abs(v).sum()
+    assert residual_norms(path, dyn, "l2").sum() == pytest.approx(expect_l2, rel=1e-12)
+    assert residual_norms(path, dyn, "l1").sum() == pytest.approx(expect_l1, rel=1e-12)
     with pytest.raises(ValueError, match="norm"):
-        path_variation(path, dyn, "l3")
+        residual_norms(path, dyn, "l3")
+    with pytest.raises(TypeError):
+        residual_norms(path, dyn)  # no default norm: the caller names its geometry's
 
 
 def test_path_variation_zero_for_noiseless_motion():
     dyn = ncv_dynamics(0.1)
     path = generate_path(dyn, np.zeros((20, 4)), np.array([0.0, 1.0, 0.0, 1.0]), 20)
-    assert path_variation(path, dyn) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_path_csv_round_trip(tmp_path):
-    dyn = ncv_dynamics(0.1)
-    path = generate_path(dyn, ncv_disturbances(0.5, 0.1, 5, 12), np.zeros(4), 12)
-    file = tmp_path / "path.csv"
-    save_path_csv(path, file, comments=["seed=5"])
-    loaded = load_path_csv(file)
-    np.testing.assert_array_equal(loaded.states, path.states)
-    np.testing.assert_array_equal(loaded.noise, path.noise)
+    for norm in ("l1", "l2"):
+        assert residual_norms(path, dyn, norm).sum() == pytest.approx(0.0, abs=1e-12)

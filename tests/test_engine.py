@@ -8,7 +8,7 @@ import pytest
 
 import domd.engine
 import domd.objectives
-from domd.dynamics import (generate_path, identity_dynamics, linear_dynamics,
+from domd.dynamics import (LinearDynamics, generate_path, identity_dynamics,
                            ncv_disturbances, ncv_dynamics)
 from domd.engine import EngineError, RunTrace, init_state, run, step
 from domd.geometry import (box_domain, contains, euclidean_geometry,
@@ -156,7 +156,7 @@ def _free_linear_case(horizon):
     # a box so wide the clamp never fires: the iterates move as if unconstrained
     weights = metropolis_weights(build_path_graph(3))
     geom = euclidean_geometry(box_domain([-1e6] * 2, [1e6] * 2))
-    dyn = linear_dynamics([[0.9, 0.2], [-0.1, 0.8]])
+    dyn = LinearDynamics([[0.9, 0.2], [-0.1, 0.8]])
     path = generate_path(dyn, np.zeros((horizon, 2)), np.zeros(2), horizon)
     ens = synthetic_suite(4, 3, 2, horizon, geom.domain, kind="synthetic_linear")
     return weights, geom, dyn, ens, path, "exact"
@@ -209,7 +209,7 @@ def test_prox_errors_stop_the_run_in_their_round(monkeypatch):
     etas = np.full(horizon + 1, 0.1)
     # x = 0.3, 0.45, 0.675, 1.0125: the push leaves the box and round 4's anchor is outside
     with pytest.raises(ValueError, match="prox anchor lies outside the domain"):
-        run(weights, geom, linear_dynamics(1.5 * np.eye(2)), [(idle, path, etas, 0)], horizon,
+        run(weights, geom, LinearDynamics(1.5 * np.eye(2)), [(idle, path, etas, 0)], horizon,
             x0=[0.3, 0.3])
     assert len(calls) == 4
     grads = np.zeros((horizon, 2, 2))
@@ -259,7 +259,7 @@ def test_simplex_iterates_stay_feasible_under_contracting_dynamics():
     weights = metropolis_weights(build_grid_graph(1, 3))
     domain = simplex_domain(d, 0.01)
     geom = kl_geometry(domain)
-    dyn = linear_dynamics(0.9 * np.eye(d))
+    dyn = LinearDynamics(0.9 * np.eye(d))
     path = generate_path(identity_dynamics(d), np.zeros((horizon, d)),
                          np.full(d, 1.0 / 3.0), horizon)
     ens = synthetic_suite(2, n, d, horizon, domain)
@@ -274,7 +274,7 @@ def test_divergent_dynamics_raise_engine_error():
     n, d, horizon = 2, 2, 400
     weights = metropolis_weights(build_path_graph(n))
     geom = euclidean_geometry(box_domain([-BIG] * d, [BIG] * d))  # holds every finite point
-    dyn = linear_dynamics(10.0 * np.eye(d))
+    dyn = LinearDynamics(10.0 * np.eye(d))
     path = generate_path(identity_dynamics(d), np.zeros((horizon, d)), np.zeros(d), horizon)
     ens = linear_ensemble(np.zeros((horizon, n, d)), geom.domain)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -336,7 +336,7 @@ def test_replicates_equal_solo_runs_noisy_quadratic_and_linear():
     horizon = 40
     weights = metropolis_weights(build_path_graph(3))
     geom = euclidean_geometry(box_domain([-5.0] * 2, [5.0] * 2))
-    dyn = linear_dynamics(0.95 * np.eye(2))
+    dyn = LinearDynamics(0.95 * np.eye(2))
     paths = [generate_path(dyn, np.random.default_rng(k).normal(0.0, 0.05, (horizon, 2)),
                            np.array([0.5, -0.5]), horizon) for k in range(3)]
     quads = [synthetic_suite(k, 3, 2, horizon, geom.domain, noise_scale=0.5)
@@ -383,7 +383,7 @@ def test_replicates_equal_solo_runs_when_one_replicate_needs_repair():
     # the floor and pushed off the simplex, replicate 1 settles near 0.2
     a = np.array([[0.5, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
     weights, geom, dyn, replicates = _kl_linear_replicates(
-        linear_dynamics(a), ([3.0, 0.0, 0.0], [-2.0, 0.0, 0.0]), 30)
+        LinearDynamics(a), ([3.0, 0.0, 0.0], [-2.0, 0.0, 0.0]), 30)
     repaired, kept = _assert_replicates_equal_solo_runs(weights, geom, dyn, replicates,
                                                         30, "exact")
     assert np.any(repaired.x[1:, :, 0] == 0.01)
@@ -411,7 +411,7 @@ def test_non_finite_error_names_round_replicate_and_agent():
     n, d, horizon = 3, 1, 400
     weights = WeightMatrix(n, np.eye(n))  # no mixing: agents diverge alone
     geom = euclidean_geometry(box_domain([-BIG] * d, [BIG] * d))
-    dyn = linear_dynamics(10.0 * np.eye(d))
+    dyn = LinearDynamics(10.0 * np.eye(d))
     path = generate_path(identity_dynamics(d), np.zeros((horizon, d)), np.zeros(d), horizon)
     calm = linear_ensemble(np.zeros((horizon, n, d)), geom.domain)
     pushed = np.zeros((horizon, n, d))
@@ -437,7 +437,7 @@ def test_finite_iterates_whose_sum_overflows_run_until_one_overflows():
     n, d, horizon = 3, 1, 400
     weights = WeightMatrix(n, np.eye(n))
     geom = euclidean_geometry(box_domain([-BIG] * d, [BIG] * d))
-    dyn = linear_dynamics(10.0 * np.eye(d))
+    dyn = LinearDynamics(10.0 * np.eye(d))
     path = generate_path(identity_dynamics(d), np.zeros((horizon, d)), np.zeros(d), horizon)
     pushed = np.zeros((horizon, n, d))
     pushed[:, 1:] = -1.0

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import domd.harness
+from conftest import read_csv
 from domd.config import (ConfigError, ExperimentConfig, config_hash, cross_validate,
                          parse_config)
-from domd.csvio import read_csv
 from domd.engine import run
 from domd.dynamics import _ncv_noise_factor, residual_norms
 from domd.harness import (_build_case, _case_runs, _derive_seed, _ORACLE, _PATH, _same,
@@ -614,6 +614,29 @@ def test_bounds_and_regret_report_one_path_variation():
         assert isinstance(result.bounds, BoundReport), result.config
         assert isinstance(result.regret.static_regret, float), result.config
         assert result.bounds.c_t == result.regret.path_variation, result.config
+
+
+# a drift that sums to zero keeps the target on the simplex, and its l1 and l2
+# sizes differ (0.002 against 0.0014)
+SIMPLEX_DRIFT = dict(domain_kind="simplex", dim=3, target_init=(), loss_kind="synthetic_linear",
+                     noise_kind="constant_drift", drift=(0.001, -0.001, 0.0))
+
+
+@pytest.mark.parametrize("cfg, case, norm", [
+    (_quad_cfg(**SIMPLEX_DRIFT), "simplex_quad_noisy_n4_t100", "l1"),
+    (_tracking_cfg(horizon=50), "box_quad_noisy_n4_t100", "l2"),
+], ids=["simplex", "box"])
+def test_path_variation_is_measured_in_the_geometry_norm(cfg, case, norm):
+    # C_T = sum_t ||x*_{t+1} - A x*_t|| in the domain's own norm: l1 on the KL
+    # simplex, l2 on the euclidean box, in regret.csv and bounds.csv alike
+    other = {"l1": "l2", "l2": "l1"}[norm]
+    runs = [(run_experiment(cfg), build_dynamics(cfg))]
+    runs += [(result, _build_case(_suite_case(case), 0)[2])
+             for result in _case_runs(_suite_case(case), range(1), 0)]
+    for result, dyn in runs:
+        c_t = float(residual_norms(result.path, dyn, norm).sum())
+        assert result.bounds.c_t == result.regret.path_variation == c_t, result.config
+        assert c_t != float(residual_norms(result.path, dyn, other).sum()), result.config
 
 
 def test_batch_bounds_equal_each_runs_own_guarantee(monkeypatch):

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domd.metrics
-from domd.csvio import read_csv
-from domd.dynamics import (MinimizerPath, generate_path, identity_dynamics,
-                           path_variation)
+from conftest import read_csv
+from domd.dynamics import MinimizerPath, generate_path, identity_dynamics, residual_norms
 from domd.engine import RunTrace, run
 from domd.geometry import (box_domain, euclidean_geometry, geometry_constants,
                            simplex_domain)
@@ -315,7 +314,7 @@ def test_dynamic_regret_needs_full_comparator_path():
     from domd.dynamics import MinimizerPath
 
     trace, ens, path, _ = _one_agent_run()
-    short = MinimizerPath(path.states[:0], path.noise[:0])
+    short = MinimizerPath(path.states[:0])
     with pytest.raises(ValueError, match="shorter"):
         dynamic_regret(trace, ens, short)
 
@@ -326,7 +325,7 @@ def test_best_fixed_point_square_families():
     path_states = states
     from domd.dynamics import MinimizerPath
 
-    path = MinimizerPath(path_states, np.zeros((3, 1)))
+    path = MinimizerPath(path_states)
     ens = synthetic_suite(0, 4, 1, 3, domain, offset_scale=0.0)
     point = best_fixed_point(ens, path, domain, 3)
     assert point[0] == pytest.approx(2.0)
@@ -340,7 +339,7 @@ def test_best_fixed_point_linear_hits_extreme_points():
     ens = linear_ensemble(grads, domain)
     from domd.dynamics import MinimizerPath
 
-    path = MinimizerPath(np.zeros((3, 2)), np.zeros((2, 2)))
+    path = MinimizerPath(np.zeros((3, 2)))
     point = best_fixed_point(ens, path, domain, 2)
     np.testing.assert_allclose(point, [-1.0, 2.0])
     corners = np.array([[sx, sy] for sx in (-1.0, 1.0) for sy in (-2.0, 2.0)])
@@ -464,7 +463,7 @@ def test_guarantees_dominate_small_exact_runs():
         ens = synthetic_suite(100 + seed, 4, 2, horizon, domain)
         trace = run(weights, geom, dyn, [(ens, path, etas, 0)], horizon)[0]
         lipschitz = ens.lipschitz
-        norms = np.linalg.norm(path.noise, axis=1)
+        norms = np.linalg.norm(noise, axis=1)
         report = regret_guarantee(consts, lipschitz, sigma2, trace.etas,
                                   norms, 4)
         regret = dynamic_regret(trace, ens, path).dynamic_regret
@@ -473,7 +472,7 @@ def test_guarantees_dominate_small_exact_runs():
         assert np.all(emp <= report.disagreement_curve + 1e-9)
         gap = per_agent_loss_gap(trace, ens, path)
         assert gap <= report.local_gap_rhs + 1e-9
-        assert path_variation(path, dyn) == pytest.approx(report.c_t, rel=1e-12)
+        assert residual_norms(path, dyn, "l2").sum() == pytest.approx(report.c_t, rel=1e-12)
 
 
 def test_csv_writers_round_trip(tmp_path):
@@ -582,7 +581,7 @@ def test_empty_trace_has_zero_regret_and_gap():
 def test_measurements_refuse_short_paths_and_ensembles(kind):
     trace, ens, path, box = _measured_case(kind)
     for short in (1, 6):  # one state would otherwise broadcast over all 7 rounds
-        cut = MinimizerPath(path.states[:short], path.noise[:short])
+        cut = MinimizerPath(path.states[:short])
         for measure in (lambda p: dynamic_regret(trace, ens, p),
                         lambda p: static_regret(trace, ens, p, box),
                         lambda p: per_agent_loss_gap(trace, ens, p)):

@@ -414,7 +414,7 @@ def test_whole_horizon_losses_refuse_short_inputs(name):
     assert global_loss_batch(ens, path, x[:0]).shape == (0, ens.n)
     assert agent_loss_batch(ens, path, x[:0]).shape == (0, ens.n)
     for short in (1, 5):  # a length-1 path would otherwise broadcast over every round
-        cut = MinimizerPath(path.states[:short], path.noise[:short])
+        cut = MinimizerPath(path.states[:short])
         for fn in (global_loss_batch, agent_loss_batch):
             with pytest.raises(ValueError, match=f"path.states covers {short} rounds.*the 6"):
                 fn(ens, cut, x)
@@ -494,7 +494,7 @@ def test_network_losses_equal_the_broadcast_reference_bit_for_bit(name):
     ens0, path0, domain = _family(name, horizon, n)
     ensembles = [ens0] * 3 if ens0.obs is not None else [
         synthetic_suite(k, n, 4, horizon, domain, kind=ens0.kind) for k in range(3)]
-    paths = [MinimizerPath(path0.states * (1.0 + 0.1 * k), None) for k in range(3)]
+    paths = [MinimizerPath(path0.states * (1.0 + 0.1 * k)) for k in range(3)]
     ens, path = stack_replicates(ensembles, paths, horizon)
     rng = np.random.default_rng(9)
     x = sample_domain(domain, rng, 3 * horizon * n).reshape(3, horizon, n, 4)
