@@ -17,8 +17,7 @@ what the CSV outputs contain.  Writes into ./out_tracking.
 import numpy as np
 
 from domd.config import parse_config
-from domd.harness import (run_experiment, target_position_path_length,
-                          tracking_error_stats)
+from domd.harness import run_experiment, tracking_error_stats
 
 OUT = "out_tracking"
 
@@ -34,7 +33,9 @@ print("target path variation C_T (l2, the box's norm):",
       round(result.regret.path_variation, 2))
 
 errs = tracking_error_stats(result.trace, result.path, tail=100)
-length = target_position_path_length(result.path)
+# the NCV state is (x, vx, y, vy): the position is coordinates 0 and 2
+position = result.path.states[:, [0, 2]]
+length = float(np.linalg.norm(np.diff(position, axis=0), axis=1).sum())
 print("\nper-agent mean tracking error over the final 100 rounds:")
 print("  best  agent:", round(float(errs.min()), 4))
 print("  worst agent:", round(float(errs.max()), 4))

@@ -12,8 +12,7 @@ from .dynamics import (LinearDynamics, MinimizerPath, generate_path,
                        identity_dynamics, ncv_disturbances, ncv_dynamics,
                        ncv_noise_covariance, residual_norms)
 from .engine import RunTrace, init_state, run, step
-from .geometry import (MirrorGeometry, box_domain, bregman, euclidean_geometry,
-                       geometry_constants, kl_geometry, prox, simplex_domain)
+from .geometry import box_domain, bregman, geometry_constants, prox, simplex_domain
 from .harness import (RunResult, ScalingStudy, SweepResult, VerifyReport,
                       run_experiment, stochastic_mean_regret,
                       sweep, tracking_error_stats, variation_scaling_study,

@@ -119,7 +119,8 @@ def _cmd_sweep(args):
         raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}")
     result = sweep(cfg, args.param, values, runs=args.runs, out_dir=args.out)
     for k, value in enumerate(result.values):
-        print(f"{args.param}={value:g}: final_normalized="
+        shown = str(value).removesuffix(".0")  # an int exactly, a float's shortest round trip
+        print(f"{args.param}={shown}: final_normalized="
               f"{result.final_mean[k]:.6g} (+/- {result.final_std[k]:.6g})")
     return 0
 

@@ -166,14 +166,19 @@ def write_csv(path, header, rows, comments=(), labels=None):
     do not match its rows, or a row width that does not match the header
     raise ValueError.
     """
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2:
-            raise ValueError(f"write_csv needs a 2-D array, got shape {rows.shape}")
-        if labels is not None and len(labels) != len(rows):
-            raise ValueError(f"write_csv got {len(labels)} labels for an array of shape {rows.shape}")
-        if rows.shape[1] + (labels is not None) != len(header):
-            raise ValueError(f"write_csv got {len(header)} header cells for an array of shape "
-                             f"{rows.shape}{'' if labels is None else ' and labels'}")
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)  # read once, so every row is checked before the file opens
+        for k, row in enumerate(rows):
+            if len(row) != len(header):
+                raise ValueError(f"write_csv got {len(header)} header cells and row {k} "
+                                 f"of {len(row)} cells")
+    elif rows.ndim != 2:
+        raise ValueError(f"write_csv needs a 2-D array, got shape {rows.shape}")
+    elif labels is not None and len(labels) != len(rows):
+        raise ValueError(f"write_csv got {len(labels)} labels for an array of shape {rows.shape}")
+    elif rows.shape[1] + (labels is not None) != len(header):
+        raise ValueError(f"write_csv got {len(header)} header cells for an array of shape "
+                         f"{rows.shape}{'' if labels is None else ' and labels'}")
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write("# " + line + "\n")

@@ -17,16 +17,16 @@ per run), a round hands step and prox its step as one Python float, so
 prox checks one number and scales by a scalar; replicates whose schedules
 differ get that round's (R, 1, 1) column.  Both give the same bits.
 
-run advances R replicates of one network, geometry and dynamics (each with
-its own losses, target path, step sizes and oracle seed) through one loop
-over a (R, n, d) state, R = 1 included.  Each replicate's iterates are
-bit-identical to a run of that replicate alone: every operation is
-elementwise or row-wise per replicate, mixing is one matrix product per
-replicate or, above network.DENSE_MIX_MAX_NODES agents, a neighbour sum
-whose terms are added in the same order for every replicate, and every
-decision on a whole array (floor projection passes, domain repair) is
-taken per replicate; a test of the whole batch only skips work that no
-replicate would do.
+run advances R replicates of one network, domain (the geometry: its kind
+picks the prox) and dynamics, each with its own losses, target path, step
+sizes and oracle seed, through one loop over a (R, n, d) state, R = 1
+included.  Each replicate's iterates are bit-identical to a run of that
+replicate alone: every operation is elementwise or row-wise per replicate,
+mixing is one matrix product per replicate or, above
+network.DENSE_MIX_MAX_NODES agents, a neighbour sum whose terms are added
+in the same order for every replicate, and every decision on a whole array
+(floor projection passes, domain repair) is taken per replicate; a test of
+the whole batch only skips work that no replicate would do.
 
 The loop walks the rounds in blocks (objectives._round_blocks, about
 BLOCK_ELEMENTS (replicate, agent, coordinate) elements across the batch).
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import contains, inside, project_floored_simplex, prox
+from .geometry import contains, inside, project_floored_simplex, prox, start_point
 from .network import mix
 from .objectives import (_round_blocks, gradients_exact_batch, gradients_stochastic_batch,
                          network_losses, oracle_noise, oracle_samples, stack_replicates)
@@ -94,29 +94,26 @@ class RunTrace:
         return self.x.shape[-1]
 
 
-def init_state(n, geom, x0=None):
-    """Common starting iterate: zeros on euclidean domains, uniform on the simplex."""
-    dom = geom.domain
-    if x0 is None:
-        x0 = np.full(dom.d, 1.0 / dom.d) if geom.kind == "kl" else np.zeros(dom.d)
-    x0 = np.asarray(x0, dtype=float)
-    if not contains(dom, x0):
+def init_state(n, domain, x0=None):
+    """Common starting iterate of n agents: x0, or geometry.start_point(domain)."""
+    x0 = start_point(domain) if x0 is None else np.asarray(x0, dtype=float)
+    if not contains(domain, x0):
         raise EngineError("initial iterate lies outside the domain")
     return np.tile(x0, (n, 1))
 
 
-def _apply_dynamics(geom, dyn, xhat):
+def _apply_dynamics(domain, dyn, xhat):
     xnext = xhat @ dyn.a.T
-    if geom.kind == "euclidean" or contains(geom.domain, xnext):
+    if domain.kind == "box" or contains(domain, xnext):
         return xnext
     # the dynamics pushed iterates off the floored simplex; a replicate
     # (the last two axes) is repaired as a whole, as it would be alone
-    off = ~inside(geom.domain, xnext).all(axis=-1)
-    xnext[off] = project_floored_simplex(xnext[off], geom.domain.floor)
+    off = ~inside(domain, xnext).all(axis=-1)
+    xnext[off] = project_floored_simplex(xnext[off], domain.floor)
     return xnext
 
 
-def step(x, weights, geom, dyn, grads, eta):
+def step(x, weights, domain, dyn, grads, eta):
     """One synchronous round for all agents.
 
     x and grads are stacked (n, d) arrays, or (R, n, d) replicate stacks
@@ -125,8 +122,8 @@ def step(x, weights, geom, dyn, grads, eta):
     Returns the next iterate: the mixed anchor's prox output pushed through
     the dynamics.
     """
-    xhat = prox(geom, grads, mix(weights, x), eta)
-    return _apply_dynamics(geom, dyn, xhat)
+    xhat = prox(domain, grads, mix(weights, x), eta)
+    return _apply_dynamics(domain, dyn, xhat)
 
 
 def _non_finite(x, t):
@@ -152,12 +149,12 @@ def _oracle_samples(ens, path, ensembles, rngs, rounds):
     return oracle_samples(ens, stars, np.stack(noises, axis=1))
 
 
-def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None, keep_iterates=True):
+def run(weights, domain, dyn, replicates, horizon, mode="exact", x0=None, keep_iterates=True):
     """Run R replicates through one loop for `horizon` rounds; returns their RunTrace.
 
     replicates is a sequence of (ens, path, etas, seed), etas holding the
     positive finite step sizes eta_1 .. eta_{horizon+1}; they share the network,
-    geometry, dynamics, horizon, oracle mode and start x0, and their
+    domain, dynamics, horizon, oracle mode and start x0, and their
     ensembles must share their stack_shape (see stack_replicates).  mode
     selects the oracle: "exact" queries analytic gradients, "stochastic"
     queries the noisy oracle exactly once per agent per round, replicate r
@@ -179,7 +176,7 @@ def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None, keep_ite
                              f"values eta_1 .. eta_(T+1), got shape {np.shape(eta)}")
     etas = np.array(etas, dtype=float)
     ens, path = stack_replicates(ensembles, paths, horizon)
-    count, n, d = len(replicates), weights.n, geom.domain.d
+    count, n, d = len(replicates), weights.n, domain.d
     # steps[t - 1]: one float when the schedule is shared, else an (R, 1, 1) column
     steps = etas[0].tolist() if (etas == etas[0]).all() else etas.T[:, :, None, None]
     # a block's iterates, and in stochastic mode its (B, R, n, d) oracle samples
@@ -187,7 +184,7 @@ def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None, keep_ite
     # every iterate, or only one block's: row s of the run is row s % rows
     rows = horizon + 1 if keep_iterates or not blocks else blocks[0].stop
     xs = np.empty((count, rows, n, d))
-    xs[:, 0] = init_state(n, geom, x0)
+    xs[:, 0] = init_state(n, domain, x0)
     x = xs[:, 0]
     losses = np.empty((count, horizon))
     rngs = [np.random.default_rng(seed) for seed in seeds] if mode == "stochastic" else None
@@ -199,11 +196,11 @@ def run(weights, geom, dyn, replicates, horizon, mode="exact", x0=None, keep_ite
                 g = gradients_exact_batch(ens, t, x, path)
             else:
                 g = gradients_stochastic_batch(ens, t, x, path, sample)
-            x = step(x, weights, geom, dyn, g, steps[t - 1])
+            x = step(x, weights, domain, dyn, g, steps[t - 1])
             if not np.logical_and.reduce(np.isfinite(x), axis=None):
                 raise _non_finite(x, t)
             if t == block.stop:  # fold rounds block.start+1 .. t before row t lands
                 lo = block.start % rows
                 losses[:, block] = network_losses(ens, path, block, xs[:, lo:lo + t - block.start])
             xs[:, t % rows] = x
-    return RunTrace(xs if keep_iterates else None, etas, geom.norm_kind, losses)
+    return RunTrace(xs if keep_iterates else None, etas, domain.norm_kind, losses)

@@ -1,15 +1,16 @@
 """Mirror geometries: Bregman divergences and prox steps on simple domains.
 
-Every domain is bounded, and its kind picks the geometry.  A box pairs
-with the euclidean geometry: R(x) = ||x||^2/2, distances in l2, and a
-clamped gradient step as the prox.  A probability simplex with a small
-coordinate floor pairs with the entropic (KL) geometry: the negative entropy
-generator, distances in l1, and an exponentiated-gradient update followed
-by a floor projection as the prox.  So sup D over the domain is finite, and
-the regret guarantee has its radius term, on every domain.
+The domain is the geometry: every domain is bounded, and its kind fixes the
+Bregman generator, the norm and the prox.  A box is euclidean:
+R(x) = ||x||^2/2, distances in l2, and a clamped gradient step as the prox.
+A probability simplex with a small coordinate floor is entropic (KL): the
+negative entropy generator, distances in l1, and an exponentiated-gradient
+update followed by a floor projection as the prox.  So every function here
+takes the Domain itself, sup D over the domain is finite, and the regret
+guarantee has its radius term, on every domain.
 
-Both generators are 1-strongly convex with respect to the geometry norm, so
-D(x, y) >= ||x - y||^2 / 2 everywhere on the domain.
+Both generators are 1-strongly convex with respect to the domain's
+norm_kind, so D(x, y) >= ||x - y||^2 / 2 everywhere on the domain.
 """
 
 from dataclasses import dataclass
@@ -27,13 +28,18 @@ DOMAIN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Domain:
-    """Feasible set: an axis-aligned box or a floored simplex."""
+    """Feasible set and geometry: an axis-aligned box (euclidean) or a floored simplex (KL)."""
 
     kind: str
     d: int
     lo: np.ndarray = None
     hi: np.ndarray = None
     floor: float = None
+
+    @property
+    def norm_kind(self):
+        """The norm the generator is 1-strongly convex in: l2 on a box, l1 on a simplex."""
+        return "l2" if self.kind == "box" else "l1"
 
     @cached_property
     def _clip_limits(self):
@@ -67,6 +73,11 @@ def simplex_domain(d, floor):
     if not 0.0 < floor < 1.0 / d:
         raise ValueError("floor must lie in (0, 1/d)")
     return Domain("simplex", d, floor=float(floor))
+
+
+def start_point(domain):
+    """The common start of iterates and target: the simplex's uniform point, or the origin."""
+    return np.full(domain.d, 1.0 / domain.d) if domain.kind == "simplex" else np.zeros(domain.d)
 
 
 def inside(domain, x):
@@ -111,7 +122,7 @@ def sample_domain(domain, rng, size=None):
     return domain.floor + (1.0 - domain.d * domain.floor) * p
 
 
-def diameter(domain, norm="l2"):
+def diameter(domain, norm):
     """Largest distance between two feasible points in the given norm."""
     if domain.kind == "box":
         span = domain.hi - domain.lo
@@ -131,27 +142,6 @@ def diameter(domain, norm="l2"):
     raise ValueError(f"no diameter for domain {domain.kind!r} in norm {norm!r}")
 
 
-@dataclass(frozen=True)
-class MirrorGeometry:
-    """A Bregman generator paired with the domain it is strongly convex on."""
-
-    kind: str
-    domain: Domain
-    norm_kind: str
-
-
-def euclidean_geometry(domain):
-    if domain.kind != "box":
-        raise ValueError("euclidean geometry pairs with a box domain")
-    return MirrorGeometry("euclidean", domain, "l2")
-
-
-def kl_geometry(domain):
-    if domain.kind != "simplex":
-        raise ValueError("kl geometry pairs with a floored simplex domain")
-    return MirrorGeometry("kl", domain, "l1")
-
-
 def vector_norm(kind, v):
     """Norm along the last axis: "l2" or "l1"; any other kind raises ValueError."""
     v = np.asarray(v, dtype=float)
@@ -162,30 +152,30 @@ def vector_norm(kind, v):
     raise ValueError(f"unknown norm {kind!r}")
 
 
-def dual_norm_of(geom, v):
-    """Dual norm along the last axis: l2 (euclidean) or linf (kl)."""
+def dual_norm_of(domain, v):
+    """Dual norm along the last axis: l2 on a box, linf on a simplex."""
     v = np.asarray(v, dtype=float)
-    if geom.norm_kind == "l2":
+    if domain.kind == "box":
         return np.linalg.norm(v, axis=-1)
     return np.abs(v).max(axis=-1)
 
 
-def _require_inside(geom, x, what):
-    if not contains(geom.domain, x):
+def _require_inside(domain, x, what):
+    if not contains(domain, x):
         raise ValueError(f"{what} lies outside the domain")
 
 
-def bregman(geom, x, y):
-    """Bregman divergence D(x, y) induced by the geometry's generator.
+def bregman(domain, x, y):
+    """Bregman divergence D(x, y) induced by the domain's generator.
 
-    euclidean: ||x - y||^2 / 2.  kl: sum_i x_i log(x_i / y_i), defined here
+    box: ||x - y||^2 / 2.  simplex: sum_i x_i log(x_i / y_i), defined here
     only on the floored simplex so both arguments stay away from zero.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _require_inside(geom, x, "first argument")
-    _require_inside(geom, y, "second argument")
-    if geom.kind == "euclidean":
+    _require_inside(domain, x, "first argument")
+    _require_inside(domain, y, "second argument")
+    if domain.kind == "box":
         diff = x - y
         return float(0.5 * np.dot(diff, diff))
     return float(np.sum(x * np.log(x / y)))
@@ -231,14 +221,14 @@ def project_floored_simplex(v, floor):
     return _floor_project(p / s, floor)
 
 
-def prox(geom, gradient, y, eta):
+def prox(domain, gradient, y, eta):
     """Mirror descent prox step: argmin_x eta*<gradient, x> + D(x, y).
 
     Operates along the last axis, so stacked (agents x d) inputs work, and
     (replicates x agents x d) with eta one float shared by every replicate
     or an array of shape (replicates, 1, 1); an eta array that would grow
-    the output past y's shape is refused.  euclidean/box:
-    clamp(y - eta*gradient).  kl/simplex: multiplicative update
+    the output past y's shape is refused.  box (euclidean):
+    clamp(y - eta*gradient).  simplex (KL): multiplicative update
     y_i * exp(-eta * g_i) renormalized, then floor projection; the exponent
     is shifted by its max so large gradients cannot overflow.
     """
@@ -253,7 +243,7 @@ def prox(geom, gradient, y, eta):
         raise ValueError("step size must be positive and finite")
     if g.shape != y.shape:
         raise ValueError("gradient and anchor shapes differ")
-    if not contains(geom.domain, y):
+    if not contains(domain, y):
         raise ValueError("prox anchor lies outside the domain")
     if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise ValueError("gradient has non-finite entries")
@@ -261,18 +251,18 @@ def prox(geom, gradient, y, eta):
     if out.shape != y.shape:
         raise ValueError(f"step size shape {np.shape(eta)} grows the anchor shape {y.shape} "
                          f"to {out.shape}")
-    if geom.kind == "euclidean":
+    if domain.kind == "box":
         np.subtract(y, out, out=out)
-        return _clip(out, *geom.domain._clip_limits, out=out)
+        return _clip(out, *domain._clip_limits, out=out)
     # the multiplicative update in one buffer: log y - eta g, shifted, exp, normalized
     np.subtract(np.log(y), out, out=out)
     out -= np.maximum.reduce(out, axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=-1, keepdims=True)
-    return _floor_project(out, geom.domain.floor)
+    return _floor_project(out, domain.floor)
 
 
-def prox_inequality_gap(geom, gradient, y, eta, ref):
+def prox_inequality_gap(domain, gradient, y, eta, ref):
     """Optimality certificate for the prox step.
 
     For x* = prox(g, y, eta) and any feasible ref the first-order optimality
@@ -280,9 +270,9 @@ def prox_inequality_gap(geom, gradient, y, eta, ref):
         eta*<x* - ref, g> <= D(ref, y) - D(ref, x*) - D(x*, y).
     Returns LHS - RHS, which must be <= 0 up to rounding.
     """
-    x_star = prox(geom, gradient, y, eta)
+    x_star = prox(domain, gradient, y, eta)
     lhs = eta * float(np.dot(x_star - ref, gradient))
-    rhs = bregman(geom, ref, y) - bregman(geom, ref, x_star) - bregman(geom, x_star, y)
+    rhs = bregman(domain, ref, y) - bregman(domain, ref, x_star) - bregman(domain, x_star, y)
     return lhs - rhs
 
 
@@ -298,12 +288,11 @@ class GeometryConstants:
     k: float
 
 
-def geometry_constants(geom):
-    dom = geom.domain
-    if geom.kind == "euclidean":
-        span = float(np.linalg.norm(dom.hi - dom.lo))
+def geometry_constants(domain):
+    if domain.kind == "box":
+        span = float(np.linalg.norm(domain.hi - domain.lo))
         return GeometryConstants(0.5 * span * span, span)
-    return GeometryConstants(np.log(1.0 / dom.floor), dom.d * np.log(1.0 / dom.floor))
+    return GeometryConstants(np.log(1.0 / domain.floor), domain.d * np.log(1.0 / domain.floor))
 
 
 @dataclass(frozen=True)
@@ -315,15 +304,15 @@ class NonexpansiveReport:
     max_violation: float
 
 
-def check_nonexpansive(geom, a, trials=500, seed=0):
+def check_nonexpansive(domain, a, trials=500, seed=0):
     """Check that the map x -> a @ x does not increase Bregman divergences.
 
-    euclidean: exact, via the largest singular value of a.  kl: Monte Carlo
+    box: exact, via the largest singular value of a.  simplex: Monte Carlo
     over sampled domain pairs whose images stay inside the domain; a pair
     violates when its divergence grows by more than 1e-9.
     """
     a = np.asarray(a, dtype=float)
-    if geom.kind == "euclidean":
+    if domain.kind == "box":
         sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
         return NonexpansiveReport(sigma_max <= 1.0 + 1e-12, sigma_max, 0, 0, 0.0)
     rng = np.random.default_rng(seed)
@@ -331,13 +320,13 @@ def check_nonexpansive(geom, a, trials=500, seed=0):
     violations = 0
     worst = -np.inf
     for _ in range(trials):
-        x = sample_domain(geom.domain, rng)
-        y = sample_domain(geom.domain, rng)
+        x = sample_domain(domain, rng)
+        y = sample_domain(domain, rng)
         ax, ay = a @ x, a @ y
-        if not (contains(geom.domain, ax) and contains(geom.domain, ay)):
+        if not (contains(domain, ax) and contains(domain, ay)):
             continue
         checked += 1
-        gap = bregman(geom, ax, ay) - bregman(geom, x, y)
+        gap = bregman(domain, ax, ay) - bregman(domain, x, y)
         worst = max(worst, gap)
         if gap > 1e-9:
             violations += 1

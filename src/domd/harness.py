@@ -1,10 +1,11 @@
 """Experiment assembly: single runs, parameter sweeps, bound verification.
 
 This module turns an ExperimentConfig into concrete objects (graph, weight
-matrix, geometry, dynamics, losses) and the disturbance and step-size
+matrix, domain, dynamics, losses) and the disturbance and step-size
 arrays, measures regret and writes the CSV outputs.  The weight matrix is
-always the graph's Metropolis matrix and the domain picks the geometry
-(euclidean on a box, KL on a simplex).  Every domain is bounded, so every
+always the graph's Metropolis matrix, and the domain is the geometry
+(euclidean on a box, KL on a simplex): the engine runs
+run(weights, domain, dyn, ...).  Every domain is bounded, so every
 run has its static regret and its regret guarantee and writes bounds.csv.
 Every random stream is derived from the master seed plus a fixed stream
 label and the run index, so identical configs produce byte-identical
@@ -37,8 +38,7 @@ from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_va
 from .dynamics import (LinearDynamics, MinimizerPath, generate_path, identity_dynamics,
                        ncv_disturbances, ncv_dynamics, residual_norms)
 from .engine import run
-from .geometry import (box_domain, contains, euclidean_geometry, geometry_constants,
-                       kl_geometry, simplex_domain)
+from .geometry import box_domain, contains, geometry_constants, simplex_domain, start_point
 from .metrics import (_guarantee_steps, dynamic_regret, network_disagreement,
                       per_agent_loss_gap, regret_guarantee, static_regret,
                       tuned_step, write_bound_csv, write_regret_csv)
@@ -90,8 +90,10 @@ def build_domain(cfg):
 
 
 def build_geometry(cfg, domain):
-    """KL on a simplex, euclidean on a box (cfg is not read)."""
-    return kl_geometry(domain) if domain.kind == "simplex" else euclidean_geometry(domain)
+    """The domain itself, which is the geometry (cfg is not read).  Kept only
+    because perfbench/workloads.py::assemble_first, the setup_s probe, calls
+    it by name; drop it together with that call."""
+    return domain
 
 
 def build_dynamics(cfg):
@@ -148,9 +150,8 @@ class RunResult:
 
 
 def _assemble(cfg):
-    """(weights, geom, dyn) of a config, which no seed or run index changes."""
-    return (build_weights(cfg, build_graph(cfg)), build_geometry(cfg, build_domain(cfg)),
-            build_dynamics(cfg))
+    """(weights, domain, dyn) of a config, which no seed or run index changes."""
+    return build_weights(cfg, build_graph(cfg)), build_domain(cfg), build_dynamics(cfg)
 
 
 def _replicate_bytes(cfg, keep_iterates):
@@ -192,8 +193,8 @@ def _by_config(keys):
 
 
 def _setup_runs(keys):
-    """((weights, geom, dyn, sigma2), keys) of each run of consecutive keys
-    whose configs build _same weights, geometry and dynamics, with one oracle
+    """((weights, domain, dyn, sigma2), keys) of each run of consecutive keys
+    whose configs build _same weights, domain and dynamics, with one oracle
     mode and horizon; the run uses its first config's objects."""
     group = []
     for cfg, items in _by_config(keys):
@@ -208,7 +209,7 @@ def _setup_runs(keys):
         yield shared[:3] + (second_singular_value(shared[0]),), group
 
 
-def _replicates(keys, drafts_of, geom, dyn, sigma2):
+def _replicates(keys, drafts_of, domain, dyn, sigma2):
     """(cfg, ens, path, etas, seed, norms) of each (cfg, item) key, every
     target path rolled in one generate_path call.
 
@@ -218,14 +219,14 @@ def _replicates(keys, drafts_of, geom, dyn, sigma2):
     whose sum C_T the schedule, the regret and the bounds all read.
     """
     drafts = [(cfg,) + draft for cfg, items in _by_config(keys)
-              for draft in drafts_of(cfg, items, geom.domain)]
+              for draft in drafts_of(cfg, items, domain)]
     cfgs, targets, noises, ensembles, seeds = zip(*drafts)
     assert all(np.array_equal(target0, targets[0]) for target0 in targets), \
         "replicates rolled together must share their start target"
-    inputs = _replicate_inputs(dyn, geom.domain, targets[0], noises, ensembles)
+    inputs = _replicate_inputs(dyn, domain, targets[0], noises, ensembles)
     out = []
     for cfg, (ens, path), seed in zip(cfgs, inputs, seeds):
-        norms = residual_norms(path, dyn, geom.norm_kind)
+        norms = residual_norms(path, dyn, domain.norm_kind)
         out.append((cfg, ens, path, build_schedule(cfg, sigma2, float(norms.sum())), seed, norms))
     return out
 
@@ -255,17 +256,16 @@ def _execute(keys, drafts_of, x0=None, keep_iterates=True):
     once for the whole batch; C_T and the bounds read the replicate's
     residual_norms.
     """
-    for (weights, geom, dyn, sigma2), batch in _engine_batches(keys, drafts_of, keep_iterates):
-        cfg, consts = batch[0][0], geometry_constants(geom)
-        traces = run(weights, geom, dyn, [rep[1:5] for rep in batch], cfg.horizon,
+    for (weights, domain, dyn, sigma2), batch in _engine_batches(keys, drafts_of, keep_iterates):
+        cfg, consts = batch[0][0], geometry_constants(domain)
+        traces = run(weights, domain, dyn, [rep[1:5] for rep in batch], cfg.horizon,
                      cfg.gradient_mode, x0, keep_iterates)
         steps = _guarantee_steps(sigma2, traces.etas, [float(rep[5].sum()) for rep in batch],
                                  cfg.horizon)
         for r, (cfg, ens, path, _, _, norms) in enumerate(batch):
             trace = traces[r]
             regret = replace(dynamic_regret(trace, ens, path, trace.losses),
-                             static_regret=static_regret(trace, ens, path, geom.domain,
-                                                         trace.losses),
+                             static_regret=static_regret(trace, ens, path, domain, trace.losses),
                              path_variation=float(norms.sum()))
             bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas, norms,
                                       weights.n, grad_second_moment=ens.second_moment
@@ -276,15 +276,11 @@ def _execute(keys, drafts_of, x0=None, keep_iterates=True):
 
 
 def _start_target(cfg, domain):
-    """The target's initial state: noise.target_init if set, else the simplex's
-    uniform point or the origin.  Raises ConfigError when it lies outside the domain.
+    """The target's initial state: noise.target_init if set, else the
+    iterates' start, geometry.start_point.  Raises ConfigError when it lies
+    outside the domain.
     """
-    if cfg.target_init:
-        target0 = np.asarray(cfg.target_init, dtype=float)
-    elif domain.kind == "simplex":
-        target0 = np.full(cfg.dim, 1.0 / cfg.dim)
-    else:
-        target0 = np.zeros(cfg.dim)
+    target0 = np.asarray(cfg.target_init, dtype=float) if cfg.target_init else start_point(domain)
     if not contains(domain, target0):
         raise ConfigError("noise.target_init lies outside the domain")
     return target0
@@ -408,12 +404,6 @@ def tracking_error_stats(trace, path, tail=100):
     tail = min(tail, trace.horizon)
     err = trace.x[-tail - 1:-1] - path.states[-tail - 1:-1, None, :]
     return np.linalg.norm(err, axis=2).mean(axis=0)
-
-
-def target_position_path_length(path, position_dims=(0, 2)):
-    """Length of the target's position trajectory (NCV layout by default)."""
-    pos = path.states[:, list(position_dims)]
-    return float(np.linalg.norm(np.diff(pos, axis=0), axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -615,11 +605,11 @@ def _case_drafts(case, stream, l_scale, cfg, seeds, domain):
 
 
 def _build_case(case, seed):
-    """(weights, geom, dyn, ens, path, etas) of a suite case at one seed."""
-    weights, geom, dyn = _assemble(case.cfg)
-    [(_, ens, path, etas, _, _)] = _replicates([(case.cfg, seed)],
-                                               partial(_case_drafts, case, 0, 1.0), geom, dyn, None)
-    return weights, geom, dyn, ens, path, etas
+    """(weights, domain, dyn, ens, path, etas) of a suite case at one seed."""
+    weights, domain, dyn = _assemble(case.cfg)
+    drafts_of = partial(_case_drafts, case, 0, 1.0)
+    [(_, ens, path, etas, _, _)] = _replicates([(case.cfg, seed)], drafts_of, domain, dyn, None)
+    return weights, domain, dyn, ens, path, etas
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import MinimizerPath
-from .geometry import diameter, inside
+from .geometry import diameter, dual_norm_of, inside
 
 TRACKED_COORDS = 4
 
@@ -180,10 +180,7 @@ def synthetic_suite(seed, n, d, horizon, domain, kind="synthetic_quadratic",
 def linear_ensemble(gradients, domain):
     """Linear losses from an explicit (horizon, n, d) gradient array, exact oracle."""
     gradients = np.asarray(gradients, dtype=float)
-    if domain.kind == "simplex":
-        worst = float(np.abs(gradients).max(axis=2).max())
-    else:
-        worst = float(np.linalg.norm(gradients, axis=2).max())
+    worst = float(dual_norm_of(domain, gradients).max())
     _, n, d = gradients.shape
     return LossEnsemble("synthetic_linear", n, d, worst, worst * worst, gradients=gradients)
 

@@ -1,6 +1,7 @@
-"""Shared test fixtures and a CSV reader; collects acceptance verdicts for an
-end-of-run summary."""
+"""Shared test fixtures, a CSV reader and the target's position path length;
+collects acceptance verdicts for an end-of-run summary."""
 
+import numpy as np
 import pytest
 
 _CRITERIA = {}
@@ -30,6 +31,12 @@ def read_csv(path):
             elif line:
                 rows.append(line.split(","))
     return comments, header, rows
+
+
+def target_position_path_length(path, position_dims=(0, 2)):
+    """Length of the target's position trajectory (NCV layout by default)."""
+    pos = path.states[:, list(position_dims)]
+    return float(np.linalg.norm(np.diff(pos, axis=0), axis=1).sum())
 
 
 def pytest_sessionfinish(session, exitstatus):

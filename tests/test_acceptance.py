@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
+from conftest import target_position_path_length
 from domd.cli import main
 from domd.config import parse_config
 from domd.dynamics import generate_path, identity_dynamics
-from domd.geometry import (box_domain, euclidean_geometry, kl_geometry, prox,
-                           prox_inequality_gap, sample_domain, simplex_domain)
-from domd.harness import (run_experiment, stochastic_mean_regret, sweep,
-                          target_position_path_length, tracking_error_stats,
+from domd.geometry import (box_domain, prox, prox_inequality_gap, sample_domain,
+                           simplex_domain)
+from domd.harness import (run_experiment, stochastic_mean_regret, sweep, tracking_error_stats,
                           variation_scaling_study, verify_bounds)
 from domd.objectives import gradient_exact, gradient_stochastic, tracking_ensemble
 
@@ -166,37 +166,35 @@ def test_07_prox_correctness(record_criterion):
     worst_grid = 0.0
     for d in (2, 3):
         domain = simplex_domain(d, 0.01)
-        geom = kl_geometry(domain)
         pts, entropy = _simplex_grid(d, domain.floor)
         for _ in range(4):
             y = sample_domain(domain, rng)
             g = rng.normal(0.0, 1.0, d)
             for eta in (0.1, 0.5):
-                x = prox(geom, g, y, eta)
+                x = prox(domain, g, y, eta)
                 obj = eta * (pts @ g) + entropy - pts @ np.log(y)
                 best = pts[int(np.argmin(obj))]
                 worst_grid = max(worst_grid, float(np.abs(x - best).sum()))
 
     box = box_domain([-2.0] * 3, [2.0] * 3)
-    egeom = euclidean_geometry(box)
     clamp_exact = True
     for _ in range(20):
         y = rng.uniform(-2.0, 2.0, 3)
         g = rng.normal(0.0, 2.0, 3)
         eta = float(rng.uniform(0.05, 1.0))
-        out = prox(egeom, g, y, eta)
+        out = prox(box, g, y, eta)
         clamp_exact = clamp_exact and np.array_equal(
             out, np.clip(y - eta * g, box.lo, box.hi))
 
     worst_cert = -np.inf
-    for geom in (egeom, kl_geometry(simplex_domain(3, 0.01))):
+    for domain in (box, simplex_domain(3, 0.01)):
         for _ in range(5):
-            y = sample_domain(geom.domain, rng)
-            g = rng.normal(0.0, 1.0, geom.domain.d)
+            y = sample_domain(domain, rng)
+            g = rng.normal(0.0, 1.0, domain.d)
             eta = float(rng.uniform(0.05, 1.0))
             for _ in range(50):
-                ref = sample_domain(geom.domain, rng)
-                gap = prox_inequality_gap(geom, g, y, eta, ref)
+                ref = sample_domain(domain, rng)
+                gap = prox_inequality_gap(domain, g, y, eta, ref)
                 worst_cert = max(worst_cert, float(gap))
 
     ok = worst_grid <= 2e-3 and clamp_exact and worst_cert <= 1e-9

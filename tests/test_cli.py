@@ -150,6 +150,17 @@ def test_sweep_keeps_an_integer_value_exact(quad_config, tmp_path, capsys):
     assert (out / "sweep.csv").read_bytes() == (lib / "sweep.csv").read_bytes()
 
 
+def test_sweep_summary_names_each_value_as_it_ran(quad_config, tmp_path, capsys):
+    # seven significant digits and more: %g printed 1.23457e+06 for both seeds
+    for param, values in (("experiment.seed", "1234567,1234568"),
+                          ("eta0", "0.1234567,0.12345678")):
+        assert main(["sweep", "--config", quad_config, "--out", str(tmp_path / param),
+                     "--param", param, "--values", values, "--runs", "1"]) == 0
+        stdout = capsys.readouterr().out
+        assert [line.split(":")[0] for line in stdout.splitlines()[:-1]] == [
+            f"{param}={value}" for value in values.split(",")]
+
+
 @pytest.mark.parametrize("param, values, shown", [
     ("eta0", "0.25,3,3.0,1e3", ["0.25", "3", "3", "1000"]),
     ("experiment.seed", "3,3.0,1e3", ["3", "3", "1000"]),

@@ -222,3 +222,12 @@ def test_a_one_dimensional_array_is_refused(tmp_path):
 def test_a_row_width_that_does_not_match_the_header_is_refused(tmp_path, header, labels):
     with pytest.raises(ValueError, match=rf"{len(header)} header cells .* shape \(3, 2\)"):
         csvio.write_csv(tmp_path / "t.csv", header, np.zeros((3, 2)), labels=labels)
+
+
+@pytest.mark.parametrize("rows, bad, width", [([[1, 2, 3], [4]], 0, 3), ([[1, 2], [4]], 1, 1),
+                                              (iter([[1, 2], [3, 4], [5, 6, 7]]), 2, 3)])
+def test_a_ragged_cell_row_is_refused_before_the_file_opens(tmp_path, rows, bad, width):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=rf"2 header cells and row {bad} of {width} cells"):
+        csvio.write_csv(path, ["a", "b"], rows)
+    assert not path.exists()

@@ -6,7 +6,7 @@ import pytest
 from domd.dynamics import (LinearDynamics, generate_path, identity_dynamics,
                            ncv_disturbances, ncv_dynamics, ncv_noise_covariance,
                            residual_norms)
-from domd.geometry import box_domain, check_nonexpansive, euclidean_geometry
+from domd.geometry import box_domain, check_nonexpansive
 
 
 def test_ncv_matrix_layout():
@@ -35,9 +35,9 @@ def test_dynamics_validation():
 
 
 def test_nonexpansive_verdict_cached():
-    geom = euclidean_geometry(box_domain([-1.0] * 4, [1.0] * 4))
-    assert check_nonexpansive(geom, identity_dynamics(4).a).passed
-    assert not check_nonexpansive(geom, ncv_dynamics(0.1).a).passed
+    domain = box_domain([-1.0] * 4, [1.0] * 4)
+    assert check_nonexpansive(domain, identity_dynamics(4).a).passed
+    assert not check_nonexpansive(domain, ncv_dynamics(0.1).a).passed
 
 
 def test_ncv_covariance_blocks():

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domd.geometry import (DOMAIN_TOL, bregman, box_domain, check_nonexpansive,
-                           contains, diameter, dual_norm_of, euclidean_geometry,
-                           geometry_constants, inside, kl_geometry,
+                           contains, diameter, dual_norm_of, geometry_constants, inside,
                            project_floored_simplex, prox, prox_inequality_gap,
                            sample_domain, simplex_domain, vector_norm)
 
@@ -18,11 +17,11 @@ BIG = np.finfo(float).max
 
 
 def _box2():
-    return euclidean_geometry(box_domain([-1.0, -1.0], [1.0, 1.0]))
+    return box_domain([-1.0, -1.0], [1.0, 1.0])
 
 
 def _simplex(d=2):
-    return kl_geometry(simplex_domain(d, FLOOR))
+    return simplex_domain(d, FLOOR)
 
 
 def _kl_grid_min(y, g, eta, d, step):
@@ -169,17 +168,10 @@ def test_diameter_simplex():
         diameter(dom, "l3")
 
 
-def test_geometry_pairing_rules():
-    with pytest.raises(ValueError):
-        euclidean_geometry(simplex_domain(2, FLOOR))
-    with pytest.raises(ValueError):
-        kl_geometry(box_domain([0.0], [1.0]))
-
-
 def test_norms():
-    geom = _box2()
-    assert vector_norm(geom.norm_kind, [3.0, 4.0]) == pytest.approx(5.0)
-    assert dual_norm_of(geom, [3.0, 4.0]) == pytest.approx(5.0)
+    domain = _box2()
+    assert vector_norm(domain.norm_kind, [3.0, 4.0]) == pytest.approx(5.0)
+    assert dual_norm_of(domain, [3.0, 4.0]) == pytest.approx(5.0)
     kl = _simplex(2)
     assert vector_norm(kl.norm_kind, [0.25, -0.5]) == pytest.approx(0.75)
     assert dual_norm_of(kl, [0.25, -0.5]) == pytest.approx(0.5)
@@ -189,28 +181,28 @@ def test_norms():
 
 
 def test_bregman_euclidean_is_half_squared_distance():
-    geom = _box2()
-    assert bregman(geom, [0.5, -0.5], [-0.5, 0.5]) == pytest.approx(1.0)
+    domain = _box2()
+    assert bregman(domain, [0.5, -0.5], [-0.5, 0.5]) == pytest.approx(1.0)
 
 
 def test_bregman_kl_frozen_value():
     # sum x log(x/y) at x=(1/2,1/2), y=(1/4,3/4): log(2)/2 + log(2/3)/2
-    geom = _simplex(2)
-    assert bregman(geom, [0.5, 0.5], [0.25, 0.75]) == pytest.approx(
+    domain = _simplex(2)
+    assert bregman(domain, [0.5, 0.5], [0.25, 0.75]) == pytest.approx(
         0.14384103622589042, abs=1e-15)
 
 
 def test_bregman_zero_iff_equal():
     rng = np.random.default_rng(1)
-    for geom in (_box2(), _simplex(3)):
-        x = sample_domain(geom.domain, rng)
-        assert bregman(geom, x, x) == pytest.approx(0.0, abs=1e-12)
+    for domain in (_box2(), _simplex(3)):
+        x = sample_domain(domain, rng)
+        assert bregman(domain, x, x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bregman_rejects_points_outside():
-    geom = _box2()
+    domain = _box2()
     with pytest.raises(ValueError, match="outside"):
-        bregman(geom, [2.0, 0.0], [0.0, 0.0])
+        bregman(domain, [2.0, 0.0], [0.0, 0.0])
     kl = _simplex(2)
     with pytest.raises(ValueError, match="outside"):
         bregman(kl, [0.001, 0.999], [0.5, 0.5])
@@ -219,56 +211,56 @@ def test_bregman_rejects_points_outside():
 def test_bregman_strong_convexity_lower_bound():
     # D(x, y) >= ||x - y||^2 / 2 in the geometry norm
     rng = np.random.default_rng(2)
-    for geom in (_box2(), _simplex(3)):
+    for domain in (_box2(), _simplex(3)):
         for _ in range(200):
-            x = sample_domain(geom.domain, rng)
-            y = sample_domain(geom.domain, rng)
-            lower = 0.5 * float(vector_norm(geom.norm_kind, x - y)) ** 2
-            assert bregman(geom, x, y) >= lower - 1e-10
+            x = sample_domain(domain, rng)
+            y = sample_domain(domain, rng)
+            lower = 0.5 * float(vector_norm(domain.norm_kind, x - y)) ** 2
+            assert bregman(domain, x, y) >= lower - 1e-10
 
 
 def test_separate_convexity_in_second_argument():
     # D(x, sum_k a_k y_k) <= sum_k a_k D(x, y_k) for sampled x, y_k and weights a
-    for geom in (_box2(), _simplex(3)):
+    for domain in (_box2(), _simplex(3)):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            x = sample_domain(geom.domain, rng)
+            x = sample_domain(domain, rng)
             m = int(rng.integers(2, 5))
-            ys = sample_domain(geom.domain, rng, size=m)
+            ys = sample_domain(domain, rng, size=m)
             alpha = rng.dirichlet(np.ones(m))
             mixture = alpha @ ys
-            if geom.kind == "kl":
+            if domain.kind == "simplex":
                 # rounding can leave the mixture a hair outside; renormalize
                 mixture = mixture / mixture.sum()
-            weighted = sum(a * bregman(geom, x, y) for a, y in zip(alpha, ys))
-            gap = bregman(geom, x, mixture) - weighted
-            assert gap <= 1e-9, (geom.kind, gap)
+            weighted = sum(a * bregman(domain, x, y) for a, y in zip(alpha, ys))
+            gap = bregman(domain, x, mixture) - weighted
+            assert gap <= 1e-9, (domain.kind, gap)
 
 
 # ---------------------------------------------------------------- prox
 
 
 def test_prox_euclidean_clamps():
-    geom = euclidean_geometry(box_domain([-1.0], [1.0]))
-    out = prox(geom, np.array([-1.0]), np.array([0.9]), 0.5)
+    domain = box_domain([-1.0], [1.0])
+    out = prox(domain, np.array([-1.0]), np.array([0.9]), 0.5)
     assert out[0] == 1.0  # 0.9 + 0.5 clamped to the upper face
 
 
 def test_prox_euclidean_matches_free_step_inside():
-    geom = _box2()
-    out = prox(geom, np.array([0.2, -0.4]), np.array([0.1, 0.1]), 0.5)
+    domain = _box2()
+    out = prox(domain, np.array([0.2, -0.4]), np.array([0.1, 0.1]), 0.5)
     np.testing.assert_allclose(out, [0.0, 0.3], atol=1e-15)
 
 
 def test_prox_euclidean_free_domain_never_clips():
     # a long step that stays inside a box of +-finfo.max is never clipped
-    wide = euclidean_geometry(box_domain([-BIG] * 2, [BIG] * 2))
+    wide = box_domain([-BIG] * 2, [BIG] * 2)
     out = prox(wide, np.array([5.0, -5.0]), np.array([0.0, 0.0]), 2.0)
     np.testing.assert_allclose(out, [-10.0, 10.0], atol=1e-15)
 
 
 def test_prox_euclidean_brute_force_grid():
-    geom = _box2()
+    domain = _box2()
     rng = np.random.default_rng(3)
     step = 1e-3
     axis = np.arange(-1.0, 1.0 + step / 2, step)
@@ -280,61 +272,61 @@ def test_prox_euclidean_brute_force_grid():
         eta = rng.uniform(0.1, 1.0)
         obj = eta * (pts @ g) + 0.5 * np.sum((pts - y) ** 2, axis=1)
         best = pts[np.argmin(obj)]
-        out = prox(geom, g, y, eta)
+        out = prox(domain, g, y, eta)
         assert np.abs(out - best).max() <= 2 * step
 
 
 def test_prox_kl_closed_form_two_coordinates():
     # y=(1/2,1/2), g=(-log 2, 0), eta=1: weights (1, 1/2) -> (2/3, 1/3)
-    geom = _simplex(2)
-    out = prox(geom, np.array([-np.log(2.0), 0.0]), np.array([0.5, 0.5]), 1.0)
+    domain = _simplex(2)
+    out = prox(domain, np.array([-np.log(2.0), 0.0]), np.array([0.5, 0.5]), 1.0)
     np.testing.assert_allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_prox_kl_matches_grid_search(d):
-    geom = _simplex(d)
+    domain = _simplex(d)
     rng = np.random.default_rng(4)
     step = 1e-3
     for _ in range(3):
-        y = sample_domain(geom.domain, rng)
+        y = sample_domain(domain, rng)
         g = rng.normal(0.0, 2.0, d)
         eta = rng.uniform(0.05, 1.0)
-        out = prox(geom, g, y, eta)
+        out = prox(domain, g, y, eta)
         best = _kl_grid_min(y, g, eta, d, step)
         assert np.abs(out - best).sum() <= 2e-3
 
 
 def test_prox_kl_huge_gradient_no_overflow():
-    geom = _simplex(3)
-    out = prox(geom, np.array([1e5, -1e5, 0.0]), np.full(3, 1.0 / 3.0), 1.0)
+    domain = _simplex(3)
+    out = prox(domain, np.array([1e5, -1e5, 0.0]), np.full(3, 1.0 / 3.0), 1.0)
     assert np.all(np.isfinite(out))
-    assert contains(geom.domain, out)
+    assert contains(domain, out)
     # the favored coordinate takes all free mass
     np.testing.assert_allclose(out, [FLOOR, 1.0 - 2 * FLOOR, FLOOR], atol=1e-12)
 
 
 def test_prox_batch_rows_match_single_calls():
     rng = np.random.default_rng(5)
-    for geom in (_box2(), _simplex(3)):
-        ys = sample_domain(geom.domain, rng, size=4)
+    for domain in (_box2(), _simplex(3)):
+        ys = sample_domain(domain, rng, size=4)
         gs = rng.normal(0, 1, ys.shape)
-        batch = prox(geom, gs, ys, 0.3)
+        batch = prox(domain, gs, ys, 0.3)
         for i in range(4):
-            np.testing.assert_allclose(batch[i], prox(geom, gs[i], ys[i], 0.3),
+            np.testing.assert_allclose(batch[i], prox(domain, gs[i], ys[i], 0.3),
                                        atol=1e-15)
 
 
 def test_prox_validation():
-    geom = _box2()
+    domain = _box2()
     with pytest.raises(ValueError, match="positive"):
-        prox(geom, np.zeros(2), np.zeros(2), 0.0)
+        prox(domain, np.zeros(2), np.zeros(2), 0.0)
     with pytest.raises(ValueError, match="outside"):
-        prox(geom, np.zeros(2), np.array([3.0, 0.0]), 0.1)
+        prox(domain, np.zeros(2), np.array([3.0, 0.0]), 0.1)
     with pytest.raises(ValueError, match="non-finite"):
-        prox(geom, np.array([np.nan, 0.0]), np.zeros(2), 0.1)
+        prox(domain, np.array([np.nan, 0.0]), np.zeros(2), 0.1)
     with pytest.raises(ValueError, match="shapes"):
-        prox(geom, np.zeros(3), np.zeros(2), 0.1)
+        prox(domain, np.zeros(3), np.zeros(2), 0.1)
 
 
 def test_prox_accepts_finite_gradients_whose_sum_overflows():
@@ -347,64 +339,64 @@ def test_prox_accepts_finite_gradients_whose_sum_overflows():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("geom", [_box2(), _simplex(2)], ids=["box", "simplex"])
-def test_prox_rejects_any_non_finite_gradient_entry(geom, bad):
+@pytest.mark.parametrize("domain", [_box2(), _simplex(2)], ids=["box", "simplex"])
+def test_prox_rejects_any_non_finite_gradient_entry(domain, bad):
     y = np.full((2, 2), 0.5)
     for spot in range(4):
         g = np.array([[1e308, -1e308], [1e308, 1.0]])
         g.flat[spot] = bad
         with pytest.raises(ValueError, match="gradient has non-finite entries"):
-            prox(geom, g, y, 0.5)
+            prox(domain, g, y, 0.5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
-@pytest.mark.parametrize("geom", [_box2(), _simplex(2)], ids=["box", "simplex"])
-def test_prox_rejects_non_finite_and_non_positive_step_sizes(geom, bad):
+@pytest.mark.parametrize("domain", [_box2(), _simplex(2)], ids=["box", "simplex"])
+def test_prox_rejects_non_finite_and_non_positive_step_sizes(domain, bad):
     # a scalar step, and a (R, 1, 1) replicate stack with one bad replicate
     y = np.full((3, 2, 2), 0.5)
     g = np.ones((3, 2, 2))
     with pytest.raises(ValueError, match="step size must be positive and finite"):
-        prox(geom, g[0, 0], y[0, 0], bad)
+        prox(domain, g[0, 0], y[0, 0], bad)
     for spot in range(3):
         eta = np.full((3, 1, 1), 0.5)
         eta[spot] = bad
         with pytest.raises(ValueError, match="step size must be positive and finite"):
-            prox(geom, g, y, eta)
-    assert prox(geom, g, y, np.full((3, 1, 1), 0.5)).shape == (3, 2, 2)
+            prox(domain, g, y, eta)
+    assert prox(domain, g, y, np.full((3, 1, 1), 0.5)).shape == (3, 2, 2)
     # a float shared by the whole stack takes the one-comparison path, and
     # refuses what the array path refuses
     with pytest.raises(ValueError, match="step size must be positive and finite"):
-        prox(geom, g, y, float(bad))
+        prox(domain, g, y, float(bad))
 
 
-@pytest.mark.parametrize("geom", [_box2(), _simplex(2)], ids=["box", "simplex"])
-def test_prox_refuses_a_step_array_that_grows_the_anchor(geom):
+@pytest.mark.parametrize("domain", [_box2(), _simplex(2)], ids=["box", "simplex"])
+def test_prox_refuses_a_step_array_that_grows_the_anchor(domain):
     # a (3, 1, 1) step against (25, 2) inputs would broadcast them to (3, 25, 2)
     y = np.full((25, 2), 0.5)
     g = np.ones((25, 2))
     for eta in (np.full((3, 1, 1), 0.5), np.full((1, 1, 1), 0.5), np.full((2, 25, 2), 0.5)):
         with pytest.raises(ValueError, match=re.escape(
                 f"step size shape {eta.shape} grows the anchor shape (25, 2)")):
-            prox(geom, g, y, eta)
+            prox(domain, g, y, eta)
     # steps that broadcast into y's own shape are fine
     for eta in (np.full((25, 1), 0.5), np.full((1, 2), 0.5), np.float64(0.5), 0.5):
-        assert prox(geom, g, y, eta).shape == (25, 2)
+        assert prox(domain, g, y, eta).shape == (25, 2)
 
 
-@pytest.mark.parametrize("geom", [euclidean_geometry(box_domain([-1.0] * 4, [1.0] * 4)),
+@pytest.mark.parametrize("domain", [box_domain([-1.0] * 4, [1.0] * 4),
                                   _simplex(4)], ids=["box", "simplex"])
-def test_prox_float_step_equals_the_replicate_step_array(geom):
+def test_prox_float_step_equals_the_replicate_step_array(domain):
     # the engine hands prox one float when every replicate shares the step:
     # the same bits as that step as an (R, 1, 1) array, clamped and floored
     # entries included
     rng = np.random.default_rng(12)
-    y = sample_domain(geom.domain, rng, 5 * 6).reshape(5, 6, 4)
+    y = sample_domain(domain, rng, 5 * 6).reshape(5, 6, 4)
     g = rng.normal(0.0, 30.0, (5, 6, 4))
-    edges = (-1.0, 1.0) if geom.kind == "euclidean" else (FLOOR,)
+    edges = (-1.0, 1.0) if domain.kind == "box" else (FLOOR,)
     for eta in (0.5, 0.013, 7.0):
-        want = prox(geom, g, y, np.full((5, 1, 1), eta))
+        want = prox(domain, g, y, np.full((5, 1, 1), eta))
         for step in (eta, np.float64(eta)):
-            got = prox(geom, g, y, step)
+            got = prox(domain, g, y, step)
             assert got.shape == y.shape
             assert got.tobytes() == want.tobytes()
     assert np.isin(want, edges).any()
@@ -412,12 +404,12 @@ def test_prox_float_step_equals_the_replicate_step_array(geom):
 
 def test_prox_optimality_inequality_50_references():
     rng = np.random.default_rng(6)
-    for geom in (_box2(), _simplex(3)):
-        y = sample_domain(geom.domain, rng)
-        g = rng.normal(0, 1, geom.domain.d)
+    for domain in (_box2(), _simplex(3)):
+        y = sample_domain(domain, rng)
+        g = rng.normal(0, 1, domain.d)
         for _ in range(50):
-            ref = sample_domain(geom.domain, rng)
-            assert prox_inequality_gap(geom, g, y, 0.4, ref) <= 1e-9
+            ref = sample_domain(domain, rng)
+            assert prox_inequality_gap(domain, g, y, 0.4, ref) <= 1e-9
 
 
 # ------------------------------------------------------- floor projection
@@ -451,10 +443,10 @@ def test_floor_projection_rejects_nonpositive_mass():
 def test_floor_projection_is_kl_optimal():
     # the projected point minimizes the prox objective among grid candidates,
     # so flooring then rescaling is not an approximation on these inputs
-    geom = _simplex(2)
+    domain = _simplex(2)
     y = np.array([0.5, 0.5])
     g = np.array([8.0, 0.0])  # pushes coordinate 0 below the floor
-    out = prox(geom, g, y, 1.0)
+    out = prox(domain, g, y, 1.0)
     assert out[0] == pytest.approx(FLOOR)
     best = _kl_grid_min(y, g, 1.0, 2, 1e-4)
     assert np.abs(out - best).sum() <= 2e-4
@@ -478,29 +470,29 @@ def test_geometry_constants_simplex():
 def test_geometry_constants_dominate_divergence():
     # r2 really is an upper bound for D over sampled pairs
     rng = np.random.default_rng(8)
-    for geom in (_box2(), _simplex(3)):
-        consts = geometry_constants(geom)
+    for domain in (_box2(), _simplex(3)):
+        consts = geometry_constants(domain)
         for _ in range(200):
-            x = sample_domain(geom.domain, rng)
-            y = sample_domain(geom.domain, rng)
-            assert bregman(geom, x, y) <= consts.r2 + 1e-9
+            x = sample_domain(domain, rng)
+            y = sample_domain(domain, rng)
+            assert bregman(domain, x, y) <= consts.r2 + 1e-9
 
 
 # ------------------------------------------------------------ nonexpansive
 
 
 def test_nonexpansive_euclidean_exact():
-    geom = _box2()
-    assert check_nonexpansive(geom, np.eye(2)).passed
-    assert check_nonexpansive(geom, 0.9 * np.eye(2)).passed
-    report = check_nonexpansive(geom, np.array([[1.0, 0.1], [0.0, 1.0]]))
+    domain = _box2()
+    assert check_nonexpansive(domain, np.eye(2)).passed
+    assert check_nonexpansive(domain, 0.9 * np.eye(2)).passed
+    report = check_nonexpansive(domain, np.array([[1.0, 0.1], [0.0, 1.0]]))
     assert not report.passed
     assert report.sigma_max == pytest.approx(1.0512492197250394, abs=1e-12)
 
 
 def test_nonexpansive_kl_permutation_passes():
-    geom = _simplex(3)
+    domain = _simplex(3)
     perm = np.eye(3)[[2, 0, 1]]
-    report = check_nonexpansive(geom, perm, trials=200, seed=0)
+    report = check_nonexpansive(domain, perm, trials=200, seed=0)
     assert report.passed
     assert report.checked > 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import domd.harness
-from conftest import read_csv
+from conftest import read_csv, target_position_path_length
 from domd.config import (ConfigError, ExperimentConfig, config_hash, cross_validate,
                          parse_config)
 from domd.engine import run
@@ -19,11 +19,9 @@ from domd.harness import (_build_case, _case_runs, _derive_seed, _ORACLE, _PATH,
                           build_geometry, build_noise, build_schedule,
                           build_weights, bound_suite, check_rows, exact_run_violations,
                           run_experiment, run_experiments, stochastic_mean_regret,
-                          sweep, target_position_path_length,
-                          tracking_error_stats, variation_scaling_study,
+                          sweep, tracking_error_stats, variation_scaling_study,
                           verify_bounds)
-from domd.geometry import (box_domain, euclidean_geometry, geometry_constants, kl_geometry,
-                           simplex_domain)
+from domd.geometry import box_domain, geometry_constants, simplex_domain
 from domd.metrics import (BoundReport, dynamic_regret, network_disagreement,
                           per_agent_loss_gap, regret_guarantee, tuned_step)
 from domd.network import (WeightMatrix, build_grid_graph, build_path_graph,
@@ -111,9 +109,9 @@ def test_build_weights_and_domain_and_geometry():
     simplex_cfg = _tracking_cfg(domain_kind="simplex", dim=3)
     simplex = build_domain(simplex_cfg)
     assert simplex.kind == "simplex"
-    # the domain picks the geometry
-    assert build_geometry(_tracking_cfg(), box).kind == "euclidean"
-    assert build_geometry(simplex_cfg, simplex).kind == "kl"
+    # the domain is the geometry
+    assert build_geometry(_tracking_cfg(), box) is box
+    assert build_geometry(simplex_cfg, simplex) is simplex
 
 
 def test_build_dynamics_and_noise():
@@ -592,13 +590,13 @@ def test_verify_rows_do_not_depend_on_the_batch_size(size, monkeypatch):
 def test_suite_results_carry_the_scaled_ensemble_of_their_bounds():
     case = _suite_case("box_quad_noisy_n4_t100")
     for seed, result in enumerate(_case_runs(case, range(2), 0, l_scale=0.5)):
-        weights, geom, dyn, ens, path, etas = _build_case(case, seed)
+        weights, domain, dyn, ens, path, etas = _build_case(case, seed)
         assert result.ensemble.lipschitz == 0.5 * ens.lipschitz
         assert result.ensemble.second_moment == 0.25 * ens.second_moment
         assert np.array_equal(result.path.states, path.states)
-        want = regret_guarantee(geometry_constants(geom), 0.5 * ens.lipschitz,
+        want = regret_guarantee(geometry_constants(domain), 0.5 * ens.lipschitz,
                                 second_singular_value(weights), etas,
-                                residual_norms(path, dyn, geom.norm_kind), weights.n,
+                                residual_norms(path, dyn, domain.norm_kind), weights.n,
                                 grad_second_moment=0.25 * ens.second_moment)
         for name in ("total", "stochastic_total", "local_gap_rhs", "e_net"):
             assert getattr(result.bounds, name) == getattr(want, name), name
@@ -648,10 +646,10 @@ def test_batch_bounds_equal_each_runs_own_guarantee(monkeypatch):
     calls = _count_engine_runs(monkeypatch)
     results = list(domd.harness._execute(keys, domd.harness._config_drafts))
     assert len(calls) == 1
-    weights, geom, dyn = domd.harness._assemble(cfg)
+    weights, domain, dyn = domd.harness._assemble(cfg)
     for result in results:
-        norms = residual_norms(result.path, dyn, geom.norm_kind)
-        want = regret_guarantee(geometry_constants(geom), result.ensemble.lipschitz,
+        norms = residual_norms(result.path, dyn, domain.norm_kind)
+        want = regret_guarantee(geometry_constants(domain), result.ensemble.lipschitz,
                                 result.sigma2, result.trace.etas, norms, weights.n,
                                 grad_second_moment=result.ensemble.second_moment)
         for name, got in vars(result.bounds).items():
@@ -693,19 +691,18 @@ def test_suite_cases_build_the_literal_networks():
     assert [case.name for case in bound_suite()] == list(SUITE_LITERALS)
     for case in bound_suite():
         weights, half, scale = SUITE_LITERALS[case.name]
-        got_weights, geom, dyn = _build_case(case, 0)[:3]
+        got_weights, domain, dyn = _build_case(case, 0)[:3]
         assert _same_bits(got_weights.w, weights().w), case.name
         if half is None:
-            want = kl_geometry(simplex_domain(3, 0.01))
-            assert (geom.kind, geom.domain.kind, geom.domain.d) == ("kl", "simplex", 3)
-            assert geom.domain.floor == want.domain.floor
+            want = simplex_domain(3, 0.01)
+            assert (domain.kind, domain.d, domain.floor) == ("simplex", 3, want.floor)
         else:
-            want = euclidean_geometry(box_domain(np.full(2, -half), np.full(2, half)))
-            assert (geom.kind, geom.domain.kind) == ("euclidean", "box")
-            assert _same_bits(geom.domain.lo, want.domain.lo), case.name
-            assert _same_bits(geom.domain.hi, want.domain.hi), case.name
-        assert geom.norm_kind == want.norm_kind
-        assert _same_bits(dyn.a, scale * np.eye(geom.domain.d)), case.name
+            want = box_domain(np.full(2, -half), np.full(2, half))
+            assert domain.kind == "box"
+            assert _same_bits(domain.lo, want.lo), case.name
+            assert _same_bits(domain.hi, want.hi), case.name
+        assert domain.norm_kind == want.norm_kind
+        assert _same_bits(dyn.a, scale * np.eye(domain.d)), case.name
 
 
 def test_suite_configs_are_valid_configs():
@@ -720,8 +717,8 @@ def test_stochastic_mean_regret_equals_runs_alone():
     case = _suite_case("simplex_quad_noisy_n4_t100")
     regrets = []
     for seed in range(3, 6):
-        weights, geom, dyn, ens, path, etas = _build_case(case, seed)
-        trace = run(weights, geom, dyn, [(ens, path, etas, _derive_seed(seed, _ORACLE, 1))],
+        weights, domain, dyn, ens, path, etas = _build_case(case, seed)
+        trace = run(weights, domain, dyn, [(ens, path, etas, _derive_seed(seed, _ORACLE, 1))],
                     case.cfg.horizon, mode="stochastic")[0]
         regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
     mean, _ = stochastic_mean_regret(case.name, runs=3, base_seed=3)
@@ -737,13 +734,13 @@ def test_verify_noisy_row_averages_runs_alone(l_scale):
     case = _suite_case("box_quad_noisy_n4_t100")
     regrets = []
     for seed in range(3):
-        weights, geom, dyn, ens, path, etas = _build_case(case, seed)
-        trace = run(weights, geom, dyn, [(ens, path, etas, _derive_seed(seed, _ORACLE, 0))],
+        weights, domain, dyn, ens, path, etas = _build_case(case, seed)
+        trace = run(weights, domain, dyn, [(ens, path, etas, _derive_seed(seed, _ORACLE, 0))],
                     case.cfg.horizon, mode="stochastic")[0]
         regrets.append(dynamic_regret(trace, ens, path).dynamic_regret)
-    bound = regret_guarantee(geometry_constants(geom), l_scale * ens.lipschitz,
+    bound = regret_guarantee(geometry_constants(domain), l_scale * ens.lipschitz,
                              second_singular_value(weights), trace.etas,
-                             residual_norms(path, dyn, geom.norm_kind), weights.n,
+                             residual_norms(path, dyn, domain.norm_kind), weights.n,
                              grad_second_moment=l_scale**2 * ens.second_moment)
     report = verify_bounds(seeds=3, l_scale=l_scale)
     [row] = [r for r in report.rows if r.case == case.name]

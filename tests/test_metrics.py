@@ -13,8 +13,7 @@ import domd.metrics
 from conftest import read_csv
 from domd.dynamics import MinimizerPath, generate_path, identity_dynamics, residual_norms
 from domd.engine import RunTrace, run
-from domd.geometry import (box_domain, euclidean_geometry, geometry_constants,
-                           simplex_domain)
+from domd.geometry import box_domain, geometry_constants, simplex_domain
 from domd.metrics import (best_fixed_point, dynamic_regret,
                           iterate_losses, network_disagreement, per_agent_loss_gap,
                           regret_guarantee, static_regret, tuned_step,
@@ -28,7 +27,7 @@ BOX1 = box_domain([-1.0, -1.0], [1.0, 1.0])  # R^2 = 4, K = 2 sqrt(2)
 
 
 def _consts():
-    return geometry_constants(euclidean_geometry(BOX1))
+    return geometry_constants(BOX1)
 
 
 def _envelope(lipschitz, n, sigma2, etas):
@@ -261,8 +260,7 @@ def test_guarantee_validation():
 
 def test_guarantee_monotone_in_problem_size():
     consts = _consts()
-    big_box = geometry_constants(euclidean_geometry(
-        box_domain([-2.0, -2.0], [2.0, 2.0])))
+    big_box = geometry_constants(box_domain([-2.0, -2.0], [2.0, 2.0]))
     noise = np.full(5, 0.1)
     etas = [0.1] * 6
     base = regret_guarantee(consts, 1.0, 0.5, etas, noise, 4).total
@@ -273,12 +271,11 @@ def test_guarantee_monotone_in_problem_size():
 
 def _one_agent_run():
     domain = box_domain([-1.0], [1.0])
-    geom = euclidean_geometry(domain)
     dyn = identity_dynamics(1)
     ens = synthetic_suite(0, 1, 1, 1, domain, offset_scale=0.0)
     path = generate_path(dyn, np.zeros((1, 1)), np.array([0.5]), 1)
     weights = uniform_complete_weights(1)
-    trace = run(weights, geom, dyn, [(ens, path, np.full(2, 0.1), 0)], 1)[0]
+    trace = run(weights, domain, dyn, [(ens, path, np.full(2, 0.1), 0)], 1)[0]
     return trace, ens, path, domain
 
 
@@ -293,13 +290,12 @@ def test_single_round_regret_oracle():
 
 def test_regret_report_normalization():
     domain = box_domain([-5.0] * 2, [5.0] * 2)
-    geom = euclidean_geometry(domain)
     dyn = identity_dynamics(2)
     horizon = 12
     ens = synthetic_suite(4, 4, 2, horizon, domain)
     path = generate_path(dyn, np.zeros((horizon, 2)), np.array([0.5, -0.5]), horizon)
     weights = metropolis_weights(build_grid_graph(2, 2))
-    trace = run(weights, geom, dyn, [(ens, path, 0.2 / np.sqrt(np.arange(1, horizon + 2)), 0)],
+    trace = run(weights, domain, dyn, [(ens, path, 0.2 / np.sqrt(np.arange(1, horizon + 2)), 0)],
                 horizon)[0]
     report = dynamic_regret(trace, ens, path)
     np.testing.assert_allclose(report.cumulative, np.cumsum(report.instant),
@@ -354,7 +350,6 @@ def test_best_fixed_point_linear_hits_extreme_points():
 
 def test_static_regret_never_exceeds_dynamic():
     domain = box_domain([-5.0] * 2, [5.0] * 2)
-    geom = euclidean_geometry(domain)
     dyn = identity_dynamics(2)
     horizon = 30
     rng = np.random.default_rng(8)
@@ -362,7 +357,7 @@ def test_static_regret_never_exceeds_dynamic():
     path = generate_path(dyn, noise, np.array([0.5, -0.5]), horizon)
     ens = synthetic_suite(4, 4, 2, horizon, domain)
     weights = metropolis_weights(build_grid_graph(2, 2))
-    trace = run(weights, geom, dyn, [(ens, path, 0.2 / np.sqrt(np.arange(1, horizon + 2)), 0)],
+    trace = run(weights, domain, dyn, [(ens, path, 0.2 / np.sqrt(np.arange(1, horizon + 2)), 0)],
                 horizon)[0]
     dyn_regret = dynamic_regret(trace, ens, path).dynamic_regret
     stat = static_regret(trace, ens, path, domain)
@@ -375,8 +370,8 @@ def test_regrets_share_one_evaluation_of_the_iterate_losses(monkeypatch):
     path = generate_path(identity_dynamics(2), np.random.default_rng(8).normal(
         0.0, 0.05, (horizon, 2)), np.array([0.5, -0.5]), horizon)
     ens = synthetic_suite(4, 4, 2, horizon, domain)
-    trace = run(metropolis_weights(build_grid_graph(2, 2)), euclidean_geometry(domain),
-                identity_dynamics(2), [(ens, path, np.full(horizon + 1, 0.2), 0)], horizon)[0]
+    trace = run(metropolis_weights(build_grid_graph(2, 2)), domain, identity_dynamics(2),
+                [(ens, path, np.full(horizon + 1, 0.2), 0)], horizon)[0]
     alone = dynamic_regret(trace, ens, path), static_regret(trace, ens, path, domain)
     calls = []
     evaluate = domd.metrics.global_loss_batch
@@ -398,12 +393,11 @@ def test_per_agent_loss_gap_matches_direct_sum():
     from domd.objectives import loss_value
 
     domain = box_domain([-5.0] * 2, [5.0] * 2)
-    geom = euclidean_geometry(domain)
     dyn = identity_dynamics(2)
     ens = synthetic_suite(4, 3, 2, 6, domain)
     path = generate_path(dyn, np.zeros((6, 2)), np.array([0.5, -0.5]), 6)
     weights = uniform_complete_weights(3)
-    trace = run(weights, geom, dyn, [(ens, path, np.full(7, 0.1), 0)], 6)[0]
+    trace = run(weights, domain, dyn, [(ens, path, np.full(7, 0.1), 0)], 6)[0]
     total = 0.0
     for t in range(1, 7):
         for i in range(3):
@@ -435,8 +429,8 @@ def test_comparator_optimality_gap_on_grid_aligned_targets():
     path = generate_path(identity_dynamics(2), np.tile([0.25, 0.0], (horizon, 1)),
                          np.array([0.5, -0.5]), horizon)
     ens = synthetic_suite(0, 3, 2, horizon, domain, offset_scale=0.0)
-    trace = run(uniform_complete_weights(3), euclidean_geometry(domain),
-                identity_dynamics(2), [(ens, path, np.full(horizon + 1, 0.1), 0)], horizon)[0]
+    trace = run(uniform_complete_weights(3), domain, identity_dynamics(2),
+                [(ens, path, np.full(horizon + 1, 0.1), 0)], horizon)[0]
     axes = [np.arange(domain.lo[k], domain.hi[k] + step / 2, step) for k in range(2)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     grid = np.broadcast_to(mesh, (horizon,) + mesh.shape)
@@ -449,19 +443,18 @@ def test_comparator_optimality_gap_on_grid_aligned_targets():
 
 def test_guarantees_dominate_small_exact_runs():
     domain = box_domain([-5.0] * 2, [5.0] * 2)
-    geom = euclidean_geometry(domain)
     dyn = identity_dynamics(2)
     weights = metropolis_weights(build_grid_graph(2, 2))
     sigma2 = second_singular_value(weights)
     horizon = 50
     etas = 0.2 / np.sqrt(np.arange(1, horizon + 2))
-    consts = geometry_constants(geom)
+    consts = geometry_constants(domain)
     for seed in range(3):
         rng = np.random.default_rng(seed)
         noise = rng.normal(0.0, 0.05, (horizon, 2))
         path = generate_path(dyn, noise, np.array([0.5, -0.5]), horizon)
         ens = synthetic_suite(100 + seed, 4, 2, horizon, domain)
-        trace = run(weights, geom, dyn, [(ens, path, etas, 0)], horizon)[0]
+        trace = run(weights, domain, dyn, [(ens, path, etas, 0)], horizon)[0]
         lipschitz = ens.lipschitz
         norms = np.linalg.norm(noise, axis=1)
         report = regret_guarantee(consts, lipschitz, sigma2, trace.etas,
