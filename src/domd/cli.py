@@ -1,12 +1,13 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 on configuration or usage errors and on a failed run
-(one `run error: ...` line naming the round, replicate and agent), 2 when a guarantee
-check fails, with one VIOLATION line on stderr per failed check, and 141 (the
-status of a process killed by SIGPIPE) when stdout is closed before the summary is
-printed, as in `domd run ... | head -1`; the outputs are written by then.  `run`
-checks an exact-gradient run's three guarantees (harness.check_rows); regret >= 0 is
-checked by `verify-bounds` only, since a correct run on linear losses may break it.
+(one `run error: ...` line naming the round, replicate and agent; a sweep names the
+replicate by its swept value and run index), 2 when a guarantee check fails, with
+one VIOLATION line on stderr per failed check, and 141 (the status of a process
+killed by SIGPIPE) when stdout is closed before the summary is printed, as in
+`domd run ... | head -1`; the outputs are written by then.  `run` checks an
+exact-gradient run's three guarantees (harness.check_rows); regret >= 0 is checked
+by `verify-bounds` only, since a correct run on linear losses may break it.
 `run` prints the guarantee total of its gradient mode (G^2 if stochastic, L^2 if exact).
 --out is created before any work, so an unusable path fails first; a config or run
 error removes it again if made and still empty.
@@ -20,7 +21,7 @@ from dataclasses import replace
 
 from .config import ConfigError, describe_schema, load_config
 from .engine import EngineError
-from .harness import check_rows, run_experiment, sweep, verify_bounds
+from .harness import check_rows, run_experiment, show_value, sweep, verify_bounds
 
 BROKEN_PIPE = 141
 
@@ -121,8 +122,7 @@ def _cmd_sweep(args):
         raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}")
     result = sweep(cfg, args.param, values, runs=args.runs, out_dir=args.out)
     for k, value in enumerate(result.values):
-        shown = str(value).removesuffix(".0")  # an int exactly, a float's shortest round trip
-        print(f"{args.param}={shown}: final_normalized="
+        print(f"{args.param}={show_value(value)}: final_normalized="
               f"{result.final_mean[k]:.6g} (+/- {result.final_std[k]:.6g})")
     return 0
 

@@ -165,6 +165,8 @@ def cross_validate(cfg):
         raise ConfigError("geometry.box_low must be below geometry.box_high")
     if cfg.obs_noise_low > cfg.obs_noise_high:
         raise ConfigError("loss.obs_noise_low must not exceed loss.obs_noise_high")
+    if cfg.domain_kind == "simplex" and cfg.dim < 2:
+        raise ConfigError(f"geometry.domain=simplex needs geometry.dim >= 2, got {cfg.dim}")
     if cfg.domain_kind == "simplex" and not 0 < cfg.floor < 1.0 / cfg.dim:
         raise ConfigError("geometry.floor must lie in (0, 1/dim)")
     if cfg.noise_kind == "gaussian_ncv" and cfg.dynamics_model != "ncv":

@@ -56,7 +56,14 @@ from .objectives import (_round_blocks, gradients_exact_batch, gradients_stochas
 
 
 class EngineError(RuntimeError):
-    """Raised when iterates stop being finite or leave the domain."""
+    """Raised when iterates stop being finite or leave the domain.  An error of
+    one agent keeps what went wrong, its replicate and its agent, and names
+    the replicate as name, by default "replicate r"."""
+
+    def __init__(self, what, replicate=None, agent=None, name=None):
+        super().__init__(what if agent is None else
+                         f"{what} ({name or f'replicate {replicate}'}, agent {agent})")
+        self.what, self.replicate, self.agent = what, replicate, agent
 
 
 @dataclass(frozen=True)
@@ -128,8 +135,8 @@ def step(x, weights, domain, dyn, grads, eta):
 
 def _first_bad(bad, t, what):
     """EngineError naming round t and the (replicate, agent) of the first True in bad."""
-    replicate, agent = np.argwhere(bad)[0]
-    return EngineError(f"{what} in round {t} (replicate {replicate}, agent {agent})")
+    replicate, agent = np.argwhere(bad)[0].tolist()
+    return EngineError(f"{what} in round {t}", replicate, agent)
 
 
 def _oracle_samples(ens, path, ensembles, rngs, rounds):

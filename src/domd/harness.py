@@ -37,7 +37,7 @@ from . import csvio
 from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_validate
 from .dynamics import (LinearDynamics, MinimizerPath, generate_path, identity_dynamics,
                        ncv_disturbances, ncv_dynamics, residual_norms)
-from .engine import run
+from .engine import EngineError, run
 from .geometry import box_domain, contains, geometry_constants, simplex_domain, start_point
 from .metrics import (_guarantee_steps, dynamic_regret, network_disagreement,
                       per_agent_loss_gap, regret_guarantee, static_regret,
@@ -244,7 +244,7 @@ def _engine_batches(keys, drafts_of, keep_iterates):
             del replicates, part  # before the next batch is built
 
 
-def _execute(keys, drafts_of, x0=None, keep_iterates=True):
+def _execute(keys, drafts_of, x0=None, keep_iterates=True, names=None):
     """Run one replicate per (cfg, item) key; yields each key's RunResult in order.
 
     drafts_of is as for _replicates.  Each batch of _engine_batches is one
@@ -254,12 +254,21 @@ def _execute(keys, drafts_of, x0=None, keep_iterates=True):
     folded, and C_T; its bounds are the regret_guarantee of the ensemble's
     declared constants (G^2 only in stochastic mode), whose recursions run
     once for the whole batch; C_T and the bounds read the replicate's
-    residual_norms.
+    residual_norms.  An EngineError names the replicate of key keys[k] as
+    names[k] when names is given, else by its place in its batch.
     """
+    done = 0  # keys run before this batch
     for (weights, domain, dyn, sigma2), batch in _engine_batches(keys, drafts_of, keep_iterates):
         cfg, consts = batch[0][0], geometry_constants(domain)
-        traces = run(weights, domain, dyn, [rep[1:5] for rep in batch], cfg.horizon,
-                     cfg.gradient_mode, x0, keep_iterates)
+        try:
+            traces = run(weights, domain, dyn, [rep[1:5] for rep in batch], cfg.horizon,
+                         cfg.gradient_mode, x0, keep_iterates)
+        except EngineError as exc:
+            if names is None or exc.agent is None:
+                raise
+            raise EngineError(exc.what, exc.replicate, exc.agent,
+                              names[done + exc.replicate]) from exc
+        done += len(batch)
         steps = _guarantee_steps(sigma2, traces.etas, [float(rep[5].sum()) for rep in batch],
                                  cfg.horizon)
         for r, (cfg, ens, path, _, _, norms) in enumerate(batch):
@@ -434,6 +443,11 @@ def _resolve_param(param):
     return hits[0]
 
 
+def show_value(value):
+    """A swept value as printed: an int exactly, a float's shortest round trip."""
+    return str(value).removesuffix(".0")
+
+
 def sweep(cfg, param, values, runs=None, out_dir=None):
     """Replicated runs for each value of one numeric config key.
 
@@ -444,7 +458,8 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     place in the domain included, before any run; an Erdos-Renyi value's
     graph is sampled, and for synthetic quadratic losses every replicate's
     centres are checked too.  A float key's values show as the floats that
-    ran, an int key's as passed, so an int above 2**53 stays exact.
+    ran, an int key's as passed, so an int above 2**53 stays exact.  A run
+    error names its replicate by that shown value and its run index.
     """
     attr, typ, check, _ = _resolve_param(param)
     if attr in ("horizon", "runs"):  # the only keys a sweep cannot vary
@@ -476,16 +491,17 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
                 _replicate_inputs(dyn, domain, target0, noises, ensembles)
         configs.append(cfg_v)
     horizon = cfg.horizon
+    shown = tuple(values) if typ is int else tuple(map(float, values))
     # every value's runs through one executor, which keeps no iterates: values
     # that build the same engine inputs share its loops
     keys = [(cfg_v, i) for cfg_v in configs for i in range(runs)]
+    names = [f"{param}={show_value(v)}, run {i}" for v in shown for i in range(runs)]
     # map binds no result past its curve: a result's path views its whole batch's paths
     curves = map(attrgetter("regret.normalized"), _execute(keys, _config_drafts,
-                                                           keep_iterates=False))
+                                                           keep_iterates=False, names=names))
     curves = np.array(list(curves)).reshape(len(configs), runs, horizon)
     mean_curves = np.array([np.mean(c, axis=0) for c in curves])
     std_curves = np.array([np.std(c, axis=0) for c in curves])
-    shown = tuple(values) if typ is int else tuple(map(float, values))
     result = SweepResult(param, shown, runs, mean_curves, std_curves,
                          mean_curves[:, -1].copy(), std_curves[:, -1].copy())
     if out_dir is not None:

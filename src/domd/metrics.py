@@ -172,14 +172,15 @@ def _terms(consts, c, etas, noise_norms, n, steps):
         (2 R^2 / eta_{T+1}, K sum_t ||v_t|| / eta_{t+1}, c sum_t eta_t / 2,
          4 c sqrt(n) sum_{t=1..T} A[t-1])
     and the plain mismatch sum sum_t ||v_t|| / eta_{t+1}.  The bound is the
-    terms added left to right.
+    terms added left to right; a term past the float range is +inf.
     """
     horizon = noise_norms.size
-    mismatch = float(np.sum(noise_norms / etas[1:horizon + 1])) if horizon else 0.0
-    # cumsum adds A[0..T-1] in order, as a running total
-    network = float(np.cumsum(steps[:horizon])[-1]) if horizon else 0.0
-    terms = (2.0 * consts.r2 / etas[horizon], consts.k * mismatch,
-             c * float(etas[:horizon].sum()) / 2.0, 4.0 * c * np.sqrt(n) * network)
+    with np.errstate(over="ignore"):
+        mismatch = float(np.sum(noise_norms / etas[1:horizon + 1])) if horizon else 0.0
+        # cumsum adds A[0..T-1] in order, as a running total
+        network = float(np.cumsum(steps[:horizon])[-1]) if horizon else 0.0
+        terms = (2.0 * consts.r2 / etas[horizon], consts.k * mismatch,
+                 c * float(etas[:horizon].sum()) / 2.0, 4.0 * c * np.sqrt(n) * network)
     return terms, mismatch
 
 

@@ -1,44 +1,45 @@
-"""Per-agent loss families and their gradient oracles.
+"""Per-agent loss ensembles and their gradient oracles.
 
-Every family is one square or one linear term.  tracking_square gives each
-agent a noisy scalar observation of one target coordinate, and its expected
-loss is the square over a one-coordinate mask, (x_k - target_k)^2, plus the
-observation noise floor.  synthetic_quadratic is the same square over every
-coordinate, centered at the target plus zero-mean per-agent offsets, so the
-network-average loss is minimized exactly at the target.  synthetic_linear
-replays bounded linear losses.  The run-path functions tell the families
-apart by the terms an ensemble carries (obs for the masked square and its
-floor, per-round offsets, linear gradients), not by its kind.
+An ensemble is its terms; every loss is one square or one linear term.  A
+mask, (n, d) bools, restricts agent i's square to the coordinates of row i;
+offsets, (T, n, d), move its centre off the round's target; gradients,
+(T, n, d), make the loss linear, <g[i,t], x>; noise is the uniform support
+(low, high) the stochastic oracle draws from, or None when it draws nothing.
+tracking_ensemble masks agent i to the one coordinate k_i it observes
+through noise w uniform on that support: its expected loss is
+(x_k - target_k)^2 plus the noise variance (high - low)^2 / 12, the
+ensemble's floor.  synthetic_suite gives every agent the whole square about
+the target plus zero-mean offsets, so the network-average loss is minimized
+exactly at the target, or bounded linear losses; a noisy synthetic oracle
+adds noise on (-s, s) to the exact gradient.  Every function tells the
+losses apart by these terms alone.
 
 Every stochastic oracle draws from a generator the caller owns, which
-keeps runs reproducible.  The batch oracle takes that round's sample:
-oracle_noise draws a block of rounds at a time from the generator, and
-oracle_samples turns a block of tracking draws w into the observations
-z = target_k + w, since z does not depend on the iterates; a round of the
+keeps runs reproducible.  oracle_noise draws a block of rounds at a time,
+and oracle_samples turns a block of tracking draws w into the observations
+z = target_k + w, which do not depend on the iterates; a round of the
 tracking oracle is then only -(z - x_k) on the mask.
 
-Two granularities coexist.  The scalar functions (loss_value,
-gradient_exact, gradient_stochastic) evaluate one agent at one round; no
-run calls them, and tests check the batch and whole-horizon functions
-against them as the independent, readable reference.  The batch oracles
-(gradients_exact_batch, gradients_stochastic_batch) evaluate every agent of
-one round, and of every replicate at once when stack_replicates has given
-the ensemble and path a leading replicate axis; network_losses evaluates
-such a stack's iterates a block of rounds at a time, as the engine runs.
-The whole-horizon functions
-(global_loss_batch, agent_loss_batch, centers_outside_domain) take a
-(T, m, d) stack whose row t-1 is evaluated under round t's loss, for
-every round at once.  They walk the rounds in blocks of about
-BLOCK_ELEMENTS elements, so their temporaries stay small next to the trace
-they read, and they refuse paths or ensembles covering fewer than T rounds.
+The scalar functions (loss_value, gradient_exact, gradient_stochastic)
+evaluate one agent at one round; no run calls them, and tests check the
+other functions against them as the readable reference.  The batch
+oracles (gradients_exact_batch, gradients_stochastic_batch) evaluate every
+agent of one round, and of every replicate at once when stack_replicates
+has given the ensemble and path a leading replicate axis; network_losses
+evaluates such a stack's iterates a block of rounds at a time, as the
+engine runs.  The whole-horizon functions (global_loss_batch,
+agent_loss_batch, centers_outside_domain) take a (T, m, d) stack whose row
+t-1 is evaluated under round t's loss.  They walk the rounds in blocks of
+about BLOCK_ELEMENTS elements, so their temporaries stay small next to the
+trace they read, and they refuse paths or ensembles covering fewer than T
+rounds.
 
 The block passes run agent-major: oracle_samples adds, and the square
 losses subtract, each point's target one coordinate at a time, so every
-ufunc call runs over the agents (or points) of one coordinate rather than
-over the d coordinates of one agent.  Each entry is the same one add or
-subtraction as the broadcast form, so the bits do not change.  The
-tracking square's per-coordinate observer weights are computed once per
-ensemble.
+ufunc call runs over the agents (or points) of one coordinate.  Each entry
+is the same one add or subtraction as the broadcast form, so the bits do
+not change.  The mask's per-coordinate observer counts are computed once
+per ensemble.
 """
 
 from dataclasses import dataclass, replace
@@ -64,59 +65,42 @@ def coordinate_groups(n, d=TRACKED_COORDS):
     if n < d:
         raise ValueError(f"need at least {d} agents so every coordinate is observed")
     sizes = [n // d + (1 if k < n % d else 0) for k in range(d)]
-    assignment = np.repeat(np.arange(d), sizes)
-    return assignment
-
-
-@dataclass(frozen=True)
-class ObservationModel:
-    """Which coordinate each agent sees, plus the observation noise support."""
-
-    assignment: np.ndarray
-    noise_low: float = -1.0
-    noise_high: float = 1.0
-
-    @property
-    def noise_var(self):
-        return (self.noise_high - self.noise_low) ** 2 / 12.0
+    return np.repeat(np.arange(d), sizes)
 
 
 @dataclass(frozen=True)
 class LossEnsemble:
-    """A family of per-agent losses f[i, t] plus its declared constants.
+    """Per-agent losses f[i, t], as their terms, plus their declared constants.
 
-    lipschitz bounds the dual norm of every exact gradient on the domain;
-    second_moment bounds E||stochastic gradient||_*^2.  innovation selects
-    the tracking oracle's update direction: True replays the raw innovation
-    -e_k (z - x_k), whose mean is half the exact gradient; False doubles it
-    so the oracle is unbiased for the exact gradient.
+    mask, offsets, gradients and noise are the terms of the module
+    docstring; an absent term is None.  lipschitz bounds the dual norm of
+    every exact gradient on the domain; second_moment bounds
+    E||stochastic gradient||_*^2.  innovation selects the tracking oracle's
+    update direction: True replays the raw innovation -e_k (z - x_k), whose
+    mean is half the exact gradient; False doubles it so the oracle is
+    unbiased for the exact gradient.
     """
 
-    kind: str
     n: int
     d: int
     lipschitz: float
     second_moment: float
-    obs: ObservationModel = None
+    mask: np.ndarray = None
     offsets: np.ndarray = None
     gradients: np.ndarray = None
-    noise_scale: float = 0.0
+    noise: tuple = None
     innovation: bool = True
 
-    @cached_property
-    def _mask(self):
-        """The tracking square's boolean (n, d) mask, computed once: row i is
-        true exactly at the coordinate k_i that agent i observes."""
-        mask = np.zeros((self.n, self.d), dtype=bool)
-        mask[np.arange(self.n), self.obs.assignment] = True
-        return mask
+    @property
+    def floor(self):
+        """The tracking square's constant term: the variance of its noise."""
+        low, high = self.noise
+        return (high - low) ** 2 / 12.0
 
     @cached_property
     def _observers(self):
-        """How many agents observe each coordinate, (d,) floats, computed once:
-        the tracking square's network-average weight of coordinate k is
-        _observers[k] / n."""
-        return self._mask.sum(axis=0, dtype=float)
+        """(d,) counts of the agents observing each coordinate, computed once."""
+        return self.mask.sum(axis=0, dtype=float)
 
 
 def tracking_ensemble(n, domain, noise_low=-1.0, noise_high=1.0, innovation=True):
@@ -125,16 +109,12 @@ def tracking_ensemble(n, domain, noise_low=-1.0, noise_high=1.0, innovation=True
         raise ValueError("tracking losses are defined on a box domain")
     if noise_high < noise_low:
         raise ValueError("empty observation noise support")
-    obs = ObservationModel(coordinate_groups(n, domain.d), noise_low, noise_high)
+    mask = np.zeros((n, domain.d), dtype=bool)
+    mask[np.arange(n), coordinate_groups(n, domain.d)] = True
     span = float((domain.hi - domain.lo).max())
-    lipschitz = 2.0 * span
-    w_max = max(abs(noise_low), abs(noise_high))
-    g = span + w_max
-    if not innovation:
-        g = 2.0 * g
-    return LossEnsemble(
-        "tracking_square", n, domain.d, lipschitz, g * g, obs=obs, innovation=innovation
-    )
+    g = (span + max(abs(noise_low), abs(noise_high))) * (1.0 if innovation else 2.0)
+    return LossEnsemble(n, domain.d, 2.0 * span, g * g, mask=mask,
+                        noise=(noise_low, noise_high), innovation=innovation)
 
 
 def synthetic_suite(seed, n, d, horizon, domain, kind="synthetic_quadratic",
@@ -147,10 +127,12 @@ def synthetic_suite(seed, n, d, horizon, domain, kind="synthetic_quadratic",
     the centers stay on the target's affine hull.  synthetic_linear:
     f[i,t](x) = <g[i,t], x> with dual norm at most one.
 
-    noise_scale > 0 adds bounded uniform noise to the stochastic oracle.
+    noise_scale > 0 adds noise uniform on (-noise_scale, noise_scale) in
+    every coordinate to the stochastic oracle.
     """
     rng = np.random.default_rng(seed)
     noise = noise_scale * dual_norm_of(domain, np.ones(d))  # noise_scale in every coordinate
+    support = (-noise_scale, noise_scale) if noise_scale > 0 else None
     if kind == "synthetic_quadratic":
         offsets = rng.normal(scale=offset_scale, size=(horizon, n, d))
         if domain.kind == "simplex":
@@ -158,8 +140,7 @@ def synthetic_suite(seed, n, d, horizon, domain, kind="synthetic_quadratic",
         offsets -= offsets.mean(axis=1, keepdims=True)
         lipschitz = 2.0 * dual_diameter(domain)
         g = lipschitz + noise
-        return LossEnsemble(kind, n, d, lipschitz, g * g, offsets=offsets,
-                            noise_scale=noise_scale)
+        return LossEnsemble(n, d, lipschitz, g * g, offsets=offsets, noise=support)
     if kind == "synthetic_linear":
         if domain.kind == "simplex":
             grads = rng.uniform(-1.0, 1.0, size=(horizon, n, d))
@@ -168,8 +149,7 @@ def synthetic_suite(seed, n, d, horizon, domain, kind="synthetic_quadratic",
             norms = np.linalg.norm(raw, axis=2, keepdims=True)
             grads = raw / np.maximum(norms, 1.0)
         g = 1.0 + noise
-        return LossEnsemble(kind, n, d, 1.0, g * g, gradients=grads,
-                            noise_scale=noise_scale)
+        return LossEnsemble(n, d, 1.0, g * g, gradients=grads, noise=support)
     raise ValueError(f"unknown synthetic kind {kind!r}")
 
 
@@ -178,11 +158,7 @@ def linear_ensemble(gradients, domain):
     gradients = np.asarray(gradients, dtype=float)
     worst = float(dual_norm_of(domain, gradients).max())
     _, n, d = gradients.shape
-    return LossEnsemble("synthetic_linear", n, d, worst, worst * worst, gradients=gradients)
-
-
-def _star(path, t):
-    return path.states[..., t - 1, :]
+    return LossEnsemble(n, d, worst, worst * worst, gradients=gradients)
 
 
 def _centers(ens, path, t):
@@ -191,50 +167,42 @@ def _centers(ens, path, t):
     return star if ens.offsets is None else star + ens.offsets[..., t - 1, :, :]
 
 
+def _center(ens, i, t, path):
+    """Agent i's round-t square center: the target plus its offset, if any."""
+    star = path.states[t - 1]
+    return star if ens.offsets is None else star + ens.offsets[t - 1, i]
+
+
 def loss_value(ens, i, t, x, path):
     x = np.asarray(x, dtype=float)
-    if ens.kind == "tracking_square":
-        k = ens.obs.assignment[i]
-        gap = _star(path, t)[k] - x[k]
-        return float(gap * gap + ens.obs.noise_var)
-    if ens.kind == "synthetic_quadratic":
-        diff = x - _centers(ens, path, t)[i]
+    if ens.gradients is not None:
+        return float(ens.gradients[t - 1, i] @ x)
+    diff = x - _center(ens, i, t, path)
+    if ens.mask is None:
         return float(diff @ diff)
-    return float(ens.gradients[t - 1, i] @ x)
+    diff = diff[ens.mask[i]]
+    return float(diff @ diff + ens.floor)
 
 
 def gradient_exact(ens, i, t, x, path):
-    x = np.asarray(x, dtype=float)
-    if ens.kind == "tracking_square":
-        k = ens.obs.assignment[i]
-        g = np.zeros(ens.d)
-        g[k] = 2.0 * (x[k] - _star(path, t)[k])
-        return g
-    if ens.kind == "synthetic_quadratic":
-        return 2.0 * (x - _centers(ens, path, t)[i])
-    return np.array(ens.gradients[t - 1, i])
+    if ens.gradients is not None:
+        return np.array(ens.gradients[t - 1, i])
+    g = 2.0 * (np.asarray(x, dtype=float) - _center(ens, i, t, path))
+    return g if ens.mask is None else np.where(ens.mask[i], g, 0.0)
 
 
 def gradient_stochastic(ens, i, t, x, path, rng):
-    """One stochastic gradient of f[i, t] at x, drawn from rng.
-
-    tracking: draws z = target_k + w with w uniform on the observation
-    support and returns -e_k (z - x_k), doubled when the ensemble is
-    configured for an unbiased oracle.  synthetic: the exact gradient plus
-    uniform noise of half-width noise_scale.
-    """
-    if ens.kind == "tracking_square":
-        k = ens.obs.assignment[i]
-        z = _star(path, t)[k] + rng.uniform(ens.obs.noise_low, ens.obs.noise_high)
-        g = np.zeros(ens.d)
-        g[k] = -(z - np.asarray(x, dtype=float)[k])
-        if not ens.innovation:
-            g[k] *= 2.0
-        return g
-    g = gradient_exact(ens, i, t, x, path)
-    if ens.noise_scale > 0:
-        g = g + rng.uniform(-ens.noise_scale, ens.noise_scale, ens.d)
-    return g
+    """One stochastic gradient of f[i, t] at x, drawn from rng: with a mask,
+    -(z - x) on it for one observation z = target + w (doubled unless
+    innovation), else the exact gradient plus d draws on the noise support."""
+    if ens.mask is None:
+        g = gradient_exact(ens, i, t, x, path)
+        return g if ens.noise is None else g + rng.uniform(*ens.noise, ens.d)
+    z = path.states[t - 1] + rng.uniform(*ens.noise)
+    g = -(z - np.asarray(x, dtype=float))
+    if not ens.innovation:
+        g *= 2.0
+    return np.where(ens.mask[i], g, 0.0)
 
 
 def gradients_exact_batch(ens, t, x_all, path):
@@ -247,7 +215,7 @@ def gradients_exact_batch(ens, t, x_all, path):
     if ens.gradients is not None:
         return np.array(ens.gradients[..., t - 1, :, :])
     g = 2.0 * (x_all - _centers(ens, path, t))
-    return g if ens.obs is None else np.where(ens._mask, g, 0.0)
+    return g if ens.mask is None else np.where(ens.mask, g, 0.0)
 
 
 def gradients_stochastic_batch(ens, t, x_all, path, sample):
@@ -257,7 +225,7 @@ def gradients_stochastic_batch(ens, t, x_all, path, sample):
     the observations z = target_k + w for tracking, the noise for a noisy
     synthetic oracle; None for a synthetic oracle without noise.
     """
-    if ens.obs is None:
+    if ens.mask is None:
         g = gradients_exact_batch(ens, t, x_all, path)
         return g if sample is None else g + sample
     # -(z - x_k), not x_k - z: at z == x_k it is -0.0, as in gradient_stochastic
@@ -265,7 +233,7 @@ def gradients_stochastic_batch(ens, t, x_all, path, sample):
     np.negative(step, out=step)
     if not ens.innovation:
         step *= 2.0
-    return np.where(ens._mask, step, 0.0)
+    return np.where(ens.mask, step, 0.0)
 
 
 def oracle_noise(ens, rng, rounds):
@@ -275,11 +243,10 @@ def oracle_noise(ens, rng, rounds):
     noisy synthetic oracle; None when the oracle draws nothing.  A block
     consumes rng exactly as drawing its rows one round at a time would.
     """
-    if ens.obs is not None:
-        return rng.uniform(ens.obs.noise_low, ens.obs.noise_high, (rounds, ens.n))
-    if ens.noise_scale > 0:
-        return rng.uniform(-ens.noise_scale, ens.noise_scale, (rounds, ens.n, ens.d))
-    return None
+    if ens.noise is None:
+        return None
+    shape = (rounds, ens.n) if ens.mask is not None else (rounds, ens.n, ens.d)
+    return rng.uniform(*ens.noise, shape)
 
 
 def oracle_samples(ens, stars, noise):
@@ -290,7 +257,7 @@ def oracle_samples(ens, stars, noise):
     draws noise (..., n); the oracle's mask picks each agent's own k.  A
     synthetic oracle's noise (or None) is its sample as drawn.
     """
-    if ens.obs is None:
+    if ens.mask is None:
         return noise
     # one coordinate at a time, so each add runs over the agents, not the d
     # coordinates; every entry is the same one add as the broadcast
@@ -321,11 +288,15 @@ def _per_round(ens, rounds):
 
 
 def stack_shape(ens):
-    """What replicates stacked into one ensemble must share: the loss family,
-    agent count, dimension, oracle shape and observation noise support,
-    which the stacked ensemble takes from its first replicate."""
-    support = None if ens.obs is None else (ens.obs.noise_low, ens.obs.noise_high)
-    return ens.kind, ens.n, ens.d, ens.innovation, ens.noise_scale > 0, support
+    """What replicates stacked into one ensemble must share, which the stacked
+    ensemble takes from its first replicate: which terms it has, its agent
+    count, dimension and oracle, and for a mask the noise support its floor
+    reads.  Each replicate draws its own oracle noise, so a synthetic one
+    shares only whether it draws any."""
+    tracking = ens.mask is not None
+    noise = ens.noise if tracking else ens.noise is not None
+    terms = tracking, ens.offsets is not None, ens.gradients is not None
+    return terms, ens.n, ens.d, ens.innovation, noise
 
 
 def stack_replicates(ensembles, paths, rounds):
@@ -389,8 +360,8 @@ def _global_block(ens, rounds, stars, x):
         return np.matmul(x, mean_g[..., None])[..., 0]
     sq = _minus_targets(x, stars)
     np.square(sq, out=sq)
-    if ens.obs is not None:  # coordinate k weighted by how many agents observe it
-        return sq @ ens._observers / ens.n + ens.obs.noise_var
+    if ens.mask is not None:  # coordinate k weighted by how many agents observe it
+        return sq @ ens._observers / ens.n + ens.floor
     spread = np.square(ens.offsets[..., rounds, :, :]).sum(axis=-1).mean(axis=-1)
     return sq.sum(axis=-1) + spread[..., None]
 
@@ -402,7 +373,7 @@ def _agent_block(ens, rounds, stars, x):
     centers = stars[:, None, :]
     sq = x - (centers if ens.offsets is None else centers + ens.offsets[rounds])
     np.square(sq, out=sq)
-    return sq.sum(axis=2) if ens.obs is None else sq[:, ens._mask] + ens.obs.noise_var
+    return sq.sum(axis=2) if ens.mask is None else sq[:, ens.mask] + ens.floor
 
 
 def _evaluate(block, ens, path, x):

@@ -215,7 +215,7 @@ def test_08_oracle_expectation(record_criterion):
     x = np.array([0.3, -1.2, 2.0, 0.8])
     i, t = 0, 3
     exact = gradient_exact(ens, i, t, x, path)
-    k = ens.obs.assignment[i]
+    k = ens.mask[i].argmax()
     draws = 100_000
     rng = np.random.default_rng(0)
     total = 0.0

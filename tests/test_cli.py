@@ -397,8 +397,11 @@ def test_unusable_out_fails_before_any_work(quad_config, tmp_path, capsys, monke
 @pytest.mark.parametrize("argv, where", [
     (["run"], "round 885 (replicate 0, agent 17)"),
     (["sweep", "--param", "noise.sigma_v2", "--values", "100000000000000000", "--runs", "1"],
-     "round 3 (replicate 0, agent 0)"),
-], ids=["run", "sweep"])
+     "round 3 (noise.sigma_v2=1e+17, run 0, agent 0)"),
+    # the failing replicate is the batch's third, yet it is value 1e+17's run 0
+    (["sweep", "--param", "noise.sigma_v2", "--values", "0.5,100000000000000000",
+      "--runs", "2"], "round 3 (noise.sigma_v2=1e+17, run 0, agent 0)"),
+], ids=["run", "sweep", "sweep_second_value"])
 def test_a_run_whose_anchors_leave_the_domain_is_one_run_error_line(tmp_path, capsys, argv,
                                                                      where):
     # the default box run at sigma_v2 = 1000 pushes the target, and so an
@@ -415,6 +418,31 @@ def test_a_run_whose_anchors_leave_the_domain_is_one_run_error_line(tmp_path, ca
     out.mkdir()  # an --out that was there before stays
     assert main([argv[0], "--config", str(config), "--out", str(out)] + argv[1:]) == 1
     assert out.is_dir()
+
+
+def test_a_run_whose_bound_overflows_prints_an_inf_bound(tmp_path, capsys):
+    # at eta0 = 1.1e-308 the guarantee's 2 R^2 / eta passes the float range;
+    # it once ended in a RuntimeWarning (a traceback under warnings as errors)
+    config = tmp_path / "tiny.ini"
+    config.write_text("[experiment]\nhorizon = 39\n[network]\nrows = 4\ncols = 4\n"
+                      "[schedule]\neta0 = 1.1125369292536007e-308\n")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert "guarantee_total=inf mode=stochastic\n" in captured.out and captured.err == ""
+    comments, _, _ = read_csv(tmp_path / "out" / "bounds.csv")
+    assert "total=inf" in comments
+
+
+def test_a_one_dimensional_simplex_is_one_config_error_line(tmp_path, capsys):
+    # it passed validation once, and the run ended in a simplex_domain traceback
+    config = tmp_path / "simplex1.ini"
+    config.write_text("[geometry]\ndomain = simplex\ndim = 1\n[dynamics]\nmodel = identity\n"
+                      "[noise]\nkind = zero\ntarget_init =\n[loss]\nkind = synthetic_quadratic\n")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: geometry.domain=simplex needs geometry.dim >= 2, "
+                            "got 1\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -121,6 +121,16 @@ def test_cross_validation_rules():
             parse_config(text, env={})
 
 
+def test_a_simplex_needs_two_dimensions():
+    # every other key agrees with a one-dimensional simplex, and its floor
+    # 0.01 lies in (0, 1/dim), so only this rule refuses it
+    text = ("[geometry]\ndomain = simplex\ndim = 1\n[dynamics]\nmodel = identity\n"
+            "[noise]\nkind = zero\ntarget_init =\n[loss]\nkind = synthetic_quadratic\n")
+    with pytest.raises(ConfigError, match=r"geometry\.domain=simplex needs geometry\.dim >= 2"):
+        parse_config(text, env={})
+    assert parse_config(text.replace("dim = 1", "dim = 2"), env={}).dim == 2
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", FLOAT_KEYS)
 def test_non_finite_floats_are_rejected(name, bad):

@@ -191,6 +191,19 @@ def test_guarantee_frozen_tiny_case():
     assert with_g2.stochastic_total == pytest.approx(90.2, abs=1e-12)
 
 
+def test_a_guarantee_past_the_float_range_is_inf_without_a_warning():
+    # 2 R^2 / eta and ||v_t|| / eta overflow at a tiny step, as for a config's
+    # eta0 = 1.1e-308: the bound is +inf, which still holds, and no
+    # RuntimeWarning (an error under this suite's filter) escapes
+    tiny = [1.1125369292536007e-308] * 4
+    for noise in (np.zeros(3), np.array([0.2, 0.3, 0.1])):
+        report = regret_guarantee(_consts(), 1.0, 0.25, tiny, noise, 4, grad_second_moment=4.0)
+        assert report.total == report.stochastic_total == report.local_gap_rhs == math.inf
+        assert np.isfinite(report.disagreement_curve).all()
+    assert report.mismatch_rhs == math.inf
+    assert math.isfinite(report.variation_tuned_value)
+
+
 def test_guarantee_noise_terms():
     noise = np.array([0.2, 0.3, 0.1])
     report = regret_guarantee(_consts(), 1.0, 0.0, [0.1] * 4, noise, 4)

@@ -74,7 +74,7 @@ def test_tracking_constants():
     # asymmetric support: worst-case |w| drives the bound
     skew = tracking_ensemble(4, domain, noise_low=-2.0, noise_high=1.0)
     assert skew.second_moment == pytest.approx((20000.0 + 2.0) ** 2)
-    assert skew.obs.noise_var == pytest.approx(9.0 / 12.0)
+    assert skew.floor == pytest.approx(9.0 / 12.0)
 
 
 def test_tracking_domain_and_support_guards():
@@ -110,7 +110,7 @@ def test_innovation_oracle_mean_is_half_exact():
     x = np.array([0.3, -1.2, 2.0, 0.8])
     i, t = 0, 4
     exact = gradient_exact(ens, i, t, x, path)
-    k = ens.obs.assignment[i]
+    k = ens.mask[i].argmax()
     draws = 20000
     rng = np.random.default_rng(0)
     total = np.zeros(4)
@@ -279,8 +279,8 @@ def test_tracking_oracle_is_minus_zero_where_the_observation_equals_the_iterate(
     noise = oracle_noise(ens, np.random.default_rng(0), 3)
     for t, sample in zip((1, 2, 3), oracle_samples(ens, path.states[:3], noise)):
         g = gradients_stochastic_batch(ens, t, x_all, path, sample)
-        assert np.signbit(g[ens._mask]).all()
-        assert not np.signbit(g[~ens._mask]).any()
+        assert np.signbit(g[ens.mask]).all()
+        assert not np.signbit(g[~ens.mask]).any()
         np.testing.assert_array_equal(g, 0.0)
         for i in range(6):
             _assert_same_bits(g[i], gradient_stochastic(ens, i, t, x_all[i], path,
@@ -323,7 +323,7 @@ def test_batch_gradients_match_single_agent_calls():
             for i in range(6):
                 _assert_same_bits(batch[i], gradient_exact(family, i, t, x_all[i], path))
     # the setup reaches both signed zeros on an observed coordinate
-    assert ens.obs.assignment[5] == 3
+    assert ens.mask[5].argmax() == 3
     tracking = gradients_exact_batch(ens, 4, x_all, path)
     assert np.signbit(tracking[5, 3]) and not np.signbit(tracking[0]).any()
 
@@ -420,7 +420,7 @@ def test_whole_horizon_losses_refuse_short_inputs(name):
         for fn in (global_loss_batch, agent_loss_batch):
             with pytest.raises(ValueError, match=f"path.states covers {short} rounds.*the 6"):
                 fn(ens, cut, x)
-    field = {"synthetic_quadratic": "offsets", "synthetic_linear": "gradients"}.get(ens.kind)
+    field = next((f for f in ("offsets", "gradients") if getattr(ens, f) is not None), None)
     if field is None:
         return
     for short in (1, 5):
@@ -460,8 +460,8 @@ def _reference_global_block(ens, rounds, stars, x):
         return np.matmul(x, mean_g[..., None])[..., 0]
     sq = x - stars[..., None, :]
     np.square(sq, out=sq)
-    if ens.obs is not None:
-        return sq @ ens._mask.sum(axis=0, dtype=float) / ens.n + ens.obs.noise_var
+    if ens.mask is not None:
+        return sq @ ens.mask.sum(axis=0, dtype=float) / ens.n + ens.floor
     spread = np.square(ens.offsets[..., rounds, :, :]).sum(axis=-1).mean(axis=-1)
     return sq.sum(axis=-1) + spread[..., None]
 
@@ -494,8 +494,9 @@ def test_network_losses_equal_the_broadcast_reference_bit_for_bit(name):
     # every round block of a 9-round horizon, and the unstacked whole-horizon form
     horizon, n = 9, 5
     ens0, path0, domain = _family(name, horizon, n)
-    ensembles = [ens0] * 3 if ens0.obs is not None else [
-        synthetic_suite(k, n, 4, horizon, domain, kind=ens0.kind) for k in range(3)]
+    kind = "synthetic_linear" if ens0.gradients is not None else "synthetic_quadratic"
+    ensembles = [ens0] * 3 if ens0.mask is not None else [
+        synthetic_suite(k, n, 4, horizon, domain, kind=kind) for k in range(3)]
     paths = [MinimizerPath(path0.states * (1.0 + 0.1 * k)) for k in range(3)]
     ens, path = stack_replicates(ensembles, paths, horizon)
     rng = np.random.default_rng(9)
