@@ -30,11 +30,11 @@ for sigma_v2 in (0.0, 0.25, 0.5, 1.0):
     else:
         noise = ncv_disturbances(sigma_v2, EPS, 11, HORIZON)
     path = generate_path(dyn, noise, X0, HORIZON)
-    pos = path.states[-1, [0, 2]]
+    pos = path[-1, [0, 2]]
     c_t = residual_norms(path, dyn, BOX).sum()
     print(f"{sigma_v2:>8.2f}   ({pos[0]:>8.2f}, {pos[1]:>8.2f})   {c_t:>12.2f}")
 
-# a path is its states alone: ||states[t+1] - A states[t]|| gives back the
+# a path is its states array: ||path[t+1] - A path[t]|| gives back the
 # size of every disturbance that built it
 noise = ncv_disturbances(0.5, EPS, 11, HORIZON)
 path = generate_path(dyn, noise, X0, HORIZON)

@@ -34,7 +34,7 @@ print("target path variation C_T (l2, the box's norm):",
 
 errs = tracking_error_stats(result.trace, result.path, tail=100)
 # the NCV state is (x, vx, y, vy): the position is coordinates 0 and 2
-position = result.path.states[:, [0, 2]]
+position = result.path[:, [0, 2]]
 length = float(np.linalg.norm(np.diff(position, axis=0), axis=1).sum())
 print("\nper-agent mean tracking error over the final 100 rounds:")
 print("  best  agent:", round(float(errs.min()), 4))

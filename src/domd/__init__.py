@@ -8,9 +8,9 @@ evaluates the matching guarantees.
 
 from .config import (ConfigError, ExperimentConfig, config_hash, describe_schema,
                      load_config, parse_config)
-from .dynamics import (LinearDynamics, MinimizerPath, generate_path,
-                       identity_dynamics, ncv_disturbances, ncv_dynamics,
-                       ncv_noise_covariance, residual_norms)
+from .dynamics import (LinearDynamics, generate_path, identity_dynamics,
+                       ncv_disturbances, ncv_dynamics, ncv_noise_covariance,
+                       residual_norms)
 from .engine import RunTrace, init_state, run, step
 from .geometry import box_domain, bregman, geometry_constants, prox, simplex_domain
 from .harness import (RunResult, ScalingStudy, SweepResult, VerifyReport,

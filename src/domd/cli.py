@@ -137,8 +137,18 @@ def _cmd_verify(args):
     return 0 if report.passed else 2
 
 
+def _values_joined(argv):
+    """argv with `--values LIST` as `--values=LIST` unless LIST is an option, so
+    a list that starts with a minus sign (-1e5, -inf,1) is not read as one."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 2, -1, -1):
+        if argv[k] == "--values" and not argv[k + 1].startswith(("--", "-h")):
+            argv[k:k + 2] = [f"--values={argv[k + 1]}"]
+    return argv
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_values_joined(argv))
     handlers = {"run": _cmd_run, "sweep": _cmd_sweep, "verify-bounds": _cmd_verify}
     made = not os.path.isdir(args.out)
     try:

@@ -2,8 +2,8 @@
 
 The moving point the agents chase follows x[t+1] = A x[t] + v[t], where A
 is known to every agent and v[t] is an arbitrary disturbance sequence.  A
-path keeps the states only: residual_norms gives back each ||v[t]||, whose
-sum C_T is the path variation the regret bounds are written against.
+path is its (..., T+1, d) states array: residual_norms gives back each
+||v[t]||, whose sum C_T is the path variation the bounds are written against.
 """
 
 from dataclasses import dataclass
@@ -80,22 +80,6 @@ def ncv_disturbances(sigma_v2, eps, seed, horizon):
     return np.random.default_rng(seed).standard_normal((horizon, 4)) @ factor.T
 
 
-@dataclass(frozen=True)
-class MinimizerPath:
-    """Target states x[1..T+1] as rows, (T+1, d), or a (..., T+1, d) stack
-    whose leading axes are replicates."""
-
-    states: np.ndarray
-
-    @property
-    def horizon(self):
-        return self.states.shape[-2] - 1
-
-    @property
-    def d(self):
-        return self.states.shape[-1]
-
-
 def generate_path(dyn, noise, x0, horizon):
     """Roll the target forward: states[0] = x0, states[t+1] = A states[t] + v[t].
 
@@ -103,7 +87,7 @@ def generate_path(dyn, noise, x0, horizon):
     as a (..., horizon, d) stack whose leading axes are replicates that all
     start at x0.  A stack is rolled in one loop over rounds, each round one
     stacked matrix-vector product, and every replicate's states are
-    bit-identical to rolling it alone.  The path keeps the states only.
+    bit-identical to rolling it alone.  Returns the states, (..., horizon+1, d).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -121,12 +105,12 @@ def generate_path(dyn, noise, x0, horizon):
     steps = np.moveaxis(v, -2, 0)[..., None]
     for t in range(horizon):
         np.add(np.matmul(dyn.a, rows[t]), steps[t], out=rows[t + 1])
-    return MinimizerPath(states)
+    return states
 
 
 def residual_norms(path, dyn, domain):
     """Per-round disturbance sizes ||states[t+1] - A states[t]||, t = 1 .. T,
     in the domain's norm (geometry.norm_of): (T,), or (..., T) for a stack."""
-    if path.states.shape[-2] < 2:
+    if path.shape[-2] < 2:
         raise ValueError("path variation needs at least two states")
-    return norm_of(domain, path.states[..., 1:, :] - path.states[..., :-1, :] @ dyn.a.T)
+    return norm_of(domain, path[..., 1:, :] - path[..., :-1, :] @ dyn.a.T)

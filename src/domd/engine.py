@@ -56,9 +56,9 @@ from .objectives import (_round_blocks, gradients_exact_batch, gradients_stochas
 
 
 class EngineError(RuntimeError):
-    """Raised when iterates stop being finite or leave the domain.  An error of
-    one agent keeps what went wrong, its replicate and its agent, and names
-    the replicate as name, by default "replicate r"."""
+    """Raised when iterates or gradients stop being finite or iterates leave
+    the domain.  An error of one agent keeps what went wrong, its replicate
+    and its agent, and names the replicate as name, by default "replicate r"."""
 
     def __init__(self, what, replicate=None, agent=None, name=None):
         super().__init__(what if agent is None else
@@ -151,7 +151,7 @@ def _oracle_samples(ens, path, ensembles, rngs, rounds):
     noises = [oracle_noise(e, rng, size) for e, rng in zip(ensembles, rngs)]
     if noises[0] is None:
         return [None] * size
-    stars = path.states[:, rounds].swapaxes(0, 1)  # (B, R, d)
+    stars = path[:, rounds].swapaxes(0, 1)  # (B, R, d)
     return oracle_samples(ens, stars, np.stack(noises, axis=1))
 
 
@@ -167,9 +167,9 @@ def run(weights, domain, dyn, replicates, horizon, mode="exact", x0=None, keep_i
     from a generator seeded with its seed.  The trace always carries the
     per-round losses; keep_iterates=False drops its iterates (x is None).
     Identical arguments produce identical traces, and trace[r] is
-    bit-identical to a run of replicates[r] alone.  Iterates that turn
-    non-finite, or mix into anchors outside the domain, raise EngineError
-    naming the round, replicate and agent.
+    bit-identical to a run of replicates[r] alone.  Iterates or gradients
+    that turn non-finite, or iterates that mix into anchors outside the
+    domain, raise EngineError naming the round, replicate and agent.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -208,9 +208,12 @@ def run(weights, domain, dyn, replicates, horizon, mode="exact", x0=None, keep_i
                 x = step(x, weights, domain, dyn, g, steps[t - 1])
             except ValueError:
                 anchors = mix(weights, x)
-                if contains(domain, anchors):
-                    raise
-                raise _first_bad(~inside(domain, anchors), t, "mixed anchors left the domain")
+                if not contains(domain, anchors):
+                    raise _first_bad(~inside(domain, anchors), t, "mixed anchors left the domain")
+                bad = ~np.isfinite(g).all(axis=-1)
+                if bad.any():
+                    raise _first_bad(bad, t, "gradients became non-finite")
+                raise
             if not np.logical_and.reduce(np.isfinite(x), axis=None):
                 raise _first_bad(~np.isfinite(x).all(axis=-1), t, "iterates became non-finite")
             if t == block.stop:  # fold rounds block.start+1 .. t before row t lands

@@ -18,11 +18,11 @@ Every run, of a config (run, sweep, the scaling study) or of a suite case
 _execute.  Its keys carry their own config, and consecutive keys whose
 configs build equal engine inputs share a setup and engine loops.  It
 builds each batch's inputs just before the batch runs, rolling all its
-target paths in one call, runs batches that hold at most
-BATCH_TRACE_BYTES, evaluates a batch's bound recursions in one pass, and
-yields each run as a finished RunResult; each replicate's results equal
-running it alone.  A sweep keeps no iterates: its regrets read the losses
-the engine folds.
+target paths in one call (a path is its (T+1, d) states array), runs
+batches that hold at most BATCH_TRACE_BYTES, evaluates a batch's bound
+recursions in one pass, and yields each run as a finished RunResult; each
+replicate's results equal running it alone.  The regrets read each trace's
+losses and domain, so a sweep keeps no iterates.
 """
 
 import itertools
@@ -35,8 +35,8 @@ import numpy as np
 
 from . import csvio
 from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_validate
-from .dynamics import (LinearDynamics, MinimizerPath, generate_path, identity_dynamics,
-                       ncv_disturbances, ncv_dynamics, residual_norms)
+from .dynamics import (LinearDynamics, generate_path, identity_dynamics, ncv_disturbances,
+                       ncv_dynamics, residual_norms)
 from .engine import EngineError, run
 from .geometry import box_domain, contains, geometry_constants, simplex_domain, start_point
 from .metrics import (_guarantee_steps, dynamic_regret, network_disagreement,
@@ -273,8 +273,8 @@ def _execute(keys, drafts_of, x0=None, keep_iterates=True, names=None):
                                  cfg.horizon)
         for r, (cfg, ens, path, _, _, norms) in enumerate(batch):
             trace = traces[r]
-            regret = replace(dynamic_regret(trace, ens, path, trace.losses),
-                             static_regret=static_regret(trace, ens, path, domain, trace.losses),
+            regret = replace(dynamic_regret(trace, ens, path),
+                             static_regret=static_regret(trace, ens, path),
                              path_variation=float(norms.sum()))
             bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas, norms,
                                       weights.n, grad_second_moment=ens.second_moment
@@ -298,17 +298,17 @@ def _start_target(cfg, domain):
 def _replicate_inputs(dyn, domain, target0, noises, ensembles):
     """(ens, path) of each replicate: its (horizon, d) disturbances in noises
     rolled from target0, all in one generate_path call, each path
-    bit-identical to rolling it alone.  Raises ConfigError when a synthetic
-    centre leaves the domain.
+    bit-identical to rolling it alone.  Raises ConfigError at a path's first
+    non-finite round, or when a synthetic centre leaves the domain.
     """
-    rolled = generate_path(dyn, noises, target0, len(noises[0]))
-    out = []
-    for ens, states in zip(ensembles, rolled.states):
-        path = MinimizerPath(states)
-        if centers_outside_domain(ens, path, domain):
-            raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
-        out.append((ens, path))
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        paths = generate_path(dyn, noises, target0, len(noises[0]))
+    finite = np.isfinite(paths).all(axis=(0, 2))
+    if not finite.all():
+        raise ConfigError(f"the target path is not finite from round {np.argmin(finite) + 1}")
+    if any(centers_outside_domain(ens, path, domain) for ens, path in zip(ensembles, paths)):
+        raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
+    return list(zip(ensembles, paths))
 
 
 def _config_drafts(cfg, run_indices, domain):
@@ -357,7 +357,7 @@ def _write_run_outputs(result, out_dir):
     header = (["t"] + [f"target{k + 1}" for k in range(d)]
               + [f"agent{i + 1}_{k + 1}" for i in range(n) for k in range(d)])
     steps = trace.horizon + 1
-    table = np.concatenate([np.arange(1.0, steps + 1)[:, None], path.states[:steps],
+    table = np.concatenate([np.arange(1.0, steps + 1)[:, None], path[:steps],
                             trace.x.reshape(steps, -1)], axis=1)
     csvio.write_csv(os.path.join(out_dir, "trajectory.csv"), header, table, comments)
     write_bound_csv(result.bounds, os.path.join(out_dir, "bounds.csv"), comments)
@@ -411,7 +411,7 @@ def tracking_error_stats(trace, path, tail=100):
     if tail < 1:
         raise ValueError(f"tail must be at least 1, got {tail}")
     tail = min(tail, trace.horizon)
-    err = trace.x[-tail - 1:-1] - path.states[-tail - 1:-1, None, :]
+    err = trace.x[-tail - 1:-1] - path[-tail - 1:-1, None, :]
     return np.linalg.norm(err, axis=2).mean(axis=0)
 
 

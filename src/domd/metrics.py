@@ -1,9 +1,10 @@
 """Regret measurement and the matching upper-bound calculators.
 
 Dynamic regret compares the network-average loss along the agents' iterates
-with the loss along the moving per-round minimizer.  The regret and
-loss-gap measurements evaluate their losses for the whole horizon at once
-through the (T, m, d) functions of objectives (global_loss_batch,
+with the loss along the moving per-round minimizer, the rows of the (T+1, d)
+path array.  Both regrets read the iterate losses and the domain from the
+trace.  The measurements evaluate other losses for the whole horizon at
+once through the (T, m, d) functions of objectives (global_loss_batch,
 agent_loss_batch), which work in bounded round blocks, so no Python loop
 runs over rounds, agents or points.
 
@@ -45,26 +46,23 @@ class RegretReport:
 
 def _targets(path, horizon):
     """Per-round minimizers for rounds 1 .. horizon, as a (horizon, d) array."""
-    check_rounds("comparator path", path.states, horizon)
-    return path.states[:horizon]
+    check_rounds("comparator path", path, horizon)
+    return path[:horizon]
 
 
 def iterate_losses(trace, ens, path):
     """f_t at every agent's iterate x[i, t], averaged over the agents, for t = 1 .. T.
 
-    dynamic_regret and static_regret both read it; a caller that needs both
-    computes it once and passes it to each as `losses`.
+    The engine folds them into trace.losses as it runs; dynamic_regret and
+    static_regret evaluate them only for a hand-built trace without losses.
     """
     return global_loss_batch(ens, path, trace.x[:trace.horizon]).mean(axis=1)
 
 
-def dynamic_regret(trace, ens, path, losses=None):
-    """Regret against the per-round minimizers path.states[0..T-1].
-
-    losses, when given, is iterate_losses(trace, ens, path).
-    """
+def dynamic_regret(trace, ens, path):
+    """Regret against the per-round minimizers path[0..T-1]."""
     horizon = trace.horizon
-    at_iterates = iterate_losses(trace, ens, path) if losses is None else losses
+    at_iterates = iterate_losses(trace, ens, path) if trace.losses is None else trace.losses
     at_comparator = global_loss_batch(ens, path, _targets(path, horizon)[:, None, :])[:, 0]
     instant = at_iterates - at_comparator
     cumulative = np.cumsum(instant)
@@ -97,17 +95,14 @@ def best_fixed_point(ens, path, domain, horizon):
     return out
 
 
-def static_regret(trace, ens, path, domain, losses=None):
-    """Regret against the best fixed feasible point in hindsight.
-
-    losses, when given, is iterate_losses(trace, ens, path).
-    """
+def static_regret(trace, ens, path):
+    """Regret against the best fixed point of trace.domain in hindsight."""
     horizon = trace.horizon
     if horizon == 0:
         return 0.0
-    comparator = best_fixed_point(ens, path, domain, horizon)
-    at_iterates = iterate_losses(trace, ens, path) if losses is None else losses
-    fixed = np.broadcast_to(comparator, (horizon, 1, domain.d))
+    comparator = best_fixed_point(ens, path, trace.domain, horizon)
+    at_iterates = iterate_losses(trace, ens, path) if trace.losses is None else trace.losses
+    fixed = np.broadcast_to(comparator, (horizon, 1, trace.domain.d))
     at_fixed = global_loss_batch(ens, path, fixed)[:, 0]
     return float(at_iterates.sum() - at_fixed.sum())
 
@@ -229,7 +224,10 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     if steps is None:
         steps = _guarantee_steps(sigma2, etas[None], [c_t], horizon)[0]
     steps, tuned_steps = steps
-    l2 = lipschitz**2
+    try:
+        l2 = lipschitz**2
+    except OverflowError:  # a float power raises where the product would be inf
+        l2 = np.inf
     (radius, mismatch, step, network), mismatch_sum = _terms(
         consts, l2, etas, noise_norms, n, steps)
     e_track = float(radius + mismatch + step)

@@ -47,7 +47,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import MinimizerPath
 from .geometry import dual_diameter, dual_norm_of, inside
 
 TRACKED_COORDS = 4
@@ -163,13 +162,13 @@ def linear_ensemble(gradients, domain):
 
 def _centers(ens, path, t):
     """Round t's square centers, (..., n or 1, d): the target plus any offsets."""
-    star = path.states[..., t - 1, None, :]
+    star = path[..., t - 1, None, :]
     return star if ens.offsets is None else star + ens.offsets[..., t - 1, :, :]
 
 
 def _center(ens, i, t, path):
     """Agent i's round-t square center: the target plus its offset, if any."""
-    star = path.states[t - 1]
+    star = path[t - 1]
     return star if ens.offsets is None else star + ens.offsets[t - 1, i]
 
 
@@ -198,7 +197,7 @@ def gradient_stochastic(ens, i, t, x, path, rng):
     if ens.mask is None:
         g = gradient_exact(ens, i, t, x, path)
         return g if ens.noise is None else g + rng.uniform(*ens.noise, ens.d)
-    z = path.states[t - 1] + rng.uniform(*ens.noise)
+    z = path[t - 1] + rng.uniform(*ens.noise)
     g = -(z - np.asarray(x, dtype=float))
     if not ens.innovation:
         g *= 2.0
@@ -313,11 +312,10 @@ def stack_replicates(ensembles, paths, rounds):
         raise ValueError("replicates must share the loss family, agent count, "
                          "dimension, oracle and observation noise")
     for p in paths:
-        check_rounds("path.states", p.states, rounds)
+        check_rounds("path", p, rounds)
     arrays = [_per_round(e, rounds) for e in ensembles]
     changes = {name: _stacked([a[name] for a in arrays], rounds) for name in arrays[0]}
-    path = MinimizerPath(_stacked([p.states for p in paths], rounds))
-    return replace(first, **changes), path
+    return replace(first, **changes), _stacked(paths, rounds)
 
 
 def check_rounds(what, array, rounds):
@@ -382,11 +380,11 @@ def _evaluate(block, ens, path, x):
     if x.ndim != 3 or x.shape[2] != ens.d:
         raise ValueError(f"expected a (T, m, {ens.d}) stack, got shape {x.shape}")
     horizon, m, _ = x.shape
-    check_rounds("path.states", path.states, horizon)
+    check_rounds("path", path, horizon)
     _per_round(ens, horizon)
     out = np.empty((horizon, m))
     for rounds in _round_blocks(horizon, max(m, ens.n) * ens.d):
-        out[rounds] = block(ens, rounds, path.states[rounds], x[rounds])
+        out[rounds] = block(ens, rounds, path[rounds], x[rounds])
     return out
 
 
@@ -395,7 +393,7 @@ def global_loss_batch(ens, path, x):
 
     x is a (T, m, d) stack (a broadcast view is fine); returns (T, m).
     Evaluated in round blocks of about BLOCK_ELEMENTS elements; raises
-    ValueError when path.states or the ensemble covers fewer than T rounds.
+    ValueError when path or the ensemble covers fewer than T rounds.
     """
     return _evaluate(_global_block, ens, path, x)
 
@@ -408,7 +406,7 @@ def network_losses(ens, path, rounds, x):
     stack_replicates); returns the (..., B) agent means, bit-equal to
     global_loss_batch(...).mean(axis=1) of each replicate's rows.
     """
-    return _global_block(ens, rounds, path.states[..., rounds, :], x).mean(axis=-1)
+    return _global_block(ens, rounds, path[..., rounds, :], x).mean(axis=-1)
 
 
 def agent_loss_batch(ens, path, x):
@@ -420,17 +418,17 @@ def agent_loss_batch(ens, path, x):
 
 
 def centers_outside_domain(ens, path, domain):
-    """Count quadratic centers c[i,t], t = 1 .. path.horizon, outside the domain.
+    """Count quadratic centers c[i,t], t = 1 .. T, of a (T+1, d) path outside the domain.
 
     Should be 0 for valid suites; always 0 for ensembles without offsets.
     """
     if ens.offsets is None:
         return 0
-    horizon = path.horizon
+    horizon = path.shape[-2] - 1
     check_rounds("ens.offsets", ens.offsets, horizon)
     bad = 0
     for rounds in _round_blocks(horizon, ens.n * ens.d):
-        centers = path.states[rounds, None, :] + ens.offsets[rounds]
+        centers = path[rounds, None, :] + ens.offsets[rounds]
         bad += int(np.count_nonzero(~inside(domain, centers)))
     return bad
 

@@ -35,7 +35,7 @@ def read_csv(path):
 
 def target_position_path_length(path, position_dims=(0, 2)):
     """Length of the target's position trajectory (NCV layout by default)."""
-    pos = path.states[:, list(position_dims)]
+    pos = path[:, list(position_dims)]
     return float(np.linalg.norm(np.diff(pos, axis=0), axis=1).sum())
 
 

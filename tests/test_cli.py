@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -210,6 +211,27 @@ def test_sweep_refusals_are_config_errors(quad_config, tmp_path, capsys, param, 
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not out.exists()
+
+
+def test_sweep_values_may_start_with_a_minus_sign(quad_config, tmp_path, capsys):
+    # argparse once took a list such as -20000,-15000 for an option and exited 1
+    # with "expected one argument"; only its own negative literals (-2, -0.5) passed
+    for values, shown in (("-20000,-15000", ["-20000", "-15000"]), ("-1e5", ["-100000"])):
+        assert main(["sweep", "--config", quad_config, "--out", str(tmp_path / values),
+                     "--param", "geometry.box_low", "--values", values, "--runs", "1"]) == 0
+        stdout = capsys.readouterr().out
+        assert [line.split(":")[0] for line in stdout.splitlines()[:-1]] == [
+            f"geometry.box_low={value}" for value in shown]
+    for values in ("-inf,1", "-.5,1"):  # read as values, then refused as values
+        assert main(["sweep", "--config", quad_config, "--out", str(tmp_path / "x"),
+                     "--param", "geometry.box_low", "--values", values, "--runs", "1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+    # a real option after --values is still a missing list
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", quad_config, "--out", str(tmp_path / "x"),
+              "--param", "geometry.box_low", "--values", "--runs", "2"])
+    assert exc.value.code == 1
+    assert "argument --values: expected one argument" in capsys.readouterr().err
 
 
 def test_run_exits_2_on_a_bound_violation(quad_config, tmp_path, capsys, monkeypatch):
@@ -431,6 +453,31 @@ def test_a_run_whose_bound_overflows_prints_an_inf_bound(tmp_path, capsys):
     assert "guarantee_total=inf mode=stochastic\n" in captured.out and captured.err == ""
     comments, _, _ = read_csv(tmp_path / "out" / "bounds.csv")
     assert "total=inf" in comments
+
+
+def test_a_target_path_past_the_float_range_is_one_config_error_line(tmp_path, capsys):
+    # the path overflows in round 3; it once ended in prox's "gradient has
+    # non-finite entries" traceback, or with warnings as errors in the roll's
+    # RuntimeWarning
+    config = tmp_path / "drift.ini"
+    config.write_text("[experiment]\nhorizon = 10\n[dynamics]\nmodel = identity\n"
+                      "[noise]\nkind = constant_drift\ndrift = 1e308, 0, 0, 0\n"
+                      "target_init = 0, 0, 0, 0\n")
+    for action in ("error", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: the target path is not finite from round 3\n"
+
+
+def test_verify_with_an_l_squared_past_the_float_range_exits_0(tmp_path, capsys):
+    # (1e200)**2 raised OverflowError in the bound's L^2 term; the term is +inf
+    assert main(["verify-bounds", "--seeds", "1", "--l-scale", "1e200",
+                 "--out", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("checks=34 seeds=1 violations=0\n") and captured.err == ""
 
 
 def test_a_one_dimensional_simplex_is_one_config_error_line(tmp_path, capsys):

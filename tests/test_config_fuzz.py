@@ -10,7 +10,10 @@ entry).  The sizes a run's cost grows with are always set and capped, so
 an example takes milliseconds.  Each example runs `domd run` in process, with numpy's
 RuntimeWarnings as errors (see pyproject.toml), and must end in one of three
 ways: exit 0 quietly, exit 1 with exactly one `config error:` or
-`run error:` line, or exit 2 with VIOLATION lines only.
+`run error:` line, or exit 2 with VIOLATION lines only.  A second property
+sweeps one int or float key of such a document over two values, inside or
+outside the key's checks, with `domd sweep --runs 2`: it must exit 0
+quietly or exit 1 with one such line, and a usage error (SystemExit) fails.
 
 Tier-1 draws a fixed, derandomized sample (the profile "config-fuzz").  Set
 CONFIG_FUZZ_PROFILE=config-fuzz-ci to draw a larger random one (a DOMD_
@@ -131,3 +134,44 @@ def test_every_schema_config_runs_or_fails_with_one_named_line(document):
     else:
         assert code == 2 and lines, (code, lines)
         assert all(line.startswith("VIOLATION ") for line in lines), lines
+
+
+# the keys a sweep can name: every int or float key
+SWEPT_KEYS = [(section, key) for section, keys in SCHEMA.items()
+              for key, (_, typ, _, _) in keys.items() if typ in (int, float)]
+
+
+@st.composite
+def sweep_arguments(draw):
+    """(param, values) of a sweep: one SWEPT_KEYS key and two of its _value
+    values, each inside or outside the key's checks."""
+    section, key = draw(st.sampled_from(SWEPT_KEYS))
+    values = [_value(draw, section, key, 0, _can_fail((section, key)) and draw(st.booleans()))
+              for _ in range(2)]
+    return f"{section}.{key}", ",".join(values)
+
+
+@PROFILE
+@given(config_documents(), sweep_arguments())
+# a value list that starts with a minus sign once ended in argparse's usage error
+@example("[experiment]\nhorizon = 20\n[network]\nrows = 2\ncols = 2\n",
+         ("geometry.box_low", "-20000.0,-15000.0"))
+def test_every_sweep_of_a_schema_config_runs_or_fails_with_one_named_line(document, arguments):
+    param, values = arguments
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "fuzz.ini")
+        with open(config, "w") as fh:
+            fh.write(document)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["sweep", "--config", config, "--out", os.path.join(tmp, "out"),
+                             "--param", param, "--values", values, "--runs", "2"])
+            except SystemExit as exc:  # a usage error: the command line itself was refused
+                code = f"SystemExit({exc.code})"
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1 and len(lines) == 1, (code, lines)
+        assert lines[0].startswith(("config error: ", "run error: ")), lines

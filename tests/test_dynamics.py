@@ -69,11 +69,11 @@ def test_zero_noise_path_integrates_velocity():
     # from (0, 1, 0, 1) with eps=0.1 the positions advance 0.1 per round
     path = generate_path(ncv_dynamics(0.1), np.zeros((10, 4)),
                          np.array([0.0, 1.0, 0.0, 1.0]), 10)
-    np.testing.assert_allclose(path.states[:, 0], 0.1 * np.arange(11), atol=1e-12)
-    np.testing.assert_allclose(path.states[:, 1], 1.0, atol=1e-15)
+    np.testing.assert_allclose(path[:, 0], 0.1 * np.arange(11), atol=1e-12)
+    np.testing.assert_allclose(path[:, 1], 1.0, atol=1e-15)
     # identical motion on both axes, so swapping the axis blocks is a no-op
-    np.testing.assert_allclose(path.states, path.states[:, [2, 3, 0, 1]], atol=1e-15)
-    assert path.horizon == 10 and path.d == 4
+    np.testing.assert_allclose(path, path[:, [2, 3, 0, 1]], atol=1e-15)
+    assert path.shape[-2] - 1 == 10 and path.shape[-1] == 4
 
 
 def test_gaussian_noise_deterministic_per_seed():
@@ -81,9 +81,9 @@ def test_gaussian_noise_deterministic_per_seed():
     x0 = np.zeros(4)
     p1 = generate_path(dyn, ncv_disturbances(0.5, 0.1, 9, 20), x0, 20)
     p2 = generate_path(dyn, ncv_disturbances(0.5, 0.1, 9, 20), x0, 20)
-    np.testing.assert_array_equal(p1.states, p2.states)
+    np.testing.assert_array_equal(p1, p2)
     p3 = generate_path(dyn, ncv_disturbances(0.5, 0.1, 10, 20), x0, 20)
-    assert not np.array_equal(p1.states, p3.states)
+    assert not np.array_equal(p1, p3)
     with pytest.raises(ValueError, match="nonnegative"):
         ncv_disturbances(-0.5, 0.1, 9, 20)
 
@@ -105,10 +105,10 @@ def test_gaussian_noise_requires_4d_model():
 def test_constant_drift_and_custom_sequences():
     dyn = identity_dynamics(2)
     drift = generate_path(dyn, np.tile([0.1, -0.2], (4, 1)), np.zeros(2), 4)
-    np.testing.assert_allclose(drift.states[4], [0.4, -0.8], atol=1e-15)
+    np.testing.assert_allclose(drift[4], [0.4, -0.8], atol=1e-15)
     seq = np.arange(6, dtype=float).reshape(3, 2)
     custom = generate_path(dyn, seq, np.zeros(2), 3)
-    np.testing.assert_allclose(custom.states, [[0.0, 0.0], [0.0, 1.0], [2.0, 4.0], [6.0, 9.0]])
+    np.testing.assert_allclose(custom, [[0.0, 0.0], [0.0, 1.0], [2.0, 4.0], [6.0, 9.0]])
 
 
 def test_generate_path_validation():
@@ -148,15 +148,15 @@ def test_generate_path_batched_equals_solo(a, replicates):
     x0 = np.array([0.5, -1.0, 0.25, 2.0])
     v = np.stack([ncv_disturbances(0.8, 0.1, seed, horizon) for seed in range(replicates)])
     batch = generate_path(dyn, v, x0, horizon)
-    assert batch.states.shape == (replicates, horizon + 1, 4)
-    assert batch.horizon == horizon and batch.d == 4
+    assert batch.shape == (replicates, horizon + 1, 4)
+    assert batch.shape[-2] - 1 == horizon and batch.shape[-1] == 4
     for r in range(replicates):
         alone = generate_path(dyn, v[r], x0, horizon)
-        assert np.array_equal(alone.states, _rolled_alone(dyn, v[r], x0))
-        assert np.array_equal(batch.states[r], alone.states)
+        assert np.array_equal(alone, _rolled_alone(dyn, v[r], x0))
+        assert np.array_equal(batch[r], alone)
     # any number of leading axes rolls the same way
     grid = generate_path(dyn, v.reshape((1, replicates) + v.shape[1:]), x0, horizon)
-    assert np.array_equal(grid.states[0], batch.states)
+    assert np.array_equal(grid[0], batch)
 
 
 def test_reconstruction_residual_is_tiny():
@@ -164,8 +164,8 @@ def test_reconstruction_residual_is_tiny():
     dyn = ncv_dynamics(0.1)
     v = ncv_disturbances(1.0, 0.1, 0, 50)
     path = generate_path(dyn, v, np.array([0.0, 1.0, 0.0, 1.0]), 50)
-    pred = path.states[:-1] @ dyn.a.T + v
-    assert np.max(np.abs(pred - path.states[1:])) <= 1e-12
+    pred = path[:-1] @ dyn.a.T + v
+    assert np.max(np.abs(pred - path[1:])) <= 1e-12
     assert np.max(np.abs(residual_norms(path, dyn, SIMPLEX) - np.abs(v).sum(axis=1))) <= 1e-12
 
 

@@ -87,17 +87,17 @@ def test_init_state_defaults():
             noise_kind="zero", target_init=(), loss_kind="synthetic_quadratic",
             offset_scale=0.02, **changes))
         result = run_experiment(cfg)
-        assert result.path.states[0].tobytes() == start.tobytes()
+        assert result.path[0].tobytes() == start.tobytes()
         assert result.trace.x[0].tobytes() == np.tile(start, (4, 1)).tobytes()
 
 
 def test_zero_gradients_leave_common_iterate_fixed():
     weights, domain, dyn, _, path = _box_setup()
-    grads = np.zeros((path.horizon, 3, 2))
+    grads = np.zeros((len(path) - 1, 3, 2))
     ens = linear_ensemble(grads, domain)
     start = np.array([0.7, -1.3])
-    trace = run(weights, domain, dyn, [(ens, path, np.full(path.horizon + 1, 0.1), 0)],
-                path.horizon, x0=start)[0]
+    trace = run(weights, domain, dyn, [(ens, path, np.full(len(path), 0.1), 0)],
+                len(path) - 1, x0=start)[0]
     np.testing.assert_allclose(trace.x, np.broadcast_to(start, trace.x.shape),
                                atol=1e-14)
 
@@ -111,10 +111,10 @@ def _replay_round(trace, weights, domain, ens, path, eta, t):
 
 def test_mixing_preserves_agent_mean():
     weights, domain, dyn, ens, path = _box_setup()
-    trace = run(weights, domain, dyn, [(ens, path, np.full(path.horizon + 1, 0.1), 0)],
-                path.horizon)[0]
+    trace = run(weights, domain, dyn, [(ens, path, np.full(len(path), 0.1), 0)],
+                len(path) - 1)[0]
     xbar = trace.x.mean(axis=1)
-    for t in range(path.horizon):
+    for t in range(len(path) - 1):
         y, _, xhat = _replay_round(trace, weights, domain, ens, path, 0.1, t)
         np.testing.assert_allclose(y.mean(axis=0), xbar[t], atol=1e-12)
         # identity dynamics: next mean is the mean prox output
@@ -136,13 +136,13 @@ def test_uniform_weights_give_identical_anchors():
 
 def test_runs_are_reproducible():
     weights, domain, dyn, ens, path = _box_setup()
-    noisy = synthetic_suite(3, 3, 2, path.horizon, domain, noise_scale=0.2)
-    etas = np.full(path.horizon + 1, 0.1)
-    a = run(weights, domain, dyn, [(noisy, path, etas, 5)], path.horizon, mode="stochastic")
-    b = run(weights, domain, dyn, [(noisy, path, etas, 5)], path.horizon, mode="stochastic")
+    noisy = synthetic_suite(3, 3, 2, len(path) - 1, domain, noise_scale=0.2)
+    etas = np.full(len(path), 0.1)
+    a = run(weights, domain, dyn, [(noisy, path, etas, 5)], len(path) - 1, mode="stochastic")
+    b = run(weights, domain, dyn, [(noisy, path, etas, 5)], len(path) - 1, mode="stochastic")
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.etas, b.etas)
-    c = run(weights, domain, dyn, [(noisy, path, etas, 6)], path.horizon, mode="stochastic")
+    c = run(weights, domain, dyn, [(noisy, path, etas, 6)], len(path) - 1, mode="stochastic")
     assert not np.array_equal(a.x[0, 1:], c.x[0, 1:])
 
 
@@ -195,7 +195,7 @@ def test_trace_replays_through_public_steps(case):
     etas = 0.3 / np.sqrt(np.arange(1, horizon + 2))
     trace = run(weights, domain, dyn, [(ens, path, etas, seed)], horizon, mode=mode)[0]
     draws = oracle_noise(ens, np.random.default_rng(seed), horizon)
-    samples = oracle_samples(ens, path.states[:horizon], draws)
+    samples = oracle_samples(ens, path[:horizon], draws)
     for t in range(horizon):
         x, eta = trace.x[t], etas[t]
         if mode == "exact":
@@ -229,10 +229,30 @@ def test_prox_errors_stop_the_run_in_their_round(monkeypatch):
     grads = np.zeros((horizon, 2, 2))
     grads[2, 1, 0] = np.nan  # agent 1's gradient in round 3
     calls.clear()
-    with pytest.raises(ValueError, match="gradient has non-finite entries"):
+    with pytest.raises(EngineError, match=r"^gradients became non-finite in round 3 "
+                                          r"\(replicate 0, agent 1\)$") as err:
         run(weights, domain, identity_dynamics(2),
             [(linear_ensemble(grads, domain), path, etas, 0)], horizon)
+    assert str(err.value.__context__) == "gradient has non-finite entries"
     assert len(calls) == 3
+
+
+def test_a_non_finite_gradient_is_an_engine_error_naming_its_round():
+    # an inf gradient reaches prox with no numpy warning on the way; it once
+    # ended in prox's ValueError whenever the anchors were inside the domain
+    weights = metropolis_weights(build_path_graph(3))
+    domain = box_domain([-1.0] * 2, [1.0] * 2)
+    horizon = 6
+    path = generate_path(identity_dynamics(2), np.zeros((horizon, 2)), np.zeros(2), horizon)
+    etas = np.full(horizon + 1, 0.1)
+    grads = np.zeros((horizon, 3, 2))
+    grads[4, 2, 1] = np.inf  # agent 2's gradient in round 5
+    replicates = [(linear_ensemble(np.zeros((horizon, 3, 2)), domain), path, etas, 0),
+                  (linear_ensemble(grads, domain), path, etas, 0)]
+    with pytest.raises(EngineError) as err:
+        run(weights, domain, identity_dynamics(2), replicates, horizon)
+    assert str(err.value) == "gradients became non-finite in round 5 (replicate 1, agent 2)"
+    assert (err.value.replicate, err.value.agent) == (1, 2)
 
 
 def test_run_argument_validation():
@@ -248,7 +268,7 @@ def test_run_replicates_argument_validation():
     weights, domain, dyn, ens, path = _box_setup()
     with pytest.raises(ValueError, match="at least one replicate"):
         run(weights, domain, dyn, [], 3)
-    linear = linear_ensemble(np.zeros((path.horizon, 3, 2)), domain)
+    linear = linear_ensemble(np.zeros((len(path) - 1, 3, 2)), domain)
     with pytest.raises(ValueError, match="share the loss family"):
         run(weights, domain, dyn, [(ens, path, np.full(4, 0.1), 0),
                                  (linear, path, np.full(4, 0.1), 0)], 3)

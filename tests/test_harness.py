@@ -277,7 +277,7 @@ def test_tracking_error_stats_and_path_length():
     result = run_experiment(cfg)
     stats = tracking_error_stats(result.trace, result.path, tail=10)
     assert stats.shape == (4,)
-    err = result.trace.x[-11:-1] - result.path.states[-11:-1, None, :]
+    err = result.trace.x[-11:-1] - result.path[-11:-1, None, :]
     np.testing.assert_allclose(stats, np.linalg.norm(err, axis=2).mean(axis=0),
                                atol=1e-14)
     # tail longer than the run clips to the horizon
@@ -593,7 +593,7 @@ def test_suite_results_carry_the_scaled_ensemble_of_their_bounds():
         weights, domain, dyn, ens, path, etas = _build_case(case, seed)
         assert result.ensemble.lipschitz == 0.5 * ens.lipschitz
         assert result.ensemble.second_moment == 0.25 * ens.second_moment
-        assert np.array_equal(result.path.states, path.states)
+        assert np.array_equal(result.path, path)
         want = regret_guarantee(geometry_constants(domain), 0.5 * ens.lipschitz,
                                 second_singular_value(weights), etas,
                                 residual_norms(path, dyn, domain), weights.n,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import domd.metrics
 from conftest import read_csv
-from domd.dynamics import MinimizerPath, generate_path, identity_dynamics, residual_norms
+from domd.dynamics import generate_path, identity_dynamics, residual_norms
 from domd.engine import RunTrace, run
 from domd.geometry import box_domain, geometry_constants, simplex_domain
 from domd.metrics import (best_fixed_point, dynamic_regret,
@@ -204,6 +204,22 @@ def test_a_guarantee_past_the_float_range_is_inf_without_a_warning():
     assert math.isfinite(report.variation_tuned_value)
 
 
+def test_an_l_squared_past_the_float_range_is_inf():
+    # (1e200)**2 of a Python float raises OverflowError where a product is
+    # +inf: the L^2 terms are +inf, and the disagreement envelope, linear in L,
+    # stays finite
+    report = regret_guarantee(_consts(), 1e200, 0.25, [0.1] * 4, np.array([0.2, 0.3, 0.1]), 4)
+    assert report.e_track == report.e_net == report.total == math.inf
+    assert report.variation_tuned_value == math.inf
+    assert np.isfinite(report.disagreement_curve).all()
+    # a finite L keeps the power's bits: for this L, L**2 and L * L differ in the last bit
+    lipschitz = 8.237813583927716
+    report = regret_guarantee(_consts(), lipschitz, 0.25, [0.5] * 4, np.zeros(3), 4)
+    radius = 2.0 * _consts().r2 / 0.5
+    assert report.e_track == radius + lipschitz**2 * 1.5 / 2.0
+    assert report.e_track != radius + lipschitz * lipschitz * 1.5 / 2.0
+
+
 def test_guarantee_noise_terms():
     noise = np.array([0.2, 0.3, 0.1])
     report = regret_guarantee(_consts(), 1.0, 0.0, [0.1] * 4, noise, 4)
@@ -316,10 +332,8 @@ def test_regret_report_normalization():
 
 
 def test_dynamic_regret_needs_full_comparator_path():
-    from domd.dynamics import MinimizerPath
-
     trace, ens, path, _ = _one_agent_run()
-    short = MinimizerPath(path.states[:0])
+    short = path[:0]
     with pytest.raises(ValueError, match="shorter"):
         dynamic_regret(trace, ens, short)
 
@@ -327,10 +341,7 @@ def test_dynamic_regret_needs_full_comparator_path():
 def test_best_fixed_point_square_families():
     domain = box_domain([-1.0], [3.0])
     states = np.array([[0.0], [1.0], [5.0], [99.0]])  # last row unused
-    path_states = states
-    from domd.dynamics import MinimizerPath
-
-    path = MinimizerPath(path_states)
+    path = states
     ens = synthetic_suite(0, 4, 1, 3, domain, offset_scale=0.0)
     point = best_fixed_point(ens, path, domain, 3)
     assert point[0] == pytest.approx(2.0)
@@ -342,9 +353,7 @@ def test_best_fixed_point_linear_hits_extreme_points():
     domain = box_domain([-1.0, -2.0], [1.0, 2.0])
     grads = np.array([[[0.5, -0.25]], [[0.25, -0.5]]])  # mean > 0, < 0
     ens = linear_ensemble(grads, domain)
-    from domd.dynamics import MinimizerPath
-
-    path = MinimizerPath(np.zeros((3, 2)))
+    path = np.zeros((3, 2))
     point = best_fixed_point(ens, path, domain, 2)
     np.testing.assert_allclose(point, [-1.0, 2.0])
     corners = np.array([[sx, sy] for sx in (-1.0, 1.0) for sy in (-2.0, 2.0)])
@@ -369,7 +378,7 @@ def test_static_regret_never_exceeds_dynamic():
     trace = run(weights, domain, dyn, [(ens, path, 0.2 / np.sqrt(np.arange(1, horizon + 2)), 0)],
                 horizon)[0]
     dyn_regret = dynamic_regret(trace, ens, path).dynamic_regret
-    stat = static_regret(trace, ens, path, domain)
+    stat = static_regret(trace, ens, path)
     assert stat <= dyn_regret + 1e-9
 
 
@@ -381,15 +390,14 @@ def test_regrets_share_one_evaluation_of_the_iterate_losses(monkeypatch):
     ens = synthetic_suite(4, 4, 2, horizon, domain)
     trace = run(metropolis_weights(build_grid_graph(2, 2)), domain, identity_dynamics(2),
                 [(ens, path, np.full(horizon + 1, 0.2), 0)], horizon)[0]
-    alone = dynamic_regret(trace, ens, path), static_regret(trace, ens, path, domain)
+    alone = dynamic_regret(trace, ens, path), static_regret(trace, ens, path)
     calls = []
     evaluate = domd.metrics.global_loss_batch
     monkeypatch.setattr(domd.metrics, "global_loss_batch",
                         lambda *a: calls.append(a[2].shape) or evaluate(*a))
     losses = iterate_losses(trace, ens, path)
     assert calls == [(horizon, 4, 2)]
-    shared = (dynamic_regret(trace, ens, path, losses),
-              static_regret(trace, ens, path, domain, losses))
+    shared = (dynamic_regret(trace, ens, path), static_regret(trace, ens, path))
     # each regret then evaluates only its own comparator
     assert calls[1:] == [(horizon, 1, 2), (horizon, 1, 2)]
     np.testing.assert_array_equal(shared[0].instant, alone[0].instant)
@@ -411,7 +419,7 @@ def test_per_agent_loss_gap_matches_direct_sum():
     for t in range(1, 7):
         for i in range(3):
             total += (loss_value(ens, i, t, trace.x[t - 1, i], path)
-                      - loss_value(ens, i, t, path.states[t - 1], path))
+                      - loss_value(ens, i, t, path[t - 1], path))
     assert per_agent_loss_gap(trace, ens, path) == pytest.approx(
         total / 3.0, rel=1e-12)
 
@@ -529,8 +537,8 @@ def test_every_numeric_bound_field_is_a_python_float():
 # ------------------------------------------------- whole-horizon measurement
 
 
-def _shell_trace(x):
-    return RunTrace(x=x, etas=np.full(x.shape[0], 0.1), domain=BOX1)
+def _shell_trace(x, domain):
+    return RunTrace(x=x, etas=np.full(x.shape[0], 0.1), domain=domain)
 
 
 def _measured_case(kind, horizon=7):
@@ -542,7 +550,7 @@ def _measured_case(kind, horizon=7):
     path = generate_path(identity_dynamics(4), np.tile([0.1, 0.0, -0.05, 0.02], (horizon, 1)),
                          np.array([0.5, -0.5, 0.0, 1.0]), horizon)
     x = np.random.default_rng(3).uniform(-2.0, 2.0, (horizon + 1, 5, 4))
-    return _shell_trace(x), ens, path, box
+    return _shell_trace(x, box), ens, path, box
 
 
 @pytest.mark.parametrize("kind", ["tracking_square", "synthetic_quadratic", "synthetic_linear"])
@@ -556,26 +564,26 @@ def test_measurements_match_scalar_reference(kind):
 
     at_iterates = [np.mean([average_loss(t, trace.x[t - 1, j]) for j in range(n)])
                    for t in range(1, horizon + 1)]
-    at_targets = [average_loss(t, path.states[t - 1]) for t in range(1, horizon + 1)]
+    at_targets = [average_loss(t, path[t - 1]) for t in range(1, horizon + 1)]
     at_fixed = [average_loss(t, comparator) for t in range(1, horizon + 1)]
     local = sum(loss_value(ens, i, t, trace.x[t - 1, i], path)
-                - loss_value(ens, i, t, path.states[t - 1], path)
+                - loss_value(ens, i, t, path[t - 1], path)
                 for t in range(1, horizon + 1) for i in range(n)) / n
     report = dynamic_regret(trace, ens, path)
     np.testing.assert_allclose(report.instant, np.subtract(at_iterates, at_targets),
                                rtol=1e-12, atol=1e-13)
-    assert static_regret(trace, ens, path, box) == pytest.approx(
+    assert static_regret(trace, ens, path) == pytest.approx(
         sum(at_iterates) - sum(at_fixed), rel=1e-12)
     assert per_agent_loss_gap(trace, ens, path) == pytest.approx(local, rel=1e-12)
 
 
 def test_empty_trace_has_zero_regret_and_gap():
     trace, ens, path, box = _measured_case("synthetic_quadratic")
-    empty = _shell_trace(trace.x[:1])
+    empty = _shell_trace(trace.x[:1], box)
     report = dynamic_regret(empty, ens, path)
     assert report.dynamic_regret == 0.0 and report.instant.shape == (0,)
     assert report.normalized.shape == (0,)
-    assert static_regret(empty, ens, path, box) == 0.0
+    assert static_regret(empty, ens, path) == 0.0
     assert per_agent_loss_gap(empty, ens, path) == 0.0
 
 
@@ -583,9 +591,9 @@ def test_empty_trace_has_zero_regret_and_gap():
 def test_measurements_refuse_short_paths_and_ensembles(kind):
     trace, ens, path, box = _measured_case(kind)
     for short in (1, 6):  # one state would otherwise broadcast over all 7 rounds
-        cut = MinimizerPath(path.states[:short])
+        cut = path[:short]
         for measure in (lambda p: dynamic_regret(trace, ens, p),
-                        lambda p: static_regret(trace, ens, p, box),
+                        lambda p: static_regret(trace, ens, p),
                         lambda p: per_agent_loss_gap(trace, ens, p)):
             with pytest.raises(ValueError, match=f"covers {short} rounds, shorter than the 7"):
                 measure(cut)
@@ -595,7 +603,7 @@ def test_measurements_refuse_short_paths_and_ensembles(kind):
     for short in (1, 6):
         cut = replace(ens, **{field: getattr(ens, field)[:short]})
         for measure in (lambda e: dynamic_regret(trace, e, path),
-                        lambda e: static_regret(trace, e, path, box),
+                        lambda e: static_regret(trace, e, path),
                         lambda e: per_agent_loss_gap(trace, e, path)):
             with pytest.raises(ValueError, match=f"ens.{field} covers {short} rounds"):
                 measure(cut)
@@ -612,11 +620,11 @@ def test_regret_measurement_memory_stays_bounded(kind):
     else:
         ens = synthetic_suite(0, n, d, horizon, box, kind=kind, offset_scale=0.05)
     path = generate_path(identity_dynamics(d), np.zeros((horizon, d)), np.zeros(d), horizon)
-    trace = _shell_trace(np.random.default_rng(0).uniform(-1.0, 1.0, (horizon + 1, n, d)))
+    trace = _shell_trace(np.random.default_rng(0).uniform(-1.0, 1.0, (horizon + 1, n, d)), box)
     tracemalloc.start()
     try:
         dynamic_regret(trace, ens, path)
-        static_regret(trace, ens, path, box)
+        static_regret(trace, ens, path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

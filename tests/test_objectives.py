@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from domd import objectives
-from domd.dynamics import MinimizerPath, generate_path, identity_dynamics
+from domd.dynamics import generate_path, identity_dynamics
 from domd.geometry import (box_domain, contains, dual_diameter, sample_domain,
                            simplex_domain)
 from domd.objectives import (agent_loss_batch, centers_outside_domain,
@@ -35,7 +35,7 @@ def _signed_zero_setup():
     path = generate_path(identity_dynamics(4), np.tile([0.01, 0.0, -0.02, 0.0], (10, 1)),
                          np.array([0.5, -0.5, 1.0, 0.0]), 10)
     x_all = np.random.default_rng(1).uniform(-2.0, 2.0, (6, 4))
-    x_all[0] = path.states[3]
+    x_all[0] = path[3]
     x_all[5] = -0.0
     return domain, ens, path, x_all
 
@@ -88,7 +88,7 @@ def test_tracking_domain_and_support_guards():
 def test_tracking_loss_at_target_is_noise_floor():
     _, ens, path = _tracking_setup()
     for t in (1, 5, 10):
-        target = path.states[t - 1]
+        target = path[t - 1]
         for i in range(ens.n):
             assert loss_value(ens, i, t, target, path) == pytest.approx(1.0 / 3.0)
 
@@ -153,7 +153,7 @@ def test_quadratic_loss_is_squared_distance():
     path = generate_path(identity_dynamics(2), np.zeros((5, 2)), np.zeros(2), 5)
     x = np.array([0.4, -0.3])
     for i in range(4):
-        center = path.states[1] + ens.offsets[1, i]
+        center = path[1] + ens.offsets[1, i]
         assert loss_value(ens, i, 2, x, path) == pytest.approx(
             float((x - center) @ (x - center)))
         np.testing.assert_allclose(gradient_exact(ens, i, 2, x, path),
@@ -260,7 +260,7 @@ def test_batch_oracle_replays_the_scalar_oracle_draw_for_draw():
                                 noise_scale=0.3))
     for ens in families:
         noise = oracle_noise(ens, np.random.default_rng(4), 3)
-        block = oracle_samples(ens, path.states[1:4], noise)
+        block = oracle_samples(ens, path[1:4], noise)
         rng = np.random.default_rng(4)
         for t, sample in zip((2, 3, 4), block):
             batch = gradients_stochastic_batch(ens, t, x_all, path, sample)
@@ -277,7 +277,7 @@ def test_tracking_oracle_is_minus_zero_where_the_observation_equals_the_iterate(
     path = generate_path(identity_dynamics(4), np.zeros((3, 4)), np.zeros(4), 3)
     x_all = np.zeros((6, 4))
     noise = oracle_noise(ens, np.random.default_rng(0), 3)
-    for t, sample in zip((1, 2, 3), oracle_samples(ens, path.states[:3], noise)):
+    for t, sample in zip((1, 2, 3), oracle_samples(ens, path[:3], noise)):
         g = gradients_stochastic_batch(ens, t, x_all, path, sample)
         assert np.signbit(g[ens.mask]).all()
         assert not np.signbit(g[~ens.mask]).any()
@@ -306,10 +306,10 @@ def test_stacked_oracles_equal_each_replicate():
     quad = synthetic_suite(0, 6, 4, 10, domain)
     ens, path = stack_replicates([quad], paths[:1], 10)
     assert np.shares_memory(ens.offsets, quad.offsets)
-    assert np.shares_memory(path.states, paths[0].states)
+    assert np.shares_memory(path, paths[0])
     with pytest.raises(ValueError, match="share the loss family"):
         stack_replicates([quad, tracking], paths[:2], 10)
-    with pytest.raises(ValueError, match="path.states covers 11 rounds"):
+    with pytest.raises(ValueError, match="path covers 11 rounds"):
         stack_replicates([quad], paths[:1], 12)
 
 
@@ -416,9 +416,9 @@ def test_whole_horizon_losses_refuse_short_inputs(name):
     assert global_loss_batch(ens, path, x[:0]).shape == (0, ens.n)
     assert agent_loss_batch(ens, path, x[:0]).shape == (0, ens.n)
     for short in (1, 5):  # a length-1 path would otherwise broadcast over every round
-        cut = MinimizerPath(path.states[:short])
+        cut = path[:short]
         for fn in (global_loss_batch, agent_loss_batch):
-            with pytest.raises(ValueError, match=f"path.states covers {short} rounds.*the 6"):
+            with pytest.raises(ValueError, match=f"path covers {short} rounds.*the 6"):
                 fn(ens, cut, x)
     field = next((f for f in ("offsets", "gradients") if getattr(ens, f) is not None), None)
     if field is None:
@@ -434,7 +434,7 @@ def test_centers_outside_domain_matches_per_point_count():
     tight = box_domain([0.0] * 2, [1.0] * 2)
     wild = synthetic_suite(3, 4, 2, 8, tight, offset_scale=0.3)
     path = generate_path(identity_dynamics(2), np.zeros((8, 2)), np.array([0.8, 0.5]), 8)
-    expected = sum(not contains(tight, path.states[t] + wild.offsets[t, i])
+    expected = sum(not contains(tight, path[t] + wild.offsets[t, i])
                    for t in range(8) for i in range(4))
     assert 0 < expected < 32
     assert centers_outside_domain(wild, path, tight) == expected
@@ -471,7 +471,7 @@ def test_oracle_samples_equal_the_broadcast_reference_bit_for_bit():
     # stacked path, and the single-replicate (B, n) form; both signed zeros
     _, ens, path = _tracking_setup(n=7)
     rng = np.random.default_rng(8)
-    states = np.stack([path.states, -path.states, np.zeros_like(path.states)])  # (3, T+1, 4)
+    states = np.stack([path, -path, np.zeros_like(path)])  # (3, T+1, 4)
     states[2, :, 1] = -0.0
     noise = oracle_noise(ens, rng, 5 * 3).reshape(5, 3, 7)
     noise[:, 2, :3] = -0.0
@@ -483,8 +483,8 @@ def test_oracle_samples_equal_the_broadcast_reference_bit_for_bit():
     assert got.shape == want.shape == (5, 3, 7, 4)
     assert got.tobytes() == want.tobytes()
     assert np.signbit(got[:, 2, :3, 1]).all()
-    single = oracle_samples(ens, path.states[:5], noise[:, 0])
-    assert single.tobytes() == _reference_oracle_samples(path.states[:5], noise[:, 0]).tobytes()
+    single = oracle_samples(ens, path[:5], noise[:, 0])
+    assert single.tobytes() == _reference_oracle_samples(path[:5], noise[:, 0]).tobytes()
 
 
 @pytest.mark.parametrize("name", ["tracking_box", "quadratic_box", "quadratic_simplex",
@@ -497,14 +497,14 @@ def test_network_losses_equal_the_broadcast_reference_bit_for_bit(name):
     kind = "synthetic_linear" if ens0.gradients is not None else "synthetic_quadratic"
     ensembles = [ens0] * 3 if ens0.mask is not None else [
         synthetic_suite(k, n, 4, horizon, domain, kind=kind) for k in range(3)]
-    paths = [MinimizerPath(path0.states * (1.0 + 0.1 * k)) for k in range(3)]
+    paths = [path0 * (1.0 + 0.1 * k) for k in range(3)]
     ens, path = stack_replicates(ensembles, paths, horizon)
     rng = np.random.default_rng(9)
     x = sample_domain(domain, rng, 3 * horizon * n).reshape(3, horizon, n, 4)
     x[1, :, 0] = -0.0
     for rounds in (slice(0, horizon), slice(2, 5), slice(8, 9)):
         block = x[:, rounds]
-        stars = path.states[..., rounds, :]
+        stars = path[..., rounds, :]
         want = _reference_global_block(ens, rounds, stars, block)
         got = objectives._global_block(ens, rounds, stars, block)
         assert got.tobytes() == want.tobytes()
@@ -513,5 +513,5 @@ def test_network_losses_equal_the_broadcast_reference_bit_for_bit(name):
     for r in range(3):
         for points in (x[r], x[r][:, :1]):  # every agent, and one point a round
             want = _reference_global_block(ensembles[r], slice(0, horizon),
-                                           paths[r].states[:horizon], points)
+                                           paths[r][:horizon], points)
             assert global_loss_batch(ensembles[r], paths[r], points).tobytes() == want.tobytes()
