@@ -72,12 +72,16 @@ def _ncv_noise_factor(eps, sigma_v2):
 def ncv_disturbances(sigma_v2, eps, seed, horizon):
     """Disturbances v[1..horizon] ~ N(0, ncv_noise_covariance(eps, sigma_v2)).
 
-    Drawn from default_rng(seed) as a (horizon, 4) array.
+    Drawn from default_rng(seed) as a (horizon, 4) array.  An eps whose
+    factor passes the float range gives non-finite disturbances, with no
+    warning, for the path check to refuse.
     """
     if sigma_v2 < 0:
         raise ValueError("sigma_v2 must be nonnegative")
-    factor = _ncv_noise_factor(eps, sigma_v2)
-    return np.random.default_rng(seed).standard_normal((horizon, 4)) @ factor.T
+    draws = np.random.default_rng(seed).standard_normal((horizon, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a float64 power is inf where a float power raises OverflowError
+        return draws @ _ncv_noise_factor(np.float64(eps), sigma_v2).T
 
 
 def generate_path(dyn, noise, x0, horizon):

@@ -121,9 +121,11 @@ def sample_domain(domain, rng, size=None):
 
 def dual_diameter(domain):
     """Largest distance between two feasible points in the dual norm: the l2
-    length of the box's span, or the linf span 1 - d*floor of the simplex."""
+    length of the box's span, +inf past the float range, or the linf span
+    1 - d*floor of the simplex."""
     if domain.kind == "box":
-        return float(np.linalg.norm(domain.hi - domain.lo))
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(domain.hi - domain.lo))
     return 1.0 - domain.d * domain.floor
 
 

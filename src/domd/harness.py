@@ -131,7 +131,7 @@ def build_schedule(cfg, sigma2, c_t):
         return cfg.eta0 / np.sqrt(np.arange(1, cfg.horizon + 2))
     eta = cfg.eta0
     if cfg.schedule_kind == "variation_tuned":
-        eta = tuned_step(c_t, sigma2, cfg.horizon, fallback_eta=cfg.eta0)
+        eta = tuned_step(c_t, sigma2, cfg.horizon) if c_t > 0 else cfg.eta0
     return np.full(cfg.horizon + 1, eta)
 
 
@@ -186,79 +186,72 @@ def _same(a, b):
     return a == b
 
 
-def _by_config(keys):
-    """(cfg, items) of each run of consecutive (cfg, item) keys with one config."""
-    for cfg, run_keys in itertools.groupby(keys, key=lambda key: key[0]):
-        yield cfg, [item for _, item in run_keys]
-
-
 def _setup_runs(keys):
     """((weights, domain, dyn, sigma2), keys) of each run of consecutive keys
     whose configs build _same weights, domain and dynamics, with one oracle
     mode and horizon; the run uses its first config's objects."""
     group = []
-    for cfg, items in _by_config(keys):
+    for cfg, run_keys in itertools.groupby(keys, key=lambda key: key[0]):
         built = _assemble(cfg) + (cfg.gradient_mode, cfg.horizon)
         if group and not _same(built, shared):
             yield shared[:3] + (second_singular_value(shared[0]),), group
             group = []
         if not group:
             shared = built
-        group += [(cfg, item) for item in items]
+        group += run_keys
     if group:
         yield shared[:3] + (second_singular_value(shared[0]),), group
 
 
-def _replicates(keys, drafts_of, domain, dyn, sigma2):
+def _replicates(keys, draft_of, domain, dyn, sigma2):
     """(cfg, ens, path, etas, seed, norms) of each (cfg, item) key, every
     target path rolled in one generate_path call.
 
-    drafts_of(cfg, items, domain) gives each item's (target0, noise, ens,
-    seed).  The keys' configs share their domain and noise.target_init, so
-    every path starts at one target0.  norms are the path's residual_norms,
-    whose sum C_T the schedule, the regret and the bounds all read.
+    draft_of(cfg, item, domain) gives a key's (target0, noise, ens, seed).
+    The keys' configs share their domain and noise.target_init, so every
+    path starts at one target0.  norms are the path's residual_norms, whose
+    sum C_T the schedule, the regret and the bounds all read.
     """
-    drafts = [(cfg,) + draft for cfg, items in _by_config(keys)
-              for draft in drafts_of(cfg, items, domain)]
-    cfgs, targets, noises, ensembles, seeds = zip(*drafts)
+    targets, noises, ensembles, seeds = zip(*(draft_of(cfg, item, domain) for cfg, item in keys))
     assert all(np.array_equal(target0, targets[0]) for target0 in targets), \
         "replicates rolled together must share their start target"
     inputs = _replicate_inputs(dyn, domain, targets[0], noises, ensembles)
     out = []
-    for cfg, (ens, path), seed in zip(cfgs, inputs, seeds):
+    for (cfg, _), (ens, path), seed in zip(keys, inputs, seeds):
         norms = residual_norms(path, dyn, domain)
         out.append((cfg, ens, path, build_schedule(cfg, sigma2, float(norms.sum())), seed, norms))
     return out
 
 
-def _engine_batches(keys, drafts_of, keep_iterates):
+def _engine_batches(keys, draft_of, keep_iterates):
     """(setup, replicates) of each engine call, in key order: a setup run's
     keys in batches that fit BATCH_TRACE_BYTES, each batch's replicates
     built by _replicates just before it runs, its paths in one roll, and
     split where their stack_shape changes."""
     for setup, group in _setup_runs(keys):
         for batch in _replicate_batches(group, _replicate_bytes(group[0][0], keep_iterates)):
-            replicates = _replicates(batch, drafts_of, *setup[1:])
+            replicates = _replicates(batch, draft_of, *setup[1:])
             for _, part in itertools.groupby(replicates, key=lambda rep: stack_shape(rep[1])):
                 yield setup, list(part)
             del replicates, part  # before the next batch is built
 
 
-def _execute(keys, drafts_of, x0=None, keep_iterates=True, names=None):
+def _execute(keys, draft_of, x0=None, keep_iterates=True, names=None):
     """Run one replicate per (cfg, item) key; yields each key's RunResult in order.
 
-    drafts_of is as for _replicates.  Each batch of _engine_batches is one
-    engine.run call; keep_iterates=False keeps no iterates (trace.x is
-    None).  A result's trace is its replicate's trace[r]; its regret
-    carries the dynamic and static regret, read from the losses the engine
-    folded, and C_T; its bounds are the regret_guarantee of the ensemble's
-    declared constants (G^2 only in stochastic mode), whose recursions run
-    once for the whole batch; C_T and the bounds read the replicate's
-    residual_norms.  An EngineError names the replicate of key keys[k] as
-    names[k] when names is given, else by its place in its batch.
+    draft_of drafts one key, as for _replicates.  Each batch of
+    _engine_batches is one engine.run call; keep_iterates=False keeps no
+    iterates (trace.x is None).  A result's trace is its replicate's
+    trace[r]; its regret carries the dynamic and static regret, read from
+    the losses the engine folded, and C_T; its bounds are the
+    regret_guarantee of the ensemble's declared constants (G^2 only in
+    stochastic mode), whose recursions run once for the whole batch; C_T
+    and the bounds read the replicate's residual_norms.  An EngineError
+    names the replicate of key keys[k] as names[k] when names is given,
+    else by its place in its batch.
     """
     done = 0  # keys run before this batch
-    for (weights, domain, dyn, sigma2), batch in _engine_batches(keys, drafts_of, keep_iterates):
+    for (weights, domain, dyn, sigma2), batch in _engine_batches(keys, draft_of, keep_iterates):
         cfg, consts = batch[0][0], geometry_constants(domain)
         try:
             traces = run(weights, domain, dyn, [rep[1:5] for rep in batch], cfg.horizon,
@@ -311,12 +304,11 @@ def _replicate_inputs(dyn, domain, target0, noises, ensembles):
     return list(zip(ensembles, paths))
 
 
-def _config_drafts(cfg, run_indices, domain):
-    """(target0, noise, ens, seed) of each of a config's runs run_indices:
-    a replicate up to its rolled path (see _replicates)."""
-    target0 = _start_target(cfg, domain)
-    return [(target0, build_noise(cfg, i), build_ensemble(cfg, domain, i),
-             _derive_seed(cfg.seed, _ORACLE, i)) for i in run_indices]
+def _config_draft(cfg, run_index, domain):
+    """(target0, noise, ens, seed) of a config's run run_index: a replicate
+    up to its rolled path (see _replicates)."""
+    return (_start_target(cfg, domain), build_noise(cfg, run_index),
+            build_ensemble(cfg, domain, run_index), _derive_seed(cfg.seed, _ORACLE, run_index))
 
 
 def run_experiments(cfg, run_indices, x0=None):
@@ -334,7 +326,7 @@ def run_experiments(cfg, run_indices, x0=None):
         if run_index < 0:
             raise ValueError(f"run index must be non-negative, got {run_index}")
     _start_target(cfg, build_domain(cfg))
-    return _execute([(cfg, i) for i in run_indices], _config_drafts, x0)
+    return _execute([(cfg, i) for i in run_indices], _config_draft, x0)
 
 
 def run_experiment(cfg, run_index=0, out_dir=None):
@@ -487,7 +479,7 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
             # now, check them and let them go, so no value runs before all pass
             dyn = build_dynamics(cfg_v)
             for batch in _replicate_batches(range(runs), _replicate_bytes(cfg_v, False)):
-                _, noises, ensembles, _ = zip(*_config_drafts(cfg_v, batch, domain))
+                _, noises, ensembles, _ = zip(*(_config_draft(cfg_v, i, domain) for i in batch))
                 _replicate_inputs(dyn, domain, target0, noises, ensembles)
         configs.append(cfg_v)
     horizon = cfg.horizon
@@ -497,7 +489,7 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     keys = [(cfg_v, i) for cfg_v in configs for i in range(runs)]
     names = [f"{param}={show_value(v)}, run {i}" for v in shown for i in range(runs)]
     # map binds no result past its curve: a result's path views its whole batch's paths
-    curves = map(attrgetter("regret.normalized"), _execute(keys, _config_drafts,
+    curves = map(attrgetter("regret.normalized"), _execute(keys, _config_draft,
                                                            keep_iterates=False, names=names))
     curves = np.array(list(curves)).reshape(len(configs), runs, horizon)
     mean_curves = np.array([np.mean(c, axis=0) for c in curves])
@@ -522,7 +514,7 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
 
 @dataclass(frozen=True)
 class SuiteCase:
-    """One verify_bounds configuration; _case_drafts adds what cfg cannot say."""
+    """One verify_bounds configuration; _case_draft adds what cfg cannot say."""
 
     name: str
     cfg: ExperimentConfig
@@ -589,42 +581,41 @@ def _simplex_loop(horizon):
     return states[0], states[1:] - states[:-1]
 
 
-def _case_drafts(case, stream, l_scale, cfg, seeds, domain):
-    """(target0, noise, ens, seed) of a suite case at each of seeds (see
+def _case_draft(case, stream, l_scale, cfg, seed, domain):
+    """(target0, noise, ens, seed) of a suite case at one seed (see
     _replicates); the case index is the run index.
 
-    cfg is case.cfg, which every key of the case carries.  Seed s draws its
-    oracle noise from _derive_seed(s, _ORACLE, stream).  l_scale scales
-    each ensemble's declared L (and G^2 by l_scale^2), which moves the
+    cfg is case.cfg, which every key of the case carries.  The seed draws
+    its oracle noise from _derive_seed(seed, _ORACLE, stream).  l_scale
+    scales the ensemble's declared L (and G^2 by l_scale^2), which moves the
     bounds and not the runs.  The step sizes are cfg's own schedule: no
     suite case tunes its step to the network.
     """
     idx = _SUITE.index(case)
     if cfg.domain_kind == "simplex":
-        target0, loop = _simplex_loop(cfg.horizon)
-        noises = [loop] * len(seeds)
+        target0, noise = _simplex_loop(cfg.horizon)
     else:
         target0 = _start_target(cfg, domain)
         if cfg.loss_kind == "synthetic_quadratic":  # a N(0, 0.05^2) random walk on the box
-            noises = [np.random.default_rng(_derive_seed(s, _PATH, idx))
-                      .normal(0.0, 0.05, (cfg.horizon, cfg.dim)) for s in seeds]
+            noise = (np.random.default_rng(_derive_seed(seed, _PATH, idx))
+                     .normal(0.0, 0.05, (cfg.horizon, cfg.dim)))
         else:  # the polarized case's target rests: the config's own zero-noise path
-            noises = [build_noise(cfg, idx)] * len(seeds)
+            noise = build_noise(cfg, idx)
     if cfg.loss_kind == "synthetic_linear":  # polarized: the outer agents pull apart
         pull = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
-        ensembles = [linear_ensemble(np.tile(pull, (cfg.horizon, 1, 1)), domain)] * len(seeds)
+        ens = linear_ensemble(np.tile(pull, (cfg.horizon, 1, 1)), domain)
     else:
-        ensembles = [build_ensemble(replace(cfg, seed=s), domain, idx) for s in seeds]
-    return [(target0, noise, replace(ens, lipschitz=l_scale * ens.lipschitz,
-                                     second_moment=l_scale * l_scale * ens.second_moment),
-             _derive_seed(s, _ORACLE, stream)) for s, noise, ens in zip(seeds, noises, ensembles)]
+        ens = build_ensemble(replace(cfg, seed=seed), domain, idx)
+    return (target0, noise, replace(ens, lipschitz=l_scale * ens.lipschitz,
+                                    second_moment=l_scale * l_scale * ens.second_moment),
+            _derive_seed(seed, _ORACLE, stream))
 
 
 def _build_case(case, seed):
     """(weights, domain, dyn, ens, path, etas) of a suite case at one seed."""
     weights, domain, dyn = _assemble(case.cfg)
-    drafts_of = partial(_case_drafts, case, 0, 1.0)
-    [(_, ens, path, etas, _, _)] = _replicates([(case.cfg, seed)], drafts_of, domain, dyn, None)
+    draft_of = partial(_case_draft, case, 0, 1.0)
+    [(_, ens, path, etas, _, _)] = _replicates([(case.cfg, seed)], draft_of, domain, dyn, None)
     return weights, domain, dyn, ens, path, etas
 
 
@@ -637,8 +628,8 @@ class VerifyReport:
 
 
 def _case_runs(case, seeds, stream, l_scale=1.0):
-    """RunResults of one suite case at each of seeds, through _execute (see _case_drafts)."""
-    return _execute([(case.cfg, s) for s in seeds], partial(_case_drafts, case, stream, l_scale))
+    """RunResults of one suite case at each of seeds, through _execute (see _case_draft)."""
+    return _execute([(case.cfg, s) for s in seeds], partial(_case_draft, case, stream, l_scale))
 
 
 def _mean_regret(results):

@@ -167,14 +167,15 @@ def _terms(consts, c, etas, noise_norms, n, steps):
         (2 R^2 / eta_{T+1}, K sum_t ||v_t|| / eta_{t+1}, c sum_t eta_t / 2,
          4 c sqrt(n) sum_{t=1..T} A[t-1])
     and the plain mismatch sum sum_t ||v_t|| / eta_{t+1}.  The bound is the
-    terms added left to right; a term past the float range is +inf.
+    terms added left to right; a term past the float range is +inf, and a
+    zero mismatch sum a zero term, whatever K is.
     """
     horizon = noise_norms.size
     with np.errstate(over="ignore"):
         mismatch = float(np.sum(noise_norms / etas[1:horizon + 1])) if horizon else 0.0
         # cumsum adds A[0..T-1] in order, as a running total
         network = float(np.cumsum(steps[:horizon])[-1]) if horizon else 0.0
-        terms = (2.0 * consts.r2 / etas[horizon], consts.k * mismatch,
+        terms = (2.0 * consts.r2 / etas[horizon], consts.k * mismatch if mismatch else 0.0,
                  c * float(etas[:horizon].sum()) / 2.0, 4.0 * c * np.sqrt(n) * network)
     return terms, mismatch
 
@@ -256,20 +257,15 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     )
 
 
-def tuned_step(c_t, sigma2, horizon, fallback_eta=None):
-    """The variation-tuned constant step sqrt((1 - sigma2) c_t / T).
-
-    With no anticipated variation (c_t <= 0) the step is fallback_eta,
-    and it is an error to give none.
-    """
+def tuned_step(c_t, sigma2, horizon):
+    """The variation-tuned constant step sqrt((1 - sigma2) c_t / T); with no
+    anticipated variation (c_t <= 0) there is none, and it is an error."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
     if not 0 <= sigma2 < 1:
         raise ValueError("sigma2 must lie in [0, 1)")
     if c_t <= 0:
-        if fallback_eta is None:
-            raise ValueError("c_t must be positive unless a fallback step is given")
-        return float(fallback_eta)
+        raise ValueError("c_t must be positive")
     return float(np.sqrt((1.0 - sigma2) * c_t / horizon))
 
 

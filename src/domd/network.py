@@ -20,9 +20,11 @@ O(nonzeros), not O(n^2).
 
 A graph keeps its edges as an (m, 2) array and a weight matrix keeps W's
 nonzeros, with a dense W only up to DENSE_MIX_MAX_NODES agents, so building
-and mixing a sparse network of any size holds O(n + edges) memory.  Sampling
-an Erdos-Renyi graph still takes O(n^2) time: it draws one uniform per node
-pair, in blocks, so that every seed keeps the graph it has always had.
+and mixing a sparse network of any size holds O(n + edges) memory, and
+building W takes O(n + edges) time: its diagonal is 1 minus the row's
+off-diagonal weights, added in column order.  Sampling an Erdos-Renyi graph
+still takes O(n^2) time: it draws one uniform per node pair, in blocks, so
+that every seed keeps the graph it has always had.
 """
 
 from dataclasses import dataclass, field
@@ -58,10 +60,8 @@ _LANCZOS_BREAKDOWN = 1e-15
 # and n // 64 alike).
 _HUB_SHARE = 16
 
-# random_connected_graph draws its uniforms this many pairs at a time, and
-# metropolis_weights sums its diagonal this many dense rows at a time.
+# random_connected_graph draws its uniforms this many pairs at a time.
 _PAIR_BLOCK = 1 << 20
-_ROW_BLOCK = 256
 
 
 def _edge_array(edges):
@@ -231,9 +231,8 @@ def metropolis_weights(graph):
     """Metropolis-Hastings weights: w_ij = 1/(1+max(deg_i, deg_j)) on edges,
     diagonal takes the remaining mass.  Doubly stochastic by symmetry.
 
-    The diagonal gets the bits of 1 - w.sum(axis=1) on the dense W with a
-    zero diagonal: each row is summed by np.sum as a dense row, zeros and
-    all, in one buffer of _ROW_BLOCK rows, so no n x n array is made.
+    The diagonal is 1 minus its row's off-diagonal weights, added left to
+    right in column order by one np.bincount, in O(n + edges) time.
     """
     n, deg = graph.n, graph.degrees()
     lo, hi = graph.edges.T
@@ -241,13 +240,7 @@ def metropolis_weights(graph):
                                                    np.arange(n) * (n + 1)])), n)  # row-major
     diagonal = rows == cols
     values = np.where(diagonal, 0.0, 1.0 / (1.0 + np.maximum(deg[rows], deg[cols])))
-    remaining, block = np.empty(n), np.zeros((min(n, _ROW_BLOCK), n))
-    for s in range(0, n, _ROW_BLOCK):
-        a, b = np.searchsorted(rows, [s, s + _ROW_BLOCK])
-        block[rows[a:b] - s, cols[a:b]] = values[a:b]
-        remaining[s:s + _ROW_BLOCK] = 1.0 - block[:n - s].sum(axis=1)
-        block[rows[a:b] - s, cols[a:b]] = 0.0
-    values[diagonal] = remaining
+    values[diagonal] = 1.0 - np.bincount(rows, values, n)
     return WeightMatrix(n, nonzeros=(rows, cols, values))
 
 

@@ -130,26 +130,26 @@ def synthetic_suite(seed, n, d, horizon, domain, kind="synthetic_quadratic",
     every coordinate to the stochastic oracle.
     """
     rng = np.random.default_rng(seed)
-    noise = noise_scale * dual_norm_of(domain, np.ones(d))  # noise_scale in every coordinate
-    support = (-noise_scale, noise_scale) if noise_scale > 0 else None
     if kind == "synthetic_quadratic":
         offsets = rng.normal(scale=offset_scale, size=(horizon, n, d))
         if domain.kind == "simplex":
             offsets -= offsets.mean(axis=2, keepdims=True)
         offsets -= offsets.mean(axis=1, keepdims=True)
-        lipschitz = 2.0 * dual_diameter(domain)
-        g = lipschitz + noise
-        return LossEnsemble(n, d, lipschitz, g * g, offsets=offsets, noise=support)
-    if kind == "synthetic_linear":
+        lipschitz, terms = 2.0 * dual_diameter(domain), {"offsets": offsets}
+    elif kind == "synthetic_linear":
         if domain.kind == "simplex":
             grads = rng.uniform(-1.0, 1.0, size=(horizon, n, d))
         else:
             raw = rng.standard_normal((horizon, n, d))
             norms = np.linalg.norm(raw, axis=2, keepdims=True)
             grads = raw / np.maximum(norms, 1.0)
-        g = 1.0 + noise
-        return LossEnsemble(n, d, 1.0, g * g, gradients=grads, noise=support)
-    raise ValueError(f"unknown synthetic kind {kind!r}")
+        lipschitz, terms = 1.0, {"gradients": grads}
+    else:
+        raise ValueError(f"unknown synthetic kind {kind!r}")
+    support = (-noise_scale, noise_scale) if noise_scale > 0 else None
+    with np.errstate(over="ignore"):  # G^2 past the float range is +inf
+        g = lipschitz + noise_scale * dual_norm_of(domain, np.ones(d))  # noise in every coordinate
+        return LossEnsemble(n, d, lipschitz, g * g, noise=support, **terms)
 
 
 def linear_ensemble(gradients, domain):

@@ -472,6 +472,47 @@ def test_a_target_path_past_the_float_range_is_one_config_error_line(tmp_path, c
         assert captured.err == "config error: the target path is not finite from round 3\n"
 
 
+def test_an_ncv_factor_past_the_float_range_is_one_config_error_line(tmp_path, capsys):
+    # eps ** 1.5 once raised OverflowError in the noise factor, in both warning modes
+    config = tmp_path / "eps.ini"
+    config.write_text("[dynamics]\neps = 1e300\n")
+    for action in ("error", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: the target path is not finite from round 2\n"
+
+
+HUGE_BOX = "[geometry]\nbox_low = -1e160\nbox_high = 1e160\n"
+
+
+@pytest.mark.parametrize("text, mode", [
+    # the box's span overflowed in dual_diameter's dot
+    ("[experiment]\nhorizon = 20\n" + HUGE_BOX, "stochastic"),
+    # K = inf times a zero mismatch sum made the bound NaN: a VIOLATION against bound=nan
+    ("[experiment]\ngradient_mode = exact\nhorizon = 20\n" + HUGE_BOX
+     + "[dynamics]\nmodel = identity\n[noise]\nkind = zero\ntarget_init = 0, 0, 0, 0\n"
+     "[loss]\nkind = synthetic_quadratic\n", "exact"),
+    # G^2 overflowed at g * g in synthetic_suite
+    ("[experiment]\nhorizon = 20\n[dynamics]\nmodel = identity\n[noise]\nkind = zero\n"
+     "[loss]\nkind = synthetic_quadratic\noracle_noise = 1e160\n", "stochastic"),
+], ids=["box_span", "still_target_in_the_box", "oracle_noise"])
+def test_a_constant_past_the_float_range_gives_an_inf_bound(tmp_path, capsys, text, mode):
+    config = tmp_path / "huge.ini"
+    config.write_text(text)
+    for action in ("error", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert f"guarantee_total=inf mode={mode}\n" in captured.out and captured.err == ""
+        comments, _, _ = read_csv(tmp_path / "out" / "bounds.csv")
+        assert f"{'total' if mode == 'exact' else 'stochastic_total'}=inf" in comments
+        assert "local_gap_rhs=nan" not in comments and "total=nan" not in comments
+
+
 def test_verify_with_an_l_squared_past_the_float_range_exits_0(tmp_path, capsys):
     # (1e200)**2 raised OverflowError in the bound's L^2 term; the term is +inf
     assert main(["verify-bounds", "--seeds", "1", "--l-scale", "1e200",

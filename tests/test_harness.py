@@ -648,7 +648,7 @@ def test_batch_bounds_equal_each_runs_own_guarantee(monkeypatch):
     cfg = _tracking_cfg(horizon=40, schedule_kind="variation_tuned")
     keys = [(replace(cfg, sigma_v2=value), i) for value in (0.0, 0.5) for i in range(2)]
     calls = _count_engine_runs(monkeypatch)
-    results = list(domd.harness._execute(keys, domd.harness._config_drafts))
+    results = list(domd.harness._execute(keys, domd.harness._config_draft))
     assert len(calls) == 1
     weights, domain, dyn = domd.harness._assemble(cfg)
     for result in results:

@@ -259,9 +259,7 @@ def test_tuned_step():
     # sqrt((1 - 3/4) * 16 / 100) = 0.2
     assert tuned_step(16.0, 0.75, 100) == np.sqrt((1.0 - 0.75) * 16.0 / 100)
     assert tuned_step(16.0, 0.75, 100) == pytest.approx(0.2)
-    # no anticipated variation: the fallback step, and an error without one
-    assert tuned_step(0.0, 0.5, 100, fallback_eta=0.3) == 0.3
-    assert tuned_step(-1.0, 0.5, 100, fallback_eta=0.3) == 0.3
+    # no anticipated variation: no tuned step (build_schedule picks eta0 itself)
     with pytest.raises(ValueError, match="c_t"):
         tuned_step(0.0, 0.5, 100)
     for sigma2 in (1.0, -0.1):
