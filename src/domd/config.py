@@ -165,6 +165,13 @@ def cross_validate(cfg):
         raise ConfigError("geometry.box_low must be below geometry.box_high")
     if cfg.obs_noise_low > cfg.obs_noise_high:
         raise ConfigError("loss.obs_noise_low must not exceed loss.obs_noise_high")
+    # the tracking loss adds the noise variance (high - low)^2 / 12; past the
+    # float range every instant regret would be inf - inf
+    spread = cfg.obs_noise_high - cfg.obs_noise_low
+    if cfg.loss_kind == "tracking_square" and not math.isfinite(spread * spread / 12.0):
+        raise ConfigError(f"loss.kind=tracking_square needs a finite noise variance "
+                          f"(loss.obs_noise_high - loss.obs_noise_low)^2 / 12, got a spread "
+                          f"of {spread!r}")
     if cfg.domain_kind == "simplex" and cfg.dim < 2:
         raise ConfigError(f"geometry.domain=simplex needs geometry.dim >= 2, got {cfg.dim}")
     if cfg.domain_kind == "simplex" and not 0 < cfg.floor < 1.0 / cfg.dim:

@@ -114,7 +114,9 @@ def generate_path(dyn, noise, x0, horizon):
 
 def residual_norms(path, dyn, domain):
     """Per-round disturbance sizes ||states[t+1] - A states[t]||, t = 1 .. T,
-    in the domain's norm (geometry.norm_of): (T,), or (..., T) for a stack."""
+    in the domain's norm (geometry.norm_of): (T,), or (..., T) for a stack.
+    A size past the float range is +inf, and so is C_T."""
     if path.shape[-2] < 2:
         raise ValueError("path variation needs at least two states")
-    return norm_of(domain, path[..., 1:, :] - path[..., :-1, :] @ dyn.a.T)
+    with np.errstate(over="ignore"):
+        return norm_of(domain, path[..., 1:, :] - path[..., :-1, :] @ dyn.a.T)

@@ -6,7 +6,8 @@ arrays, measures regret and writes the CSV outputs.  The weight matrix is
 always the graph's Metropolis matrix, and the domain is the geometry
 (euclidean on a box, KL on a simplex): the engine runs
 run(weights, domain, dyn, ...).  Every domain is bounded, so every
-run has its static regret and its regret guarantee and writes bounds.csv.
+RunResult has its static regret and its regret guarantee, and a run writes
+bounds.csv.
 Every random stream is derived from the master seed plus a fixed stream
 label and the run index, so identical configs produce byte-identical
 outputs.  A verify-bounds suite case is a name plus an ExperimentConfig;
@@ -14,22 +15,23 @@ only its target path (and the polarized case's gradients) is the suite's
 own.
 
 Every run, of a config (run, sweep, the scaling study) or of a suite case
-(verify_bounds, stochastic_mean_regret), goes through one executor,
-_execute.  Its keys carry their own config, and consecutive keys whose
+(verify_bounds, stochastic_mean_regret), goes through one engine runner,
+_engine_runs.  Its keys carry their own config, and consecutive keys whose
 configs build equal engine inputs share a setup and engine loops.  It
 builds each batch's inputs just before the batch runs, rolling all its
-target paths in one call (a path is its (T+1, d) states array), runs
-batches that hold at most BATCH_TRACE_BYTES, evaluates a batch's bound
-recursions in one pass, and yields each run as a finished RunResult; each
-replicate's results equal running it alone.  The regrets read each trace's
-losses and domain, so a sweep keeps no iterates.
+target paths in one call (a path is its (T+1, d) states array), and runs
+batches that hold at most BATCH_TRACE_BYTES; each replicate's trace equals
+running it alone.  _execute measures each run on top of it, a batch's
+bound recursions in one pass, and yields it as a finished RunResult.  A
+sweep reads only each run's normalized dynamic regret, straight from the
+runner: the regrets read each trace's losses and domain, so it keeps no
+iterates, and it takes no static regret or guarantee.
 """
 
 import itertools
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -209,18 +211,17 @@ def _replicates(keys, draft_of, domain, dyn, sigma2):
 
     draft_of(cfg, item, domain) gives a key's (target0, noise, ens, seed).
     The keys' configs share their domain and noise.target_init, so every
-    path starts at one target0.  norms are the path's residual_norms, whose
-    sum C_T the schedule, the regret and the bounds all read.
+    path starts at one target0.  norms are the path's residual_norms, all
+    taken in one stacked call, whose sum C_T the schedule, the regret and
+    the bounds all read.
     """
     targets, noises, ensembles, seeds = zip(*(draft_of(cfg, item, domain) for cfg, item in keys))
     assert all(np.array_equal(target0, targets[0]) for target0 in targets), \
         "replicates rolled together must share their start target"
-    inputs = _replicate_inputs(dyn, domain, targets[0], noises, ensembles)
-    out = []
-    for (cfg, _), (ens, path), seed in zip(keys, inputs, seeds):
-        norms = residual_norms(path, dyn, domain)
-        out.append((cfg, ens, path, build_schedule(cfg, sigma2, float(norms.sum())), seed, norms))
-    return out
+    paths = _replicate_paths(dyn, domain, targets[0], noises, ensembles)
+    return [(cfg, ens, path, build_schedule(cfg, sigma2, float(norms.sum())), seed, norms)
+            for (cfg, _), ens, path, seed, norms
+            in zip(keys, ensembles, paths, seeds, residual_norms(paths, dyn, domain))]
 
 
 def _engine_batches(keys, draft_of, keep_iterates):
@@ -236,25 +237,20 @@ def _engine_batches(keys, draft_of, keep_iterates):
             del replicates, part  # before the next batch is built
 
 
-def _execute(keys, draft_of, x0=None, keep_iterates=True, names=None):
-    """Run one replicate per (cfg, item) key; yields each key's RunResult in order.
+def _engine_runs(keys, draft_of, x0=None, keep_iterates=True, names=None):
+    """(setup, batch, traces) of each batch of _engine_batches, in key order:
+    one engine.run call a batch, traces[r] the trace of batch[r].
 
-    draft_of drafts one key, as for _replicates.  Each batch of
-    _engine_batches is one engine.run call; keep_iterates=False keeps no
-    iterates (trace.x is None).  A result's trace is its replicate's
-    trace[r]; its regret carries the dynamic and static regret, read from
-    the losses the engine folded, and C_T; its bounds are the
-    regret_guarantee of the ensemble's declared constants (G^2 only in
-    stochastic mode), whose recursions run once for the whole batch; C_T
-    and the bounds read the replicate's residual_norms.  An EngineError
-    names the replicate of key keys[k] as names[k] when names is given,
-    else by its place in its batch.
+    draft_of drafts one key, as for _replicates; keep_iterates=False keeps
+    no iterates (trace.x is None).  An EngineError names the replicate of
+    key keys[k] as names[k] when names is given, else by its place in its
+    batch.
     """
     done = 0  # keys run before this batch
-    for (weights, domain, dyn, sigma2), batch in _engine_batches(keys, draft_of, keep_iterates):
-        cfg, consts = batch[0][0], geometry_constants(domain)
+    for setup, batch in _engine_batches(keys, draft_of, keep_iterates):
+        cfg = batch[0][0]
         try:
-            traces = run(weights, domain, dyn, [rep[1:5] for rep in batch], cfg.horizon,
+            traces = run(*setup[:3], [rep[1:5] for rep in batch], cfg.horizon,
                          cfg.gradient_mode, x0, keep_iterates)
         except EngineError as exc:
             if names is None or exc.agent is None:
@@ -262,6 +258,22 @@ def _execute(keys, draft_of, x0=None, keep_iterates=True, names=None):
             raise EngineError(exc.what, exc.replicate, exc.agent,
                               names[done + exc.replicate]) from exc
         done += len(batch)
+        yield setup, batch, traces
+        del batch, traces  # before the next batch is built and run
+
+
+def _execute(keys, draft_of, x0=None):
+    """Run one replicate per (cfg, item) key through _engine_runs, keeping
+    its iterates; yields each key's RunResult in order.
+
+    A result's trace is its replicate's trace[r]; its regret carries the
+    dynamic and static regret, read from the losses the engine folded, and
+    C_T; its bounds are the regret_guarantee of the ensemble's declared
+    constants (G^2 only in stochastic mode), whose recursions run once for
+    the whole batch; C_T and the bounds read the replicate's residual_norms.
+    """
+    for (weights, domain, _, sigma2), batch, traces in _engine_runs(keys, draft_of, x0):
+        cfg, consts = batch[0][0], geometry_constants(domain)
         steps = _guarantee_steps(sigma2, traces.etas, [float(rep[5].sum()) for rep in batch],
                                  cfg.horizon)
         for r, (cfg, ens, path, _, _, norms) in enumerate(batch):
@@ -288,11 +300,12 @@ def _start_target(cfg, domain):
     return target0
 
 
-def _replicate_inputs(dyn, domain, target0, noises, ensembles):
-    """(ens, path) of each replicate: its (horizon, d) disturbances in noises
-    rolled from target0, all in one generate_path call, each path
-    bit-identical to rolling it alone.  Raises ConfigError at a path's first
-    non-finite round, or when a synthetic centre leaves the domain.
+def _replicate_paths(dyn, domain, target0, noises, ensembles):
+    """The (R, horizon+1, d) paths of R replicates: their (horizon, d)
+    disturbances in noises rolled from target0, all in one generate_path
+    call, each path bit-identical to rolling it alone.  Raises ConfigError
+    at a path's first non-finite round, or when a centre of a replicate's
+    ensemble in ensembles leaves the domain.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         paths = generate_path(dyn, noises, target0, len(noises[0]))
@@ -301,7 +314,7 @@ def _replicate_inputs(dyn, domain, target0, noises, ensembles):
         raise ConfigError(f"the target path is not finite from round {np.argmin(finite) + 1}")
     if any(centers_outside_domain(ens, path, domain) for ens, path in zip(ensembles, paths)):
         raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
-    return list(zip(ensembles, paths))
+    return paths
 
 
 def _config_draft(cfg, run_index, domain):
@@ -449,9 +462,12 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     like a config file value, cross-field rules and the start target's
     place in the domain included, before any run; an Erdos-Renyi value's
     graph is sampled, and for synthetic quadratic losses every replicate's
-    centres are checked too.  A float key's values show as the floats that
-    ran, an int key's as passed, so an int above 2**53 stays exact.  A run
-    error names its replicate by that shown value and its run index.
+    centres are checked too.  The runs go through _engine_runs, and each
+    replicate is measured by its normalized dynamic regret alone, bit for
+    bit that of the run on its own: no RunResult, static regret or
+    guarantee.  A float key's values show as the floats that ran, an int
+    key's as passed, so an int above 2**53 stays exact.  A run error names
+    its replicate by that shown value and its run index.
     """
     attr, typ, check, _ = _resolve_param(param)
     if attr in ("horizon", "runs"):  # the only keys a sweep cannot vary
@@ -480,18 +496,20 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
             dyn = build_dynamics(cfg_v)
             for batch in _replicate_batches(range(runs), _replicate_bytes(cfg_v, False)):
                 _, noises, ensembles, _ = zip(*(_config_draft(cfg_v, i, domain) for i in batch))
-                _replicate_inputs(dyn, domain, target0, noises, ensembles)
+                _replicate_paths(dyn, domain, target0, noises, ensembles)
         configs.append(cfg_v)
     horizon = cfg.horizon
     shown = tuple(values) if typ is int else tuple(map(float, values))
-    # every value's runs through one executor, which keeps no iterates: values
-    # that build the same engine inputs share its loops
+    # every value's runs through one engine runner, which keeps no iterates:
+    # values that build the same engine inputs share its loops
     keys = [(cfg_v, i) for cfg_v in configs for i in range(runs)]
     names = [f"{param}={show_value(v)}, run {i}" for v in shown for i in range(runs)]
-    # map binds no result past its curve: a result's path views its whole batch's paths
-    curves = map(attrgetter("regret.normalized"), _execute(keys, _config_draft,
-                                                           keep_iterates=False, names=names))
-    curves = np.array(list(curves)).reshape(len(configs), runs, horizon)
+    curves = []
+    for _, batch, traces in _engine_runs(keys, _config_draft, keep_iterates=False, names=names):
+        curves += [dynamic_regret(traces[r], ens, path).normalized
+                   for r, (_, ens, path, *_) in enumerate(batch)]
+        del batch, traces  # before the next batch is built and run
+    curves = np.array(curves).reshape(len(configs), runs, horizon)
     mean_curves = np.array([np.mean(c, axis=0) for c in curves])
     std_curves = np.array([np.std(c, axis=0) for c in curves])
     result = SweepResult(param, shown, runs, mean_curves, std_curves,

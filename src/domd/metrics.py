@@ -242,12 +242,14 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     notes = ()
     if sigma2 == 0:
         notes = ("sigma2=0: network term keeps its tau=t-1 contribution by the 0^0=1 convention",)
+    with np.errstate(over="ignore"):  # an envelope past the float range is +inf
+        curve = lipschitz * np.sqrt(n) * steps[1:]
     return BoundReport(
         e_track=e_track,
         e_net=float(network),
         total=float(e_track + network),
         stochastic_total=stochastic_total,
-        disagreement_curve=lipschitz * np.sqrt(n) * steps[1:],
+        disagreement_curve=curve,
         mismatch_rhs=float(radius + mismatch_sum),
         local_gap_rhs=float(e_track + network / 2.0),
         variation_tuned_value=tuned,

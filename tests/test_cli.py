@@ -485,6 +485,28 @@ def test_an_ncv_factor_past_the_float_range_is_one_config_error_line(tmp_path, c
         assert captured.err == "config error: the target path is not finite from round 2\n"
 
 
+@pytest.mark.parametrize("text, err", [
+    # residual_norms overflowed in np.linalg.norm: a RuntimeWarning traceback,
+    # or without warnings as errors four warning lines before this one
+    ("[dynamics]\neps = 1.5531511037296899e+103\n",
+     "run error: mixed anchors left the domain in round 2 (replicate 0, agent 2)\n"),
+    # the tracking floor's (high - low) ** 2 raised OverflowError
+    ("[experiment]\nhorizon = 1\n[loss]\nobs_noise_high = 1.3407807929942597e+154\n",
+     "config error: loss.kind=tracking_square needs a finite noise variance "
+     "(loss.obs_noise_high - loss.obs_noise_low)^2 / 12, got a spread of "
+     "1.3407807929942597e+154\n"),
+], ids=["huge_eps", "huge_noise_support"])
+def test_an_overflow_is_one_error_line_in_either_warning_mode(tmp_path, capsys, text, err):
+    config = tmp_path / "huge.ini"
+    config.write_text(text)
+    for action in ("error", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
+
+
 HUGE_BOX = "[geometry]\nbox_low = -1e160\nbox_high = 1e160\n"
 
 
@@ -498,7 +520,9 @@ HUGE_BOX = "[geometry]\nbox_low = -1e160\nbox_high = 1e160\n"
     # G^2 overflowed at g * g in synthetic_suite
     ("[experiment]\nhorizon = 20\n[dynamics]\nmodel = identity\n[noise]\nkind = zero\n"
      "[loss]\nkind = synthetic_quadratic\noracle_noise = 1e160\n", "stochastic"),
-], ids=["box_span", "still_target_in_the_box", "oracle_noise"])
+    # the disagreement envelope L sqrt(n) A[t] overflowed in regret_guarantee
+    ("[schedule]\neta0 = 1.2451206769130281e+303\n", "stochastic"),
+], ids=["box_span", "still_target_in_the_box", "oracle_noise", "huge_step"])
 def test_a_constant_past_the_float_range_gives_an_inf_bound(tmp_path, capsys, text, mode):
     config = tmp_path / "huge.ini"
     config.write_text(text)

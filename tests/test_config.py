@@ -102,6 +102,9 @@ def test_cross_validation_rules():
     cases = [
         ("[geometry]\nbox_low = 2\nbox_high = 1\n", "box_low"),
         ("[loss]\nobs_noise_low = 1\nobs_noise_high = -1\n", "obs_noise_low"),
+        # the spread itself passes the float range, and so would the floor
+        ("[loss]\nobs_noise_low = -1e308\nobs_noise_high = 1e308\n",
+         r"finite noise variance \(loss\.obs_noise_high - loss\.obs_noise_low\)"),
         ("[geometry]\ndomain = simplex\ndim = 4\nfloor = 0.3\n"
          "[dynamics]\nmodel = identity\n[noise]\nkind = zero\n"
          "[loss]\nkind = synthetic_quadratic\n", "floor"),

@@ -106,18 +106,28 @@ def config_documents(draw):
 
 
 # the defects the property found, each also pinned by its own regression test:
-# a one-dimensional simplex (a traceback from geometry.simplex_domain), and a
-# step so small that the bound's 2 R^2 / eta overflowed with a RuntimeWarning
+# a one-dimensional simplex (a traceback from geometry.simplex_domain), a
+# step so small that the bound's 2 R^2 / eta overflowed with a RuntimeWarning,
+# and, over all finite floats, an eps whose residual norms overflowed in
+# np.linalg.norm, a noise support whose tracking floor (high - low) ** 2
+# raised OverflowError, and a step so large that the disagreement envelope
+# L sqrt(n) A[t] overflowed with a RuntimeWarning
 FOUND = ("[geometry]\ndomain = simplex\ndim = 1\n[dynamics]\nmodel = identity\n"
          "[noise]\nkind = zero\ntarget_init =\n[loss]\nkind = synthetic_quadratic\n",
          "[experiment]\nhorizon = 39\n[network]\nrows = 4\ncols = 4\n"
-         "[schedule]\neta0 = 1.1125369292536007e-308\n")
+         "[schedule]\neta0 = 1.1125369292536007e-308\n",
+         "[dynamics]\neps = 1.5531511037296899e+103\n",
+         "[experiment]\nhorizon = 1\n[loss]\nobs_noise_high = 1.3407807929942597e+154\n",
+         "[schedule]\neta0 = 1.2451206769130281e+303\n")
 
 
 @PROFILE
 @given(config_documents())
 @example(FOUND[0])
 @example(FOUND[1])
+@example(FOUND[2])
+@example(FOUND[3])
+@example(FOUND[4])
 def test_every_schema_config_runs_or_fails_with_one_named_line(document):
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "fuzz.ini")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import domd.harness
+import domd.metrics
 from conftest import read_csv, target_position_path_length
 from domd.config import (ConfigError, ExperimentConfig, config_hash, cross_validate,
                          parse_config)
@@ -493,6 +494,46 @@ def test_sweep_curves_equal_per_value_runs(param, values):
         curves = [r.regret.normalized for r in runs]
         assert np.array_equal(result.mean_curves[k], np.mean(curves, axis=0))
         assert np.array_equal(result.std_curves[k], np.std(curves, axis=0))
+
+
+@pytest.mark.parametrize("cfg, param, values", [
+    (_tracking_cfg(horizon=40), "noise.sigma_v2", (0.25, 0.5, 1.0)),
+    (_quad_cfg(horizon=40), "loss.offset_scale", (0.1, 0.2)),
+], ids=["tracking", "quadratic"])
+def test_every_sweep_curve_is_its_run_alone(cfg, param, values, monkeypatch):
+    # each replicate's normalized regret, as the sweep averages it, is bit for
+    # bit the curve of that (value, run) run on its own
+    curves = []
+    measure = domd.harness.dynamic_regret
+
+    def recorded(*args):
+        report = measure(*args)
+        curves.append(report.normalized)
+        return report
+
+    monkeypatch.setattr(domd.harness, "dynamic_regret", recorded)
+    sweep(cfg, param, values, runs=3)
+    monkeypatch.undo()
+    attr = domd.harness._resolve_param(param)[0]
+    alone = [next(run_experiments(replace(cfg, **{attr: value}), [i])).regret.normalized
+             for value in values for i in range(3)]
+    assert len(curves) == len(alone) == 3 * len(values)
+    assert all(map(_same_bits, curves, alone))
+
+
+def test_a_sweep_measures_no_static_regret_or_guarantee(monkeypatch):
+    # sweep.csv reads only the normalized dynamic regret: a sweep takes no
+    # best fixed point, bound recursion or guarantee, and its result stays
+    cfg = _tracking_cfg(horizon=40, runs=2)
+    want = sweep(cfg, "noise.sigma_v2", (0.25, 0.5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep measured more than its curves")
+
+    for module in (domd.harness, domd.metrics):
+        for name in ("static_regret", "regret_guarantee", "_guarantee_steps"):
+            monkeypatch.setattr(module, name, refuse)
+    assert _same(sweep(cfg, "noise.sigma_v2", (0.25, 0.5)), want)
 
 
 def _sweep_peak(cfg, values, runs):
