@@ -4,6 +4,11 @@ The moving point the agents chase follows x[t+1] = A x[t] + v[t], where A
 is known to every agent and v[t] is an arbitrary disturbance sequence.  A
 path is its (..., T+1, d) states array: residual_norms gives back each
 ||v[t]||, whose sum C_T is the path variation the bounds are written against.
+
+A = I is no motion at all: LinearDynamics records it as is_identity, the
+engine then pushes nothing, a path rolls by one cumulative sum of the
+disturbances and its residuals are plain differences.  x @ I.T is x for
+every nonzero finite x, so only the sign of a zero could differ.
 """
 
 from dataclasses import dataclass
@@ -15,7 +20,9 @@ from .geometry import norm_of
 
 @dataclass(frozen=True)
 class LinearDynamics:
-    """Known transition matrix a of the target: square and finite, of size d."""
+    """Known transition matrix a of the target: square and finite, of size d.
+
+    is_identity, derived from a, is whether a is exactly the identity."""
 
     a: np.ndarray
 
@@ -26,6 +33,7 @@ class LinearDynamics:
         if not np.all(np.isfinite(a)):
             raise ValueError("transition matrix has non-finite entries")
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "is_identity", bool(np.array_equal(a, np.eye(len(a)))))
 
     @property
     def d(self):
@@ -90,8 +98,9 @@ def generate_path(dyn, noise, x0, horizon):
     noise holds the disturbances v[1..horizon] as a (horizon, d) array, or
     as a (..., horizon, d) stack whose leading axes are replicates that all
     start at x0.  A stack is rolled in one loop over rounds, each round one
-    stacked matrix-vector product, and every replicate's states are
-    bit-identical to rolling it alone.  Returns the states, (..., horizon+1, d).
+    stacked matrix-vector product, or for A = I in one cumsum over rounds,
+    the same left-to-right sums; every replicate's states are bit-identical
+    to rolling it alone.  Returns the states, (..., horizon+1, d).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -104,6 +113,9 @@ def generate_path(dyn, noise, x0, horizon):
                          "(leading replicate axes are allowed)")
     states = np.empty(v.shape[:-2] + (horizon + 1, dyn.d))
     states[..., 0, :] = x0
+    if dyn.is_identity:
+        states[..., 1:, :] = v
+        return np.cumsum(states, axis=-2, out=states)
     # round-major (d, 1) column views: rows[t] is every replicate's state t
     rows = np.moveaxis(states, -2, 0)[..., None]
     steps = np.moveaxis(v, -2, 0)[..., None]
@@ -114,9 +126,11 @@ def generate_path(dyn, noise, x0, horizon):
 
 def residual_norms(path, dyn, domain):
     """Per-round disturbance sizes ||states[t+1] - A states[t]||, t = 1 .. T,
-    in the domain's norm (geometry.norm_of): (T,), or (..., T) for a stack.
-    A size past the float range is +inf, and so is C_T."""
+    in the domain's norm (geometry.norm_of): (T,), or (..., T) for a stack;
+    plain differences for A = I.  A size past the float range is +inf, and
+    so is C_T."""
     if path.shape[-2] < 2:
         raise ValueError("path variation needs at least two states")
     with np.errstate(over="ignore"):
-        return norm_of(domain, path[..., 1:, :] - path[..., :-1, :] @ dyn.a.T)
+        pushed = path[..., :-1, :] if dyn.is_identity else path[..., :-1, :] @ dyn.a.T
+        return norm_of(domain, path[..., 1:, :] - pushed)

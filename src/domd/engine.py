@@ -4,7 +4,9 @@ Each round t every agent, holding iterate x[i,t]:
   1. queries its gradient oracle at x[i,t],
   2. mixes neighbor iterates into an anchor y[i,t] = sum_j w[i][j] x[j,t],
   3. takes a prox step from the anchor against its gradient,
-  4. pushes the prox output through the known dynamics to get x[i,t+1].
+  4. pushes the prox output through the known dynamics to get x[i,t+1];
+     for A = I (dynamics.LinearDynamics.is_identity) there is no push, and
+     the prox output, which already lies in its domain, is x[i,t+1].
 
 Gradients are always evaluated at the pre-mixing iterates; the loop hands
 iterates to the oracle before the consensus step so the two cannot be
@@ -36,7 +38,8 @@ at a time (see _oracle_samples): for tracking the observations
 z = target + w, (n, d) a round, which do not depend on the iterates.  A
 round then pays only for its arithmetic and the checks on its own data:
 the oracle at the iterates, mix, prox with its step, anchor and gradient
-checks, the dynamics push and the finiteness of the new iterates.
+checks, the dynamics push (none for A = I) and the finiteness of the new
+iterates.
 
 Once a block has its iterates, one network_losses call folds them into
 their rounds' network-average losses for every replicate.  Without
@@ -110,6 +113,8 @@ def init_state(n, domain, x0=None):
 
 
 def _apply_dynamics(domain, dyn, xhat):
+    if dyn.is_identity:
+        return xhat
     xnext = xhat @ dyn.a.T
     if domain.kind == "box" or contains(domain, xnext):
         return xnext

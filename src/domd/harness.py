@@ -158,15 +158,14 @@ def _assemble(cfg):
 
 def _replicate_bytes(cfg, keep_iterates):
     """Bytes a replicate of cfg holds in a batch: its (T+1, n, d) trace, or
-    without it its path (and the engine's stacked states), steps, losses,
-    residual norms, the two rows of its bound recursion (and their input),
-    its row of the engine's block buffer and any per-round offsets or
-    gradients (stacked too)."""
+    without it, as in a sweep, its path (and the engine's stacked states),
+    steps, losses, residual norms, its row of the engine's block buffer and
+    any per-round offsets or gradients (stacked too)."""
     horizon, n, d = cfg.horizon, cfg.agents, cfg.dim
     if keep_iterates:
         return (horizon + 1) * n * d * 8
     per_round = 0 if cfg.loss_kind == "tracking_square" else 2 * n * d
-    return 8 * ((3 * horizon + 1) * d + 7 * horizon + 5 + n * d + horizon * per_round)
+    return 8 * ((3 * horizon + 1) * d + 3 * horizon + 1 + n * d + horizon * per_round)
 
 
 def _replicate_batches(items, replicate_bytes):

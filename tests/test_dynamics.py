@@ -1,12 +1,14 @@
 """Target motion models, disturbance generators and path variation."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from domd.dynamics import (LinearDynamics, generate_path, identity_dynamics,
                            ncv_disturbances, ncv_dynamics, ncv_noise_covariance,
                            residual_norms)
-from domd.geometry import box_domain, check_nonexpansive, simplex_domain
+from domd.geometry import box_domain, check_nonexpansive, norm_of, simplex_domain
 
 BOX = box_domain(np.full(4, -10.0), np.full(4, 10.0))  # norm l2
 SIMPLEX = simplex_domain(4, 0.01)  # norm l1
@@ -35,6 +37,27 @@ def test_dynamics_validation():
         LinearDynamics(np.array([[np.inf]]))
     with pytest.raises(ValueError, match="positive"):
         ncv_dynamics(0.0)
+
+
+def test_only_the_exact_identity_is_no_motion():
+    # derived from a, not a field: equality and replace still see a alone
+    assert [f.name for f in fields(LinearDynamics)] == ["a"]
+    assert identity_dynamics(3).is_identity
+    assert replace(ncv_dynamics(0.1), a=np.eye(4)).is_identity
+    for a in ((1.0 + 2**-52) * np.eye(3), 0.9 * np.eye(3), np.eye(3)[::-1],
+              np.eye(3) + np.diag([5e-324, 0.0], 1)):
+        assert not LinearDynamics(a).is_identity
+
+
+@pytest.mark.parametrize("domain", [BOX, SIMPLEX], ids=["box", "simplex"])
+def test_identity_residual_norms_are_the_pushed_differences(domain):
+    # plain differences, bit for bit the residuals of the push by I
+    dyn = identity_dynamics(4)
+    v = np.stack([ncv_disturbances(0.5, 0.1, seed, 30) for seed in range(3)])
+    path = generate_path(dyn, v, np.array([0.5, -1.0, 0.25, 2.0]), 30)
+    pushed = norm_of(domain, path[..., 1:, :] - path[..., :-1, :] @ np.eye(4).T)
+    assert residual_norms(path, dyn, domain).tobytes() == pushed.tobytes()
+    assert residual_norms(path[1], dyn, domain).tobytes() == pushed[1].tobytes()
 
 
 def test_nonexpansive_verdict_cached():
@@ -140,7 +163,8 @@ def _rolled_alone(dyn, v, x0):
     ncv_dynamics(0.1).a,
     0.9 * np.eye(4),
     np.random.default_rng(5).standard_normal((4, 4)) / 2.0,  # dense, no structure
-], ids=["ncv", "scaled_identity", "dense"])
+    np.eye(4),  # one cumulative sum, the same sums as the matrix-vector roll
+], ids=["ncv", "scaled_identity", "dense", "identity"])
 @pytest.mark.parametrize("replicates", [1, 4, 50])
 def test_generate_path_batched_equals_solo(a, replicates):
     dyn = LinearDynamics(a)
@@ -152,8 +176,8 @@ def test_generate_path_batched_equals_solo(a, replicates):
     assert batch.shape[-2] - 1 == horizon and batch.shape[-1] == 4
     for r in range(replicates):
         alone = generate_path(dyn, v[r], x0, horizon)
-        assert np.array_equal(alone, _rolled_alone(dyn, v[r], x0))
-        assert np.array_equal(batch[r], alone)
+        assert alone.tobytes() == _rolled_alone(dyn, v[r], x0).tobytes()
+        assert batch[r].tobytes() == alone.tobytes()
     # any number of leading axes rolls the same way
     grid = generate_path(dyn, v.reshape((1, replicates) + v.shape[1:]), x0, horizon)
     assert np.array_equal(grid[0], batch)

@@ -674,3 +674,79 @@ def test_eta0_batches_equal_solo_runs(schedule):
     _assert_replicates_equal_solo_runs(metropolis_weights(build_path_graph(5)), kl, dyn,
                                        replicates, horizon, "stochastic")
 
+
+def _identity_replicates(kind, count, horizon):
+    """(weights, domain, replicates) of count replicates under A = I: tracking
+    on a box, or noisy quadratics on a KL simplex, each replicate with its own
+    drifting path, losses, step size and seed."""
+    weights = metropolis_weights(build_grid_graph(2, 3))
+    dyn = identity_dynamics(3)
+    replicates = []
+    for k in range(count):
+        rng = np.random.default_rng(20 + k)
+        if kind == "box":
+            domain = box_domain([-2.0] * 3, [2.0] * 3)
+            path = generate_path(dyn, rng.normal(0.0, 0.1, (horizon, 3)), np.full(3, 0.5),
+                                 horizon)
+            ens = tracking_ensemble(6, domain)
+        else:
+            domain = simplex_domain(3, 0.01)
+            drift = rng.normal(0.0, 1e-3, (horizon, 3))
+            path = generate_path(dyn, drift - drift.mean(axis=1, keepdims=True),
+                                 np.full(3, 1.0 / 3.0), horizon)
+            ens = synthetic_suite(k, 6, 3, horizon, domain, offset_scale=0.02,
+                                  noise_scale=0.5)
+        replicates.append((ens, path, np.full(horizon + 1, 0.3 + 0.2 * k), 7 + k))
+    return weights, domain, replicates
+
+
+def _pushed_reference(weights, domain, replicate, horizon, mode):
+    """One replicate's iterates by the plain round: oracle, mix, prox, then the
+    push x @ I.T, the d x d product that every other A takes."""
+    ens, path, etas, seed = replicate
+    eye = np.eye(domain.d)
+    samples = (oracle_samples(ens, path[:horizon],
+                              oracle_noise(ens, np.random.default_rng(seed), horizon))
+               if mode == "stochastic" else None)
+    xs = [init_state(weights.n, domain)]
+    for t in range(horizon):
+        x = xs[-1]
+        grads = (gradients_exact_batch(ens, t + 1, x, path) if mode == "exact"
+                 else gradients_stochastic_batch(ens, t + 1, x, path,
+                                                 None if samples is None else samples[t]))
+        xnext = prox(domain, grads, mix(weights, x), float(etas[t])) @ eye.T
+        assert contains(domain, xnext)  # so the simplex repair never had work
+        xs.append(xnext)
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("mode", ["exact", "stochastic"])
+@pytest.mark.parametrize("kind", ["box", "simplex"])
+def test_identity_runs_equal_the_pushed_reference_loop(kind, mode, count):
+    # A = I pushes nothing: every iterate is its prox output, bit for bit the
+    # round that still multiplied by the identity
+    horizon = 25
+    weights, domain, replicates = _identity_replicates(kind, count, horizon)
+    batch = run(weights, domain, identity_dynamics(3), replicates, horizon, mode)
+    for r, replicate in enumerate(replicates):
+        want = _pushed_reference(weights, domain, replicate, horizon, mode)
+        assert batch[r].x.tobytes() == want.tobytes()
+        assert not np.array_equal(want[1], want[horizon])  # the iterates did move
+
+
+def test_an_identity_push_tests_no_domain_membership(monkeypatch):
+    # on the simplex the push of any other A is checked once a round; the
+    # identity's is not, which leaves init_state's check of the start alone
+    calls = []
+    check = domd.engine.contains
+    monkeypatch.setattr(domd.engine, "contains", lambda *a: calls.append(1) or check(*a))
+    horizon = 12
+    weights, domain, replicates = _identity_replicates("simplex", 2, horizon)
+    identity = run(weights, domain, identity_dynamics(3), replicates, horizon, "stochastic")
+    assert len(calls) == 1
+    calls.clear()
+    nudged = LinearDynamics((1.0 + 2**-52) * np.eye(3))
+    pushed = run(weights, domain, nudged, replicates, horizon, "stochastic")
+    assert len(calls) == 1 + horizon
+    assert not nudged.is_identity and pushed.x.tobytes() != identity.x.tobytes()

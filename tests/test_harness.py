@@ -115,6 +115,16 @@ def test_build_weights_and_domain_and_geometry():
     assert build_geometry(simplex_cfg, simplex) is simplex
 
 
+def test_a_scaled_identity_of_one_is_no_motion():
+    # scale 1.0 builds I exactly, so its runs take the identity path, bit for
+    # bit the identity model's; one ulp above 1.0 is a push
+    identity = run_experiment(_quad_cfg(dynamics_model="identity"))
+    one = _quad_cfg(dynamics_model="scaled_identity", dynamics_scale=1.0)
+    assert build_dynamics(one).is_identity
+    assert _same_bits(run_experiment(one).trace.x, identity.trace.x)
+    assert not build_dynamics(replace(one, dynamics_scale=1.0 + 2**-52)).is_identity
+
+
 def test_build_dynamics_and_noise():
     assert build_dynamics(_tracking_cfg()).d == 4
     scaled = build_dynamics(_tracking_cfg(dynamics_model="scaled_identity", dim=2))
@@ -496,13 +506,8 @@ def test_sweep_curves_equal_per_value_runs(param, values):
         assert np.array_equal(result.std_curves[k], np.std(curves, axis=0))
 
 
-@pytest.mark.parametrize("cfg, param, values", [
-    (_tracking_cfg(horizon=40), "noise.sigma_v2", (0.25, 0.5, 1.0)),
-    (_quad_cfg(horizon=40), "loss.offset_scale", (0.1, 0.2)),
-], ids=["tracking", "quadratic"])
-def test_every_sweep_curve_is_its_run_alone(cfg, param, values, monkeypatch):
-    # each replicate's normalized regret, as the sweep averages it, is bit for
-    # bit the curve of that (value, run) run on its own
+def _recorded_curves(monkeypatch):
+    """The normalized regret of every dynamic_regret call of the harness, in order."""
     curves = []
     measure = domd.harness.dynamic_regret
 
@@ -512,12 +517,37 @@ def test_every_sweep_curve_is_its_run_alone(cfg, param, values, monkeypatch):
         return report
 
     monkeypatch.setattr(domd.harness, "dynamic_regret", recorded)
+    return curves
+
+
+@pytest.mark.parametrize("cfg, param, values", [
+    (_tracking_cfg(horizon=40), "noise.sigma_v2", (0.25, 0.5, 1.0)),
+    (_quad_cfg(horizon=40), "loss.offset_scale", (0.1, 0.2)),
+], ids=["tracking", "quadratic"])
+def test_every_sweep_curve_is_its_run_alone(cfg, param, values, monkeypatch):
+    # each replicate's normalized regret, as the sweep averages it, is bit for
+    # bit the curve of that (value, run) run on its own
+    curves = _recorded_curves(monkeypatch)
     sweep(cfg, param, values, runs=3)
     monkeypatch.undo()
     attr = domd.harness._resolve_param(param)[0]
     alone = [next(run_experiments(replace(cfg, **{attr: value}), [i])).regret.normalized
              for value in values for i in range(3)]
     assert len(curves) == len(alone) == 3 * len(values)
+    assert all(map(_same_bits, curves, alone))
+
+
+def test_a_sweep_batch_holds_what_a_sweep_keeps(monkeypatch):
+    # a sweep takes no bound recursion, so its batches count no rows for one:
+    # 120 default replicates fit one engine call (109 did when they were counted)
+    cfg = _tracking_cfg()  # the default 5x5 grid, T = 1000
+    calls = _count_engine_runs(monkeypatch)
+    curves = _recorded_curves(monkeypatch)
+    sweep(cfg, "noise.sigma_v2", (0.5,), runs=120)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    alone = [r.regret.normalized for r in run_experiments(cfg, range(120))]
+    assert len(curves) == len(alone) == 120
     assert all(map(_same_bits, curves, alone))
 
 
