@@ -1,8 +1,9 @@
 """CSV helpers shared by the trace, sweep and report writers.
 
-All files use a header row, comma separators, LF newlines and floats
-rendered with 17 significant digits so that identical inputs produce
-byte-identical output.
+All files use a header row, comma separators, LF newlines, UTF-8 and
+floats rendered with 17 significant digits so that identical inputs
+produce byte-identical output.  A file is written as bytes: the kernel's
+rendered lines go out as it made them.
 
 A numeric table passes as one 2-D float array, which a numpy kernel renders
 about CELLS_PER_CHUNK cells at a time, each cell exactly as format(v,
@@ -179,17 +180,16 @@ def write_csv(path, header, rows, comments=(), labels=None):
     elif rows.shape[1] + (labels is not None) != len(header):
         raise ValueError(f"write_csv got {len(header)} header cells for an array of shape "
                          f"{rows.shape}{'' if labels is None else ' and labels'}")
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write("# " + line + "\n")
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in comments).encode())
+        fh.write((",".join(header) + "\n").encode())
         if isinstance(rows, np.ndarray):
             step = max(1, CELLS_PER_CHUNK // max(1, rows.shape[1]))
             for start in range(0, len(rows), step):
                 chunk = np.asarray(rows[start:start + step], dtype=np.float64)
                 lead = None if labels is None else labels[start:start + step]
-                fh.write(_render(chunk, lead).decode())
+                fh.write(_render(chunk, lead))
         else:
             for row in rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
+                fh.write((",".join(fmt(v) for v in row) + "\n").encode())
 

@@ -31,15 +31,19 @@ in the same order for every replicate, and every decision on a whole array
 the whole batch only skips work that no replicate would do.
 
 The loop walks the rounds in blocks (objectives._round_blocks, about
-BLOCK_ELEMENTS (replicate, agent, coordinate) elements across the batch).
+BLOCK_ELEMENTS (replicate, agent, coordinate) elements across the batch),
+and every oracle reads inputs prepared once per block, none of which
+depend on the iterates.  A square oracle's centers (target plus offsets)
+are one stacked add into a round-major (B, R, n, d) array (see
+objectives._centers); a linear oracle reads its own gradients and the
+stochastic tracking oracle only its samples.
 In stochastic mode each replicate's generator draws a block's oracle noise
 at once, and the block's oracle samples are built from it one coordinate
 at a time (see _oracle_samples): for tracking the observations
-z = target + w, (n, d) a round, which do not depend on the iterates.  A
-round then pays only for its arithmetic and the checks on its own data:
-the oracle at the iterates, mix, prox with its step, anchor and gradient
-checks, the dynamics push (none for A = I) and the finiteness of the new
-iterates.
+z = target + w, (n, d) a round.  A round then pays only for its arithmetic
+and the checks on its own data: the oracle at the iterates, mix, prox with
+its step, anchor and gradient checks, the dynamics push (none for A = I)
+and the finiteness of the new iterates.
 
 Once a block has its iterates, one network_losses call folds them into
 their rounds' network-average losses for every replicate.  Without
@@ -54,8 +58,9 @@ import numpy as np
 
 from .geometry import Domain, contains, inside, project_floored_simplex, prox, start_point
 from .network import mix
-from .objectives import (_round_blocks, gradients_exact_batch, gradients_stochastic_batch,
-                         network_losses, oracle_noise, oracle_samples, stack_replicates)
+from .objectives import (_centers, _round_blocks, gradients_exact_batch,
+                         gradients_stochastic_batch, network_losses, oracle_noise,
+                         oracle_samples, stack_replicates)
 
 
 class EngineError(RuntimeError):
@@ -192,7 +197,7 @@ def run(weights, domain, dyn, replicates, horizon, mode="exact", x0=None, keep_i
     count, n, d = len(replicates), weights.n, domain.d
     # steps[t - 1]: one float when the schedule is shared, else an (R, 1, 1) column
     steps = etas[0].tolist() if (etas == etas[0]).all() else etas.T[:, :, None, None]
-    # a block's iterates, and in stochastic mode its (B, R, n, d) oracle samples
+    # a block's iterates, square centers and in stochastic mode oracle samples
     blocks = _round_blocks(horizon, count * n * d)
     # every iterate, or only one block's: row s of the run is row s % rows
     rows = horizon + 1 if keep_iterates or not blocks else blocks[0].stop
@@ -201,14 +206,17 @@ def run(weights, domain, dyn, replicates, horizon, mode="exact", x0=None, keep_i
     x = xs[:, 0]
     losses = np.empty((count, horizon))
     rngs = [np.random.default_rng(seed) for seed in seeds] if mode == "stochastic" else None
+    # linear losses and the stochastic tracking oracle read no square centers
+    squares = ens.gradients is None and (rngs is None or ens.mask is None)
     for block in blocks:
+        centers = _centers(ens, path, block) if squares else itertools.repeat(None)
         samples = (itertools.repeat(None) if rngs is None
                    else _oracle_samples(ens, path, ensembles, rngs, block))
-        for t, sample in zip(range(block.start + 1, block.stop + 1), samples):
+        for t, center, sample in zip(range(block.start + 1, block.stop + 1), centers, samples):
             if mode == "exact":
-                g = gradients_exact_batch(ens, t, x, path)
+                g = gradients_exact_batch(ens, t, x, center)
             else:
-                g = gradients_stochastic_batch(ens, t, x, path, sample)
+                g = gradients_stochastic_batch(ens, t, x, center, sample)
             try:
                 x = step(x, weights, domain, dyn, g, steps[t - 1])
             except ValueError:

@@ -215,7 +215,8 @@ def prox(domain, gradient, y, eta):
     the output past y's shape is refused.  box (euclidean):
     clamp(y - eta*gradient).  simplex (KL): multiplicative update
     y_i * exp(-eta * g_i) renormalized, then floor projection; the exponent
-    is shifted by its max so large gradients cannot overflow.
+    is shifted by its max so large gradients cannot overflow, and a row
+    whose eta * g passes the float range is redone by _overflowed_rows.
     """
     g = np.asarray(gradient, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -244,7 +245,32 @@ def prox(domain, gradient, y, eta):
     out -= np.maximum.reduce(out, axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=-1, keepdims=True)
-    return _floor_project(out, domain.floor)
+    # one reduction, NaN-propagating: only rows below the floor, or NaN rows
+    # where eta * g passed the float range, take the slow path
+    if out.size and np.minimum.reduce(out, axis=None) >= domain.floor:
+        return out
+    return _floor_project(_overflowed_rows(out, g, y, eta), domain.floor)
+
+
+def _overflowed_rows(p, g, y, eta):
+    """p, a KL update normalized in place, with each NaN row redone.
+
+    A row is NaN only where eta * g passed the float range for finite g, so
+    that log y - eta g held +inf.  Its weights y_i exp(-eta g_i) are then
+    taken relative to its largest exponent: the differences to it, formed
+    before they are scaled by eta, are finite or go to -inf, and the mass
+    lands where the exponent is largest.
+    """
+    bad = np.isnan(p).any(axis=-1)
+    if not bad.any():
+        return p
+    eta = np.broadcast_to(eta, p.shape)[bad][:, :1]
+    g, logs = g[bad], np.log(y[bad])
+    top = np.arange(len(g)), np.argmax(logs / eta - g, axis=-1)  # the exponent over eta
+    with np.errstate(over="ignore"):
+        weights = np.exp((logs - logs[top][:, None]) - eta * (g - g[top][:, None]))
+    p[bad] = weights / weights.sum(axis=-1, keepdims=True)
+    return p
 
 
 def prox_inequality_gap(domain, gradient, y, eta, ref):

@@ -6,8 +6,7 @@ arrays, measures regret and writes the CSV outputs.  The weight matrix is
 always the graph's Metropolis matrix, and the domain is the geometry
 (euclidean on a box, KL on a simplex): the engine runs
 run(weights, domain, dyn, ...).  Every domain is bounded, so every
-RunResult has its static regret and its regret guarantee, and a run writes
-bounds.csv.
+RunResult has its regret guarantee, and a run writes bounds.csv.
 Every random stream is derived from the master seed plus a fixed stream
 label and the run index, so identical configs produce byte-identical
 outputs.  A verify-bounds suite case is a name plus an ExperimentConfig;
@@ -22,10 +21,10 @@ builds each batch's inputs just before the batch runs, rolling all its
 target paths in one call (a path is its (T+1, d) states array), and runs
 batches that hold at most BATCH_TRACE_BYTES; each replicate's trace equals
 running it alone.  _execute measures each run on top of it, a batch's
-bound recursions in one pass, and yields it as a finished RunResult.  A
-sweep reads only each run's normalized dynamic regret, straight from the
-runner: the regrets read each trace's losses and domain, so it keeps no
-iterates, and it takes no static regret or guarantee.
+bound recursions in one pass, and yields it as a finished RunResult (the
+static regret and variation-tuned value only for run_experiments, whose
+files write them).  A sweep reads only each run's normalized dynamic
+regret, straight from the runner: it keeps no iterates and takes no guarantee.
 """
 
 import itertools
@@ -261,25 +260,24 @@ def _engine_runs(keys, draft_of, x0=None, keep_iterates=True, names=None):
         del batch, traces  # before the next batch is built and run
 
 
-def _execute(keys, draft_of, x0=None):
+def _execute(keys, draft_of, x0=None, full=True):
     """Run one replicate per (cfg, item) key through _engine_runs, keeping
     its iterates; yields each key's RunResult in order.
 
     A result's trace is its replicate's trace[r]; its regret carries the
-    dynamic and static regret, read from the losses the engine folded, and
-    C_T; its bounds are the regret_guarantee of the ensemble's declared
-    constants (G^2 only in stochastic mode), whose recursions run once for
-    the whole batch; C_T and the bounds read the replicate's residual_norms.
+    dynamic regret, read from the losses the engine folded, and C_T; its
+    bounds are the regret_guarantee of the ensemble's declared constants
+    (G^2 only in stochastic mode), whose recursions run once for the whole
+    batch; C_T and the bounds read the replicate's residual_norms.  Only a
+    full run (run_experiments') has a static regret and variation-tuned value.
     """
     for (weights, domain, _, sigma2), batch, traces in _engine_runs(keys, draft_of, x0):
-        cfg, consts = batch[0][0], geometry_constants(domain)
-        steps = _guarantee_steps(sigma2, traces.etas, [float(rep[5].sum()) for rep in batch],
-                                 cfg.horizon)
+        consts, c_ts = geometry_constants(domain), [float(rep[5].sum()) for rep in batch]
+        steps = _guarantee_steps(sigma2, traces.etas, c_ts if full else None, traces.horizon)
         for r, (cfg, ens, path, _, _, norms) in enumerate(batch):
             trace = traces[r]
-            regret = replace(dynamic_regret(trace, ens, path),
-                             static_regret=static_regret(trace, ens, path),
-                             path_variation=float(norms.sum()))
+            regret = replace(dynamic_regret(trace, ens, path), path_variation=c_ts[r],
+                             static_regret=static_regret(trace, ens, path) if full else None)
             bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas, norms,
                                       weights.n, grad_second_moment=ens.second_moment
                                       if cfg.gradient_mode == "stochastic" else None,
@@ -329,9 +327,10 @@ def run_experiments(cfg, run_indices, x0=None):
     Each run index gets its own target path, losses, step sizes and oracle
     seed, exactly as a run of it alone would.  The run indices and the
     start target are checked on the call; the runs then go through
-    _execute and keep their iterates, so a consumer that drops each result
-    before asking for the next holds at most one batch of traces (see
-    BATCH_TRACE_BYTES).
+    _execute, measuring all that `domd run` writes (static regret and the
+    variation-tuned value included), and keep their iterates, so a consumer
+    that drops each result before asking for the next holds at most one
+    batch of traces (see BATCH_TRACE_BYTES).
     """
     run_indices = list(run_indices)
     for run_index in run_indices:
@@ -646,7 +645,8 @@ class VerifyReport:
 
 def _case_runs(case, seeds, stream, l_scale=1.0):
     """RunResults of one suite case at each of seeds, through _execute (see _case_draft)."""
-    return _execute([(case.cfg, s) for s in seeds], partial(_case_draft, case, stream, l_scale))
+    return _execute([(case.cfg, s) for s in seeds], partial(_case_draft, case, stream, l_scale),
+                    full=False)
 
 
 def _mean_regret(results):
@@ -737,12 +737,11 @@ def variation_scaling_study(horizons=(250, 500, 1000, 2000), drift_size=0.01, se
         schedule_kind="variation_tuned", loss_kind="synthetic_quadratic")
     regrets, denominators = [], []
     eta = sigma2 = float("nan")
-    for h in horizons:
-        result = next(run_experiments(replace(base, horizon=h), [h], x0=base.target_init))
+    keys = [(replace(base, horizon=h), h) for h in horizons]
+    for h, result in zip(horizons, _execute(keys, _config_draft, base.target_init, full=False)):
         eta, sigma2 = float(result.trace.etas[0]), result.sigma2
         regrets.append(result.regret.dynamic_regret)
-        c_t = result.regret.path_variation
-        denominators.append(float(np.sqrt(c_t * h / (1.0 - sigma2))))
+        denominators.append(float(np.sqrt(result.regret.path_variation * h / (1.0 - sigma2))))
     regrets, denominators = np.array(regrets), np.array(denominators)
     return ScalingStudy(tuple(horizons), regrets, denominators, regrets / denominators,
                         eta, sigma2)

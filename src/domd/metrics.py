@@ -144,17 +144,21 @@ def _discounted_steps(sigma2, etas, rounds):
 
 
 def _guarantee_steps(sigma2, etas, c_ts, horizon):
-    """The two rows A[0..T] of _discounted_steps that regret_guarantee reads,
-    for each of R runs in one recursion: (R, 2, T+1).
+    """The rows A[0..T] of _discounted_steps that regret_guarantee reads,
+    for each of R runs in one recursion: (R, 2, T+1), or (R, 1, T+1) when
+    c_ts is None.
 
     etas is (R, >= T+1) and c_ts holds each run's C_T.  Row 0 is at the
     run's etas, row 1 at the constant tuned_step of its C_T; a run with
-    C_T = 0 has no tuned step, and its row 1 repeats row 0.
+    C_T = 0 has no tuned step, and its row 1 repeats row 0.  Without c_ts
+    there is no row 1, and regret_guarantee no variation-tuned value.
     """
-    rows = np.empty((len(c_ts), 2, horizon + 1))
-    rows[:, 0] = np.asarray(etas, dtype=float)[:, :horizon + 1]
-    for row, c_t in zip(rows, c_ts):
-        row[1] = tuned_step(c_t, sigma2, horizon) if c_t > 0 else row[0]
+    rows = np.asarray(etas, dtype=float)[:, None, :horizon + 1]
+    if c_ts is not None:
+        rows = rows.repeat(2, axis=1)
+        for row, c_t in zip(rows, c_ts):
+            if c_t > 0:
+                row[1] = tuned_step(c_t, sigma2, horizon)
     return _discounted_steps(sigma2, rows, horizon)
 
 
@@ -209,8 +213,9 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     when given, is G^2 from the stochastic oracle and fills the
     expected-regret variant, the same terms at c = G^2.  variation_tuned_value
     is total at the constant tuned_step of C_T = sum_t ||v_t||.  steps,
-    when given, is this run's row of _guarantee_steps, which a caller
-    evaluating many runs computes for all of them in one pass.
+    when given, is this run's rows of _guarantee_steps, which a caller
+    evaluating many runs computes for all of them in one pass; without
+    their tuned row variation_tuned_value is NaN.
     """
     if not 0 <= sigma2 <= 1:
         raise ValueError("sigma2 must lie in [0, 1]")
@@ -224,7 +229,7 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     c_t = float(noise_norms.sum())
     if steps is None:
         steps = _guarantee_steps(sigma2, etas[None], [c_t], horizon)[0]
-    steps, tuned_steps = steps
+    steps, *tuned_steps = steps
     try:
         l2 = lipschitz**2
     except OverflowError:  # a float power raises where the product would be inf
@@ -236,9 +241,9 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     if grad_second_moment is not None:
         stochastic_total = float(sum(_terms(consts, float(grad_second_moment), etas,
                                             noise_norms, n, steps)[0]))
-    if c_t > 0:
+    if c_t > 0 and tuned_steps:
         tuned_etas = np.full(horizon + 1, tuned_step(c_t, sigma2, horizon))
-        tuned = float(sum(_terms(consts, l2, tuned_etas, noise_norms, n, tuned_steps)[0]))
+        tuned = float(sum(_terms(consts, l2, tuned_etas, noise_norms, n, tuned_steps[0])[0]))
     notes = ()
     if sigma2 == 0:
         notes = ("sigma2=0: network term keeps its tau=t-1 contribution by the 0^0=1 convention",)

@@ -25,7 +25,10 @@ evaluate one agent at one round; no run calls them, and tests check the
 other functions against them as the readable reference.  The batch
 oracles (gradients_exact_batch, gradients_stochastic_batch) evaluate every
 agent of one round, and of every replicate at once when stack_replicates
-has given the ensemble and path a leading replicate axis; network_losses
+has given the ensemble and path a leading replicate axis.  They read the
+round's row of inputs prepared once per block of rounds: the square
+centers (_centers, target plus offsets) and, in stochastic mode, the
+oracle_samples; a round then forms neither.  network_losses
 evaluates such a stack's iterates a block of rounds at a time, as the
 engine runs.  The whole-horizon functions (global_loss_batch,
 agent_loss_batch, centers_outside_domain) take a (T, m, d) stack whose row
@@ -160,10 +163,20 @@ def linear_ensemble(gradients, domain):
     return LossEnsemble(n, d, worst, worst * worst, gradients=gradients)
 
 
-def _centers(ens, path, t):
-    """Round t's square centers, (..., n or 1, d): the target plus any offsets."""
-    star = path[..., t - 1, None, :]
-    return star if ens.offsets is None else star + ens.offsets[..., t - 1, :, :]
+def _centers(ens, path, rounds):
+    """The square centers of a block of rounds, round-major: (B, ..., n or 1, d),
+    row b round rounds.start + b + 1's target plus any offsets.
+
+    Leading axes are replicates of a stacked ensemble and path.  The
+    offsets are added in one call into a contiguous array, so a round reads
+    one contiguous row; each entry is the same one add as a round's own.
+    Without offsets the rows are views of the targets.
+    """
+    stars = np.moveaxis(path[..., rounds, None, :], -3, 0)
+    if ens.offsets is None:
+        return stars
+    offsets = np.moveaxis(ens.offsets[..., rounds, :, :], -3, 0)
+    return np.add(stars, offsets, out=np.empty(np.broadcast_shapes(stars.shape, offsets.shape)))
 
 
 def _center(ens, i, t, path):
@@ -204,28 +217,32 @@ def gradient_stochastic(ens, i, t, x, path, rng):
     return np.where(ens.mask[i], g, 0.0)
 
 
-def gradients_exact_batch(ens, t, x_all, path):
-    """Exact gradients for every agent at once: x_all is (..., n, d).
+def gradients_exact_batch(ens, t, x_all, centers):
+    """Round t's exact gradients for every agent at once: x_all is (..., n, d).
 
-    Leading axes are replicates; a stacked ensemble and path (see
-    stack_replicates) supply each replicate's own targets, offsets or
+    centers is round t's row of the block's square centers (see _centers),
+    (..., n or 1, d); linear losses read their round-t gradients instead
+    and ignore it.  Leading axes are replicates; a stacked ensemble and path
+    (see stack_replicates) supply each replicate's own targets, offsets or
     linear gradients.
     """
     if ens.gradients is not None:
         return np.array(ens.gradients[..., t - 1, :, :])
-    g = 2.0 * (x_all - _centers(ens, path, t))
+    g = 2.0 * (x_all - centers)
     return g if ens.mask is None else np.where(ens.mask, g, 0.0)
 
 
-def gradients_stochastic_batch(ens, t, x_all, path, sample):
+def gradients_stochastic_batch(ens, t, x_all, centers, sample):
     """Noisy gradients for every agent, from one round of oracle_samples.
 
     sample is (..., n, d), with the same leading replicate axes as x_all:
     the observations z = target_k + w for tracking, the noise for a noisy
-    synthetic oracle; None for a synthetic oracle without noise.
+    synthetic oracle; None for a synthetic oracle without noise.  centers is
+    as for gradients_exact_batch, read only by a synthetic oracle (the
+    tracking oracle reads its observations alone; None is fine there).
     """
     if ens.mask is None:
-        g = gradients_exact_batch(ens, t, x_all, path)
+        g = gradients_exact_batch(ens, t, x_all, centers)
         return g if sample is None else g + sample
     # -(z - x_k), not x_k - z: at z == x_k it is -0.0, as in gradient_stochastic
     step = np.subtract(sample, x_all)

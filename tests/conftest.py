@@ -1,5 +1,6 @@
-"""Shared test fixtures, a CSV reader and the target's position path length;
-collects acceptance verdicts for an end-of-run summary."""
+"""Shared test fixtures, a CSV reader, the target's position path length and
+a round's square centers; collects acceptance verdicts for an end-of-run
+summary."""
 
 import numpy as np
 import pytest
@@ -37,6 +38,14 @@ def target_position_path_length(path, position_dims=(0, 2)):
     """Length of the target's position trajectory (NCV layout by default)."""
     pos = path[:, list(position_dims)]
     return float(np.linalg.norm(np.diff(pos, axis=0), axis=1).sum())
+
+
+def round_centers(ens, path, t):
+    """Round t's square centers formed for that round alone, the batch
+    oracles' centers argument: its target (..., 1, d) plus any offsets
+    (..., n, d) in one add, independently of the engine's block of them."""
+    star = path[..., t - 1, None, :]
+    return star if ens.offsets is None else star + ens.offsets[..., t - 1, :, :]
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -1,11 +1,12 @@
 """Round loop semantics: step sizes, initialization, stepping, traces."""
 
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from conftest import round_centers
 import domd.engine
 import domd.objectives
 from domd.config import ExperimentConfig, cross_validate
@@ -105,7 +106,7 @@ def test_zero_gradients_leave_common_iterate_fixed():
 def _replay_round(trace, weights, domain, ens, path, eta, t):
     """Anchor, exact gradients and prox output of round t+1, from the iterates."""
     y = mix(weights, trace.x[t])
-    grads = gradients_exact_batch(ens, t + 1, trace.x[t], path)
+    grads = gradients_exact_batch(ens, t + 1, trace.x[t], round_centers(ens, path, t + 1))
     return y, grads, prox(domain, grads, y, eta)
 
 
@@ -198,10 +199,11 @@ def test_trace_replays_through_public_steps(case):
     samples = oracle_samples(ens, path[:horizon], draws)
     for t in range(horizon):
         x, eta = trace.x[t], etas[t]
+        centers = round_centers(ens, path, t + 1)
         if mode == "exact":
-            grads = gradients_exact_batch(ens, t + 1, x, path)
+            grads = gradients_exact_batch(ens, t + 1, x, centers)
         else:
-            grads = gradients_stochastic_batch(ens, t + 1, x, path,
+            grads = gradients_stochastic_batch(ens, t + 1, x, centers,
                                                None if samples is None else samples[t])
         xhat = prox(domain, grads, mix(weights, x), eta)
         np.testing.assert_allclose(trace.x[t + 1], xhat @ dyn.a.T, atol=1e-14)
@@ -711,8 +713,9 @@ def _pushed_reference(weights, domain, replicate, horizon, mode):
     xs = [init_state(weights.n, domain)]
     for t in range(horizon):
         x = xs[-1]
-        grads = (gradients_exact_batch(ens, t + 1, x, path) if mode == "exact"
-                 else gradients_stochastic_batch(ens, t + 1, x, path,
+        centers = round_centers(ens, path, t + 1)
+        grads = (gradients_exact_batch(ens, t + 1, x, centers) if mode == "exact"
+                 else gradients_stochastic_batch(ens, t + 1, x, centers,
                                                  None if samples is None else samples[t]))
         xnext = prox(domain, grads, mix(weights, x), float(etas[t])) @ eye.T
         assert contains(domain, xnext)  # so the simplex repair never had work
@@ -750,3 +753,74 @@ def test_an_identity_push_tests_no_domain_membership(monkeypatch):
     pushed = run(weights, domain, nudged, replicates, horizon, "stochastic")
     assert len(calls) == 1 + horizon
     assert not nudged.is_identity and pushed.x.tobytes() != identity.x.tobytes()
+
+
+def _block_replicates(kind, count, horizon):
+    """count replicates on a 6-agent path graph in a box, each with its own
+    drifting target, losses, step size and seed: exact quadratics about the
+    target plus offsets, exact linear losses, noisy quadratics or exact
+    tracking squares; with the mode they run in."""
+    domain = box_domain([-2.0] * 3, [2.0] * 3)
+    dyn = LinearDynamics(0.95 * np.eye(3))
+    replicates = []
+    for k in range(count):
+        drift = np.random.default_rng(40 + k).normal(0.0, 0.05, (horizon, 3))
+        path = generate_path(dyn, drift, np.full(3, 0.3), horizon)
+        if kind == "tracking":
+            ens = tracking_ensemble(6, domain)
+        else:
+            ens = synthetic_suite(k, 6, 3, horizon, domain, offset_scale=0.1,
+                                  kind="synthetic_linear" if kind == "linear"
+                                  else "synthetic_quadratic",
+                                  noise_scale=0.3 if kind == "noisy" else 0.0)
+        replicates.append((ens, path, np.full(horizon + 1, 0.2 + 0.05 * k), 5 + k))
+    mode = "stochastic" if kind == "noisy" else "exact"
+    return metropolis_weights(build_path_graph(6)), domain, dyn, replicates, mode
+
+
+def _per_round_reference(weights, domain, dyn, replicate, horizon, mode):
+    """One replicate's iterates by rounds that each form their own oracle
+    inputs: round t's centers, target plus offsets, and its noise row."""
+    ens, path, etas, seed = replicate
+    draws = oracle_noise(ens, np.random.default_rng(seed), horizon) if mode != "exact" else None
+    xs = [init_state(weights.n, domain)]
+    for t in range(1, horizon + 1):
+        x, centers = xs[-1], round_centers(ens, path, t)
+        grads = (gradients_exact_batch(ens, t, x, centers) if draws is None
+                 else gradients_stochastic_batch(ens, t, x, centers, draws[t - 1]))
+        xs.append(step(x, weights, domain, dyn, grads, float(etas[t - 1])))
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("kind", ["quadratic", "linear", "noisy", "tracking"])
+def test_runs_over_many_blocks_equal_the_per_round_loop(monkeypatch, kind, count):
+    # the engine builds a block's square centers in one stacked add; with
+    # blocks of a round or a few, the iterates are bit for bit those of rounds
+    # that form their own centers (and draw their own noise rows)
+    monkeypatch.setattr(domd.objectives, "BLOCK_ELEMENTS", 100)
+    horizon = 23
+    weights, domain, dyn, replicates, mode = _block_replicates(kind, count, horizon)
+    assert len(domd.objectives._round_blocks(horizon, count * 6 * 3)) >= 5
+    batch = run(weights, domain, dyn, replicates, horizon, mode)
+    for r, replicate in enumerate(replicates):
+        want = _per_round_reference(weights, domain, dyn, replicate, horizon, mode)
+        assert batch[r].x.tobytes() == want.tobytes()
+        assert not np.array_equal(want[1], want[horizon])  # the iterates did move
+
+
+def test_a_non_finite_center_in_a_blocks_middle_round_names_that_round(monkeypatch):
+    # a NaN offset makes one agent's centre, and so its gradient, NaN in
+    # round 5, the middle round of the block of rounds 4 .. 6
+    monkeypatch.setattr(domd.objectives, "BLOCK_ELEMENTS", 3 * 3 * 6 * 3)
+    horizon = 12
+    weights, domain, dyn, replicates, mode = _block_replicates("quadratic", 3, horizon)
+    assert domd.objectives._round_blocks(horizon, 3 * 6 * 3)[1] == slice(3, 6)
+    ens, path, etas, seed = replicates[1]
+    offsets = ens.offsets.copy()
+    offsets[4, 2, 1] = np.nan
+    replicates[1] = (replace(ens, offsets=offsets), path, etas, seed)
+    with pytest.raises(EngineError, match=r"^gradients became non-finite in round 5 "
+                                          r"\(replicate 1, agent 2\)$") as err:
+        run(weights, domain, dyn, replicates, horizon, mode)
+    assert (err.value.replicate, err.value.agent) == (1, 2)

@@ -346,6 +346,21 @@ def test_prox_accepts_finite_gradients_whose_sum_overflows():
     np.testing.assert_allclose(out, [FLOOR, FLOOR, 1.0 - 2 * FLOOR], atol=1e-12)
 
 
+def test_prox_kl_puts_the_mass_where_an_overflowing_step_points():
+    # eta * g past -1.8e308 makes log y - eta g +inf: the minimizer is still
+    # well defined, all free mass on the largest exponent (split between
+    # equal ones), and a row whose product stays finite keeps its own bits
+    domain, y = simplex_domain(3, 0.01), np.full(3, 1.0 / 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = prox(domain, np.array([-1e308, 0.0, 0.0]), y, 4.0)
+        rows = prox(domain, np.array([[0.0, 1e308, -1e308], [-1e308, -1e308, 0.0],
+                                      [0.3, -0.2, 0.1]]), np.tile(y, (3, 1)), 4.0)
+    np.testing.assert_allclose(alone, [0.98, 0.01, 0.01], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rows[:2], [[0.01, 0.01, 0.98], [0.495, 0.495, 0.01]],
+                               rtol=0, atol=1e-15)
+    assert rows[2].tobytes() == prox(domain, np.array([0.3, -0.2, 0.1]), y, 4.0).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("domain", [_box2(), _simplex(2)], ids=["box", "simplex"])
 def test_prox_rejects_any_non_finite_gradient_entry(domain, bad):

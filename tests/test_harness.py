@@ -566,6 +566,33 @@ def test_a_sweep_measures_no_static_regret_or_guarantee(monkeypatch):
     assert _same(sweep(cfg, "noise.sigma_v2", (0.25, 0.5)), want)
 
 
+def test_the_checks_measure_no_static_regret_or_tuned_bound(monkeypatch):
+    # verify.csv, the noisy mean regret and the scaling study read neither the
+    # static regret nor the variation-tuned bound, so their runs take neither
+    # and their results stay; the runs of domd run still take both.  The
+    # scaling study's schedule is its own tuned step (harness.tuned_step).
+    def checks():
+        return (verify_bounds(2), stochastic_mean_regret("box_quad_noisy_n4_t100", runs=2),
+                variation_scaling_study(horizons=(60, 120)))
+
+    want = checks()
+    cfg = _tracking_cfg(horizon=40)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check measured what it does not read")
+
+    for module, name in ((domd.harness, "static_regret"), (domd.metrics, "static_regret"),
+                         (domd.metrics, "tuned_step")):
+        monkeypatch.setattr(module, name, refuse)
+    assert _same(checks(), want)
+    with pytest.raises(AssertionError, match="a check measured"):
+        run_experiment(cfg)
+    monkeypatch.undo()
+    for result in [run_experiment(cfg)] + list(run_experiments(cfg, range(2))):
+        assert isinstance(result.regret.static_regret, float)
+        assert np.isfinite(result.bounds.variation_tuned_value)
+
+
 def _sweep_peak(cfg, values, runs):
     """tracemalloc peak of a noise.sigma_v2 sweep, after a warm-up run."""
     sweep(cfg, "noise.sigma_v2", (0.5,), runs=1)  # warm caches and imports
@@ -675,13 +702,13 @@ def test_suite_results_carry_the_scaled_ensemble_of_their_bounds():
 
 
 def test_bounds_and_regret_report_one_path_variation():
-    # every run has its bounds and static regret, and C_T of regret.csv and of
-    # bounds.csv come from the same residual norms
-    results = [run_experiment(ExperimentConfig(), run_index=0)]
-    results += [r for case in bound_suite() for r in _case_runs(case, range(2), 0)]
+    # every run has its bounds, a written run its static regret, and C_T of
+    # regret.csv and of bounds.csv come from the same residual norms
+    written = run_experiment(ExperimentConfig(), run_index=0)
+    assert isinstance(written.regret.static_regret, float)
+    results = [written] + [r for case in bound_suite() for r in _case_runs(case, range(2), 0)]
     for result in results:
         assert isinstance(result.bounds, BoundReport), result.config
-        assert isinstance(result.regret.static_regret, float), result.config
         assert result.bounds.c_t == result.regret.path_variation, result.config
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import round_centers
 from domd import objectives
 from domd.dynamics import generate_path, identity_dynamics
 from domd.geometry import (box_domain, contains, dual_diameter, sample_domain,
@@ -233,8 +234,8 @@ def test_noiseless_stochastic_oracle_equals_exact():
     x_all = np.tile(x, (4, 1))
     assert oracle_noise(ens, rng, 1) is None
     np.testing.assert_array_equal(
-        gradients_stochastic_batch(ens, 2, x_all, path, None),
-        gradients_exact_batch(ens, 2, x_all, path))
+        gradients_stochastic_batch(ens, 2, x_all, round_centers(ens, path, 2), None),
+        gradients_exact_batch(ens, 2, x_all, round_centers(ens, path, 2)))
 
 
 def test_oracle_noise_is_bounded():
@@ -243,9 +244,9 @@ def test_oracle_noise_is_bounded():
     path = generate_path(identity_dynamics(2), np.zeros((5, 2)), np.zeros(2), 5)
     rng = np.random.default_rng(0)
     x_all = np.array([[0.4, -0.3], [0.0, 0.0], [1.0, 1.0], [-2.0, 0.5]])
-    exact = gradients_exact_batch(ens, 3, x_all, path)
+    exact = gradients_exact_batch(ens, 3, x_all, round_centers(ens, path, 3))
     for noise in oracle_noise(ens, rng, 50):
-        noisy = gradients_stochastic_batch(ens, 3, x_all, path, noise)
+        noisy = gradients_stochastic_batch(ens, 3, x_all, round_centers(ens, path, 3), noise)
         assert np.abs(noisy - exact).max() <= 0.3
 
 
@@ -263,7 +264,8 @@ def test_batch_oracle_replays_the_scalar_oracle_draw_for_draw():
         block = oracle_samples(ens, path[1:4], noise)
         rng = np.random.default_rng(4)
         for t, sample in zip((2, 3, 4), block):
-            batch = gradients_stochastic_batch(ens, t, x_all, path, sample)
+            batch = gradients_stochastic_batch(ens, t, x_all, round_centers(ens, path, t),
+                                               sample)
             for i in range(6):
                 _assert_same_bits(batch[i], gradient_stochastic(ens, i, t, x_all[i], path, rng))
 
@@ -278,7 +280,7 @@ def test_tracking_oracle_is_minus_zero_where_the_observation_equals_the_iterate(
     x_all = np.zeros((6, 4))
     noise = oracle_noise(ens, np.random.default_rng(0), 3)
     for t, sample in zip((1, 2, 3), oracle_samples(ens, path[:3], noise)):
-        g = gradients_stochastic_batch(ens, t, x_all, path, sample)
+        g = gradients_stochastic_batch(ens, t, x_all, round_centers(ens, path, t), sample)
         assert np.signbit(g[ens.mask]).all()
         assert not np.signbit(g[~ens.mask]).any()
         np.testing.assert_array_equal(g, 0.0)
@@ -298,10 +300,11 @@ def test_stacked_oracles_equal_each_replicate():
             synthetic_suite(k, 6, 4, 10, domain, kind=family) for k in range(3)]
         ens, path = stack_replicates(ensembles, paths, 10)
         for t in (1, 10):
-            batch = gradients_exact_batch(ens, t, x, path)
+            batch = gradients_exact_batch(ens, t, x, round_centers(ens, path, t))
             for r in range(3):
                 np.testing.assert_array_equal(
-                    batch[r], gradients_exact_batch(ensembles[r], t, x[r], paths[r]))
+                    batch[r], gradients_exact_batch(ensembles[r], t, x[r],
+                                                    round_centers(ensembles[r], paths[r], t)))
     # one replicate is a view, never a copy
     quad = synthetic_suite(0, 6, 4, 10, domain)
     ens, path = stack_replicates([quad], paths[:1], 10)
@@ -319,12 +322,12 @@ def test_batch_gradients_match_single_agent_calls():
     lin = synthetic_suite(5, 6, 4, 10, domain, kind="synthetic_linear")
     for family in (ens, quad, lin):
         for t in (1, 4, 10):
-            batch = gradients_exact_batch(family, t, x_all, path)
+            batch = gradients_exact_batch(family, t, x_all, round_centers(family, path, t))
             for i in range(6):
                 _assert_same_bits(batch[i], gradient_exact(family, i, t, x_all[i], path))
     # the setup reaches both signed zeros on an observed coordinate
     assert ens.mask[5].argmax() == 3
-    tracking = gradients_exact_batch(ens, 4, x_all, path)
+    tracking = gradients_exact_batch(ens, 4, x_all, round_centers(ens, path, 4))
     assert np.signbit(tracking[5, 3]) and not np.signbit(tracking[0]).any()
 
 

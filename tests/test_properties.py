@@ -52,23 +52,18 @@ def test_prox_is_optimal_against_every_reference(domain, seed, eta, scale):
 @given(_domains(), SEEDS, st.floats(1e-3, 10.0),
        st.sampled_from([0.0, 1.0, 50.0, 1e154, 1e308, float(np.finfo(float).max)]))
 def test_prox_outputs_lie_in_their_domain(domain, seed, eta, scale):
-    # what lets A = I skip the push's membership test: every finite prox output
-    # is in the domain, also for finite gradients whose sums or whose products
-    # with eta pass the float range (up to 1.8e308 times 10).  The KL prox
-    # gives a NaN row only where such a product is infinite; the engine's
-    # finiteness check stops the run there, as it did after the repair, which
-    # leaves a NaN row NaN.
+    # what lets A = I skip the push's membership test: every prox output is
+    # finite and in the domain, also for finite gradients whose sums or whose
+    # products with eta pass the float range (up to 1.8e308 times 10); the KL
+    # prox then puts the free mass where the exponent log y - eta g is largest
     rng = np.random.default_rng(seed)
     y = sample_domain(domain, rng, 8)
     gradient = scale * rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (8, domain.d))
     gradient[:4] = scale * rng.uniform(-1.0, 1.0, (4, domain.d))
     with np.errstate(over="ignore", invalid="ignore"):
         out = prox(domain, gradient, y, eta)
-        products = np.isfinite(eta * gradient).all(axis=-1)
-    finite = np.isfinite(out).all(axis=-1)
-    assert contains(domain, out[finite])
-    assert finite[products].all()
-    assert domain.kind == "simplex" or finite.all()
+    assert np.isfinite(out).all()
+    assert contains(domain, out)
 
 @cache
 def _large_weights(which):
