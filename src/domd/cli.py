@@ -84,12 +84,13 @@ def _load(args):
     return cfg
 
 
-def _violations(rows):
-    """Print each failed CheckRow as a VIOLATION line on stderr; returns how many."""
+def _violations(rows, notes=()):
+    """Print a VIOLATION line, with any `not a guarantee` note, per failed row; return how many."""
     failed = [row for row in rows if not row.passed]
+    why = "".join(f" ({note})" for note in notes if note.startswith("not a guarantee"))
     for row in failed:
         print(f"VIOLATION {row.case} seed={row.seed} {row.check}: "
-              f"empirical={row.empirical:.6g} bound={row.bound:.6g}", file=sys.stderr)
+              f"empirical={row.empirical:.6g} bound={row.bound:.6g}{why}", file=sys.stderr)
     return len(failed)
 
 
@@ -104,7 +105,7 @@ def _cmd_run(args):
     bounds = result.bounds
     total = bounds.stochastic_total if cfg.gradient_mode == "stochastic" else bounds.total
     print(f"guarantee_total={total:.6g} mode={cfg.gradient_mode}")
-    return 2 if _violations(check_rows(result, "run", cfg.seed)) else 0
+    return 2 if _violations(check_rows(result, "run", cfg.seed), bounds.notes) else 0
 
 
 def _number(text):

@@ -244,11 +244,8 @@ def load_config(path, env=None):
 
 def config_hash(cfg):
     """Stable 12-hex-digit digest of every effective config value."""
-    parts = []
-    for f in sorted(fields(cfg), key=lambda f: f.name):
-        parts.append(f"{f.name}={getattr(cfg, f.name)!r}")
-    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
-    return digest[:12]
+    parts = (f"{name}={getattr(cfg, name)!r}" for name in sorted(f.name for f in fields(cfg)))
+    return hashlib.sha256(";".join(parts).encode()).hexdigest()[:12]
 
 
 def describe_schema():

@@ -13,6 +13,14 @@ Both generators are 1-strongly convex in the domain's norm, norm_of(domain, .),
 so D(x, y) >= ||x - y||^2 / 2 everywhere on the domain.  Path variation and
 disagreement are measured in that norm, and gradient bounds in its dual,
 dual_norm_of(domain, .), over a dual_diameter(domain) wide domain.
+
+The bounds also need the dynamics x -> A x to keep the domain and not to
+increase D; dynamics_verdict decides both exactly.  Box: row i of A maps it onto
+[sum_j min(a_ij lo_j, a_ij hi_j), sum_j max(...)] within [lo_i, hi_i], and
+sigma_max(A) <= 1.  Floored simplex: the columns of A sum to 1, A keeps the
+vertices floor + (1 - d*floor) e_j at the floor, and a nonnegative such A
+contracts KL (the data-processing inequality of Cohen et al., "Relative entropy
+under mappings by stochastic matrices", Linear Algebra Appl. 1993).
 """
 
 from dataclasses import dataclass
@@ -111,7 +119,7 @@ def contains(domain, x):
 
 
 def sample_domain(domain, rng, size=None):
-    """Draw uniform-ish feasible points, used by the Monte Carlo checkers."""
+    """Draw uniform-ish feasible points, for demos and property tests."""
     shape = (domain.d,) if size is None else (size, domain.d)
     if domain.kind == "box":
         return rng.uniform(domain.lo, domain.hi, shape)
@@ -145,11 +153,6 @@ def dual_norm_of(domain, v):
     return np.abs(v).max(axis=-1)
 
 
-def _require_inside(domain, x, what):
-    if not contains(domain, x):
-        raise ValueError(f"{what} lies outside the domain")
-
-
 def bregman(domain, x, y):
     """Bregman divergence D(x, y) induced by the domain's generator.
 
@@ -158,8 +161,9 @@ def bregman(domain, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _require_inside(domain, x, "first argument")
-    _require_inside(domain, y, "second argument")
+    for which, point in (("first", x), ("second", y)):
+        if not contains(domain, point):
+            raise ValueError(f"{which} argument lies outside the domain")
     if domain.kind == "box":
         diff = x - y
         return float(0.5 * np.dot(diff, diff))
@@ -306,39 +310,29 @@ def geometry_constants(domain):
     return GeometryConstants(np.log(1.0 / domain.floor), domain.d * np.log(1.0 / domain.floor))
 
 
-@dataclass(frozen=True)
-class NonexpansiveReport:
-    passed: bool
-    sigma_max: float
-    checked: int
-    violations: int
-    max_violation: float
-
-
-def check_nonexpansive(domain, a, trials=500, seed=0):
-    """Check that the map x -> a @ x does not increase Bregman divergences.
-
-    box: exact, via the largest singular value of a.  simplex: Monte Carlo
-    over sampled domain pairs whose images stay inside the domain; a pair
-    violates when its divergence grows by more than 1e-9.
-    """
+def dynamics_verdict(domain, a):
+    """(keeps_domain, non_expansive or None if not verified, why) of x -> a @ x;
+    why, empty when both hold, names the first failing row or column and sigma_max(a)."""
     a = np.asarray(a, dtype=float)
-    if domain.kind == "box":
-        sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
-        return NonexpansiveReport(sigma_max <= 1.0 + 1e-12, sigma_max, 0, 0, 0.0)
-    rng = np.random.default_rng(seed)
-    checked = 0
-    violations = 0
-    worst = -np.inf
-    for _ in range(trials):
-        x = sample_domain(domain, rng)
-        y = sample_domain(domain, rng)
-        ax, ay = a @ x, a @ y
-        if not (contains(domain, ax) and contains(domain, ay)):
-            continue
-        checked += 1
-        gap = bregman(domain, ax, ay) - bregman(domain, x, y)
-        worst = max(worst, gap)
-        if gap > 1e-9:
-            violations += 1
-    return NonexpansiveReport(violations == 0, float("nan"), checked, violations, worst)
+    sigma_max, lo, hi = float(np.linalg.svd(a, compute_uv=False)[0]), domain.lo, domain.hi
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN end fails its comparison
+        if domain.kind == "box":
+            low, high = np.sort(np.stack([a * lo, a * hi]), axis=0).sum(axis=2)
+            why = [f"row {i} maps the box onto [{low[i]:.6g}, {high[i]:.6g}], outside "
+                   f"[{lo[i]:.6g}, {hi[i]:.6g}]" for i in range(domain.d)
+                   if not (low[i] >= lo[i] - DOMAIN_TOL and high[i] <= hi[i] + DOMAIN_TOL)]
+            non_expansive = sigma_max <= 1.0 + 1e-12
+        else:
+            stochastic, floor = np.abs(a.sum(axis=0) - 1.0) <= DOMAIN_TOL, domain.floor
+            least = (a @ (floor + (1.0 - domain.d * floor) * np.eye(domain.d))).min(axis=1)
+            why = ([f"column {j} of A sums to {a[:, j].sum():.6g}, not 1"
+                    for j in np.flatnonzero(~stochastic)]
+                   or [f"row {i} takes a vertex to {v:.6g}, below the floor {floor:.6g}"
+                       for i, v in enumerate(least) if not v >= floor - DOMAIN_TOL])
+            non_expansive = True if (a >= 0).all() and stochastic.all() else None
+    keeps_domain, why = not why, why[:1]
+    if non_expansive is None:
+        why.append("A is not column-stochastic, so KL non-expansiveness is unverified")
+    if not (keeps_domain and non_expansive):
+        why.append(f"sigma_max(A)={sigma_max:.6g}")
+    return keeps_domain, non_expansive, "; ".join(why)

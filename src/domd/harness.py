@@ -39,7 +39,8 @@ from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_va
 from .dynamics import (LinearDynamics, generate_path, identity_dynamics, ncv_disturbances,
                        ncv_dynamics, residual_norms)
 from .engine import EngineError, run
-from .geometry import box_domain, contains, geometry_constants, simplex_domain, start_point
+from .geometry import (box_domain, contains, dynamics_verdict, geometry_constants,
+                       simplex_domain, start_point)
 from .metrics import (_guarantee_steps, dynamic_regret, network_disagreement,
                       per_agent_loss_gap, regret_guarantee, static_regret,
                       tuned_step, write_bound_csv, write_regret_csv)
@@ -270,8 +271,14 @@ def _execute(keys, draft_of, x0=None, full=True):
     (G^2 only in stochastic mode), whose recursions run once for the whole
     batch; C_T and the bounds read the replicate's residual_norms.  Only a
     full run (run_experiments') has a static regret and variation-tuned value.
+    A setup's failed dynamics_verdict, taken once, is a `not a guarantee` note.
     """
-    for (weights, domain, _, sigma2), batch, traces in _engine_runs(keys, draft_of, x0):
+    seen = None  # the setup whose verdict notes holds
+    for setup, batch, traces in _engine_runs(keys, draft_of, x0):
+        weights, domain, dyn, sigma2 = setup
+        if setup is not seen:
+            seen, why = setup, dynamics_verdict(domain, dyn.a)[2]
+            notes = (f"not a guarantee: {why}",) if why else ()
         consts, c_ts = geometry_constants(domain), [float(rep[5].sum()) for rep in batch]
         steps = _guarantee_steps(sigma2, traces.etas, c_ts if full else None, traces.horizon)
         for r, (cfg, ens, path, _, _, norms) in enumerate(batch):
@@ -281,7 +288,7 @@ def _execute(keys, draft_of, x0=None, full=True):
             bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas, norms,
                                       weights.n, grad_second_moment=ens.second_moment
                                       if cfg.gradient_mode == "stochastic" else None,
-                                      steps=steps[r])
+                                      steps=steps[r], notes=notes)
             yield RunResult(cfg, trace, path, regret, bounds, sigma2, ens)
         del batch, traces, steps, trace, ens, path, norms  # before the next batch is built and run
 
@@ -392,7 +399,8 @@ def check_rows(result, case, seed):
     the disagreement curve against its envelope pointwise, the dynamic regret
     against the total, the per-agent loss gap against its bound.  A stochastic
     run has none: its bound is on the expected regret, which one draw may
-    exceed.  Regret >= 0 is no guarantee (linear losses need not be least at the target)."""
+    exceed.  Regret >= 0 is no guarantee (linear losses need not be least at the target).
+    A failed dynamics_verdict is no row: it is a note on the run's bounds."""
     if result.config.gradient_mode != "exact":
         return ()
     trace, bounds = result.trace, result.bounds

@@ -202,7 +202,7 @@ class BoundReport:
 
 
 def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
-                     grad_second_moment=None, steps=None):
+                     grad_second_moment=None, steps=None, notes=()):
     """Evaluate the dynamic regret guarantee as exact sums (see _terms).
 
     etas must cover rounds 1..T+1; noise_norms holds ||v_t|| for t = 1..T in
@@ -215,7 +215,7 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     is total at the constant tuned_step of C_T = sum_t ||v_t||.  steps,
     when given, is this run's rows of _guarantee_steps, which a caller
     evaluating many runs computes for all of them in one pass; without
-    their tuned row variation_tuned_value is NaN.
+    their tuned row variation_tuned_value is NaN.  notes come after its own sigma2=0 note.
     """
     if not 0 <= sigma2 <= 1:
         raise ValueError("sigma2 must lie in [0, 1]")
@@ -244,9 +244,9 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
     if c_t > 0 and tuned_steps:
         tuned_etas = np.full(horizon + 1, tuned_step(c_t, sigma2, horizon))
         tuned = float(sum(_terms(consts, l2, tuned_etas, noise_norms, n, tuned_steps[0])[0]))
-    notes = ()
     if sigma2 == 0:
-        notes = ("sigma2=0: network term keeps its tau=t-1 contribution by the 0^0=1 convention",)
+        notes = ("sigma2=0: network term keeps its tau=t-1 contribution by the 0^0=1 convention",
+                 *notes)
     with np.errstate(over="ignore"):  # an envelope past the float range is +inf
         curve = lipschitz * np.sqrt(n) * steps[1:]
     return BoundReport(
@@ -260,7 +260,7 @@ def regret_guarantee(consts, lipschitz, sigma2, etas, noise_norms, n,
         variation_tuned_value=tuned,
         sigma2=float(sigma2),
         c_t=c_t,
-        notes=notes,
+        notes=tuple(notes),
     )
 
 

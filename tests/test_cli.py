@@ -277,6 +277,51 @@ def test_verify_negative_control_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "VIOLATION" in captured.err
     assert "violations=0" not in captured.out
+    # the suite's dynamics pass their verdict: its violations blame the bound alone
+    assert "not a guarantee" not in captured.err
+
+
+EPS1 = """
+[experiment]
+gradient_mode = exact
+horizon = 60
+seed = 406
+
+[network]
+graph = erdos_renyi
+nodes = 2
+
+[geometry]
+box_low = -1
+
+[dynamics]
+eps = 1.0
+
+[noise]
+sigma_v2 = 0
+
+[schedule]
+eta0 = 0.01
+
+[loss]
+kind = synthetic_linear
+"""
+
+
+def test_a_violation_names_the_dynamics_assumption_the_run_broke(tmp_path, capsys):
+    # NCV at eps = 1.0 sends the box's row 0 to [-2, 20000] and has sigma_max 1.618;
+    # the disagreement check then fails, and its line says the bound was no guarantee
+    config = tmp_path / "eps1.ini"
+    config.write_text(EPS1)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ("dynamic_regret=209.015\nnormalized_final=3.48358\nsigma2=0\n"
+                            f"guarantee_total=4.0008e+10 mode=exact\noutputs written to {out}\n")
+    assert captured.err == (
+        "VIOLATION run seed=406 disagreement: empirical=0.0144452 bound=0.0141421 "
+        "(not a guarantee: row 0 maps the box onto [-2, 20000], outside [-1, 10000]; "
+        "sigma_max(A)=1.61803)\n")
 
 
 def test_verify_rejects_bad_seed_count(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from domd.dynamics import (LinearDynamics, generate_path, identity_dynamics,
                            ncv_disturbances, ncv_dynamics, ncv_noise_covariance,
                            residual_norms)
-from domd.geometry import box_domain, check_nonexpansive, norm_of, simplex_domain
+from domd.geometry import box_domain, dynamics_verdict, norm_of, simplex_domain
 
 BOX = box_domain(np.full(4, -10.0), np.full(4, 10.0))  # norm l2
 SIMPLEX = simplex_domain(4, 0.01)  # norm l1
@@ -60,10 +60,23 @@ def test_identity_residual_norms_are_the_pushed_differences(domain):
     assert residual_norms(path[1], dyn, domain).tobytes() == pushed[1].tobytes()
 
 
-def test_nonexpansive_verdict_cached():
+def test_ncv_dynamics_verdict_names_the_row_that_leaves_the_box():
     domain = box_domain([-1.0] * 4, [1.0] * 4)
-    assert check_nonexpansive(domain, identity_dynamics(4).a).passed
-    assert not check_nonexpansive(domain, ncv_dynamics(0.1).a).passed
+    assert dynamics_verdict(domain, identity_dynamics(4).a) == (True, True, "")
+    keeps, non_expansive, why = dynamics_verdict(domain, ncv_dynamics(0.1).a)
+    assert (keeps, non_expansive) == (False, False)
+    # the default NCV on the default +-10^4 box: positions 0 and 2 leave it by 10%
+    keeps, non_expansive, why = dynamics_verdict(box_domain([-1e4] * 4, [1e4] * 4),
+                                                 ncv_dynamics(0.1).a)
+    assert (keeps, non_expansive) == (False, False)
+    assert why == ("row 0 maps the box onto [-11000, 11000], outside [-10000, 10000]; "
+                   "sigma_max(A)=1.05125")
+    # eps = 1.0 doubles row 0's reach: a -1 lower bound goes to -2
+    keeps, non_expansive, why = dynamics_verdict(box_domain([-1.0] * 4, [1e4] * 4),
+                                                 ncv_dynamics(1.0).a)
+    assert (keeps, non_expansive) == (False, False)
+    assert why == ("row 0 maps the box onto [-2, 20000], outside [-1, 10000]; "
+                   "sigma_max(A)=1.61803")
 
 
 def test_ncv_covariance_blocks():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domd.geometry import (DOMAIN_TOL, bregman, box_domain, check_nonexpansive,
-                           contains, dual_diameter, dual_norm_of, geometry_constants,
-                           inside, norm_of, project_floored_simplex, prox,
-                           prox_inequality_gap, sample_domain, simplex_domain)
+from domd.geometry import (DOMAIN_TOL, bregman, box_domain, contains, dual_diameter,
+                           dual_norm_of, dynamics_verdict, geometry_constants, inside,
+                           norm_of, project_floored_simplex, prox, prox_inequality_gap,
+                           sample_domain, simplex_domain)
 
 FLOOR = 0.01
 BIG = np.finfo(float).max
@@ -501,21 +501,81 @@ def test_geometry_constants_dominate_divergence():
             assert bregman(domain, x, y) <= consts.r2 + 1e-9
 
 
-# ------------------------------------------------------------ nonexpansive
+# ------------------------------------------------------------ dynamics verdict
 
 
 def test_nonexpansive_euclidean_exact():
     domain = _box2()
-    assert check_nonexpansive(domain, np.eye(2)).passed
-    assert check_nonexpansive(domain, 0.9 * np.eye(2)).passed
-    report = check_nonexpansive(domain, np.array([[1.0, 0.1], [0.0, 1.0]]))
-    assert not report.passed
-    assert report.sigma_max == pytest.approx(1.0512492197250394, abs=1e-12)
+    for scale in (1.0, 0.9, 1.0 + 5e-13):
+        assert dynamics_verdict(domain, scale * np.eye(2)) == (True, True, "")
+    # sigma_max past 1 + 1e-12 expands, though the box keeps it within DOMAIN_TOL
+    assert dynamics_verdict(domain, (1.0 + 2e-12) * np.eye(2)) == (True, False, "sigma_max(A)=1")
+    keeps, non_expansive, why = dynamics_verdict(domain, np.array([[1.0, 0.1], [0.0, 1.0]]))
+    assert (keeps, non_expansive) == (False, False)
+    # sigma_max of the shear is 1.0512492197250394
+    assert why == ("row 0 maps the box onto [-1.1, 1.1], outside [-1, 1]; "
+                   "sigma_max(A)=1.05125")
+
+
+def test_a_box_is_kept_by_the_image_of_each_row_not_by_sigma_max():
+    # a swap has sigma_max 1, yet on a box that is not a cube it sends row 0 past its
+    # bounds; 0.9 I keeps any box around the origin
+    keeps, non_expansive, why = dynamics_verdict(box_domain([-1.0, -5.0], [1.0, 5.0]),
+                                                 np.eye(2)[[1, 0]])
+    assert (keeps, non_expansive) == (False, True)
+    assert why == "row 0 maps the box onto [-5, 5], outside [-1, 1]; sigma_max(A)=1"
+    assert dynamics_verdict(box_domain([-5.0] * 4, [5.0] * 4), 0.9 * np.eye(4)) == (
+        True, True, "")
+    # the image interval's ends hold to DOMAIN_TOL, as inside does
+    assert dynamics_verdict(_box2(), (1.0 + 0.5 * DOMAIN_TOL) * np.eye(2))[0]
+    assert not dynamics_verdict(_box2(), (1.0 + 2.0 * DOMAIN_TOL) * np.eye(2))[0]
+
+
+def test_a_box_image_past_the_float_range_fails_without_a_warning():
+    # the row's interval ends sum +inf and -inf: NaN, which fails the test
+    huge = box_domain([-1e308, -1e308], [1e308, 1e308])
+    keeps, _, why = dynamics_verdict(huge, np.array([[1e300, -1e300], [0.0, 1.0]]))
+    assert not keeps and why.startswith("row 0 maps the box onto [-inf, inf]")
 
 
 def test_nonexpansive_kl_permutation_passes():
+    assert dynamics_verdict(_simplex(3), np.eye(3)[[2, 0, 1]]) == (True, True, "")
+
+
+def test_a_nonnegative_column_stochastic_a_keeps_the_simplex_and_contracts_kl():
+    a = np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]])  # row sums 1.1, 1, 0.9
     domain = _simplex(3)
-    perm = np.eye(3)[[2, 0, 1]]
-    report = check_nonexpansive(domain, perm, trials=200, seed=0)
-    assert report.passed
-    assert report.checked > 0
+    assert dynamics_verdict(domain, a) == (True, True, "")
+    # what the verdict claims, on sampled pairs: the images stay inside, and the
+    # divergence does not grow (the data-processing inequality)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        x, y = sample_domain(domain, rng), sample_domain(domain, rng)
+        assert bregman(domain, a @ x, a @ y) <= bregman(domain, x, y) + 1e-12
+
+
+def test_a_scaled_identity_leaves_the_simplex_by_its_first_column():
+    keeps, non_expansive, why = dynamics_verdict(_simplex(3), 0.9 * np.eye(3))
+    assert (keeps, non_expansive) == (False, None)
+    assert why == ("column 0 of A sums to 0.9, not 1; A is not column-stochastic, so KL "
+                   "non-expansiveness is unverified; sigma_max(A)=0.9")
+
+
+def test_a_column_stochastic_a_can_push_a_vertex_below_the_floor():
+    # every column sums to 1, but row 1 of A is zero: each vertex's image has
+    # coordinate 1 at 0, below the floor
+    a = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    keeps, non_expansive, why = dynamics_verdict(_simplex(3), a)
+    assert (keeps, non_expansive) == (False, True)
+    assert why.startswith("row 1 takes a vertex to 0, below the floor 0.01; ")
+
+
+def test_a_negative_entry_leaves_kl_non_expansiveness_unverified():
+    # its columns sum to 1 and, with a floor of 0.3, the vertices' images stay
+    # above it, so the domain is kept; a negative entry voids the contraction
+    a = np.array([[0.2, 0.55, 0.2], [0.3, 0.55, 0.15], [0.5, -0.1, 0.65]])
+    keeps, non_expansive, why = dynamics_verdict(simplex_domain(3, 0.3), a)
+    assert (keeps, non_expansive) == (True, None)
+    assert why.startswith("A is not column-stochastic, so KL non-expansiveness is unverified; ")
+    keeps, non_expansive, _ = dynamics_verdict(_simplex(3), a)
+    assert (keeps, non_expansive) == (False, None)

@@ -22,7 +22,7 @@ from domd.harness import (_build_case, _case_runs, _derive_seed, _ORACLE, _PATH,
                           run_experiment, run_experiments, stochastic_mean_regret,
                           sweep, tracking_error_stats, variation_scaling_study,
                           verify_bounds)
-from domd.geometry import box_domain, geometry_constants, simplex_domain
+from domd.geometry import box_domain, dynamics_verdict, geometry_constants, simplex_domain
 from domd.metrics import (BoundReport, dynamic_regret, network_disagreement,
                           per_agent_loss_gap, regret_guarantee, tuned_step)
 from domd.network import (WeightMatrix, build_grid_graph, build_path_graph,
@@ -257,6 +257,63 @@ def test_exact_run_violations_names_each_broken_guarantee():
         "disagreement", "regret_total")
     # an overshoot within SLACK_TOL is rounding, not a violation
     assert exact_run_violations(shrunk(total=regret - 0.5 * SLACK_TOL)) == ()
+
+
+# the exact run of ROADMAP item 1 whose disagreement check fails: NCV with
+# eps = 1.0 (sigma_max(A) = 1.618) on a two-node network (sigma2 = 0)
+EPS1 = dict(gradient_mode="exact", horizon=60, seed=406, graph="erdos_renyi", nodes=2,
+            box_low=-1.0, eps=1.0, sigma_v2=0.0, eta0=0.01, loss_kind="synthetic_linear")
+NCV_ROW_0 = ("not a guarantee: row 0 maps the box onto [-11000, 11000], outside "
+             "[-10000, 10000]; sigma_max(A)=1.05125")
+EPS1_ROW_0 = ("not a guarantee: row 0 maps the box onto [-2, 20000], outside [-1, 10000]; "
+              "sigma_max(A)=1.61803")
+
+
+def _not_a_guarantee(result):
+    return [note for note in result.bounds.notes if note.startswith("not a guarantee")]
+
+
+@pytest.mark.parametrize("changes, note", [
+    ({"gradient_mode": "exact"}, NCV_ROW_0),
+    ({}, NCV_ROW_0),
+    (EPS1, EPS1_ROW_0),
+], ids=["default_exact", "default_stochastic", "eps_1"])
+def test_a_run_whose_dynamics_leave_the_box_carries_one_note_naming_row_0(changes, note,
+                                                                            tmp_path):
+    result = run_experiment(cross_validate(_tracking_cfg(**changes)), out_dir=tmp_path)
+    assert _not_a_guarantee(result) == [note]
+    comments = read_csv(tmp_path / "bounds.csv")[0]
+    assert [c for c in comments if c.startswith("note=not a guarantee")] == [f"note={note}"]
+    assert not any(c.startswith("note") for c in read_csv(tmp_path / "regret.csv")[0])
+
+
+def test_the_eps_1_run_fails_its_disagreement_check_with_the_verdict_noted():
+    result = run_experiment(cross_validate(_tracking_cfg(**EPS1)))
+    assert exact_run_violations(result) == ("disagreement",)
+    # sigma2 = 0 keeps its own note, ahead of the verdict's
+    assert len(result.bounds.notes) == 2 and result.bounds.notes[1] == EPS1_ROW_0
+
+
+def test_the_verdict_is_taken_once_per_setup_and_never_by_a_sweep(monkeypatch):
+    cfg = _tracking_cfg(horizon=20)
+    calls = _record_calls(monkeypatch, "dynamics_verdict", "run")
+    # one replicate a batch: three batches of one setup
+    monkeypatch.setattr(domd.harness, "BATCH_TRACE_BYTES", 1)
+    results = list(run_experiments(cfg, range(3)))
+    assert calls == ["run", "dynamics_verdict", "run", "run"]
+    assert [_not_a_guarantee(r) for r in results] == [[NCV_ROW_0]] * 3
+    calls.clear()
+    sweep(cfg, "noise.sigma_v2", (0.25, 0.5), runs=2)
+    assert "dynamics_verdict" not in calls
+
+
+def test_no_suite_case_carries_a_not_a_guarantee_note():
+    # so verify.csv, which has no notes, means what it did before the verdict
+    for case in bound_suite():
+        _, domain, dyn = domd.harness._assemble(case.cfg)
+        assert dynamics_verdict(domain, dyn.a) == (True, True, ""), case.name
+        [result] = _case_runs(case, [0], 0)
+        assert _not_a_guarantee(result) == [], case.name
 
 
 def test_check_rows_skip_a_stochastic_run_before_measuring_it(monkeypatch):
@@ -742,18 +799,21 @@ def test_path_variation_is_measured_in_the_geometry_norm(cfg, case, kind):
 def test_batch_bounds_equal_each_runs_own_guarantee(monkeypatch):
     # two values' runs, one without target noise (C_T = 0, no tuned step),
     # share one roll, one engine call and one bound recursion; every report
-    # equals regret_guarantee of its run alone, bit for bit
+    # equals regret_guarantee of its run alone, bit for bit, with the note of
+    # the NCV dynamics' failed verdict
     cfg = _tracking_cfg(horizon=40, schedule_kind="variation_tuned")
     keys = [(replace(cfg, sigma_v2=value), i) for value in (0.0, 0.5) for i in range(2)]
     calls = _count_engine_runs(monkeypatch)
     results = list(domd.harness._execute(keys, domd.harness._config_draft))
     assert len(calls) == 1
     weights, domain, dyn = domd.harness._assemble(cfg)
+    notes = (f"not a guarantee: {dynamics_verdict(domain, dyn.a)[2]}",)
     for result in results:
         norms = residual_norms(result.path, dyn, domain)
         want = regret_guarantee(geometry_constants(domain), result.ensemble.lipschitz,
                                 result.sigma2, result.trace.etas, norms, weights.n,
-                                grad_second_moment=result.ensemble.second_moment)
+                                grad_second_moment=result.ensemble.second_moment,
+                                notes=notes)
         for name, got in vars(result.bounds).items():
             expected = getattr(want, name)
             if isinstance(got, np.ndarray):
