@@ -21,8 +21,20 @@ sigma_max(A) <= 1.  Floored simplex: the columns of A sum to 1, A keeps the
 vertices floor + (1 - d*floor) e_j at the floor, and a nonnegative such A
 contracts KL (the data-processing inequality of Cohen et al., "Relative entropy
 under mappings by stochastic matrices", Linear Algebra Appl. 1993).
+
+Whole-horizon and per-block reductions over a short axis are one ufunc call
+per slice, left to right: _reduce_last over the last (coordinate) axis,
+_sum_slices over an agent axis.  numpy's own reduce runs its inner loop
+over that axis, one short call per row; it adds in the same order from the
+same 0.0 start below 8 entries, so the bits agree (summation order fixes
+them: Higham, "The accuracy of floating point summation", SIAM J. Sci.
+Comput. 1993).  From 8 entries on numpy sums pairwise, and the helpers take
+its reduce.  Per-round code (prox, contains, inside, network.mix and the
+engine's checks) keeps one reduce call: it sees a few dozen rows, where one
+call is cheaper than d - 1.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -137,20 +149,59 @@ def dual_diameter(domain):
     return 1.0 - domain.d * domain.floor
 
 
+def _reduce_last(ufunc, x):
+    """ufunc.reduce(x, axis=-1) for np.add or np.maximum, bit for bit.
+
+    For rows (x.ndim >= 2) of 2 <= d < 8 entries it is one call per column,
+    left to right, the order numpy's reduce takes inside each row; a sum
+    then adds numpy's 0.0 start, so a sum of -0.0 is 0.0.  From 8 entries on
+    numpy sums pairwise, and a single vector is one call either way: both
+    take ufunc.reduce.
+    """
+    d = x.shape[-1]
+    if x.ndim < 2 or not 2 <= d < 8:
+        return ufunc.reduce(x, axis=-1)
+    out = ufunc(x[..., 0], x[..., 1])
+    for k in range(2, d):
+        ufunc(out, x[..., k], out=out)
+    if ufunc is np.add:
+        out += 0.0
+    return out
+
+
+def _sum_slices(x, axis):
+    """np.add.reduce(x, axis) of a C-ordered x over an axis that is not the
+    last, bit for bit: numpy's 0.0 start plus one add per slice, in index
+    order, which is how numpy adds when the axis is not innermost.  Where it
+    is, because the axes after it hold one entry, numpy sums pairwise, and
+    this takes np.add.reduce; so it does for any other layout.  At length 1
+    it is the slice plus 0.0, a new array.
+    """
+    axis %= x.ndim
+    if not (x.size and x.flags.c_contiguous and math.prod(x.shape[axis + 1:]) > 1):
+        return np.add.reduce(x, axis=axis)
+    lead = (slice(None),) * axis
+    out = x[lead + (0,)] + 0.0
+    for i in range(1, x.shape[axis]):
+        out += x[lead + (i,)]
+    return out
+
+
 def norm_of(domain, v):
-    """Norm along the last axis: l2 on a box, l1 on a simplex."""
+    """Norm along the last axis: l2 on a box, l1 on a simplex, each reduced by
+    _reduce_last.  The l2 norm is the square root of the sum of squares, as
+    np.linalg.norm computes it."""
     v = np.asarray(v, dtype=float)
     if domain.kind == "box":
-        return np.linalg.norm(v, axis=-1)
-    return np.abs(v).sum(axis=-1)
+        return np.sqrt(_reduce_last(np.add, np.square(v)))
+    return _reduce_last(np.add, np.abs(v))
 
 
 def dual_norm_of(domain, v):
     """Dual norm along the last axis: l2 on a box, linf on a simplex."""
-    v = np.asarray(v, dtype=float)
     if domain.kind == "box":
-        return np.linalg.norm(v, axis=-1)
-    return np.abs(v).max(axis=-1)
+        return norm_of(domain, v)
+    return _reduce_last(np.maximum, np.abs(np.asarray(v, dtype=float)))
 
 
 def bregman(domain, x, y):

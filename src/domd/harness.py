@@ -39,8 +39,8 @@ from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_va
 from .dynamics import (LinearDynamics, generate_path, identity_dynamics, ncv_disturbances,
                        ncv_dynamics, residual_norms)
 from .engine import EngineError, run
-from .geometry import (box_domain, contains, dynamics_verdict, geometry_constants,
-                       simplex_domain, start_point)
+from .geometry import (_reduce_last, box_domain, contains, dynamics_verdict,
+                       geometry_constants, simplex_domain, start_point)
 from .metrics import (_guarantee_steps, dynamic_regret, network_disagreement,
                       per_agent_loss_gap, regret_guarantee, static_regret,
                       tuned_step, write_bound_csv, write_regret_csv)
@@ -423,7 +423,7 @@ def tracking_error_stats(trace, path, tail=100):
         raise ValueError(f"tail must be at least 1, got {tail}")
     tail = min(tail, trace.horizon)
     err = trace.x[-tail - 1:-1] - path[-tail - 1:-1, None, :]
-    return np.linalg.norm(err, axis=2).mean(axis=0)
+    return np.sqrt(_reduce_last(np.add, np.square(err))).mean(axis=0)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import csvio
-from .geometry import norm_of
+from .geometry import _reduce_last, _sum_slices, norm_of
 from .objectives import agent_loss_batch, check_rounds, global_loss_batch
 
 @dataclass(frozen=True)
@@ -117,8 +117,8 @@ def per_agent_loss_gap(trace, ens, path):
 
 def network_disagreement(trace):
     """max_i ||x[i,t] - xbar_t|| in the domain's norm (norm_of) for t = 1 .. horizon+1."""
-    dev = trace.x - trace.x.mean(axis=1)[:, None, :]
-    return norm_of(trace.domain, dev).max(axis=1)
+    dev = trace.x - (_sum_slices(trace.x, 1) / trace.n)[:, None, :]
+    return _reduce_last(np.maximum, norm_of(trace.domain, dev))
 
 
 def _discounted_steps(sigma2, etas, rounds):

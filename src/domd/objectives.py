@@ -42,7 +42,13 @@ losses subtract, each point's target one coordinate at a time, so every
 ufunc call runs over the agents (or points) of one coordinate.  Each entry
 is the same one add or subtraction as the broadcast form, so the bits do
 not change.  The mask's per-coordinate observer counts are computed once
-per ensemble.
+per ensemble.  Sums and means over the coordinates or the agents of a whole
+horizon or a round block take geometry's _reduce_last and _sum_slices: one
+call per coordinate or agent, left to right, bit-equal to numpy's reduce,
+which runs one short call per row and sums pairwise from 8 entries on
+(where the helpers take it).  Per-round code keeps single reduce calls
+(prox, contains, inside, mix and the engine's checks): on a round's few
+dozen rows one call is cheaper than one per slice.
 """
 
 from dataclasses import dataclass, replace
@@ -50,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import dual_diameter, dual_norm_of, inside
+from .geometry import _reduce_last, _sum_slices, dual_diameter, dual_norm_of, inside
 
 TRACKED_COORDS = 4
 
@@ -136,16 +142,15 @@ def synthetic_suite(seed, n, d, horizon, domain, kind="synthetic_quadratic",
     if kind == "synthetic_quadratic":
         offsets = rng.normal(scale=offset_scale, size=(horizon, n, d))
         if domain.kind == "simplex":
-            offsets -= offsets.mean(axis=2, keepdims=True)
-        offsets -= offsets.mean(axis=1, keepdims=True)
+            offsets -= (_reduce_last(np.add, offsets) / d)[..., None]
+        offsets -= (_sum_slices(offsets, 1) / n)[:, None]
         lipschitz, terms = 2.0 * dual_diameter(domain), {"offsets": offsets}
     elif kind == "synthetic_linear":
         if domain.kind == "simplex":
             grads = rng.uniform(-1.0, 1.0, size=(horizon, n, d))
         else:
             raw = rng.standard_normal((horizon, n, d))
-            norms = np.linalg.norm(raw, axis=2, keepdims=True)
-            grads = raw / np.maximum(norms, 1.0)
+            grads = raw / np.maximum(dual_norm_of(domain, raw), 1.0)[..., None]
         lipschitz, terms = 1.0, {"gradients": grads}
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")
@@ -371,14 +376,14 @@ def _global_block(ens, rounds, stars, x):
     loss takes the same operations in the same order with or without them.
     """
     if ens.gradients is not None:
-        mean_g = ens.gradients[..., rounds, :, :].mean(axis=-2)
+        mean_g = _sum_slices(ens.gradients[..., rounds, :, :], -2) / ens.n
         return np.matmul(x, mean_g[..., None])[..., 0]
     sq = _minus_targets(x, stars)
     np.square(sq, out=sq)
     if ens.mask is not None:  # coordinate k weighted by how many agents observe it
         return sq @ ens._observers / ens.n + ens.floor
-    spread = np.square(ens.offsets[..., rounds, :, :]).sum(axis=-1).mean(axis=-1)
-    return sq.sum(axis=-1) + spread[..., None]
+    spread = _reduce_last(np.add, _reduce_last(np.add, np.square(ens.offsets[..., rounds, :, :])))
+    return _reduce_last(np.add, sq) + (spread / ens.n)[..., None]
 
 
 def _agent_block(ens, rounds, stars, x):
@@ -388,7 +393,7 @@ def _agent_block(ens, rounds, stars, x):
     centers = stars[:, None, :]
     sq = x - (centers if ens.offsets is None else centers + ens.offsets[rounds])
     np.square(sq, out=sq)
-    return sq.sum(axis=2) if ens.mask is None else sq[:, ens.mask] + ens.floor
+    return _reduce_last(np.add, sq) if ens.mask is None else sq[:, ens.mask] + ens.floor
 
 
 def _evaluate(block, ens, path, x):
@@ -423,7 +428,7 @@ def network_losses(ens, path, rounds, x):
     stack_replicates); returns the (..., B) agent means, bit-equal to
     global_loss_batch(...).mean(axis=1) of each replicate's rows.
     """
-    return _global_block(ens, rounds, path[..., rounds, :], x).mean(axis=-1)
+    return _reduce_last(np.add, _global_block(ens, rounds, path[..., rounds, :], x)) / ens.n
 
 
 def agent_loss_batch(ens, path, x):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domd.geometry import (DOMAIN_TOL, bregman, box_domain, contains, dual_diameter,
-                           dual_norm_of, dynamics_verdict, geometry_constants, inside,
-                           norm_of, project_floored_simplex, prox, prox_inequality_gap,
-                           sample_domain, simplex_domain)
+from conftest import measured_runs
+from domd.geometry import (DOMAIN_TOL, _reduce_last, _sum_slices, bregman, box_domain,
+                           contains, dual_diameter, dual_norm_of, dynamics_verdict,
+                           geometry_constants, inside, norm_of, project_floored_simplex, prox,
+                           prox_inequality_gap, sample_domain, simplex_domain)
 
 FLOOR = 0.01
 BIG = np.finfo(float).max
@@ -183,6 +184,114 @@ def test_norms():
     v = np.random.default_rng(3).normal(size=(2, 5, 2))
     np.testing.assert_array_equal(norm_of(domain, v), np.linalg.norm(v, axis=-1))
     np.testing.assert_array_equal(norm_of(kl, v), np.abs(v).sum(axis=-1))
+
+
+# ------------------------------------------- short-axis reductions, bit for bit
+
+_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   np.finfo(float).tiny, 1e300, -1e300, BIG, -BIG, 1.0, -3.5])
+
+
+def _values(shape, seed, share):
+    """Normal draws over sixteen decades, with a share of them replaced by
+    signed zeros, infinities, NaN, subnormals, the smallest normal, 1e300 and
+    the largest float, whose sums overflow."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    edge = rng.random(shape) < share
+    x[edge] = rng.choice(_EDGES, int(edge.sum()))
+    return x
+
+
+def _layouts(shape, seed, share):
+    """A C-ordered array, row 1 of a stack of three (as trace[r] is of a run's
+    (R, T+1, n, d) iterates), a Fortran-ordered copy and an array of -0.0
+    (numpy's sum starts from 0.0, so its -0.0 entries sum to 0.0)."""
+    stack = _values((3,) + shape, seed, share)
+    return {"c": stack[0], "view": stack[1], "fortran": np.asfortranarray(stack[2]),
+            "negative zeros": np.full(shape, -0.0)}
+
+
+def _outcome(reduce):
+    """What reduce() gives under np.errstate(all="raise"): its array, or
+    FloatingPointError."""
+    with np.errstate(all="raise"):
+        try:
+            return reduce()
+        except FloatingPointError:
+            return FloatingPointError
+
+
+def _assert_same_bits(got, want):
+    """Same shape, dtype and bits, where a NaN matches any NaN: IEEE leaves a
+    NaN's sign and payload open, and numpy's own loops differ in them."""
+    assert (got is FloatingPointError) == (want is FloatingPointError)
+    if want is FloatingPointError:
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_reduce_last_is_numpys_reduce_bit_for_bit(d):
+    # 2 <= d < 8 takes one call per column, d = 1 and d >= 8 numpy's reduce;
+    # either way both forms raise under errstate, or neither does
+    for lead in ((), (1,), (5,), (301,), (3, 7), (2, 9, 3)):
+        for seed, share in enumerate((0.0, 0.02, 0.3, 1.0)):
+            for x in _layouts(lead + (d,), seed, share).values():
+                for ufunc in (np.add, np.maximum):
+                    _assert_same_bits(_outcome(lambda: _reduce_last(ufunc, x)),
+                                      _outcome(lambda: ufunc.reduce(x, axis=-1)))
+                    with np.errstate(all="ignore"):
+                        _assert_same_bits(_reduce_last(ufunc, x), ufunc.reduce(x, axis=-1))
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_sum_slices_is_numpys_agent_sum_bit_for_bit(n):
+    # one add per agent in index order, and the agent mean as the sum over n;
+    # with d = 1, or a Fortran-ordered array, the agents are the innermost
+    # axis and both are numpy's (pairwise) reduce
+    for rounds, d in ((1, 2), (9, 1), (9, 2), (301, 4), (4, 5)):
+        for seed, share in enumerate((0.0, 0.02, 0.3, 1.0)):
+            for x in _layouts((rounds, n, d), seed, share).values():
+                _assert_same_bits(_outcome(lambda: _sum_slices(x, 1)),
+                                  _outcome(lambda: np.add.reduce(x, axis=1)))
+                with np.errstate(all="ignore"):
+                    got = _sum_slices(x, 1)
+                    _assert_same_bits(got, np.add.reduce(x, axis=1))
+                    _assert_same_bits(got / n, x.mean(axis=1))
+                    _assert_same_bits(_sum_slices(x, -2), got)
+                assert not np.shares_memory(got, x)
+
+
+def _reference_norm(domain, v):
+    """norm_of as one numpy call: np.linalg.norm on a box, the sum of |v| on a simplex."""
+    return np.linalg.norm(v, axis=-1) if domain.kind == "box" else np.abs(v).sum(axis=-1)
+
+
+def _reference_dual_norm(domain, v):
+    """dual_norm_of as one numpy call: np.linalg.norm on a box, the max of |v| on a simplex."""
+    return np.linalg.norm(v, axis=-1) if domain.kind == "box" else np.abs(v).max(axis=-1)
+
+
+def test_norms_equal_numpys_reductions_on_measured_runs():
+    # every suite case at seeds 0-2, a dim-9 box, one agent and T = 0: the
+    # iterates, their deviations from the agent mean, the target's steps and
+    # any linear gradients
+    for name, seed, trace, ens, path in measured_runs():
+        domain = trace.domain
+        vectors = [trace.x, trace.x - trace.x.mean(axis=1)[:, None, :], np.diff(path, axis=0),
+                   path[0]]
+        if ens.gradients is not None:
+            vectors.append(ens.gradients)
+        for v in vectors:
+            for got, want in ((norm_of(domain, v), _reference_norm(domain, v)),
+                              (dual_norm_of(domain, v), _reference_dual_norm(domain, v))):
+                assert np.shape(got) == np.shape(want), (name, seed)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, seed)
 
 
 # ---------------------------------------------------------------- bregman

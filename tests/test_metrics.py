@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domd.metrics
-from conftest import read_csv
+from conftest import measured_runs, read_csv
+from domd import objectives
 from domd.dynamics import generate_path, identity_dynamics, residual_norms
 from domd.engine import RunTrace, run
 from domd.geometry import box_domain, geometry_constants, simplex_domain
@@ -627,3 +628,44 @@ def test_regret_measurement_memory_stays_bounded(kind):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# ------------------------- whole-horizon measurements against numpy's reductions
+
+
+def _reference_disagreement(trace):
+    """network_disagreement with numpy's agent mean, norm and agent max, one
+    reduce call each."""
+    dev = trace.x - trace.x.mean(axis=1)[:, None, :]
+    if trace.domain.kind == "box":
+        return np.linalg.norm(dev, axis=-1).max(axis=1)
+    return np.abs(dev).sum(axis=-1).max(axis=1)
+
+
+def _reference_agent_block(ens, rounds, stars, x):
+    """objectives._agent_block with numpy's sum over the coordinates."""
+    if ens.gradients is not None:
+        return np.einsum("bnd,bnd->bn", ens.gradients[rounds], x)
+    centers = stars[:, None, :]
+    sq = x - (centers if ens.offsets is None else centers + ens.offsets[rounds])
+    np.square(sq, out=sq)
+    return sq.sum(axis=2) if ens.mask is None else sq[:, ens.mask] + ens.floor
+
+
+def _reference_local_gap(trace, ens, path):
+    iterates = trace.x[:trace.horizon]
+    targets = np.broadcast_to(path[:trace.horizon, None, :], iterates.shape)
+    gaps = (objectives._evaluate(_reference_agent_block, ens, path, iterates)
+            - objectives._evaluate(_reference_agent_block, ens, path, targets))
+    return float(gaps.sum()) / trace.n
+
+
+def test_disagreement_and_local_gap_equal_numpys_reductions_bit_for_bit():
+    # every suite case at seeds 0-2, a dim-9 box, one agent and T = 0
+    for name, seed, trace, ens, path in measured_runs():
+        label = f"{name} seed {seed}"
+        got, want = network_disagreement(trace), _reference_disagreement(trace)
+        assert got.shape == (trace.horizon + 1,), label
+        assert got.tobytes() == want.tobytes(), label
+        gap = np.float64(per_agent_loss_gap(trace, ens, path))
+        assert gap.tobytes() == np.float64(_reference_local_gap(trace, ens, path)).tobytes(), label

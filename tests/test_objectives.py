@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import round_centers
+from conftest import measured_runs, round_centers
 from domd import objectives
 from domd.dynamics import generate_path, identity_dynamics
 from domd.geometry import (box_domain, contains, dual_diameter, sample_domain,
@@ -518,3 +518,64 @@ def test_network_losses_equal_the_broadcast_reference_bit_for_bit(name):
             want = _reference_global_block(ensembles[r], slice(0, horizon),
                                            paths[r][:horizon], points)
             assert global_loss_batch(ensembles[r], paths[r], points).tobytes() == want.tobytes()
+
+
+# ----------------------------- whole-horizon reductions against numpy's, bit for bit
+
+
+def test_quadratic_losses_equal_numpys_reductions_on_measured_runs():
+    # every quadratic suite case at seeds 0-2, a dim-9 box, one agent and
+    # T = 0: each run alone over its horizon, and each case's three seeds
+    # stacked as the engine stacks them, over the horizon and over one block
+    stacks = {}
+    for name, seed, trace, ens, path in measured_runs():
+        if ens.offsets is None:
+            continue
+        x = trace.x[:trace.horizon]
+        want = objectives._evaluate(_reference_global_block, ens, path, x)
+        assert global_loss_batch(ens, path, x).tobytes() == want.tobytes(), (name, seed)
+        losses = objectives.network_losses(ens, path, slice(0, trace.horizon), x)
+        assert losses.tobytes() == want.mean(axis=-1).tobytes(), (name, seed)
+        stacks.setdefault(name, []).append((x, ens, path))
+    for name, runs in stacks.items():
+        if len(runs) == 3:
+            xs, ensembles, paths = zip(*runs)
+            ens, path = stack_replicates(ensembles, paths, len(xs[0]))
+            for rounds in (slice(0, len(xs[0])), slice(3, 17)):
+                block = np.stack(xs)[:, rounds]
+                want = _reference_global_block(ens, rounds, path[..., rounds, :], block)
+                got = objectives.network_losses(ens, path, rounds, block)
+                assert got.tobytes() == want.mean(axis=-1).tobytes(), name
+
+
+def _reference_synthetic_terms(seed, n, d, horizon, domain, kind, offset_scale):
+    """synthetic_suite's offsets, or its linear gradients on a box, with
+    numpy's means over the coordinates and over the agents and with
+    np.linalg.norm."""
+    rng = np.random.default_rng(seed)
+    if kind == "synthetic_quadratic":
+        offsets = rng.normal(scale=offset_scale, size=(horizon, n, d))
+        if domain.kind == "simplex":
+            offsets -= offsets.mean(axis=2, keepdims=True)
+        offsets -= offsets.mean(axis=1, keepdims=True)
+        return offsets
+    raw = rng.standard_normal((horizon, n, d))
+    return raw / np.maximum(np.linalg.norm(raw, axis=2, keepdims=True), 1.0)
+
+
+def test_synthetic_suite_equals_numpys_reductions_bit_for_bit():
+    # quadratics on a box and a simplex and linear losses on a box, at the
+    # suite's sizes and seeds 0-2, on a dim-9 box, for one agent and for T = 0
+    box, box9 = box_domain([-5.0] * 2, [5.0] * 2), box_domain([-5.0] * 9, [5.0] * 9)
+    families = ((box, "synthetic_quadratic", 0.2), (simplex_domain(3, 0.01),
+                "synthetic_quadratic", 0.02), (box, "synthetic_linear", 0.2),
+                (box9, "synthetic_quadratic", 0.2), (box9, "synthetic_linear", 0.2))
+    for domain, kind, scale in families:
+        for n, horizon in ((4, 100), (9, 300), (3, 120), (25, 50), (1, 7), (4, 0)):
+            for seed in range(3):
+                ens = synthetic_suite(seed, n, domain.d, horizon, domain, kind=kind,
+                                      offset_scale=scale)
+                got = ens.offsets if ens.gradients is None else ens.gradients
+                want = _reference_synthetic_terms(seed, n, domain.d, horizon, domain, kind, scale)
+                assert got.shape == want.shape == (horizon, n, domain.d)
+                assert got.tobytes() == want.tobytes(), (domain.kind, domain.d, kind, n, horizon)
