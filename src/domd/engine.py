@@ -20,15 +20,21 @@ prox checks one number and scales by a scalar; replicates whose schedules
 differ get that round's (R, 1, 1) column.  Both give the same bits.
 
 run advances R replicates of one network, domain (the geometry: its kind
-picks the prox) and dynamics, each with its own losses, target path, step
-sizes and oracle seed, through one loop over a (R, n, d) state, R = 1
-included.  Each replicate's iterates are bit-identical to a run of that
-replicate alone: every operation is elementwise or row-wise per replicate,
-mixing is one matrix product per replicate or, above
-network.DENSE_MIX_MAX_NODES agents, a neighbour sum whose terms are added
-in the same order for every replicate, and every decision on a whole array
-(floor projection passes, domain repair) is taken per replicate; a test of
-the whole batch only skips work that no replicate would do.
+picks the prox), horizon and oracle mode, each with its own losses, target
+path, step sizes, oracle seed and dynamics, through one loop over a
+(R, n, d) state, R = 1 included.  Each replicate's iterates are
+bit-identical to a run of that replicate alone: every operation is
+elementwise or row-wise per replicate, mixing is one matrix product per
+replicate or, above network.DENSE_MIX_MAX_NODES agents, a neighbour sum
+whose terms are added in the same order for every replicate, and every
+decision on a whole array (floor projection passes, domain repair) is
+taken per replicate; a test of the whole batch only skips work that no
+replicate would do.  Replicates that share one A (always at R = 1) take
+the push a lone run takes: none for A = I, else one product with A.T.
+When their A differ, which replicates move is decided once per run, and a
+round pushes only those, in one stacked np.matmul whose slab for a
+replicate is its lone product; an identity replicate is never multiplied
+and keeps its prox output's bits, signed zeros included.
 
 The loop walks the rounds in blocks (objectives._round_blocks, about
 BLOCK_ELEMENTS (replicate, agent, coordinate) elements across the batch),
@@ -56,6 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import LinearDynamics
 from .geometry import Domain, contains, inside, project_floored_simplex, prox, start_point
 from .network import mix
 from .objectives import (_centers, _round_blocks, gradients_exact_batch,
@@ -117,17 +124,61 @@ def init_state(n, domain, x0=None):
     return np.tile(x0, (n, 1))
 
 
-def _apply_dynamics(domain, dyn, xhat):
-    if dyn.is_identity:
-        return xhat
-    xnext = xhat @ dyn.a.T
+@dataclass(frozen=True)
+class _MixedPush:
+    """The push of a batch whose replicates differ in A, decided once per run.
+
+    moving indexes the replicates whose A is not the identity, as a slice
+    when they are consecutive; a_t is their A.T stacked (M, d, d), each slab
+    with the strides of a C-ordered A's .T, so a replicate's slab of one
+    np.matmul is the product its run alone takes."""
+
+    moving: object
+    a_t: np.ndarray
+    is_identity = False
+
+
+def _batch_dynamics(dyn, count):
+    """The dynamics of a batch of count replicates: dyn itself when it is one
+    LinearDynamics or a _MixedPush, the shared one when every entry of a
+    per-replicate sequence has the same A bits or every A is the identity,
+    else their _MixedPush."""
+    if isinstance(dyn, (LinearDynamics, _MixedPush)):
+        return dyn
+    dyns = list(dyn)
+    if len(dyns) != count:
+        raise ValueError(f"need one dynamics per replicate: {count} replicates, "
+                         f"{len(dyns)} dynamics")
+    first = dyns[0].a
+    if all(d.a.shape == first.shape and d.a.tobytes() == first.tobytes() for d in dyns):
+        return dyns[0]
+    moving = [r for r, d in enumerate(dyns) if not d.is_identity]
+    if not moving:
+        return dyns[0]
+    a_t = np.stack([dyns[r].a for r in moving]).transpose(0, 2, 1)
+    if moving[-1] - moving[0] == len(moving) - 1:  # consecutive: a view, not a gathered copy
+        return _MixedPush(slice(moving[0], moving[-1] + 1), a_t)
+    return _MixedPush(np.array(moving), a_t)
+
+
+def _repaired(domain, xnext):
+    """xnext with every replicate (the last two axes) that the push took off
+    the floored simplex projected back as a whole, as it would be alone."""
     if domain.kind == "box" or contains(domain, xnext):
         return xnext
-    # the dynamics pushed iterates off the floored simplex; a replicate
-    # (the last two axes) is repaired as a whole, as it would be alone
     off = ~inside(domain, xnext).all(axis=-1)
     xnext[off] = project_floored_simplex(xnext[off], domain.floor)
     return xnext
+
+
+def _apply_dynamics(domain, dyn, xhat):
+    if dyn.is_identity:
+        return xhat
+    if isinstance(dyn, LinearDynamics):
+        return _repaired(domain, xhat @ dyn.a.T)
+    # identity replicates keep their prox output, signed zeros included
+    xhat[dyn.moving] = _repaired(domain, np.matmul(xhat[dyn.moving], dyn.a_t))
+    return xhat
 
 
 def step(x, weights, domain, dyn, grads, eta):
@@ -136,11 +187,12 @@ def step(x, weights, domain, dyn, grads, eta):
     x and grads are stacked (n, d) arrays, or (R, n, d) replicate stacks
     with eta one float shared by every replicate or an array of shape
     (R, 1, 1); grads[..., i, :] must be the oracle value at x[..., i, :].
-    Returns the next iterate: the mixed anchor's prox output pushed through
-    the dynamics.
+    dyn is the LinearDynamics of every replicate or, for a stack, a
+    sequence of one per replicate.  Returns the next iterate: the mixed
+    anchor's prox output pushed through the dynamics.
     """
     xhat = prox(domain, grads, mix(weights, x), eta)
-    return _apply_dynamics(domain, dyn, xhat)
+    return _apply_dynamics(domain, _batch_dynamics(dyn, len(xhat)), xhat)
 
 
 def _first_bad(bad, t, what):
@@ -170,8 +222,10 @@ def run(weights, domain, dyn, replicates, horizon, mode="exact", x0=None, keep_i
 
     replicates is a sequence of (ens, path, etas, seed), etas holding the
     positive finite step sizes eta_1 .. eta_{horizon+1}; they share the network,
-    domain, dynamics, horizon, oracle mode and start x0, and their
-    ensembles must share their stack_shape (see stack_replicates).  mode
+    domain, horizon, oracle mode and start x0, and their ensembles must
+    share their stack_shape (see stack_replicates).  dyn is the
+    LinearDynamics of every replicate, or a sequence of one per replicate,
+    which may differ (see the module docstring).  mode
     selects the oracle: "exact" queries analytic gradients, "stochastic"
     queries the noisy oracle exactly once per agent per round, replicate r
     from a generator seeded with its seed.  The trace always carries the
@@ -195,6 +249,7 @@ def run(weights, domain, dyn, replicates, horizon, mode="exact", x0=None, keep_i
     etas = np.array(etas, dtype=float)
     ens, path = stack_replicates(ensembles, paths, horizon)
     count, n, d = len(replicates), weights.n, domain.d
+    dyn = _batch_dynamics(dyn, count)  # which replicates move, decided once
     # steps[t - 1]: one float when the schedule is shared, else an (R, 1, 1) column
     steps = etas[0].tolist() if (etas == etas[0]).all() else etas.T[:, :, None, None]
     # a block's iterates, square centers and in stochastic mode oracle samples

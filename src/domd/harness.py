@@ -16,15 +16,19 @@ own.
 Every run, of a config (run, sweep, the scaling study) or of a suite case
 (verify_bounds, stochastic_mean_regret), goes through one engine runner,
 _engine_runs.  Its keys carry their own config, and consecutive keys whose
-configs build equal engine inputs share a setup and engine loops.  It
-builds each batch's inputs just before the batch runs, rolling all its
-target paths in one call (a path is its (T+1, d) states array), and runs
-batches that hold at most BATCH_TRACE_BYTES; each replicate's trace equals
-running it alone.  _execute measures each run on top of it, a batch's
-bound recursions in one pass, and yields it as a finished RunResult (the
-static regret and variation-tuned value only for run_experiments, whose
-files write them).  A sweep reads only each run's normalized dynamic
-regret, straight from the runner: it keeps no iterates and takes no guarantee.
+configs build equal weights and domain, with one oracle mode and horizon,
+share a setup (W and sigma2) and engine loops; their dynamics may differ,
+each replicate of a batch carrying its own.  It builds each batch's inputs
+just before the batch runs, rolling the target paths of each dynamics in
+one call (a path is its (T+1, d) states array), and runs batches that hold
+at most BATCH_TRACE_BYTES; each replicate's trace equals running it alone.
+_execute measures each run on top of it, a batch's bound recursions in one
+pass, and yields it as a finished RunResult (the static regret and
+variation-tuned value only for run_experiments, whose files write them).
+verify_bounds hands the whole suite to one _execute, cases that differ
+only in dynamics side by side.  A sweep reads only each run's normalized
+dynamic regret, straight from the runner: it keeps no iterates and takes
+no guarantee.
 """
 
 import itertools
@@ -188,48 +192,66 @@ def _same(a, b):
 
 
 def _setup_runs(keys):
-    """((weights, domain, dyn, sigma2), keys) of each run of consecutive keys
-    whose configs build _same weights, domain and dynamics, with one oracle
-    mode and horizon; the run uses its first config's objects."""
+    """((weights, domain, sigma2), group) of each run of consecutive keys
+    whose configs build _same weights and domain, with one oracle mode and
+    horizon; the run uses its first config's objects.  The dynamics may
+    differ: group holds a (key, dyn) pair per key, dyn its config's, and
+    keys whose dynamics are _same share one dyn object."""
     group = []
     for cfg, run_keys in itertools.groupby(keys, key=lambda key: key[0]):
-        built = _assemble(cfg) + (cfg.gradient_mode, cfg.horizon)
+        weights, domain, dyn = _assemble(cfg)
+        built = (weights, domain, cfg.gradient_mode, cfg.horizon)
         if group and not _same(built, shared):
-            yield shared[:3] + (second_singular_value(shared[0]),), group
+            yield shared[:2] + (second_singular_value(shared[0]),), group
             group = []
         if not group:
-            shared = built
-        group += run_keys
+            shared, dyns = built, []
+        same = [seen for seen in dyns if _same(seen, dyn)]
+        if same:
+            dyn = same[0]
+        else:
+            dyns.append(dyn)
+        group += [(key, dyn) for key in run_keys]
     if group:
-        yield shared[:3] + (second_singular_value(shared[0]),), group
+        yield shared[:2] + (second_singular_value(shared[0]),), group
 
 
-def _replicates(keys, draft_of, domain, dyn, sigma2):
-    """(cfg, ens, path, etas, seed, norms) of each (cfg, item) key, every
-    target path rolled in one generate_path call.
+def _replicates(batch, draft_of, domain, sigma2):
+    """(cfg, ens, path, etas, seed, norms, dyn) of each ((cfg, item), dyn)
+    of batch, the target paths of each run of consecutive keys with one dyn
+    rolled in one generate_path call.
 
     draft_of(cfg, item, domain) gives a key's (target0, noise, ens, seed).
     The keys' configs share their domain and noise.target_init, so every
-    path starts at one target0.  norms are the path's residual_norms, all
-    taken in one stacked call, whose sum C_T the schedule, the regret and
-    the bounds all read.
+    path starts at one target0.  norms are the path's residual_norms under
+    its dyn, taken in one stacked call per such run, whose sum C_T the
+    schedule, the regret and the bounds all read.
     """
-    targets, noises, ensembles, seeds = zip(*(draft_of(cfg, item, domain) for cfg, item in keys))
+    drafts = [draft_of(cfg, item, domain) for (cfg, item), _ in batch]
+    targets = [draft[0] for draft in drafts]
     assert all(np.array_equal(target0, targets[0]) for target0 in targets), \
         "replicates rolled together must share their start target"
-    paths = _replicate_paths(dyn, domain, targets[0], noises, ensembles)
-    return [(cfg, ens, path, build_schedule(cfg, sigma2, float(norms.sum())), seed, norms)
-            for (cfg, _), ens, path, seed, norms
-            in zip(keys, ensembles, paths, seeds, residual_norms(paths, dyn, domain))]
+    replicates = []
+    for _, run_of_dyn in itertools.groupby(zip(batch, drafts), key=lambda pair: id(pair[0][1])):
+        pairs, run_drafts = zip(*run_of_dyn)
+        dyn = pairs[0][1]
+        _, noises, ensembles, seeds = zip(*run_drafts)
+        paths = _replicate_paths(dyn, domain, targets[0], noises, ensembles)
+        replicates += [(cfg, ens, path, build_schedule(cfg, sigma2, float(norms.sum())), seed,
+                        norms, dyn)
+                       for ((cfg, _), _), ens, path, seed, norms
+                       in zip(pairs, ensembles, paths, seeds, residual_norms(paths, dyn, domain))]
+    return replicates
 
 
 def _engine_batches(keys, draft_of, keep_iterates):
     """(setup, replicates) of each engine call, in key order: a setup run's
     keys in batches that fit BATCH_TRACE_BYTES, each batch's replicates
-    built by _replicates just before it runs, its paths in one roll, and
-    split where their stack_shape changes."""
+    built by _replicates just before it runs, its paths in one roll per
+    dynamics, and split where their stack_shape changes."""
     for setup, group in _setup_runs(keys):
-        for batch in _replicate_batches(group, _replicate_bytes(group[0][0], keep_iterates)):
+        (cfg, _), _ = group[0]
+        for batch in _replicate_batches(group, _replicate_bytes(cfg, keep_iterates)):
             replicates = _replicates(batch, draft_of, *setup[1:])
             for _, part in itertools.groupby(replicates, key=lambda rep: stack_shape(rep[1])):
                 yield setup, list(part)
@@ -238,7 +260,8 @@ def _engine_batches(keys, draft_of, keep_iterates):
 
 def _engine_runs(keys, draft_of, x0=None, keep_iterates=True, names=None):
     """(setup, batch, traces) of each batch of _engine_batches, in key order:
-    one engine.run call a batch, traces[r] the trace of batch[r].
+    one engine.run call a batch, each replicate with its own dyn, traces[r]
+    the trace of batch[r].
 
     draft_of drafts one key, as for _replicates; keep_iterates=False keeps
     no iterates (trace.x is None).  An EngineError names the replicate of
@@ -249,8 +272,8 @@ def _engine_runs(keys, draft_of, x0=None, keep_iterates=True, names=None):
     for setup, batch in _engine_batches(keys, draft_of, keep_iterates):
         cfg = batch[0][0]
         try:
-            traces = run(*setup[:3], [rep[1:5] for rep in batch], cfg.horizon,
-                         cfg.gradient_mode, x0, keep_iterates)
+            traces = run(*setup[:2], [rep[6] for rep in batch], [rep[1:5] for rep in batch],
+                         cfg.horizon, cfg.gradient_mode, x0, keep_iterates)
         except EngineError as exc:
             if names is None or exc.agent is None:
                 raise
@@ -261,34 +284,39 @@ def _engine_runs(keys, draft_of, x0=None, keep_iterates=True, names=None):
         del batch, traces  # before the next batch is built and run
 
 
-def _execute(keys, draft_of, x0=None, full=True):
+def _execute(keys, draft_of, x0=None, full=True, names=None):
     """Run one replicate per (cfg, item) key through _engine_runs, keeping
-    its iterates; yields each key's RunResult in order.
+    its iterates; yields each key's RunResult in order.  names name the
+    keys' replicates in an EngineError, as for _engine_runs.
 
     A result's trace is its replicate's trace[r]; its regret carries the
     dynamic regret, read from the losses the engine folded, and C_T; its
     bounds are the regret_guarantee of the ensemble's declared constants
     (G^2 only in stochastic mode), whose recursions run once for the whole
-    batch; C_T and the bounds read the replicate's residual_norms.  Only a
-    full run (run_experiments') has a static regret and variation-tuned value.
-    A setup's failed dynamics_verdict, taken once, is a `not a guarantee` note.
+    batch, which shares sigma2; C_T and the bounds read the replicate's
+    residual_norms.  Only a full run (run_experiments') has a static regret
+    and variation-tuned value.  A failed dynamics_verdict, taken once per
+    distinct dynamics of a setup, is a `not a guarantee` note on the runs
+    of that dynamics.
     """
-    seen = None  # the setup whose verdict notes holds
-    for setup, batch, traces in _engine_runs(keys, draft_of, x0):
-        weights, domain, dyn, sigma2 = setup
+    seen = None  # the setup whose verdict notes notes_of holds, keyed by id(dyn)
+    for setup, batch, traces in _engine_runs(keys, draft_of, x0, names=names):
+        weights, domain, sigma2 = setup
         if setup is not seen:
-            seen, why = setup, dynamics_verdict(domain, dyn.a)[2]
-            notes = (f"not a guarantee: {why}",) if why else ()
+            seen, notes_of = setup, {}
         consts, c_ts = geometry_constants(domain), [float(rep[5].sum()) for rep in batch]
         steps = _guarantee_steps(sigma2, traces.etas, c_ts if full else None, traces.horizon)
-        for r, (cfg, ens, path, _, _, norms) in enumerate(batch):
+        for r, (cfg, ens, path, _, _, norms, dyn) in enumerate(batch):
+            if id(dyn) not in notes_of:
+                why = dynamics_verdict(domain, dyn.a)[2]
+                notes_of[id(dyn)] = (f"not a guarantee: {why}",) if why else ()
             trace = traces[r]
             regret = replace(dynamic_regret(trace, ens, path), path_variation=c_ts[r],
                              static_regret=static_regret(trace, ens, path) if full else None)
             bounds = regret_guarantee(consts, ens.lipschitz, sigma2, trace.etas, norms,
                                       weights.n, grad_second_moment=ens.second_moment
                                       if cfg.gradient_mode == "stochastic" else None,
-                                      steps=steps[r], notes=notes)
+                                      steps=steps[r], notes=notes_of[id(dyn)])
             yield RunResult(cfg, trace, path, regret, bounds, sigma2, ens)
         del batch, traces, steps, trace, ens, path, norms  # before the next batch is built and run
 
@@ -605,9 +633,9 @@ def _simplex_loop(horizon):
     return states[0], states[1:] - states[:-1]
 
 
-def _case_draft(case, stream, l_scale, cfg, seed, domain):
-    """(target0, noise, ens, seed) of a suite case at one seed (see
-    _replicates); the case index is the run index.
+def _case_draft(stream, l_scale, cfg, item, domain):
+    """(target0, noise, ens, seed) of a suite case at one seed, item being
+    (case, seed) (see _replicates); the case index is the run index.
 
     cfg is case.cfg, which every key of the case carries.  The seed draws
     its oracle noise from _derive_seed(seed, _ORACLE, stream).  l_scale
@@ -615,6 +643,7 @@ def _case_draft(case, stream, l_scale, cfg, seed, domain):
     bounds and not the runs.  The step sizes are cfg's own schedule: no
     suite case tunes its step to the network.
     """
+    case, seed = item
     idx = _SUITE.index(case)
     if cfg.domain_kind == "simplex":
         target0, noise = _simplex_loop(cfg.horizon)
@@ -638,8 +667,9 @@ def _case_draft(case, stream, l_scale, cfg, seed, domain):
 def _build_case(case, seed):
     """(weights, domain, dyn, ens, path, etas) of a suite case at one seed."""
     weights, domain, dyn = _assemble(case.cfg)
-    draft_of = partial(_case_draft, case, 0, 1.0)
-    [(_, ens, path, etas, _, _)] = _replicates([(case.cfg, seed)], draft_of, domain, dyn, None)
+    draft_of = partial(_case_draft, 0, 1.0)
+    [(_, ens, path, etas, *_)] = _replicates([((case.cfg, (case, seed)), dyn)], draft_of,
+                                             domain, None)
     return weights, domain, dyn, ens, path, etas
 
 
@@ -651,10 +681,32 @@ class VerifyReport:
     passed: bool
 
 
+def _suite_runs(cases_seeds, stream, l_scale=1.0):
+    """RunResults of each (case, seed) of cases_seeds, in order, through one
+    _execute (see _case_draft); an EngineError names `<case> seed <seed>`."""
+    keys = [(case.cfg, (case, s)) for case, s in cases_seeds]
+    return _execute(keys, partial(_case_draft, stream, l_scale), full=False,
+                    names=[f"{case.name} seed {s}" for case, s in cases_seeds])
+
+
 def _case_runs(case, seeds, stream, l_scale=1.0):
     """RunResults of one suite case at each of seeds, through _execute (see _case_draft)."""
-    return _execute([(case.cfg, s) for s in seeds], partial(_case_draft, case, stream, l_scale),
-                    full=False)
+    return _suite_runs([(case, s) for s in seeds], stream, l_scale)
+
+
+def _by_setup(cases):
+    """cases, each moved up next to the first case whose network and geometry
+    keys, seed, oracle mode and horizon it shares: the cases _setup_runs may
+    give one setup, and so one engine batch, whatever their dynamics."""
+    def setup_key(cfg):
+        return (tuple(getattr(cfg, f.name) for f in fields(cfg)
+                      if f.metadata["ini"][0] in ("network", "geometry"))
+                + (cfg.seed, cfg.gradient_mode, cfg.horizon))
+
+    first = {}
+    for k, case in enumerate(cases):
+        first.setdefault(setup_key(case.cfg), k)
+    return sorted(cases, key=lambda case: first[setup_key(case.cfg)])
 
 
 def _mean_regret(results):
@@ -680,18 +732,24 @@ def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
         raise ValueError("need at least one seed")
     if not (np.isfinite(l_scale) and l_scale > 0):
         raise ValueError(f"l_scale must be positive and finite, got {l_scale}")
+    # the whole suite in one _execute, cases that can share a batch side by
+    # side; rows are collected per case and written in suite order
+    cases_seeds = [(case, s) for case in _by_setup(bound_suite()) for s in range(seeds)]
+    rows_of, noisy_of = ({case.name: [] for case in bound_suite()} for _ in range(2))
+    for (case, s), result in zip(cases_seeds, _suite_runs(cases_seeds, 0, l_scale)):
+        if case.cfg.gradient_mode == "stochastic":
+            noisy_of[case.name].append(result)
+            continue
+        regret = result.regret.dynamic_regret
+        rows_of[case.name] += check_rows(result, case.name, s) + (
+            CheckRow(case.name, s, "exact", "regret_nonneg", regret, 0.0, regret,
+                     bool(regret >= -SLACK_TOL)),)
     rows = []
     for case in bound_suite():
-        results = _case_runs(case, range(seeds), 0, l_scale)
         if case.cfg.gradient_mode == "stochastic":
             rows.append(CheckRow(case.name, -1, "stochastic", "mean_regret",
-                                 *_upper_check(*_mean_regret(results))))
-            continue
-        for s, result in enumerate(results):
-            rows += check_rows(result, case.name, s)
-            regret = result.regret.dynamic_regret
-            rows.append(CheckRow(case.name, s, "exact", "regret_nonneg", regret, 0.0,
-                                 regret, bool(regret >= -SLACK_TOL)))
+                                 *_upper_check(*_mean_regret(noisy_of[case.name]))))
+        rows += rows_of[case.name]
     violations = sum(1 for r in rows if not r.passed)
     result = VerifyReport(tuple(rows), seeds, violations, violations == 0)
     if out_dir is not None:

@@ -755,6 +755,110 @@ def test_an_identity_push_tests_no_domain_membership(monkeypatch):
     assert not nudged.is_identity and pushed.x.tobytes() != identity.x.tobytes()
 
 
+def _mixed_dynamics_batch(kind, schedules, horizon):
+    """(weights, domain, dyns, replicates) of four quadratic replicates on a
+    2x3 grid whose A are I, 0.9 I, NCV(0.1) and I: on a box, or on a floored
+    4-simplex, where 0.9 I and NCV push every prox output off the simplex;
+    with one step schedule, or each replicate its own."""
+    domain = (box_domain([-2.0] * 4, [2.0] * 4) if kind == "box"
+              else simplex_domain(4, 0.01))
+    dyns = [identity_dynamics(4), LinearDynamics(0.9 * np.eye(4)), ncv_dynamics(0.1),
+            identity_dynamics(4)]
+    replicates = []
+    for k in range(len(dyns)):
+        ens = synthetic_suite(k, 6, 4, horizon, domain, offset_scale=0.02, noise_scale=0.2)
+        walk = np.random.default_rng(30 + k).normal(0.0, 1e-3, (horizon, 4))
+        walk -= walk.mean(axis=1, keepdims=True)
+        path = generate_path(identity_dynamics(4), walk, start_point(domain), horizon)
+        etas = (np.full(horizon + 1, 0.2) if schedules == "shared"
+                else (0.1 + 0.1 * k) / np.sqrt(np.arange(1, horizon + 2)))
+        replicates.append((ens, path, etas, 50 + k))
+    return metropolis_weights(build_grid_graph(2, 3)), domain, dyns, replicates
+
+
+def _assert_mixed_batch_equals_solo_runs(weights, domain, dyns, replicates, horizon, mode,
+                                         x0=None):
+    batch = run(weights, domain, dyns, replicates, horizon, mode, x0)
+    for r, replicate in enumerate(replicates):
+        solo = run(weights, domain, dyns[r], [replicate], horizon, mode, x0)
+        assert batch[r].x.tobytes() == solo.x.tobytes(), r
+        assert batch[r].losses.tobytes() == solo.losses.tobytes(), r
+    return batch
+
+
+@pytest.mark.parametrize("mode", ["exact", "stochastic"])
+@pytest.mark.parametrize("schedules", ["shared", "own"])
+@pytest.mark.parametrize("kind", ["box", "simplex"])
+def test_mixed_dynamics_batches_equal_solo_runs(kind, schedules, mode, monkeypatch):
+    # one loop over replicates whose A differ: each is bit for bit its run
+    # alone; on the simplex the pushed replicates, and only they, are
+    # repaired every round
+    horizon = 25
+    weights, domain, dyns, replicates = _mixed_dynamics_batch(kind, schedules, horizon)
+    repairs = []
+    project = domd.engine.project_floored_simplex
+    monkeypatch.setattr(domd.engine, "project_floored_simplex",
+                        lambda v, floor: repairs.append(v.shape[0]) or project(v, floor))
+    batch = run(weights, domain, dyns, replicates, horizon, mode)
+    assert repairs == ([] if kind == "box" else [2] * horizon)
+    monkeypatch.undo()
+    assert _assert_mixed_batch_equals_solo_runs(weights, domain, dyns, replicates, horizon,
+                                                mode).x.tobytes() == batch.x.tobytes()
+    assert not np.array_equal(batch.x[1, 1], batch.x[1, horizon])  # the iterates did move
+
+
+def test_mixed_dynamics_push_only_the_moving_replicates_once_a_round(monkeypatch):
+    # which replicates move is decided once per run; a round multiplies them
+    # in one stacked product and never touches an identity replicate
+    horizon = 6
+    weights, domain, dyns, replicates = _mixed_dynamics_batch("box", "shared", horizon)
+    products = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul",
+                        lambda a, b, **k: products.append((a.shape, b.shape)) or matmul(a, b, **k))
+    run(weights, domain, dyns, replicates, horizon, "exact")
+    monkeypatch.undo()
+    pushes = [shapes for shapes in products if shapes[1][-2:] == (4, 4)]  # not W's mixing
+    assert pushes == [((2, 6, 4), (2, 4, 4))] * horizon
+    push = domd.engine._batch_dynamics(dyns, 4)
+    assert push.moving == slice(1, 3)  # consecutive: a view of the batch
+    assert push.a_t[1].tobytes() == dyns[2].a.T.tobytes()
+    assert push.a_t[1].strides == dyns[2].a.T.strides
+    apart = [dyns[1], dyns[0], dyns[2]]
+    assert domd.engine._batch_dynamics(apart, 3).moving.tolist() == [0, 2]
+    _assert_mixed_batch_equals_solo_runs(weights, domain, apart, replicates[:3], horizon,
+                                         "stochastic")
+    # every replicate moving, each on its own A
+    assert domd.engine._batch_dynamics(dyns[1:3], 2).moving == slice(0, 2)
+    _assert_mixed_batch_equals_solo_runs(weights, domain, dyns[1:3], replicates[1:3], horizon,
+                                         "exact")
+    # one A for all, passed once or per replicate: a lone run's push
+    assert domd.engine._batch_dynamics([dyns[2], ncv_dynamics(0.1)], 2) is dyns[2]
+    assert domd.engine._batch_dynamics([dyns[0], dyns[3]], 2).is_identity
+    with pytest.raises(ValueError, match="one dynamics per replicate: 4 replicates, 3"):
+        run(weights, domain, dyns[:3], replicates, horizon, "exact")
+
+
+def test_an_identity_replicate_of_a_mixed_batch_keeps_its_negative_zeros():
+    # the box [-0.0, 1]^4 clamps a coordinate driven below it to -0.0, which
+    # x @ I.T would turn into +0.0; the identity replicates keep it
+    horizon = 12
+    domain = box_domain([-0.0] * 4, [1.0] * 4)
+    dyns = [identity_dynamics(4), LinearDynamics(0.9 * np.eye(4)), identity_dynamics(4)]
+    path = generate_path(dyns[0], np.zeros((horizon, 4)), np.full(4, 0.5), horizon)
+    pull = np.zeros((horizon, 3, 4))
+    pull[:, :, 0] = 10.0  # every agent's coordinate 0 runs into its lower bound
+    replicates = [(linear_ensemble(pull * (1 + k), domain), path, np.full(horizon + 1, 0.5), k)
+                  for k in range(3)]
+    weights = metropolis_weights(build_path_graph(3))
+    batch = _assert_mixed_batch_equals_solo_runs(weights, domain, dyns, replicates, horizon,
+                                                 "exact", x0=np.full(4, 0.5))
+    for r in (0, 2):
+        zeros = batch[r].x[1:, :, 0]
+        assert (zeros == 0.0).all() and np.signbit(zeros).all()
+    assert not np.signbit(batch[1].x[1:, :, 0]).all()
+
+
 def _block_replicates(kind, count, horizon):
     """count replicates on a 6-agent path graph in a box, each with its own
     drifting target, losses, step size and seed: exact quadratics about the

@@ -2,21 +2,22 @@
 
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import domd.engine
 import domd.harness
 import domd.metrics
 from conftest import read_csv, target_position_path_length
 from domd.config import (ConfigError, ExperimentConfig, config_hash, cross_validate,
                          parse_config)
-from domd.engine import run
+from domd.engine import EngineError, run
 from domd.dynamics import _ncv_noise_factor, residual_norms
 from domd.harness import (_build_case, _case_runs, _derive_seed, _ORACLE, _PATH, _same,
                           _suite_case,
-                          SLACK_TOL, build_domain, build_dynamics, build_graph,
+                          SLACK_TOL, CheckRow, build_domain, build_dynamics, build_graph,
                           build_geometry, build_noise, build_schedule,
                           build_weights, bound_suite, check_rows, exact_run_violations,
                           run_experiment, run_experiments, stochastic_mean_regret,
@@ -522,13 +523,17 @@ def test_batched_runs_equal_runs_alone(monkeypatch):
 
 
 def test_executor_runs_each_batch_in_one_engine_call(monkeypatch):
-    # a batch of one included: verify's three seeds of a case are one batch;
-    # a sweep's values share one loop unless they change what the engine is
-    # built from (here the network) or what its replicates must share to stack
-    # (here the observation noise)
+    # a batch of one included: verify's three seeds of a case are one batch,
+    # and the static and contracting box cases at n = 4 and n = 9 share one
+    # each; a sweep's values share one loop unless they change what the engine
+    # is built from (here the network) or what its replicates must share to
+    # stack (here the observation noise), and the dynamics is neither
     calls = _count_engine_runs(monkeypatch)
     verify_bounds(seeds=3)
-    assert len(calls) == len(bound_suite()) == 10
+    assert len(calls) == len(bound_suite()) - 2 == 8
+    calls.clear()
+    sweep(_tracking_cfg(horizon=20), "dynamics.eps", (0.05, 0.1), runs=2)
+    assert len(calls) == 1
     calls.clear()
     sweep(_tracking_cfg(horizon=20), "noise.sigma_v2", (0.25, 0.5, 0.75, 1.0), runs=4)
     assert len(calls) == 1
@@ -691,7 +696,8 @@ def test_suite_sigma2_is_computed_once_per_case(monkeypatch):
     monkeypatch.setattr(domd.harness, "second_singular_value",
                         lambda w: calls.append(w) or svd(w))
     verify_bounds(seeds=3)
-    assert len(calls) == len(bound_suite())
+    # once per setup: each static box case shares its case's with its contracting twin
+    assert len(calls) == len(bound_suite()) - 2
     calls.clear()
     stochastic_mean_regret("box_quad_noisy_n4_t100", runs=5)
     assert len(calls) == 1
@@ -739,7 +745,8 @@ def test_verify_rows_do_not_depend_on_the_batch_size(size, monkeypatch):
                         lambda items, *shape: [items[k:k + size]
                                                for k in range(0, len(items), size)])
     assert verify_bounds(seeds=3).rows == whole
-    assert len(calls) == len(bound_suite()) * {1: 3, 2: 2}[size]
+    # six single-case setups of three seeds and two merged pairs of six
+    assert len(calls) == {1: 30, 2: 6 * 2 + 2 * 3}[size]
 
 
 def test_suite_results_carry_the_scaled_ensemble_of_their_bounds():
@@ -978,3 +985,85 @@ def test_variation_scaling_study_small():
         variation_scaling_study(horizons=(100,), drift_size=0.5)
     with pytest.raises(ValueError, match="nonzero drift_size"):
         variation_scaling_study(horizons=(40,), drift_size=0.0)
+
+
+# ------------------------------------------- batches whose replicates differ in A
+
+
+def _per_case_verify_rows(seeds):
+    """verify_bounds' rows built as one _case_runs per case, no case sharing a batch."""
+    rows = []
+    for case in bound_suite():
+        results = _case_runs(case, range(seeds), 0)
+        if case.cfg.gradient_mode == "stochastic":
+            rows.append(CheckRow(case.name, -1, "stochastic", "mean_regret",
+                                 *domd.harness._upper_check(*domd.harness._mean_regret(results))))
+            continue
+        for s, result in enumerate(results):
+            regret = result.regret.dynamic_regret
+            rows += check_rows(result, case.name, s)
+            rows.append(CheckRow(case.name, s, "exact", "regret_nonneg", regret, 0.0, regret,
+                                 bool(regret >= -SLACK_TOL)))
+    return rows
+
+
+def test_merged_verify_rows_equal_per_case_runs():
+    got, want = verify_bounds(seeds=3).rows, _per_case_verify_rows(3)
+    assert len(got) == len(want) == 8 * 3 * 4 + 2
+    for row, ref in zip(got, want):
+        for field in fields(CheckRow):  # repr tells -0.0 from 0.0 and every float apart
+            assert repr(getattr(row, field.name)) == repr(getattr(ref, field.name)), field.name
+
+
+def test_a_mixed_dynamics_batch_notes_each_replicate_by_its_own_verdict(monkeypatch):
+    # NCV leaves the default box and A = I keeps it: one setup, one engine
+    # call, one verdict per distinct dynamics, each run its own note and
+    # otherwise the run alone (the third key re-assembles NCV, equal to the first)
+    ncv = _tracking_cfg(horizon=20)
+    still = replace(ncv, dynamics_model="identity")
+    keys = [(ncv, 0), (still, 0), (ncv, 1), (still, 1)]
+    calls = _record_calls(monkeypatch, "dynamics_verdict", "run", "generate_path")
+    results = list(domd.harness._execute(keys, domd.harness._config_draft))
+    assert calls == ["generate_path"] * 4 + ["run", "dynamics_verdict", "dynamics_verdict"]
+    assert [_not_a_guarantee(r) for r in results] == [[NCV_ROW_0], [], [NCV_ROW_0], []]
+    monkeypatch.undo()
+    for (cfg, i), result in zip(keys, results):
+        [alone] = run_experiments(cfg, [i])
+        assert _same_bits(result.trace.x, alone.trace.x)
+        assert _same_bits(result.regret.normalized, alone.regret.normalized)
+        assert result.regret.static_regret == alone.regret.static_regret
+        assert result.bounds.total == alone.bounds.total
+        assert _same_bits(result.bounds.disagreement_curve, alone.bounds.disagreement_curve)
+        assert result.bounds.notes == alone.bounds.notes
+
+
+def test_a_dynamics_eps_sweep_is_one_engine_call_equal_to_each_value_alone(monkeypatch,
+                                                                           tmp_path):
+    cfg = _tracking_cfg(horizon=30)
+    values = (0.05, 0.1)
+    calls = _count_engine_runs(monkeypatch)
+    sweep(cfg, "dynamics.eps", values, runs=2, out_dir=tmp_path / "both")
+    assert len(calls) == 1
+    rows = read_csv(tmp_path / "both" / "sweep.csv")[2]
+    for value in values:
+        sweep(cfg, "dynamics.eps", (value,), runs=2, out_dir=tmp_path / str(value))
+        alone = read_csv(tmp_path / str(value) / "sweep.csv")[2]
+        assert [row for row in rows if row[0] == alone[0][0]] == alone
+        assert len(alone) == cfg.horizon
+
+
+def test_a_merged_suite_batch_names_the_failing_case_and_seed(monkeypatch):
+    # the static and contracting n = 4 box cases run first, as one batch of
+    # six: its replicate 4 is the contracting case's seed 1
+    oracle = domd.engine.gradients_exact_batch
+
+    def poisoned(ens, t, x, centers):
+        g = oracle(ens, t, x, centers)
+        if t == 5 and len(g) == 6:
+            g[4, 2, 0] = np.nan
+        return g
+
+    monkeypatch.setattr(domd.engine, "gradients_exact_batch", poisoned)
+    with pytest.raises(EngineError, match=r"^gradients became non-finite in round 5 "
+                                          r"\(box_quad_contract_n4_t100 seed 1, agent 2\)$"):
+        verify_bounds(seeds=3)

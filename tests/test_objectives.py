@@ -8,8 +8,8 @@ import pytest
 from conftest import measured_runs, round_centers
 from domd import objectives
 from domd.dynamics import generate_path, identity_dynamics
-from domd.geometry import (box_domain, contains, dual_diameter, sample_domain,
-                           simplex_domain)
+from domd.geometry import (DOMAIN_TOL, _inside_slices, box_domain, contains, dual_diameter,
+                           inside, sample_domain, simplex_domain)
 from domd.objectives import (agent_loss_batch, centers_outside_domain,
                              coordinate_groups, global_loss_batch,
                              gradient_exact, gradient_stochastic,
@@ -344,6 +344,68 @@ def test_centers_outside_domain_counts():
     # the check is a no-op for families without centers
     lin = synthetic_suite(3, 4, 2, 8, box, kind="synthetic_linear")
     assert centers_outside_domain(lin, path, box) == 0
+
+
+def _edge_points(domain, rng, shape):
+    """Points of shape (..., d) that sit in, on and just past the domain's
+    tolerance edges, with NaN and +-inf mixed in: a box's edges coordinate
+    by coordinate, a simplex's as whole points."""
+    d, tol = domain.d, DOMAIN_TOL
+    x = sample_domain(domain, rng, int(np.prod(shape))).reshape(shape + (d,))
+    specials = [np.full(d, np.nan), np.full(d, np.inf), np.full(d, -np.inf)]
+    if domain.kind == "box":
+        lo, hi = domain.lo - tol, domain.hi + tol
+        edges = [lo, np.nextafter(lo, -np.inf), hi, np.nextafter(hi, np.inf)] + specials
+        picks = rng.integers(0, 2 * len(edges), x.shape)
+        for k, edge in enumerate(edges):
+            hit = picks == k
+            x[hit] = np.broadcast_to(edge, x.shape)[hit]
+        return x
+    least = domain.floor - tol
+    edges = []
+    for below in (least, np.nextafter(least, -np.inf)):  # a coordinate on the floor, sum 1
+        row = sample_domain(domain, rng)
+        row[0] = below
+        row[1:] *= (1.0 - below) / row[1:].sum()
+        edges.append(row)
+    for sign in (-1.0, 1.0):  # a sum of 1 -+ d * tol, moved by the last coordinate
+        row = sample_domain(domain, rng)
+        row[-1] += 1.0 + sign * d * tol - row.sum()
+        edges += [row, np.nextafter(row, sign * np.inf)]
+    picks = rng.integers(0, 2 * len(edges), shape)
+    for k, edge in enumerate(edges):
+        x[picks == k] = edge
+    # single NaN or infinite coordinates
+    picks = rng.integers(0, 4 * len(specials), x.shape)
+    for k, special in enumerate(specials):
+        x[picks == k] = special[0]
+    return x
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_centers_outside_domain_counts_as_inside_does(d):
+    # the per-coordinate test of a block is inside(), point for point, on
+    # boxes with shared and per-coordinate bounds and on the floored simplex
+    rng = np.random.default_rng(d)
+    domains = [box_domain([-1.0] * d, [2.0] * d),
+               box_domain(-1.0 - rng.random(d), 1.0 + rng.random(d))]
+    if d >= 2:
+        domains.append(simplex_domain(d, 0.5 / d))
+    for domain in domains:
+        for shape in [(1,), (1, 1), (4, 3), (2, 5, 7)]:
+            x = _edge_points(domain, rng, shape)
+            with np.errstate(invalid="ignore"):  # inf - inf in a simplex sum
+                assert np.array_equal(_inside_slices(domain, x), inside(domain, x))
+        for n, horizon in [(1, 1), (1, 30), (3, 40)]:
+            path = np.zeros((horizon + 1, d))
+            offsets = _edge_points(domain, rng, (horizon, n))
+            ens = replace(synthetic_suite(0, n, d, horizon, box_domain([-1.0] * d, [1.0] * d)),
+                          offsets=offsets)
+            with np.errstate(invalid="ignore"):
+                want = sum(int(np.count_nonzero(~inside(domain, path[t] + offsets[t])))
+                           for t in range(horizon))
+                assert centers_outside_domain(ens, path, domain) == want
+            assert want > 0 or horizon == 1
 
 
 def test_unknown_synthetic_kind_rejected():
