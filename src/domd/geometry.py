@@ -29,10 +29,10 @@ over that axis, one short call per row; it adds in the same order from the
 same 0.0 start below 8 entries, so the bits agree (summation order fixes
 them: Higham, "The accuracy of floating point summation", SIAM J. Sci.
 Comput. 1993).  From 8 entries on numpy sums pairwise, and the helpers take
-its reduce.  A whole horizon's membership test, _inside_slices, is one
-comparison per coordinate.  Per-round code (prox, contains, inside,
-network.mix and the engine's checks) keeps one reduce call: it sees a few
-dozen rows, where one call is cheaper than d - 1.
+its reduce.  The membership test, inside, is one comparison per
+coordinate.  Per-round code (prox, contains, network.mix and the engine's
+checks) keeps one reduce call: it sees a few dozen rows, where one call is
+cheaper than d - 1.
 """
 
 import math
@@ -102,26 +102,13 @@ def inside(domain, x):
     """Row-wise membership within DOMAIN_TOL: a boolean array of shape x.shape[:-1].
 
     Each point lies along the last axis; points of the wrong dimension are
-    outside.
+    outside.  One comparison per coordinate, joined with &, and on the
+    simplex the coordinate sum by _reduce_last, so every call runs over all
+    the points and none over one point's few coordinates.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != domain.d:
         return np.zeros(x.shape[:-1], dtype=bool)
-    if domain.kind == "box":
-        lo, hi = domain._box_limits
-        return ((x >= lo) & (x <= hi)).all(axis=-1)
-    ok_floor = (x >= domain.floor - DOMAIN_TOL).all(axis=-1)
-    return ok_floor & (np.abs(x.sum(axis=-1) - 1.0) <= domain.d * DOMAIN_TOL)
-
-
-def _inside_slices(domain, x):
-    """inside(domain, x), bit for bit, for whole-horizon and per-block code:
-    one comparison per coordinate joined with &, and on the simplex the
-    coordinate sum by _reduce_last, so every call runs over all the points
-    and none over one point's few coordinates."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != domain.d:
-        return inside(domain, x)
     if domain.kind == "box":
         lo, hi = (np.broadcast_to(limit, domain.d) for limit in domain._box_limits)
         ok = (x[..., 0] >= lo[0]) & (x[..., 0] <= hi[0])

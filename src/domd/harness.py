@@ -15,20 +15,21 @@ own.
 
 Every run, of a config (run, sweep, the scaling study) or of a suite case
 (verify_bounds, stochastic_mean_regret), goes through one engine runner,
-_engine_runs.  Its keys carry their own config, and consecutive keys whose
-configs build equal weights and domain, with one oracle mode and horizon,
-share a setup (W and sigma2) and engine loops; their dynamics may differ,
-each replicate of a batch carrying its own.  It builds each batch's inputs
-just before the batch runs, rolling the target paths of each dynamics in
-one call (a path is its (T+1, d) states array), and runs batches that hold
-at most BATCH_TRACE_BYTES; each replicate's trace equals running it alone.
+_engine_runs.  Its keys carry their own config, and _setup_runs alone
+decides what shares a setup (W and sigma2) and engine loops: every key
+whose config builds equal weights, domain, oracle mode, horizon and start
+target, wherever it sits in the keys.  Their dynamics may differ, each
+replicate of a batch carrying its own.  It builds each batch's inputs just
+before the batch runs, rolling the target paths of each dynamics in one
+call (a path is its (T+1, d) states array), and runs batches that hold at
+most BATCH_TRACE_BYTES; each replicate's trace equals running it alone.
+Each replicate carries its key's index k, by which callers place results.
 _execute measures each run on top of it, a batch's bound recursions in one
-pass, and yields it as a finished RunResult (the static regret and
-variation-tuned value only for run_experiments, whose files write them).
-verify_bounds hands the whole suite to one _execute, cases that differ
-only in dynamics side by side.  A sweep reads only each run's normalized
-dynamic regret, straight from the runner: it keeps no iterates and takes
-no guarantee.
+pass, and yields (k, RunResult) (the static regret and variation-tuned
+value only for run_experiments, whose files write them).  verify_bounds
+hands the whole suite to one _execute.  A sweep reads only each run's
+normalized dynamic regret, straight from the runner: it keeps no iterates
+and takes no guarantee.
 """
 
 import itertools
@@ -192,102 +193,94 @@ def _same(a, b):
 
 
 def _setup_runs(keys):
-    """((weights, domain, sigma2), group) of each run of consecutive keys
-    whose configs build _same weights and domain, with one oracle mode and
-    horizon; the run uses its first config's objects.  The dynamics may
-    differ: group holds a (key, dyn) pair per key, dyn its config's, and
-    keys whose dynamics are _same share one dyn object."""
-    group = []
-    for cfg, run_keys in itertools.groupby(keys, key=lambda key: key[0]):
+    """((weights, domain, sigma2, target0), group) of each setup of keys: the
+    keys whose configs build _same weights, domain, oracle mode, horizon and
+    start target (_start_target), wherever they sit in keys.  Setups come in
+    order of first appearance and use their first config's objects; group
+    holds a (k, cfg, item, dyn) per key keys[k] == (cfg, item), in key order,
+    dyn its config's.  The dynamics may differ: keys whose dynamics are
+    _same share one dyn object."""
+    setups = []  # (built, dyns, group) of each setup so far
+    for cfg, run_keys in itertools.groupby(enumerate(keys), key=lambda pair: pair[1][0]):
         weights, domain, dyn = _assemble(cfg)
-        built = (weights, domain, cfg.gradient_mode, cfg.horizon)
-        if group and not _same(built, shared):
-            yield shared[:2] + (second_singular_value(shared[0]),), group
-            group = []
-        if not group:
-            shared, dyns = built, []
+        built = (weights, domain, cfg.gradient_mode, cfg.horizon, _start_target(cfg, domain))
+        setup = next((setup for setup in setups if _same(built, setup[0])), None)
+        if setup is None:
+            setup = built, [], []
+            setups.append(setup)
+        _, dyns, group = setup
         same = [seen for seen in dyns if _same(seen, dyn)]
         if same:
             dyn = same[0]
         else:
             dyns.append(dyn)
-        group += [(key, dyn) for key in run_keys]
-    if group:
-        yield shared[:2] + (second_singular_value(shared[0]),), group
+        group += [(k, cfg, item, dyn) for k, (_, item) in run_keys]
+    for (weights, domain, *_, target0), _, group in setups:
+        yield (weights, domain, second_singular_value(weights), target0), group
 
 
-def _replicates(batch, draft_of, domain, sigma2):
-    """(cfg, ens, path, etas, seed, norms, dyn) of each ((cfg, item), dyn)
-    of batch, the target paths of each run of consecutive keys with one dyn
-    rolled in one generate_path call.
+def _replicates(batch, draft_of, domain, sigma2, target0):
+    """(k, cfg, ens, path, etas, seed, norms, dyn) of each (k, cfg, item, dyn)
+    of batch, every path rolled from target0, those of each run of
+    consecutive keys with one dyn in one generate_path call.
 
-    draft_of(cfg, item, domain) gives a key's (target0, noise, ens, seed).
-    The keys' configs share their domain and noise.target_init, so every
-    path starts at one target0.  norms are the path's residual_norms under
-    its dyn, taken in one stacked call per such run, whose sum C_T the
-    schedule, the regret and the bounds all read.
+    draft_of(cfg, item, domain) gives a key's (noise, ens, seed).  norms
+    are the path's residual_norms under its dyn, taken in one stacked call
+    per such run, whose sum C_T the schedule, the regret and the bounds all
+    read.
     """
-    drafts = [draft_of(cfg, item, domain) for (cfg, item), _ in batch]
-    targets = [draft[0] for draft in drafts]
-    assert all(np.array_equal(target0, targets[0]) for target0 in targets), \
-        "replicates rolled together must share their start target"
+    drafts = [draft_of(cfg, item, domain) for _, cfg, item, _ in batch]
     replicates = []
-    for _, run_of_dyn in itertools.groupby(zip(batch, drafts), key=lambda pair: id(pair[0][1])):
-        pairs, run_drafts = zip(*run_of_dyn)
-        dyn = pairs[0][1]
-        _, noises, ensembles, seeds = zip(*run_drafts)
-        paths = _replicate_paths(dyn, domain, targets[0], noises, ensembles)
-        replicates += [(cfg, ens, path, build_schedule(cfg, sigma2, float(norms.sum())), seed,
+    for _, run_of_dyn in itertools.groupby(zip(batch, drafts), key=lambda pair: id(pair[0][3])):
+        entries, run_drafts = zip(*run_of_dyn)
+        dyn = entries[0][3]
+        noises, ensembles, seeds = zip(*run_drafts)
+        paths = _replicate_paths(dyn, domain, target0, noises, ensembles)
+        replicates += [(k, cfg, ens, path, build_schedule(cfg, sigma2, float(norms.sum())), seed,
                         norms, dyn)
-                       for ((cfg, _), _), ens, path, seed, norms
-                       in zip(pairs, ensembles, paths, seeds, residual_norms(paths, dyn, domain))]
+                       for (k, cfg, _, _), ens, path, seed, norms
+                       in zip(entries, ensembles, paths, seeds, residual_norms(paths, dyn, domain))]
     return replicates
 
 
-def _engine_batches(keys, draft_of, keep_iterates):
-    """(setup, replicates) of each engine call, in key order: a setup run's
-    keys in batches that fit BATCH_TRACE_BYTES, each batch's replicates
-    built by _replicates just before it runs, its paths in one roll per
-    dynamics, and split where their stack_shape changes."""
-    for setup, group in _setup_runs(keys):
-        (cfg, _), _ = group[0]
-        for batch in _replicate_batches(group, _replicate_bytes(cfg, keep_iterates)):
-            replicates = _replicates(batch, draft_of, *setup[1:])
-            for _, part in itertools.groupby(replicates, key=lambda rep: stack_shape(rep[1])):
-                yield setup, list(part)
-            del replicates, part  # before the next batch is built
-
-
 def _engine_runs(keys, draft_of, x0=None, keep_iterates=True, names=None):
-    """(setup, batch, traces) of each batch of _engine_batches, in key order:
-    one engine.run call a batch, each replicate with its own dyn, traces[r]
-    the trace of batch[r].
+    """(setup, batch, traces) of each engine.run call over keys, one setup
+    of _setup_runs after another: a setup's keys in batches that fit
+    BATCH_TRACE_BYTES, each batch's replicates built by _replicates just
+    before it runs and split where their stack_shape changes.  batch holds
+    the replicates of one call, each with its own dyn; traces[r] is the
+    trace of batch[r], whose first entry k is its key's index in keys.
 
     draft_of drafts one key, as for _replicates; keep_iterates=False keeps
     no iterates (trace.x is None).  An EngineError names the replicate of
     key keys[k] as names[k] when names is given, else by its place in its
     batch.
     """
-    done = 0  # keys run before this batch
-    for setup, batch in _engine_batches(keys, draft_of, keep_iterates):
-        cfg = batch[0][0]
-        try:
-            traces = run(*setup[:2], [rep[6] for rep in batch], [rep[1:5] for rep in batch],
-                         cfg.horizon, cfg.gradient_mode, x0, keep_iterates)
-        except EngineError as exc:
-            if names is None or exc.agent is None:
-                raise
-            raise EngineError(exc.what, exc.replicate, exc.agent,
-                              names[done + exc.replicate]) from exc
-        done += len(batch)
-        yield setup, batch, traces
-        del batch, traces  # before the next batch is built and run
+    for setup, group in _setup_runs(keys):
+        cfg = group[0][1]
+        for part in _replicate_batches(group, _replicate_bytes(cfg, keep_iterates)):
+            replicates = _replicates(part, draft_of, *setup[1:])
+            for _, batch in itertools.groupby(replicates, key=lambda rep: stack_shape(rep[2])):
+                batch = list(batch)
+                try:
+                    traces = run(*setup[:2], [rep[7] for rep in batch],
+                                 [rep[2:6] for rep in batch], cfg.horizon, cfg.gradient_mode,
+                                 x0, keep_iterates)
+                except EngineError as exc:
+                    if names is None or exc.agent is None:
+                        raise
+                    raise EngineError(exc.what, exc.replicate, exc.agent,
+                                      names[batch[exc.replicate][0]]) from exc
+                yield setup, batch, traces
+                del batch, traces  # before the next batch is built and run
+            del replicates
 
 
 def _execute(keys, draft_of, x0=None, full=True, names=None):
     """Run one replicate per (cfg, item) key through _engine_runs, keeping
-    its iterates; yields each key's RunResult in order.  names name the
-    keys' replicates in an EngineError, as for _engine_runs.
+    its iterates; yields (k, RunResult) of each keys[k], setup by setup as
+    _engine_runs runs them.  names name the keys' replicates in an
+    EngineError, as for _engine_runs.
 
     A result's trace is its replicate's trace[r]; its regret carries the
     dynamic regret, read from the losses the engine folded, and C_T; its
@@ -301,12 +294,12 @@ def _execute(keys, draft_of, x0=None, full=True, names=None):
     """
     seen = None  # the setup whose verdict notes notes_of holds, keyed by id(dyn)
     for setup, batch, traces in _engine_runs(keys, draft_of, x0, names=names):
-        weights, domain, sigma2 = setup
+        weights, domain, sigma2, _ = setup
         if setup is not seen:
             seen, notes_of = setup, {}
-        consts, c_ts = geometry_constants(domain), [float(rep[5].sum()) for rep in batch]
+        consts, c_ts = geometry_constants(domain), [float(rep[6].sum()) for rep in batch]
         steps = _guarantee_steps(sigma2, traces.etas, c_ts if full else None, traces.horizon)
-        for r, (cfg, ens, path, _, _, norms, dyn) in enumerate(batch):
+        for r, (k, cfg, ens, path, _, _, norms, dyn) in enumerate(batch):
             if id(dyn) not in notes_of:
                 why = dynamics_verdict(domain, dyn.a)[2]
                 notes_of[id(dyn)] = (f"not a guarantee: {why}",) if why else ()
@@ -317,7 +310,7 @@ def _execute(keys, draft_of, x0=None, full=True, names=None):
                                       weights.n, grad_second_moment=ens.second_moment
                                       if cfg.gradient_mode == "stochastic" else None,
                                       steps=steps[r], notes=notes_of[id(dyn)])
-            yield RunResult(cfg, trace, path, regret, bounds, sigma2, ens)
+            yield k, RunResult(cfg, trace, path, regret, bounds, sigma2, ens)
         del batch, traces, steps, trace, ens, path, norms  # before the next batch is built and run
 
 
@@ -350,10 +343,10 @@ def _replicate_paths(dyn, domain, target0, noises, ensembles):
 
 
 def _config_draft(cfg, run_index, domain):
-    """(target0, noise, ens, seed) of a config's run run_index: a replicate
-    up to its rolled path (see _replicates)."""
-    return (_start_target(cfg, domain), build_noise(cfg, run_index),
-            build_ensemble(cfg, domain, run_index), _derive_seed(cfg.seed, _ORACLE, run_index))
+    """(noise, ens, seed) of a config's run run_index: a replicate up to
+    its rolled path (see _replicates)."""
+    return (build_noise(cfg, run_index), build_ensemble(cfg, domain, run_index),
+            _derive_seed(cfg.seed, _ORACLE, run_index))
 
 
 def run_experiments(cfg, run_indices, x0=None):
@@ -372,7 +365,7 @@ def run_experiments(cfg, run_indices, x0=None):
         if run_index < 0:
             raise ValueError(f"run index must be non-negative, got {run_index}")
     _start_target(cfg, build_domain(cfg))
-    return _execute([(cfg, i) for i in run_indices], _config_draft, x0)
+    return (result for _, result in _execute([(cfg, i) for i in run_indices], _config_draft, x0))
 
 
 def run_experiment(cfg, run_index=0, out_dir=None):
@@ -529,7 +522,7 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
             # now, check them and let them go, so no value runs before all pass
             dyn = build_dynamics(cfg_v)
             for batch in _replicate_batches(range(runs), _replicate_bytes(cfg_v, False)):
-                _, noises, ensembles, _ = zip(*(_config_draft(cfg_v, i, domain) for i in batch))
+                noises, ensembles, _ = zip(*(_config_draft(cfg_v, i, domain) for i in batch))
                 _replicate_paths(dyn, domain, target0, noises, ensembles)
         configs.append(cfg_v)
     horizon = cfg.horizon
@@ -538,12 +531,12 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     # values that build the same engine inputs share its loops
     keys = [(cfg_v, i) for cfg_v in configs for i in range(runs)]
     names = [f"{param}={show_value(v)}, run {i}" for v in shown for i in range(runs)]
-    curves = []
+    curves = np.empty((len(keys), horizon))
     for _, batch, traces in _engine_runs(keys, _config_draft, keep_iterates=False, names=names):
-        curves += [dynamic_regret(traces[r], ens, path).normalized
-                   for r, (_, ens, path, *_) in enumerate(batch)]
+        for r, (k, _, ens, path, *_) in enumerate(batch):
+            curves[k] = dynamic_regret(traces[r], ens, path).normalized
         del batch, traces  # before the next batch is built and run
-    curves = np.array(curves).reshape(len(configs), runs, horizon)
+    curves = curves.reshape(len(configs), runs, horizon)
     mean_curves = np.array([np.mean(c, axis=0) for c in curves])
     std_curves = np.array([np.std(c, axis=0) for c in curves])
     result = SweepResult(param, shown, runs, mean_curves, std_curves,
@@ -576,13 +569,26 @@ def _case(name, base, **changes):
     return SuiteCase(name, cross_validate(replace(base, **changes)))
 
 
-# the settings the box and the simplex cases share
+def _simplex_loop(horizon):
+    """(start, disturbances) of a deterministic closed curve on the simplex:
+    zero-sum harmonic motion."""
+    u1 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    u2 = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+    rho, omega = 0.15, 2.0 * np.pi / 50.0
+    t = np.arange(horizon + 1)
+    states = (np.full((horizon + 1, 3), 1.0 / 3.0)
+              + rho * (np.cos(omega * t)[:, None] * u1 + np.sin(omega * t)[:, None] * u2))
+    return states[0], states[1:] - states[:-1]
+
+
+# the settings the box and the simplex cases share; a simplex case's target
+# starts where _simplex_loop does
 _BOX = ExperimentConfig(
     horizon=100, gradient_mode="exact", rows=2, cols=2, dim=2, box_low=-5.0, box_high=5.0,
     dynamics_model="identity", noise_kind="zero", target_init=(0.5, -0.5), eta0=0.1,
     loss_kind="synthetic_quadratic", offset_scale=0.2)
-_SIMPLEX = replace(_BOX, domain_kind="simplex", dim=3, floor=0.01, target_init=(),
-                   offset_scale=0.02)
+_SIMPLEX = replace(_BOX, domain_kind="simplex", dim=3, floor=0.01,
+                   target_init=tuple(_simplex_loop(0)[0].tolist()), offset_scale=0.02)
 _SUITE = (
     _case("box_quad_static_n4_t100", _BOX),
     _case("box_quad_static_n9_t300", _BOX, horizon=300, rows=3, cols=3,
@@ -621,21 +627,9 @@ def _suite_case(name):
     raise ValueError(f"unknown suite case {name!r}")
 
 
-def _simplex_loop(horizon):
-    """(start, disturbances) of a deterministic closed curve on the simplex:
-    zero-sum harmonic motion."""
-    u1 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    u2 = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-    rho, omega = 0.15, 2.0 * np.pi / 50.0
-    t = np.arange(horizon + 1)
-    states = (np.full((horizon + 1, 3), 1.0 / 3.0)
-              + rho * (np.cos(omega * t)[:, None] * u1 + np.sin(omega * t)[:, None] * u2))
-    return states[0], states[1:] - states[:-1]
-
-
 def _case_draft(stream, l_scale, cfg, item, domain):
-    """(target0, noise, ens, seed) of a suite case at one seed, item being
-    (case, seed) (see _replicates); the case index is the run index.
+    """(noise, ens, seed) of a suite case at one seed, item being (case,
+    seed) (see _replicates); the case index is the run index.
 
     cfg is case.cfg, which every key of the case carries.  The seed draws
     its oracle noise from _derive_seed(seed, _ORACLE, stream).  l_scale
@@ -646,21 +640,19 @@ def _case_draft(stream, l_scale, cfg, item, domain):
     case, seed = item
     idx = _SUITE.index(case)
     if cfg.domain_kind == "simplex":
-        target0, noise = _simplex_loop(cfg.horizon)
-    else:
-        target0 = _start_target(cfg, domain)
-        if cfg.loss_kind == "synthetic_quadratic":  # a N(0, 0.05^2) random walk on the box
-            noise = (np.random.default_rng(_derive_seed(seed, _PATH, idx))
-                     .normal(0.0, 0.05, (cfg.horizon, cfg.dim)))
-        else:  # the polarized case's target rests: the config's own zero-noise path
-            noise = build_noise(cfg, idx)
+        _, noise = _simplex_loop(cfg.horizon)
+    elif cfg.loss_kind == "synthetic_quadratic":  # a N(0, 0.05^2) random walk on the box
+        noise = (np.random.default_rng(_derive_seed(seed, _PATH, idx))
+                 .normal(0.0, 0.05, (cfg.horizon, cfg.dim)))
+    else:  # the polarized case's target rests: the config's own zero-noise path
+        noise = build_noise(cfg, idx)
     if cfg.loss_kind == "synthetic_linear":  # polarized: the outer agents pull apart
         pull = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
         ens = linear_ensemble(np.tile(pull, (cfg.horizon, 1, 1)), domain)
     else:
         ens = build_ensemble(replace(cfg, seed=seed), domain, idx)
-    return (target0, noise, replace(ens, lipschitz=l_scale * ens.lipschitz,
-                                    second_moment=l_scale * l_scale * ens.second_moment),
+    return (noise, replace(ens, lipschitz=l_scale * ens.lipschitz,
+                           second_moment=l_scale * l_scale * ens.second_moment),
             _derive_seed(seed, _ORACLE, stream))
 
 
@@ -668,8 +660,8 @@ def _build_case(case, seed):
     """(weights, domain, dyn, ens, path, etas) of a suite case at one seed."""
     weights, domain, dyn = _assemble(case.cfg)
     draft_of = partial(_case_draft, 0, 1.0)
-    [(_, ens, path, etas, *_)] = _replicates([((case.cfg, (case, seed)), dyn)], draft_of,
-                                             domain, None)
+    [(_, _, ens, path, etas, *_)] = _replicates([(0, case.cfg, (case, seed), dyn)], draft_of,
+                                                domain, None, _start_target(case.cfg, domain))
     return weights, domain, dyn, ens, path, etas
 
 
@@ -682,7 +674,7 @@ class VerifyReport:
 
 
 def _suite_runs(cases_seeds, stream, l_scale=1.0):
-    """RunResults of each (case, seed) of cases_seeds, in order, through one
+    """(k, RunResult) of each cases_seeds[k] == (case, seed), through one
     _execute (see _case_draft); an EngineError names `<case> seed <seed>`."""
     keys = [(case.cfg, (case, s)) for case, s in cases_seeds]
     return _execute(keys, partial(_case_draft, stream, l_scale), full=False,
@@ -690,23 +682,9 @@ def _suite_runs(cases_seeds, stream, l_scale=1.0):
 
 
 def _case_runs(case, seeds, stream, l_scale=1.0):
-    """RunResults of one suite case at each of seeds, through _execute (see _case_draft)."""
-    return _suite_runs([(case, s) for s in seeds], stream, l_scale)
-
-
-def _by_setup(cases):
-    """cases, each moved up next to the first case whose network and geometry
-    keys, seed, oracle mode and horizon it shares: the cases _setup_runs may
-    give one setup, and so one engine batch, whatever their dynamics."""
-    def setup_key(cfg):
-        return (tuple(getattr(cfg, f.name) for f in fields(cfg)
-                      if f.metadata["ini"][0] in ("network", "geometry"))
-                + (cfg.seed, cfg.gradient_mode, cfg.horizon))
-
-    first = {}
-    for k, case in enumerate(cases):
-        first.setdefault(setup_key(case.cfg), k)
-    return sorted(cases, key=lambda case: first[setup_key(case.cfg)])
+    """RunResults of one suite case at each of seeds, in order, through _execute
+    (see _case_draft): the case's keys are one setup."""
+    return (result for _, result in _suite_runs([(case, s) for s in seeds], stream, l_scale))
 
 
 def _mean_regret(results):
@@ -732,24 +710,27 @@ def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
         raise ValueError("need at least one seed")
     if not (np.isfinite(l_scale) and l_scale > 0):
         raise ValueError(f"l_scale must be positive and finite, got {l_scale}")
-    # the whole suite in one _execute, cases that can share a batch side by
-    # side; rows are collected per case and written in suite order
-    cases_seeds = [(case, s) for case in _by_setup(bound_suite()) for s in range(seeds)]
-    rows_of, noisy_of = ({case.name: [] for case in bound_suite()} for _ in range(2))
-    for (case, s), result in zip(cases_seeds, _suite_runs(cases_seeds, 0, l_scale)):
+    # the whole suite in one _execute: each run's rows, or a noisy run
+    # itself, placed at its key's index k, then written in suite order
+    cases_seeds = [(case, s) for case in bound_suite() for s in range(seeds)]
+    kept = [None] * len(cases_seeds)
+    for k, result in _suite_runs(cases_seeds, 0, l_scale):
+        case, s = cases_seeds[k]
         if case.cfg.gradient_mode == "stochastic":
-            noisy_of[case.name].append(result)
+            kept[k] = result
             continue
         regret = result.regret.dynamic_regret
-        rows_of[case.name] += check_rows(result, case.name, s) + (
+        kept[k] = check_rows(result, case.name, s) + (
             CheckRow(case.name, s, "exact", "regret_nonneg", regret, 0.0, regret,
                      bool(regret >= -SLACK_TOL)),)
     rows = []
-    for case in bound_suite():
+    for c, case in enumerate(bound_suite()):
+        of_case = kept[c * seeds:(c + 1) * seeds]
         if case.cfg.gradient_mode == "stochastic":
             rows.append(CheckRow(case.name, -1, "stochastic", "mean_regret",
-                                 *_upper_check(*_mean_regret(noisy_of[case.name]))))
-        rows += rows_of[case.name]
+                                 *_upper_check(*_mean_regret(of_case))))
+        else:
+            rows += itertools.chain.from_iterable(of_case)
     violations = sum(1 for r in rows if not r.passed)
     result = VerifyReport(tuple(rows), seeds, violations, violations == 0)
     if out_dir is not None:
@@ -801,13 +782,14 @@ def variation_scaling_study(horizons=(250, 500, 1000, 2000), drift_size=0.01, se
         box_high=12.0, dynamics_model="identity", noise_kind="constant_drift",
         drift=(drift_size, 0.0), target_init=(-10.0, 0.0),
         schedule_kind="variation_tuned", loss_kind="synthetic_quadratic")
-    regrets, denominators = [], []
-    eta = sigma2 = float("nan")
     keys = [(replace(base, horizon=h), h) for h in horizons]
-    for h, result in zip(horizons, _execute(keys, _config_draft, base.target_init, full=False)):
-        eta, sigma2 = float(result.trace.etas[0]), result.sigma2
-        regrets.append(result.regret.dynamic_regret)
-        denominators.append(float(np.sqrt(result.regret.path_variation * h / (1.0 - sigma2))))
-    regrets, denominators = np.array(regrets), np.array(denominators)
+    regrets, denominators = np.empty(len(keys)), np.empty(len(keys))
+    eta = sigma2 = float("nan")
+    for k, result in _execute(keys, _config_draft, base.target_init, full=False):
+        regret = result.regret
+        regrets[k] = regret.dynamic_regret
+        denominators[k] = np.sqrt(regret.path_variation * horizons[k] / (1.0 - result.sigma2))
+        if k == len(keys) - 1:  # the step and sigma2 of the last horizon
+            eta, sigma2 = float(result.trace.etas[0]), result.sigma2
     return ScalingStudy(tuple(horizons), regrets, denominators, regrets / denominators,
                         eta, sigma2)

@@ -47,8 +47,8 @@ horizon or a round block take geometry's _reduce_last and _sum_slices: one
 call per coordinate or agent, left to right, bit-equal to numpy's reduce,
 which runs one short call per row and sums pairwise from 8 entries on
 (where the helpers take it); centers_outside_domain tests a block's
-membership with _inside_slices, one comparison per coordinate.  Per-round
-code keeps single reduce calls (prox, contains, inside, mix and the
+membership with geometry's inside, one comparison per coordinate.
+Per-round code keeps single reduce calls (prox, contains, mix and the
 engine's checks): on a round's few dozen rows one call is cheaper than one
 per slice.
 """
@@ -58,7 +58,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import _inside_slices, _reduce_last, _sum_slices, dual_diameter, dual_norm_of
+from .geometry import _reduce_last, _sum_slices, dual_diameter, dual_norm_of, inside
 
 TRACKED_COORDS = 4
 
@@ -452,7 +452,7 @@ def centers_outside_domain(ens, path, domain):
     check_rounds("ens.offsets", ens.offsets, horizon)
     bad = 0
     for rounds in _round_blocks(horizon, ens.n * ens.d):
-        ok = _inside_slices(domain, path[rounds, None, :] + ens.offsets[rounds])
+        ok = inside(domain, path[rounds, None, :] + ens.offsets[rounds])
         bad += ok.size - int(np.count_nonzero(ok))
     return bad
 

@@ -811,8 +811,9 @@ def test_batch_bounds_equal_each_runs_own_guarantee(monkeypatch):
     cfg = _tracking_cfg(horizon=40, schedule_kind="variation_tuned")
     keys = [(replace(cfg, sigma_v2=value), i) for value in (0.0, 0.5) for i in range(2)]
     calls = _count_engine_runs(monkeypatch)
-    results = list(domd.harness._execute(keys, domd.harness._config_draft))
+    ks, results = zip(*domd.harness._execute(keys, domd.harness._config_draft))
     assert len(calls) == 1
+    assert ks == (0, 1, 2, 3)
     weights, domain, dyn = domd.harness._assemble(cfg)
     notes = (f"not a guarantee: {dynamics_verdict(domain, dyn.a)[2]}",)
     for result in results:
@@ -1023,7 +1024,8 @@ def test_a_mixed_dynamics_batch_notes_each_replicate_by_its_own_verdict(monkeypa
     still = replace(ncv, dynamics_model="identity")
     keys = [(ncv, 0), (still, 0), (ncv, 1), (still, 1)]
     calls = _record_calls(monkeypatch, "dynamics_verdict", "run", "generate_path")
-    results = list(domd.harness._execute(keys, domd.harness._config_draft))
+    ks, results = zip(*domd.harness._execute(keys, domd.harness._config_draft))
+    assert ks == (0, 1, 2, 3)
     assert calls == ["generate_path"] * 4 + ["run", "dynamics_verdict", "dynamics_verdict"]
     assert [_not_a_guarantee(r) for r in results] == [[NCV_ROW_0], [], [NCV_ROW_0], []]
     monkeypatch.undo()
@@ -1067,3 +1069,72 @@ def test_a_merged_suite_batch_names_the_failing_case_and_seed(monkeypatch):
     with pytest.raises(EngineError, match=r"^gradients became non-finite in round 5 "
                                           r"\(box_quad_contract_n4_t100 seed 1, agent 2\)$"):
         verify_bounds(seeds=3)
+
+
+# ------------------------------------- setups grouped by what they build, wherever they sit
+
+
+def test_keys_that_differ_in_their_start_target_are_two_setups_each_its_run_alone(monkeypatch):
+    # equal W, domain, mode and horizon but another start target: two setups,
+    # two engine calls, and each result the run of its config alone
+    cfg = _quad_cfg(horizon=30)
+    other = replace(cfg, target_init=(-0.5, 0.5))
+    calls = _count_engine_runs(monkeypatch)
+    ks, results = zip(*domd.harness._execute([(cfg, 0), (other, 0)], domd.harness._config_draft))
+    assert ks == (0, 1) and len(calls) == 2
+    monkeypatch.undo()
+    for c, result in zip((cfg, other), results):
+        [alone] = run_experiments(c, [0])
+        assert _same_bits(result.path, alone.path)
+        assert _same_bits(result.trace.x, alone.trace.x)
+        assert _same_bits(result.regret.normalized, alone.regret.normalized)
+        assert result.regret.static_regret == alone.regret.static_regret
+        assert result.bounds.total == alone.bounds.total
+        assert _same_bits(result.bounds.disagreement_curve, alone.bounds.disagreement_curve)
+    assert not _same_bits(results[0].path[:1], results[1].path[:1])
+
+
+def test_a_sweep_that_revisits_a_setup_shares_its_engine_loop(monkeypatch, tmp_path):
+    # rows = 3 again after rows = 5: its runs join the first rows = 3 loop, and
+    # every block of sweep.csv is the sweep of its value alone
+    cfg = _tracking_cfg(horizon=20)
+    calls = _count_engine_runs(monkeypatch)
+    sweep(cfg, "network.rows", (3, 5, 3), runs=2, out_dir=tmp_path / "all")
+    assert len(calls) == 2
+    rows = read_csv(tmp_path / "all" / "sweep.csv")[2]
+    blocks = [rows[k * cfg.horizon:(k + 1) * cfg.horizon] for k in range(3)]
+    for value, block in zip((3, 5, 3), blocks):
+        sweep(cfg, "network.rows", (value,), runs=2, out_dir=tmp_path / str(value))
+        assert block == read_csv(tmp_path / str(value) / "sweep.csv")[2]
+
+
+def test_a_merged_sweep_batch_names_the_failing_value_and_run(monkeypatch):
+    # the rows = 3 loop holds keys 0, 1, 4 and 5: its replicate 3 is the
+    # second rows = 3 value's run 1, and the rows = 5 run 1 sits at key 3
+    oracle = domd.engine.gradients_stochastic_batch
+
+    def poisoned(ens, t, x, centers, sample):
+        g = oracle(ens, t, x, centers, sample)
+        if t == 5 and len(g) == 4:
+            g[3, 2, 0] = np.nan
+        return g
+
+    monkeypatch.setattr(domd.engine, "gradients_stochastic_batch", poisoned)
+    with pytest.raises(EngineError, match=r"^gradients became non-finite in round 5 "
+                                          r"\(network.rows=3, run 1, agent 2\)$"):
+        sweep(_tracking_cfg(horizon=20), "network.rows", (3, 5, 3), runs=2)
+
+
+def test_every_suite_path_starts_at_its_configs_start_target():
+    # the start is config: a simplex case declares _simplex_loop's first state
+    simplex = 0
+    for case in bound_suite():
+        for seed in range(2):
+            _, domain, _, _, path, _ = _build_case(case, seed)
+            start = domd.harness._start_target(case.cfg, domain)
+            assert _same_bits(path[0], start), case.name
+            if domain.kind == "simplex":
+                loop_start = domd.harness._simplex_loop(case.cfg.horizon)[0]
+                assert _same_bits(start, loop_start), case.name
+                simplex += 1
+    assert simplex == 3 * 2
