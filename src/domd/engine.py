@@ -29,12 +29,15 @@ replicate or, above network.DENSE_MIX_MAX_NODES agents, a neighbour sum
 whose terms are added in the same order for every replicate, and every
 decision on a whole array (floor projection passes, domain repair) is
 taken per replicate; a test of the whole batch only skips work that no
-replicate would do.  Replicates that share one A (always at R = 1) take
-the push a lone run takes: none for A = I, else one product with A.T.
-When their A differ, which replicates move is decided once per run, and a
+replicate would do.  Every product with A reads LinearDynamics.a_t, the
+C-contiguous A.T.  Replicates that share one A (always at R = 1) take the
+push a lone run takes: none for A = I, else one product with a_t.  When
+their A differ, which replicates move is decided once per run, and a
 round pushes only those, in one stacked np.matmul whose slab for a
 replicate is its lone product; an identity replicate is never multiplied
-and keeps its prox output's bits, signed zeros included.
+and keeps its prox output's bits, signed zeros included.  Whether a round
+checks its new iterates for finiteness is decided once per run too
+(_checks_iterates): not on a box whose push cannot overflow.
 
 The loop walks the rounds in blocks (objectives._round_blocks, about
 BLOCK_ELEMENTS (replicate, agent, coordinate) elements across the batch),
@@ -49,7 +52,8 @@ at a time (see _oracle_samples): for tracking the observations
 z = target + w, (n, d) a round.  A round then pays only for its arithmetic
 and the checks on its own data: the oracle at the iterates, mix, prox with
 its step, anchor and gradient checks, the dynamics push (none for A = I)
-and the finiteness of the new iterates.
+and, where the run could not rule it out, the finiteness of the new
+iterates.
 
 Once a block has its iterates, one network_losses call folds them into
 their rounds' network-average losses for every replicate.  Without
@@ -63,7 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LinearDynamics
-from .geometry import Domain, contains, inside, project_floored_simplex, prox, start_point
+from .geometry import (DOMAIN_TOL, Domain, box_row_images, contains, inside,
+                       project_floored_simplex, prox, start_point)
 from .network import mix
 from .objectives import (_centers, _round_blocks, gradients_exact_batch,
                          gradients_stochastic_batch, network_losses, oracle_noise,
@@ -129,9 +134,9 @@ class _MixedPush:
     """The push of a batch whose replicates differ in A, decided once per run.
 
     moving indexes the replicates whose A is not the identity, as a slice
-    when they are consecutive; a_t is their A.T stacked (M, d, d), each slab
-    with the strides of a C-ordered A's .T, so a replicate's slab of one
-    np.matmul is the product its run alone takes."""
+    when they are consecutive; a_t is their LinearDynamics.a_t stacked
+    C-contiguous (M, d, d), so a replicate's slab of one np.matmul is the
+    product its run alone takes."""
 
     moving: object
     a_t: np.ndarray
@@ -155,7 +160,7 @@ def _batch_dynamics(dyn, count):
     moving = [r for r, d in enumerate(dyns) if not d.is_identity]
     if not moving:
         return dyns[0]
-    a_t = np.stack([dyns[r].a for r in moving]).transpose(0, 2, 1)
+    a_t = np.stack([dyns[r].a_t for r in moving])
     if moving[-1] - moving[0] == len(moving) - 1:  # consecutive: a view, not a gathered copy
         return _MixedPush(slice(moving[0], moving[-1] + 1), a_t)
     return _MixedPush(np.array(moving), a_t)
@@ -163,10 +168,16 @@ def _batch_dynamics(dyn, count):
 
 def _repaired(domain, xnext):
     """xnext with every replicate (the last two axes) that the push took off
-    the floored simplex projected back as a whole, as it would be alone."""
+    the floored simplex projected back as a whole, as it would be alone.
+
+    A replicate is off when its least coordinate or its largest row-sum
+    error, the sums bit-equal to geometry.inside's, fails its tolerance; a
+    NaN propagates through the reductions and fails."""
     if domain.kind == "box" or contains(domain, xnext):
         return xnext
-    off = ~inside(domain, xnext).all(axis=-1)
+    least = np.minimum.reduce(xnext, axis=(-2, -1))
+    error = np.maximum.reduce(np.abs(np.add.reduce(xnext, axis=-1) - 1.0), axis=-1)
+    off = ~((least >= domain.floor - DOMAIN_TOL) & (error <= domain.d * DOMAIN_TOL))
     xnext[off] = project_floored_simplex(xnext[off], domain.floor)
     return xnext
 
@@ -175,10 +186,33 @@ def _apply_dynamics(domain, dyn, xhat):
     if dyn.is_identity:
         return xhat
     if isinstance(dyn, LinearDynamics):
-        return _repaired(domain, xhat @ dyn.a.T)
+        return _repaired(domain, xhat @ dyn.a_t)
     # identity replicates keep their prox output, signed zeros included
     xhat[dyn.moving] = _repaired(domain, np.matmul(xhat[dyn.moving], dyn.a_t))
     return xhat
+
+
+# a push whose every partial sum stays within this cannot round up to inf
+_REACH_LIMIT = np.finfo(float).max / 4
+
+
+def _checks_iterates(domain, dyn):
+    """Whether a round of a run on domain with the batch dynamics dyn must
+    check its new iterates for finiteness; decided once per run.
+
+    On a box with finite limits a prox step that returns gives finite points
+    in the box: its anchor, gradient and step passed prox's checks, so
+    y - eta g is finite or infinite, never NaN, and the clip maps it into
+    [lo, hi].  An identity replicate keeps that point; a pushed one stays
+    finite when every row's reach (geometry.box_row_images) is within a
+    quarter of the float range, which leaves room for the product's
+    rounding.  A simplex, or a push that may overflow, keeps the check."""
+    if domain.kind != "box" or not (np.isfinite(domain.lo).all() and np.isfinite(domain.hi).all()):
+        return True
+    if dyn.is_identity:
+        return False
+    a = dyn.a if isinstance(dyn, LinearDynamics) else dyn.a_t.swapaxes(-1, -2)
+    return not (box_row_images(a, domain.lo, domain.hi)[2] <= _REACH_LIMIT).all()
 
 
 def step(x, weights, domain, dyn, grads, eta):
@@ -250,6 +284,7 @@ def run(weights, domain, dyn, replicates, horizon, mode="exact", x0=None, keep_i
     ens, path = stack_replicates(ensembles, paths, horizon)
     count, n, d = len(replicates), weights.n, domain.d
     dyn = _batch_dynamics(dyn, count)  # which replicates move, decided once
+    finite_check = _checks_iterates(domain, dyn)  # and whether iterates may stop being finite
     # steps[t - 1]: one float when the schedule is shared, else an (R, 1, 1) column
     steps = etas[0].tolist() if (etas == etas[0]).all() else etas.T[:, :, None, None]
     # a block's iterates, square centers and in stochastic mode oracle samples
@@ -282,7 +317,7 @@ def run(weights, domain, dyn, replicates, horizon, mode="exact", x0=None, keep_i
                 if bad.any():
                     raise _first_bad(bad, t, "gradients became non-finite")
                 raise
-            if not np.logical_and.reduce(np.isfinite(x), axis=None):
+            if finite_check and not np.logical_and.reduce(np.isfinite(x), axis=None):
                 raise _first_bad(~np.isfinite(x).all(axis=-1), t, "iterates became non-finite")
             if t == block.stop:  # fold rounds block.start+1 .. t before row t lands
                 lo = block.start % rows

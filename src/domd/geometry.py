@@ -30,8 +30,9 @@ same 0.0 start below 8 entries, so the bits agree (summation order fixes
 them: Higham, "The accuracy of floating point summation", SIAM J. Sci.
 Comput. 1993).  From 8 entries on numpy sums pairwise, and the helpers take
 its reduce.  The membership test, inside, is one comparison per
-coordinate.  Per-round code (prox, contains, network.mix and the engine's
-checks) keeps one reduce call: it sees a few dozen rows, where one call is
+coordinate.  Per-round code (prox, contains, network.mix, the engine's
+finiteness check in the runs that keep it, and its simplex repair) keeps
+one reduce call per test: it sees a few dozen rows, where one call is
 cheaper than d - 1.
 """
 
@@ -372,19 +373,35 @@ def geometry_constants(domain):
     return GeometryConstants(np.log(1.0 / domain.floor), domain.d * np.log(1.0 / domain.floor))
 
 
+def box_row_images(a, lo, hi):
+    """How x -> a @ x acts on the box [lo, hi], row by row: (low, high, reach).
+
+    a is (d, d) or a stack (..., d, d).  Row i maps the box onto
+    [low_i, high_i], the sums of the least and of the greatest value that
+    each term a_ij x_j takes, and reach_i = sum_j |a_ij| max(|lo_j|, |hi_j|)
+    bounds every partial sum of those terms, so a product with a, summed in
+    any order, stays within reach_i up to its rounding.  A value past the
+    float range is infinite, and a term 0 * inf is NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.sort(np.stack([a * lo, a * hi]), axis=0)
+        low, high = ends.sum(axis=-1)
+        return low, high, np.abs(ends).max(axis=0).sum(axis=-1)
+
+
 def dynamics_verdict(domain, a):
     """(keeps_domain, non_expansive or None if not verified, why) of x -> a @ x;
     why, empty when both hold, names the first failing row or column and sigma_max(a)."""
     a = np.asarray(a, dtype=float)
     sigma_max, lo, hi = float(np.linalg.svd(a, compute_uv=False)[0]), domain.lo, domain.hi
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN end fails its comparison
-        if domain.kind == "box":
-            low, high = np.sort(np.stack([a * lo, a * hi]), axis=0).sum(axis=2)
-            why = [f"row {i} maps the box onto [{low[i]:.6g}, {high[i]:.6g}], outside "
-                   f"[{lo[i]:.6g}, {hi[i]:.6g}]" for i in range(domain.d)
-                   if not (low[i] >= lo[i] - DOMAIN_TOL and high[i] <= hi[i] + DOMAIN_TOL)]
-            non_expansive = sigma_max <= 1.0 + 1e-12
-        else:
+    if domain.kind == "box":
+        low, high, _ = box_row_images(a, lo, hi)  # a NaN end fails its comparison
+        why = [f"row {i} maps the box onto [{low[i]:.6g}, {high[i]:.6g}], outside "
+               f"[{lo[i]:.6g}, {hi[i]:.6g}]" for i in range(domain.d)
+               if not (low[i] >= lo[i] - DOMAIN_TOL and high[i] <= hi[i] + DOMAIN_TOL)]
+        non_expansive = sigma_max <= 1.0 + 1e-12
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
             stochastic, floor = np.abs(a.sum(axis=0) - 1.0) <= DOMAIN_TOL, domain.floor
             least = (a @ (floor + (1.0 - domain.d * floor) * np.eye(domain.d))).min(axis=1)
             why = ([f"column {j} of A sums to {a[:, j].sum():.6g}, not 1"

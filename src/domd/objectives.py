@@ -48,9 +48,9 @@ call per coordinate or agent, left to right, bit-equal to numpy's reduce,
 which runs one short call per row and sums pairwise from 8 entries on
 (where the helpers take it); centers_outside_domain tests a block's
 membership with geometry's inside, one comparison per coordinate.
-Per-round code keeps single reduce calls (prox, contains, mix and the
-engine's checks): on a round's few dozen rows one call is cheaper than one
-per slice.
+Per-round code keeps single reduce calls (prox, contains, mix, the
+engine's finiteness check where a run keeps it, and its simplex repair):
+on a round's few dozen rows one call is cheaper than one per slice.
 """
 
 from dataclasses import dataclass, replace

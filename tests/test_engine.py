@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import round_centers
 import domd.engine
@@ -24,6 +26,7 @@ from domd.objectives import (gradients_exact_batch, gradients_stochastic_batch,
                              synthetic_suite, tracking_ensemble)
 
 BIG = np.finfo(float).max
+PROPERTY = settings(max_examples=100, derandomize=True, deadline=None)
 
 
 def _box_setup(n=3, d=2, horizon=8, half=5.0, seed=3):
@@ -513,6 +516,89 @@ def test_finite_iterates_whose_sum_overflows_run_until_one_overflows():
     assert str(late.value) == "iterates became non-finite in round 309 (replicate 1, agent 1)"
 
 
+def test_the_finiteness_check_runs_only_where_an_iterate_may_stop_being_finite():
+    # decided once per run: a finite box whose rows reach at most a quarter
+    # of the float range skips it; a simplex, an infinite box or a push that
+    # may overflow keeps it
+    checks = domd.engine._checks_iterates
+    box = box_domain([-10.0] * 4, [10.0] * 4)
+    for dyn in (identity_dynamics(4), ncv_dynamics(0.1), LinearDynamics(-3.0 * np.ones((4, 4)))):
+        assert not checks(box, dyn)
+    assert checks(simplex_domain(4, 0.01), identity_dynamics(4))
+    assert checks(box_domain([-np.inf] * 4, [10.0] * 4), identity_dynamics(4))
+    edge = BIG / 4 / 10.0
+    assert not checks(box_domain([-edge] * 4, [edge] * 4), LinearDynamics(10.0 * np.eye(4)))
+    assert checks(box_domain([-edge] * 4, [edge] * 4), LinearDynamics(10.0001 * np.eye(4)))
+    # A = I pushes nothing, whatever the box; a batch is as strict as its widest push
+    huge = box_domain([-BIG] * 4, [BIG] * 4)
+    assert not checks(huge, identity_dynamics(4))
+    mixed = domd.engine._batch_dynamics(
+        [identity_dynamics(4), ncv_dynamics(0.1), identity_dynamics(4)], 3)
+    assert not checks(box, mixed) and checks(huge, mixed)
+
+
+def test_a_push_past_the_float_range_still_names_its_round_and_agent():
+    # a finite box whose image under A overflows keeps the per-round check:
+    # agent 1's round-3 step lands on the box's edge 1e300, and A maps it to inf
+    n, d, horizon = 3, 2, 6
+    weights = metropolis_weights(build_path_graph(n))
+    domain = box_domain([-1e300] * d, [1e300] * d)
+    dyn = LinearDynamics(np.array([[1e10, 0.0], [0.0, 1.0]]))
+    assert domd.engine._checks_iterates(domain, dyn)
+    path = generate_path(identity_dynamics(d), np.zeros((horizon, d)), np.zeros(d), horizon)
+    grads = np.zeros((horizon, n, d))
+    grads[2, 1, 0] = -1e150
+    etas = np.full(horizon + 1, 1e150)
+    replicates = [(linear_ensemble(np.zeros_like(grads), domain), path, etas, 0),
+                  (linear_ensemble(grads, domain), path, etas, 0)]
+    with np.errstate(over="ignore"), pytest.raises(EngineError) as err:
+        run(WeightMatrix(n, np.eye(n)), domain, dyn, replicates, horizon, "exact")
+    assert str(err.value) == "iterates became non-finite in round 3 (replicate 1, agent 1)"
+    # mixing first: the same overflow, named in the same round
+    with np.errstate(over="ignore"), pytest.raises(EngineError, match="non-finite in round 3"):
+        run(weights, domain, dyn, replicates, horizon, "exact")
+
+
+@st.composite
+def _wide_boxes_and_pushes(draw):
+    """(domain, dyn, x, grads, eta): a finite box and A of any size, in-box
+    iterates, and gradients and a step up to the float range.  Half the A are
+    scaled so that their widest row reaches the limit of the skip."""
+    d, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    ends = st.floats(-BIG, BIG, allow_nan=False, allow_infinity=False)
+    lo, hi = np.sort(np.array(draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]),
+                                            min_size=d, max_size=d))), axis=1).T
+    domain = box_domain(lo, hi)
+    a = np.array(draw(st.lists(st.floats(-1e300, 1e300), min_size=d * d, max_size=d * d)))
+    a = a.reshape(d, d)
+    reach = domd.geometry.box_row_images(a, lo, hi)[2].max()
+    if draw(st.booleans()) and 1.0 <= reach < np.inf:
+        with np.errstate(over="ignore"):
+            pressed = a * (domd.engine._REACH_LIMIT / reach)
+        a = pressed if np.isfinite(pressed).all() else a
+    u = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                               min_size=n * d, max_size=n * d))).reshape(n, d)
+    with np.errstate(over="ignore"):
+        x = np.clip(lo * (1.0 - u) + hi * u, lo, hi)
+    grads = np.array(draw(st.lists(ends, min_size=n * d, max_size=n * d))).reshape(n, d)
+    eta = draw(st.floats(1e-300, BIG, allow_nan=False, allow_infinity=False))
+    return domain, LinearDynamics(a), x, grads, eta
+
+
+@PROPERTY
+@given(_wide_boxes_and_pushes())
+def test_a_skipped_finiteness_check_could_never_fire(case):
+    # whenever the run skips the check, a round from any in-box iterate gives
+    # finite iterates: prox clamps y - eta g into the box, and A's rows reach
+    # at most a quarter of the float range
+    domain, dyn, x, grads, eta = case
+    if domd.engine._checks_iterates(domain, dyn):
+        return
+    with np.errstate(over="ignore"):  # eta * g may pass the float range
+        out = step(x, WeightMatrix(len(x), np.eye(len(x))), domain, dyn, grads, eta)
+    assert np.isfinite(out).all()
+
+
 def _count_oracle_draws(monkeypatch):
     calls = []
     draw = domd.engine.oracle_noise
@@ -823,7 +909,7 @@ def test_mixed_dynamics_push_only_the_moving_replicates_once_a_round(monkeypatch
     push = domd.engine._batch_dynamics(dyns, 4)
     assert push.moving == slice(1, 3)  # consecutive: a view of the batch
     assert push.a_t[1].tobytes() == dyns[2].a.T.tobytes()
-    assert push.a_t[1].strides == dyns[2].a.T.strides
+    assert push.a_t[1].strides == dyns[2].a_t.strides
     apart = [dyns[1], dyns[0], dyns[2]]
     assert domd.engine._batch_dynamics(apart, 3).moving.tolist() == [0, 2]
     _assert_mixed_batch_equals_solo_runs(weights, domain, apart, replicates[:3], horizon,
@@ -857,6 +943,70 @@ def test_an_identity_replicate_of_a_mixed_batch_keeps_its_negative_zeros():
         zeros = batch[r].x[1:, :, 0]
         assert (zeros == 0.0).all() and np.signbit(zeros).all()
     assert not np.signbit(batch[1].x[1:, :, 0]).all()
+
+
+@PROPERTY
+@given(st.integers(2, 7), st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_the_simplex_repair_projects_the_replicates_inside_finds_off(d, count, n, seed):
+    # the per-replicate reductions of _repaired find the replicates that have
+    # a point outside the floored simplex, a NaN one included, and project
+    # them with the bits a repair through geometry.inside gives
+    rng = np.random.default_rng(seed)
+    domain = simplex_domain(d, 0.5 / d * rng.uniform(0.01, 1.0))
+    x = domain.floor + (1.0 - d * domain.floor) * rng.dirichlet(np.ones(d), (count, n))
+    kinds = rng.integers(0, 5, count)
+    for r, kind in enumerate(kinds):
+        row = rng.integers(n)
+        if kind == 1:  # a point nudged within the tolerance
+            x[r, row] *= 1.0 + 1e-12
+        elif kind == 2:  # one agent pushed off, like A = 0.9 I
+            x[r, row] *= 0.9
+        elif kind == 3:  # a coordinate below the floor at an unchanged sum
+            x[r, row, 0] -= domain.floor
+            x[r, row, 1] += domain.floor
+        elif kind == 4:
+            x[r, row, rng.integers(d)] = np.nan
+    want = x.copy()
+    off = ~domd.geometry.inside(domain, want).all(axis=-1)
+    if off.any():
+        want[off] = domd.engine.project_floored_simplex(want[off], domain.floor)
+    assert domd.engine._repaired(domain, x.copy()).tobytes() == want.tobytes()
+    assert domd.engine._repaired(domain, x[0].copy()).tobytes() == (
+        want[0] if off[0] else x[0]).tobytes()
+
+
+def _spanning(rng, shape):
+    """Random entries of either sign whose magnitudes span 1e-8 .. 1e8."""
+    return rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(
+        -8, 8, shape)
+
+
+@PROPERTY
+@given(st.integers(2, 8), st.integers(1, 40), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_a_stacked_push_through_a_t_is_each_replicates_lone_push(d, count, n, seed):
+    # every product with A reads the C-contiguous a_t: a batch's push gives
+    # each replicate the bits of its lone push, for one shared A and for a
+    # mixed batch whose moving replicates are gathered around identity ones
+    rng = np.random.default_rng(seed)
+    domain = box_domain([-1e9] * d, [1e9] * d)
+    xhat = _spanning(rng, (count, n, d))
+    shared = LinearDynamics(_spanning(rng, (d, d)))
+    pushed = domd.engine._apply_dynamics(domain, shared, xhat.copy())
+    for r in range(count):
+        alone = domd.engine._apply_dynamics(domain, shared, xhat[r:r + 1].copy())
+        assert pushed[r].tobytes() == alone[0].tobytes(), r
+    count = max(count, 3)
+    xhat = _spanning(rng, (count, n, d))
+    moves = rng.random(count) < 0.5
+    moves[[0, -1]], moves[rng.integers(1, count - 1)] = True, False
+    dyns = [LinearDynamics(_spanning(rng, (d, d))) if move else identity_dynamics(d)
+            for move in moves]
+    push = domd.engine._batch_dynamics(dyns, count)
+    assert push.moving.tolist() == np.flatnonzero(moves).tolist()  # gathered, not a slice
+    pushed = domd.engine._apply_dynamics(domain, push, xhat.copy())
+    for r in range(count):
+        alone = domd.engine._apply_dynamics(domain, dyns[r], xhat[r:r + 1].copy())
+        assert pushed[r].tobytes() == alone[0].tobytes(), r
 
 
 def _block_replicates(kind, count, horizon):
