@@ -15,19 +15,20 @@ own.
 
 Every run, of a config (run, sweep, the scaling study) or of a suite case
 (verify_bounds, stochastic_mean_regret), goes through one engine runner,
-_engine_runs.  Its keys carry their own config, and _setup_runs alone
-decides what shares a setup (W and sigma2) and engine loops: every key
-whose config builds equal weights, domain, oracle mode, horizon and start
-target, wherever it sits in the keys.  Their dynamics may differ, each
-replicate of a batch carrying its own.  It builds each batch's inputs just
-before the batch runs, rolling the target paths of each dynamics in one
-call (a path is its (T+1, d) states array), and runs batches that hold at
-most BATCH_TRACE_BYTES; each replicate's trace equals running it alone.
-Each replicate carries its key's index k, by which callers place results.
-_execute measures each run on top of it, a batch's bound recursions in one
-pass, and yields (k, RunResult) (the static regret and variation-tuned
-value only for run_experiments, whose files write them).  verify_bounds
-hands the whole suite to one _execute.  A sweep reads only each run's
+_engine_runs, over the setups of its keys.  _setup_runs alone builds them
+(graph, W, domain, dynamics, start target, sigma2), every key's on the
+call, so a config that cannot run is refused before any run.  It decides
+what shares a setup and engine loops: every key whose config builds equal
+weights, domain, oracle mode, horizon and start target, wherever it sits in
+the keys.  Their dynamics may differ, each replicate carrying its own.  The
+runner builds each batch's inputs just before the batch runs, rolling the
+target paths of each dynamics in one call (a path is its (T+1, d) states
+array), and runs batches that hold at most BATCH_TRACE_BYTES; each
+replicate's trace equals running it alone.  Each replicate carries its
+key's index k, by which callers place results.  _execute measures each run
+on top of it, a batch's bound recursions in one pass, and yields (k,
+RunResult) (the static regret and variation-tuned value only for
+run_experiments, whose files write them).  A sweep reads only each run's
 normalized dynamic regret, straight from the runner: it keeps no iterates
 and takes no guarantee.
 """
@@ -193,13 +194,15 @@ def _same(a, b):
 
 
 def _setup_runs(keys):
-    """((weights, domain, sigma2, target0), group) of each setup of keys: the
-    keys whose configs build _same weights, domain, oracle mode, horizon and
-    start target (_start_target), wherever they sit in keys.  Setups come in
-    order of first appearance and use their first config's objects; group
-    holds a (k, cfg, item, dyn) per key keys[k] == (cfg, item), in key order,
-    dyn its config's.  The dynamics may differ: keys whose dynamics are
-    _same share one dyn object."""
+    """[((weights, domain, sigma2, target0), group)] of each setup of keys,
+    all built on the call: the only code that assembles a config and takes
+    its start target, so it raises the ConfigError of a config that cannot
+    run before any run.  A setup holds the keys whose configs build _same
+    weights, domain, oracle mode, horizon and start target, wherever they
+    sit in keys.  Setups come in order of first appearance and use their
+    first config's objects; group holds a (k, cfg, item, dyn) per key
+    keys[k] == (cfg, item), in key order, dyn its config's.  Keys whose
+    dynamics are _same share one dyn object, which no other setup holds."""
     setups = []  # (built, dyns, group) of each setup so far
     for cfg, run_keys in itertools.groupby(enumerate(keys), key=lambda pair: pair[1][0]):
         weights, domain, dyn = _assemble(cfg)
@@ -215,8 +218,8 @@ def _setup_runs(keys):
         else:
             dyns.append(dyn)
         group += [(k, cfg, item, dyn) for k, (_, item) in run_keys]
-    for (weights, domain, *_, target0), _, group in setups:
-        yield (weights, domain, second_singular_value(weights), target0), group
+    return [((weights, domain, second_singular_value(weights), target0), group)
+            for (weights, domain, *_, target0), _, group in setups]
 
 
 def _replicates(batch, draft_of, domain, sigma2, target0):
@@ -243,9 +246,9 @@ def _replicates(batch, draft_of, domain, sigma2, target0):
     return replicates
 
 
-def _engine_runs(keys, draft_of, x0=None, keep_iterates=True, names=None):
-    """(setup, batch, traces) of each engine.run call over keys, one setup
-    of _setup_runs after another: a setup's keys in batches that fit
+def _engine_runs(setups, draft_of, x0=None, keep_iterates=True, names=None):
+    """(setup, batch, traces) of each engine.run call over setups, the list
+    _setup_runs(keys) built and refused: a setup's keys in batches that fit
     BATCH_TRACE_BYTES, each batch's replicates built by _replicates just
     before it runs and split where their stack_shape changes.  batch holds
     the replicates of one call, each with its own dyn; traces[r] is the
@@ -256,7 +259,7 @@ def _engine_runs(keys, draft_of, x0=None, keep_iterates=True, names=None):
     key keys[k] as names[k] when names is given, else by its place in its
     batch.
     """
-    for setup, group in _setup_runs(keys):
+    for setup, group in setups:
         cfg = group[0][1]
         for part in _replicate_batches(group, _replicate_bytes(cfg, keep_iterates)):
             replicates = _replicates(part, draft_of, *setup[1:])
@@ -276,11 +279,11 @@ def _engine_runs(keys, draft_of, x0=None, keep_iterates=True, names=None):
             del replicates
 
 
-def _execute(keys, draft_of, x0=None, full=True, names=None):
-    """Run one replicate per (cfg, item) key through _engine_runs, keeping
-    its iterates; yields (k, RunResult) of each keys[k], setup by setup as
-    _engine_runs runs them.  names name the keys' replicates in an
-    EngineError, as for _engine_runs.
+def _execute(setups, draft_of, x0=None, full=True, names=None):
+    """Run one replicate per key of setups, the list _setup_runs(keys) built
+    and refused, through _engine_runs, keeping its iterates; yields (k,
+    RunResult) of each keys[k], setup by setup as _engine_runs runs them.
+    names name the keys' replicates in an EngineError, as for _engine_runs.
 
     A result's trace is its replicate's trace[r]; its regret carries the
     dynamic regret, read from the losses the engine folded, and C_T; its
@@ -292,11 +295,9 @@ def _execute(keys, draft_of, x0=None, full=True, names=None):
     distinct dynamics of a setup, is a `not a guarantee` note on the runs
     of that dynamics.
     """
-    seen = None  # the setup whose verdict notes notes_of holds, keyed by id(dyn)
-    for setup, batch, traces in _engine_runs(keys, draft_of, x0, names=names):
+    notes_of = {}  # the verdict notes of each dyn by id: setups holds them all, each in one setup
+    for setup, batch, traces in _engine_runs(setups, draft_of, x0, names=names):
         weights, domain, sigma2, _ = setup
-        if setup is not seen:
-            seen, notes_of = setup, {}
         consts, c_ts = geometry_constants(domain), [float(rep[6].sum()) for rep in batch]
         steps = _guarantee_steps(sigma2, traces.etas, c_ts if full else None, traces.horizon)
         for r, (k, cfg, ens, path, _, _, norms, dyn) in enumerate(batch):
@@ -349,23 +350,24 @@ def _config_draft(cfg, run_index, domain):
             _derive_seed(cfg.seed, _ORACLE, run_index))
 
 
-def run_experiments(cfg, run_indices, x0=None):
+def run_experiments(cfg, run_indices):
     """Execute the runs `run_indices` of one config; returns a generator of RunResults.
 
     Each run index gets its own target path, losses, step sizes and oracle
-    seed, exactly as a run of it alone would.  The run indices and the
-    start target are checked on the call; the runs then go through
-    _execute, measuring all that `domd run` writes (static regret and the
-    variation-tuned value included), and keep their iterates, so a consumer
-    that drops each result before asking for the next holds at most one
-    batch of traces (see BATCH_TRACE_BYTES).
+    seed, exactly as a run of it alone would.  The run indices are checked
+    on the call, then _setup_runs refuses a config that cannot run (with no
+    run index, nothing).  The runs go through _execute, measuring all that
+    `domd run` writes (static regret and the variation-tuned value
+    included), and keep their iterates, so a consumer that drops each
+    result before asking for the next holds at most one batch of traces
+    (see BATCH_TRACE_BYTES).
     """
     run_indices = list(run_indices)
     for run_index in run_indices:
         if run_index < 0:
             raise ValueError(f"run index must be non-negative, got {run_index}")
-    _start_target(cfg, build_domain(cfg))
-    return (result for _, result in _execute([(cfg, i) for i in run_indices], _config_draft, x0))
+    setups = _setup_runs([(cfg, i) for i in run_indices])
+    return (result for _, result in _execute(setups, _config_draft))
 
 
 def run_experiment(cfg, run_index=0, out_dir=None):
@@ -486,15 +488,16 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     Per-run seeds derive from (master seed, run index), so they are pairwise
     distinct and the whole sweep is reproducible.  Unless noise.fixed_path
     is set, each replicate redraws the target path.  Every value is checked
-    like a config file value, cross-field rules and the start target's
-    place in the domain included, before any run; an Erdos-Renyi value's
-    graph is sampled, and for synthetic quadratic losses every replicate's
-    centres are checked too.  The runs go through _engine_runs, and each
-    replicate is measured by its normalized dynamic regret alone, bit for
-    bit that of the run on its own: no RunResult, static regret or
-    guarantee.  A float key's values show as the floats that ran, an int
-    key's as passed, so an int above 2**53 stays exact.  A run error names
-    its replicate by that shown value and its run index.
+    like a config file value, cross-field rules included; _setup_runs then
+    builds every value's setup, refusing a start target outside the domain
+    or an Erdos-Renyi graph it cannot sample, and for synthetic quadratic
+    losses every batch of replicates is rolled and its centres checked, all
+    before any run.  The runs go through _engine_runs, and each replicate
+    is measured by its normalized dynamic regret alone, bit for bit that of
+    the run on its own: no RunResult, static regret or guarantee.  A float
+    key's values show as the floats that ran, an int key's as passed, so an
+    int above 2**53 stays exact.  A run error names its replicate by that
+    shown value and its run index.
     """
     attr, typ, check, _ = _resolve_param(param)
     if attr in ("horizon", "runs"):  # the only keys a sweep cannot vary
@@ -512,27 +515,22 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
         value = typ(value)
         if check is not None and not check(value):
             raise ConfigError(f"sweep value {value!r} out of range for {param}")
-        cfg_v = cross_validate(replace(cfg, **{attr: value}))
-        domain = build_domain(cfg_v)
-        target0 = _start_target(cfg_v, domain)
-        if cfg_v.graph == "erdos_renyi":
-            build_graph(cfg_v)  # raises ConfigError when no connected graph is drawn
-        if cfg_v.loss_kind == "synthetic_quadratic":
-            # the centres come from each replicate's drawn losses: build them
-            # now, check them and let them go, so no value runs before all pass
-            dyn = build_dynamics(cfg_v)
-            for batch in _replicate_batches(range(runs), _replicate_bytes(cfg_v, False)):
-                noises, ensembles, _ = zip(*(_config_draft(cfg_v, i, domain) for i in batch))
-                _replicate_paths(dyn, domain, target0, noises, ensembles)
-        configs.append(cfg_v)
-    horizon = cfg.horizon
-    shown = tuple(values) if typ is int else tuple(map(float, values))
+        configs.append(cross_validate(replace(cfg, **{attr: value})))
     # every value's runs through one engine runner, which keeps no iterates:
     # values that build the same engine inputs share its loops
     keys = [(cfg_v, i) for cfg_v in configs for i in range(runs)]
+    setups = _setup_runs(keys)
+    if cfg.loss_kind == "synthetic_quadratic":
+        # the centres come from each replicate's drawn losses: roll each batch
+        # now, check it and let it go, so no value runs before all pass
+        for setup, group in setups:
+            for part in _replicate_batches(group, _replicate_bytes(group[0][1], False)):
+                _replicates(part, _config_draft, *setup[1:])
+    horizon = cfg.horizon
+    shown = tuple(values) if typ is int else tuple(map(float, values))
     names = [f"{param}={show_value(v)}, run {i}" for v in shown for i in range(runs)]
     curves = np.empty((len(keys), horizon))
-    for _, batch, traces in _engine_runs(keys, _config_draft, keep_iterates=False, names=names):
+    for _, batch, traces in _engine_runs(setups, _config_draft, keep_iterates=False, names=names):
         for r, (k, _, ens, path, *_) in enumerate(batch):
             curves[k] = dynamic_regret(traces[r], ens, path).normalized
         del batch, traces  # before the next batch is built and run
@@ -658,11 +656,9 @@ def _case_draft(stream, l_scale, cfg, item, domain):
 
 def _build_case(case, seed):
     """(weights, domain, dyn, ens, path, etas) of a suite case at one seed."""
-    weights, domain, dyn = _assemble(case.cfg)
-    draft_of = partial(_case_draft, 0, 1.0)
-    [(_, _, ens, path, etas, *_)] = _replicates([(0, case.cfg, (case, seed), dyn)], draft_of,
-                                                domain, None, _start_target(case.cfg, domain))
-    return weights, domain, dyn, ens, path, etas
+    [(setup, [entry])] = _setup_runs([(case.cfg, (case, seed))])
+    [(_, _, ens, path, etas, *_)] = _replicates([entry], partial(_case_draft, 0, 1.0), *setup[1:])
+    return setup[0], setup[1], entry[3], ens, path, etas
 
 
 @dataclass(frozen=True)
@@ -677,7 +673,7 @@ def _suite_runs(cases_seeds, stream, l_scale=1.0):
     """(k, RunResult) of each cases_seeds[k] == (case, seed), through one
     _execute (see _case_draft); an EngineError names `<case> seed <seed>`."""
     keys = [(case.cfg, (case, s)) for case, s in cases_seeds]
-    return _execute(keys, partial(_case_draft, stream, l_scale), full=False,
+    return _execute(_setup_runs(keys), partial(_case_draft, stream, l_scale), full=False,
                     names=[f"{case.name} seed {s}" for case, s in cases_seeds])
 
 
@@ -785,7 +781,7 @@ def variation_scaling_study(horizons=(250, 500, 1000, 2000), drift_size=0.01, se
     keys = [(replace(base, horizon=h), h) for h in horizons]
     regrets, denominators = np.empty(len(keys)), np.empty(len(keys))
     eta = sigma2 = float("nan")
-    for k, result in _execute(keys, _config_draft, base.target_init, full=False):
+    for k, result in _execute(_setup_runs(keys), _config_draft, base.target_init, full=False):
         regret = result.regret
         regrets[k] = regret.dynamic_regret
         denominators[k] = np.sqrt(regret.path_variation * horizons[k] / (1.0 - result.sigma2))

@@ -448,7 +448,7 @@ def test_sweep_samples_erdos_renyi_graphs_before_any_engine_call(monkeypatch):
 
 @pytest.mark.parametrize("cfg, checks", [
     (_tracking_cfg(horizon=20), 0),  # one roll of the engine batch's paths, both values'
-    (_quad_cfg(horizon=20), 2),  # after one roll per value for the centres check
+    (_quad_cfg(horizon=20), 1),  # after one roll of the same batch for the centres check
 ], ids=["tracking", "quadratic"])
 def test_sweep_rolls_each_batch_of_paths_once(cfg, checks, monkeypatch):
     calls = []
@@ -456,7 +456,7 @@ def test_sweep_rolls_each_batch_of_paths_once(cfg, checks, monkeypatch):
     monkeypatch.setattr(domd.harness, "generate_path",
                         lambda dyn, noise, *a: calls.append(np.shape(noise)) or roll(dyn, noise, *a))
     sweep(cfg, "eta0", (0.1, 0.2), runs=3)
-    assert calls == [(3, 20, cfg.dim)] * checks + [(6, 20, cfg.dim)]
+    assert calls == [(6, 20, cfg.dim)] * (checks + 1)
 
 
 def test_sweep_shapes_and_outputs(tmp_path):
@@ -811,7 +811,8 @@ def test_batch_bounds_equal_each_runs_own_guarantee(monkeypatch):
     cfg = _tracking_cfg(horizon=40, schedule_kind="variation_tuned")
     keys = [(replace(cfg, sigma_v2=value), i) for value in (0.0, 0.5) for i in range(2)]
     calls = _count_engine_runs(monkeypatch)
-    ks, results = zip(*domd.harness._execute(keys, domd.harness._config_draft))
+    setups = domd.harness._setup_runs(keys)
+    ks, results = zip(*domd.harness._execute(setups, domd.harness._config_draft))
     assert len(calls) == 1
     assert ks == (0, 1, 2, 3)
     weights, domain, dyn = domd.harness._assemble(cfg)
@@ -1024,7 +1025,8 @@ def test_a_mixed_dynamics_batch_notes_each_replicate_by_its_own_verdict(monkeypa
     still = replace(ncv, dynamics_model="identity")
     keys = [(ncv, 0), (still, 0), (ncv, 1), (still, 1)]
     calls = _record_calls(monkeypatch, "dynamics_verdict", "run", "generate_path")
-    ks, results = zip(*domd.harness._execute(keys, domd.harness._config_draft))
+    setups = domd.harness._setup_runs(keys)
+    ks, results = zip(*domd.harness._execute(setups, domd.harness._config_draft))
     assert ks == (0, 1, 2, 3)
     assert calls == ["generate_path"] * 4 + ["run", "dynamics_verdict", "dynamics_verdict"]
     assert [_not_a_guarantee(r) for r in results] == [[NCV_ROW_0], [], [NCV_ROW_0], []]
@@ -1080,7 +1082,8 @@ def test_keys_that_differ_in_their_start_target_are_two_setups_each_its_run_alon
     cfg = _quad_cfg(horizon=30)
     other = replace(cfg, target_init=(-0.5, 0.5))
     calls = _count_engine_runs(monkeypatch)
-    ks, results = zip(*domd.harness._execute([(cfg, 0), (other, 0)], domd.harness._config_draft))
+    setups = domd.harness._setup_runs([(cfg, 0), (other, 0)])
+    ks, results = zip(*domd.harness._execute(setups, domd.harness._config_draft))
     assert ks == (0, 1) and len(calls) == 2
     monkeypatch.undo()
     for c, result in zip((cfg, other), results):
@@ -1138,3 +1141,25 @@ def test_every_suite_path_starts_at_its_configs_start_target():
                 assert _same_bits(start, loop_start), case.name
                 simplex += 1
     assert simplex == 3 * 2
+
+
+@pytest.mark.parametrize("call, assembled", [
+    (lambda: list(run_experiments(_tracking_cfg(horizon=10), range(3))), 1),
+    (lambda: sweep(_tracking_cfg(horizon=10), "noise.sigma_v2", (0.25, 0.5, 0.75, 1.0),
+                   runs=2), 4),
+    (lambda: sweep(_quad_cfg(horizon=10), "eta0", (0.1, 0.2), runs=2), 2),
+    (lambda: verify_bounds(seeds=3), 10),
+], ids=["run_experiments", "sigma_v2_sweep", "quadratic_eta0_sweep", "verify_bounds"])
+def test_each_config_is_assembled_once_per_call(call, assembled, monkeypatch):
+    # _setup_runs alone builds a config's domain and start target, once per
+    # run of equal consecutive configs: no caller takes them again to refuse one
+    calls = _record_calls(monkeypatch, "build_domain", "_start_target")
+    call()
+    assert calls == ["build_domain", "_start_target"] * assembled
+
+
+def test_an_erdos_renyi_sweep_samples_each_values_graph_once(monkeypatch):
+    calls = _record_calls(monkeypatch, "random_connected_graph")
+    cfg = _tracking_cfg(graph="erdos_renyi", nodes=1000, edge_prob=0.01, horizon=5)
+    sweep(cfg, "noise.sigma_v2", (0.25, 0.5), runs=1)
+    assert calls == ["random_connected_graph"] * 2
