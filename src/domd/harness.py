@@ -16,21 +16,23 @@ own.
 Every run, of a config (run, sweep, the scaling study) or of a suite case
 (verify_bounds, stochastic_mean_regret), goes through one engine runner,
 _engine_runs, over the setups of its keys.  _setup_runs alone builds them
-(graph, W, domain, dynamics, start target, sigma2), every key's on the
-call, so a config that cannot run is refused before any run.  It decides
-what shares a setup and engine loops: every key whose config builds equal
-weights, domain, oracle mode, horizon and start target, wherever it sits in
-the keys.  Their dynamics may differ, each replicate carrying its own.  The
-runner builds each batch's inputs just before the batch runs, rolling the
-target paths of each dynamics in one call (a path is its (T+1, d) states
-array), and runs batches that hold at most BATCH_TRACE_BYTES; each
-replicate's trace equals running it alone.  Each replicate carries its
-key's index k, by which callers place results.  _execute measures each run
-on top of it, a batch's bound recursions in one pass, and yields (k,
-RunResult) (the static regret and variation-tuned value only for
+(graph, W, domain, dynamics, start target, sigma2), every key's on the call,
+refusing a config's own facts (start target, graph, domain) before any engine
+loop; _replicates refuses drawn facts (a path that is not finite, synthetic
+centres outside the domain) as it builds their batch, the one rule of every
+command.  _setup_runs decides what shares a setup and engine loops: every key
+whose config builds equal weights, domain, oracle mode, horizon and start
+target, wherever it sits in the keys.  Their dynamics may differ, each
+replicate carrying its own.  The runner builds each batch's inputs just before
+the batch runs, rolling the target paths of each dynamics in one call (a path
+is its (T+1, d) states array), and runs batches that hold at most
+BATCH_TRACE_BYTES; each replicate's trace equals running it alone.  Each
+replicate carries its key's index k, by which callers place results.  _execute
+measures each run on top of it, a batch's bound recursions in one pass, and
+yields (k, RunResult) (the static regret and variation-tuned value only for
 run_experiments, whose files write them).  A sweep reads only each run's
-normalized dynamic regret, straight from the runner: it keeps no iterates
-and takes no guarantee.
+normalized dynamic regret, straight from the runner: it keeps no iterates and
+takes no guarantee.
 """
 
 import itertools
@@ -196,8 +198,8 @@ def _same(a, b):
 def _setup_runs(keys):
     """[((weights, domain, sigma2, target0), group)] of each setup of keys,
     all built on the call: the only code that assembles a config and takes
-    its start target, so it raises the ConfigError of a config that cannot
-    run before any run.  A setup holds the keys whose configs build _same
+    its start target, so it raises the ConfigError of a config's own facts
+    before any engine loop.  A setup holds the keys whose configs build _same
     weights, domain, oracle mode, horizon and start target, wherever they
     sit in keys.  Setups come in order of first appearance and use their
     first config's objects; group holds a (k, cfg, item, dyn) per key
@@ -222,15 +224,19 @@ def _setup_runs(keys):
             for (weights, domain, *_, target0), _, group in setups]
 
 
-def _replicates(batch, draft_of, domain, sigma2, target0):
+def _replicates(batch, draft_of, domain, sigma2, target0, names=None):
     """(k, cfg, ens, path, etas, seed, norms, dyn) of each (k, cfg, item, dyn)
     of batch, every path rolled from target0, those of each run of
-    consecutive keys with one dyn in one generate_path call.
+    consecutive keys with one dyn in one generate_path call, each path
+    bit-identical to rolling it alone.
 
     draft_of(cfg, item, domain) gives a key's (noise, ens, seed).  norms
     are the path's residual_norms under its dyn, taken in one stacked call
     per such run, whose sum C_T the schedule, the regret and the bounds all
-    read.
+    read.  Raises ConfigError at the first round in which a path of one
+    roll is not finite, or when a centre of a replicate's ensemble leaves
+    the domain; with names, the message ends with the first such
+    replicate's (names[k]).
     """
     drafts = [draft_of(cfg, item, domain) for _, cfg, item, _ in batch]
     replicates = []
@@ -238,12 +244,25 @@ def _replicates(batch, draft_of, domain, sigma2, target0):
         entries, run_drafts = zip(*run_of_dyn)
         dyn = entries[0][3]
         noises, ensembles, seeds = zip(*run_drafts)
-        paths = _replicate_paths(dyn, domain, target0, noises, ensembles)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            paths = generate_path(dyn, noises, target0, len(noises[0]))
+        finite = np.isfinite(paths).all(axis=2).T  # (horizon+1, R), round by round
+        if not finite.all():
+            round_, r = divmod(int(np.argmin(finite)), len(paths))
+            _refuse(f"the target path is not finite from round {round_ + 1}", entries[r][0], names)
+        for (k, *_), ens, path in zip(entries, ensembles, paths):
+            if centers_outside_domain(ens, path, domain):
+                _refuse("synthetic centers leave the domain; shrink offsets or noise", k, names)
         replicates += [(k, cfg, ens, path, build_schedule(cfg, sigma2, float(norms.sum())), seed,
                         norms, dyn)
                        for (k, cfg, _, _), ens, path, seed, norms
                        in zip(entries, ensembles, paths, seeds, residual_norms(paths, dyn, domain))]
     return replicates
+
+
+def _refuse(why, k, names):
+    """Raise the ConfigError why of key k's replicate, ending with (names[k]) if names."""
+    raise ConfigError(why if names is None else f"{why} ({names[k]})")
 
 
 def _engine_runs(setups, draft_of, x0=None, keep_iterates=True, names=None):
@@ -257,12 +276,13 @@ def _engine_runs(setups, draft_of, x0=None, keep_iterates=True, names=None):
     draft_of drafts one key, as for _replicates; keep_iterates=False keeps
     no iterates (trace.x is None).  An EngineError names the replicate of
     key keys[k] as names[k] when names is given, else by its place in its
-    batch.
+    batch; a ConfigError of _replicates ends with (names[k]) when names is
+    given.
     """
     for setup, group in setups:
         cfg = group[0][1]
         for part in _replicate_batches(group, _replicate_bytes(cfg, keep_iterates)):
-            replicates = _replicates(part, draft_of, *setup[1:])
+            replicates = _replicates(part, draft_of, *setup[1:], names)
             for _, batch in itertools.groupby(replicates, key=lambda rep: stack_shape(rep[2])):
                 batch = list(batch)
                 try:
@@ -326,23 +346,6 @@ def _start_target(cfg, domain):
     return target0
 
 
-def _replicate_paths(dyn, domain, target0, noises, ensembles):
-    """The (R, horizon+1, d) paths of R replicates: their (horizon, d)
-    disturbances in noises rolled from target0, all in one generate_path
-    call, each path bit-identical to rolling it alone.  Raises ConfigError
-    at a path's first non-finite round, or when a centre of a replicate's
-    ensemble in ensembles leaves the domain.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        paths = generate_path(dyn, noises, target0, len(noises[0]))
-    finite = np.isfinite(paths).all(axis=(0, 2))
-    if not finite.all():
-        raise ConfigError(f"the target path is not finite from round {np.argmin(finite) + 1}")
-    if any(centers_outside_domain(ens, path, domain) for ens, path in zip(ensembles, paths)):
-        raise ConfigError("synthetic centers leave the domain; shrink offsets or noise")
-    return paths
-
-
 def _config_draft(cfg, run_index, domain):
     """(noise, ens, seed) of a config's run run_index: a replicate up to
     its rolled path (see _replicates)."""
@@ -354,13 +357,13 @@ def run_experiments(cfg, run_indices):
     """Execute the runs `run_indices` of one config; returns a generator of RunResults.
 
     Each run index gets its own target path, losses, step sizes and oracle
-    seed, exactly as a run of it alone would.  The run indices are checked
-    on the call, then _setup_runs refuses a config that cannot run (with no
-    run index, nothing).  The runs go through _execute, measuring all that
-    `domd run` writes (static regret and the variation-tuned value
-    included), and keep their iterates, so a consumer that drops each
-    result before asking for the next holds at most one batch of traces
-    (see BATCH_TRACE_BYTES).
+    seed, exactly as a run of it alone would.  The run indices are checked on
+    the call, then _setup_runs refuses the config's own facts (with no run
+    index, nothing), and each batch its drawn facts as it is built.  The runs
+    go through _execute, measuring all that `domd run` writes (static regret
+    and the variation-tuned value included), and keep their iterates, so a
+    consumer that drops each result before asking for the next holds at most
+    one batch of traces (see BATCH_TRACE_BYTES).
     """
     run_indices = list(run_indices)
     for run_index in run_indices:
@@ -490,14 +493,16 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     is set, each replicate redraws the target path.  Every value is checked
     like a config file value, cross-field rules included; _setup_runs then
     builds every value's setup, refusing a start target outside the domain
-    or an Erdos-Renyi graph it cannot sample, and for synthetic quadratic
-    losses every batch of replicates is rolled and its centres checked, all
-    before any run.  The runs go through _engine_runs, and each replicate
-    is measured by its normalized dynamic regret alone, bit for bit that of
-    the run on its own: no RunResult, static regret or guarantee.  A float
-    key's values show as the floats that ran, an int key's as passed, so an
-    int above 2**53 stays exact.  A run error names its replicate by that
-    shown value and its run index.
+    or an Erdos-Renyi graph it cannot sample before any run.  The runs go
+    through _engine_runs, which refuses a replicate's drawn facts (a path
+    that is not finite, synthetic centres outside the domain) when it builds
+    its batch, so after any earlier batch ran; a refused sweep writes no
+    sweep.csv.  Each replicate is measured by its normalized dynamic regret
+    alone, bit for bit that of the run on its own: no RunResult, static
+    regret or guarantee.  A float key's values show as the floats that ran,
+    an int key's as passed, so an int above 2**53 stays exact.  A run error,
+    or a drawn fact's config error, names its replicate by that shown value
+    and its run index.
     """
     attr, typ, check, _ = _resolve_param(param)
     if attr in ("horizon", "runs"):  # the only keys a sweep cannot vary
@@ -520,12 +525,6 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     # values that build the same engine inputs share its loops
     keys = [(cfg_v, i) for cfg_v in configs for i in range(runs)]
     setups = _setup_runs(keys)
-    if cfg.loss_kind == "synthetic_quadratic":
-        # the centres come from each replicate's drawn losses: roll each batch
-        # now, check it and let it go, so no value runs before all pass
-        for setup, group in setups:
-            for part in _replicate_batches(group, _replicate_bytes(group[0][1], False)):
-                _replicates(part, _config_draft, *setup[1:])
     horizon = cfg.horizon
     shown = tuple(values) if typ is int else tuple(map(float, values))
     names = [f"{param}={show_value(v)}, run {i}" for v in shown for i in range(runs)]

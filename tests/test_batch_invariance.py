@@ -148,12 +148,13 @@ def test_every_executed_key_is_its_run_alone(names, cap):
         assert not _differences(result, alone[k], "result"), (k, names[k])
 
 
-SWEEP_BASE = {  # param -> (config, its values); loss.offset_scale checks centres first
+SWEEP_BASE = {  # param -> (config, its values); geometry.box_high's values build two setups
     "network.rows": (TRACKING, (2, 3, 5)),
     "noise.sigma_v2": (TRACKING, (0.25, 0.5)),
     "loss.obs_noise_high": (TRACKING, (0.5, 2.0)),
     "eta0": (QUAD, (0.1, 0.2)),
     "loss.offset_scale": (QUAD, (0.1, 0.2)),
+    "geometry.box_high": (QUAD, (5.0, 6.0)),
     "dynamics.scale": (replace(QUAD, dynamics_model="scaled_identity", noise_kind="constant_drift",
                                drift=(0.01, -0.01)), (0.9, 1.0)),
 }
@@ -178,6 +179,7 @@ def _swept(param, value, runs):
 @PROFILE
 @given(_sweeps())
 @example(("network.rows", (3, 5, 3), 2, CAPS[0]))  # the second 3 joins the first one's loop
+@example(("geometry.box_high", (6.0, 5.0, 6.0), 2, CAPS[1]))  # quadratic setups, batches split
 def test_every_swept_value_is_its_sweep_alone(drawn):
     param, values, runs, cap = drawn
     alone = [_swept(param, value, runs) for value in values]

@@ -213,6 +213,19 @@ def test_sweep_refusals_are_config_errors(quad_config, tmp_path, capsys, param, 
     assert not out.exists()
 
 
+def test_a_quadratic_sweep_refused_in_a_later_setup_is_one_config_error_line(
+        quad_config, tmp_path, capsys):
+    # box_high 5 runs first; 0.6's centres leave its box when its batch is built
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", quad_config, "--out", str(out),
+                 "--param", "geometry.box_high", "--values", "5,0.6", "--runs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: synthetic centers leave the domain; shrink offsets "
+                            "or noise (geometry.box_high=0.6, run 0)\n")
+    assert not out.exists()
+
+
 def test_sweep_values_may_start_with_a_minus_sign(quad_config, tmp_path, capsys):
     # argparse once took a list such as -20000,-15000 for an option and exited 1
     # with "expected one argument"; only its own negative literals (-2, -0.5) passed

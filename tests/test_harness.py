@@ -1,6 +1,7 @@
 """Experiment assembly: run construction, sweeps, bound verification."""
 
 import os
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -407,6 +408,12 @@ def test_sweep_parameter_resolution():
      "target_init lies outside the domain"),
     (_quad_cfg(horizon=10, runs=1, graph="path", nodes=4), "network.nodes", (3, 1),
      "network path needs at least two nodes"),
+    # drawn inputs, refused as the values' one batch is built, name their replicate:
+    # the default config's NCV path overflows in round 2 at eps = 1e300
+    (_tracking_cfg(horizon=10, runs=2), "dynamics.eps", (0.1, 1e300),
+     "the target path is not finite from round 2 (dynamics.eps=1e+300, run 0)"),
+    (_quad_cfg(horizon=10, runs=2), "loss.offset_scale", (0.2, 100.0),
+     "synthetic centers leave the domain; shrink offsets or noise (loss.offset_scale=100, run 0)"),
 ])
 def test_sweep_checks_every_value_before_any_run(cfg, param, values, message, monkeypatch):
     # the config-file rules, cross-field ones included, hold for swept values
@@ -414,7 +421,7 @@ def test_sweep_checks_every_value_before_any_run(cfg, param, values, message, mo
         raise AssertionError("a run started before every value was checked")
 
     monkeypatch.setattr(domd.harness, "run", no_run)  # the engine call of every sweep run
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         sweep(cfg, param, values)
 
 
@@ -446,17 +453,30 @@ def test_sweep_samples_erdos_renyi_graphs_before_any_engine_call(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("cfg, checks", [
-    (_tracking_cfg(horizon=20), 0),  # one roll of the engine batch's paths, both values'
-    (_quad_cfg(horizon=20), 1),  # after one roll of the same batch for the centres check
-], ids=["tracking", "quadratic"])
-def test_sweep_rolls_each_batch_of_paths_once(cfg, checks, monkeypatch):
+@pytest.mark.parametrize("cfg", [_tracking_cfg(horizon=20), _quad_cfg(horizon=20)],
+                         ids=["tracking", "quadratic"])
+def test_sweep_rolls_each_batch_of_paths_once(cfg, monkeypatch):
+    # one roll of the engine batch's paths, both values', which also checks
+    # a quadratic sweep's centres
     calls = []
     roll = domd.harness.generate_path
     monkeypatch.setattr(domd.harness, "generate_path",
                         lambda dyn, noise, *a: calls.append(np.shape(noise)) or roll(dyn, noise, *a))
     sweep(cfg, "eta0", (0.1, 0.2), runs=3)
-    assert calls == [(6, 20, cfg.dim)] * (checks + 1)
+    assert calls == [(6, 20, cfg.dim)]
+
+
+def test_a_quadratic_sweep_across_setups_refuses_a_later_setup_after_the_first_ran(
+        tmp_path, monkeypatch):
+    # box_high 0.6 builds a second setup, whose centres leave its box: the
+    # first setup runs, then the second is refused, and no sweep.csv is written
+    calls = _count_engine_runs(monkeypatch)
+    with pytest.raises(ConfigError) as info:
+        sweep(_quad_cfg(runs=2), "geometry.box_high", (5.0, 0.6), out_dir=tmp_path / "sweep")
+    assert str(info.value) == ("synthetic centers leave the domain; shrink offsets or noise "
+                               "(geometry.box_high=0.6, run 0)")
+    assert calls == [1]
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_shapes_and_outputs(tmp_path):
