@@ -10,7 +10,8 @@ exact-gradient run's three guarantees (harness.check_rows); regret >= 0 is check
 by `verify-bounds` only, since a correct run on linear losses may break it.
 `run` prints the guarantee total of its gradient mode (G^2 if stochastic, L^2 if exact).
 --out is created before any work, so an unusable path fails first; a config or run
-error removes it again if made and still empty.
+error removes it again if made and still empty.  The library refuses every option's
+value (--seed as experiment.seed), each as a config error.
 """
 
 import argparse
@@ -77,11 +78,7 @@ def build_parser():
 
 def _load(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _violations(rows, notes=()):
@@ -96,8 +93,6 @@ def _violations(rows, notes=()):
 
 def _cmd_run(args):
     cfg = _load(args)
-    if args.run_index < 0:
-        raise ConfigError(f"--run-index must be nonnegative, got {args.run_index}")
     result = run_experiment(cfg, run_index=args.run_index, out_dir=args.out)
     print(f"dynamic_regret={result.regret.dynamic_regret:.6g}")
     print(f"normalized_final={result.regret.normalized[-1]:.6g}")
@@ -129,10 +124,6 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    if args.seeds < 1:
-        raise ConfigError("--seeds must be at least 1")
-    if not (math.isfinite(args.l_scale) and args.l_scale > 0):
-        raise ConfigError(f"--l-scale must be positive and finite, got {args.l_scale}")
     report = verify_bounds(args.seeds, out_dir=args.out, l_scale=args.l_scale)
     print(f"checks={len(report.rows)} seeds={report.seeds} violations={_violations(report.rows)}")
     return 0 if report.passed else 2

@@ -6,6 +6,8 @@ ExperimentConfig field (section, key, default, type, check, description);
 SCHEMA, parsing and the --help listing are derived from those fields.
 Unknown sections or keys are rejected so typos cannot silently change an
 experiment.  Environment variables named DOMD_<SECTION>__<KEY> override file values.
+An ExperimentConfig is valid by construction: its __post_init__ runs cross_validate,
+the one place a value is refused, whether parsed, built or set by dataclasses.replace.
 
 Example::
 
@@ -22,7 +24,7 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .network import DENSE_MIX_MAX_NODES
 
@@ -105,6 +107,9 @@ class ExperimentConfig:
     oracle_noise: float = _key("loss", "oracle_noise", 0.0,
                                "synthetic stochastic gradient noise half-width", _nonnegative)
 
+    def __post_init__(self):
+        cross_validate(self)
+
     @property
     def agents(self):
         """Network size: rows * cols on a grid, nodes otherwise."""
@@ -127,11 +132,8 @@ SCHEMA = _derive_schema()
 
 
 def _convert(section, key, spec, raw):
-    attr, typ, check, _ = spec
-    where = f"{section}.{key}"
+    attr, typ, _, _ = spec
     raw = raw.strip()
-    if isinstance(typ, tuple) and raw not in typ:
-        raise ConfigError(f"{where}: expected one of {', '.join(typ)}, got {raw!r}")
     try:
         if typ is int:
             value = int(raw)
@@ -144,20 +146,25 @@ def _convert(section, key, spec, raw):
             value = low in ("true", "1", "yes")
         elif typ == "vector":
             value = tuple(float(p) for p in raw.split(",")) if raw else ()
-        else:  # one of the enumerated strings
+        else:  # one of the enumerated strings, which cross_validate checks
             value = raw
     except ValueError:
-        raise ConfigError(f"{where}: cannot parse {raw!r}") from None
-    if check is not None and not check(value):
-        raise ConfigError(f"{where}: value {raw!r} out of range")
+        raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from None
     return attr, value
 
 
 def cross_validate(cfg):
-    """Return cfg, or raise ConfigError on a non-finite float or two conflicting values."""
+    """Return cfg, or raise ConfigError on the first refused value: key by key, one
+    outside its choices or check, then a non-finite float; then two conflicting
+    values.  ExperimentConfig.__post_init__ calls it: every config passed it."""
     for section, keys in SCHEMA.items():
-        for key, (attr, typ, _, _) in keys.items():
+        for key, (attr, typ, check, _) in keys.items():
             value = getattr(cfg, attr)
+            if isinstance(typ, tuple) and value not in typ:
+                raise ConfigError(f"{section}.{key}: expected one of {', '.join(typ)}, "
+                                  f"got {value!r}")
+            if check is not None and not check(value):
+                raise ConfigError(f"{section}.{key}: value {value!r} out of range")
             entries = (value,) if typ is float else value if typ == "vector" else ()
             if not all(map(math.isfinite, entries)):
                 raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
@@ -198,7 +205,7 @@ def cross_validate(cfg):
 
 
 def parse_config(text, env=None):
-    """Parse a config document, apply environment overrides, validate.
+    """Parse a config document and apply environment overrides.
 
     Raises ConfigError naming the offending section.key on unknown keys,
     type errors or out-of-range values.
@@ -229,8 +236,7 @@ def parse_config(text, env=None):
             raise ConfigError(f"override {name} names unknown key {section}.{key}")
         attr, value = _convert(section, key, SCHEMA[section][key], raw)
         values[attr] = value
-    cfg = replace(ExperimentConfig(), **values)
-    return cross_validate(cfg)
+    return ExperimentConfig(**values)
 
 
 def load_config(path, env=None):

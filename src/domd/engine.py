@@ -276,10 +276,14 @@ def run(weights, domain, dyn, replicates, horizon, mode="exact", x0=None, keep_i
     if not replicates:
         raise ValueError("need at least one replicate")
     ensembles, paths, etas, seeds = zip(*replicates)
-    for r, eta in enumerate(etas):
-        if np.shape(eta) != (horizon + 1,) or not np.all((np.asarray(eta) > 0) & np.isfinite(eta)):
+    for r, eta in enumerate(map(np.asarray, etas)):
+        shaped = eta.shape == (horizon + 1,)
+        good = shaped and (eta > 0) & np.isfinite(eta)
+        if not np.all(good):  # name the first bad step, or the wrong shape
+            t = int(np.argmin(good))
+            got = f"eta_{t + 1} = {float(eta[t])!r}" if shaped else f"shape {eta.shape}"
             raise ValueError(f"replicate {r}: step sizes must be {horizon + 1} positive finite "
-                             f"values eta_1 .. eta_(T+1), got shape {np.shape(eta)}")
+                             f"values eta_1 .. eta_(T+1), got {got}")
     etas = np.array(etas, dtype=float)
     ens, path = stack_replicates(ensembles, paths, horizon)
     count, n, d = len(replicates), weights.n, domain.d

@@ -19,20 +19,20 @@ _engine_runs, over the setups of its keys.  _setup_runs alone builds them
 (graph, W, domain, dynamics, start target, sigma2), every key's on the call,
 refusing a config's own facts (start target, graph, domain) before any engine
 loop; _replicates refuses drawn facts (a path that is not finite, synthetic
-centres outside the domain) as it builds their batch, the one rule of every
-command.  _setup_runs decides what shares a setup and engine loops: every key
-whose config builds equal weights, domain, oracle mode, horizon and start
-target, wherever it sits in the keys.  Their dynamics may differ, each
-replicate carrying its own.  The runner builds each batch's inputs just before
-the batch runs, rolling the target paths of each dynamics in one call (a path
-is its (T+1, d) states array), and runs batches that hold at most
-BATCH_TRACE_BYTES; each replicate's trace equals running it alone.  Each
-replicate carries its key's index k, by which callers place results.  _execute
-measures each run on top of it, a batch's bound recursions in one pass, and
-yields (k, RunResult) (the static regret and variation-tuned value only for
-run_experiments, whose files write them).  A sweep reads only each run's
-normalized dynamic regret, straight from the runner: it keeps no iterates and
-takes no guarantee.
+centres outside the domain, a C_T past the float range for a variation-tuned
+step) as it builds their batch, the one rule of every command.  _setup_runs
+decides what shares a setup and engine loops: every key whose config builds
+equal weights, domain, oracle mode, horizon and start target, wherever it
+sits in the keys.  Their dynamics may differ, each replicate carrying its
+own.  The runner builds each batch's inputs just before the batch runs,
+rolling the target paths of each dynamics in one call (a path is its (T+1,
+d) states array), and runs batches that hold at most BATCH_TRACE_BYTES; each
+replicate's trace equals running it alone.  Each replicate carries its key's
+index k, by which callers place results.  _execute measures each run on top
+of it, a batch's bound recursions in one pass, and yields (k, RunResult)
+(the static regret and variation-tuned value only for run_experiments, whose
+files write them).  A sweep reads only each run's normalized dynamic regret,
+straight from the runner: it keeps no iterates and takes no guarantee.
 """
 
 import itertools
@@ -43,7 +43,7 @@ from functools import partial
 import numpy as np
 
 from . import csvio
-from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash, cross_validate
+from .config import SCHEMA, ConfigError, ExperimentConfig, config_hash
 from .dynamics import (LinearDynamics, generate_path, identity_dynamics, ncv_disturbances,
                        ncv_dynamics, residual_norms)
 from .engine import EngineError, run
@@ -234,9 +234,9 @@ def _replicates(batch, draft_of, domain, sigma2, target0, names=None):
     are the path's residual_norms under its dyn, taken in one stacked call
     per such run, whose sum C_T the schedule, the regret and the bounds all
     read.  Raises ConfigError at the first round in which a path of one
-    roll is not finite, or when a centre of a replicate's ensemble leaves
-    the domain; with names, the message ends with the first such
-    replicate's (names[k]).
+    roll is not finite, when a centre of a replicate's ensemble leaves the
+    domain, or when a variation-tuned replicate's C_T is not finite; with
+    names, the message ends with the first such replicate's (names[k]).
     """
     drafts = [draft_of(cfg, item, domain) for _, cfg, item, _ in batch]
     replicates = []
@@ -250,13 +250,15 @@ def _replicates(batch, draft_of, domain, sigma2, target0, names=None):
         if not finite.all():
             round_, r = divmod(int(np.argmin(finite)), len(paths))
             _refuse(f"the target path is not finite from round {round_ + 1}", entries[r][0], names)
-        for (k, *_), ens, path in zip(entries, ensembles, paths):
+        for (k, cfg, _, _), ens, path, seed, norms in zip(entries, ensembles, paths, seeds,
+                                                          residual_norms(paths, dyn, domain)):
             if centers_outside_domain(ens, path, domain):
                 _refuse("synthetic centers leave the domain; shrink offsets or noise", k, names)
-        replicates += [(k, cfg, ens, path, build_schedule(cfg, sigma2, float(norms.sum())), seed,
-                        norms, dyn)
-                       for (k, cfg, _, _), ens, path, seed, norms
-                       in zip(entries, ensembles, paths, seeds, residual_norms(paths, dyn, domain))]
+            c_t = float(norms.sum())
+            if cfg.schedule_kind == "variation_tuned" and not np.isfinite(c_t):
+                _refuse("schedule.kind=variation_tuned needs a finite path variation", k, names)
+            replicates.append((k, cfg, ens, path, build_schedule(cfg, sigma2, c_t), seed, norms,
+                               dyn))
     return replicates
 
 
@@ -368,7 +370,7 @@ def run_experiments(cfg, run_indices):
     run_indices = list(run_indices)
     for run_index in run_indices:
         if run_index < 0:
-            raise ValueError(f"run index must be non-negative, got {run_index}")
+            raise ConfigError(f"run index must be non-negative, got {run_index}")
     setups = _setup_runs([(cfg, i) for i in run_indices])
     return (result for _, result in _execute(setups, _config_draft))
 
@@ -466,17 +468,11 @@ class SweepResult:
 
 
 def _resolve_param(param):
-    if "." in param:
-        section, key = param.split(".", 1)
-        if section in SCHEMA and key in SCHEMA[section]:
-            spec = SCHEMA[section][key]
-            if spec[1] in (int, float):
-                return spec
-        raise ConfigError(f"unknown or non-numeric sweep parameter {param!r}")
-    hits = [spec for keys in SCHEMA.values() for k, spec in keys.items() if k == param]
-    hits = [s for s in hits if s[1] in (int, float)]
+    """The SCHEMA spec of the int or float key named section.key, or key if one section has it."""
+    hits = [spec for section, keys in SCHEMA.items() for key, spec in keys.items()
+            if param in (f"{section}.{key}", key) and spec[1] in (int, float)]
     if len(hits) != 1:
-        raise ConfigError(f"unknown or ambiguous sweep parameter {param!r}")
+        raise ConfigError(f"unknown, ambiguous or non-numeric sweep parameter {param!r}")
     return hits[0]
 
 
@@ -490,13 +486,13 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
 
     Per-run seeds derive from (master seed, run index), so they are pairwise
     distinct and the whole sweep is reproducible.  Unless noise.fixed_path
-    is set, each replicate redraws the target path.  Every value is checked
-    like a config file value, cross-field rules included; _setup_runs then
-    builds every value's setup, refusing a start target outside the domain
-    or an Erdos-Renyi graph it cannot sample before any run.  The runs go
-    through _engine_runs, which refuses a replicate's drawn facts (a path
-    that is not finite, synthetic centres outside the domain) when it builds
-    its batch, so after any earlier batch ran; a refused sweep writes no
+    is set, each replicate redraws the target path.  An int key's values must
+    be integral; each value's config, valid by construction, refuses it as a
+    config file's, and _setup_runs then builds every value's setup, refusing
+    a start target outside the domain or an Erdos-Renyi graph it cannot
+    sample, all before any run.  The runs go through _engine_runs, which
+    refuses a replicate's drawn facts (see _replicates) when it builds its
+    batch, so after any earlier batch ran; a refused sweep writes no
     sweep.csv.  Each replicate is measured by its normalized dynamic regret
     alone, bit for bit that of the run on its own: no RunResult, static
     regret or guarantee.  A float key's values show as the floats that ran,
@@ -504,7 +500,7 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
     or a drawn fact's config error, names its replicate by that shown value
     and its run index.
     """
-    attr, typ, check, _ = _resolve_param(param)
+    attr, typ, _, _ = _resolve_param(param)
     if attr in ("horizon", "runs"):  # the only keys a sweep cannot vary
         raise ConfigError(f"cannot sweep experiment.{attr}: the averaged curves share "
                           "one horizon, and the runs argument sets the replicates")
@@ -513,14 +509,10 @@ def sweep(cfg, param, values, runs=None, out_dir=None):
         raise ConfigError("sweep needs at least one run per value")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    configs = []
     for value in values:
         if typ is int and not float(value).is_integer():
             raise ConfigError(f"sweep value {value!r} is not an integer for {param}")
-        value = typ(value)
-        if check is not None and not check(value):
-            raise ConfigError(f"sweep value {value!r} out of range for {param}")
-        configs.append(cross_validate(replace(cfg, **{attr: value})))
+    configs = [replace(cfg, **{attr: typ(value)}) for value in values]
     # every value's runs through one engine runner, which keeps no iterates:
     # values that build the same engine inputs share its loops
     keys = [(cfg_v, i) for cfg_v in configs for i in range(runs)]
@@ -563,7 +555,7 @@ class SuiteCase:
 
 
 def _case(name, base, **changes):
-    return SuiteCase(name, cross_validate(replace(base, **changes)))
+    return SuiteCase(name, replace(base, **changes))
 
 
 def _simplex_loop(horizon):
@@ -702,9 +694,9 @@ def verify_bounds(seeds=20, out_dir=None, l_scale=1.0):
     bound turns negative, and the violations test nothing.
     """
     if seeds < 1:
-        raise ValueError("need at least one seed")
+        raise ConfigError("need at least one seed")
     if not (np.isfinite(l_scale) and l_scale > 0):
-        raise ValueError(f"l_scale must be positive and finite, got {l_scale}")
+        raise ConfigError(f"l_scale must be positive and finite, got {l_scale}")
     # the whole suite in one _execute: each run's rows, or a noisy run
     # itself, placed at its key's index k, then written in suite order
     cases_seeds = [(case, s) for case in bound_suite() for s in range(seeds)]

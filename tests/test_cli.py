@@ -226,6 +226,27 @@ def test_a_quadratic_sweep_refused_in_a_later_setup_is_one_config_error_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["run"], ""),
+    (["sweep", "--param", "dynamics.eps", "--values", "0.1,1e150", "--runs", "1"],
+     " (dynamics.eps=1e+150, run 0)"),
+], ids=["run", "sweep"])
+def test_a_variation_tuned_run_whose_path_variation_overflows_is_one_config_error_line(
+        tmp_path, capsys, argv, named):
+    # eps = 1e150 keeps the path finite but puts its residual norms, so C_T
+    # and the tuned step, past the float range
+    config = tmp_path / "tuned.ini"
+    config.write_text("[experiment]\nhorizon = 20\n[dynamics]\neps = 1e150\n"
+                      "[schedule]\nkind = variation_tuned\n")
+    out = tmp_path / "x"
+    assert main(argv[:1] + ["--config", str(config), "--out", str(out)] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: schedule.kind=variation_tuned needs a finite path "
+                            f"variation{named}\n")
+    assert not out.exists()
+
+
 def test_sweep_values_may_start_with_a_minus_sign(quad_config, tmp_path, capsys):
     # argparse once took a list such as -20000,-15000 for an option and exited 1
     # with "expected one argument"; only its own negative literals (-2, -0.5) passed
@@ -340,7 +361,8 @@ def test_a_violation_names_the_dynamics_assumption_the_run_broke(tmp_path, capsy
 def test_verify_rejects_bad_seed_count(tmp_path, capsys):
     code = main(["verify-bounds", "--seeds", "0", "--out", str(tmp_path / "v")])
     assert code == 1
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: need at least one seed\n"
+    assert not (tmp_path / "v").exists()
 
 
 @pytest.mark.parametrize("l_scale", ["0", "-1", "nan"])
@@ -349,8 +371,8 @@ def test_verify_rejects_non_positive_l_scale(tmp_path, capsys, l_scale):
                  "--l-scale", l_scale])
     assert code == 1
     captured = capsys.readouterr()
-    assert "config error: --l-scale must be positive" in captured.err
-    assert "VIOLATION" not in captured.err
+    want = f"config error: l_scale must be positive and finite, got {float(l_scale)}\n"
+    assert captured.err == want
     assert not (tmp_path / "v").exists()
 
 
@@ -384,18 +406,19 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+# the library refuses each option's value: --seed as experiment.seed, --run-index
+# in run_experiments
 @pytest.mark.parametrize("argv, needle", [
-    (["run", "--seed", "-1"], "--seed must be nonnegative, got -1"),
-    (["run", "--run-index", "-1"], "--run-index must be nonnegative, got -1"),
+    (["run", "--seed", "-1"], "experiment.seed: value -1 out of range"),
+    (["run", "--run-index", "-1"], "run index must be non-negative, got -1"),
     (["sweep", "--seed", "-2", "--param", "eta0", "--values", "0.1"],
-     "--seed must be nonnegative, got -2"),
-])
+     "experiment.seed: value -2 out of range"),
+], ids=["run-seed", "run-run-index", "sweep-seed"])
 def test_negative_overrides_are_config_errors(quad_config, tmp_path, capsys, argv, needle):
     out = tmp_path / "out"
     code = main(argv[:1] + ["--config", quad_config, "--out", str(out)] + argv[1:])
     assert code == 1
-    err = capsys.readouterr().err
-    assert f"config error: {needle}" in err
+    assert capsys.readouterr().err == f"config error: {needle}\n"
     assert not out.exists()
 
 

@@ -1,6 +1,6 @@
 """Config parsing, validation, environment overrides and hashing."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -148,6 +148,41 @@ def test_non_finite_floats_are_rejected(name, bad):
     if not vector:  # vectors cannot be swept
         with pytest.raises(ConfigError, match=name):
             sweep(parse_config("", env={}), name, (float(bad),), runs=1)
+
+
+# (section.key, attribute, type, check or choices) of every key that refuses values by itself
+CHECKED_KEYS = [(f"{section}.{key}", attr, typ, check or typ)
+                for section, keys in SCHEMA.items() for key, (attr, typ, check, _) in keys.items()
+                if check is not None or isinstance(typ, tuple)]
+
+
+@pytest.mark.parametrize("name, attr, typ, rule", CHECKED_KEYS,
+                         ids=[key[0] for key in CHECKED_KEYS])
+def test_a_built_config_refuses_a_value_as_parsing_does(name, attr, typ, rule):
+    # -1 fails every check, and no key offers the choice "bogus"
+    bad = "bogus" if isinstance(typ, tuple) else typ(-1)
+    assert not (bad in rule if isinstance(typ, tuple) else rule(bad))
+    with pytest.raises(ConfigError) as built:
+        replace(ExperimentConfig(), **{attr: bad})
+    section, key = name.split(".")
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(f"[{section}]\n{key} = {bad}\n", env={})
+    assert str(built.value) == str(parsed.value)
+    if isinstance(typ, tuple):
+        assert str(built.value) == f"{name}: expected one of {', '.join(typ)}, got 'bogus'"
+    else:
+        assert str(built.value) == f"{name}: value {bad!r} out of range"
+
+
+def test_a_built_config_refuses_conflicting_values_as_parsing_does():
+    with pytest.raises(ConfigError) as parsed:
+        parse_config("[dynamics]\nmodel = identity\n", env={})
+    for build in (lambda: replace(ExperimentConfig(), dynamics_model="identity"),
+                  lambda: ExperimentConfig(dynamics_model="identity")):
+        with pytest.raises(ConfigError) as built:
+            build()
+        assert str(built.value) == str(parsed.value) == (
+            "noise.kind=gaussian_ncv requires dynamics.model=ncv")
 
 
 def test_agent_count_rule_applies_to_tracking_losses_only():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import round_centers
 import domd.engine
 import domd.objectives
-from domd.config import ExperimentConfig, cross_validate
+from domd.config import ExperimentConfig
 from domd.dynamics import (LinearDynamics, generate_path, identity_dynamics,
                            ncv_disturbances, ncv_dynamics)
 from domd.engine import EngineError, RunTrace, init_state, run, step
@@ -55,6 +55,12 @@ def test_constant_and_inv_sqrt_schedules():
                 run(weights, domain, dyn, replicates, 5)
         with pytest.raises(ValueError, match="replicate 1: step sizes must be 6 positive"):
             run(weights, domain, dyn, [(ens, path, good, 0), (ens, path, bad, 1)], 5)
+    # a step array of the right shape is refused by its first bad step
+    for bad, got in ((np.r_[0.1, np.inf, np.full(4, 0.1)], "eta_2 = inf"),
+                     (np.r_[np.full(5, 0.1), -0.0], "eta_6 = -0.0"),
+                     (np.r_[np.nan, 0.0, np.full(4, 0.1)], "eta_1 = nan")):
+        with pytest.raises(ValueError, match=f"replicate 1: .* eta_\\(T\\+1\\), got {got}$"):
+            run(weights, domain, dyn, [(ens, path, good, 0), (ens, path, bad, 1)], 5)
 
 
 def test_schedule_etas_covers_one_past_horizon():
@@ -86,10 +92,10 @@ def test_init_state_defaults():
     # start, bit for bit: the simplex's uniform point, or the box's origin
     for changes, start in (({"domain_kind": "simplex", "dim": 3}, np.full(3, 1.0 / 3.0)),
                            ({"domain_kind": "box", "dim": 2}, np.zeros(2))):
-        cfg = cross_validate(ExperimentConfig(
+        cfg = ExperimentConfig(
             horizon=3, gradient_mode="exact", rows=2, cols=2, dynamics_model="identity",
             noise_kind="zero", target_init=(), loss_kind="synthetic_quadratic",
-            offset_scale=0.02, **changes))
+            offset_scale=0.02, **changes)
         result = run_experiment(cfg)
         assert result.path[0].tobytes() == start.tobytes()
         assert result.trace.x[0].tobytes() == np.tile(start, (4, 1)).tobytes()

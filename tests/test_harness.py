@@ -70,6 +70,10 @@ def _quad_cfg(**overrides):
     return replace(parse_config(EXACT_QUAD, env={}), **overrides)
 
 
+# the refusal of a variation-tuned replicate whose path variation C_T is +inf
+VT_OVERFLOW = "schedule.kind=variation_tuned needs a finite path variation"
+
+
 def test_build_graph_kinds():
     assert build_graph(_tracking_cfg()).n == 25
     assert build_graph(_tracking_cfg(graph="path", nodes=7)).n == 7
@@ -109,7 +113,9 @@ def test_build_weights_and_domain_and_geometry():
 
     box = build_domain(_tracking_cfg())
     assert box.kind == "box" and box.d == 4 and box.hi[0] == 10000.0
-    simplex_cfg = _tracking_cfg(domain_kind="simplex", dim=3)
+    simplex_cfg = _tracking_cfg(domain_kind="simplex", dim=3, dynamics_model="identity",
+                                noise_kind="zero", target_init=(),
+                                loss_kind="synthetic_quadratic")
     simplex = build_domain(simplex_cfg)
     assert simplex.kind == "simplex"
     # the domain is the geometry
@@ -129,7 +135,8 @@ def test_a_scaled_identity_of_one_is_no_motion():
 
 def test_build_dynamics_and_noise():
     assert build_dynamics(_tracking_cfg()).d == 4
-    scaled = build_dynamics(_tracking_cfg(dynamics_model="scaled_identity", dim=2))
+    scaled = build_dynamics(_tracking_cfg(dynamics_model="scaled_identity", dim=2,
+                                          noise_kind="zero", target_init=()))
     np.testing.assert_allclose(scaled.a, 0.9 * np.eye(2))
     # each kind is exactly the (horizon, dim) array it stands for
     zero = _tracking_cfg(noise_kind="zero", horizon=7)
@@ -186,9 +193,9 @@ def test_negative_run_index_is_rejected_before_assembly(monkeypatch):
 
     monkeypatch.setattr(domd.harness, "build_graph", no_build)
     cfg = _quad_cfg(horizon=10)
-    with pytest.raises(ValueError, match="run index must be non-negative, got -1"):
+    with pytest.raises(ConfigError, match="run index must be non-negative, got -1"):
         run_experiment(cfg, run_index=-1)
-    with pytest.raises(ValueError, match="got -3"):
+    with pytest.raises(ConfigError, match="got -3"):
         run_experiments(cfg, [0, -3])  # on the call, before the first result is asked for
 
 
@@ -282,7 +289,7 @@ def _not_a_guarantee(result):
 ], ids=["default_exact", "default_stochastic", "eps_1"])
 def test_a_run_whose_dynamics_leave_the_box_carries_one_note_naming_row_0(changes, note,
                                                                             tmp_path):
-    result = run_experiment(cross_validate(_tracking_cfg(**changes)), out_dir=tmp_path)
+    result = run_experiment(_tracking_cfg(**changes), out_dir=tmp_path)
     assert _not_a_guarantee(result) == [note]
     comments = read_csv(tmp_path / "bounds.csv")[0]
     assert [c for c in comments if c.startswith("note=not a guarantee")] == [f"note={note}"]
@@ -290,7 +297,7 @@ def test_a_run_whose_dynamics_leave_the_box_carries_one_note_naming_row_0(change
 
 
 def test_the_eps_1_run_fails_its_disagreement_check_with_the_verdict_noted():
-    result = run_experiment(cross_validate(_tracking_cfg(**EPS1)))
+    result = run_experiment(_tracking_cfg(**EPS1))
     assert exact_run_violations(result) == ("disagreement",)
     # sigma2 = 0 keeps its own note, ahead of the verdict's
     assert len(result.bounds.notes) == 2 and result.bounds.notes[1] == EPS1_ROW_0
@@ -414,6 +421,12 @@ def test_sweep_parameter_resolution():
      "the target path is not finite from round 2 (dynamics.eps=1e+300, run 0)"),
     (_quad_cfg(horizon=10, runs=2), "loss.offset_scale", (0.2, 100.0),
      "synthetic centers leave the domain; shrink offsets or noise (loss.offset_scale=100, run 0)"),
+    # a value its key's check refuses, named as in a config file
+    (_tracking_cfg(horizon=10, runs=1), "noise.sigma_v2", (0.5, -1),
+     "noise.sigma_v2: value -1.0 out of range"),
+    # a finite path whose residual norms pass the float range: C_T is +inf
+    (_tracking_cfg(horizon=20, runs=1, schedule_kind="variation_tuned"), "dynamics.eps",
+     (0.1, 1e150), f"{VT_OVERFLOW} (dynamics.eps=1e+150, run 0)"),
 ])
 def test_sweep_checks_every_value_before_any_run(cfg, param, values, message, monkeypatch):
     # the config-file rules, cross-field ones included, hold for swept values
@@ -423,6 +436,16 @@ def test_sweep_checks_every_value_before_any_run(cfg, param, values, message, mo
     monkeypatch.setattr(domd.harness, "run", no_run)  # the engine call of every sweep run
     with pytest.raises(ConfigError, match=re.escape(message)):
         sweep(cfg, param, values)
+
+
+def test_a_variation_tuned_run_whose_path_variation_overflows_is_a_config_error(monkeypatch):
+    # eps = 1e150 keeps the 20-round NCV path finite, but its residual norms
+    # overflow, so the tuned step would be +inf; refused before the engine runs
+    monkeypatch.setattr(domd.harness, "run", None)
+    cfg = _tracking_cfg(horizon=20, eps=1e150, schedule_kind="variation_tuned")
+    assert np.isfinite(build_noise(cfg, 0)).all()
+    with pytest.raises(ConfigError, match=f"^{re.escape(VT_OVERFLOW)}$"):
+        run_experiment(cfg)
 
 
 def _count_engine_runs(monkeypatch):
@@ -962,14 +985,14 @@ def test_verify_bounds_negative_control():
     assert not report.passed and report.violations >= 1
     failing = {r.case for r in report.rows if not r.passed}
     assert "box_linear_polarized_n3_t120" in failing
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ConfigError, match="need at least one seed"):
         verify_bounds(seeds=0)
 
 
 @pytest.mark.parametrize("l_scale", [0.0, -1.0, float("nan"), float("inf")])
 def test_verify_bounds_rejects_non_positive_l_scale(l_scale):
     # a scale of zero or below makes every bound negative: violations that test nothing
-    with pytest.raises(ValueError, match="l_scale must be positive"):
+    with pytest.raises(ConfigError, match="l_scale must be positive"):
         verify_bounds(seeds=1, l_scale=l_scale)
 
 
@@ -1007,6 +1030,11 @@ def test_variation_scaling_study_small():
         variation_scaling_study(horizons=(100,), drift_size=0.5)
     with pytest.raises(ValueError, match="nonzero drift_size"):
         variation_scaling_study(horizons=(40,), drift_size=0.0)
+    # its configs refuse a bad seed or horizon as a config file's would
+    with pytest.raises(ConfigError, match="^experiment.seed: value -1 out of range$"):
+        variation_scaling_study(horizons=(40,), seed=-1)
+    with pytest.raises(ConfigError, match="^experiment.horizon: value 0 out of range$"):
+        variation_scaling_study(horizons=(40, 0))
 
 
 # ------------------------------------------- batches whose replicates differ in A
@@ -1042,7 +1070,7 @@ def test_a_mixed_dynamics_batch_notes_each_replicate_by_its_own_verdict(monkeypa
     # call, one verdict per distinct dynamics, each run its own note and
     # otherwise the run alone (the third key re-assembles NCV, equal to the first)
     ncv = _tracking_cfg(horizon=20)
-    still = replace(ncv, dynamics_model="identity")
+    still = replace(ncv, dynamics_model="identity", noise_kind="zero")
     keys = [(ncv, 0), (still, 0), (ncv, 1), (still, 1)]
     calls = _record_calls(monkeypatch, "dynamics_verdict", "run", "generate_path")
     setups = domd.harness._setup_runs(keys)

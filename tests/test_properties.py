@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domd.config import ExperimentConfig, cross_validate
+from domd.config import ExperimentConfig
 from domd.geometry import (box_domain, contains, prox, prox_inequality_gap, sample_domain,
                            simplex_domain)
 from domd.harness import run_experiment
@@ -112,9 +112,8 @@ def _files(out):
        st.sampled_from(("constant", "inv_sqrt", "variation_tuned")), SEEDS, st.integers(0, 5))
 def test_a_run_twice_writes_the_same_bytes(rows, cols, horizon, loss, mode, schedule, seed,
                                            run_index):
-    cfg = cross_validate(ExperimentConfig(rows=rows, cols=cols, horizon=horizon, loss_kind=loss,
-                                          gradient_mode=mode, schedule_kind=schedule,
-                                          seed=seed, eta0=0.1))
+    cfg = ExperimentConfig(rows=rows, cols=cols, horizon=horizon, loss_kind=loss,
+                           gradient_mode=mode, schedule_kind=schedule, seed=seed, eta0=0.1)
     with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
         run_experiment(cfg, run_index, first)
         run_experiment(cfg, run_index, second)
